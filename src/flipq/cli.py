@@ -2,9 +2,9 @@
 
 Outputs are machine readable (JSON reports, CSV scan tables) and byte
 deterministic for a fixed config and seed: randomness comes from spawned
-seed sequences keyed by row index, and rows are emitted in sorted order,
-so --threads never changes the bytes.  Exit codes: 0 pass, 1 check
-failure, 2 config error.
+seed sequences keyed by row index, and rows are emitted in grid order.
+Match and scan run as batch passes; --threads is accepted and ignored.
+Exit codes: 0 pass, 1 check failure, 2 config or usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +22,24 @@ from .config_io import RunConfig, load_run_config, parse_vector, phi_from_config
 from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, FlipQError
 from .perturbation import (
-    matching_map,
+    match_lanes,
+    matching_errors,
     rest_bound_scan,
-    solve_rho,
     solve_rho_blowup,
     verify_conditions,
 )
 from .blowup import BlowupPoint
-from .quotient import FiberType, level_rho_batch, moment_value, segre_point
+from .quotient import fiber_type, level_rho_batch, moment_value_batch
 from .sampling import complex_gaussian, random_domain_batch, random_unit_direction
 
 SCAN_RESIDUAL_TOL = 1e-12
 MOMENT_RESIDUAL_TOL = 1e-12
 ORBIT_DEVIATION_TOL = 1e-11
 BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
+# Lanes per scan batch pass.  Bounds the working set: one pass over a
+# 1,984-row, 32-sample grid (63,488 lanes) raised peak RSS from 45 to 58 MB
+# and ran slower than 4096-lane blocks.
+SCAN_BLOCK_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -48,21 +51,18 @@ class ScanRow:
     mean_level_residual: float
 
 
-def _c2j(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _v2j(v):
+    """Complex array (..., r) as nested lists of [re, im] floats."""
+    v = np.asarray(v, dtype=complex)
+    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
-def _v2j(v) -> list[list[float]]:
-    return [_c2j(z) for z in np.asarray(v)]
+def _point_json(theta, t, y_prime_json, y_second_json) -> dict:
+    return {"theta": float(theta), "t": float(t), "y_prime": y_prime_json, "y_second": y_second_json}
 
 
 def _fiber_to_json(p: FiberPoint) -> dict:
-    return {
-        "theta": float(p.base.theta),
-        "t": float(p.base.t),
-        "y_prime": _v2j(p.y_prime),
-        "y_second": _v2j(p.y_second),
-    }
+    return _point_json(p.base.theta, p.base.t, _v2j(p.y_prime), _v2j(p.y_second))
 
 
 def _dump(doc, out_path: str | None) -> None:
@@ -105,43 +105,44 @@ def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol:
     return doc, report.all_ok
 
 
-def _scan_row(cfg, theta: float, t: float, k: int, row_seed) -> ScanRow:
-    ftype = FiberType.QPrime if t < 0 else (FiberType.QSecond if t > 0 else FiberType.QZero)
+def _scan_residuals(cfg, grid: list[tuple[float, float]], k: int, seed: int) -> list[float]:
+    """Mean level residual per grid row over k samples drawn from the row's own seed."""
     if k == 0:
-        return ScanRow(theta, t, ftype.value, 0, 0.0)
-    rng = np.random.default_rng(row_seed)
-    y_prime = complex_gaussian(rng, (k, cfg.r_prime))
-    y_second = complex_gaussian(rng, (k, cfg.r_second))
-    thetas = np.full(k, theta)
-    ts = np.full(k, t)
-    rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
-    scaled_p = y_prime * rho[:, None]
-    scaled_s = y_second / rho[:, None]
-    from .quotient import moment_value_batch
-
-    resid = np.abs(moment_value_batch(cfg, thetas, ts, scaled_p, scaled_s))
-    return ScanRow(theta, t, ftype.value, k, float(resid.mean()))
+        return [0.0] * len(grid)
+    seeds = np.random.SeedSequence(seed).spawn(len(grid))
+    rows_per_block = max(1, SCAN_BLOCK_LANES // k)
+    means: list[float] = []
+    for start in range(0, len(grid), rows_per_block):
+        block = range(start, min(start + rows_per_block, len(grid)))
+        prime, second = [], []
+        for i in block:
+            rng = np.random.default_rng(seeds[i])
+            prime.append(complex_gaussian(rng, (k, cfg.r_prime)))
+            second.append(complex_gaussian(rng, (k, cfg.r_second)))
+        y_prime = np.concatenate(prime)
+        y_second = np.concatenate(second)
+        thetas = np.repeat([grid[i][0] for i in block], k)
+        ts = np.repeat([grid[i][1] for i in block], k)
+        rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
+        resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None],
+                                          y_second / rho[:, None]))
+        means.extend(resid.reshape(len(block), k).mean(axis=1).tolist())
+    return means
 
 
 def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
-             samples: int, threads: int = 1) -> list[ScanRow]:
+             samples: int) -> list[ScanRow]:
     cfg = run_cfg.model
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_steps, endpoint=False)
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
     # a symmetric grid is meant to hit the wall exactly
     ts[np.abs(ts) < 1e-15] = 0.0
     grid = [(float(th), float(t)) for th in thetas for t in ts]
-    seeds = np.random.SeedSequence(seed).spawn(len(grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda i: _scan_row(cfg, grid[i][0], grid[i][1], samples, seeds[i]),
-                range(len(grid)),
-            ))
-    else:
-        rows = [_scan_row(cfg, th, t, samples, s) for (th, t), s in zip(grid, seeds)]
-    rows.sort(key=lambda r: (r.theta, r.t))
-    return rows
+    residuals = _scan_residuals(cfg, grid, samples, seed)
+    return [
+        ScanRow(th, t, fiber_type(BasePoint(th, t)).value, samples, resid)
+        for (th, t), resid in zip(grid, residuals)
+    ]
 
 
 def _scan_csv(rows: list[ScanRow]) -> str:
@@ -153,26 +154,33 @@ def _scan_csv(rows: list[ScanRow]) -> str:
     return buf.getvalue()
 
 
-def _match_point(cfg, p: FiberPoint) -> dict:
-    try:
-        sol = solve_rho(cfg, p)
-        matched = matching_map(cfg, p)
-    except FlipQError as e:
-        return {
-            "input": _fiber_to_json(p),
-            "error": type(e).__name__,
-            "message": str(e),
-        }
-    resid = abs(moment_value(cfg, matched))
-    deviation = float(np.abs(segre_point(p) - segre_point(matched)).max())
-    return {
-        "input": _fiber_to_json(p),
-        "rho": sol.rho,
-        "newton_iterations": sol.iterations,
-        "matched": _fiber_to_json(matched),
-        "moment_residual": resid,
-        "orbit_deviation": deviation,
-    }
+def _match_entries(cfg, thetas, y_prime, y_second) -> list[dict]:
+    """One match entry per lane: the matched point and its checks, or the error."""
+    if len(thetas) == 0:
+        return []
+    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
+    errors = matching_errors(cfg, thetas, y_prime, y_second, m)
+    resid = np.abs(moment_value_batch(cfg, thetas, m.t, m.out_prime, m.out_second))
+    segre_in = y_prime[:, :, None] * y_second[:, None, :]
+    segre_out = m.out_prime[:, :, None] * m.out_second[:, None, :]
+    deviation = np.abs(segre_in - segre_out).max(axis=(1, 2))
+    in_prime, in_second = _v2j(y_prime), _v2j(y_second)
+    out_prime, out_second = _v2j(m.out_prime), _v2j(m.out_second)
+    entries = []
+    for i, err in enumerate(errors):
+        entry = {"input": _point_json(thetas[i], 0.0, in_prime[i], in_second[i])}
+        if err is not None:
+            entry.update(error=type(err).__name__, message=str(err))
+        else:
+            entry.update(
+                rho=float(m.rho[i]),
+                newton_iterations=int(m.iterations[i]),
+                matched=_point_json(thetas[i], m.t[i], out_prime[i], out_second[i]),
+                moment_residual=float(resid[i]),
+                orbit_deviation=float(deviation[i]),
+            )
+        entries.append(entry)
+    return entries
 
 
 def _blowup_ray(cfg, ray_seed) -> dict:
@@ -207,14 +215,16 @@ def _blowup_ray(cfg, ray_seed) -> dict:
 def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint],
               random_n: int, blowup_rays: int) -> dict:
     cfg = run_cfg.model
-    entries = [_match_point(cfg, p) for p in points]
+    thetas = np.array([p.base.theta for p in points], dtype=float)
+    y_prime = np.array([p.y_prime for p in points], dtype=complex).reshape(len(points), cfg.r_prime)
+    y_second = np.array([p.y_second for p in points], dtype=complex).reshape(len(points), cfg.r_second)
     if random_n > 0:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        thetas, y_prime, y_second = random_domain_batch(rng, cfg, random_n)
-        for i in range(random_n):
-            p = FiberPoint(base=BasePoint(float(thetas[i]), 0.0),
-                           y_prime=y_prime[i], y_second=y_second[i])
-            entries.append(_match_point(cfg, p))
+        r_thetas, r_prime, r_second = random_domain_batch(rng, cfg, random_n)
+        thetas = np.concatenate([thetas, r_thetas])
+        y_prime = np.concatenate([y_prime, r_prime])
+        y_second = np.concatenate([y_second, r_second])
+    entries = _match_entries(cfg, thetas, y_prime, y_second)
     rays = []
     if blowup_rays > 0:
         ray_seeds = np.random.SeedSequence(seed + 1).spawn(blowup_rays)
@@ -245,7 +255,7 @@ def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
     verify_doc, conditions_ok = run_verify(
         run_cfg, seed, args.samples, args.fd_step, args.tol, theta_grid=args.theta_grid
     )
-    rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples, args.threads)
+    rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples)
     match_doc = run_match(run_cfg, seed, [], args.match_samples, args.blowup_rays)
     stats = match_doc["matching_stats"]
     scan_ok = all(r.mean_level_residual <= SCAN_RESIDUAL_TOL for r in rows)
@@ -273,7 +283,7 @@ def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
     return doc, passed
 
 
-def _parse_point(text: str) -> FiberPoint:
+def _parse_point(text: str, cfg) -> FiberPoint:
     try:
         doc = json.loads(text)
         theta = float(doc.get("theta", 0.0))
@@ -281,7 +291,18 @@ def _parse_point(text: str) -> FiberPoint:
         y_second = parse_vector(doc["y_second"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ConfigParse(f"bad --point payload: {e}") from e
+    for name, v, rank in (("y_prime", y_prime, cfg.r_prime), ("y_second", y_second, cfg.r_second)):
+        if v.shape[0] != rank:
+            raise ConfigParse(f"bad --point payload: {name} has length {v.shape[0]}, expected {rank}")
     return FiberPoint(base=BasePoint(theta, 0.0), y_prime=y_prime, y_second=y_second)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for sample and step counts: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,41 +313,41 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("verify", help="check the normalization conditions and the rest bound")
     common(p)
-    p.add_argument("--samples", type=int, default=2000, help="rest-bound scan sample count")
+    p.add_argument("--samples", type=_non_negative_int, default=2000, help="rest-bound scan sample count")
     p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--theta-grid", type=int, default=64, dest="theta_grid")
 
     p = sub.add_parser("scan", help="tabulate fiber types and level residuals over the base")
     common(p)
-    p.add_argument("--theta-steps", type=int, default=8, dest="theta_steps")
-    p.add_argument("--t-steps", type=int, default=5, dest="t_steps")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--theta-steps", type=_non_negative_int, default=8, dest="theta_steps")
+    p.add_argument("--t-steps", type=_non_negative_int, default=5, dest="t_steps")
+    p.add_argument("--samples", type=_non_negative_int, default=32)
     p.add_argument("--csv", default=None, help="also write the table as CSV here")
 
     p = sub.add_parser("match", help="rescale points onto the moment level set")
     common(p)
     p.add_argument("--point", action="append", default=[],
                    help='JSON fiber vector {"theta": .., "y_prime": [..], "y_second": [..]}')
-    p.add_argument("--random", type=int, default=0, help="additionally match N seeded random points")
-    p.add_argument("--blowup-rays", type=int, default=0, dest="blowup_rays",
+    p.add_argument("--random", type=_non_negative_int, default=0, help="additionally match N seeded random points")
+    p.add_argument("--blowup-rays", type=_non_negative_int, default=0, dest="blowup_rays",
                    help="sample R boundary directions and tabulate rho decay")
 
     p = sub.add_parser("report", help="full run: verify + scan + match statistics")
     common(p)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_non_negative_int, default=2000)
     p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--theta-grid", type=int, default=64, dest="theta_grid")
-    p.add_argument("--theta-steps", type=int, default=8, dest="theta_steps")
-    p.add_argument("--t-steps", type=int, default=5, dest="t_steps")
-    p.add_argument("--scan-samples", type=int, default=32, dest="scan_samples")
-    p.add_argument("--match-samples", type=int, default=200, dest="match_samples")
-    p.add_argument("--blowup-rays", type=int, default=8, dest="blowup_rays")
+    p.add_argument("--theta-steps", type=_non_negative_int, default=8, dest="theta_steps")
+    p.add_argument("--t-steps", type=_non_negative_int, default=5, dest="t_steps")
+    p.add_argument("--scan-samples", type=_non_negative_int, default=32, dest="scan_samples")
+    p.add_argument("--match-samples", type=_non_negative_int, default=200, dest="match_samples")
+    p.add_argument("--blowup-rays", type=_non_negative_int, default=8, dest="blowup_rays")
     return parser
 
 
@@ -343,8 +364,7 @@ def main(argv=None) -> int:
             return 0 if ok else 1
 
         if args.command == "scan":
-            rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps,
-                            args.samples, args.threads)
+            rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
             doc = {
                 "config_digest": run_cfg.digest,
                 "seed": seed,
@@ -358,7 +378,7 @@ def main(argv=None) -> int:
             return 0 if ok else 1
 
         if args.command == "match":
-            points = [_parse_point(text) for text in args.point]
+            points = [_parse_point(text, run_cfg.model) for text in args.point]
             doc = run_match(run_cfg, seed, points, args.random, args.blowup_rays)
             _dump(doc, args.out)
             return 0

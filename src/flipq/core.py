@@ -180,10 +180,18 @@ def _check_length(v: np.ndarray, n: int, name: str) -> np.ndarray:
     return v
 
 
+def _hermitian_pd_faults(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a stack (n, r, r): (not Hermitian, not positive definite)."""
+    not_hermitian = np.abs(G - np.swapaxes(G.conj(), -1, -2)).max(axis=(-2, -1)) > HERMITIAN_TOL
+    not_pd = np.linalg.eigvalsh(G).min(axis=-1) <= 0.0
+    return not_hermitian, not_pd
+
+
 def _check_hermitian_pd(G: np.ndarray, label: str) -> None:
-    if np.abs(G - G.conj().T).max() > HERMITIAN_TOL:
+    not_hermitian, not_pd = _hermitian_pd_faults(G[None])
+    if not_hermitian[0]:
         raise ConfigInvalid(f"{label} is not Hermitian (tolerance {HERMITIAN_TOL})")
-    if np.linalg.eigvalsh(G).min() <= 0.0:
+    if not_pd[0]:
         raise ConfigInvalid(f"{label} is not positive definite")
 
 
@@ -199,6 +207,26 @@ def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
             f"{cfg.r_prime}/{cfg.r_second}"
         )
     return G1, G2
+
+
+def metric_matrices_batch(terms, thetas) -> np.ndarray:
+    """Values (n, r, r) of one metric Fourier series at each theta."""
+    thetas = np.asarray(thetas, dtype=float)
+    r = terms[0][1].shape[0]
+    out = np.zeros((thetas.shape[0], r, r), dtype=complex)
+    for n, cos_mat, sin_mat in terms:
+        out += np.cos(n * thetas)[:, None, None] * cos_mat
+        out += np.sin(n * thetas)[:, None, None] * sin_mat
+    return out
+
+
+def metric_faults_batch(cfg: ModelConfig, thetas) -> np.ndarray:
+    """Lanes whose theta fails the Hermitian-PD check of metric_at, in one eigvalsh pass."""
+    faults = np.zeros(np.shape(thetas)[0], dtype=bool)
+    for terms in (cfg.metric_field.g_prime_terms, cfg.metric_field.g_second_terms):
+        not_hermitian, not_pd = _hermitian_pd_faults(metric_matrices_batch(terms, thetas))
+        faults |= not_hermitian | not_pd
+    return faults
 
 
 def herm_inner(G: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
@@ -291,21 +319,21 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
                     shape_ok = False
         if not shape_ok:
             continue
-        eval_terms = MetricFieldSpec._eval_terms
-        for theta in np.linspace(0.0, TWO_PI, VALIDATION_THETA_SAMPLES, endpoint=False):
-            G = eval_terms(terms, theta)
-            if np.abs(G - G.conj().T).max() > HERMITIAN_TOL:
+        thetas = np.linspace(0.0, TWO_PI, VALIDATION_THETA_SAMPLES, endpoint=False)
+        not_hermitian, not_pd = _hermitian_pd_faults(metric_matrices_batch(terms, thetas))
+        bad = np.flatnonzero(not_hermitian | not_pd)
+        if bad.size:  # report the first faulty theta only
+            k = bad[0]
+            if not_hermitian[k]:
                 issues.append(
-                    ValidationIssue("HermitianViolation", f"{label}({theta:.4f}) is not Hermitian")
+                    ValidationIssue("HermitianViolation", f"{label}({thetas[k]:.4f}) is not Hermitian")
                 )
-                break
-            if np.linalg.eigvalsh(G).min() <= 0.0:
+            else:
                 issues.append(
                     ValidationIssue(
-                        "PositivityViolation", f"{label}({theta:.4f}) has a non-positive eigenvalue"
+                        "PositivityViolation", f"{label}({thetas[k]:.4f}) has a non-positive eigenvalue"
                     )
                 )
-                break
 
     from .perturbation import validate_perturbation
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,12 +37,15 @@ from .core import (
     ValidationIssue,
     fiber_norms_batch,
     metric_at,
+    metric_faults_batch,
+    metric_matrices_batch,
     min_metric_eigenvalue,
 )
 from .errors import (
     BoundViolated,
     DegenerateBranch,
     DegenerateDerivative,
+    FlipQError,
     NoConvergence,
     NoRoot,
     OutOfDomain,
@@ -161,8 +164,12 @@ def _norms_at(cfg, theta, y_prime, y_second):
     return G1, G2, g1, g2
 
 
+def _outside_domain(cfg, g1, g2):
+    return g1 + g2 > cfg.domain_radius**2 * (1.0 + DOMAIN_SLACK)
+
+
 def _check_domain(cfg, g1, g2):
-    if g1 + g2 > cfg.domain_radius**2 * (1.0 + DOMAIN_SLACK):
+    if _outside_domain(cfg, g1, g2):
         raise OutOfDomain(
             f"|v| = {np.sqrt(g1 + g2):.6g} exceeds domain_radius = {cfg.domain_radius}"
         )
@@ -207,29 +214,19 @@ def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
     return _perturbation_value(cfg, p.base.theta, p.y_prime, G1, g1, g2)
 
 
-def _metric_matrices_batch(terms, thetas):
-    thetas = np.asarray(thetas, dtype=float)
-    r = terms[0][1].shape[0]
-    out = np.zeros((thetas.shape[0], r, r), dtype=complex)
-    for n, cos_mat, sin_mat in terms:
-        out += np.cos(n * thetas)[:, None, None] * cos_mat
-        out += np.sin(n * thetas)[:, None, None] * sin_mat
-    return out
-
-
 def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True):
     """Vectorized (chi, g1, g2) over point batches."""
     thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    if check_domain and np.any(g1 + g2 > cfg.domain_radius**2 * (1.0 + DOMAIN_SLACK)):
+    if check_domain and np.any(_outside_domain(cfg, g1, g2)):
         raise OutOfDomain("batch contains points outside the fiber domain")
     chi = -0.5 * (g1 - g2)
     need_ref = any(t.ref_inner_pow for t in cfg.perturbation.terms)
     G1_all = None
     if need_ref:
-        G1_all = _metric_matrices_batch(cfg.metric_field.g_prime_terms, thetas)
+        G1_all = metric_matrices_batch(cfg.metric_field.g_prime_terms, thetas)
     for term in cfg.perturbation.terms:
         value = np.asarray(fourier_scalar(term.coeff, thetas), dtype=float)
         if term.norm_prime_pow:
@@ -496,15 +493,19 @@ def _branch_check(prime_zero: bool, second_zero: bool, c: float) -> None:
         )
 
 
+def _check_status(status, resid, iters) -> None:
+    if status == kernels.STATUS_NO_POSITIVE_ROOT:
+        raise DegenerateBranch("no positive root on this branch")
+    if status == kernels.STATUS_NO_CONVERGENCE:
+        raise NoConvergence(f"residual {resid:.3g} after {iters} iterations")
+
+
 def _newton_single(g1, g2, c, seed):
     seed_arr = None if seed is None else np.array([float(seed)])
     rho, resid, iters, status = kernels.newton_rescale(
         np.array([g1]), np.array([g2]), np.array([c]), seed=seed_arr
     )
-    if status[0] == kernels.STATUS_NO_POSITIVE_ROOT:
-        raise DegenerateBranch("no positive root on this branch")
-    if status[0] == kernels.STATUS_NO_CONVERGENCE:
-        raise NoConvergence(f"residual {resid[0]:.3g} after {iters[0]} iterations")
+    _check_status(status[0], resid[0], iters[0])
     return RhoSolution(rho=float(rho[0]), residual=float(resid[0]), iterations=int(iters[0]), converged=True)
 
 
@@ -640,6 +641,13 @@ def renorm_eval(
     return deriv / math.factorial(k)
 
 
+def _check_wall(cfg, c) -> None:
+    if not abs(c) < cfg.epsilon:
+        raise OutOfDomain(
+            f"graph value t = {c:.6g} leaves the wall interval (+-{cfg.epsilon})"
+        )
+
+
 def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     """Carry a graph point onto the moment zero level along its orbit.
 
@@ -648,27 +656,78 @@ def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     """
     sol = solve_rho(cfg, p)
     c, _, _ = _chi_parts(cfg, p.base.theta, p.y_prime, p.y_second)
-    if not abs(c) < cfg.epsilon:
-        raise OutOfDomain(
-            f"graph value t = {c:.6g} leaves the wall interval (+-{cfg.epsilon})"
-        )
+    _check_wall(cfg, c)
     base = BasePoint(p.base.theta, c)
     return FiberPoint(base=base, y_prime=sol.rho * p.y_prime, y_second=p.y_second / sol.rho)
+
+
+class LaneMatch(NamedTuple):
+    """Per-lane matching results; see match_lanes."""
+
+    t: np.ndarray  # graph value chi(v), the matched base t
+    g1: np.ndarray
+    g2: np.ndarray
+    rho: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+    out_prime: np.ndarray
+    out_second: np.ndarray
+
+
+def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True) -> LaneMatch:
+    """Batch matching: chi, then the Newton rescaling, then the rescaled points.
+
+    Lanes whose status is not STATUS_OK keep their input coordinates.  With
+    check_domain, a lane outside the fiber domain fails the whole batch.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    y_prime = np.asarray(y_prime, dtype=complex)
+    y_second = np.asarray(y_second, dtype=complex)
+    c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=check_domain)
+    rho, resid, iters, status = kernels.newton_rescale(g1, g2, c)
+    scale = np.where(status == kernels.STATUS_OK, rho, 1.0)
+    return LaneMatch(c, g1, g2, rho, resid, iters, status,
+                     y_prime * scale[:, None], y_second / scale[:, None])
+
+
+def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -> list:
+    """Per lane, the FlipQError that matching_map raises on that point, or None.
+
+    The checks run in matching_map's order: metric positivity at theta, fiber
+    domain, rescaling branch, Newton status, wall interval.  Each vector test
+    only selects candidate lanes; the scalar check then decides and builds
+    the error, so names and messages match the scalar path.
+    """
+    y_prime = np.asarray(y_prime)
+    y_second = np.asarray(y_second)
+    prime_zero = ~np.any(y_prime, axis=1)
+    second_zero = ~np.any(y_second, axis=1)
+    checks = (
+        (metric_faults_batch(cfg, thetas), lambda i: metric_at(cfg, float(thetas[i]))),
+        (_outside_domain(cfg, m.g1, m.g2), lambda i: _check_domain(cfg, m.g1[i], m.g2[i])),
+        (prime_zero | second_zero, lambda i: _branch_check(prime_zero[i], second_zero[i], m.t[i])),
+        (m.status != kernels.STATUS_OK,
+         lambda i: _check_status(m.status[i], m.residual[i], m.iterations[i])),
+        (~(np.abs(m.t) < cfg.epsilon), lambda i: _check_wall(cfg, m.t[i])),
+    )
+    errors = [None] * len(m.t)
+    for lanes, check in checks:
+        for i in np.flatnonzero(lanes):
+            if errors[i] is None:
+                try:
+                    check(i)
+                except FlipQError as e:
+                    errors[i] = e
+    return errors
 
 
 def matching_map_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """Batch matching: returns (rho, t, out_prime, out_second, status).
 
     Lanes with no positive root keep NaN rho and untouched coordinates;
-    status follows the kernel codes.
+    status follows the kernel codes.  Any lane outside the fiber domain
+    raises OutOfDomain for the whole batch.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    y_prime = np.asarray(y_prime, dtype=complex)
-    y_second = np.asarray(y_second, dtype=complex)
-    c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
-    rho, _, _, status = kernels.newton_rescale(g1, g2, c)
-    ok = status == kernels.STATUS_OK
-    scale = np.where(ok, rho, 1.0)
-    out_prime = y_prime * scale[:, None]
-    out_second = y_second / scale[:, None]
-    return rho, c, out_prime, out_second, status
+    m = match_lanes(cfg, thetas, y_prime, y_second)
+    return m.rho, m.t, m.out_prime, m.out_second, m.status

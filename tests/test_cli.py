@@ -3,9 +3,24 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from flipq.cli import main
+from conftest import make_config
+from flipq import (
+    BasePoint,
+    FiberPoint,
+    FlipQError,
+    MetricFieldSpec,
+    PerturbationTerm,
+    matching_map,
+    presets,
+    solve_rho,
+)
+from flipq.cli import SCAN_BLOCK_LANES, main, run_match, run_scan
+from flipq.config_io import RunConfig, load_run_config
+from flipq.quotient import level_rho_batch, moment_value_batch
+from flipq.sampling import complex_gaussian
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -129,6 +144,129 @@ def test_match_bad_point_payload(tmp_path, capsys):
     code = main(["match", "--config", QUARTIC, "--point", "{oops"])
     assert code == 2
     assert "point" in capsys.readouterr().err
+
+
+def test_match_point_rank_mismatch_rejected(capsys):
+    point = '{"y_prime": [[1, 0], [2, 0]], "y_second": [[1, 0]]}'
+    code = main(["match", "--config", QUARTIC, "--point", point])
+    assert code == 2
+    assert "y_prime has length 2, expected 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("match", "--random"),
+        ("match", "--blowup-rays"),
+        ("report", "--match-samples"),
+        ("report", "--blowup-rays"),
+        ("scan", "--theta-steps"),
+        ("report", "--t-steps"),
+        ("verify", "--samples"),
+        ("scan", "--samples"),
+        ("report", "--scan-samples"),
+    ],
+)
+def test_negative_count_flag_is_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", QUARTIC, flag, "-1"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def _mixed_match_config():
+    # g'(theta) = (2 + cos theta + 2.5 sin 32 theta) I is positive definite on
+    # the 64-point validation grid (where sin 32 theta = 0) but not between it
+    metric = MetricFieldSpec.fourier(
+        [(0, 2.0 * np.eye(2)), (1, np.eye(2)), (32, np.zeros((2, 2)), 2.5 * np.eye(2))],
+        [(0, 1.5 * np.eye(1)), (1, np.zeros((1, 1)), 0.5 * np.eye(1))],
+    )
+    terms = [
+        PerturbationTerm(mixed_pow=1, coeff=(0.1,)),
+        PerturbationTerm(norm_prime_pow=2, coeff=(1.0,)),
+        PerturbationTerm(norm_second_pow=2, coeff=(-1.0,)),
+    ]
+    return make_config(2, 1, epsilon=0.5, domain_radius=2.0, metric_field=metric, terms=terms)
+
+
+def _assert_matches_scalar_path(cfg, entries):
+    """Each entry against scalar solve_rho/matching_map; returns the error messages seen."""
+    messages = set()
+    for entry in entries:
+        inp = entry["input"]
+        p = FiberPoint(
+            BasePoint(inp["theta"], 0.0),
+            np.array([complex(*z) for z in inp["y_prime"]]),
+            np.array([complex(*z) for z in inp["y_second"]]),
+        )
+        try:
+            sol = solve_rho(cfg, p)
+            matching_map(cfg, p)
+        except FlipQError as e:
+            assert (entry.get("error"), entry.get("message")) == (type(e).__name__, str(e))
+            messages.add(str(e))
+            continue
+        assert "error" not in entry
+        assert entry["rho"] == pytest.approx(sol.rho, rel=1e-14, abs=0.0)
+        assert entry["newton_iterations"] == sol.iterations
+    return messages
+
+
+def test_batched_match_agrees_with_scalar_path():
+    cfg = _mixed_match_config()
+    rng = np.random.default_rng(42)
+    cases = [
+        (0.4, [0.3, 0.1j], [0.2]),  # ordinary
+        (1.0, [0.0, 0.0], [0.0]),  # zero section
+        (0.0, [1.0, 0.0], [0.0]),  # y'' = 0 with chi >= 0
+        (0.0, [0.0, 0.0], [1.0]),  # y' = 0 with chi <= 0
+        (0.0, [2.0, 0.0], [1.0]),  # |v| > domain_radius
+        (0.0, [2.0, 0.0], [0.0]),  # |v| > domain_radius and y'' = 0 with chi >= 0
+        (0.0, [0.05, 0.0], [0.9]),  # |chi| >= epsilon
+        (31.5 * np.pi / 32, [0.3, 0.0], [0.2]),  # metric not positive definite
+    ]
+    for _ in range(200):
+        scale = rng.uniform(0.0, 0.25)
+        cases.append((rng.uniform(0.0, 2.0 * np.pi), scale * complex_gaussian(rng, 2),
+                      scale * complex_gaussian(rng, 1)))
+    points = [FiberPoint(BasePoint(theta, 0.0), np.array(yp, dtype=complex), np.array(ys, dtype=complex))
+              for theta, yp, ys in cases]
+    run_cfg = RunConfig(model=cfg, phi_spec=None, seed=7, digest="mixed", raw={})
+    doc = run_match(run_cfg, 7, points, random_n=0, blowup_rays=0)
+    messages = _assert_matches_scalar_path(cfg, doc["points"])
+    for fragment in ("zero section", "y'' = 0", "y' = 0", "exceeds domain_radius",
+                     "leaves the wall interval", "not positive definite"):
+        assert any(fragment in m for m in messages), fragment
+    assert doc["matching_stats"]["n_points"] - doc["matching_stats"]["n_errors"] >= 100
+
+    # seeded --random samples go through the same batch path
+    run_cfg = load_run_config(DEFAULT)
+    zero = FiberPoint(BasePoint(0.0, 0.0), np.zeros(1), np.zeros(1))
+    doc = run_match(run_cfg, 3, [zero], random_n=200, blowup_rays=0)
+    assert len(doc["points"]) == 201 and doc["points"][0]["error"] == "DegenerateBranch"
+    _assert_matches_scalar_path(run_cfg.model, doc["points"])
+
+
+def test_scan_blocks_match_per_row_reference(tmp_path):
+    path = tmp_path / "fourier.json"
+    path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
+    run_cfg = load_run_config(str(path))
+    cfg = run_cfg.model
+    k = 1000
+    rows_per_block = SCAN_BLOCK_LANES // k
+    rows = run_scan(run_cfg, 11, 3, 3, k)
+    assert len(rows) % rows_per_block != 0
+    seeds = np.random.SeedSequence(11).spawn(len(rows))
+    for row, row_seed in zip(rows, seeds):
+        rng = np.random.default_rng(row_seed)
+        y_prime = complex_gaussian(rng, (k, cfg.r_prime))
+        y_second = complex_gaussian(rng, (k, cfg.r_second))
+        thetas = np.full(k, row.theta)
+        ts = np.full(k, row.t)
+        rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
+        resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None], y_second / rho[:, None]))
+        assert row.mean_level_residual == float(resid.mean())
+        assert row.n_stable_samples == k
 
 
 def test_match_random_and_rays(tmp_path):
