@@ -22,6 +22,7 @@ from .config_io import RunConfig, load_run_config, parse_vector, phi_from_config
 from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, FlipQError
 from .perturbation import (
+    FD_STEP_RANGE,
     match_lanes,
     matching_errors,
     rest_bound_scan,
@@ -305,6 +306,31 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must not be empty: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite float > 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _fd_step(text: str) -> float:
+    """argparse type for --fd-step: a float inside FD_STEP_RANGE."""
+    value = float(text)
+    lo, hi = FD_STEP_RANGE
+    if not (lo < value < hi):
+        raise argparse.ArgumentTypeError(f"must lie in ({lo:g}, {hi:g}), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flipq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -315,12 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
+    def verify_flags(p):
+        p.add_argument("--samples", type=_positive_int, default=2000, help="rest-bound scan sample count")
+        p.add_argument("--fd-step", type=_fd_step, default=1e-3, dest="fd_step")
+        p.add_argument("--tol", type=_positive_float, default=1e-4)
+        p.add_argument("--theta-grid", type=_positive_int, default=64, dest="theta_grid")
+
     p = sub.add_parser("verify", help="check the normalization conditions and the rest bound")
     common(p)
-    p.add_argument("--samples", type=_non_negative_int, default=2000, help="rest-bound scan sample count")
-    p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--theta-grid", type=int, default=64, dest="theta_grid")
+    verify_flags(p)
 
     p = sub.add_parser("scan", help="tabulate fiber types and level residuals over the base")
     common(p)
@@ -339,10 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full run: verify + scan + match statistics")
     common(p)
-    p.add_argument("--samples", type=_non_negative_int, default=2000)
-    p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--theta-grid", type=int, default=64, dest="theta_grid")
+    verify_flags(p)
     p.add_argument("--theta-steps", type=_non_negative_int, default=8, dest="theta_steps")
     p.add_argument("--t-steps", type=_non_negative_int, default=5, dest="t_steps")
     p.add_argument("--scan-samples", type=_non_negative_int, default=32, dest="scan_samples")

@@ -1,28 +1,20 @@
-"""Hot batch kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot batch kernels in numpy: Fourier metric forms and the rescaling solve.
 
-The numba backend is used when importable unless the environment variable
-``FLIPQ_NUMBA`` is set to ``0``/``false``/``off``.  :func:`set_backend`
-switches at runtime; the benchmark and the parity tests drive both paths.
+The metric kernels evaluate a matrix Fourier field
+G(theta) = sum_k cos(n_k theta) C_k + sin(n_k theta) S_k against lane
+batches without forming the (n, r, r) stack of values: each nonzero
+coefficient matrix is contracted with the lanes once and weighted by its
+harmonic.  Hermitian norms run in real arithmetic on the float view of the
+complex lanes.
 
-All kernels operate on packed float64/complex128 arrays.  The rescaling
-solver works on the scalar reduction of the level equation: with
-a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root in
-s = rho^2 satisfies  a' s^2 + 2 c s - a'' = 0.
+The rescaling solver works on the scalar reduction of the level equation:
+with a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root
+in s = rho^2 satisfies  a' s^2 + 2 c s - a'' = 0.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    _HAVE_NUMBA = False
 
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
@@ -32,197 +24,61 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("FLIPQ_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-_use_numba = _HAVE_NUMBA and _env_wants_numba()
-
-
-def backend_name() -> str:
-    return "numba" if _use_numba else "numpy"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if _HAVE_NUMBA else ("numpy",)
-
-
-def set_backend(name: str) -> str:
-    """Select 'numba' or 'numpy'; returns the previously active backend."""
-    global _use_numba
-    previous = backend_name()
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        _use_numba = True
-    elif name == "numpy":
-        _use_numba = False
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    return previous
-
-
 # ---------------------------------------------------------------------------
-# Fourier metric quadratic forms
+# Fourier metric forms
 
 
-def _fourier_norm_sq_np(thetas, y, ns, cos_mats, sin_mats):
-    qc = np.einsum("kij,ni,nj->nk", cos_mats, y.conj(), y).real
-    qs = np.einsum("kij,ni,nj->nk", sin_mats, y.conj(), y).real
-    ang = np.outer(thetas, ns)
-    return (qc * np.cos(ang) + qs * np.sin(ang)).sum(axis=1)
+def realify(M: np.ndarray) -> np.ndarray:
+    """Real form [[Re M, -Im M], [Im M, Re M]] of M, acting on [Re y, Im y]."""
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def _fourier_norm_sq_loop(thetas, y, ns, cos_mats, sin_mats):
-    n = thetas.shape[0]
-    k = ns.shape[0]
-    r = y.shape[1]
-    out = np.empty(n)
-    for p in range(n):
-        acc = 0.0
-        for m in range(k):
-            qc = 0.0 + 0.0j
-            qs = 0.0 + 0.0j
-            for i in range(r):
-                yi = np.conj(y[p, i])
-                for j in range(r):
-                    qc += yi * cos_mats[m, i, j] * y[p, j]
-                    qs += yi * sin_mats[m, i, j] * y[p, j]
-            ang = ns[m] * thetas[p]
-            acc += qc.real * np.cos(ang) + qs.real * np.sin(ang)
-        out[p] = acc
+def _realify_interleaved(M: np.ndarray) -> np.ndarray:
+    # realify(M) with rows and columns reordered to act on the float view of
+    # y, (Re y_0, Im y_0, Re y_1, ...), so the lanes need no copy
+    r = M.shape[0]
+    p = np.arange(2 * r).reshape(2, r).T.ravel()
+    return realify(M)[np.ix_(p, p)]
+
+
+def _harmonics(thetas, ns, cos_mats, sin_mats):
+    """(weight, M) per nonzero coefficient matrix; weight None stands for cos(0) = 1."""
+    for n, cos_mat, sin_mat in zip(ns, cos_mats, sin_mats):
+        if cos_mat.any():
+            yield (None if n == 0 else np.cos(n * thetas)), cos_mat
+        if n != 0 and sin_mat.any():
+            yield np.sin(n * thetas), sin_mat
+
+
+def fourier_norm_sq(thetas, y, ns, cos_mats, sin_mats):
+    """Batch Hermitian norms |y|^2 under a matrix Fourier field at each theta.
+
+    Re(conj(y) M y) = z^T M~ z with z the float view of y and M~ the real
+    form of M, so each harmonic costs one (n, 2r) x (2r, 2r) product.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    z = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64)
+    out = np.zeros(thetas.shape[0])
+    for weight, M in _harmonics(thetas, ns, cos_mats, sin_mats):
+        q = np.einsum("ni,ni->n", z @ _realify_interleaved(M), z)
+        out += q if weight is None else weight * q
     return out
+
+
+def fourier_pairing(thetas, y, a, ns, cos_mats, sin_mats):
+    """Batch Hermitian pairings conj(y) G(theta) a with one fixed vector a."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    y = np.asarray(y, dtype=np.complex128)
+    # conj(y) (M a) = conj(y conj(M a)): conjugate the (n,) result, not the lanes
+    out = np.zeros(thetas.shape[0], dtype=np.complex128)
+    for weight, M in _harmonics(thetas, ns, cos_mats, sin_mats):
+        p = y @ (M @ a).conj()
+        out += p if weight is None else weight * p
+    return out.conj()
 
 
 # ---------------------------------------------------------------------------
 # Closed-form positive root of  a' s^2 + 2 c s - a'' = 0  (s = rho^2)
-
-
-def _scale_root_np(ap, app, c):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = np.sqrt(c * c + ap * app)
-        # rationalized form for c >= 0 avoids cancellation in -c + disc
-        s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)
-    bad = ~np.isfinite(s) | (s <= 0.0)
-    s = np.where(bad, np.nan, s)
-    return s
-
-
-def _scale_root_loop(ap, app, c):
-    n = ap.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        a = ap[i]
-        b = app[i]
-        cc = c[i]
-        disc = np.sqrt(cc * cc + a * b)
-        if cc > 0.0:
-            s = b / (cc + disc)
-        elif a > 0.0:
-            s = (-cc + disc) / a
-        else:
-            s = np.nan
-        if not (s > 0.0) or not np.isfinite(s):
-            s = np.nan
-        out[i] = s
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Guarded Newton on  alpha(rho) = -(rho^2 a' - rho^-2 a'')/2 - c
-# derivative        beta(rho)  = -(rho a' + rho^-3 a'')  (strictly negative)
-
-
-def _has_root_np(ap, app, c):
-    # a' s^2 + 2 c s - a'' = 0 has a positive root iff the nonzero block
-    # carries the right sign of c (both blocks nonzero: always)
-    return ((ap > 0.0) & ((app > 0.0) | (c < 0.0))) | ((ap == 0.0) & (app > 0.0) & (c > 0.0))
-
-
-def _newton_rescale_np(ap, app, c, seed, tol, max_iter):
-    n = ap.shape[0]
-    ok = np.isfinite(seed) & (seed > 0.0) & _has_root_np(ap, app, c)
-    rho = np.where(ok, seed, 1.0)
-    iters = np.zeros(n, dtype=np.int32)
-    status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)
-
-    def _alpha(r):
-        r2 = r * r
-        return -0.5 * (r2 * ap - app / r2) - c
-
-    alpha = _alpha(rho)
-    active = ok & (np.abs(alpha) > tol)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        r = rho
-        beta = -(r * ap + app / (r * r * r))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = np.where(active, alpha / beta, 0.0)
-        new = r - step
-        new = np.where(new <= 0.0, 0.5 * r, new)
-        rho = np.where(active, new, rho)
-        iters[active] += 1
-        alpha = np.where(active, _alpha(rho), alpha)
-        active = active & (np.abs(alpha) > tol)
-    status[active] = STATUS_NO_CONVERGENCE
-    resid = np.abs(alpha)
-    rho = np.where(ok, rho, np.nan)
-    resid = np.where(ok, resid, np.nan)
-    return rho, resid, iters, status
-
-
-def _newton_rescale_loop(ap, app, c, seed, tol, max_iter):
-    n = ap.shape[0]
-    rho = np.empty(n)
-    resid = np.empty(n)
-    iters = np.zeros(n, dtype=np.int32)
-    status = np.zeros(n, dtype=np.int8)
-    for i in range(n):
-        r = seed[i]
-        a = ap[i]
-        b = app[i]
-        cc = c[i]
-        has_root = (a > 0.0 and (b > 0.0 or cc < 0.0)) or (a == 0.0 and b > 0.0 and cc > 0.0)
-        if not np.isfinite(r) or r <= 0.0 or not has_root:
-            rho[i] = np.nan
-            resid[i] = np.nan
-            status[i] = STATUS_NO_POSITIVE_ROOT
-            continue
-        it = 0
-        alpha = -0.5 * (r * r * a - b / (r * r)) - cc
-        while abs(alpha) > tol and it < max_iter:
-            beta = -(r * a + b / (r * r * r))
-            new = r - alpha / beta
-            if new <= 0.0:
-                new = 0.5 * r
-            r = new
-            it += 1
-            alpha = -0.5 * (r * r * a - b / (r * r)) - cc
-        rho[i] = r
-        resid[i] = abs(alpha)
-        iters[i] = it
-        status[i] = STATUS_OK if abs(alpha) <= tol else STATUS_NO_CONVERGENCE
-    return rho, resid, iters, status
-
-
-if _HAVE_NUMBA:
-    _fourier_norm_sq_nb = numba.njit(cache=True)(_fourier_norm_sq_loop)
-    _scale_root_nb = numba.njit(cache=True)(_scale_root_loop)
-    _newton_rescale_nb = numba.njit(cache=True)(_newton_rescale_loop)
-
-
-def fourier_norm_sq(thetas, y, ns, cos_mats, sin_mats):
-    """Batch Hermitian norms |y|^2 under a matrix Fourier field at each theta."""
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    ns = np.ascontiguousarray(ns, dtype=np.float64)
-    cos_mats = np.ascontiguousarray(cos_mats, dtype=np.complex128)
-    sin_mats = np.ascontiguousarray(sin_mats, dtype=np.complex128)
-    if _use_numba:
-        return _fourier_norm_sq_nb(thetas, y, ns, cos_mats, sin_mats)
-    return _fourier_norm_sq_np(thetas, y, ns, cos_mats, sin_mats)
 
 
 def scale_root(ap, app, c):
@@ -230,9 +86,28 @@ def scale_root(ap, app, c):
     ap = np.ascontiguousarray(ap, dtype=np.float64)
     app = np.ascontiguousarray(app, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
-    if _use_numba:
-        return _scale_root_nb(ap, app, c)
-    return _scale_root_np(ap, app, c)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        disc = np.sqrt(c * c + ap * app)
+        # rationalized form for c >= 0 avoids cancellation in -c + disc
+        s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)
+    bad = ~np.isfinite(s) | (s <= 0.0)
+    return np.where(bad, np.nan, s)
+
+
+# ---------------------------------------------------------------------------
+# Guarded Newton on  alpha(rho) = -(rho^2 a' - rho^-2 a'')/2 - c
+# derivative        beta(rho)  = -(rho a' + rho^-3 a'')  (strictly negative)
+
+
+def _has_root(ap, app, c):
+    # a' s^2 + 2 c s - a'' = 0 has a positive root iff the nonzero block
+    # carries the right sign of c (both blocks nonzero: always)
+    return ((ap > 0.0) & ((app > 0.0) | (c < 0.0))) | ((ap == 0.0) & (app > 0.0) & (c > 0.0))
+
+
+def _alpha(r, ap, app, c):
+    r2 = r * r
+    return -0.5 * (r2 * ap - app / r2) - c
 
 
 def newton_rescale(ap, app, c, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
@@ -247,6 +122,29 @@ def newton_rescale(ap, app, c, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_IT
     if seed is None:
         seed = np.sqrt(scale_root(ap, app, c))
     seed = np.ascontiguousarray(seed, dtype=np.float64)
-    if _use_numba:
-        return _newton_rescale_nb(ap, app, c, seed, tol, max_iter)
-    return _newton_rescale_np(ap, app, c, seed, tol, max_iter)
+    n = ap.shape[0]
+    ok = np.isfinite(seed) & (seed > 0.0) & _has_root(ap, app, c)
+    rho = np.where(ok, seed, 1.0)
+    iters = np.zeros(n, dtype=np.int32)
+    status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)
+
+    alpha = _alpha(rho, ap, app, c)
+    active = ok & (np.abs(alpha) > tol)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        r = rho
+        beta = -(r * ap + app / (r * r * r))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = np.where(active, alpha / beta, 0.0)
+        new = r - step
+        new = np.where(new <= 0.0, 0.5 * r, new)
+        rho = np.where(active, new, rho)
+        iters[active] += 1
+        alpha = np.where(active, _alpha(rho, ap, app, c), alpha)
+        active = active & (np.abs(alpha) > tol)
+    status[active] = STATUS_NO_CONVERGENCE
+    resid = np.abs(alpha)
+    rho = np.where(ok, rho, np.nan)
+    resid = np.where(ok, resid, np.nan)
+    return rho, resid, iters, status

@@ -38,7 +38,6 @@ from .core import (
     fiber_norms_batch,
     metric_at,
     metric_faults_batch,
-    metric_matrices_batch,
     min_metric_eigenvalue,
 )
 from .errors import (
@@ -56,6 +55,7 @@ GRAPH_NEWTON_TOL = 1e-12
 GRAPH_FD_STEP = 1e-6
 MIN_GRAPH_DERIVATIVE = 1e-8
 RENORM_FD_STEP = 1e-2
+FD_STEP_RANGE = (1e-6, 1e-2)  # open interval of verify_conditions step sizes
 
 PhiFunc = Callable[[float, np.ndarray, np.ndarray, float], float]
 
@@ -223,10 +223,6 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
     if check_domain and np.any(_outside_domain(cfg, g1, g2)):
         raise OutOfDomain("batch contains points outside the fiber domain")
     chi = -0.5 * (g1 - g2)
-    need_ref = any(t.ref_inner_pow for t in cfg.perturbation.terms)
-    G1_all = None
-    if need_ref:
-        G1_all = metric_matrices_batch(cfg.metric_field.g_prime_terms, thetas)
     for term in cfg.perturbation.terms:
         value = np.asarray(fourier_scalar(term.coeff, thetas), dtype=float)
         if term.norm_prime_pow:
@@ -236,7 +232,8 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
         if term.mixed_pow:
             value = value * (g1 * g2) ** term.mixed_pow
         if term.ref_inner_pow:
-            inner = np.einsum("ni,nij,j->n", y_prime.conj(), G1_all, term.ref_section)
+            inner = kernels.fourier_pairing(thetas, y_prime, term.ref_section,
+                                            *cfg.metric_field.packed_prime)
             value = value * (np.abs(inner) ** 2) ** term.ref_inner_pow
         chi = chi + value
     return chi, g1, g2
@@ -292,11 +289,6 @@ class ConditionReport:
         return self.p1_ok and self.p2_ok and self.p3_ok
 
 
-def _realify(G: np.ndarray) -> np.ndarray:
-    A, S = G.real, G.imag
-    return np.block([[A, -S], [S, A]])
-
-
 def _fiber_from_real(z: np.ndarray, rp: int, rs: int):
     y_prime = z[:rp] + 1j * z[rp : 2 * rp]
     y_second = z[2 * rp : 2 * rp + rs] + 1j * z[2 * rp + rs :]
@@ -317,8 +309,9 @@ def verify_conditions(
     there, and the fiber Hessian against the realified metric blocks
     diag(+G', -G'').
     """
-    if not (1e-6 < fd_step < 1e-2):
-        raise ValueError(f"fd_step = {fd_step} must lie in (1e-6, 1e-2)")
+    lo, hi = FD_STEP_RANGE
+    if not (lo < fd_step < hi):
+        raise ValueError(f"fd_step = {fd_step} must lie in ({lo:g}, {hi:g})")
     rp, rs = cfg.r_prime, cfg.r_second
     dim = 2 * (rp + rs)
     h = fd_step
@@ -357,8 +350,8 @@ def verify_conditions(
         G1, G2 = _metrics_cached(cfg, float(theta))
         expected = np.block(
             [
-                [_realify(G1), np.zeros((2 * rp, 2 * rs))],
-                [np.zeros((2 * rs, 2 * rp)), -_realify(G2)],
+                [kernels.realify(G1), np.zeros((2 * rp, 2 * rs))],
+                [np.zeros((2 * rs, 2 * rp)), -kernels.realify(G2)],
             ]
         )
         worst_p3 = max(worst_p3, float(np.abs(H - expected).max()))

@@ -171,7 +171,33 @@ def test_negative_count_flag_is_usage_error(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", QUARTIC, flag, "-1"])
     assert exc.value.code == 2
-    assert "must be >= 0" in capsys.readouterr().err
+    # the rest-bound sample count must also be nonzero
+    bound = "must be >= 1" if flag == "--samples" and command == "verify" else "must be >= 0"
+    assert bound in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--samples", "0", "must be >= 1"),
+        ("--theta-grid", "0", "must be >= 1"),
+        ("--theta-grid", "-2", "must be >= 1"),
+        ("--fd-step", "1e-6", "must lie in (1e-06, 0.01)"),
+        ("--fd-step", "0.01", "must lie in (1e-06, 0.01)"),
+        ("--fd-step", "-1e-3", "must lie in (1e-06, 0.01)"),
+        ("--fd-step", "nan", "must lie in (1e-06, 0.01)"),
+        ("--tol", "0", "must be finite and > 0"),
+        ("--tol", "-1e-4", "must be finite and > 0"),
+        ("--tol", "inf", "must be finite and > 0"),
+        ("--tol", "nan", "must be finite and > 0"),
+    ],
+)
+def test_verify_flag_out_of_range_is_usage_error(command, flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", QUARTIC, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def _mixed_match_config():

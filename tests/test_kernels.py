@@ -1,78 +1,88 @@
-"""Backend parity between the numba kernels and the numpy fallback."""
-
-import os
-import subprocess
-import sys
+"""Batch kernels against per-lane numpy references."""
 
 import numpy as np
 import pytest
 
-from flipq import kernels
+from conftest import make_config
+from flipq import MetricFieldSpec, PerturbationTerm, kernels
+from flipq.perturbation import _chi_parts, chi_parts_batch
+from flipq.sampling import random_domain_batch
 
 
-def _inputs(n=500, rank=2, seed=42):
-    rng = np.random.default_rng(seed)
-    ap = rng.uniform(0.0, 2.0, n)
-    app = rng.uniform(0.0, 2.0, n)
-    # sprinkle exact-zero blocks to hit the degenerate lanes
-    ap[::17] = 0.0
-    app[::23] = 0.0
-    c = rng.uniform(-0.5, 0.5, n)
+def _random_hermitian(rng, rank, scale=1.0):
+    a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+    return scale * (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fourier_norm_sq_matches_per_lane_reference(rank):
+    rng = np.random.default_rng(100 + rank)
+    # complex off-diagonal Hermitian terms; a nonzero sine at n = 0 (which
+    # must contribute nothing) and an all-zero cosine at n = 2
+    terms = (
+        (0, _random_hermitian(rng, rank), _random_hermitian(rng, rank)),
+        (1, _random_hermitian(rng, rank), _random_hermitian(rng, rank)),
+        (2, np.zeros((rank, rank), dtype=complex), _random_hermitian(rng, rank)),
+    )
+    spec = MetricFieldSpec.fourier(terms, [(0, np.eye(1))])
+    ns, cos_mats, sin_mats = spec.packed_prime
+    n = 300
     thetas = rng.uniform(0.0, 2.0 * np.pi, n)
     y = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    eye = np.eye(rank, dtype=complex)
-    ns = np.array([0.0, 1.0])
-    cos_m = np.stack([2.0 * eye, eye])
-    sin_m = np.stack([0.0 * eye, 0.3 * eye])
-    return ap, app, c, thetas, y, ns, cos_m, sin_m
+    got = kernels.fourier_norm_sq(thetas, y, ns, cos_mats, sin_mats)
+    expected = np.array([
+        (y[i].conj() @ MetricFieldSpec._eval_terms(spec.g_prime_terms, thetas[i]) @ y[i]).real
+        for i in range(n)
+    ])
+    scale = np.abs(expected).max()
+    assert np.abs(got - expected).max() <= 1e-13 * scale
 
 
-@pytest.fixture
-def restore_backend():
-    previous = kernels.backend_name()
-    yield
-    kernels.set_backend(previous)
+def test_fourier_pairing_matches_per_lane_reference():
+    rng = np.random.default_rng(7)
+    terms = (
+        (0, 3.0 * np.eye(3), _random_hermitian(rng, 3)),
+        (1, _random_hermitian(rng, 3), _random_hermitian(rng, 3)),
+        (2, np.zeros((3, 3)), _random_hermitian(rng, 3)),
+    )
+    spec = MetricFieldSpec.fourier(terms, [(0, np.eye(1))])
+    n = 200
+    thetas = rng.uniform(0.0, 2.0 * np.pi, n)
+    y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    got = kernels.fourier_pairing(thetas, y, a, *spec.packed_prime)
+    expected = np.array([
+        y[i].conj() @ MetricFieldSpec._eval_terms(spec.g_prime_terms, thetas[i]) @ a for i in range(n)
+    ])
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-needs_numba = pytest.mark.skipif(
-    "numba" not in kernels.available_backends(), reason="numba unavailable"
-)
-
-
-@needs_numba
-def test_scale_root_parity(restore_backend):
-    ap, app, c, *_ = _inputs()
-    kernels.set_backend("numpy")
-    s_np = kernels.scale_root(ap, app, c)
-    kernels.set_backend("numba")
-    s_nb = kernels.scale_root(ap, app, c)
-    assert np.array_equal(np.isnan(s_np), np.isnan(s_nb))
-    mask = ~np.isnan(s_np)
-    assert np.abs(s_np[mask] - s_nb[mask]).max() <= 1e-13
-
-
-@needs_numba
-def test_newton_parity(restore_backend):
-    ap, app, c, *_ = _inputs()
-    seed = np.full(ap.shape, 1.0)
-    kernels.set_backend("numpy")
-    out_np = kernels.newton_rescale(ap, app, c, seed=seed)
-    kernels.set_backend("numba")
-    out_nb = kernels.newton_rescale(ap, app, c, seed=seed)
-    assert np.array_equal(out_np[3], out_nb[3])  # status
-    assert np.array_equal(out_np[2], out_nb[2])  # iterations
-    ok = out_np[3] == kernels.STATUS_OK
-    assert np.abs(out_np[0][ok] - out_nb[0][ok]).max() <= 1e-13
-
-
-@needs_numba
-def test_fourier_norm_parity(restore_backend):
-    _, _, _, thetas, y, ns, cos_m, sin_m = _inputs()
-    kernels.set_backend("numpy")
-    f_np = kernels.fourier_norm_sq(thetas, y, ns, cos_m, sin_m)
-    kernels.set_backend("numba")
-    f_nb = kernels.fourier_norm_sq(thetas, y, ns, cos_m, sin_m)
-    assert np.abs(f_np - f_nb).max() <= 1e-12 * np.abs(f_np).max()
+def test_chi_parts_batch_matches_scalar_path():
+    rng = np.random.default_rng(11)
+    # g' carries complex off-diagonal sine terms; small enough to stay positive definite
+    metric = MetricFieldSpec.fourier(
+        [
+            (0, 3.0 * np.eye(3)),
+            (1, _random_hermitian(rng, 3, 0.3), _random_hermitian(rng, 3, 0.3)),
+            (2, np.zeros((3, 3)), _random_hermitian(rng, 3, 0.3)),
+        ],
+        [(0, 2.0 * np.eye(2)), (1, np.zeros((2, 2)), _random_hermitian(rng, 2, 0.3))],
+    )
+    terms = [
+        PerturbationTerm(ref_inner_pow=2, coeff=(0.05, 0.02, -0.03),
+                         ref_section=np.array([1.0, 0.5j, -0.25 + 0.5j])),
+        PerturbationTerm(ref_inner_pow=1, norm_second_pow=1, coeff=(0.1,),
+                         ref_section=np.array([0.0, 1.0, 1.0j])),
+        PerturbationTerm(mixed_pow=1, coeff=(0.1, 0.0, 0.05)),
+    ]
+    cfg = make_config(3, 2, epsilon=0.5, domain_radius=0.8, metric_field=metric, terms=terms)
+    thetas, y_prime, y_second = random_domain_batch(rng, cfg, 400)
+    chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
+    expected = np.array([
+        _chi_parts(cfg, float(thetas[i]), y_prime[i], y_second[i]) for i in range(len(thetas))
+    ])
+    for got, ref in zip((chi, g1, g2), expected.T):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_status_semantics():
@@ -109,15 +119,16 @@ def test_newton_converges_from_far_seed():
     assert rho[0] == pytest.approx(expected, abs=1e-10)
 
 
-def test_env_flag_selects_numpy():
-    env = dict(os.environ, FLIPQ_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from flipq import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("gpu")
+def test_newton_iteration_cap():
+    # the far seed needs more than two steps, the exact root (rho = 1 at
+    # c = 0) none; a lane still above tol is reported
+    ap = np.array([1.0, 1.0, 1.0])
+    app = np.array([1.0, 1.0, 1.0])
+    c = np.array([0.1, 0.0, 0.1])
+    seed = np.array([25.0, 1.0, np.nan])
+    rho, resid, iters, status = kernels.newton_rescale(ap, app, c, seed=seed, max_iter=2)
+    assert status.tolist() == [
+        kernels.STATUS_NO_CONVERGENCE, kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT,
+    ]
+    assert iters.tolist() == [2, 0, 0]
+    assert resid[0] > kernels.NEWTON_TOL and resid[1] == 0.0 and np.isnan(resid[2])

@@ -33,7 +33,7 @@ from flipq import (
     tilde_coords,
     verify_conditions,
 )
-from flipq.perturbation import _realify
+from flipq.kernels import realify
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction
 
@@ -108,8 +108,8 @@ def test_chi_quadratic_part_hessian(cfg_fourier_quartic):
         G1 = cfg.metric_field.g_prime_at(theta)
         G2 = cfg.metric_field.g_second_at(theta)
         expected = np.block([
-            [-_realify(G1), np.zeros((2 * rp, 2 * rs))],
-            [np.zeros((2 * rs, 2 * rp)), _realify(G2)],
+            [-realify(G1), np.zeros((2 * rp, 2 * rs))],
+            [np.zeros((2 * rs, 2 * rp)), realify(G2)],
         ])
         assert np.abs(H - expected).max() <= 1e-4
 
