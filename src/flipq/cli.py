@@ -1,10 +1,12 @@
 """Command line interface: verify | scan | match | report.
 
 Outputs are machine readable (JSON reports, CSV scan tables) and byte
-deterministic for a fixed config and seed: randomness comes from spawned
-seed sequences keyed by row index, and rows are emitted in grid order.
+deterministic for a fixed config and seed: scan rows draw their samples from
+one seeded stream, row by row in grid order, and rows are emitted in that
+order.
 Match and scan run as batch passes; --threads is accepted and ignored.
-Exit codes: 0 pass, 1 check failure, 2 config or usage error.
+Exit codes: 0 pass, 1 check failure (also any other flipq error mid-run,
+reported on one stderr line), 2 config or usage error.
 """
 
 from __future__ import annotations
@@ -107,17 +109,16 @@ def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol:
 
 
 def _scan_residuals(cfg, grid: list[tuple[float, float]], k: int, seed: int) -> list[float]:
-    """Mean level residual per grid row over k samples drawn from the row's own seed."""
+    """Mean level residual per grid row over k samples; rows draw from one stream in grid order."""
     if k == 0:
         return [0.0] * len(grid)
-    seeds = np.random.SeedSequence(seed).spawn(len(grid))
+    rng = np.random.default_rng(seed)
     rows_per_block = max(1, SCAN_BLOCK_LANES // k)
     means: list[float] = []
     for start in range(0, len(grid), rows_per_block):
         block = range(start, min(start + rows_per_block, len(grid)))
         prime, second = [], []
-        for i in block:
-            rng = np.random.default_rng(seeds[i])
+        for _ in block:
             prime.append(complex_gaussian(rng, (k, cfg.r_prime)))
             second.append(complex_gaussian(rng, (k, cfg.r_second)))
         y_prime = np.concatenate(prime)
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_non_negative_int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     def verify_flags(p):
@@ -419,6 +420,10 @@ def main(argv=None) -> int:
     except ConfigInvalid as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
+    except FlipQError as e:
+        # a check that fails mid-run, e.g. a blowup ray leaving the fiber domain
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:  # console-script hook

@@ -42,10 +42,15 @@ def config_digest(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
+def _is_number(x) -> bool:
+    # JSON true/false decode to bool, a subclass of int: not a number here
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_complex(x) -> complex:
-    if isinstance(x, (int, float)):
+    if _is_number(x):
         return complex(x, 0.0)
-    if isinstance(x, (list, tuple)) and len(x) == 2 and all(isinstance(v, (int, float)) for v in x):
+    if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v) for v in x):
         return complex(x[0], x[1])
     raise ConfigInvalid(f"expected a number or [re, im] pair, got {x!r}")
 
@@ -62,17 +67,37 @@ def parse_matrix(x) -> np.ndarray:
     return np.array([[parse_complex(v) for v in row] for row in x], dtype=complex)
 
 
+def _object(x, where: str) -> dict:
+    if not isinstance(x, dict):
+        raise ConfigInvalid(f"{where} must be an object, got {type(x).__name__}")
+    return x
+
+
 def _require(doc: dict, key: str, where: str):
-    if key not in doc:
+    if key not in _object(doc, where):
         raise ConfigInvalid(f"missing key {key!r} in {where}")
     return doc[key]
+
+
+def _integer(x, where: str, minimum: int | None = None) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ConfigInvalid(f"{where} must be an integer, got {x!r}")
+    if minimum is not None and x < minimum:
+        raise ConfigInvalid(f"{where} must be >= {minimum}, got {x}")
+    return x
+
+
+def _number(x, where: str) -> float:
+    if not _is_number(x):
+        raise ConfigInvalid(f"{where} must be a number, got {x!r}")
+    return float(x)
 
 
 def _metric_terms(entry, label):
     if isinstance(entry, list) and entry and isinstance(entry[0], dict):
         terms = []
         for item in entry:
-            n = int(_require(item, "n", f"metrics.{label}"))
+            n = _integer(_require(item, "n", f"metrics.{label}"), f"metrics.{label} n")
             cos_mat = parse_matrix(item["cos"]) if "cos" in item else None
             sin_mat = parse_matrix(item["sin"]) if "sin" in item else None
             if cos_mat is None and sin_mat is None:
@@ -102,20 +127,28 @@ def build_metric_field(doc: dict) -> MetricFieldSpec:
 def build_perturbation(doc: dict | None) -> PerturbationSpec:
     if doc is None:
         return PerturbationSpec.none()
+    items = _object(doc, "perturbation").get("terms", [])
+    if not isinstance(items, list):
+        raise ConfigInvalid(f"perturbation.terms must be a list, got {type(items).__name__}")
     terms = []
-    for i, item in enumerate(doc.get("terms", [])):
-        gens = item.get("generators", {})
+    for i, item in enumerate(items):
+        where = f"perturbation term {i}"
+        gens = _object(_object(item, where).get("generators", {}), f"{where} generators")
         unknown = set(gens) - set(_GENERATOR_KEYS)
         if unknown:
-            raise ConfigInvalid(f"perturbation term {i} has unknown generators {sorted(unknown)}")
+            raise ConfigInvalid(f"{where} has unknown generators {sorted(unknown)}")
+        pows = {key: _integer(gens.get(key, 0), f"{where} generator {key}") for key in _GENERATOR_KEYS}
+        coeff = _require(item, "coeff_fourier", where)
+        if not isinstance(coeff, list):
+            raise ConfigInvalid(f"{where} coeff_fourier must be a list, got {coeff!r}")
         ref = item.get("ref_section")
         terms.append(
             PerturbationTerm(
-                norm_prime_pow=int(gens.get("norm_prime_sq", 0)),
-                norm_second_pow=int(gens.get("norm_second_sq", 0)),
-                ref_inner_pow=int(gens.get("ref_inner_sq", 0)),
-                mixed_pow=int(gens.get("mixed", 0)),
-                coeff=tuple(float(c) for c in _require(item, "coeff_fourier", f"perturbation term {i}")),
+                norm_prime_pow=pows["norm_prime_sq"],
+                norm_second_pow=pows["norm_second_sq"],
+                ref_inner_pow=pows["ref_inner_sq"],
+                mixed_pow=pows["mixed"],
+                coeff=tuple(_number(c, f"{where} coeff_fourier entry") for c in coeff),
                 ref_section=None if ref is None else parse_vector(ref),
             )
         )
@@ -125,12 +158,12 @@ def build_perturbation(doc: dict | None) -> PerturbationSpec:
 def build_model(doc: dict) -> ModelConfig:
     ranks = _require(doc, "ranks", "config")
     cfg = ModelConfig(
-        r_prime=int(_require(ranks, "r_prime", "ranks")),
-        r_second=int(_require(ranks, "r_second", "ranks")),
-        epsilon=float(_require(doc, "epsilon", "config")),
+        r_prime=_integer(_require(ranks, "r_prime", "ranks"), "ranks.r_prime"),
+        r_second=_integer(_require(ranks, "r_second", "ranks"), "ranks.r_second"),
+        epsilon=_number(_require(doc, "epsilon", "config"), "epsilon"),
         metric_field=build_metric_field(_require(doc, "metrics", "config")),
         perturbation=build_perturbation(doc.get("perturbation")),
-        domain_radius=float(_require(doc, "domain_radius", "config")),
+        domain_radius=_number(_require(doc, "domain_radius", "config"), "domain_radius"),
     )
     report = validate_config(cfg)
     if not report.ok:
@@ -154,13 +187,16 @@ def parse_run_config(doc) -> RunConfig:
     model = build_model(doc)
     phi_spec = doc.get("phi")
     if phi_spec is not None:
-        kind = phi_spec.get("kind")
+        kind = _object(phi_spec, "phi").get("kind")
         if kind not in ("graph", "quadratic"):
             raise ConfigInvalid(f"phi.kind must be 'graph' or 'quadratic', got {kind!r}")
+        for key in ("coeff_prime", "coeff_second"):
+            if key in phi_spec and not np.isfinite(_number(phi_spec[key], f"phi.{key}")):
+                raise ConfigInvalid(f"phi.{key} must be finite, got {phi_spec[key]}")
     return RunConfig(
         model=model,
         phi_spec=phi_spec,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed", minimum=0),
         digest=config_digest(doc),
         raw=doc,
     )

@@ -106,18 +106,11 @@ class MetricFieldSpec:
     def identity(cls, r_prime: int, r_second: int) -> "MetricFieldSpec":
         return cls.constant(np.eye(r_prime), np.eye(r_second))
 
-    @staticmethod
-    def _eval_terms(terms, theta: float) -> np.ndarray:
-        total = np.zeros_like(terms[0][1])
-        for n, cos_mat, sin_mat in terms:
-            total = total + cos_mat * np.cos(n * theta) + sin_mat * np.sin(n * theta)
-        return total
-
     def g_prime_at(self, theta: float) -> np.ndarray:
-        return self._eval_terms(self.g_prime_terms, theta)
+        return metric_matrices_batch(self.g_prime_terms, [theta])[0]
 
     def g_second_at(self, theta: float) -> np.ndarray:
-        return self._eval_terms(self.g_second_terms, theta)
+        return metric_matrices_batch(self.g_second_terms, [theta])[0]
 
     @staticmethod
     def _pack(terms):
@@ -182,8 +175,9 @@ def _check_length(v: np.ndarray, n: int, name: str) -> np.ndarray:
 
 def _hermitian_pd_faults(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix of a stack (n, r, r): (not Hermitian, not positive definite)."""
-    not_hermitian = np.abs(G - np.swapaxes(G.conj(), -1, -2)).max(axis=(-2, -1)) > HERMITIAN_TOL
-    not_pd = np.linalg.eigvalsh(G).min(axis=-1) <= 0.0
+    # negated passes: NaN compares false, so a non-finite matrix fails both
+    not_hermitian = ~(np.abs(G - np.swapaxes(G.conj(), -1, -2)).max(axis=(-2, -1)) <= HERMITIAN_TOL)
+    not_pd = ~(np.linalg.eigvalsh(G).min(axis=-1) > 0.0)
     return not_hermitian, not_pd
 
 
@@ -293,11 +287,12 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
         issues.append(ValidationIssue("RankViolation", f"r_prime = {cfg.r_prime} must be >= 1"))
     if cfg.r_second < 1:
         issues.append(ValidationIssue("RankViolation", f"r_second = {cfg.r_second} must be >= 1"))
-    if not cfg.epsilon > 0:
-        issues.append(ValidationIssue("EpsilonViolation", f"epsilon = {cfg.epsilon} must be > 0"))
-    if not cfg.domain_radius > 0:
+    if not (np.isfinite(cfg.epsilon) and cfg.epsilon > 0):
+        issues.append(ValidationIssue("EpsilonViolation", f"epsilon = {cfg.epsilon} must be finite and > 0"))
+    if not (np.isfinite(cfg.domain_radius) and cfg.domain_radius > 0):
         issues.append(
-            ValidationIssue("DomainRadiusViolation", f"domain_radius = {cfg.domain_radius} must be > 0")
+            ValidationIssue("DomainRadiusViolation",
+                            f"domain_radius = {cfg.domain_radius} must be finite and > 0")
         )
 
     for label, terms, rank in (
@@ -306,7 +301,7 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
     ):
         if rank < 1:
             continue  # already reported as a rank violation
-        shape_ok = True
+        evaluable = True
         for n, cos_mat, sin_mat in terms:
             for mat in (cos_mat, sin_mat):
                 if mat.shape != (rank, rank):
@@ -316,8 +311,13 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
                             f"{label} harmonic {n} has shape {mat.shape}, expected {(rank, rank)}",
                         )
                     )
-                    shape_ok = False
-        if not shape_ok:
+                    evaluable = False
+                elif not np.isfinite(mat).all():
+                    issues.append(
+                        ValidationIssue("MetricFiniteViolation", f"{label} harmonic {n} has a non-finite entry")
+                    )
+                    evaluable = False
+        if not evaluable:
             continue
         thetas = np.linspace(0.0, TWO_PI, VALIDATION_THETA_SAMPLES, endpoint=False)
         not_hermitian, not_pd = _hermitian_pd_faults(metric_matrices_batch(terms, thetas))
@@ -343,9 +343,6 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
 
 def min_metric_eigenvalue(cfg: ModelConfig, n_theta: int = VALIDATION_THETA_SAMPLES) -> float:
     """Smallest eigenvalue of either metric block over a theta grid."""
-    lo = np.inf
-    for theta in np.linspace(0.0, TWO_PI, n_theta, endpoint=False):
-        G1 = cfg.metric_field.g_prime_at(theta)
-        G2 = cfg.metric_field.g_second_at(theta)
-        lo = min(lo, np.linalg.eigvalsh(G1).min(), np.linalg.eigvalsh(G2).min())
-    return float(lo)
+    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    return float(min(np.linalg.eigvalsh(metric_matrices_batch(terms, thetas)).min()
+                     for terms in (cfg.metric_field.g_prime_terms, cfg.metric_field.g_second_terms)))

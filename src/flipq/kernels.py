@@ -99,9 +99,12 @@ def scale_root(ap, app, c):
 # derivative        beta(rho)  = -(rho a' + rho^-3 a'')  (strictly negative)
 
 
-def _has_root(ap, app, c):
-    # a' s^2 + 2 c s - a'' = 0 has a positive root iff the nonzero block
-    # carries the right sign of c (both blocks nonzero: always)
+def has_positive_root(ap, app, c):
+    """Whether a' s^2 + 2 c s - a'' = 0 (a', a'' >= 0) has a root s > 0.
+
+    Always with both blocks nonzero, never with both zero; with one block
+    zero only for c < 0 (a'' = 0) or c > 0 (a' = 0).
+    """
     return ((ap > 0.0) & ((app > 0.0) | (c < 0.0))) | ((ap == 0.0) & (app > 0.0) & (c > 0.0))
 
 
@@ -123,7 +126,7 @@ def newton_rescale(ap, app, c, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_IT
         seed = np.sqrt(scale_root(ap, app, c))
     seed = np.ascontiguousarray(seed, dtype=np.float64)
     n = ap.shape[0]
-    ok = np.isfinite(seed) & (seed > 0.0) & _has_root(ap, app, c)
+    ok = np.isfinite(seed) & (seed > 0.0) & has_positive_root(ap, app, c)
     rho = np.where(ok, seed, 1.0)
     iters = np.zeros(n, dtype=np.int32)
     status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)

@@ -143,8 +143,12 @@ def validate_perturbation(spec: PerturbationSpec, r_prime: int) -> list[Validati
                         f"term {i} reference section has length {term.ref_section.shape[0]}, expected {r_prime}",
                     )
                 )
+            elif not np.isfinite(term.ref_section).all():
+                issues.append(ValidationIssue("ReferenceSectionViolation", f"term {i} reference section is not finite"))
         if len(term.coeff) == 0:
             issues.append(ValidationIssue("PerturbationOrderViolation", f"term {i} has an empty coefficient series"))
+        elif not np.isfinite(term.coeff).all():
+            issues.append(ValidationIssue("PerturbationCoefficientViolation", f"term {i} has a non-finite coefficient"))
     return issues
 
 
@@ -175,20 +179,32 @@ def _check_domain(cfg, g1, g2):
         )
 
 
+def _monomial(term: PerturbationTerm, theta, g1, g2, inner):
+    """One perturbation term at scalar or batch (theta, g1, g2).
+
+    inner(a) gives the reference pairing <y', a>, a number or a lane array.
+    """
+    value = fourier_scalar(term.coeff, theta)
+    if term.norm_prime_pow:
+        value = value * g1**term.norm_prime_pow
+    if term.norm_second_pow:
+        value = value * g2**term.norm_second_pow
+    if term.mixed_pow:
+        value = value * (g1 * g2) ** term.mixed_pow
+    if term.ref_inner_pow:
+        value = value * (abs(inner(term.ref_section)) ** 2) ** term.ref_inner_pow
+    return value
+
+
+def _scalar_pairing(G1, y_prime):
+    return lambda a: complex(y_prime.conj() @ G1 @ a)
+
+
 def _perturbation_value(cfg, theta, y_prime, G1, g1, g2) -> float:
+    inner = _scalar_pairing(G1, y_prime)
     total = 0.0
     for term in cfg.perturbation.terms:
-        value = fourier_scalar(term.coeff, theta)
-        if term.norm_prime_pow:
-            value *= g1**term.norm_prime_pow
-        if term.norm_second_pow:
-            value *= g2**term.norm_second_pow
-        if term.mixed_pow:
-            value *= (g1 * g2) ** term.mixed_pow
-        if term.ref_inner_pow:
-            inner = complex(y_prime.conj() @ G1 @ term.ref_section)
-            value *= (inner.real**2 + inner.imag**2) ** term.ref_inner_pow
-        total += value
+        total += _monomial(term, theta, g1, g2, inner)
     return total
 
 
@@ -223,19 +239,12 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
     if check_domain and np.any(_outside_domain(cfg, g1, g2)):
         raise OutOfDomain("batch contains points outside the fiber domain")
     chi = -0.5 * (g1 - g2)
+
+    def inner(a):
+        return kernels.fourier_pairing(thetas, y_prime, a, *cfg.metric_field.packed_prime)
+
     for term in cfg.perturbation.terms:
-        value = np.asarray(fourier_scalar(term.coeff, thetas), dtype=float)
-        if term.norm_prime_pow:
-            value = value * g1**term.norm_prime_pow
-        if term.norm_second_pow:
-            value = value * g2**term.norm_second_pow
-        if term.mixed_pow:
-            value = value * (g1 * g2) ** term.mixed_pow
-        if term.ref_inner_pow:
-            inner = kernels.fourier_pairing(thetas, y_prime, term.ref_section,
-                                            *cfg.metric_field.packed_prime)
-            value = value * (np.abs(inner) ** 2) ** term.ref_inner_pow
-        chi = chi + value
+        chi = chi + _monomial(term, thetas, g1, g2, inner)
     return chi, g1, g2
 
 
@@ -474,16 +483,13 @@ def rescale_alpha_beta(g1: float, g2: float, c: float, rho: float) -> tuple[floa
 
 
 def _branch_check(prime_zero: bool, second_zero: bool, c: float) -> None:
+    if kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
+        return
     if prime_zero and second_zero:
         raise DegenerateBranch("the rescaling equation is undefined on the zero section")
-    if second_zero and c >= 0:
-        raise DegenerateBranch(
-            f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0"
-        )
-    if prime_zero and c <= 0:
-        raise DegenerateBranch(
-            f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0"
-        )
+    if second_zero:
+        raise DegenerateBranch(f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0")
+    raise DegenerateBranch(f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0")
 
 
 def _check_status(status, resid, iters) -> None:
@@ -493,13 +499,21 @@ def _check_status(status, resid, iters) -> None:
         raise NoConvergence(f"residual {resid:.3g} after {iters} iterations")
 
 
-def _newton_single(g1, g2, c, seed):
+def _rescale_ray(cfg, theta, w_prime, w_second, r, seed) -> tuple[float, RhoSolution]:
+    """chi at v = r w, the branch check, then one-lane Newton on the equation over r^2.
+
+    Returns (chi(v), solution); r = 1 is the plain equation at v = w.
+    """
+    c, g1, g2 = _chi_parts(cfg, theta, r * w_prime, r * w_second)
+    _branch_check(not np.any(w_prime), not np.any(w_second), c)
+    r2 = r**2
     seed_arr = None if seed is None else np.array([float(seed)])
     rho, resid, iters, status = kernels.newton_rescale(
-        np.array([g1]), np.array([g2]), np.array([c]), seed=seed_arr
+        np.array([g1 / r2]), np.array([g2 / r2]), np.array([c / r2]), seed=seed_arr
     )
     _check_status(status[0], resid[0], iters[0])
-    return RhoSolution(rho=float(rho[0]), residual=float(resid[0]), iterations=int(iters[0]), converged=True)
+    return c, RhoSolution(rho=float(rho[0]), residual=float(resid[0]), iterations=int(iters[0]),
+                          converged=True)
 
 
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
@@ -510,11 +524,7 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
     behavior of the iteration (the derivative is negative everywhere, so
     any positive seed converges to the same root).
     """
-    prime_zero = not np.any(p.y_prime)
-    second_zero = not np.any(p.y_second)
-    c, g1, g2 = _chi_parts(cfg, p.base.theta, p.y_prime, p.y_second)
-    _branch_check(prime_zero, second_zero, c)
-    return _newton_single(g1, g2, c, seed)
+    return _rescale_ray(cfg, p.base.theta, p.y_prime, p.y_second, 1.0, seed)[1]
 
 
 def solve_rho_blowup(cfg: ModelConfig, bp, seed: float | None = None) -> RhoSolution:
@@ -526,15 +536,7 @@ def solve_rho_blowup(cfg: ModelConfig, bp, seed: float | None = None) -> RhoSolu
     """
     if bp.r == 0.0:
         return RhoSolution(rho=1.0, residual=0.0, iterations=0, converged=True)
-    theta = bp.base.theta
-    y_prime = bp.r * bp.w_prime
-    y_second = bp.r * bp.w_second
-    prime_zero = not np.any(bp.w_prime)
-    second_zero = not np.any(bp.w_second)
-    c, g1, g2 = _chi_parts(cfg, theta, y_prime, y_second)
-    _branch_check(prime_zero, second_zero, c)
-    r2 = bp.r**2
-    return _newton_single(g1 / r2, g2 / r2, c / r2, seed)
+    return _rescale_ray(cfg, bp.base.theta, bp.w_prime, bp.w_second, bp.r, seed)[1]
 
 
 def solve_rho_batch(cfg: ModelConfig, thetas, y_prime, y_second):
@@ -559,19 +561,10 @@ _FD5_WEIGHTS = {
 def _poly_ray_coeffs(cfg, tau: PerturbationSpec, theta, w_prime, w_second):
     """Coefficients a_d of tau(s w) = sum a_d s^d along the ray through w."""
     G1, _, g1, g2 = _norms_at(cfg, theta, w_prime, w_second)
+    inner = _scalar_pairing(G1, w_prime)
     coeffs: dict[int, float] = {}
     for term in tau.terms:
-        value = fourier_scalar(term.coeff, theta)
-        if term.norm_prime_pow:
-            value *= g1**term.norm_prime_pow
-        if term.norm_second_pow:
-            value *= g2**term.norm_second_pow
-        if term.mixed_pow:
-            value *= (g1 * g2) ** term.mixed_pow
-        if term.ref_inner_pow:
-            inner = complex(w_prime.conj() @ G1 @ term.ref_section)
-            value *= (inner.real**2 + inner.imag**2) ** term.ref_inner_pow
-        coeffs[term.degree] = coeffs.get(term.degree, 0.0) + value
+        coeffs[term.degree] = coeffs.get(term.degree, 0.0) + _monomial(term, theta, g1, g2, inner)
     return coeffs
 
 
@@ -647,8 +640,7 @@ def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     Output (rho v', rho^-1 v'') over base (theta, t = chi(v)); the moment
     value there vanishes and the rank-one tensor is unchanged.
     """
-    sol = solve_rho(cfg, p)
-    c, _, _ = _chi_parts(cfg, p.base.theta, p.y_prime, p.y_second)
+    c, sol = _rescale_ray(cfg, p.base.theta, p.y_prime, p.y_second, 1.0, None)
     _check_wall(cfg, c)
     base = BasePoint(p.base.theta, c)
     return FiberPoint(base=base, y_prime=sol.rho * p.y_prime, y_second=p.y_second / sol.rho)

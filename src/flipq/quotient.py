@@ -76,15 +76,9 @@ def _is_zero(v: np.ndarray) -> bool:
 
 
 def classify(cfg: ModelConfig, p: FiberPoint) -> StabilityClass:
-    t = p.base.t
-    prime_zero = _is_zero(p.y_prime)
-    second_zero = _is_zero(p.y_second)
-    if t < 0:
-        stable = not prime_zero
-    elif t > 0:
-        stable = not second_zero
-    else:
-        stable = not prime_zero and not second_zero
+    # stable iff a' s^2 + 2 t s - a'' = 0 has a root s > 0; only which blocks vanish matters
+    stable = kernels.has_positive_root(float(not _is_zero(p.y_prime)), float(not _is_zero(p.y_second)),
+                                       p.base.t)
     return StabilityClass.Stable if stable else StabilityClass.Unstable
 
 

@@ -1,6 +1,9 @@
 """CLI contract: outputs, determinism, and the 0/1/2 exit-code scheme."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +168,7 @@ def test_match_point_rank_mismatch_rejected(capsys):
         ("verify", "--samples"),
         ("scan", "--samples"),
         ("report", "--scan-samples"),
+        ("verify", "--seed"),
     ],
 )
 def test_negative_count_flag_is_usage_error(command, flag, capsys):
@@ -198,6 +202,78 @@ def test_verify_flag_out_of_range_is_usage_error(command, flag, value, message, 
         main([command, "--config", QUARTIC, f"{flag}={value}"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def _set(path, value):
+    """Edit of the quartic fixture: set the entry at a key path."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _add_ref_term(ref_section):
+    def edit(doc):
+        doc["perturbation"]["terms"].append(
+            {"generators": {"ref_inner_sq": 2}, "coeff_fourier": [0.1], "ref_section": ref_section})
+    return edit
+
+
+NAN, INF = float("nan"), float("inf")
+TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--t-steps", "1",
+               "--scan-samples", "2", "--match-samples", "2", "--blowup-rays", "1"]
+
+
+@pytest.mark.parametrize(
+    "edit, argv, code, message",
+    [
+        # non-finite values
+        (_set(["metrics", "g_prime", 0, 0], NAN), ["verify"], 2, "MetricFiniteViolation"),
+        (_set(["metrics", "g_second", 0, 0], INF), ["report"], 2, "MetricFiniteViolation"),
+        (_set(["epsilon"], INF), ["verify"], 2, "EpsilonViolation"),
+        (_set(["domain_radius"], NAN), ["verify"], 2, "DomainRadiusViolation"),
+        (_set(["perturbation", "terms", 0, "coeff_fourier"], [0.1, NAN]), ["report"], 2,
+         "PerturbationCoefficientViolation"),
+        (_add_ref_term([NAN]), ["verify"], 2, "ReferenceSectionViolation"),
+        (_set(["phi"], {"kind": "quadratic", "coeff_prime": NAN}), ["verify"], 2, "phi.coeff_prime"),
+        # mistyped values
+        (_set(["ranks", "r_prime"], "two"), ["verify"], 2, "ranks.r_prime must be an integer"),
+        (_set(["ranks", "r_second"], True), ["verify"], 2, "ranks.r_second must be an integer"),
+        (_set(["ranks"], [1, 1]), ["verify"], 2, "ranks must be an object"),
+        (_set(["epsilon"], "0.5"), ["verify"], 2, "epsilon must be a number"),
+        (_set(["perturbation", "terms", 0, "coeff_fourier"], "abc"), ["verify"], 2,
+         "coeff_fourier must be a list"),
+        (_set(["perturbation", "terms", 0, "coeff_fourier"], ["abc"]), ["verify"], 2,
+         "coeff_fourier entry must be a number"),
+        (_set(["perturbation", "terms", 0, "generators", "mixed"], 1.5), ["verify"], 2,
+         "generator mixed must be an integer"),
+        (_set(["phi"], "graph"), ["verify"], 2, "phi must be an object"),
+        (_set(["seed"], -5), ["verify"], 2, "seed must be >= 0"),
+        (_set(["seed"], 1.5), ["report"], 2, "seed must be an integer"),
+        # a check that fails mid-run: the blowup rays start at r = 0.1
+        (_set(["domain_radius"], 0.05), ["match", "--blowup-rays", "1"], 1, "OutOfDomain"),
+        (_set(["domain_radius"], 0.05), ["report", *TINY_REPORT], 1, "OutOfDomain"),
+    ],
+)
+def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
+    doc = json.loads(Path(QUARTIC).read_text())
+    edit(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "flipq.cli", *argv, "--config", str(path)],
+                          capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr
+
+    def no_constant(token):
+        raise AssertionError(f"{token} in stdout")
+
+    if proc.stdout:
+        json.loads(proc.stdout, parse_constant=no_constant)
 
 
 def _mixed_match_config():
@@ -282,9 +358,9 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
     rows_per_block = SCAN_BLOCK_LANES // k
     rows = run_scan(run_cfg, 11, 3, 3, k)
     assert len(rows) % rows_per_block != 0
-    seeds = np.random.SeedSequence(11).spawn(len(rows))
-    for row, row_seed in zip(rows, seeds):
-        rng = np.random.default_rng(row_seed)
+    # one stream, drawn row by row in grid order
+    rng = np.random.default_rng(11)
+    for row in rows:
         y_prime = complex_gaussian(rng, (k, cfg.r_prime))
         y_second = complex_gaussian(rng, (k, cfg.r_second))
         thetas = np.full(k, row.theta)

@@ -19,7 +19,7 @@ from flipq import (
     norm_sq,
     validate_config,
 )
-from flipq.core import fiber_norms_batch
+from flipq.core import fiber_norms_batch, min_metric_eigenvalue
 
 from conftest import make_config
 
@@ -55,6 +55,32 @@ def test_metric_at_rejects_nonpositive():
     cfg = make_config(metric_field=field)
     with pytest.raises(ConfigInvalid):
         metric_at(cfg, np.pi)
+
+
+def test_metric_at_rejects_non_finite():
+    # metric_at does not rely on validate_config having run
+    cfg = make_config(metric_field=MetricFieldSpec.constant([[np.nan]], [[1.0]]))
+    with pytest.raises(ConfigInvalid):
+        metric_at(cfg, 0.0)
+
+
+def test_min_metric_eigenvalue_matches_per_theta_loop():
+    # complex off-diagonal Hermitian cos and sin terms, positive definite throughout
+    c1 = np.array([[0.0, 0.3 + 0.4j], [0.3 - 0.4j, 0.2]])
+    s1 = np.array([[0.1, -0.2j], [0.2j, 0.0]])
+    s2 = np.array([[0.0, 0.25 - 0.1j], [0.25 + 0.1j, -0.3]])
+    field = MetricFieldSpec.fourier(
+        [(0, np.diag([1.4, 1.2])), (1, c1, s1), (2, np.zeros((2, 2)), s2)],
+        [(0, np.eye(1)), (3, np.zeros((1, 1)), np.array([[0.2]]))],
+    )
+    cfg = make_config(r_prime=2, r_second=1, metric_field=field)
+    expected = np.inf
+    for theta in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
+        for terms in (field.g_prime_terms, field.g_second_terms):
+            G = sum(np.cos(n * theta) * c + np.sin(n * theta) * s for n, c, s in terms)
+            expected = min(expected, np.linalg.eigvalsh(G).min())
+    assert 0.0 < expected < 0.8  # set by the complex g' block
+    assert min_metric_eigenvalue(cfg) == pytest.approx(expected, rel=1e-13)
 
 
 # -- herm_inner --------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Batch kernels against per-lane numpy references."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import make_config
-from flipq import MetricFieldSpec, PerturbationTerm, kernels
-from flipq.perturbation import _chi_parts, chi_parts_batch
+from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
+from flipq.core import fiber_norms
+from flipq.perturbation import _branch_check, _chi_parts, chi_parts_batch
 from flipq.sampling import random_domain_batch
 
 
@@ -31,7 +34,7 @@ def test_fourier_norm_sq_matches_per_lane_reference(rank):
     y = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     got = kernels.fourier_norm_sq(thetas, y, ns, cos_mats, sin_mats)
     expected = np.array([
-        (y[i].conj() @ MetricFieldSpec._eval_terms(spec.g_prime_terms, thetas[i]) @ y[i]).real
+        (y[i].conj() @ spec.g_prime_at(thetas[i]) @ y[i]).real
         for i in range(n)
     ])
     scale = np.abs(expected).max()
@@ -52,7 +55,7 @@ def test_fourier_pairing_matches_per_lane_reference():
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     got = kernels.fourier_pairing(thetas, y, a, *spec.packed_prime)
     expected = np.array([
-        y[i].conj() @ MetricFieldSpec._eval_terms(spec.g_prime_terms, thetas[i]) @ a for i in range(n)
+        y[i].conj() @ spec.g_prime_at(thetas[i]) @ a for i in range(n)
     ])
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -83,6 +86,31 @@ def test_chi_parts_batch_matches_scalar_path():
     ])
     for got, ref in zip((chi, g1, g2), expected.T):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("c", [-0.1, 0.0, 0.1])
+@pytest.mark.parametrize("prime_zero, second_zero", itertools.product([False, True], repeat=2))
+def test_has_positive_root_decides_classify_and_branch_check(prime_zero, second_zero, c):
+    # the rule, by zero pattern: both blocks present always have a root;
+    # y'' = 0 needs c < 0, y' = 0 needs c > 0, the zero section none
+    expected = {(False, False): True, (False, True): c < 0,
+                (True, False): c > 0, (True, True): False}[prime_zero, second_zero]
+    cfg = make_config(2, 1)
+    y_prime = np.zeros(2) if prime_zero else np.array([0.3, 0.1j])
+    y_second = np.zeros(1) if second_zero else np.array([0.2])
+    p = cfg.fiber_point(0.0, c, y_prime, y_second)
+    ap, app = fiber_norms(cfg, p)
+    assert kernels.has_positive_root(ap, app, c) == expected
+    assert kernels.has_positive_root(np.array([ap]), np.array([app]), np.array([c]))[0] == expected
+    assert (classify(cfg, p) is StabilityClass.Stable) == expected
+    try:
+        _branch_check(prime_zero, second_zero, c)
+        raised = False
+    except DegenerateBranch:
+        raised = True
+    assert raised != expected
+    status = kernels.newton_rescale(np.array([ap]), np.array([app]), np.array([c]))[3][0]
+    assert (status == kernels.STATUS_OK) == expected
 
 
 def test_status_semantics():
