@@ -27,11 +27,11 @@ from .perturbation import (
     FD_STEP_RANGE,
     match_lanes,
     matching_errors,
+    rescale_lanes,
     rest_bound_scan,
-    solve_rho_blowup,
     verify_conditions,
+    wall_error,
 )
-from .blowup import BlowupPoint
 from .quotient import fiber_type, level_rho_batch, moment_value_batch
 from .sampling import complex_gaussian, random_domain_batch, random_unit_direction
 
@@ -110,8 +110,6 @@ def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol:
 
 def _scan_residuals(cfg, grid: list[tuple[float, float]], k: int, seed: int) -> list[float]:
     """Mean level residual per grid row over k samples; rows draw from one stream in grid order."""
-    if k == 0:
-        return [0.0] * len(grid)
     rng = np.random.default_rng(seed)
     rows_per_block = max(1, SCAN_BLOCK_LANES // k)
     means: list[float] = []
@@ -170,6 +168,7 @@ def _match_entries(cfg, thetas, y_prime, y_second) -> list[dict]:
     out_prime, out_second = _v2j(m.out_prime), _v2j(m.out_second)
     entries = []
     for i, err in enumerate(errors):
+        err = err or wall_error(cfg, m.t[i])
         entry = {"input": _point_json(thetas[i], 0.0, in_prime[i], in_second[i])}
         if err is not None:
             entry.update(error=type(err).__name__, message=str(err))
@@ -185,16 +184,25 @@ def _match_entries(cfg, thetas, y_prime, y_second) -> list[dict]:
     return entries
 
 
-def _blowup_ray(cfg, ray_seed) -> dict:
-    rng = np.random.default_rng(ray_seed)
-    theta = float(rng.uniform(0.0, 2.0 * np.pi))
-    w_prime, w_second = random_unit_direction(rng, cfg, theta)
-    base = BasePoint(theta, 0.0)
-    residuals = []
-    for r in BLOWUP_R_GRID:
-        bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=base)
-        sol = solve_rho_blowup(cfg, bp)
-        residuals.append(abs(sol.rho - 1.0))
+def _blowup_rays(cfg, seed: int, n: int) -> list[dict]:
+    """n rays, each drawn from its own spawned stream, solved at every BLOWUP_R_GRID radius in
+    one batch pass; the first failing lane raises, in ray-major order."""
+    draws = []
+    for ray_seed in np.random.SeedSequence(seed + 1).spawn(n):
+        rng = np.random.default_rng(ray_seed)
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        draws.append((theta, *random_unit_direction(rng, cfg, theta)))
+    radii = np.array(BLOWUP_R_GRID)
+    w_prime = np.array([d[1] for d in draws]).reshape(n, 1, cfg.r_prime)
+    w_second = np.array([d[2] for d in draws]).reshape(n, 1, cfg.r_second)
+    m = rescale_lanes(cfg, np.repeat([d[0] for d in draws], len(radii)),
+                      (radii[:, None] * w_prime).reshape(-1, cfg.r_prime),
+                      (radii[:, None] * w_second).reshape(-1, cfg.r_second), r2=np.tile(radii**2, n))
+    deviations = np.abs(m.rho - 1.0).reshape(n, len(radii)).tolist()
+    return [_ray_doc(*draw, residuals) for draw, residuals in zip(draws, deviations)]
+
+
+def _ray_doc(theta, w_prime, w_second, residuals) -> dict:
     factors = [
         residuals[i] / residuals[i + 1] if residuals[i + 1] > 0 else None
         for i in range(len(residuals) - 1)
@@ -227,10 +235,7 @@ def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint],
         y_prime = np.concatenate([y_prime, r_prime])
         y_second = np.concatenate([y_second, r_second])
     entries = _match_entries(cfg, thetas, y_prime, y_second)
-    rays = []
-    if blowup_rays > 0:
-        ray_seeds = np.random.SeedSequence(seed + 1).spawn(blowup_rays)
-        rays = [_blowup_ray(cfg, s) for s in ray_seeds]
+    rays = _blowup_rays(cfg, seed, blowup_rays)
     ok_entries = [e for e in entries if "error" not in e]
     stats = {
         "max_moment_residual": max((e["moment_residual"] for e in ok_entries), default=None),
@@ -291,8 +296,10 @@ def _parse_point(text: str, cfg) -> FiberPoint:
         theta = float(doc.get("theta", 0.0))
         y_prime = parse_vector(doc["y_prime"])
         y_second = parse_vector(doc["y_second"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigParse(f"bad --point payload: {e}") from e
+    if not (np.isfinite(theta) and np.isfinite(y_prime).all() and np.isfinite(y_second).all()):
+        raise ConfigParse("bad --point payload: theta and the vector entries must be finite")
     for name, v, rank in (("y_prime", y_prime, cfg.r_prime), ("y_second", y_second, cfg.r_second)):
         if v.shape[0] != rank:
             raise ConfigParse(f"bad --point payload: {name} has length {v.shape[0]}, expected {rank}")
@@ -354,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="tabulate fiber types and level residuals over the base")
     common(p)
-    p.add_argument("--theta-steps", type=_non_negative_int, default=8, dest="theta_steps")
-    p.add_argument("--t-steps", type=_non_negative_int, default=5, dest="t_steps")
-    p.add_argument("--samples", type=_non_negative_int, default=32)
+    p.add_argument("--theta-steps", type=_positive_int, default=8, dest="theta_steps")
+    p.add_argument("--t-steps", type=_positive_int, default=5, dest="t_steps")
+    p.add_argument("--samples", type=_positive_int, default=32)
     p.add_argument("--csv", default=None, help="also write the table as CSV here")
 
     p = sub.add_parser("match", help="rescale points onto the moment level set")
@@ -370,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full run: verify + scan + match statistics")
     common(p)
     verify_flags(p)
-    p.add_argument("--theta-steps", type=_non_negative_int, default=8, dest="theta_steps")
-    p.add_argument("--t-steps", type=_non_negative_int, default=5, dest="t_steps")
-    p.add_argument("--scan-samples", type=_non_negative_int, default=32, dest="scan_samples")
+    p.add_argument("--theta-steps", type=_positive_int, default=8, dest="theta_steps")
+    p.add_argument("--t-steps", type=_positive_int, default=5, dest="t_steps")
+    p.add_argument("--scan-samples", type=_positive_int, default=32, dest="scan_samples")
     p.add_argument("--match-samples", type=_non_negative_int, default=200, dest="match_samples")
     p.add_argument("--blowup-rays", type=_non_negative_int, default=8, dest="blowup_rays")
     return parser

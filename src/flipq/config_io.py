@@ -62,8 +62,8 @@ def parse_vector(x) -> np.ndarray:
 
 
 def parse_matrix(x) -> np.ndarray:
-    if not isinstance(x, list) or not x or not all(isinstance(row, list) for row in x):
-        raise ConfigInvalid(f"expected a matrix (list of rows), got {x!r}")
+    if not isinstance(x, list) or not x or not all(isinstance(row, list) and len(row) == len(x) for row in x):
+        raise ConfigInvalid(f"expected a non-empty square matrix (list of equal rows), got {x!r}")
     return np.array([[parse_complex(v) for v in row] for row in x], dtype=complex)
 
 

@@ -127,6 +127,14 @@ class MetricFieldSpec:
     def packed_second(self):
         return self._pack(self.g_second_terms)
 
+    @cached_property
+    def norm_forms_prime(self):
+        return kernels.norm_forms(*self.packed_prime)
+
+    @cached_property
+    def norm_forms_second(self):
+        return kernels.norm_forms(*self.packed_second)
+
 
 @dataclass(frozen=True, eq=False)
 class ModelConfig:
@@ -247,10 +255,8 @@ def fiber_norms(cfg: ModelConfig, p: FiberPoint) -> tuple[float, float]:
 
 def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """Vectorized metric norms squared over point batches (kernel-backed)."""
-    ns1, c1, s1 = cfg.metric_field.packed_prime
-    ns2, c2, s2 = cfg.metric_field.packed_second
-    ap = kernels.fourier_norm_sq(thetas, y_prime, ns1, c1, s1)
-    app = kernels.fourier_norm_sq(thetas, y_second, ns2, c2, s2)
+    ap = kernels.fourier_norm_sq(thetas, y_prime, *cfg.metric_field.norm_forms_prime)
+    app = kernels.fourier_norm_sq(thetas, y_second, *cfg.metric_field.norm_forms_second)
     return ap, app
 
 
@@ -289,10 +295,12 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
         issues.append(ValidationIssue("RankViolation", f"r_second = {cfg.r_second} must be >= 1"))
     if not (np.isfinite(cfg.epsilon) and cfg.epsilon > 0):
         issues.append(ValidationIssue("EpsilonViolation", f"epsilon = {cfg.epsilon} must be finite and > 0"))
-    if not (np.isfinite(cfg.domain_radius) and cfg.domain_radius > 0):
+    # the fiber domain test compares |v|^2 against domain_radius^2
+    radius = float(cfg.domain_radius)
+    if not (np.isfinite(radius * radius) and radius > 0):
         issues.append(
             ValidationIssue("DomainRadiusViolation",
-                            f"domain_radius = {cfg.domain_radius} must be finite and > 0")
+                            f"domain_radius = {cfg.domain_radius} must be > 0 with a finite square")
         )
 
     for label, terms, rank in (

@@ -34,11 +34,18 @@ def realify(M: np.ndarray) -> np.ndarray:
 
 
 def _realify_interleaved(M: np.ndarray) -> np.ndarray:
-    # realify(M) with rows and columns reordered to act on the float view of
-    # y, (Re y_0, Im y_0, Re y_1, ...), so the lanes need no copy
-    r = M.shape[0]
+    # realify of each matrix of a stack (..., r, r), rows and columns reordered
+    # to act on the float view of y, (Re y_0, Im y_0, Re y_1, ...), so the
+    # lanes need no copy; C order keeps the products' BLAS path
+    r = M.shape[-1]
     p = np.arange(2 * r).reshape(2, r).T.ravel()
-    return realify(M)[np.ix_(p, p)]
+    return np.ascontiguousarray(realify(M)[..., p[:, None], p])
+
+
+def norm_forms(ns, cos_mats, sin_mats):
+    """A packed metric field with each coefficient matrix replaced by its real
+    form: the field argument of fourier_norm_sq, built once per field."""
+    return ns, _realify_interleaved(cos_mats), _realify_interleaved(sin_mats)
 
 
 def _harmonics(thetas, ns, cos_mats, sin_mats):
@@ -50,17 +57,18 @@ def _harmonics(thetas, ns, cos_mats, sin_mats):
             yield np.sin(n * thetas), sin_mat
 
 
-def fourier_norm_sq(thetas, y, ns, cos_mats, sin_mats):
+def fourier_norm_sq(thetas, y, ns, cos_forms, sin_forms):
     """Batch Hermitian norms |y|^2 under a matrix Fourier field at each theta.
 
     Re(conj(y) M y) = z^T M~ z with z the float view of y and M~ the real
-    form of M, so each harmonic costs one (n, 2r) x (2r, 2r) product.
+    form of M (the field comes packed by norm_forms), so each harmonic costs
+    one (n, 2r) x (2r, 2r) product.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     z = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64)
     out = np.zeros(thetas.shape[0])
-    for weight, M in _harmonics(thetas, ns, cos_mats, sin_mats):
-        q = np.einsum("ni,ni->n", z @ _realify_interleaved(M), z)
+    for weight, form in _harmonics(thetas, ns, cos_forms, sin_forms):
+        q = np.einsum("ni,ni->n", z @ form, z)
         out += q if weight is None else weight * q
     return out
 

@@ -208,11 +208,10 @@ def _perturbation_value(cfg, theta, y_prime, G1, g1, g2) -> float:
     return total
 
 
-def _chi_parts(cfg, theta, y_prime, y_second, check_domain=True):
+def _chi_parts(cfg, theta, y_prime, y_second):
     """Returns (chi, g1, g2) at a fiber vector over theta."""
     G1, _, g1, g2 = _norms_at(cfg, theta, y_prime, y_second)
-    if check_domain:
-        _check_domain(cfg, g1, g2)
+    _check_domain(cfg, g1, g2)
     chi = -0.5 * (g1 - g2) + _perturbation_value(cfg, theta, y_prime, G1, g1, g2)
     return chi, g1, g2
 
@@ -499,21 +498,9 @@ def _check_status(status, resid, iters) -> None:
         raise NoConvergence(f"residual {resid:.3g} after {iters} iterations")
 
 
-def _rescale_ray(cfg, theta, w_prime, w_second, r, seed) -> tuple[float, RhoSolution]:
-    """chi at v = r w, the branch check, then one-lane Newton on the equation over r^2.
-
-    Returns (chi(v), solution); r = 1 is the plain equation at v = w.
-    """
-    c, g1, g2 = _chi_parts(cfg, theta, r * w_prime, r * w_second)
-    _branch_check(not np.any(w_prime), not np.any(w_second), c)
-    r2 = r**2
-    seed_arr = None if seed is None else np.array([float(seed)])
-    rho, resid, iters, status = kernels.newton_rescale(
-        np.array([g1 / r2]), np.array([g2 / r2]), np.array([c / r2]), seed=seed_arr
-    )
-    _check_status(status[0], resid[0], iters[0])
-    return c, RhoSolution(rho=float(rho[0]), residual=float(resid[0]), iterations=int(iters[0]),
-                          converged=True)
+def _rho_solution(m: LaneMatch) -> RhoSolution:
+    return RhoSolution(rho=float(m.rho[0]), residual=float(m.residual[0]),
+                       iterations=int(m.iterations[0]), converged=True)
 
 
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
@@ -524,10 +511,10 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
     behavior of the iteration (the derivative is negative everywhere, so
     any positive seed converges to the same root).
     """
-    return _rescale_ray(cfg, p.base.theta, p.y_prime, p.y_second, 1.0, seed)[1]
+    return _rho_solution(rescale_lanes(cfg, [p.base.theta], [p.y_prime], [p.y_second], seed=seed))
 
 
-def solve_rho_blowup(cfg: ModelConfig, bp, seed: float | None = None) -> RhoSolution:
+def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     """Rescaling solve in renormalized polar form; exactly 1 on the boundary.
 
     For r > 0 this solves the same equation as solve_rho at v = r w but on
@@ -536,13 +523,14 @@ def solve_rho_blowup(cfg: ModelConfig, bp, seed: float | None = None) -> RhoSolu
     """
     if bp.r == 0.0:
         return RhoSolution(rho=1.0, residual=0.0, iterations=0, converged=True)
-    return _rescale_ray(cfg, bp.base.theta, bp.w_prime, bp.w_second, bp.r, seed)[1]
+    return _rho_solution(rescale_lanes(cfg, [bp.base.theta], [bp.r * bp.w_prime],
+                                       [bp.r * bp.w_second], r2=bp.r**2))
 
 
 def solve_rho_batch(cfg: ModelConfig, thetas, y_prime, y_second):
-    """Batch rescaling solves; degenerate branches come back as status codes."""
-    c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
-    return kernels.newton_rescale(g1, g2, c)
+    """Batch rescaling solves: (rho, residual, iterations, status); degenerate branches come back as status codes."""
+    m = match_lanes(cfg, thetas, y_prime, y_second)
+    return m.rho, m.residual, m.iterations, m.status
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +615,11 @@ def renorm_eval(
     return deriv / math.factorial(k)
 
 
-def _check_wall(cfg, c) -> None:
+def wall_error(cfg: ModelConfig, c) -> OutOfDomain | None:
+    """The error of a graph value c outside the wall interval, else None."""
     if not abs(c) < cfg.epsilon:
-        raise OutOfDomain(
-            f"graph value t = {c:.6g} leaves the wall interval (+-{cfg.epsilon})"
-        )
+        return OutOfDomain(f"graph value t = {c:.6g} leaves the wall interval (+-{cfg.epsilon})")
+    return None
 
 
 def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
@@ -640,10 +628,11 @@ def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     Output (rho v', rho^-1 v'') over base (theta, t = chi(v)); the moment
     value there vanishes and the rank-one tensor is unchanged.
     """
-    c, sol = _rescale_ray(cfg, p.base.theta, p.y_prime, p.y_second, 1.0, None)
-    _check_wall(cfg, c)
-    base = BasePoint(p.base.theta, c)
-    return FiberPoint(base=base, y_prime=sol.rho * p.y_prime, y_second=p.y_second / sol.rho)
+    m = rescale_lanes(cfg, [p.base.theta], [p.y_prime], [p.y_second])
+    error = wall_error(cfg, m.t[0])
+    if error is not None:
+        raise error
+    return FiberPoint(base=BasePoint(p.base.theta, m.t[0]), y_prime=m.out_prime[0], y_second=m.out_second[0])
 
 
 class LaneMatch(NamedTuple):
@@ -660,29 +649,32 @@ class LaneMatch(NamedTuple):
     out_second: np.ndarray
 
 
-def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True) -> LaneMatch:
+def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True, r2=None, seed=None) -> LaneMatch:
     """Batch matching: chi, then the Newton rescaling, then the rescaled points.
 
     Lanes whose status is not STATUS_OK keep their input coordinates.  With
     check_domain, a lane outside the fiber domain fails the whole batch.
+    With r2, lane i is v = r w with r^2 = r2[i] and Newton solves the equation
+    over r^2 (t, g1, g2 stay those of v); seed replaces the closed-form seed.
     """
     thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=check_domain)
-    rho, resid, iters, status = kernels.newton_rescale(g1, g2, c)
+    equation = (g1, g2, c) if r2 is None else (g1 / r2, g2 / r2, c / r2)
+    rho, resid, iters, status = kernels.newton_rescale(*equation, seed=seed)
     scale = np.where(status == kernels.STATUS_OK, rho, 1.0)
     return LaneMatch(c, g1, g2, rho, resid, iters, status,
                      y_prime * scale[:, None], y_second / scale[:, None])
 
 
 def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -> list:
-    """Per lane, the FlipQError that matching_map raises on that point, or None.
+    """Per lane, the FlipQError of the rescaling solve on that point, or None.
 
-    The checks run in matching_map's order: metric positivity at theta, fiber
-    domain, rescaling branch, Newton status, wall interval.  Each vector test
-    only selects candidate lanes; the scalar check then decides and builds
-    the error, so names and messages match the scalar path.
+    The checks run in this order: metric positivity at theta, fiber domain,
+    rescaling branch, Newton status.  Each vector test only selects candidate
+    lanes; the scalar check then decides and builds the error.  Matching
+    also needs the graph value inside the wall interval (wall_error).
     """
     y_prime = np.asarray(y_prime)
     y_second = np.asarray(y_second)
@@ -694,7 +686,6 @@ def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -
         (prime_zero | second_zero, lambda i: _branch_check(prime_zero[i], second_zero[i], m.t[i])),
         (m.status != kernels.STATUS_OK,
          lambda i: _check_status(m.status[i], m.residual[i], m.iterations[i])),
-        (~(np.abs(m.t) < cfg.epsilon), lambda i: _check_wall(cfg, m.t[i])),
     )
     errors = [None] * len(m.t)
     for lanes, check in checks:
@@ -705,6 +696,15 @@ def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -
                 except FlipQError as e:
                     errors[i] = e
     return errors
+
+
+def rescale_lanes(cfg: ModelConfig, thetas, y_prime, y_second, r2=None, seed=None) -> LaneMatch:
+    """match_lanes raising the first lane error of matching_errors: the scalar solvers, the CLI's rays."""
+    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False, r2=r2, seed=seed)
+    for error in matching_errors(cfg, thetas, y_prime, y_second, m):
+        if error is not None:
+            raise error
+    return m
 
 
 def matching_map_batch(cfg: ModelConfig, thetas, y_prime, y_second):

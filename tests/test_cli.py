@@ -22,6 +22,7 @@ from flipq import (
 )
 from flipq.cli import SCAN_BLOCK_LANES, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config
+from flipq.perturbation import _chi_parts
 from flipq.quotient import level_rho_batch, moment_value_batch
 from flipq.sampling import complex_gaussian
 
@@ -99,14 +100,24 @@ def test_scan_fiber_types_across_wall(tmp_path):
     assert all(r["n_stable_samples"] == 16 for r in rows)
 
 
-def test_scan_zero_samples(tmp_path):
-    code, doc = _run_json(
-        ["scan", "--config", DEFAULT, "--theta-steps", "1", "--t-steps", "1", "--samples", "0"],
-        tmp_path,
-    )
-    assert code == 0
-    assert doc["scan"][0]["n_stable_samples"] == 0
-    assert doc["scan"][0]["mean_level_residual"] == 0.0
+def test_scan_zero_samples(capsys):
+    # a row mean over no samples would be a vacuous pass
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--config", DEFAULT, "--theta-steps", "1", "--t-steps", "1", "--samples", "0"])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("scan", "--theta-steps"), ("scan", "--t-steps"), ("report", "--theta-steps"),
+     ("report", "--t-steps"), ("report", "--scan-samples")],
+)
+def test_empty_scan_is_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", QUARTIC, flag, "0"])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_scan_csv_header_and_rows(tmp_path):
@@ -156,6 +167,10 @@ def test_match_point_rank_mismatch_rejected(capsys):
     assert "y_prime has length 2, expected 1" in capsys.readouterr().err
 
 
+POSITIVE_COUNT_FLAGS = {("verify", "--samples"), ("scan", "--theta-steps"), ("scan", "--samples"),
+                        ("report", "--t-steps"), ("report", "--scan-samples")}
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -175,8 +190,8 @@ def test_negative_count_flag_is_usage_error(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", QUARTIC, flag, "-1"])
     assert exc.value.code == 2
-    # the rest-bound sample count must also be nonzero
-    bound = "must be >= 1" if flag == "--samples" and command == "verify" else "must be >= 0"
+    # the rest-bound sample count and the scan grid and samples must also be nonzero
+    bound = "must be >= 1" if (command, flag) in POSITIVE_COUNT_FLAGS else "must be >= 0"
     assert bound in capsys.readouterr().err
 
 
@@ -212,6 +227,10 @@ def _set(path, value):
             doc = doc[key]
         doc[last] = value
     return edit
+
+
+def _keep(doc):
+    """The quartic fixture unchanged."""
 
 
 def _add_ref_term(ref_section):
@@ -255,6 +274,20 @@ TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--
         # a check that fails mid-run: the blowup rays start at r = 0.1
         (_set(["domain_radius"], 0.05), ["match", "--blowup-rays", "1"], 1, "OutOfDomain"),
         (_set(["domain_radius"], 0.05), ["report", *TINY_REPORT], 1, "OutOfDomain"),
+        # a radius whose square overflows
+        (_set(["domain_radius"], 1e200), ["verify"], 2, "DomainRadiusViolation"),
+        (_set(["domain_radius"], 1e200), ["report", *TINY_REPORT], 2, "DomainRadiusViolation"),
+        # metric matrices that are ragged, not square, or have an empty row
+        (_set(["metrics", "g_prime"], [[1, 0], [0]]), ["verify"], 2, "expected a non-empty square matrix"),
+        (_set(["metrics", "g_prime"], [[1, 2]]), ["verify"], 2, "expected a non-empty square matrix"),
+        (_set(["metrics", "g_second"], [[]]), ["verify"], 2, "expected a non-empty square matrix"),
+        # non-finite --point values
+        (_keep, ["match", "--point", '{"theta": NaN, "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}'], 2,
+         "must be finite"),
+        (_keep, ["match", "--point", '{"theta": 0.5, "y_prime": [[Infinity, 0]], "y_second": [[0.2, 0]]}'], 2,
+         "must be finite"),
+        # a --point payload that is not an object
+        (_keep, ["match", "--point", "[1]"], 2, "bad --point payload"),
     ],
 )
 def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
@@ -317,16 +350,18 @@ def _assert_matches_scalar_path(cfg, entries):
 def test_batched_match_agrees_with_scalar_path():
     cfg = _mixed_match_config()
     rng = np.random.default_rng(42)
-    cases = [
-        (0.4, [0.3, 0.1j], [0.2]),  # ordinary
-        (1.0, [0.0, 0.0], [0.0]),  # zero section
-        (0.0, [1.0, 0.0], [0.0]),  # y'' = 0 with chi >= 0
-        (0.0, [0.0, 0.0], [1.0]),  # y' = 0 with chi <= 0
-        (0.0, [2.0, 0.0], [1.0]),  # |v| > domain_radius
-        (0.0, [2.0, 0.0], [0.0]),  # |v| > domain_radius and y'' = 0 with chi >= 0
-        (0.0, [0.05, 0.0], [0.9]),  # |chi| >= epsilon
-        (31.5 * np.pi / 32, [0.3, 0.0], [0.2]),  # metric not positive definite
+    # (theta, y', y'', the error the checks' order gives, None for a match)
+    named = [
+        (0.4, [0.3, 0.1j], [0.2], None),  # ordinary
+        (1.0, [0.0, 0.0], [0.0], "DegenerateBranch"),  # zero section
+        (0.0, [1.0, 0.0], [0.0], "DegenerateBranch"),  # y'' = 0 with chi >= 0
+        (0.0, [0.0, 0.0], [1.0], "DegenerateBranch"),  # y' = 0 with chi <= 0
+        (0.0, [2.0, 0.0], [1.0], "OutOfDomain"),  # |v| > domain_radius
+        (0.0, [2.0, 0.0], [0.0], "OutOfDomain"),  # |v| > domain_radius and y'' = 0 with chi >= 0
+        (0.0, [0.05, 0.0], [0.9], "OutOfDomain"),  # |chi| >= epsilon
+        (31.5 * np.pi / 32, [0.3, 0.0], [0.2], "ConfigInvalid"),  # metric not positive definite
     ]
+    cases = [case[:3] for case in named]
     for _ in range(200):
         scale = rng.uniform(0.0, 0.25)
         cases.append((rng.uniform(0.0, 2.0 * np.pi), scale * complex_gaussian(rng, 2),
@@ -335,6 +370,7 @@ def test_batched_match_agrees_with_scalar_path():
               for theta, yp, ys in cases]
     run_cfg = RunConfig(model=cfg, phi_spec=None, seed=7, digest="mixed", raw={})
     doc = run_match(run_cfg, 7, points, random_n=0, blowup_rays=0)
+    assert [e.get("error") for e in doc["points"][:8]] == [case[3] for case in named]
     messages = _assert_matches_scalar_path(cfg, doc["points"])
     for fragment in ("zero section", "y'' = 0", "y' = 0", "exceeds domain_radius",
                      "leaves the wall interval", "not positive definite"):
@@ -347,6 +383,24 @@ def test_batched_match_agrees_with_scalar_path():
     doc = run_match(run_cfg, 3, [zero], random_n=200, blowup_rays=0)
     assert len(doc["points"]) == 201 and doc["points"][0]["error"] == "DegenerateBranch"
     _assert_matches_scalar_path(run_cfg.model, doc["points"])
+
+
+def test_blowup_rays_solve_the_renormalized_quadratic(cfg_fourier_quartic):
+    # rho^2 = s solves a' s^2 + 2 c s - a'' = 0 with a', a'', c taken by the
+    # scalar path at v = r w and divided by r^2
+    cfg = cfg_fourier_quartic
+    run_cfg = RunConfig(model=cfg, phi_spec=None, seed=5, digest="rays", raw={})
+    rays = run_match(run_cfg, 5, [], random_n=0, blowup_rays=6)["blowup_rays"]
+    assert len(rays) == 6
+    for ray in rays:
+        w_prime = np.array([complex(*z) for z in ray["w_prime"]])
+        w_second = np.array([complex(*z) for z in ray["w_second"]])
+        for r, deviation in zip(ray["r_grid"], ray["rho_deviation"], strict=True):
+            chi, g1, g2 = _chi_parts(cfg, ray["theta"], r * w_prime, r * w_second)
+            ap, app, c = g1 / r**2, g2 / r**2, chi / r**2
+            disc = np.sqrt(c * c + ap * app)
+            s = app / (c + disc) if c > 0 else (disc - c) / ap
+            assert abs(deviation - abs(np.sqrt(s) - 1.0)) <= 1e-15
 
 
 def test_scan_blocks_match_per_row_reference(tmp_path):

@@ -28,11 +28,10 @@ def test_fourier_norm_sq_matches_per_lane_reference(rank):
         (2, np.zeros((rank, rank), dtype=complex), _random_hermitian(rng, rank)),
     )
     spec = MetricFieldSpec.fourier(terms, [(0, np.eye(1))])
-    ns, cos_mats, sin_mats = spec.packed_prime
     n = 300
     thetas = rng.uniform(0.0, 2.0 * np.pi, n)
     y = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    got = kernels.fourier_norm_sq(thetas, y, ns, cos_mats, sin_mats)
+    got = kernels.fourier_norm_sq(thetas, y, *spec.norm_forms_prime)
     expected = np.array([
         (y[i].conj() @ spec.g_prime_at(thetas[i]) @ y[i]).real
         for i in range(n)

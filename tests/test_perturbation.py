@@ -34,6 +34,7 @@ from flipq import (
     verify_conditions,
 )
 from flipq.kernels import realify
+from flipq.perturbation import match_lanes
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction
 
@@ -305,6 +306,23 @@ def test_blowup_solve_decay(rng, cfg_quartic):
             devs.append(abs(solve_rho_blowup(cfg_quartic, bp).rho - 1.0))
         for a, b in zip(devs, devs[1:]):
             assert a / b >= 50.0
+
+
+def test_match_lanes_polar_form_from_a_far_seed(rng, cfg_fourier_quartic):
+    # Newton's absolute tolerance applies to alpha / r^2, so a far seed still
+    # reaches the closed-form root at small r (on alpha itself, |alpha(1)| is
+    # O(r^4) and the iteration would stop at the seed)
+    cfg = cfg_fourier_quartic
+    n, r = 8, 1e-4
+    thetas = rng.uniform(0, 2 * np.pi, n)
+    wp, ws = zip(*(random_unit_direction(rng, cfg, theta) for theta in thetas))
+    y_prime, y_second, r2 = r * np.array(wp), r * np.array(ws), np.full(n, r * r)
+    near = match_lanes(cfg, thetas, y_prime, y_second, r2=r2)
+    far = match_lanes(cfg, thetas, y_prime, y_second, r2=r2, seed=np.ones(n))
+    assert (far.status == 0).all() and (far.iterations > 0).all()
+    assert far.residual.max() <= 1e-12
+    assert np.abs(far.rho - near.rho).max() <= 1e-12
+    assert np.abs(near.rho - 1.0).min() > 1e-11
 
 
 # -- renorm_eval -------------------------------------------------------------
