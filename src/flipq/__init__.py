@@ -35,10 +35,8 @@ from .core import (
     ValidationReport,
     cstar_act,
     fiber_norms,
-    herm_inner,
     metric_at,
     min_metric_eigenvalue,
-    norm_sq,
     validate_config,
 )
 from .errors import (

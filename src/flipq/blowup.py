@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BasePoint, FiberPoint, ModelConfig, fiber_norms, metric_at, norm_sq
+from .core import BasePoint, FiberPoint, ModelConfig, fiber_norms
 from .errors import ConfigInvalid, NotOnBoundary, OnCenter, ZeroScalar
 
 UNIT_NORM_TOL = 1e-12
@@ -57,8 +57,7 @@ def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
                      w_second=np.asarray(w_second, dtype=complex), base=base)
     if bp.r < 0:
         raise ConfigInvalid(f"blowup radius must be >= 0, got {bp.r}")
-    G1, G2 = metric_at(cfg, base.theta)
-    total = norm_sq(G1, bp.w_prime) + norm_sq(G2, bp.w_second)
+    total = sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second)))
     if abs(total - 1.0) > UNIT_NORM_TOL:
         raise ConfigInvalid(f"direction norm^2 = {total} is not 1 to {UNIT_NORM_TOL}")
     return bp
@@ -88,9 +87,9 @@ def cstar_act_blowup(cfg: ModelConfig, zeta: complex, bp: BlowupPoint) -> Blowup
     zeta = complex(zeta)
     if zeta == 0:
         raise ZeroScalar("the scaling action requires zeta != 0")
-    G1, G2 = metric_at(cfg, bp.base.theta)
+    ap, app = fiber_norms(cfg, FiberPoint(base=bp.base, y_prime=bp.w_prime, y_second=bp.w_second))
     m2 = abs(zeta) ** 2
-    u = np.sqrt(m2 * norm_sq(G1, bp.w_prime) + norm_sq(G2, bp.w_second) / m2)
+    u = np.sqrt(m2 * ap + app / m2)
     return BlowupPoint(
         r=bp.r * u,
         w_prime=(zeta / u) * bp.w_prime,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config_io import RunConfig, load_run_config, parse_vector, phi_from_config
 from .core import BasePoint, FiberPoint
-from .errors import ConfigInvalid, ConfigParse, FlipQError
+from .errors import ConfigInvalid, ConfigParse, FlipQError, OutOfDomain
 from .perturbation import (
     FD_STEP_RANGE,
     match_lanes,
@@ -43,6 +43,9 @@ BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 # 1,984-row, 32-sample grid (63,488 lanes) raised peak RSS from 45 to 58 MB
 # and ran slower than 4096-lane blocks.
 SCAN_BLOCK_LANES = 4096
+# Rounds of --random draws: each round redraws, from the same stream, the
+# draws whose graph value left the wall interval.
+MATCH_DRAW_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ def _fiber_to_json(p: FiberPoint) -> dict:
 
 
 def _dump(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -154,10 +157,10 @@ def _scan_csv(rows: list[ScanRow]) -> str:
     return buf.getvalue()
 
 
-def _match_entries(cfg, thetas, y_prime, y_second) -> list[dict]:
-    """One match entry per lane: the matched point and its checks, or the error."""
+def _match_entries(cfg, thetas, y_prime, y_second) -> tuple[list[dict], np.ndarray]:
+    """One match entry per lane (the matched point and its checks, or the error), and the graph values."""
     if len(thetas) == 0:
-        return []
+        return [], np.empty(0)
     m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
     errors = matching_errors(cfg, thetas, y_prime, y_second, m)
     resid = np.abs(moment_value_batch(cfg, thetas, m.t, m.out_prime, m.out_second))
@@ -181,7 +184,30 @@ def _match_entries(cfg, thetas, y_prime, y_second) -> list[dict]:
                 orbit_deviation=float(deviation[i]),
             )
         entries.append(entry)
-    return entries
+    return entries, m.t
+
+
+def _match_entries_with_draws(cfg, seed: int, lanes, random_n: int) -> list[dict]:
+    """Match entries of the given lanes, then of random_n draws whose graph value lies in the wall interval.
+
+    The first round matches the given lanes and random_n draws in one batch
+    pass.  Each later round replaces the rejected draws from the same stream.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    entries: list[dict] = []
+    fixed, wanted = len(lanes[0]), random_n
+    for _ in range(MATCH_DRAW_ROUNDS):
+        if wanted:
+            lanes = [np.concatenate(pair) for pair in zip(lanes, random_domain_batch(rng, cfg, wanted))]
+        batch, t = _match_entries(cfg, *lanes)
+        inside = np.abs(t[fixed:]) < cfg.epsilon
+        entries += batch[:fixed] + [e for e, keep in zip(batch[fixed:], inside) if keep]
+        wanted -= int(inside.sum())
+        if not wanted:
+            return entries
+        lanes, fixed = [lane[:0] for lane in lanes], 0
+    raise OutOfDomain(f"{wanted} of {random_n} random draws still leave the wall interval "
+                      f"(+-{cfg.epsilon}) after {MATCH_DRAW_ROUNDS} rounds")
 
 
 def _blowup_rays(cfg, seed: int, n: int) -> list[dict]:
@@ -225,16 +251,10 @@ def _ray_doc(theta, w_prime, w_second, residuals) -> dict:
 def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint],
               random_n: int, blowup_rays: int) -> dict:
     cfg = run_cfg.model
-    thetas = np.array([p.base.theta for p in points], dtype=float)
-    y_prime = np.array([p.y_prime for p in points], dtype=complex).reshape(len(points), cfg.r_prime)
-    y_second = np.array([p.y_second for p in points], dtype=complex).reshape(len(points), cfg.r_second)
-    if random_n > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        r_thetas, r_prime, r_second = random_domain_batch(rng, cfg, random_n)
-        thetas = np.concatenate([thetas, r_thetas])
-        y_prime = np.concatenate([y_prime, r_prime])
-        y_second = np.concatenate([y_second, r_second])
-    entries = _match_entries(cfg, thetas, y_prime, y_second)
+    lanes = (np.array([p.base.theta for p in points], dtype=float),
+             np.array([p.y_prime for p in points], dtype=complex).reshape(len(points), cfg.r_prime),
+             np.array([p.y_second for p in points], dtype=complex).reshape(len(points), cfg.r_second))
+    entries = _match_entries_with_draws(cfg, seed, lanes, random_n)
     rays = _blowup_rays(cfg, seed, blowup_rays)
     ok_entries = [e for e in entries if "error" not in e]
     stats = {

@@ -10,7 +10,7 @@ zeta . (y', y'') = (zeta y', zeta^-1 y'').
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -231,26 +231,24 @@ def metric_faults_batch(cfg: ModelConfig, thetas) -> np.ndarray:
     return faults
 
 
-def herm_inner(G: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian pairing conj(u)^T G v (antilinear in u)."""
-    G = np.asarray(G)
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if G.shape != (u.shape[0], v.shape[0]):
-        raise DimensionMismatch(
-            f"shapes G{G.shape}, u({u.shape[0]},), v({v.shape[0]},) do not align"
-        )
-    return complex(u.conj() @ G @ v)
+@lru_cache(maxsize=4096)
+def _metrics_cached(cfg: ModelConfig, theta: float):
+    """metric_at, remembered per (config, theta): a repeated theta pays no eigvalsh."""
+    return metric_at(cfg, theta)
 
 
-def norm_sq(G: np.ndarray, u: np.ndarray) -> float:
-    return herm_inner(G, u, u).real
+def one_lane(cfg: ModelConfig, theta: float, y_prime, y_second):
+    """One fiber vector as a batch (thetas, y', y'') of one lane, after metric_at's checks at theta."""
+    _metrics_cached(cfg, theta)
+    y_prime = _check_length(np.asarray(y_prime, dtype=complex), cfg.r_prime, "y_prime")
+    y_second = _check_length(np.asarray(y_second, dtype=complex), cfg.r_second, "y_second")
+    return np.array([theta], dtype=float), y_prime[None], y_second[None]
 
 
 def fiber_norms(cfg: ModelConfig, p: FiberPoint) -> tuple[float, float]:
     """Metric norms squared (|y'|^2, |y''|^2) at the point's theta."""
-    G1, G2 = metric_at(cfg, p.base.theta)
-    return norm_sq(G1, p.y_prime), norm_sq(G2, p.y_second)
+    g1, g2 = fiber_norms_batch(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second))
+    return float(g1[0]), float(g2[0])
 
 
 def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
@@ -293,8 +291,11 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
         issues.append(ValidationIssue("RankViolation", f"r_prime = {cfg.r_prime} must be >= 1"))
     if cfg.r_second < 1:
         issues.append(ValidationIssue("RankViolation", f"r_second = {cfg.r_second} must be >= 1"))
-    if not (np.isfinite(cfg.epsilon) and cfg.epsilon > 0):
-        issues.append(ValidationIssue("EpsilonViolation", f"epsilon = {cfg.epsilon} must be finite and > 0"))
+    # the scan grid spans the wall interval (-epsilon, epsilon), 2 epsilon wide
+    epsilon = float(cfg.epsilon)
+    if not (np.isfinite(2.0 * epsilon) and epsilon > 0):
+        issues.append(ValidationIssue("EpsilonViolation",
+                                      f"epsilon = {cfg.epsilon} must be > 0 with a finite 2*epsilon"))
     # the fiber domain test compares |v|^2 against domain_radius^2
     radius = float(cfg.domain_radius)
     if not (np.isfinite(radius * radius) and radius > 0):

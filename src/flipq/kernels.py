@@ -103,8 +103,7 @@ def scale_root(ap, app, c):
 
 
 # ---------------------------------------------------------------------------
-# Guarded Newton on  alpha(rho) = -(rho^2 a' - rho^-2 a'')/2 - c
-# derivative        beta(rho)  = -(rho a' + rho^-3 a'')  (strictly negative)
+# Guarded Newton on the residual alpha and its derivative beta < 0
 
 
 def has_positive_root(ap, app, c):
@@ -116,9 +115,15 @@ def has_positive_root(ap, app, c):
     return ((ap > 0.0) & ((app > 0.0) | (c < 0.0))) | ((ap == 0.0) & (app > 0.0) & (c > 0.0))
 
 
-def _alpha(r, ap, app, c):
+def rescale_alpha(r, ap, app, c):
+    """Residual alpha(rho) = -(rho^2 a' - rho^-2 a'')/2 - c of the rescaling equation."""
     r2 = r * r
     return -0.5 * (r2 * ap - app / r2) - c
+
+
+def rescale_beta(r, ap, app):
+    """Its derivative beta(rho) = -(rho a' + rho^-3 a''), negative for a', a'' >= 0 not both 0."""
+    return -(r * ap + app / (r * r * r))
 
 
 def newton_rescale(ap, app, c, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
@@ -139,20 +144,19 @@ def newton_rescale(ap, app, c, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_IT
     iters = np.zeros(n, dtype=np.int32)
     status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)
 
-    alpha = _alpha(rho, ap, app, c)
+    alpha = rescale_alpha(rho, ap, app, c)
     active = ok & (np.abs(alpha) > tol)
     for _ in range(max_iter):
         if not active.any():
             break
-        r = rho
-        beta = -(r * ap + app / (r * r * r))
+        beta = rescale_beta(rho, ap, app)
         with np.errstate(invalid="ignore", divide="ignore"):
             step = np.where(active, alpha / beta, 0.0)
-        new = r - step
-        new = np.where(new <= 0.0, 0.5 * r, new)
+        new = rho - step
+        new = np.where(new <= 0.0, 0.5 * rho, new)
         rho = np.where(active, new, rho)
         iters[active] += 1
-        alpha = np.where(active, _alpha(rho, ap, app, c), alpha)
+        alpha = np.where(active, rescale_alpha(rho, ap, app, c), alpha)
         active = active & (np.abs(alpha) > tol)
     status[active] = STATUS_NO_CONVERGENCE
     resid = np.abs(alpha)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,10 +34,13 @@ from .core import (
     FiberPoint,
     ModelConfig,
     ValidationIssue,
+    _metrics_cached,
+    fiber_norms,
     fiber_norms_batch,
     metric_at,
     metric_faults_batch,
     min_metric_eigenvalue,
+    one_lane,
 )
 from .errors import (
     BoundViolated,
@@ -156,11 +158,10 @@ def validate_perturbation(spec: PerturbationSpec, r_prime: int) -> list[Validati
 # chi evaluation
 
 
-@lru_cache(maxsize=4096)
-def _metrics_cached(cfg: ModelConfig, theta: float):
-    return metric_at(cfg, theta)
-
-
+# _norms_at and _chi_parts: the scalar evaluator, kept for the phi closures and
+# verify_conditions' expected blocks only.  The benchmark pins the scalar
+# stencil's phi call count, and a one-lane chi_parts_batch costs about 5x a
+# scalar phi.  Every other entry point runs as a batch, the scalar API as one lane.
 def _norms_at(cfg, theta, y_prime, y_second):
     G1, G2 = _metrics_cached(cfg, theta)
     g1 = float(np.real(y_prime.conj() @ G1 @ y_prime))
@@ -196,37 +197,27 @@ def _monomial(term: PerturbationTerm, theta, g1, g2, inner):
     return value
 
 
-def _scalar_pairing(G1, y_prime):
-    return lambda a: complex(y_prime.conj() @ G1 @ a)
-
-
-def _perturbation_value(cfg, theta, y_prime, G1, g1, g2) -> float:
-    inner = _scalar_pairing(G1, y_prime)
-    total = 0.0
-    for term in cfg.perturbation.terms:
-        total += _monomial(term, theta, g1, g2, inner)
-    return total
-
-
 def _chi_parts(cfg, theta, y_prime, y_second):
     """Returns (chi, g1, g2) at a fiber vector over theta."""
     G1, _, g1, g2 = _norms_at(cfg, theta, y_prime, y_second)
     _check_domain(cfg, g1, g2)
-    chi = -0.5 * (g1 - g2) + _perturbation_value(cfg, theta, y_prime, G1, g1, g2)
-    return chi, g1, g2
+
+    def inner(a):
+        return complex(y_prime.conj() @ G1 @ a)
+
+    rest = 0.0
+    for term in cfg.perturbation.terms:
+        rest += _monomial(term, theta, g1, g2, inner)
+    return -0.5 * (g1 - g2) + rest, g1, g2
 
 
-def chi_eval(cfg: ModelConfig, p: FiberPoint) -> float:
-    """Graph value chi(v) at a fiber vector over theta (base t is ignored)."""
-    chi, _, _ = _chi_parts(cfg, p.base.theta, p.y_prime, p.y_second)
-    return chi
+def _term_values(cfg, terms, thetas, y_prime, g1, g2):
+    """Each term's value over the lanes, in order; the reference pairing is kernels.fourier_pairing."""
 
+    def inner(a):
+        return kernels.fourier_pairing(thetas, y_prime, a, *cfg.metric_field.packed_prime)
 
-def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
-    """chi minus its quadratic part: the configured perturbation value."""
-    G1, _, g1, g2 = _norms_at(cfg, p.base.theta, p.y_prime, p.y_second)
-    _check_domain(cfg, g1, g2)
-    return _perturbation_value(cfg, p.base.theta, p.y_prime, G1, g1, g2)
+    return (_monomial(term, thetas, g1, g2, inner) for term in terms)
 
 
 def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True):
@@ -238,13 +229,26 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
     if check_domain and np.any(_outside_domain(cfg, g1, g2)):
         raise OutOfDomain("batch contains points outside the fiber domain")
     chi = -0.5 * (g1 - g2)
-
-    def inner(a):
-        return kernels.fourier_pairing(thetas, y_prime, a, *cfg.metric_field.packed_prime)
-
-    for term in cfg.perturbation.terms:
-        chi = chi + _monomial(term, thetas, g1, g2, inner)
+    for value in _term_values(cfg, cfg.perturbation.terms, thetas, y_prime, g1, g2):
+        chi = chi + value
     return chi, g1, g2
+
+
+def chi_eval(cfg: ModelConfig, p: FiberPoint) -> float:
+    """Graph value chi(v) at a fiber vector over theta (base t is ignored)."""
+    lane = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    chi, g1, g2 = chi_parts_batch(cfg, *lane, check_domain=False)
+    _check_domain(cfg, g1[0], g2[0])
+    return float(chi[0])
+
+
+def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
+    """chi minus its quadratic part: the configured perturbation value."""
+    thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
+    _check_domain(cfg, g1[0], g2[0])
+    # summed apart from chi: chi + (g1 - g2)/2 would lose the rest to cancellation
+    return float(sum(_term_values(cfg, cfg.perturbation.terms, thetas, y_prime, g1, g2), np.zeros(1))[0])
 
 
 def chi_eval_batch(cfg: ModelConfig, thetas, y_prime, y_second):
@@ -389,7 +393,7 @@ def extract_graph(
     degeneracy.
     """
     theta = p.base.theta
-    _, _, g1, g2 = _norms_at(cfg, theta, p.y_prime, p.y_second)
+    g1, g2 = fiber_norms(cfg, p)
     _check_domain(cfg, g1, g2)
     t = -0.5 * (g1 - g2)
     h = GRAPH_FD_STEP
@@ -475,10 +479,8 @@ class RhoSolution:
 
 
 def rescale_alpha_beta(g1: float, g2: float, c: float, rho: float) -> tuple[float, float]:
-    """Residual and derivative of the rescaling equation at rho."""
-    alpha = -0.5 * (rho**2 * g1 - g2 / rho**2) - c
-    beta = -(rho * g1 + g2 / rho**3)
-    return alpha, beta
+    """Residual and derivative of the rescaling equation at rho, as kernels.newton_rescale takes them."""
+    return kernels.rescale_alpha(rho, g1, g2, c), kernels.rescale_beta(rho, g1, g2)
 
 
 def _branch_check(prime_zero: bool, second_zero: bool, c: float) -> None:
@@ -546,16 +548,6 @@ _FD5_WEIGHTS = {
 }
 
 
-def _poly_ray_coeffs(cfg, tau: PerturbationSpec, theta, w_prime, w_second):
-    """Coefficients a_d of tau(s w) = sum a_d s^d along the ray through w."""
-    G1, _, g1, g2 = _norms_at(cfg, theta, w_prime, w_second)
-    inner = _scalar_pairing(G1, w_prime)
-    coeffs: dict[int, float] = {}
-    for term in tau.terms:
-        coeffs[term.degree] = coeffs.get(term.degree, 0.0) + _monomial(term, theta, g1, g2, inner)
-    return coeffs
-
-
 def renorm_eval(
     cfg: ModelConfig,
     tau,
@@ -573,11 +565,11 @@ def renorm_eval(
     the boundary value is then the k-th derivative of s -> tau(s w) at 0
     over k!, by 5-point central differences (step grows with the order).
     """
-    w_prime = np.asarray(w_prime, dtype=complex)
-    w_second = np.asarray(w_second, dtype=complex)
-    _, _, g1, g2 = _norms_at(cfg, theta, w_prime, w_second)
-    if abs(g1 + g2 - 1.0) > 1e-9:
-        raise ValueError(f"w must be a unit direction; |w|^2 = {g1 + g2}")
+    thetas, lane_prime, lane_second = one_lane(cfg, theta, w_prime, w_second)
+    w_prime, w_second = lane_prime[0], lane_second[0]
+    g1, g2 = fiber_norms_batch(cfg, thetas, lane_prime, lane_second)
+    if abs(g1[0] + g2[0] - 1.0) > 1e-9:
+        raise ValueError(f"w must be a unit direction; |w|^2 = {g1[0] + g2[0]}")
     if r < 0:
         raise ValueError("r must be >= 0")
 
@@ -587,7 +579,10 @@ def renorm_eval(
             raise BoundViolated(
                 f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
             )
-        coeffs = _poly_ray_coeffs(cfg, tau, theta, w_prime, w_second)
+        # coefficients a_d of tau(s w) = sum a_d s^d along the ray through w
+        coeffs: dict[int, float] = {}
+        for term, value in zip(tau.terms, _term_values(cfg, tau.terms, thetas, lane_prime, g1, g2)):
+            coeffs[term.degree] = coeffs.get(term.degree, 0.0) + float(value[0])
         if r == 0.0:
             return float(coeffs.get(k, 0.0))
         return float(sum(a * r ** (d - k) for d, a in coeffs.items()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BasePoint, FiberPoint, ModelConfig, cstar_act, fiber_norms, fiber_norms_batch
+from .core import BasePoint, FiberPoint, ModelConfig, cstar_act, fiber_norms_batch, one_lane
 from .errors import NotStable, OnExceptionalLocus
 
 
@@ -53,8 +53,8 @@ class TildeCoords:
 
 
 def moment_value(cfg: ModelConfig, p: FiberPoint) -> float:
-    ap, app = fiber_norms(cfg, p)
-    return 0.5 * (ap - app) + p.base.t
+    thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    return float(moment_value_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
 
 
 def moment_value_batch(cfg: ModelConfig, thetas, ts, y_prime, y_second):
@@ -91,13 +91,10 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
     """
     if classify(cfg, p) is StabilityClass.Unstable:
         raise NotStable("point is outside the fiberwise stable locus")
-    ap, app = fiber_norms(cfg, p)
-    s = kernels.scale_root(
-        np.array([ap]), np.array([app]), np.array([p.base.t])
-    )[0]
-    if not np.isfinite(s):
+    thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    rho = float(level_rho_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
+    if not np.isfinite(rho):
         raise NotStable("no positive rescaling reaches the zero level")
-    rho = float(np.sqrt(s))
     return rho, cstar_act(rho, p)
 
 

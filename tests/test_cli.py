@@ -9,13 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import mixed_match_config
 from flipq import (
     BasePoint,
     FiberPoint,
     FlipQError,
-    MetricFieldSpec,
-    PerturbationTerm,
     matching_map,
     presets,
     solve_rho,
@@ -288,6 +286,12 @@ TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--
          "must be finite"),
         # a --point payload that is not an object
         (_keep, ["match", "--point", "[1]"], 2, "bad --point payload"),
+        # a wall interval whose width 2 epsilon overflows
+        (_set(["epsilon"], 1e308), ["verify"], 2, "EpsilonViolation"),
+        (_set(["epsilon"], 1e308), ["report", *TINY_REPORT], 2, "EpsilonViolation"),
+        # a wall interval so thin that no random draw lands inside it
+        (_set(["epsilon"], 1e-9), ["match", "--random", "4"], 1,
+         "random draws still leave the wall interval"),
     ],
 )
 def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
@@ -307,21 +311,6 @@ def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
 
     if proc.stdout:
         json.loads(proc.stdout, parse_constant=no_constant)
-
-
-def _mixed_match_config():
-    # g'(theta) = (2 + cos theta + 2.5 sin 32 theta) I is positive definite on
-    # the 64-point validation grid (where sin 32 theta = 0) but not between it
-    metric = MetricFieldSpec.fourier(
-        [(0, 2.0 * np.eye(2)), (1, np.eye(2)), (32, np.zeros((2, 2)), 2.5 * np.eye(2))],
-        [(0, 1.5 * np.eye(1)), (1, np.zeros((1, 1)), 0.5 * np.eye(1))],
-    )
-    terms = [
-        PerturbationTerm(mixed_pow=1, coeff=(0.1,)),
-        PerturbationTerm(norm_prime_pow=2, coeff=(1.0,)),
-        PerturbationTerm(norm_second_pow=2, coeff=(-1.0,)),
-    ]
-    return make_config(2, 1, epsilon=0.5, domain_radius=2.0, metric_field=metric, terms=terms)
 
 
 def _assert_matches_scalar_path(cfg, entries):
@@ -348,7 +337,7 @@ def _assert_matches_scalar_path(cfg, entries):
 
 
 def test_batched_match_agrees_with_scalar_path():
-    cfg = _mixed_match_config()
+    cfg = mixed_match_config()
     rng = np.random.default_rng(42)
     # (theta, y', y'', the error the checks' order gives, None for a match)
     named = [
@@ -456,6 +445,12 @@ def test_report_quartic_passes(tmp_path):
     assert doc["pass"] is True
     assert doc["checks"] == {"conditions_ok": True, "scan_ok": True, "match_ok": True}
     assert len(doc["scan"]) == 6
+
+
+@pytest.mark.parametrize("fixture, code", [(QUARTIC, 0), (DEFAULT, 0), (WRONG_SIGN, 1)])
+def test_report_exit_code_on_shipped_fixtures(fixture, code, tmp_path):
+    # default flags: the random match draws are the wall-admissible ones
+    assert main(["report", "--config", fixture, "--out", str(tmp_path / "r.json")]) == code
 
 
 def test_report_wrong_sign_fails(tmp_path):

@@ -1,4 +1,4 @@
-"""Metric fields, the Hermitian pairing, the scaling action, validation."""
+"""Metric fields, the metric norms, the scaling action, validation."""
 
 import numpy as np
 import pytest
@@ -12,16 +12,31 @@ from flipq import (
     FiberPoint,
     MetricFieldSpec,
     ZeroScalar,
+    chi_eval,
+    chi_eval_batch,
     cstar_act,
+    cstar_act_blowup,
+    extract_graph,
     fiber_norms,
-    herm_inner,
+    level_rho_batch,
+    make_blowup_point,
     metric_at,
-    norm_sq,
+    moment_value,
+    moment_value_batch,
+    normalize_to_level,
+    parse_run_config,
+    phi_graph,
+    presets,
+    renorm_eval,
+    taylor_rest,
+    to_blowup,
     validate_config,
 )
 from flipq.core import fiber_norms_batch, min_metric_eigenvalue
+from flipq.perturbation import chi_parts_batch
+from flipq.sampling import random_domain_batch
 
-from conftest import make_config
+from conftest import make_config, mixed_match_config
 
 
 # -- metric_at ---------------------------------------------------------------
@@ -81,52 +96,6 @@ def test_min_metric_eigenvalue_matches_per_theta_loop():
             expected = min(expected, np.linalg.eigvalsh(G).min())
     assert 0.0 < expected < 0.8  # set by the complex g' block
     assert min_metric_eigenvalue(cfg) == pytest.approx(expected, rel=1e-13)
-
-
-# -- herm_inner --------------------------------------------------------------
-
-
-def test_herm_inner_norm():
-    assert herm_inner(np.eye(2), np.array([1, 1j]), np.array([1, 1j])) == pytest.approx(2.0)
-
-
-def test_herm_inner_orthogonal():
-    assert herm_inner(np.eye(2), np.array([1, 0]), np.array([0, 1])) == 0
-
-
-def test_herm_inner_diagonal_weights():
-    G = np.diag([2.0, 3.0])
-    assert herm_inner(G, np.array([1.0, 1.0]), np.array([1.0, 1.0])) == pytest.approx(5.0)
-
-
-def test_herm_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        herm_inner(np.eye(2), np.array([1.0]), np.array([1.0, 2.0]))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    data=st.lists(
-        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-        min_size=6,
-        max_size=6,
-    )
-)
-def test_herm_inner_conjugate_symmetry(data):
-    G = np.diag([1.0, 2.0, 0.5]) + 0j
-    u = np.array(data[:3])
-    v = np.array(data[3:])
-    a = herm_inner(G, u, v)
-    b = herm_inner(G, v, u)
-    assert abs(a - np.conj(b)) <= 1e-14 * max(1.0, abs(a))
-
-
-def test_herm_inner_positive_on_nonzero(rng):
-    G = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]])
-    for _ in range(100):
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        if np.any(u):
-            assert herm_inner(G, u, u).real > 0
 
 
 # -- cstar_act ---------------------------------------------------------------
@@ -240,6 +209,7 @@ def test_fiber_point_rank_check():
 
 
 def test_fiber_norms_batch_matches_pointwise(rng, cfg_fourier_quartic):
+    # reference: conj(y) G y per lane over the metric matrices of metric_at
     cfg = cfg_fourier_quartic
     n = 64
     thetas = rng.uniform(0, 2 * np.pi, n)
@@ -247,13 +217,84 @@ def test_fiber_norms_batch_matches_pointwise(rng, cfg_fourier_quartic):
     ys = rng.standard_normal((n, cfg.r_second)) + 1j * rng.standard_normal((n, cfg.r_second))
     g1, g2 = fiber_norms_batch(cfg, thetas, yp, ys)
     for i in range(n):
-        p = FiberPoint(base=BasePoint(thetas[i], 0.0), y_prime=yp[i], y_second=ys[i])
-        a, b = fiber_norms(cfg, p)
-        assert g1[i] == pytest.approx(a, rel=1e-12)
-        assert g2[i] == pytest.approx(b, rel=1e-12)
+        G1, G2 = metric_at(cfg, thetas[i])
+        assert g1[i] == pytest.approx((yp[i].conj() @ G1 @ yp[i]).real, rel=1e-12)
+        assert g2[i] == pytest.approx((ys[i].conj() @ G2 @ ys[i]).real, rel=1e-12)
 
 
-def test_norm_sq_zero_iff_zero():
-    G = np.array([[2.0, 0.0], [0.0, 3.0]])
-    assert norm_sq(G, np.zeros(2)) == 0.0
-    assert norm_sq(G, np.array([1e-8, 0])) > 0.0
+# -- scalar entry points as one-lane batches ---------------------------------
+
+
+def _lane(p):
+    return [p.base.theta], p.y_prime[None], p.y_second[None]
+
+
+def _lane_norms(cfg, p):
+    g1, g2 = fiber_norms_batch(cfg, *_lane(p))
+    return np.array([g1[0], g2[0]])
+
+
+def _blowup_radius(cfg, p, zeta):
+    # zeta . (r, w) has radius r |(zeta w', w'' / zeta)|, w = y / r
+    r = np.sqrt(_lane_norms(cfg, p).sum())
+    a, b = _lane_norms(cfg, FiberPoint(p.base, p.y_prime / r, p.y_second / r))
+    return r * np.sqrt(abs(zeta) ** 2 * a + b / abs(zeta) ** 2)
+
+
+def _same(expected):
+    return expected, np.abs(expected)
+
+
+def _rest(cfg, p):
+    # the rest is chi minus its quadratic part; their difference carries the
+    # roundoff of the quadratic part, so compare at its scale
+    chi, g1, g2 = chi_parts_batch(cfg, *_lane(p))
+    return chi[0] + 0.5 * (g1[0] - g2[0]), g1[0] + g2[0]
+
+
+ZETA = 1.7 * np.exp(0.3j)
+
+# scalar entry point -> (scalar value, (batch lane value, scale of the gap)); the
+# batch side is None where the entry point has no batch counterpart
+ONE_LANE_CASES = {
+    "fiber_norms": (lambda cfg, p: np.array(fiber_norms(cfg, p)), lambda cfg, p: _same(_lane_norms(cfg, p))),
+    "moment_value": (moment_value, lambda cfg, p: _same(
+        moment_value_batch(cfg, [p.base.theta], [p.base.t], p.y_prime[None], p.y_second[None])[0])),
+    "normalize_to_level": (lambda cfg, p: normalize_to_level(cfg, p)[0], lambda cfg, p: _same(
+        level_rho_batch(cfg, [p.base.theta], [p.base.t], p.y_prime[None], p.y_second[None])[0])),
+    "chi_eval": (chi_eval, lambda cfg, p: _same(chi_eval_batch(cfg, *_lane(p))[0])),
+    "taylor_rest": (taylor_rest, _rest),
+    "to_blowup": (lambda cfg, p: to_blowup(cfg, p).r,
+                  lambda cfg, p: _same(np.sqrt(_lane_norms(cfg, p).sum()))),
+    "cstar_act_blowup": (lambda cfg, p: cstar_act_blowup(cfg, ZETA, to_blowup(cfg, p)).r,
+                         lambda cfg, p: _same(_blowup_radius(cfg, p, ZETA))),
+    "make_blowup_point": (lambda cfg, p: make_blowup_point(cfg, 0.5, p.y_prime, p.y_second, p.base), None),
+    "extract_graph": (lambda cfg, p: extract_graph(cfg, phi_graph(cfg), p), None),
+    "renorm_eval": (lambda cfg, p: renorm_eval(cfg, cfg.perturbation, 4, 0.0, p.y_prime, p.y_second,
+                                               theta=p.base.theta), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LANE_CASES))
+def test_scalar_entry_point_is_one_batch_lane(name, rng):
+    scalar, batch = ONE_LANE_CASES[name]
+    # the Fourier preset, with a reference-pairing term so every generator runs
+    doc = presets.fourier_metric_config(2, 2)
+    doc["perturbation"]["terms"].append({"generators": {"ref_inner_sq": 2}, "coeff_fourier": [0.05, 0.02],
+                                          "ref_section": [[1.0, 0.0], [0.0, 0.0]]})
+    cfg = parse_run_config(doc).model
+    if batch is not None:
+        thetas, y_prime, y_second = random_domain_batch(rng, cfg, 16)
+        for theta, t, yp, ys in zip(thetas, rng.uniform(-0.4, 0.4, 16), y_prime, y_second):
+            p = FiberPoint(BasePoint(theta, t), yp, ys)
+            expected, scale = batch(cfg, p)
+            assert np.all(np.abs(scalar(cfg, p) - expected) <= 1e-15 * scale)
+    # metric_at's check at a theta between the validation grid's samples
+    bad = mixed_match_config()
+    theta = 31.5 * np.pi / 32
+    with pytest.raises(ConfigInvalid) as want:
+        metric_at(bad, theta)
+    p = FiberPoint(BasePoint(theta, 0.1), np.array([0.3, 0.0]), np.array([0.2]))
+    with pytest.raises(ConfigInvalid) as got:
+        scalar(bad, p)
+    assert str(got.value) == str(want.value) == f"g_prime({theta}) is not positive definite"

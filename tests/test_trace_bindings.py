@@ -27,7 +27,21 @@ def test_traced_name_resolves(module, attr):
 
 
 def test_metrics_cache_reports_hits():
-    from flipq import perturbation
+    # the tracer's perturbation.metrics_cache counters read this one cache,
+    # which every scalar metric lookup goes through
+    import numpy as np
 
-    info = perturbation._metrics_cached.cache_info()
-    assert info.hits >= 0 and info.misses >= 0
+    from flipq import BasePoint, FiberPoint, chi_eval, fiber_norms, perturbation, phi_graph
+    from conftest import make_config
+
+    cfg = make_config()
+    p = FiberPoint(BasePoint(0.25, 0.0), np.array([0.3]), np.array([0.2]))
+    phi = phi_graph(cfg)
+    for call in (lambda: fiber_norms(cfg, p), lambda: chi_eval(cfg, p),
+                 lambda: phi(p.base.theta, p.y_prime, p.y_second, 0.0)):
+        before = perturbation._metrics_cached.cache_info()
+        call()
+        call()
+        after = perturbation._metrics_cached.cache_info()
+        assert after.hits >= before.hits + 1
+        assert after.hits + after.misses >= before.hits + before.misses + 2
