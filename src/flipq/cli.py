@@ -45,7 +45,7 @@ BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 SCAN_BLOCK_LANES = 4096
 # Rounds of --random draws: each round redraws, from the same stream, the
 # draws whose graph value left the wall interval.
-MATCH_DRAW_ROUNDS = 10
+MATCH_DRAW_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,10 @@ def _fiber_to_json(p: FiberPoint) -> dict:
 
 
 def _dump(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:  # a non-finite value: fail the run, never write a NaN token
+        raise FlipQError(f"output holds a non-finite value ({e})") from e
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -200,9 +203,10 @@ def _match_entries_with_draws(cfg, seed: int, lanes, random_n: int) -> list[dict
         if wanted:
             lanes = [np.concatenate(pair) for pair in zip(lanes, random_domain_batch(rng, cfg, wanted))]
         batch, t = _match_entries(cfg, *lanes)
-        inside = np.abs(t[fixed:]) < cfg.epsilon
-        entries += batch[:fixed] + [e for e, keep in zip(batch[fixed:], inside) if keep]
-        wanted -= int(inside.sum())
+        # a NaN graph value (the metric fails at the draw's theta) is kept, as an error entry
+        kept = ~(np.abs(t[fixed:]) >= cfg.epsilon)
+        entries += batch[:fixed] + [e for e, keep in zip(batch[fixed:], kept) if keep]
+        wanted -= int(kept.sum())
         if not wanted:
             return entries
         lanes, fixed = [lane[:0] for lane in lanes], 0

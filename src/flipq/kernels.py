@@ -122,7 +122,7 @@ def rescale_alpha(r, ap, app, c):
 
 
 def rescale_beta(r, ap, app):
-    """Its derivative beta(rho) = -(rho a' + rho^-3 a''), negative for a', a'' >= 0 not both 0."""
+    """Derivative beta(rho) = -(rho a' + rho^-3 a'') of rescale_alpha; negative unless a' = a'' = 0."""
     return -(r * ap + app / (r * r * r))
 
 

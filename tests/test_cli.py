@@ -18,7 +18,7 @@ from flipq import (
     presets,
     solve_rho,
 )
-from flipq.cli import SCAN_BLOCK_LANES, main, run_match, run_scan
+from flipq.cli import SCAN_BLOCK_LANES, _dump, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config
 from flipq.perturbation import _chi_parts
 from flipq.quotient import level_rho_batch, moment_value_batch
@@ -374,6 +374,18 @@ def test_batched_match_agrees_with_scalar_path():
     _assert_matches_scalar_path(run_cfg.model, doc["points"])
 
 
+# random_domain_batch takes the square root of a negative norm at such a theta
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+def test_random_draws_replace_wall_rejects_and_keep_metric_faults():
+    # on this config most draws leave the wall interval and are redrawn; draws
+    # at a theta where g' is not positive definite stay, as ConfigInvalid entries
+    run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed", raw={})
+    doc = run_match(run_cfg, 7, [], random_n=200, blowup_rays=0)
+    errors = [e.get("error") for e in doc["points"]]
+    assert len(errors) == 200
+    assert "ConfigInvalid" in errors and None in errors and "OutOfDomain" not in errors
+
+
 def test_blowup_rays_solve_the_renormalized_quadratic(cfg_fourier_quartic):
     # rho^2 = s solves a' s^2 + 2 c s - a'' = 0 with a', a'', c taken by the
     # scalar path at v = r w and divided by r^2
@@ -462,6 +474,13 @@ def test_report_wrong_sign_fails(tmp_path):
     )
     assert code == 1
     assert doc["pass"] is False
+
+
+def test_output_refuses_non_finite_values(tmp_path):
+    # a NaN fails the run (exit 1, one stderr line), never reaching the JSON as a NaN token
+    with pytest.raises(FlipQError, match="non-finite"):
+        _dump({"value": float("nan")}, str(tmp_path / "out.json"))
+    assert not (tmp_path / "out.json").exists()
 
 
 # -- determinism ------------------------------------------------------------------

@@ -254,8 +254,8 @@ def _rest(cfg, p):
 
 ZETA = 1.7 * np.exp(0.3j)
 
-# scalar entry point -> (scalar value, (batch lane value, scale of the gap)); the
-# batch side is None where the entry point has no batch counterpart
+# name -> (the scalar call, its batch counterpart); the counterpart returns the
+# lane's value and the scale the gap is measured at, or is None where there is none
 ONE_LANE_CASES = {
     "fiber_norms": (lambda cfg, p: np.array(fiber_norms(cfg, p)), lambda cfg, p: _same(_lane_norms(cfg, p))),
     "moment_value": (moment_value, lambda cfg, p: _same(

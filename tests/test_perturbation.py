@@ -19,6 +19,7 @@ from flipq import (
     extract_graph,
     matching_map,
     matching_map_batch,
+    metric_at,
     moment_value,
     phi_graph,
     phi_moment,
@@ -186,6 +187,19 @@ def test_rest_vanishes_without_terms(cfg_wide):
 
 def test_rest_mixed_term(cfg_quartic_wide):
     assert taylor_rest(cfg_quartic_wide, _point([1.0], [1.0])) == pytest.approx(0.1)
+
+
+def test_rest_keeps_its_precision_near_the_zero_section(cfg_fourier_quartic):
+    # the rest 0.1 |v'|^2 |v''|^2 is r^2 below the quadratic part; taking it
+    # as chi minus that part would lose it to cancellation at small r
+    cfg = cfg_fourier_quartic
+    theta, w_prime, w_second = 1.1, np.array([0.6, 0.3j]), np.array([0.5 + 0.2j])
+    G1, G2 = metric_at(cfg, theta)
+    for r in (1e-1, 1e-3, 1e-5):
+        g1 = (r * w_prime).conj() @ G1 @ (r * w_prime)
+        g2 = (r * w_second).conj() @ G2 @ (r * w_second)
+        rest = taylor_rest(cfg, _point(r * w_prime, r * w_second, theta=theta))
+        assert rest == pytest.approx(0.1 * g1.real * g2.real, rel=1e-13, abs=0.0)
 
 
 def test_rest_bound_quartic(cfg_quartic):

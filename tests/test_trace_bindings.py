@@ -9,7 +9,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from flipq import BasePoint, FiberPoint, chi_eval, fiber_norms, perturbation, phi_graph
+
+from conftest import make_config
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -29,11 +34,6 @@ def test_traced_name_resolves(module, attr):
 def test_metrics_cache_reports_hits():
     # the tracer's perturbation.metrics_cache counters read this one cache,
     # which every scalar metric lookup goes through
-    import numpy as np
-
-    from flipq import BasePoint, FiberPoint, chi_eval, fiber_norms, perturbation, phi_graph
-    from conftest import make_config
-
     cfg = make_config()
     p = FiberPoint(BasePoint(0.25, 0.0), np.array([0.3]), np.array([0.2]))
     phi = phi_graph(cfg)
