@@ -32,6 +32,7 @@ from flipq import (
     to_blowup,
     validate_config,
 )
+from flipq import kernels
 from flipq.core import fiber_norms_batch, min_metric_eigenvalue
 from flipq.perturbation import chi_parts_batch
 from flipq.sampling import random_domain_batch
@@ -96,6 +97,75 @@ def test_min_metric_eigenvalue_matches_per_theta_loop():
             expected = min(expected, np.linalg.eigvalsh(G).min())
     assert 0.0 < expected < 0.8  # set by the complex g' block
     assert min_metric_eigenvalue(cfg) == pytest.approx(expected, rel=1e-13)
+
+
+# -- the Hermitian pairing and norm of a constant metric ---------------------
+# conj(u) G v through kernels.fourier_pairing (the reference pairing of chi)
+# and |y|^2 through fiber_norms / fiber_norms_batch, on G' = G.
+
+
+def _constant_cfg(G):
+    G = np.asarray(G, dtype=complex)
+    return make_config(r_prime=G.shape[0], metric_field=MetricFieldSpec.constant(G, np.eye(1)))
+
+
+def _pairing(G, u, v):
+    cfg = _constant_cfg(G)
+    return complex(kernels.fourier_pairing([0.3], np.asarray(u, dtype=complex)[None],
+                                           np.asarray(v, dtype=complex), *cfg.metric_field.packed_prime)[0])
+
+
+def _norm(G, y):
+    cfg = _constant_cfg(G)
+    return fiber_norms(cfg, FiberPoint(base=BasePoint(0.3, 0.0), y_prime=y, y_second=[1.0]))[0]
+
+
+def test_herm_inner_norm():
+    assert _pairing(np.eye(2), [1, 1j], [1, 1j]) == pytest.approx(2.0)
+    assert _norm(np.eye(2), [1, 1j]) == pytest.approx(2.0)
+
+
+def test_herm_inner_orthogonal():
+    assert _pairing(np.eye(2), [1, 0], [0, 1]) == 0
+
+
+def test_herm_inner_diagonal_weights():
+    G = np.diag([2.0, 3.0])
+    assert _pairing(G, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
+    assert _norm(G, [1.0, 1.0]) == pytest.approx(5.0)
+
+
+def test_herm_inner_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        _norm(np.eye(2), [1.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.lists(
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        min_size=6,
+        max_size=6,
+    )
+)
+def test_herm_inner_conjugate_symmetry(data):
+    G = np.diag([1.0, 2.0, 0.5]) + 0j
+    u = np.array(data[:3])
+    v = np.array(data[3:])
+    a = _pairing(G, u, v)
+    b = _pairing(G, v, u)
+    assert abs(a - np.conj(b)) <= 1e-14 * max(1.0, abs(a))
+
+
+def test_herm_inner_positive_on_nonzero(rng):
+    G = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]])
+    cfg = _constant_cfg(G)
+    u = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
+    assert np.all(np.any(u, axis=1))
+    g1, _ = fiber_norms_batch(cfg, np.full(100, 0.3), u, np.ones((100, 1), dtype=complex))
+    assert np.all(g1 > 0)
+    for i in range(10):
+        assert _pairing(G, u[i], u[i]).real > 0
 
 
 # -- cstar_act ---------------------------------------------------------------
@@ -220,6 +290,12 @@ def test_fiber_norms_batch_matches_pointwise(rng, cfg_fourier_quartic):
         G1, G2 = metric_at(cfg, thetas[i])
         assert g1[i] == pytest.approx((yp[i].conj() @ G1 @ yp[i]).real, rel=1e-12)
         assert g2[i] == pytest.approx((ys[i].conj() @ G2 @ ys[i]).real, rel=1e-12)
+
+
+def test_norm_sq_zero_iff_zero():
+    G = np.array([[2.0, 0.0], [0.0, 3.0]])
+    assert _norm(G, np.zeros(2)) == 0.0
+    assert _norm(G, np.array([1e-8, 0])) > 0.0
 
 
 # -- scalar entry points as one-lane batches ---------------------------------
