@@ -47,11 +47,19 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _float(x, where: str) -> float:
+    # a JSON integer has no size limit; past the float range float() overflows
+    try:
+        return float(x)
+    except OverflowError:
+        raise ConfigInvalid(f"{where} is an integer outside the float range") from None
+
+
 def parse_complex(x) -> complex:
     if _is_number(x):
-        return complex(x, 0.0)
+        return complex(_float(x, "complex entry"), 0.0)
     if isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(v) for v in x):
-        return complex(x[0], x[1])
+        return complex(_float(x[0], "complex entry"), _float(x[1], "complex entry"))
     raise ConfigInvalid(f"expected a number or [re, im] pair, got {x!r}")
 
 
@@ -82,6 +90,8 @@ def _require(doc: dict, key: str, where: str):
 def _integer(x, where: str, minimum: int | None = None) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ConfigInvalid(f"{where} must be an integer, got {x!r}")
+    if not -(2**63) <= x < 2**63:  # numpy takes exponents and harmonics as 64-bit integers
+        raise ConfigInvalid(f"{where} must fit in a signed 64-bit integer")
     if minimum is not None and x < minimum:
         raise ConfigInvalid(f"{where} must be >= {minimum}, got {x}")
     return x
@@ -90,7 +100,7 @@ def _integer(x, where: str, minimum: int | None = None) -> int:
 def _number(x, where: str) -> float:
     if not _is_number(x):
         raise ConfigInvalid(f"{where} must be a number, got {x!r}")
-    return float(x)
+    return _float(x, where)
 
 
 def _metric_terms(entry, label):
@@ -210,7 +220,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigParse(f"cannot read config {path}: {e}") from e
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the interpreter's digit limit
         raise ConfigParse(f"config {path} is not valid JSON: {e}") from e
     return parse_run_config(doc)
 

@@ -237,6 +237,12 @@ def _metrics_cached(cfg: ModelConfig, theta: float):
     return metric_at(cfg, theta)
 
 
+def check_metrics(cfg: ModelConfig, thetas) -> None:
+    """metric_at's checks at each distinct theta of a batch, in lane order, through _metrics_cached."""
+    for theta in dict.fromkeys(np.asarray(thetas, dtype=float).tolist()):
+        _metrics_cached(cfg, theta)
+
+
 def one_lane(cfg: ModelConfig, theta: float, y_prime, y_second):
     """One fiber vector as a batch (thetas, y', y'') of one lane, after metric_at's checks at theta."""
     _metrics_cached(cfg, theta)

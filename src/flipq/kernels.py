@@ -94,7 +94,8 @@ def scale_root(ap, app, c):
     ap = np.ascontiguousarray(ap, dtype=np.float64)
     app = np.ascontiguousarray(app, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # an overflowing c * c gives s = 0 or inf, which is marked NaN below
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         disc = np.sqrt(c * c + ap * app)
         # rationalized form for c >= 0 avoids cancellation in -c + disc
         s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)

@@ -35,7 +35,7 @@ from .core import (
     ModelConfig,
     ValidationIssue,
     _metrics_cached,
-    fiber_norms,
+    check_metrics,
     fiber_norms_batch,
     metric_at,
     metric_faults_batch,
@@ -58,8 +58,10 @@ GRAPH_FD_STEP = 1e-6
 MIN_GRAPH_DERIVATIVE = 1e-8
 RENORM_FD_STEP = 1e-2
 FD_STEP_RANGE = (1e-6, 1e-2)  # open interval of verify_conditions step sizes
+VERIFY_BLOCK_LANES = 1 << 16  # stencil lanes per phi call; the default grids need one call
 
-PhiFunc = Callable[[float, np.ndarray, np.ndarray, float], float]
+# phi(thetas (n,), Y' (n, r'), Y'' (n, r''), t (n,)) -> (n,) values, one per lane
+PhiFunc = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +160,6 @@ def validate_perturbation(spec: PerturbationSpec, r_prime: int) -> list[Validati
 # chi evaluation
 
 
-# _norms_at and _chi_parts: the scalar evaluator, kept for the phi closures and
-# verify_conditions' expected blocks only.  The benchmark pins the scalar
-# stencil's phi call count, and a one-lane chi_parts_batch costs about 5x a
-# scalar phi.  Every other entry point runs as a batch, the scalar API as one lane.
-def _norms_at(cfg, theta, y_prime, y_second):
-    G1, G2 = _metrics_cached(cfg, theta)
-    g1 = float(np.real(y_prime.conj() @ G1 @ y_prime))
-    g2 = float(np.real(y_second.conj() @ G2 @ y_second))
-    return G1, G2, g1, g2
-
-
 def _outside_domain(cfg, g1, g2):
     return g1 + g2 > cfg.domain_radius**2 * (1.0 + DOMAIN_SLACK)
 
@@ -181,10 +172,7 @@ def _check_domain(cfg, g1, g2):
 
 
 def _monomial(term: PerturbationTerm, theta, g1, g2, inner):
-    """One perturbation term at scalar or batch (theta, g1, g2).
-
-    inner(a) gives the reference pairing <y', a>, a number or a lane array.
-    """
+    """One perturbation term over the lanes (theta, g1, g2); inner(a) gives the reference pairing <y', a>."""
     value = fourier_scalar(term.coeff, theta)
     if term.norm_prime_pow:
         value = value * g1**term.norm_prime_pow
@@ -195,20 +183,6 @@ def _monomial(term: PerturbationTerm, theta, g1, g2, inner):
     if term.ref_inner_pow:
         value = value * (abs(inner(term.ref_section)) ** 2) ** term.ref_inner_pow
     return value
-
-
-def _chi_parts(cfg, theta, y_prime, y_second):
-    """Returns (chi, g1, g2) at a fiber vector over theta."""
-    G1, _, g1, g2 = _norms_at(cfg, theta, y_prime, y_second)
-    _check_domain(cfg, g1, g2)
-
-    def inner(a):
-        return complex(y_prime.conj() @ G1 @ a)
-
-    rest = 0.0
-    for term in cfg.perturbation.terms:
-        rest += _monomial(term, theta, g1, g2, inner)
-    return -0.5 * (g1 - g2) + rest, g1, g2
 
 
 def _term_values(cfg, terms, thetas, y_prime, g1, g2):
@@ -263,9 +237,12 @@ def chi_eval_batch(cfg: ModelConfig, thetas, y_prime, y_second):
 def phi_graph(cfg: ModelConfig) -> PhiFunc:
     """Defining function t - chi(v) whose zero set is the graph of chi."""
 
-    def phi(theta, y_prime, y_second, t):
-        chi, _, _ = _chi_parts(cfg, theta, np.asarray(y_prime, dtype=complex),
-                               np.asarray(y_second, dtype=complex))
+    def phi(thetas, y_prime, y_second, t):
+        check_metrics(cfg, thetas)
+        chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=False)
+        outside = np.flatnonzero(_outside_domain(cfg, g1, g2))
+        if outside.size:
+            _check_domain(cfg, g1[outside[0]], g2[outside[0]])
         return t - chi
 
     return phi
@@ -274,9 +251,9 @@ def phi_graph(cfg: ModelConfig) -> PhiFunc:
 def phi_quadratic(cfg: ModelConfig, coeff_prime: float, coeff_second: float) -> PhiFunc:
     """Defining function t + (a |y'|^2 + b |y''|^2)/2; a = 1, b = -1 is the moment map."""
 
-    def phi(theta, y_prime, y_second, t):
-        _, _, g1, g2 = _norms_at(cfg, theta, np.asarray(y_prime, dtype=complex),
-                                 np.asarray(y_second, dtype=complex))
+    def phi(thetas, y_prime, y_second, t):
+        check_metrics(cfg, thetas)
+        g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
         return t + 0.5 * (coeff_prime * g1 + coeff_second * g2)
 
     return phi
@@ -301,12 +278,6 @@ class ConditionReport:
         return self.p1_ok and self.p2_ok and self.p3_ok
 
 
-def _fiber_from_real(z: np.ndarray, rp: int, rs: int):
-    y_prime = z[:rp] + 1j * z[rp : 2 * rp]
-    y_second = z[2 * rp : 2 * rp + rs] + 1j * z[2 * rp + rs :]
-    return y_prime, y_second
-
-
 def verify_conditions(
     cfg: ModelConfig,
     phi: PhiFunc,
@@ -319,55 +290,59 @@ def verify_conditions(
     On an n_theta grid: the wall condition (phi vanishes on the zero
     section at t = 0 with unit t-derivative), the vanishing fiber gradient
     there, and the fiber Hessian against the realified metric blocks
-    diag(+G', -G'').
+    diag(+G', -G'').  Every stencil point of every theta goes through phi
+    in one batch (in blocks of at most VERIFY_BLOCK_LANES lanes).
     """
     lo, hi = FD_STEP_RANGE
     if not (lo < fd_step < hi):
         raise ValueError(f"fd_step = {fd_step} must lie in ({lo:g}, {hi:g})")
+    if n_theta < 1:
+        raise ValueError(f"n_theta = {n_theta} must be >= 1")
     rp, rs = cfg.r_prime, cfg.r_second
     dim = 2 * (rp + rs)
     h = fd_step
-    worst_p1 = worst_p2 = worst_p3 = 0.0
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
 
-    def phi_z(theta, z, t):
-        y_prime, y_second = _fiber_from_real(z, rp, rs)
-        return phi(theta, y_prime, y_second, t)
+    # stencil rows over real fiber coordinates z = (Re y', Im y', Re y'', Im y''):
+    # the zero section at t = 0, +h, -h; +e_i, -e_i per axis; then
+    # e_i + e_j, e_i - e_j, -e_i + e_j, -e_i - e_j per pair i < j
+    e = h * np.eye(dim)
+    i, j = np.triu_indices(dim, k=1)
+    z = np.concatenate([
+        np.zeros((3, dim)),
+        np.stack([e, -e], axis=1).reshape(-1, dim),
+        np.stack([e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]], axis=1).reshape(-1, dim),
+    ])
+    ts = np.zeros(len(z))
+    ts[1:3] = (h, -h)
+    y_prime = z[:, :rp] + 1j * z[:, rp : 2 * rp]
+    y_second = z[:, 2 * rp : 2 * rp + rs] + 1j * z[:, 2 * rp + rs :]
+    m = len(z)
+    per_call = max(1, VERIFY_BLOCK_LANES // m)
+    values = np.concatenate([
+        phi(np.repeat(block, m), np.tile(y_prime, (len(block), 1)),
+            np.tile(y_second, (len(block), 1)), np.tile(ts, len(block)))
+        for block in np.split(thetas, range(per_call, n_theta, per_call))
+    ]).reshape(n_theta, m)
 
-    for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
-        z0 = np.zeros(dim)
-        f0 = phi_z(theta, z0, 0.0)
-        dt = (phi_z(theta, z0, h) - phi_z(theta, z0, -h)) / (2.0 * h)
-        worst_p1 = max(worst_p1, abs(f0), abs(dt - 1.0))
+    f0 = values[:, 0]
+    dt = (values[:, 1] - values[:, 2]) / (2.0 * h)
+    plus, minus = values[:, 3 : 3 + 2 * dim : 2], values[:, 4 : 3 + 2 * dim : 2]
+    corners = values[:, 3 + 2 * dim :].reshape(n_theta, -1, 4)
+    H = np.empty((n_theta, dim, dim))
+    axis = np.arange(dim)
+    H[:, axis, axis] = (plus - 2.0 * f0[:, None] + minus) / h**2
+    H[:, i, j] = H[:, j, i] = (
+        corners[..., 0] - corners[..., 1] - corners[..., 2] + corners[..., 3]
+    ) / (4.0 * h**2)
+    metrics = [_metrics_cached(cfg, float(theta)) for theta in thetas]
+    expected = np.zeros((n_theta, dim, dim))
+    expected[:, : 2 * rp, : 2 * rp] = kernels.realify(np.stack([G1 for G1, _ in metrics]))
+    expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(np.stack([G2 for _, G2 in metrics]))
 
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            grad_i = (phi_z(theta, e, 0.0) - phi_z(theta, -e, 0.0)) / (2.0 * h)
-            worst_p2 = max(worst_p2, abs(grad_i))
-
-        H = np.empty((dim, dim))
-        for i in range(dim):
-            ei = np.zeros(dim)
-            ei[i] = h
-            H[i, i] = (phi_z(theta, ei, 0.0) - 2.0 * f0 + phi_z(theta, -ei, 0.0)) / h**2
-            for j in range(i + 1, dim):
-                ej = np.zeros(dim)
-                ej[j] = h
-                H[i, j] = H[j, i] = (
-                    phi_z(theta, ei + ej, 0.0)
-                    - phi_z(theta, ei - ej, 0.0)
-                    - phi_z(theta, -ei + ej, 0.0)
-                    + phi_z(theta, -ei - ej, 0.0)
-                ) / (4.0 * h**2)
-        G1, G2 = _metrics_cached(cfg, float(theta))
-        expected = np.block(
-            [
-                [kernels.realify(G1), np.zeros((2 * rp, 2 * rs))],
-                [np.zeros((2 * rs, 2 * rp)), -kernels.realify(G2)],
-            ]
-        )
-        worst_p3 = max(worst_p3, float(np.abs(H - expected).max()))
-
+    worst_p1 = float(np.abs([f0, dt - 1.0]).max())
+    worst_p2 = float(np.abs((plus - minus) / (2.0 * h)).max())
+    worst_p3 = float(np.abs(H - expected).max())
     return ConditionReport(
         p1_ok=worst_p1 <= tol,
         p2_ok=worst_p2 <= tol,
@@ -390,28 +365,32 @@ def extract_graph(
 
     Seeded at the unperturbed graph value -(|v'|^2 - |v''|^2)/2; the
     t-derivative is taken by central differences and guarded against
-    degeneracy.
+    degeneracy.  phi is called on one lane.
     """
-    theta = p.base.theta
-    g1, g2 = fiber_norms(cfg, p)
-    _check_domain(cfg, g1, g2)
-    t = -0.5 * (g1 - g2)
+    lane = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    g1, g2 = fiber_norms_batch(cfg, *lane)
+    _check_domain(cfg, g1[0], g2[0])
+
+    def phi_at(t):
+        return phi(*lane, np.array([t]))[0]
+
+    t = -0.5 * (g1[0] - g2[0])
     h = GRAPH_FD_STEP
     deriv = None
     for _ in range(max_iter):
-        value = phi(theta, p.y_prime, p.y_second, t)
+        value = phi_at(t)
         if abs(value) <= tol:
             break
-        deriv = (phi(theta, p.y_prime, p.y_second, t + h) - phi(theta, p.y_prime, p.y_second, t - h)) / (2.0 * h)
+        deriv = (phi_at(t + h) - phi_at(t - h)) / (2.0 * h)
         if abs(deriv) < MIN_GRAPH_DERIVATIVE:
             raise DegenerateDerivative(f"|dphi/dt| = {abs(deriv):.3g} below {MIN_GRAPH_DERIVATIVE}")
         t = t - value / deriv
     else:
         raise NoRoot(f"no root of phi(v, .) after {max_iter} iterations")
-    if abs(phi(theta, p.y_prime, p.y_second, t)) > tol:
+    if abs(phi_at(t)) > tol:
         raise NoRoot("Newton terminated away from a root")
     if deriv is None:
-        deriv = (phi(theta, p.y_prime, p.y_second, t + h) - phi(theta, p.y_prime, p.y_second, t - h)) / (2.0 * h)
+        deriv = (phi_at(t + h) - phi_at(t - h)) / (2.0 * h)
         if abs(deriv) < MIN_GRAPH_DERIVATIVE:
             raise DegenerateDerivative(f"|dphi/dt| = {abs(deriv):.3g} below {MIN_GRAPH_DERIVATIVE}")
     if not abs(t) < cfg.epsilon:
@@ -447,6 +426,10 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
 
     rng = np.random.default_rng(seed)
     thetas, y_prime, y_second = random_domain_batch(rng, cfg, n_samples)
+    # validation checks the metrics on a theta grid only; a draw may fall between its points
+    faults = np.flatnonzero(metric_faults_batch(cfg, thetas))
+    if faults.size:
+        metric_at(cfg, float(thetas[faults[0]]))
     chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     rest = chi + 0.5 * (g1 - g2)
     norm3 = (g1 + g2) ** 1.5

@@ -36,7 +36,9 @@ def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):
     y_prime = complex_gaussian(rng, (n, cfg.r_prime))
     y_second = complex_gaussian(rng, (n, cfg.r_second))
     g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    norm = np.sqrt(g1 + g2)
+    # a theta whose metric is not positive definite gives a NaN lane, which callers check
+    with np.errstate(invalid="ignore"):
+        norm = np.sqrt(g1 + g2)
     radii = cfg.domain_radius * rng.uniform(0.0, 1.0, n) ** (1.0 / (2.0 * (cfg.r_prime + cfg.r_second)))
     factor = radii / norm
     return thetas, y_prime * factor[:, None], y_second * factor[:, None]
@@ -49,5 +51,6 @@ def random_unit_direction(rng: np.random.Generator, cfg: ModelConfig, theta: flo
     g1, g2 = fiber_norms_batch(
         cfg, np.array([theta]), w_prime[None, :], w_second[None, :]
     )
-    norm = float(np.sqrt(g1[0] + g2[0]))
-    return w_prime / norm, w_second / norm
+    with np.errstate(invalid="ignore"):  # NaN at a theta whose metric is not positive definite
+        norm = float(np.sqrt(g1[0] + g2[0]))
+        return w_prime / norm, w_second / norm

@@ -14,13 +14,14 @@ from flipq import (
     BasePoint,
     FiberPoint,
     FlipQError,
+    chi_eval,
+    fiber_norms,
     matching_map,
     presets,
     solve_rho,
 )
 from flipq.cli import SCAN_BLOCK_LANES, _dump, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config
-from flipq.perturbation import _chi_parts
 from flipq.quotient import level_rho_batch, moment_value_batch
 from flipq.sampling import complex_gaussian
 
@@ -238,6 +239,14 @@ def _add_ref_term(ref_section):
     return edit
 
 
+def _non_pd_between_grid(doc):
+    """The Fourier preset 2/1 with a harmonic that makes g' indefinite between the 64 validation thetas."""
+    doc.clear()
+    doc.update(presets.fourier_metric_config(2, 1))
+    doc["metrics"]["g_prime"].append({"n": 32, "sin": [[[0, 0], [0, 2.5]], [[0, -2.5], [0, 0]]]})
+    doc["domain_radius"] = 2
+
+
 NAN, INF = float("nan"), float("inf")
 TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--t-steps", "1",
                "--scan-samples", "2", "--match-samples", "2", "--blowup-rays", "1"]
@@ -292,6 +301,19 @@ TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--
         # a wall interval so thin that no random draw lands inside it
         (_set(["epsilon"], 1e-9), ["match", "--random", "4"], 1,
          "random draws still leave the wall interval"),
+        # JSON integers past the float range
+        (_set(["epsilon"], 10**400), ["verify"], 2, "epsilon is an integer outside the float range"),
+        (_set(["metrics", "g_prime", 0, 0], 10**400), ["verify"], 2, "outside the float range"),
+        (_set(["perturbation", "terms", 0, "coeff_fourier"], [0.1, -10**400]), ["report", *TINY_REPORT], 2,
+         "coeff_fourier entry is an integer outside the float range"),
+        (_set(["phi"], {"kind": "quadratic", "coeff_prime": 10**400}), ["verify"], 2,
+         "phi.coeff_prime is an integer outside the float range"),
+        (_set(["perturbation", "terms", 0, "generators", "mixed"], 10**400), ["verify"], 2,
+         "generator mixed must fit in a signed 64-bit integer"),
+        # a metric positive definite on the validation grid but not between its points
+        (_non_pd_between_grid, ["verify", "--samples", "200"], 2, "is not positive definite"),
+        (_non_pd_between_grid, ["report", *TINY_REPORT], 2, "is not positive definite"),
+        (_non_pd_between_grid, ["match", "--blowup-rays", "8"], 2, "is not positive definite"),
     ],
 )
 def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
@@ -311,6 +333,16 @@ def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
 
     if proc.stdout:
         json.loads(proc.stdout, parse_constant=no_constant)
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json refuses to convert an integer literal of more than 4,300 digits
+    text = Path(QUARTIC).read_text().replace('"epsilon": 1.5', '"epsilon": 1' + "0" * 5000)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not valid JSON" in captured.err
 
 
 def _assert_matches_scalar_path(cfg, entries):
@@ -374,8 +406,8 @@ def test_batched_match_agrees_with_scalar_path():
     _assert_matches_scalar_path(run_cfg.model, doc["points"])
 
 
-# random_domain_batch takes the square root of a negative norm at such a theta
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+# a draw at such a theta has a NaN norm: no floating-point warning may escape
+@pytest.mark.filterwarnings("error")
 def test_random_draws_replace_wall_rejects_and_keep_metric_faults():
     # on this config most draws leave the wall interval and are redrawn; draws
     # at a theta where g' is not positive definite stay, as ConfigInvalid entries
@@ -397,7 +429,8 @@ def test_blowup_rays_solve_the_renormalized_quadratic(cfg_fourier_quartic):
         w_prime = np.array([complex(*z) for z in ray["w_prime"]])
         w_second = np.array([complex(*z) for z in ray["w_second"]])
         for r, deviation in zip(ray["r_grid"], ray["rho_deviation"], strict=True):
-            chi, g1, g2 = _chi_parts(cfg, ray["theta"], r * w_prime, r * w_second)
+            p = FiberPoint(BasePoint(ray["theta"], 0.0), r * w_prime, r * w_second)
+            chi, (g1, g2) = chi_eval(cfg, p), fiber_norms(cfg, p)
             ap, app, c = g1 / r**2, g2 / r**2, chi / r**2
             disc = np.sqrt(c * c + ap * app)
             s = app / (c + disc) if c > 0 else (disc - c) / ap

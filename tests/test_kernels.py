@@ -8,7 +8,8 @@ import pytest
 from conftest import make_config
 from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
 from flipq.core import fiber_norms
-from flipq.perturbation import _branch_check, _chi_parts, chi_parts_batch
+from flipq.core import metric_at
+from flipq.perturbation import _branch_check, chi_parts_batch, fourier_scalar
 from flipq.sampling import random_domain_batch
 
 
@@ -59,6 +60,21 @@ def test_fourier_pairing_matches_per_lane_reference():
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def _chi_per_lane(cfg, theta, y_prime, y_second):
+    """(chi, g1, g2) at one fiber vector from the metric matrices at theta, term by term."""
+    G1, G2 = metric_at(cfg, theta)
+    g1 = (y_prime.conj() @ G1 @ y_prime).real
+    g2 = (y_second.conj() @ G2 @ y_second).real
+    rest = 0.0
+    for term in cfg.perturbation.terms:
+        value = fourier_scalar(term.coeff, theta) * g1**term.norm_prime_pow * g2**term.norm_second_pow
+        value *= (g1 * g2) ** term.mixed_pow
+        if term.ref_inner_pow:
+            value *= abs(y_prime.conj() @ G1 @ term.ref_section) ** (2 * term.ref_inner_pow)
+        rest += value
+    return -0.5 * (g1 - g2) + rest, g1, g2
+
+
 def test_chi_parts_batch_matches_scalar_path():
     rng = np.random.default_rng(11)
     # g' carries complex off-diagonal sine terms; small enough to stay positive definite
@@ -81,7 +97,7 @@ def test_chi_parts_batch_matches_scalar_path():
     thetas, y_prime, y_second = random_domain_batch(rng, cfg, 400)
     chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     expected = np.array([
-        _chi_parts(cfg, float(thetas[i]), y_prime[i], y_second[i]) for i in range(len(thetas))
+        _chi_per_lane(cfg, float(thetas[i]), y_prime[i], y_second[i]) for i in range(len(thetas))
     ])
     for got, ref in zip((chi, g1, g2), expected.T):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -159,3 +175,12 @@ def test_newton_iteration_cap():
     ]
     assert iters.tolist() == [2, 0, 0]
     assert resid[0] > kernels.NEWTON_TOL and resid[1] == 0.0 and np.isnan(resid[2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_scale_root_overflow_is_silent():
+    # c * c overflows; no floating-point warning reaches stderr, and a lane
+    # gives either its root (about 1 / 2c for c > 0, -2c for c < 0) or NaN
+    s = kernels.scale_root(np.ones(2), np.ones(2), np.array([1e200, -1e200]))
+    for got, root in zip(s, (5e-201, 2e200)):
+        assert np.isnan(got) or got == pytest.approx(root, rel=1e-12)

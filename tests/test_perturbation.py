@@ -1,5 +1,8 @@
 """Graph functions, condition checks, the rescaling solve, and matching."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from flipq import (
     BasePoint,
     BlowupPoint,
     BoundViolated,
+    ConfigInvalid,
     DegenerateBranch,
     DegenerateDerivative,
     FiberPoint,
@@ -17,6 +21,7 @@ from flipq import (
     chi_eval,
     cstar_act,
     extract_graph,
+    fiber_norms,
     matching_map,
     matching_map_batch,
     metric_at,
@@ -31,15 +36,20 @@ from flipq import (
     solve_rho_batch,
     solve_rho_blowup,
     taylor_rest,
+    presets,
     tilde_coords,
     verify_conditions,
 )
+from flipq import perturbation
+from flipq.config_io import parse_run_config, phi_from_config
 from flipq.kernels import realify
 from flipq.perturbation import match_lanes
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction
 
-from conftest import fourier_metric, make_config, mixed_quartic_term
+from conftest import fourier_metric, make_config, mixed_match_config, mixed_quartic_term
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _point(yp, ys, theta=0.0, t=0.0):
@@ -90,12 +100,11 @@ def test_chi_quadratic_part_hessian(cfg_fourier_quartic):
     rp, rs = cfg.r_prime, cfg.r_second
     dim = 2 * (rp + rs)
     h = 1e-3
-    from flipq.perturbation import _chi_parts, _fiber_from_real
 
     for theta in (0.0, 1.1, np.pi):
         def q(z):
-            yp, ys = _fiber_from_real(z, rp, rs)
-            return _chi_parts(cfg, theta, yp, ys)[0]
+            return chi_eval(cfg, _point(z[:rp] + 1j * z[rp:2 * rp], z[2 * rp:2 * rp + rs] + 1j * z[2 * rp + rs:],
+                                        theta=theta))
 
         H = np.empty((dim, dim))
         f0 = q(np.zeros(dim))
@@ -136,12 +145,12 @@ def test_extract_graph_quartic(cfg_quartic_wide):
 
 def test_extract_graph_degenerate_derivative(cfg_wide):
     with pytest.raises(DegenerateDerivative):
-        extract_graph(cfg_wide, lambda theta, yp, ys, t: 1.0, _point([1.0], [1.0]))
+        extract_graph(cfg_wide, lambda thetas, yp, ys, t: t * 0 + 1.0, _point([1.0], [1.0]))
 
 
 def test_extract_graph_no_root_in_window(cfg_identity):
     with pytest.raises(NoRoot):
-        extract_graph(cfg_identity, lambda theta, yp, ys, t: t - 10.0, _point([0.1], [0.1]))
+        extract_graph(cfg_identity, lambda thetas, yp, ys, t: t - 10.0, _point([0.1], [0.1]))
 
 
 # -- verify_conditions -------------------------------------------------------
@@ -173,6 +182,138 @@ def test_conditions_wrong_sign_block(cfg_identity):
 def test_conditions_fd_step_window(cfg_identity):
     with pytest.raises(ValueError):
         verify_conditions(cfg_identity, phi_moment(cfg_identity), fd_step=0.5)
+
+
+@pytest.mark.parametrize("n_theta", [0, -3])
+def test_conditions_need_a_theta(cfg_identity, n_theta):
+    # an empty grid would report a vacuous pass
+    with pytest.raises(ValueError, match="n_theta"):
+        verify_conditions(cfg_identity, phi_moment(cfg_identity), n_theta=n_theta)
+
+
+def _scalar_phi(cfg, coeffs=None):
+    """The defining function at one fiber vector: t - chi_eval, or the quadratic with coeffs (a, b)."""
+
+    def phi(theta, y_prime, y_second, t):
+        p = FiberPoint(BasePoint(theta, 0.0), y_prime, y_second)
+        if coeffs is None:
+            return t - chi_eval(cfg, p)
+        g1, g2 = fiber_norms(cfg, p)
+        return t + 0.5 * (coeffs[0] * g1 + coeffs[1] * g2)
+
+    return phi
+
+
+def _scalar_stencil(cfg, phi, n_theta, h=1e-3):
+    """(worst_p1, worst_p2, worst_p3) from the per-theta loop of one-point phi calls."""
+    rp, rs = cfg.r_prime, cfg.r_second
+    dim = 2 * (rp + rs)
+    worst = [0.0, 0.0, 0.0]
+
+    def phi_z(theta, z, t):
+        return phi(theta, z[:rp] + 1j * z[rp:2 * rp], z[2 * rp:2 * rp + rs] + 1j * z[2 * rp + rs:], t)
+
+    for theta in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
+        z0 = np.zeros(dim)
+        f0 = phi_z(theta, z0, 0.0)
+        dt = (phi_z(theta, z0, h) - phi_z(theta, z0, -h)) / (2.0 * h)
+        worst[0] = max(worst[0], abs(f0), abs(dt - 1.0))
+        H = np.empty((dim, dim))
+        for i in range(dim):
+            ei = np.zeros(dim)
+            ei[i] = h
+            worst[1] = max(worst[1], abs((phi_z(theta, ei, 0.0) - phi_z(theta, -ei, 0.0)) / (2.0 * h)))
+            H[i, i] = (phi_z(theta, ei, 0.0) - 2.0 * f0 + phi_z(theta, -ei, 0.0)) / h**2
+            for j in range(i + 1, dim):
+                ej = np.zeros(dim)
+                ej[j] = h
+                H[i, j] = H[j, i] = (phi_z(theta, ei + ej, 0.0) - phi_z(theta, ei - ej, 0.0)
+                                     - phi_z(theta, -ei + ej, 0.0) + phi_z(theta, -ei - ej, 0.0)) / (4.0 * h**2)
+        G1, G2 = metric_at(cfg, float(theta))
+        expected = np.block([[realify(G1), np.zeros((2 * rp, 2 * rs))],
+                             [np.zeros((2 * rs, 2 * rp)), -realify(G2)]])
+        worst[2] = max(worst[2], float(np.abs(H - expected).max()))
+    return tuple(worst)
+
+
+def _ranks_33_doc():
+    """The 3/3 Fourier preset with a reference-pairing term, as the benchmark builds it."""
+    doc = presets.fourier_metric_config(3, 3)
+    doc["perturbation"]["terms"].append({"generators": {"ref_inner_sq": 2}, "coeff_fourier": [0.05, 0.02],
+                                         "ref_section": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+    return doc
+
+
+def _off_diagonal_doc():
+    """Ranks 2/2, constant metrics with complex off-diagonal entries: the Hessian has off-diagonal blocks."""
+    doc = presets.quartic_config(2, 2)
+    doc["metrics"]["g_prime"] = [[2.0, [0.5, 0.3]], [[0.5, -0.3], 1.5]]
+    doc["metrics"]["g_second"] = [[1.5, [0.0, 0.4]], [[0.0, -0.4], 1.0]]
+    return doc
+
+
+@pytest.mark.parametrize("doc, n_theta", [
+    (presets.fourier_metric_config(2, 1), 16),
+    (_off_diagonal_doc(), 4),
+    (_ranks_33_doc(), 3),
+    (json.loads((FIXTURES / "quartic.json").read_text()), 16),
+    (json.loads((FIXTURES / "wrong_sign.json").read_text()), 16),
+], ids=["fourier_21", "off_diagonal_22", "fourier_33_ref", "quartic", "wrong_sign"])
+def test_verify_conditions_matches_scalar_stencil(doc, n_theta):
+    # the batch stencil (one phi call over every point) against the per-theta
+    # loop of one-point calls; the worst values agree bitwise
+    run_cfg = parse_run_config(doc)
+    cfg, spec = run_cfg.model, run_cfg.phi_spec
+    coeffs = None if spec is None else (spec["coeff_prime"], spec["coeff_second"])
+    report = verify_conditions(cfg, phi_from_config(run_cfg), n_theta=n_theta)
+    expected = _scalar_stencil(cfg, _scalar_phi(cfg, coeffs), n_theta)
+    assert (report.worst_p1, report.worst_p2, report.worst_p3) == expected
+    assert report.samples == n_theta
+    assert report.p3_ok == (coeffs is None)
+
+
+def test_verify_conditions_blocks_agree(cfg_fourier_quartic, monkeypatch):
+    # capping the lanes per phi call splits the grid into blocks, not the result
+    cfg = cfg_fourier_quartic
+    phi = phi_graph(cfg)
+    whole = verify_conditions(cfg, phi, n_theta=7)
+    calls = []
+
+    def counted(*lanes):
+        calls.append(len(lanes[0]))
+        return phi(*lanes)
+
+    monkeypatch.setattr(perturbation, "VERIFY_BLOCK_LANES", 160)  # two thetas of 75 stencil points
+    assert verify_conditions(cfg, counted, n_theta=7) == whole
+    assert calls == [150, 150, 150, 75]
+
+
+def test_verify_conditions_stencil_leaves_the_domain():
+    # the stencil steps of size fd_step reach past a smaller domain_radius
+    cfg = make_config(domain_radius=5e-4, terms=[mixed_quartic_term(0.1)])
+    with pytest.raises(OutOfDomain, match="exceeds domain_radius = 0.0005"):
+        verify_conditions(cfg, phi_graph(cfg), n_theta=4)
+
+
+@pytest.mark.parametrize("make_phi", [phi_graph, phi_moment])
+def test_verify_conditions_checks_the_metric_on_its_grid(make_phi):
+    # g' fails positivity at 31.5 pi / 32 and other odd multiples of pi / 64:
+    # on the 128-point grid, phi raises metric_at's error at the first of them
+    cfg = mixed_match_config()
+    grid = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    messages = []
+    for theta in grid:
+        try:
+            metric_at(cfg, float(theta))
+        except ConfigInvalid as e:
+            messages.append(str(e))
+    assert messages
+    with pytest.raises(ConfigInvalid) as exc:
+        verify_conditions(cfg, make_phi(cfg), n_theta=128)
+    assert str(exc.value) == messages[0]
+    # phi itself checks, at each distinct theta of its lanes
+    with pytest.raises(ConfigInvalid, match="not positive definite"):
+        make_phi(cfg)(np.array([0.0, 31.5 * np.pi / 32]), np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2))
 
 
 # -- taylor_rest / rest_bound_scan -------------------------------------------
@@ -262,14 +403,12 @@ def test_solve_rho_degenerate_branches():
 
 def test_solve_rho_sign_certificate(rng, cfg_fourier_quartic):
     # alpha at the root is tiny and the derivative is strictly negative
-    from flipq.perturbation import _chi_parts
-
     cfg = cfg_fourier_quartic
     thetas, yp, ys = random_domain_batch(rng, cfg, 100)
     for i in range(100):
         p = _point(yp[i], ys[i], theta=float(thetas[i]))
         sol = solve_rho(cfg, p)
-        c, g1, g2 = _chi_parts(cfg, p.base.theta, p.y_prime, p.y_second)
+        c, (g1, g2) = chi_eval(cfg, p), fiber_norms(cfg, p)
         alpha, beta = rescale_alpha_beta(g1, g2, c, sol.rho)
         assert abs(alpha) <= 1e-12
         assert beta < 0.0

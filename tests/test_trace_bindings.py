@@ -38,7 +38,7 @@ def test_metrics_cache_reports_hits():
     p = FiberPoint(BasePoint(0.25, 0.0), np.array([0.3]), np.array([0.2]))
     phi = phi_graph(cfg)
     for call in (lambda: fiber_norms(cfg, p), lambda: chi_eval(cfg, p),
-                 lambda: phi(p.base.theta, p.y_prime, p.y_second, 0.0)):
+                 lambda: phi([p.base.theta], p.y_prime[None], p.y_second[None], 0.0)):
         before = perturbation._metrics_cached.cache_info()
         call()
         call()
