@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .config_io import RunConfig, load_run_config, parse_vector, phi_from_config
 from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, FlipQError, OutOfDomain
@@ -39,10 +40,6 @@ SCAN_RESIDUAL_TOL = 1e-12
 MOMENT_RESIDUAL_TOL = 1e-12
 ORBIT_DEVIATION_TOL = 1e-11
 BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
-# Lanes per scan batch pass.  Bounds the working set: one pass over a
-# 1,984-row, 32-sample grid (63,488 lanes) raised peak RSS from 45 to 58 MB
-# and ran slower than 4096-lane blocks.
-SCAN_BLOCK_LANES = 4096
 # Rounds of --random draws: each round redraws, from the same stream, the
 # draws whose graph value left the wall interval.
 MATCH_DRAW_ROUNDS = 100
@@ -117,7 +114,7 @@ def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol:
 def _scan_residuals(cfg, grid: list[tuple[float, float]], k: int, seed: int) -> list[float]:
     """Mean level residual per grid row over k samples; rows draw from one stream in grid order."""
     rng = np.random.default_rng(seed)
-    rows_per_block = max(1, SCAN_BLOCK_LANES // k)
+    rows_per_block = max(1, kernels.BLOCK_LANES // k)
     means: list[float] = []
     for start in range(0, len(grid), rows_per_block):
         block = range(start, min(start + rows_per_block, len(grid)))

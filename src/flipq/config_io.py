@@ -90,10 +90,16 @@ def _require(doc: dict, key: str, where: str):
 def _integer(x, where: str, minimum: int | None = None) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ConfigInvalid(f"{where} must be an integer, got {x!r}")
-    if not -(2**63) <= x < 2**63:  # numpy takes exponents and harmonics as 64-bit integers
-        raise ConfigInvalid(f"{where} must fit in a signed 64-bit integer")
     if minimum is not None and x < minimum:
         raise ConfigInvalid(f"{where} must be >= {minimum}, got {x}")
+    return x
+
+
+def _int64(x, where: str) -> int:
+    # numpy takes generator exponents and harmonics as signed 64-bit integers
+    x = _integer(x, where)
+    if not -(2**63) <= x < 2**63:
+        raise ConfigInvalid(f"{where} must fit in a signed 64-bit integer")
     return x
 
 
@@ -107,7 +113,7 @@ def _metric_terms(entry, label):
     if isinstance(entry, list) and entry and isinstance(entry[0], dict):
         terms = []
         for item in entry:
-            n = _integer(_require(item, "n", f"metrics.{label}"), f"metrics.{label} n")
+            n = _int64(_require(item, "n", f"metrics.{label}"), f"metrics.{label} n")
             cos_mat = parse_matrix(item["cos"]) if "cos" in item else None
             sin_mat = parse_matrix(item["sin"]) if "sin" in item else None
             if cos_mat is None and sin_mat is None:
@@ -147,7 +153,7 @@ def build_perturbation(doc: dict | None) -> PerturbationSpec:
         unknown = set(gens) - set(_GENERATOR_KEYS)
         if unknown:
             raise ConfigInvalid(f"{where} has unknown generators {sorted(unknown)}")
-        pows = {key: _integer(gens.get(key, 0), f"{where} generator {key}") for key in _GENERATOR_KEYS}
+        pows = {key: _int64(gens.get(key, 0), f"{where} generator {key}") for key in _GENERATOR_KEYS}
         coeff = _require(item, "coeff_fourier", where)
         if not isinstance(coeff, list):
             raise ConfigInvalid(f"{where} coeff_fourier must be a list, got {coeff!r}")

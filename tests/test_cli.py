@@ -20,8 +20,9 @@ from flipq import (
     presets,
     solve_rho,
 )
-from flipq.cli import SCAN_BLOCK_LANES, _dump, main, run_match, run_scan
+from flipq.cli import _dump, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config
+from flipq.kernels import BLOCK_LANES
 from flipq.quotient import level_rho_batch, moment_value_batch
 from flipq.sampling import complex_gaussian
 
@@ -247,6 +248,15 @@ def _non_pd_between_grid(doc):
     doc["domain_radius"] = 2
 
 
+def _fourier_harmonic(n):
+    """The Fourier preset 2/1 with one more (zero) g' harmonic of order n."""
+    def edit(doc):
+        doc.clear()
+        doc.update(presets.fourier_metric_config(2, 1))
+        doc["metrics"]["g_prime"].append({"n": n, "cos": [[0, 0], [0, 0]]})
+    return edit
+
+
 NAN, INF = float("nan"), float("inf")
 TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--t-steps", "1",
                "--scan-samples", "2", "--match-samples", "2", "--blowup-rays", "1"]
@@ -310,6 +320,7 @@ TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--
          "phi.coeff_prime is an integer outside the float range"),
         (_set(["perturbation", "terms", 0, "generators", "mixed"], 10**400), ["verify"], 2,
          "generator mixed must fit in a signed 64-bit integer"),
+        (_fourier_harmonic(2**63), ["verify"], 2, "g_prime n must fit in a signed 64-bit integer"),
         # a metric positive definite on the validation grid but not between its points
         (_non_pd_between_grid, ["verify", "--samples", "200"], 2, "is not positive definite"),
         (_non_pd_between_grid, ["report", *TINY_REPORT], 2, "is not positive definite"),
@@ -343,6 +354,16 @@ def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     assert main(["verify", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "is not valid JSON" in captured.err
+
+
+def test_seed_past_64_bits_runs(tmp_path, capsys):
+    # numpy's generators take a seed of any size; only exponents and harmonics are 64-bit
+    doc = json.loads(Path(QUARTIC).read_text())
+    doc["seed"] = 2**64 + 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--samples", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64 + 1
 
 
 def _assert_matches_scalar_path(cfg, entries):
@@ -443,7 +464,7 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
     run_cfg = load_run_config(str(path))
     cfg = run_cfg.model
     k = 1000
-    rows_per_block = SCAN_BLOCK_LANES // k
+    rows_per_block = BLOCK_LANES // k
     rows = run_scan(run_cfg, 11, 3, 3, k)
     assert len(rows) % rows_per_block != 0
     # one stream, drawn row by row in grid order

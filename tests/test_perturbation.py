@@ -40,7 +40,7 @@ from flipq import (
     tilde_coords,
     verify_conditions,
 )
-from flipq import perturbation
+from flipq import kernels
 from flipq.config_io import parse_run_config, phi_from_config
 from flipq.kernels import realify
 from flipq.perturbation import match_lanes
@@ -283,7 +283,7 @@ def test_verify_conditions_blocks_agree(cfg_fourier_quartic, monkeypatch):
         calls.append(len(lanes[0]))
         return phi(*lanes)
 
-    monkeypatch.setattr(perturbation, "VERIFY_BLOCK_LANES", 160)  # two thetas of 75 stencil points
+    monkeypatch.setattr(kernels, "BLOCK_LANES", 160)  # two thetas of 75 stencil points
     assert verify_conditions(cfg, counted, n_theta=7) == whole
     assert calls == [150, 150, 150, 75]
 
