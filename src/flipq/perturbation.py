@@ -199,10 +199,9 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    if check_domain:
-        outside = np.flatnonzero(_outside_domain(cfg, g1, g2))
-        if outside.size:
-            _check_domain(cfg, g1[outside[0]], g2[outside[0]])
+    if check_domain and np.any(_outside_domain(cfg, g1, g2)):
+        first = np.argmax(_outside_domain(cfg, g1, g2))  # raise the first such lane's message
+        _check_domain(cfg, g1[first], g2[first])
     chi = -0.5 * (g1 - g2)
     for value in _term_values(cfg, cfg.perturbation.terms, thetas, y_prime, g1, g2):
         chi = chi + value
