@@ -2,9 +2,12 @@
 
 Outputs are machine readable (JSON reports, CSV scan tables) and byte
 deterministic for a fixed config and seed: scan rows draw their samples from
-one seeded stream, row by row in grid order, and rows are emitted in that
-order.
-Match and scan run as batch passes; --threads is accepted and ignored.
+one seeded stream, row by row in grid order (each batch pass of rows takes
+its samples in one draw of that stream), and rows are emitted in that order.
+Match and scan run as batch passes; match and report compute matching_stats
+from the lane arrays of one match pass and one ray pass, and only match
+renders the per-point entries and ray documents.  --threads is accepted and
+ignored.
 Exit codes: 0 pass, 1 check failure (also any other flipq error mid-run,
 reported on one stderr line), 2 config or usage error.
 """
@@ -17,6 +20,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .perturbation import (
     wall_error,
 )
 from .quotient import fiber_type, level_rho_batch, moment_value_batch
-from .sampling import complex_gaussian, random_domain_batch, random_unit_direction
+from .sampling import complex_gaussian, complex_gaussian_rows, random_domain_batch, unit_directions_batch
 
 SCAN_RESIDUAL_TOL = 1e-12
 MOMENT_RESIDUAL_TOL = 1e-12
@@ -117,15 +121,10 @@ def _scan_residuals(cfg, grid: list[tuple[float, float]], k: int, seed: int) -> 
     rows_per_block = max(1, kernels.BLOCK_LANES // k)
     means: list[float] = []
     for start in range(0, len(grid), rows_per_block):
-        block = range(start, min(start + rows_per_block, len(grid)))
-        prime, second = [], []
-        for _ in block:
-            prime.append(complex_gaussian(rng, (k, cfg.r_prime)))
-            second.append(complex_gaussian(rng, (k, cfg.r_second)))
-        y_prime = np.concatenate(prime)
-        y_second = np.concatenate(second)
-        thetas = np.repeat([grid[i][0] for i in block], k)
-        ts = np.repeat([grid[i][1] for i in block], k)
+        block = grid[start:start + rows_per_block]
+        y_prime, y_second = complex_gaussian_rows(rng, len(block), k, cfg.r_prime, cfg.r_second)
+        thetas = np.repeat([theta for theta, _ in block], k)
+        ts = np.repeat([t for _, t in block], k)
         rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
         resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None],
                                           y_second / rho[:, None]))
@@ -142,8 +141,9 @@ def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
     ts[np.abs(ts) < 1e-15] = 0.0
     grid = [(float(th), float(t)) for th in thetas for t in ts]
     residuals = _scan_residuals(cfg, grid, samples, seed)
+    types = {t: fiber_type(BasePoint(0.0, t)).value for t in ts.tolist()}
     return [
-        ScanRow(th, t, fiber_type(BasePoint(th, t)).value, samples, resid)
+        ScanRow(th, t, types[t], samples, resid)
         for (th, t), resid in zip(grid, residuals)
     ]
 
@@ -157,126 +157,180 @@ def _scan_csv(rows: list[ScanRow]) -> str:
     return buf.getvalue()
 
 
-def _match_entries(cfg, thetas, y_prime, y_second) -> tuple[list[dict], np.ndarray]:
-    """One match entry per lane (the matched point and its checks, or the error), and the graph values."""
-    if len(thetas) == 0:
-        return [], np.empty(0)
+class MatchPass(NamedTuple):
+    """Lane arrays of the matched points: the inputs, the matching and its checks."""
+
+    thetas: np.ndarray
+    y_prime: np.ndarray
+    y_second: np.ndarray
+    t: np.ndarray
+    rho: np.ndarray
+    iterations: np.ndarray
+    out_prime: np.ndarray
+    out_second: np.ndarray
+    errors: np.ndarray  # object: the lane's FlipQError (a graph value off the wall interval too), or None
+    moment_residual: np.ndarray
+    orbit_deviation: np.ndarray
+
+    def take(self, lanes) -> MatchPass:
+        return MatchPass(*(field[lanes] for field in self))
+
+
+def _match_pass(cfg, thetas, y_prime, y_second) -> MatchPass:
+    """Match every lane in one batch pass and check it."""
     m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
-    errors = matching_errors(cfg, thetas, y_prime, y_second, m)
+    errors = np.empty(len(thetas), dtype=object)
+    errors[:] = matching_errors(cfg, thetas, y_prime, y_second, m)
+    for i in np.flatnonzero(~(np.abs(m.t) < cfg.epsilon)):
+        errors[i] = errors[i] or wall_error(cfg, m.t[i])
     resid = np.abs(moment_value_batch(cfg, thetas, m.t, m.out_prime, m.out_second))
     segre_in = y_prime[:, :, None] * y_second[:, None, :]
     segre_out = m.out_prime[:, :, None] * m.out_second[:, None, :]
     deviation = np.abs(segre_in - segre_out).max(axis=(1, 2))
-    in_prime, in_second = _v2j(y_prime), _v2j(y_second)
-    out_prime, out_second = _v2j(m.out_prime), _v2j(m.out_second)
-    entries = []
-    for i, err in enumerate(errors):
-        err = err or wall_error(cfg, m.t[i])
-        entry = {"input": _point_json(thetas[i], 0.0, in_prime[i], in_second[i])}
-        if err is not None:
-            entry.update(error=type(err).__name__, message=str(err))
-        else:
-            entry.update(
-                rho=float(m.rho[i]),
-                newton_iterations=int(m.iterations[i]),
-                matched=_point_json(thetas[i], m.t[i], out_prime[i], out_second[i]),
-                moment_residual=float(resid[i]),
-                orbit_deviation=float(deviation[i]),
-            )
-        entries.append(entry)
-    return entries, m.t
+    return MatchPass(thetas, y_prime, y_second, m.t, m.rho, m.iterations, m.out_prime, m.out_second,
+                     errors, resid, deviation)
 
 
-def _match_entries_with_draws(cfg, seed: int, lanes, random_n: int) -> list[dict]:
-    """Match entries of the given lanes, then of random_n draws whose graph value lies in the wall interval.
+def _match_with_draws(cfg, seed: int, lanes, random_n: int) -> MatchPass:
+    """The given lanes, then random_n draws whose graph value lies in the wall interval, matched.
 
     The first round matches the given lanes and random_n draws in one batch
     pass.  Each later round replaces the rejected draws from the same stream.
+    A draw at a theta where the metric is not positive definite is kept, as
+    an error lane.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    entries: list[dict] = []
+    passes: list[MatchPass] = []
     fixed, wanted = len(lanes[0]), random_n
     for _ in range(MATCH_DRAW_ROUNDS):
         if wanted:
             lanes = [np.concatenate(pair) for pair in zip(lanes, random_domain_batch(rng, cfg, wanted))]
-        batch, t = _match_entries(cfg, *lanes)
-        # a NaN graph value (the metric fails at the draw's theta) is kept, as an error entry
-        kept = ~(np.abs(t[fixed:]) >= cfg.epsilon)
-        entries += batch[:fixed] + [e for e, keep in zip(batch[fixed:], kept) if keep]
+        batch = _match_pass(cfg, *lanes)
+        kept = ~(np.abs(batch.t[fixed:]) >= cfg.epsilon)
+        for i in np.flatnonzero(~kept):
+            kept[i] = isinstance(batch.errors[fixed + i], ConfigInvalid)
+        passes.append(batch.take(np.concatenate([np.arange(fixed), fixed + np.flatnonzero(kept)])))
         wanted -= int(kept.sum())
         if not wanted:
-            return entries
+            return MatchPass(*map(np.concatenate, zip(*passes)))
         lanes, fixed = [lane[:0] for lane in lanes], 0
     raise OutOfDomain(f"{wanted} of {random_n} random draws still leave the wall interval "
                       f"(+-{cfg.epsilon}) after {MATCH_DRAW_ROUNDS} rounds")
 
 
-def _blowup_rays(cfg, seed: int, n: int) -> list[dict]:
+def _match_entries(p: MatchPass) -> list[dict]:
+    """One match entry per lane: the matched point and its checks, or the error."""
+    in_prime, in_second = _v2j(p.y_prime), _v2j(p.y_second)
+    out_prime, out_second = _v2j(p.out_prime), _v2j(p.out_second)
+    entries = []
+    for i, err in enumerate(p.errors):
+        entry = {"input": _point_json(p.thetas[i], 0.0, in_prime[i], in_second[i])}
+        if err is not None:
+            entry.update(error=type(err).__name__, message=str(err))
+        else:
+            entry.update(
+                rho=float(p.rho[i]),
+                newton_iterations=int(p.iterations[i]),
+                matched=_point_json(p.thetas[i], p.t[i], out_prime[i], out_second[i]),
+                moment_residual=float(p.moment_residual[i]),
+                orbit_deviation=float(p.orbit_deviation[i]),
+            )
+        entries.append(entry)
+    return entries
+
+
+class RayPass(NamedTuple):
+    """Lane arrays of the blowup rays: (n,) thetas, unit directions, and per radius |rho - 1|."""
+
+    thetas: np.ndarray
+    w_prime: np.ndarray
+    w_second: np.ndarray
+    deviation: np.ndarray  # (n, len(BLOWUP_R_GRID))
+    slope: list  # log-log slope of the deviation over the radii, None unless every deviation is > 0
+
+
+def _blowup_rays(cfg, seed: int, n: int) -> RayPass:
     """n rays, each drawn from its own spawned stream, solved at every BLOWUP_R_GRID radius in
     one batch pass; the first failing lane raises, in ray-major order."""
-    draws = []
-    for ray_seed in np.random.SeedSequence(seed + 1).spawn(n):
+    thetas = np.empty(n)
+    w_prime = np.empty((n, cfg.r_prime), dtype=complex)
+    w_second = np.empty((n, cfg.r_second), dtype=complex)
+    for i, ray_seed in enumerate(np.random.SeedSequence(seed + 1).spawn(n)):
         rng = np.random.default_rng(ray_seed)
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        draws.append((theta, *random_unit_direction(rng, cfg, theta)))
+        thetas[i] = rng.uniform(0.0, 2.0 * np.pi)
+        w_prime[i] = complex_gaussian(rng, cfg.r_prime)
+        w_second[i] = complex_gaussian(rng, cfg.r_second)
+    w_prime, w_second = unit_directions_batch(cfg, thetas, w_prime, w_second)
     radii = np.array(BLOWUP_R_GRID)
-    w_prime = np.array([d[1] for d in draws]).reshape(n, 1, cfg.r_prime)
-    w_second = np.array([d[2] for d in draws]).reshape(n, 1, cfg.r_second)
-    m = rescale_lanes(cfg, np.repeat([d[0] for d in draws], len(radii)),
-                      (radii[:, None] * w_prime).reshape(-1, cfg.r_prime),
-                      (radii[:, None] * w_second).reshape(-1, cfg.r_second), r2=np.tile(radii**2, n))
-    deviations = np.abs(m.rho - 1.0).reshape(n, len(radii)).tolist()
-    return [_ray_doc(*draw, residuals) for draw, residuals in zip(draws, deviations)]
+    m = rescale_lanes(cfg, np.repeat(thetas, len(radii)),
+                      (radii[:, None] * w_prime[:, None, :]).reshape(-1, cfg.r_prime),
+                      (radii[:, None] * w_second[:, None, :]).reshape(-1, cfg.r_second),
+                      r2=np.tile(radii**2, n))
+    deviation = np.abs(m.rho - 1.0).reshape(n, len(radii))
+    slope = [None] * n
+    complete = np.flatnonzero((deviation > 0).all(axis=1))
+    if len(complete):
+        fit = np.polyfit(np.log(radii), np.log(deviation[complete]).T, 1)[0]
+        for i, value in zip(complete.tolist(), fit.tolist()):
+            slope[i] = value
+    return RayPass(thetas, w_prime, w_second, deviation, slope)
 
 
-def _ray_doc(theta, w_prime, w_second, residuals) -> dict:
-    factors = [
-        residuals[i] / residuals[i + 1] if residuals[i + 1] > 0 else None
-        for i in range(len(residuals) - 1)
-    ]
-    finite = [x for x in residuals if x > 0]
-    slope = None
-    if len(finite) == len(residuals):
-        slope = float(np.polyfit(np.log(BLOWUP_R_GRID), np.log(residuals), 1)[0])
+def _ray_docs(rays: RayPass) -> list[dict]:
+    docs = []
+    for i, residuals in enumerate(rays.deviation.tolist()):
+        docs.append({
+            "theta": float(rays.thetas[i]),
+            "w_prime": _v2j(rays.w_prime[i]),
+            "w_second": _v2j(rays.w_second[i]),
+            "r_grid": list(BLOWUP_R_GRID),
+            "rho_deviation": residuals,
+            "decay_factors": [a / b if b > 0 else None for a, b in zip(residuals, residuals[1:])],
+            "slope": rays.slope[i],
+        })
+    return docs
+
+
+def _median(values: list[float]) -> float:
+    """np.median of a non-empty list of floats, bit for bit; np.median would import numpy.ma,
+    about 20 ms of a fresh interpreter."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
+def matching_stats(match: MatchPass, rays: RayPass) -> dict:
+    """The matching_stats of match and report, from the lane arrays of the match and ray passes."""
+    ok = np.array([e is None for e in match.errors], dtype=bool)
+    slopes = [s for s in rays.slope if s is not None]
     return {
-        "theta": theta,
-        "w_prime": _v2j(w_prime),
-        "w_second": _v2j(w_second),
-        "r_grid": list(BLOWUP_R_GRID),
-        "rho_deviation": residuals,
-        "decay_factors": factors,
-        "slope": slope,
+        "max_moment_residual": max(match.moment_residual[ok].tolist(), default=None),
+        "max_orbit_deviation": max(match.orbit_deviation[ok].tolist(), default=None),
+        "rho_boundary_slope": _median(slopes) if slopes else None,
+        "n_points": len(ok),
+        "n_errors": int(len(ok) - ok.sum()),
     }
 
 
-def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint],
-              random_n: int, blowup_rays: int) -> dict:
+def _match_passes(run_cfg: RunConfig, seed: int, points: list[FiberPoint], random_n: int,
+                  blowup_rays: int) -> tuple[MatchPass, RayPass]:
     cfg = run_cfg.model
     lanes = (np.array([p.base.theta for p in points], dtype=float),
              np.array([p.y_prime for p in points], dtype=complex).reshape(len(points), cfg.r_prime),
              np.array([p.y_second for p in points], dtype=complex).reshape(len(points), cfg.r_second))
-    entries = _match_entries_with_draws(cfg, seed, lanes, random_n)
-    rays = _blowup_rays(cfg, seed, blowup_rays)
-    ok_entries = [e for e in entries if "error" not in e]
-    stats = {
-        "max_moment_residual": max((e["moment_residual"] for e in ok_entries), default=None),
-        "max_orbit_deviation": max((e["orbit_deviation"] for e in ok_entries), default=None),
-        "rho_boundary_slope": _median_slope(rays),
-        "n_points": len(entries),
-        "n_errors": len(entries) - len(ok_entries),
-    }
+    return _match_with_draws(cfg, seed, lanes, random_n), _blowup_rays(cfg, seed, blowup_rays)
+
+
+def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint],
+              random_n: int, blowup_rays: int) -> dict:
+    match, rays = _match_passes(run_cfg, seed, points, random_n, blowup_rays)
     return {
         "config_digest": run_cfg.digest,
         "seed": seed,
-        "points": entries,
-        "blowup_rays": rays,
-        "matching_stats": stats,
+        "points": _match_entries(match),
+        "blowup_rays": _ray_docs(rays),
+        "matching_stats": matching_stats(match, rays),
     }
-
-
-def _median_slope(rays: list[dict]):
-    slopes = [r["slope"] for r in rays if r.get("slope") is not None]
-    return float(np.median(slopes)) if slopes else None
 
 
 def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
@@ -284,8 +338,7 @@ def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
         run_cfg, seed, args.samples, args.fd_step, args.tol, theta_grid=args.theta_grid
     )
     rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples)
-    match_doc = run_match(run_cfg, seed, [], args.match_samples, args.blowup_rays)
-    stats = match_doc["matching_stats"]
+    stats = matching_stats(*_match_passes(run_cfg, seed, [], args.match_samples, args.blowup_rays))
     scan_ok = all(r.mean_level_residual <= SCAN_RESIDUAL_TOL for r in rows)
     match_ok = (
         stats["n_errors"] == 0

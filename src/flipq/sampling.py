@@ -30,27 +30,51 @@ def random_stable_fiber(
     )
 
 
+def complex_gaussian_rows(rng: np.random.Generator, rows: int, k: int, r_prime: int, r_second: int):
+    """rows x k Gaussian fiber vectors, (rows * k, r') and (rows * k, r''), from one draw.
+
+    The stream is that of rows successive pairs complex_gaussian(rng, (k, r')),
+    complex_gaussian(rng, (k, r'')): standard_normal fills its array in order.
+    """
+    draws = rng.standard_normal((rows, 2 * k * (r_prime + r_second)))
+    prime = draws[:, : 2 * k * r_prime].reshape(rows, 2, k * r_prime)
+    second = draws[:, 2 * k * r_prime :].reshape(rows, 2, k * r_second)
+    return ((prime[:, 0] + 1j * prime[:, 1]).reshape(rows * k, r_prime),
+            (second[:, 0] + 1j * second[:, 1]).reshape(rows * k, r_second))
+
+
 def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):
-    """Batch of fiber vectors with metric norm uniformly in (0, domain_radius]."""
+    """Batch of fiber vectors with metric norm uniformly in (0, domain_radius].
+
+    A draw whose norm is not positive (the metric is not positive definite at
+    its theta) stays unscaled, so it is finite; callers check the metric there.
+    """
     thetas = rng.uniform(0.0, 2.0 * np.pi, n)
     y_prime = complex_gaussian(rng, (n, cfg.r_prime))
     y_second = complex_gaussian(rng, (n, cfg.r_second))
     g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    # a theta whose metric is not positive definite gives a NaN lane, which callers check
+    norm_sq = g1 + g2
     with np.errstate(invalid="ignore"):
-        norm = np.sqrt(g1 + g2)
+        norm = np.sqrt(norm_sq)
     radii = cfg.domain_radius * rng.uniform(0.0, 1.0, n) ** (1.0 / (2.0 * (cfg.r_prime + cfg.r_second)))
-    factor = radii / norm
+    factor = np.divide(radii, norm, out=np.ones(n), where=norm_sq > 0.0)
     return thetas, y_prime * factor[:, None], y_second * factor[:, None]
 
 
+def unit_directions_batch(cfg: ModelConfig, thetas, w_prime, w_second):
+    """The fiber vectors (w', w'') of each lane divided by their metric norm at its theta.
+
+    A lane whose metric is not positive definite comes out NaN; callers check it.
+    """
+    g1, g2 = fiber_norms_batch(cfg, thetas, w_prime, w_second)
+    with np.errstate(invalid="ignore"):
+        norm = np.sqrt(g1 + g2)[:, None]
+        return w_prime / norm, w_second / norm
+
+
 def random_unit_direction(rng: np.random.Generator, cfg: ModelConfig, theta: float):
-    """Fiber direction of unit metric norm at theta."""
+    """Fiber direction of unit metric norm at theta: unit_directions_batch on one lane."""
     w_prime = complex_gaussian(rng, cfg.r_prime)
     w_second = complex_gaussian(rng, cfg.r_second)
-    g1, g2 = fiber_norms_batch(
-        cfg, np.array([theta]), w_prime[None, :], w_second[None, :]
-    )
-    with np.errstate(invalid="ignore"):  # NaN at a theta whose metric is not positive definite
-        norm = float(np.sqrt(g1[0] + g2[0]))
-        return w_prime / norm, w_second / norm
+    w_prime, w_second = unit_directions_batch(cfg, np.array([theta]), w_prime[None, :], w_second[None, :])
+    return w_prime[0], w_second[0]

@@ -12,19 +12,28 @@ import pytest
 from conftest import mixed_match_config
 from flipq import (
     BasePoint,
+    ConfigInvalid,
     FiberPoint,
     FlipQError,
     chi_eval,
+    cli,
     fiber_norms,
     matching_map,
+    metric_at,
     presets,
     solve_rho,
 )
-from flipq.cli import _dump, main, run_match, run_scan
+from flipq.cli import _blowup_rays, _dump, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config
+from flipq.core import fiber_norms_batch
 from flipq.kernels import BLOCK_LANES
 from flipq.quotient import level_rho_batch, moment_value_batch
-from flipq.sampling import complex_gaussian
+from flipq.sampling import (
+    complex_gaussian,
+    complex_gaussian_rows,
+    random_domain_batch,
+    random_unit_direction,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -439,6 +448,58 @@ def test_random_draws_replace_wall_rejects_and_keep_metric_faults():
     assert "ConfigInvalid" in errors and None in errors and "OutOfDomain" not in errors
 
 
+
+def test_random_draws_at_an_indefinite_metric_stay_finite(tmp_path, capsys):
+    # g' is indefinite between the validation thetas: a draw there whose norm is
+    # not positive stays unscaled, so its ConfigInvalid entry has a finite input
+    doc = json.loads(Path(QUARTIC).read_text())
+    _non_pd_between_grid(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["match", "--random", "50", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+
+    def no_constant(token):
+        raise AssertionError(f"{token} in stdout")
+
+    out = json.loads(captured.out, parse_constant=no_constant)
+    assert len(out["points"]) == 50
+    assert "ConfigInvalid" in [e.get("error") for e in out["points"]]
+    inputs = [e["input"] for e in out["points"]]
+    assert np.isfinite([[p["theta"], *np.ravel(p["y_prime"]), *np.ravel(p["y_second"])] for p in inputs]).all()
+    # every first-round draw at an indefinite metric is kept, whatever its graph value
+    run_cfg = load_run_config(str(path))
+    rng = np.random.default_rng(np.random.SeedSequence(run_cfg.seed).spawn(1)[0])
+    faulty = set()
+    for theta in random_domain_batch(rng, run_cfg.model, 50)[0].tolist():
+        try:
+            metric_at(run_cfg.model, theta)
+        except ConfigInvalid:
+            faulty.add(theta)
+    assert faulty
+    assert faulty <= {e["input"]["theta"] for e in out["points"] if e.get("error") == "ConfigInvalid"}
+
+
+def test_random_domain_batch_leaves_non_positive_norms_unscaled():
+    cfg = mixed_match_config()
+    thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(5), cfg, 4000)
+    # the same stream, scaled the old way: radius / sqrt(g1 + g2)
+    rng = np.random.default_rng(5)
+    ref_thetas = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    raw_prime, raw_second = complex_gaussian(rng, (4000, 2)), complex_gaussian(rng, (4000, 1))
+    g1, g2 = fiber_norms_batch(cfg, ref_thetas, raw_prime, raw_second)
+    radii = cfg.domain_radius * rng.uniform(0.0, 1.0, 4000) ** (1.0 / 6.0)
+    positive = g1 + g2 > 0.0
+    assert not positive.all()
+    assert np.array_equal(thetas, ref_thetas)
+    scale = radii[positive] / np.sqrt(g1[positive] + g2[positive])
+    assert np.array_equal(y_prime[positive], raw_prime[positive] * scale[:, None])
+    assert np.array_equal(y_second[positive], raw_second[positive] * scale[:, None])
+    assert np.array_equal(y_prime[~positive], raw_prime[~positive])
+    assert np.array_equal(y_second[~positive], raw_second[~positive])
+
+
 def test_blowup_rays_solve_the_renormalized_quadratic(cfg_fourier_quartic):
     # rho^2 = s solves a' s^2 + 2 c s - a'' = 0 with a', a'', c taken by the
     # scalar path at v = r w and divided by r^2
@@ -478,6 +539,64 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
         resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None], y_second / rho[:, None]))
         assert row.mean_level_residual == float(resid.mean())
         assert row.n_stable_samples == k
+
+
+
+def test_scan_sample_count_above_the_lane_cap(tmp_path):
+    # k > BLOCK_LANES: every pass holds one row, drawn in one call
+    path = tmp_path / "fourier.json"
+    path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
+    run_cfg = load_run_config(str(path))
+    cfg = run_cfg.model
+    k = BLOCK_LANES + 3
+    rows = run_scan(run_cfg, 13, 2, 2, k)
+    rng = np.random.default_rng(13)
+    for row in rows:
+        y_prime = complex_gaussian(rng, (k, cfg.r_prime))
+        y_second = complex_gaussian(rng, (k, cfg.r_second))
+        thetas = np.full(k, row.theta)
+        ts = np.full(k, row.t)
+        rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
+        resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None], y_second / rho[:, None]))
+        assert row.mean_level_residual == float(resid.mean())
+        assert row.n_stable_samples == k
+
+
+@pytest.mark.parametrize("rows, k, r_prime, r_second", [(1, 1, 1, 1), (3, 5, 2, 1), (4, 7, 3, 3)])
+def test_complex_gaussian_rows_is_the_per_row_stream(rows, k, r_prime, r_second):
+    y_prime, y_second = complex_gaussian_rows(np.random.default_rng(3), rows, k, r_prime, r_second)
+    rng = np.random.default_rng(3)
+    for row in range(rows):
+        lanes = slice(row * k, (row + 1) * k)
+        assert np.array_equal(y_prime[lanes], complex_gaussian(rng, (k, r_prime)))
+        assert np.array_equal(y_second[lanes], complex_gaussian(rng, (k, r_second)))
+
+
+
+@pytest.mark.parametrize("source", ["fourier", QUARTIC])
+def test_blowup_directions_match_per_ray_unit_directions(source, tmp_path):
+    # the rays normalise in one batch; each equals random_unit_direction on its own stream
+    if source == "fourier":
+        path = tmp_path / "fourier.json"
+        path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
+        source = str(path)
+    cfg = load_run_config(source).model
+    rays = _blowup_rays(cfg, 9, 64)
+    for i, ray_seed in enumerate(np.random.SeedSequence(10).spawn(64)):
+        rng = np.random.default_rng(ray_seed)
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        w_prime, w_second = random_unit_direction(rng, cfg, theta)
+        assert rays.thetas[i] == theta
+        assert np.array_equal(rays.w_prime[i], w_prime)
+        assert np.array_equal(rays.w_second[i], w_second)
+        # and both equal the raw draw divided by its one-lane norm
+        rng = np.random.default_rng(ray_seed)
+        rng.uniform()
+        raw_prime, raw_second = complex_gaussian(rng, cfg.r_prime), complex_gaussian(rng, cfg.r_second)
+        g1, g2 = fiber_norms_batch(cfg, np.array([theta]), raw_prime[None], raw_second[None])
+        norm = float(np.sqrt(g1[0] + g2[0]))
+        assert np.array_equal(w_prime, raw_prime / norm)
+        assert np.array_equal(w_second, raw_second / norm)
 
 
 def test_match_random_and_rays(tmp_path):
@@ -535,6 +654,63 @@ def test_output_refuses_non_finite_values(tmp_path):
     with pytest.raises(FlipQError, match="non-finite"):
         _dump({"value": float("nan")}, str(tmp_path / "out.json"))
     assert not (tmp_path / "out.json").exists()
+
+
+
+def _stats_from_match_doc(doc):
+    """matching_stats recomputed from match's per-point entries and ray documents."""
+    ok = [e for e in doc["points"] if "error" not in e]
+    slopes = []
+    for ray in doc["blowup_rays"]:
+        deviation = ray["rho_deviation"]
+        expected = None
+        if all(x > 0 for x in deviation):
+            expected = float(np.polyfit(np.log(ray["r_grid"]), np.log(deviation), 1)[0])
+        assert ray["slope"] == expected
+        if expected is not None:
+            slopes.append(expected)
+    return {
+        "max_moment_residual": max((e["moment_residual"] for e in ok), default=None),
+        "max_orbit_deviation": max((e["orbit_deviation"] for e in ok), default=None),
+        "rho_boundary_slope": float(np.median(slopes)) if slopes else None,
+        "n_points": len(doc["points"]),
+        "n_errors": len(doc["points"]) - len(ok),
+    }
+
+
+@pytest.mark.parametrize("source, seed, match_samples, rays", [
+    ("fourier", 3, 300, 16),
+    (DEFAULT, 1, 200, 8),  # draws rejected and redrawn; rho = 1 on every ray, so no slope
+    ("mixed", 7, 200, 0),  # ConfigInvalid entries; no rays, so no slope
+    (QUARTIC, 2, 0, 4),  # no lane at all, so no residual maximum
+])
+def test_report_stats_equal_stats_of_match_entries(source, seed, match_samples, rays, tmp_path,
+                                                   monkeypatch):
+    if source == "fourier":
+        path = tmp_path / "fourier.json"
+        path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
+        run_cfg = load_run_config(str(path))
+    elif source == "mixed":
+        run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed", raw={})
+        # the rest-bound scan stops at the indefinite metric; the stats do not depend on it
+        monkeypatch.setattr(cli, "run_verify", lambda *a, **k: ({"condition_report": {}, "rest_bound": {}}, True))
+    else:
+        run_cfg = load_run_config(source)
+    args = cli.build_parser().parse_args(
+        ["report", "--config", "unused", "--theta-grid", "4", "--samples", "50", "--theta-steps", "2",
+         "--t-steps", "1", "--scan-samples", "4", "--match-samples", str(match_samples),
+         "--blowup-rays", str(rays)])
+    stats = cli.run_report(run_cfg, seed, args)[0]["matching_stats"]
+    match_doc = run_match(run_cfg, seed, [], match_samples, rays)
+    assert stats == match_doc["matching_stats"] == _stats_from_match_doc(match_doc)
+    if source == DEFAULT:
+        assert stats["rho_boundary_slope"] is None and stats["max_moment_residual"] is not None
+    if source == "mixed":
+        assert 0 < stats["n_errors"] < stats["n_points"] == 200
+        assert stats["rho_boundary_slope"] is None
+    if source == QUARTIC:
+        assert stats["max_moment_residual"] is None and stats["max_orbit_deviation"] is None
+        assert stats["n_points"] == 0 and stats["rho_boundary_slope"] is not None
 
 
 # -- determinism ------------------------------------------------------------------
