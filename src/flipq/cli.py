@@ -209,7 +209,7 @@ def _match_with_draws(cfg, seed: int, lanes, random_n: int) -> MatchPass:
         kept = ~(np.abs(batch.t[fixed:]) >= cfg.epsilon)
         for i in np.flatnonzero(~kept):
             kept[i] = isinstance(batch.errors[fixed + i], ConfigInvalid)
-        passes.append(batch.take(np.concatenate([np.arange(fixed), fixed + np.flatnonzero(kept)])))
+        passes.append(batch.take(np.concatenate([np.ones(fixed, dtype=bool), kept])))
         wanted -= int(kept.sum())
         if not wanted:
             return MatchPass(*map(np.concatenate, zip(*passes)))
