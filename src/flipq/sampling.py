@@ -64,7 +64,8 @@ def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):
 def unit_directions_batch(cfg: ModelConfig, thetas, w_prime, w_second):
     """The fiber vectors (w', w'') of each lane divided by their metric norm at its theta.
 
-    A lane whose metric is not positive definite comes out NaN; callers check it.
+    A lane whose metric norm is negative (the metric is not positive definite
+    at its theta) comes out NaN; callers check the metric there.
     """
     g1, g2 = fiber_norms_batch(cfg, thetas, w_prime, w_second)
     with np.errstate(invalid="ignore"):
