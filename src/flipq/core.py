@@ -25,6 +25,8 @@ TWO_PI = 2.0 * np.pi
 
 HERMITIAN_TOL = 1e-14
 VALIDATION_THETA_SAMPLES = 64
+VALIDATION_THETAS = np.linspace(0.0, TWO_PI, VALIDATION_THETA_SAMPLES, endpoint=False)
+VALIDATION_THETAS.flags.writeable = False
 
 
 def _frozen_complex_vector(v) -> np.ndarray:
@@ -64,7 +66,6 @@ class MetricFieldSpec:
     Hermitian so every sampled value is Hermitian.
     """
 
-    kind: str
     g_prime_terms: tuple[tuple[int, np.ndarray, np.ndarray], ...]
     g_second_terms: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
@@ -89,7 +90,6 @@ class MetricFieldSpec:
     @classmethod
     def constant(cls, g_prime, g_second) -> "MetricFieldSpec":
         return cls(
-            kind="constant",
             g_prime_terms=cls._normalize_terms([(0, g_prime)]),
             g_second_terms=cls._normalize_terms([(0, g_second)]),
         )
@@ -97,7 +97,6 @@ class MetricFieldSpec:
     @classmethod
     def fourier(cls, g_prime_terms, g_second_terms) -> "MetricFieldSpec":
         return cls(
-            kind="fourier",
             g_prime_terms=cls._normalize_terms(g_prime_terms),
             g_second_terms=cls._normalize_terms(g_second_terms),
         )
@@ -107,10 +106,10 @@ class MetricFieldSpec:
         return cls.constant(np.eye(r_prime), np.eye(r_second))
 
     def g_prime_at(self, theta: float) -> np.ndarray:
-        return metric_matrices_batch(self.g_prime_terms, [theta])[0]
+        return kernels.fourier_values([theta], *self.packed_prime)[0]
 
     def g_second_at(self, theta: float) -> np.ndarray:
-        return metric_matrices_batch(self.g_second_terms, [theta])[0]
+        return kernels.fourier_values([theta], *self.packed_second)[0]
 
     @staticmethod
     def _pack(terms):
@@ -211,24 +210,23 @@ def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return G1, G2
 
 
-def metric_matrices_batch(terms, thetas) -> np.ndarray:
-    """Values (n, r, r) of one metric Fourier series at each theta."""
-    thetas = np.asarray(thetas, dtype=float)
-    r = terms[0][1].shape[0]
-    out = np.zeros((thetas.shape[0], r, r), dtype=complex)
-    for n, cos_mat, sin_mat in terms:
-        out += np.cos(n * thetas)[:, None, None] * cos_mat
-        out += np.sin(n * thetas)[:, None, None] * sin_mat
-    return out
-
-
 def metric_faults_batch(cfg: ModelConfig, thetas) -> np.ndarray:
-    """Lanes whose theta fails the Hermitian-PD check of metric_at, in one eigvalsh pass."""
-    faults = np.zeros(np.shape(thetas)[0], dtype=bool)
-    for terms in (cfg.metric_field.g_prime_terms, cfg.metric_field.g_second_terms):
-        not_hermitian, not_pd = _hermitian_pd_faults(metric_matrices_batch(terms, thetas))
-        faults |= not_hermitian | not_pd
-    return faults
+    """Lanes whose theta fails metric_at's checks: a batch on one theta is one
+    _metrics_cached lookup, any other batch one eigvalsh pass over its distinct thetas."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.size and (thetas == thetas[0]).all():
+        try:
+            _metrics_cached(cfg, float(thetas[0]))
+        except (ConfigInvalid, DimensionMismatch):
+            return np.ones(thetas.shape[0], dtype=bool)
+        return np.zeros(thetas.shape[0], dtype=bool)
+    distinct, lanes = np.unique(thetas, return_inverse=True)
+    faults = np.zeros(distinct.shape[0], dtype=bool)
+    for (ns, cos, sin), rank in ((cfg.metric_field.packed_prime, cfg.r_prime),
+                                 (cfg.metric_field.packed_second, cfg.r_second)):
+        not_hermitian, not_pd = _hermitian_pd_faults(kernels.fourier_values(distinct, ns, cos, sin))
+        faults |= not_hermitian | not_pd | (cos.shape[-1] != rank)
+    return faults[lanes]
 
 
 @lru_cache(maxsize=4096)
@@ -238,9 +236,10 @@ def _metrics_cached(cfg: ModelConfig, theta: float):
 
 
 def check_metrics(cfg: ModelConfig, thetas) -> None:
-    """metric_at's checks at each distinct theta of a batch, in lane order, through _metrics_cached."""
-    for theta in dict.fromkeys(np.asarray(thetas, dtype=float).tolist()):
-        _metrics_cached(cfg, theta)
+    """Raise metric_at's error at the first lane, in lane order, whose theta fails its checks."""
+    faults = np.flatnonzero(metric_faults_batch(cfg, thetas))
+    if faults.size:
+        metric_at(cfg, float(np.asarray(thetas, dtype=float)[faults[0]]))
 
 
 def one_lane(cfg: ModelConfig, theta: float, y_prime, y_second):
@@ -334,8 +333,8 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
                     evaluable = False
         if not evaluable:
             continue
-        thetas = np.linspace(0.0, TWO_PI, VALIDATION_THETA_SAMPLES, endpoint=False)
-        not_hermitian, not_pd = _hermitian_pd_faults(metric_matrices_batch(terms, thetas))
+        thetas = VALIDATION_THETAS
+        not_hermitian, not_pd = _hermitian_pd_faults(kernels.fourier_values(thetas, *MetricFieldSpec._pack(terms)))
         bad = np.flatnonzero(not_hermitian | not_pd)
         if bad.size:  # report the first faulty theta only
             k = bad[0]
@@ -356,8 +355,7 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
     return ValidationReport(issues=tuple(issues))
 
 
-def min_metric_eigenvalue(cfg: ModelConfig, n_theta: int = VALIDATION_THETA_SAMPLES) -> float:
-    """Smallest eigenvalue of either metric block over a theta grid."""
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    return float(min(np.linalg.eigvalsh(metric_matrices_batch(terms, thetas)).min()
-                     for terms in (cfg.metric_field.g_prime_terms, cfg.metric_field.g_second_terms)))
+def min_metric_eigenvalue(cfg: ModelConfig) -> float:
+    """Smallest eigenvalue of either metric block over the validation theta grid."""
+    return float(min(np.linalg.eigvalsh(kernels.fourier_values(VALIDATION_THETAS, *packed)).min()
+                     for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second)))

@@ -4,8 +4,8 @@ The metric kernels evaluate a matrix Fourier field
 G(theta) = sum_k cos(n_k theta) C_k + sin(n_k theta) S_k against lane
 batches without forming the (n, r, r) stack of values: each nonzero
 coefficient matrix is contracted with the lanes once and weighted by its
-harmonic.  Hermitian norms run in real arithmetic on the float view of the
-complex lanes.
+harmonic (fourier_values alone forms the values).  Hermitian norms run in
+real arithmetic on the float view of the complex lanes.
 
 The rescaling solver works on the scalar reduction of the level equation:
 with a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root
@@ -62,6 +62,15 @@ def _harmonics(thetas, ns, cos_mats, sin_mats):
             yield (None if n == 0 else np.cos(n * thetas)), cos_mat
         if n != 0 and sin_mat.any():
             yield np.sin(n * thetas), sin_mat
+
+
+def fourier_values(thetas, ns, cos, sin):
+    """Values sum_k cos(n_k theta) C_k + sin(n_k theta) S_k at each theta, shape (n,) + C_k.shape."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    out = np.zeros(thetas.shape + np.shape(cos)[1:], dtype=np.result_type(cos, sin))
+    for weight, coeff in _harmonics(thetas, ns, cos, sin):
+        out += coeff if weight is None else weight.reshape(weight.shape + (1,) * coeff.ndim) * coeff
+    return out
 
 
 def fourier_norm_sq(thetas, y, ns, cos_forms, sin_forms):

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .core import (
     FiberPoint,
     ModelConfig,
     ValidationIssue,
-    _metrics_cached,
+    _metrics_cached,  # not called here: perfbench's tracer reads its cache_info()
     check_metrics,
     fiber_norms_batch,
     metric_at,
@@ -67,21 +68,6 @@ PhiFunc = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 # Perturbation data
 
 
-def fourier_scalar(coeffs: Sequence[float], theta) -> float | np.ndarray:
-    """Evaluate [a0, a1, b1, a2, b2, ...] as a0 + sum a_n cos + b_n sin."""
-    theta = np.asarray(theta, dtype=float)
-    value = np.full(theta.shape, float(coeffs[0]))
-    n = 1
-    i = 1
-    while i < len(coeffs):
-        value = value + float(coeffs[i]) * np.cos(n * theta)
-        if i + 1 < len(coeffs):
-            value = value + float(coeffs[i + 1]) * np.sin(n * theta)
-        i += 2
-        n += 1
-    return value if value.ndim else float(value)
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbationTerm:
     """Monomial in the invariant generators with a Fourier coefficient."""
@@ -99,6 +85,13 @@ class PerturbationTerm:
             ref = np.array(self.ref_section, dtype=complex)
             ref.flags.writeable = False
             object.__setattr__(self, "ref_section", ref)
+
+    @cached_property
+    def series(self):
+        """coeff [a0, a1, b1, a2, b2, ...] packed as (ns, cos, sin) for kernels.fourier_values."""
+        coeff = list(self.coeff[:1]) + [0.0] + list(self.coeff[1:])
+        pairs = np.array(coeff + [0.0] * (len(coeff) % 2)).reshape(-1, 2)
+        return np.arange(len(pairs), dtype=float), pairs[:, 0], pairs[:, 1]
 
     @property
     def degree(self) -> int:
@@ -172,7 +165,7 @@ def _check_domain(cfg, g1, g2):
 
 def _monomial(term: PerturbationTerm, theta, g1, g2, inner):
     """One perturbation term over the lanes (theta, g1, g2); inner(a) gives the reference pairing <y', a>."""
-    value = fourier_scalar(term.coeff, theta)
+    value = kernels.fourier_values(theta, *term.series)
     if term.norm_prime_pow:
         value = value * g1**term.norm_prime_pow
     if term.norm_second_pow:
@@ -330,10 +323,10 @@ def verify_conditions(
     H[:, i, j] = H[:, j, i] = (
         corners[..., 0] - corners[..., 1] - corners[..., 2] + corners[..., 3]
     ) / (4.0 * h**2)
-    metrics = [_metrics_cached(cfg, float(theta)) for theta in thetas]
+    check_metrics(cfg, thetas)
     expected = np.zeros((n_theta, dim, dim))
-    expected[:, : 2 * rp, : 2 * rp] = kernels.realify(np.stack([G1 for G1, _ in metrics]))
-    expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(np.stack([G2 for _, G2 in metrics]))
+    expected[:, : 2 * rp, : 2 * rp] = kernels.realify(kernels.fourier_values(thetas, *cfg.metric_field.packed_prime))
+    expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(kernels.fourier_values(thetas, *cfg.metric_field.packed_second))
 
     worst_p1 = float(np.abs([f0, dt - 1.0]).max())
     worst_p2 = float(np.abs((plus - minus) / (2.0 * h)).max())
@@ -422,9 +415,7 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
     rng = np.random.default_rng(seed)
     thetas, y_prime, y_second = random_domain_batch(rng, cfg, n_samples)
     # validation checks the metrics on a theta grid only; a draw may fall between its points
-    faults = np.flatnonzero(metric_faults_batch(cfg, thetas))
-    if faults.size:
-        metric_at(cfg, float(thetas[faults[0]]))
+    check_metrics(cfg, thetas)
     chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     rest = chi + 0.5 * (g1 - g2)
     norm3 = (g1 + g2) ** 1.5

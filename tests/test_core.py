@@ -33,7 +33,7 @@ from flipq import (
     validate_config,
 )
 from flipq import kernels
-from flipq.core import fiber_norms_batch, min_metric_eigenvalue
+from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, metric_faults_batch, min_metric_eigenvalue
 from flipq.perturbation import chi_parts_batch
 from flipq.sampling import random_domain_batch
 
@@ -97,6 +97,72 @@ def test_min_metric_eigenvalue_matches_per_theta_loop():
             expected = min(expected, np.linalg.eigvalsh(G).min())
     assert 0.0 < expected < 0.8  # set by the complex g' block
     assert min_metric_eigenvalue(cfg) == pytest.approx(expected, rel=1e-13)
+
+
+# -- the metric gate ---------------------------------------------------------
+
+
+def _gate_thetas(rng):
+    # the odd multiples of pi/64, where g' of mixed_match_config is not
+    # positive definite for some, the validation grid and uniform draws;
+    # each theta twice, shuffled
+    thetas = np.concatenate([np.arange(1, 128, 2) * np.pi / 64, np.arange(64) * np.pi / 32,
+                             rng.uniform(0.0, 2.0 * np.pi, 32)])
+    return rng.permutation(np.repeat(thetas, 2))
+
+
+def _metric_at_faults(cfg, thetas):
+    faults = []
+    for theta in thetas:
+        try:
+            metric_at(cfg, float(theta))
+            faults.append(False)
+        except ConfigInvalid:
+            faults.append(True)
+    return np.array(faults)
+
+
+def test_metric_faults_batch_is_metric_at_per_lane(rng):
+    cfg = mixed_match_config()
+    thetas = _gate_thetas(rng)
+    expected = _metric_at_faults(cfg, thetas)
+    assert 0 < expected.sum() < len(expected)
+    assert np.array_equal(metric_faults_batch(cfg, thetas), expected)
+    # a batch on one theta goes through the scalar lookup
+    for theta, fault in zip(thetas[:24], expected[:24]):
+        assert np.array_equal(metric_faults_batch(cfg, np.full(3, theta)), np.full(3, fault))
+    # a metric of the wrong size fails every lane, as metric_at raises there
+    wrong = make_config(r_prime=2, r_second=1, metric_field=MetricFieldSpec.identity(1, 1))
+    assert metric_faults_batch(wrong, thetas[:5]).all() and metric_faults_batch(wrong, [0.5]).all()
+
+
+def test_check_metrics_raises_metric_at_error_of_first_failing_lane(rng):
+    cfg = mixed_match_config()
+    thetas = _gate_thetas(rng)
+    faults = _metric_at_faults(cfg, thetas)
+    with pytest.raises(ConfigInvalid) as want:
+        metric_at(cfg, float(thetas[np.argmax(faults)]))
+    with pytest.raises(ConfigInvalid) as got:
+        check_metrics(cfg, thetas)
+    assert str(got.value) == str(want.value)
+    check_metrics(cfg, thetas[~faults])
+
+
+def test_metric_gate_on_one_theta_is_one_cache_lookup():
+    cfg = mixed_match_config()
+    for _ in range(2):
+        before = _metrics_cached.cache_info()
+        metric_faults_batch(cfg, np.full(5, 0.123))
+        after = _metrics_cached.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
+    assert after.hits == before.hits + 1
+
+
+def test_metric_gate_on_empty_batch():
+    cfg = mixed_match_config()
+    faults = metric_faults_batch(cfg, np.zeros(0))
+    assert faults.shape == (0,) and faults.dtype == bool
+    check_metrics(cfg, np.zeros(0))
 
 
 # -- the Hermitian pairing and norm of a constant metric ---------------------

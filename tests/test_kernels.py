@@ -9,7 +9,7 @@ from conftest import make_config
 from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
 from flipq.core import fiber_norms
 from flipq.core import metric_at
-from flipq.perturbation import _branch_check, chi_parts_batch, fourier_scalar
+from flipq.perturbation import _branch_check, chi_parts_batch
 from flipq.sampling import random_domain_batch
 
 
@@ -60,6 +60,53 @@ def test_fourier_pairing_matches_per_lane_reference():
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def test_fourier_values_matches_per_theta_sum():
+    rng = np.random.default_rng(5)
+    # complex Hermitian cos and sin terms, a nonzero sine at n = 0 (which
+    # contributes nothing) and an all-zero cosine at n = 3
+    terms = (
+        (0, _random_hermitian(rng, 3), _random_hermitian(rng, 3)),
+        (1, _random_hermitian(rng, 3), _random_hermitian(rng, 3)),
+        (3, np.zeros((3, 3)), _random_hermitian(rng, 3)),
+    )
+    spec = MetricFieldSpec.fourier(terms, [(0, np.eye(1))])
+    thetas = rng.uniform(0.0, 2.0 * np.pi, 50)
+    got = kernels.fourier_values(thetas, *spec.packed_prime)
+    assert got.shape == (50, 3, 3)
+    for theta, G in zip(thetas, got):
+        expected = sum(np.cos(n * theta) * c + np.sin(n * theta) * s for n, c, s in spec.g_prime_terms)
+        assert np.abs(G - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert kernels.fourier_values(np.zeros(0), *spec.packed_prime).shape == (0, 3, 3)
+
+
+def _fourier_scalar_loop(coeffs, theta):
+    """[a0, a1, b1, a2, b2, ...] at theta as a0 + sum a_n cos(n theta) + b_n sin(n theta), summed term by term."""
+    theta = np.asarray(theta, dtype=float)
+    value = np.full(theta.shape, float(coeffs[0]))
+    n = 1
+    i = 1
+    while i < len(coeffs):
+        value = value + float(coeffs[i]) * np.cos(n * theta)
+        if i + 1 < len(coeffs):
+            value = value + float(coeffs[i + 1]) * np.sin(n * theta)
+        i += 2
+        n += 1
+    return value
+
+
+@pytest.mark.parametrize("coeff", [
+    (0.3,), (0.0,), (0.1, -0.4), (0.0, 0.0, 0.7), (0.2, 0.0, -1.5, 0.25),
+    (-0.05, 0.3, 0.0, 0.0, 2.0), (1.0, 2.0, 3.0, 4.0, 5.0),
+])
+def test_fourier_values_coefficient_layout_bitwise(coeff):
+    # a perturbation coefficient series, lengths 1-5 with zero entries, is
+    # bitwise the term-by-term sum
+    thetas = np.random.default_rng(len(coeff)).uniform(0.0, 2.0 * np.pi, 257)
+    got = kernels.fourier_values(thetas, *PerturbationTerm(mixed_pow=1, coeff=coeff).series)
+    assert got.shape == thetas.shape
+    assert np.array_equal(got, _fourier_scalar_loop(coeff, thetas))
+
+
 def _chi_per_lane(cfg, theta, y_prime, y_second):
     """(chi, g1, g2) at one fiber vector from the metric matrices at theta, term by term."""
     G1, G2 = metric_at(cfg, theta)
@@ -67,7 +114,7 @@ def _chi_per_lane(cfg, theta, y_prime, y_second):
     g2 = (y_second.conj() @ G2 @ y_second).real
     rest = 0.0
     for term in cfg.perturbation.terms:
-        value = fourier_scalar(term.coeff, theta) * g1**term.norm_prime_pow * g2**term.norm_second_pow
+        value = _fourier_scalar_loop(term.coeff, theta) * g1**term.norm_prime_pow * g2**term.norm_second_pow
         value *= (g1 * g2) ** term.mixed_pow
         if term.ref_inner_pow:
             value *= abs(y_prime.conj() @ G1 @ term.ref_section) ** (2 * term.ref_inner_pow)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flipq import BasePoint, FiberPoint, chi_eval, fiber_norms, perturbation, phi_graph
+from flipq import BasePoint, FiberPoint, chi_eval, fiber_norms, matching_map, perturbation, phi_graph, solve_rho
 
 from conftest import make_config
 
@@ -38,7 +38,8 @@ def test_metrics_cache_reports_hits():
     p = FiberPoint(BasePoint(0.25, 0.0), np.array([0.3]), np.array([0.2]))
     phi = phi_graph(cfg)
     for call in (lambda: fiber_norms(cfg, p), lambda: chi_eval(cfg, p),
-                 lambda: phi([p.base.theta], p.y_prime[None], p.y_second[None], 0.0)):
+                 lambda: phi([p.base.theta], p.y_prime[None], p.y_second[None], 0.0),
+                 lambda: solve_rho(cfg, p), lambda: matching_map(cfg, p)):
         before = perturbation._metrics_cached.cache_info()
         call()
         call()
