@@ -461,50 +461,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        run_cfg = load_run_config(args.config)
-        seed = args.seed if args.seed is not None else run_cfg.seed
+    # a floating-point fault in a command ends in a non-finite value, which the
+    # checks and _dump reject; numpy's RuntimeWarnings would only repeat it on stderr
+    with np.errstate(all="ignore"):
+        try:
+            run_cfg = load_run_config(args.config)
+            seed = args.seed if args.seed is not None else run_cfg.seed
 
-        if args.command == "verify":
-            doc, ok = run_verify(run_cfg, seed, args.samples, args.fd_step, args.tol,
-                                 theta_grid=args.theta_grid)
+            if args.command == "verify":
+                doc, ok = run_verify(run_cfg, seed, args.samples, args.fd_step, args.tol,
+                                     theta_grid=args.theta_grid)
+                _dump(doc, args.out)
+                return 0 if ok else 1
+
+            if args.command == "scan":
+                rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
+                doc = {
+                    "config_digest": run_cfg.digest,
+                    "seed": seed,
+                    "scan": [vars(r) for r in rows],
+                }
+                if args.csv:
+                    with open(args.csv, "w") as f:
+                        f.write(_scan_csv(rows))
+                _dump(doc, args.out)
+                ok = all(r.mean_level_residual <= SCAN_RESIDUAL_TOL for r in rows)
+                return 0 if ok else 1
+
+            if args.command == "match":
+                points = [_parse_point(text, run_cfg.model) for text in args.point]
+                doc = run_match(run_cfg, seed, points, args.random, args.blowup_rays)
+                _dump(doc, args.out)
+                return 0
+
+            doc, ok = run_report(run_cfg, seed, args)
             _dump(doc, args.out)
             return 0 if ok else 1
 
-        if args.command == "scan":
-            rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
-            doc = {
-                "config_digest": run_cfg.digest,
-                "seed": seed,
-                "scan": [vars(r) for r in rows],
-            }
-            if args.csv:
-                with open(args.csv, "w") as f:
-                    f.write(_scan_csv(rows))
-            _dump(doc, args.out)
-            ok = all(r.mean_level_residual <= SCAN_RESIDUAL_TOL for r in rows)
-            return 0 if ok else 1
-
-        if args.command == "match":
-            points = [_parse_point(text, run_cfg.model) for text in args.point]
-            doc = run_match(run_cfg, seed, points, args.random, args.blowup_rays)
-            _dump(doc, args.out)
-            return 0
-
-        doc, ok = run_report(run_cfg, seed, args)
-        _dump(doc, args.out)
-        return 0 if ok else 1
-
-    except ConfigParse as e:
-        print(f"config parse error: {e}", file=sys.stderr)
-        return 2
-    except ConfigInvalid as e:
-        print(f"invalid config: {e}", file=sys.stderr)
-        return 2
-    except FlipQError as e:
-        # a check that fails mid-run, e.g. a blowup ray leaving the fiber domain
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        except ConfigParse as e:
+            print(f"config parse error: {e}", file=sys.stderr)
+            return 2
+        except ConfigInvalid as e:
+            print(f"invalid config: {e}", file=sys.stderr)
+            return 2
+        except FlipQError as e:
+            # a check that fails mid-run, e.g. a blowup ray leaving the fiber domain
+            print(f"{type(e).__name__}: {e}", file=sys.stderr)
+            return 1
 
 
 def entry() -> None:  # console-script hook

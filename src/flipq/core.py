@@ -113,10 +113,8 @@ class MetricFieldSpec:
 
     @staticmethod
     def _pack(terms):
-        ns = np.array([float(n) for n, _, _ in terms])
-        cos_mats = np.stack([c for _, c, _ in terms])
-        sin_mats = np.stack([s for _, _, s in terms])
-        return ns, cos_mats, sin_mats
+        return kernels.pack_field([n for n, _, _ in terms], np.stack([c for _, c, _ in terms]),
+                                  np.stack([s for _, _, s in terms]))
 
     @cached_property
     def packed_prime(self):
@@ -221,11 +219,12 @@ def metric_faults_batch(cfg: ModelConfig, thetas) -> np.ndarray:
             return np.ones(thetas.shape[0], dtype=bool)
         return np.zeros(thetas.shape[0], dtype=bool)
     distinct, lanes = np.unique(thetas, return_inverse=True)
+    table = kernels.Harmonics(distinct)
     faults = np.zeros(distinct.shape[0], dtype=bool)
-    for (ns, cos, sin), rank in ((cfg.metric_field.packed_prime, cfg.r_prime),
-                                 (cfg.metric_field.packed_second, cfg.r_second)):
-        not_hermitian, not_pd = _hermitian_pd_faults(kernels.fourier_values(distinct, ns, cos, sin))
-        faults |= not_hermitian | not_pd | (cos.shape[-1] != rank)
+    for packed, rank in ((cfg.metric_field.packed_prime, cfg.r_prime),
+                         (cfg.metric_field.packed_second, cfg.r_second)):
+        not_hermitian, not_pd = _hermitian_pd_faults(kernels.fourier_values(table, *packed))
+        faults |= not_hermitian | not_pd | (packed[-1].shape[-1] != rank)
     return faults[lanes]
 
 
@@ -257,9 +256,13 @@ def fiber_norms(cfg: ModelConfig, p: FiberPoint) -> tuple[float, float]:
 
 
 def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
-    """Vectorized metric norms squared over point batches (kernel-backed)."""
-    ap = kernels.fourier_norm_sq(thetas, y_prime, *cfg.metric_field.norm_forms_prime)
-    app = kernels.fourier_norm_sq(thetas, y_second, *cfg.metric_field.norm_forms_second)
+    """Vectorized metric norms squared over point batches (kernel-backed).
+
+    thetas may be a kernels.Harmonics table that the caller shares with its other kernels.
+    """
+    table = kernels.harmonics(thetas)
+    ap = kernels.fourier_norm_sq(table, y_prime, *cfg.metric_field.norm_forms_prime)
+    app = kernels.fourier_norm_sq(table, y_second, *cfg.metric_field.norm_forms_second)
     return ap, app
 
 
@@ -357,5 +360,6 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
 
 def min_metric_eigenvalue(cfg: ModelConfig) -> float:
     """Smallest eigenvalue of either metric block over the validation theta grid."""
-    return float(min(np.linalg.eigvalsh(kernels.fourier_values(VALIDATION_THETAS, *packed)).min()
+    table = kernels.Harmonics(VALIDATION_THETAS)
+    return float(min(np.linalg.eigvalsh(kernels.fourier_values(table, *packed)).min()
                      for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second)))

@@ -5,7 +5,10 @@ G(theta) = sum_k cos(n_k theta) C_k + sin(n_k theta) S_k against lane
 batches without forming the (n, r, r) stack of values: each nonzero
 coefficient matrix is contracted with the lanes once and weighted by its
 harmonic (fourier_values alone forms the values).  Hermitian norms run in
-real arithmetic on the float view of the complex lanes.
+real arithmetic on the float view of the complex lanes.  Trig is computed
+once per call: a batch entry point passes one Harmonics table to every
+kernel it calls, and each cos(n theta), sin(n theta) its fields use is
+evaluated on first use and read from the table after that.
 
 The rescaling solver works on the scalar reduction of the level equation:
 with a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root
@@ -49,54 +52,107 @@ def _realify_interleaved(M: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(realify(M)[..., p[:, None], p])
 
 
-def norm_forms(ns, cos_mats, sin_mats):
+def pack_field(ns, cos, sin):
+    """The field sum_k cos(n_k theta) C_k + sin(n_k theta) S_k as the kernels
+    take it, built once per field: (ns, sines, coeffs) over its nonzero
+    coefficients in order, with each one's harmonic n, whether it is a sine,
+    and the coefficients stacked as (entries,) + C_k.shape."""
+    cos, sin = np.asarray(cos), np.asarray(sin)
+    entries = [(float(n), sine, coeff)
+               for n, cos_coeff, sin_coeff in zip(ns, cos, sin)
+               for sine, coeff in ((False, cos_coeff), (True, sin_coeff))
+               if coeff.any() and not (sine and n == 0)]
+    coeffs = np.array([coeff for _, _, coeff in entries], dtype=np.result_type(cos, sin))
+    return (tuple(n for n, _, _ in entries), tuple(sine for _, sine, _ in entries),
+            coeffs.reshape((len(entries),) + cos.shape[1:]))
+
+
+def norm_forms(ns, sines, coeffs):
     """A packed metric field with each coefficient matrix replaced by its real
     form: the field argument of fourier_norm_sq, built once per field."""
-    return ns, _realify_interleaved(cos_mats), _realify_interleaved(sin_mats)
+    return ns, sines, _realify_interleaved(coeffs)
 
 
-def _harmonics(thetas, ns, cos_mats, sin_mats):
-    """(weight, M) per nonzero coefficient matrix; weight None stands for cos(0) = 1."""
-    for n, cos_mat, sin_mat in zip(ns, cos_mats, sin_mats):
-        if cos_mat.any():
-            yield (None if n == 0 else np.cos(n * thetas)), cos_mat
-        if n != 0 and sin_mat.any():
-            yield np.sin(n * thetas), sin_mat
+class Harmonics:
+    """The weights cos(n theta), sin(n theta) of one batch call's lanes.
+
+    Each weight is computed on first use and kept for the rest of the call,
+    so fields that share a harmonic pay its trig once.  A batch entry point
+    builds one table and hands it to every kernel it calls in place of the
+    thetas; the table goes when the call returns, and nothing outlives it.
+    """
+
+    __slots__ = ("thetas", "_weights")
+
+    def __init__(self, thetas):
+        self.thetas = np.asarray(thetas, dtype=np.float64)
+        self._weights = {}
+
+    def __len__(self):
+        return self.thetas.shape[0]
+
+    @property
+    def nbytes(self):
+        # the size of the thetas array the table stands in for
+        return self.thetas.nbytes
+
+    def weight(self, n, sine):
+        """sin(n theta) or cos(n theta) over the lanes; None stands for cos(0) = 1."""
+        if n == 0 and not sine:
+            return None
+        key = (n, sine)
+        weight = self._weights.get(key)
+        if weight is None:
+            weight = self._weights[key] = self._evaluate(n, sine)
+        return weight
+
+    def _evaluate(self, n, sine):
+        return np.sin(n * self.thetas) if sine else np.cos(n * self.thetas)
 
 
-def fourier_values(thetas, ns, cos, sin):
+def harmonics(thetas) -> Harmonics:
+    """A Harmonics table over thetas; a table passes through, so callers can share one."""
+    return thetas if isinstance(thetas, Harmonics) else Harmonics(thetas)
+
+
+def fourier_values(thetas, ns, sines, coeffs):
     """Values sum_k cos(n_k theta) C_k + sin(n_k theta) S_k at each theta, shape (n,) + C_k.shape."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    out = np.zeros(thetas.shape + np.shape(cos)[1:], dtype=np.result_type(cos, sin))
-    for weight, coeff in _harmonics(thetas, ns, cos, sin):
+    table = harmonics(thetas)
+    out = np.zeros(table.thetas.shape + coeffs.shape[1:], dtype=coeffs.dtype)
+    for n, sine, coeff in zip(ns, sines, coeffs):
+        weight = table.weight(n, sine)
         out += coeff if weight is None else weight.reshape(weight.shape + (1,) * coeff.ndim) * coeff
     return out
 
 
-def fourier_norm_sq(thetas, y, ns, cos_forms, sin_forms):
+def fourier_norm_sq(thetas, y, ns, sines, forms):
     """Batch Hermitian norms |y|^2 under a matrix Fourier field at each theta.
 
     Re(conj(y) M y) = z^T M~ z with z the float view of y and M~ the real
     form of M (the field comes packed by norm_forms), so each harmonic costs
     one (n, 2r) x (2r, 2r) product.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
+    table = harmonics(thetas)
     z = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64)
-    out = np.zeros(thetas.shape[0])
-    for weight, form in _harmonics(thetas, ns, cos_forms, sin_forms):
+    out = np.zeros(len(table))
+    for n, sine, form in zip(ns, sines, forms):
         q = np.einsum("ni,ni->n", z @ form, z)
+        # read after the (n, 2r) product is freed, so a weight evaluated here
+        # does not add to the call's peak memory
+        weight = table.weight(n, sine)
         out += q if weight is None else weight * q
     return out
 
 
-def fourier_pairing(thetas, y, a, ns, cos_mats, sin_mats):
+def fourier_pairing(thetas, y, a, ns, sines, coeffs):
     """Batch Hermitian pairings conj(y) G(theta) a with one fixed vector a."""
-    thetas = np.asarray(thetas, dtype=np.float64)
+    table = harmonics(thetas)
     y = np.asarray(y, dtype=np.complex128)
     # conj(y) (M a) = conj(y conj(M a)): conjugate the (n,) result, not the lanes
-    out = np.zeros(thetas.shape[0], dtype=np.complex128)
-    for weight, M in _harmonics(thetas, ns, cos_mats, sin_mats):
+    out = np.zeros(len(table), dtype=np.complex128)
+    for n, sine, M in zip(ns, sines, coeffs):
         p = y @ (M @ a).conj()
+        weight = table.weight(n, sine)
         out += p if weight is None else weight * p
     return out.conj()
 
@@ -166,15 +222,14 @@ def newton_rescale(ap, app, c, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_IT
     for _ in range(max_iter):
         if not active.any():
             break
-        beta = rescale_beta(rho, ap, app)
+        # only active lanes take the step; an inactive lane keeps its rho,
+        # so recomputing its alpha gives the same bits
         with np.errstate(invalid="ignore", divide="ignore"):
-            step = np.where(active, alpha / beta, 0.0)
-        new = rho - step
-        new = np.where(new <= 0.0, 0.5 * rho, new)
-        rho = np.where(active, new, rho)
-        iters[active] += 1
-        alpha = np.where(active, rescale_alpha(rho, ap, app, c), alpha)
-        active = active & (np.abs(alpha) > tol)
+            new = rho - alpha / rescale_beta(rho, ap, app)
+            rho = np.where(active, np.where(new <= 0.0, 0.5 * rho, new), rho)
+            alpha = rescale_alpha(rho, ap, app, c)
+        iters += active
+        active &= np.abs(alpha) > tol
     status[active] = STATUS_NO_CONVERGENCE
     resid = np.abs(alpha)
     rho = np.where(ok, rho, np.nan)

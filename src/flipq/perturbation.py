@@ -88,10 +88,10 @@ class PerturbationTerm:
 
     @cached_property
     def series(self):
-        """coeff [a0, a1, b1, a2, b2, ...] packed as (ns, cos, sin) for kernels.fourier_values."""
+        """coeff [a0, a1, b1, a2, b2, ...] packed by kernels.pack_field for kernels.fourier_values."""
         coeff = list(self.coeff[:1]) + [0.0] + list(self.coeff[1:])
         pairs = np.array(coeff + [0.0] * (len(coeff) % 2)).reshape(-1, 2)
-        return np.arange(len(pairs), dtype=float), pairs[:, 0], pairs[:, 1]
+        return kernels.pack_field(np.arange(len(pairs), dtype=float), pairs[:, 0], pairs[:, 1])
 
     @property
     def degree(self) -> int:
@@ -163,9 +163,9 @@ def _check_domain(cfg, g1, g2):
         )
 
 
-def _monomial(term: PerturbationTerm, theta, g1, g2, inner):
-    """One perturbation term over the lanes (theta, g1, g2); inner(a) gives the reference pairing <y', a>."""
-    value = kernels.fourier_values(theta, *term.series)
+def _monomial(term: PerturbationTerm, table, g1, g2, inner):
+    """One perturbation term over the lanes (table, g1, g2); inner(a) gives the reference pairing <y', a>."""
+    value = kernels.fourier_values(table, *term.series)
     if term.norm_prime_pow:
         value = value * g1**term.norm_prime_pow
     if term.norm_second_pow:
@@ -177,26 +177,27 @@ def _monomial(term: PerturbationTerm, theta, g1, g2, inner):
     return value
 
 
-def _term_values(cfg, terms, thetas, y_prime, g1, g2):
-    """Each term's value over the lanes, in order; the reference pairing is kernels.fourier_pairing."""
+def _term_values(cfg, terms, table, y_prime, g1, g2):
+    """Each term's value over the lanes of a kernels.Harmonics table, in order;
+    the reference pairing is kernels.fourier_pairing."""
 
     def inner(a):
-        return kernels.fourier_pairing(thetas, y_prime, a, *cfg.metric_field.packed_prime)
+        return kernels.fourier_pairing(table, y_prime, a, *cfg.metric_field.packed_prime)
 
-    return (_monomial(term, thetas, g1, g2, inner) for term in terms)
+    return (_monomial(term, table, g1, g2, inner) for term in terms)
 
 
 def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True):
-    """Vectorized (chi, g1, g2) over point batches."""
-    thetas = np.asarray(thetas, dtype=float)
+    """Vectorized (chi, g1, g2) over point batches, all fields read from one harmonic table."""
+    table = kernels.Harmonics(thetas)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
-    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
+    g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
     if check_domain and np.any(_outside_domain(cfg, g1, g2)):
         first = np.argmax(_outside_domain(cfg, g1, g2))  # raise the first such lane's message
         _check_domain(cfg, g1[first], g2[first])
     chi = -0.5 * (g1 - g2)
-    for value in _term_values(cfg, cfg.perturbation.terms, thetas, y_prime, g1, g2):
+    for value in _term_values(cfg, cfg.perturbation.terms, table, y_prime, g1, g2):
         chi = chi + value
     return chi, g1, g2
 
@@ -210,10 +211,11 @@ def chi_eval(cfg: ModelConfig, p: FiberPoint) -> float:
 def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
     """chi minus its quadratic part: the configured perturbation value."""
     thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
-    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
+    table = kernels.Harmonics(thetas)
+    g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
     _check_domain(cfg, g1[0], g2[0])
     # summed apart from chi: chi + (g1 - g2)/2 would lose the rest to cancellation
-    return float(sum(_term_values(cfg, cfg.perturbation.terms, thetas, y_prime, g1, g2), np.zeros(1))[0])
+    return float(sum(_term_values(cfg, cfg.perturbation.terms, table, y_prime, g1, g2), np.zeros(1))[0])
 
 
 def chi_eval_batch(cfg: ModelConfig, thetas, y_prime, y_second):
@@ -324,9 +326,10 @@ def verify_conditions(
         corners[..., 0] - corners[..., 1] - corners[..., 2] + corners[..., 3]
     ) / (4.0 * h**2)
     check_metrics(cfg, thetas)
+    table = kernels.Harmonics(thetas)
     expected = np.zeros((n_theta, dim, dim))
-    expected[:, : 2 * rp, : 2 * rp] = kernels.realify(kernels.fourier_values(thetas, *cfg.metric_field.packed_prime))
-    expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(kernels.fourier_values(thetas, *cfg.metric_field.packed_second))
+    expected[:, : 2 * rp, : 2 * rp] = kernels.realify(kernels.fourier_values(table, *cfg.metric_field.packed_prime))
+    expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(kernels.fourier_values(table, *cfg.metric_field.packed_second))
 
     worst_p1 = float(np.abs([f0, dt - 1.0]).max())
     worst_p2 = float(np.abs((plus - minus) / (2.0 * h)).max())
@@ -536,7 +539,8 @@ def renorm_eval(
     """
     thetas, lane_prime, lane_second = one_lane(cfg, theta, w_prime, w_second)
     w_prime, w_second = lane_prime[0], lane_second[0]
-    g1, g2 = fiber_norms_batch(cfg, thetas, lane_prime, lane_second)
+    table = kernels.Harmonics(thetas)
+    g1, g2 = fiber_norms_batch(cfg, table, lane_prime, lane_second)
     if abs(g1[0] + g2[0] - 1.0) > 1e-9:
         raise ValueError(f"w must be a unit direction; |w|^2 = {g1[0] + g2[0]}")
     if r < 0:
@@ -550,7 +554,7 @@ def renorm_eval(
             )
         # coefficients a_d of tau(s w) = sum a_d s^d along the ray through w
         coeffs: dict[int, float] = {}
-        for term, value in zip(tau.terms, _term_values(cfg, tau.terms, thetas, lane_prime, g1, g2)):
+        for term, value in zip(tau.terms, _term_values(cfg, tau.terms, table, lane_prime, g1, g2)):
             coeffs[term.degree] = coeffs.get(term.degree, 0.0) + float(value[0])
         if r == 0.0:
             return float(coeffs.get(k, 0.0))

@@ -11,7 +11,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flipq import presets
@@ -44,6 +44,20 @@ FLAGS = {
 # report's defaults sample far more than a fuzz example needs
 REPORT_TINY = ["--samples", "5", "--theta-grid", "2", "--theta-steps", "1", "--t-steps", "1",
                "--scan-samples", "2", "--match-samples", "2", "--blowup-rays", "1"]
+
+
+def _quartic_with(edit):
+    doc = copy.deepcopy(BASE_DOCS[0])
+    edit(doc)
+    return doc
+
+
+# extreme finite values overflow in the kernels: the run rejects the
+# non-finite result, and no numpy RuntimeWarning reaches stderr
+HUGE_METRIC = _quartic_with(lambda doc: doc["metrics"].update(g_prime=[[1e308]]))
+HUGE_REF_SECTION = _quartic_with(lambda doc: doc["perturbation"]["terms"].append(
+    {"generators": {"ref_inner_sq": 2}, "coeff_fourier": [0.1], "ref_section": [[1e308, 0.0]]}))
+HUGE_EXPONENT = _quartic_with(lambda doc: doc["perturbation"]["terms"][0]["generators"].update(mixed=2**62))
 
 
 def _paths(doc, prefix=()):
@@ -88,6 +102,10 @@ def _reject_constant(token):
 @settings(max_examples=50, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=config_docs(), argv=flag_vectors())
+@example(doc=HUGE_METRIC, argv=["scan"])
+@example(doc=HUGE_METRIC, argv=["report"])
+@example(doc=HUGE_REF_SECTION, argv=["report"])
+@example(doc=HUGE_EXPONENT, argv=["report"])
 def test_cli_boundary_is_total(doc, argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_config
 from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
-from flipq.core import fiber_norms
+from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
 from flipq.perturbation import _branch_check, chi_parts_batch
 from flipq.sampling import random_domain_batch
@@ -148,6 +148,162 @@ def test_chi_parts_batch_matches_scalar_path():
     ])
     for got, ref in zip((chi, g1, g2), expected.T):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _table_config():
+    """Ranks 3/2 with cos and sin harmonics at n = 0, 1, 2 in both metric blocks
+    (the n = 0 sines contribute nothing), a reference-pairing term with three
+    harmonics and a mixed term whose sin(theta) the metric shares."""
+    rng = np.random.default_rng(21)
+
+    def field(rank):
+        return [(0, 4.0 * np.eye(rank), _random_hermitian(rng, rank)),
+                (1, _random_hermitian(rng, rank, 0.3), _random_hermitian(rng, rank, 0.3)),
+                (2, _random_hermitian(rng, rank, 0.3), _random_hermitian(rng, rank, 0.3))]
+
+    metric = MetricFieldSpec.fourier(field(3), field(2))
+    terms = [
+        PerturbationTerm(ref_inner_pow=2, coeff=(0.05, 0.02, -0.03, 0.01),
+                         ref_section=np.array([1.0, 0.5j, -0.25 + 0.5j])),
+        PerturbationTerm(mixed_pow=1, coeff=(0.1, 0.0, 0.05)),
+    ]
+    return make_config(3, 2, epsilon=0.5, domain_radius=0.8, metric_field=metric, terms=terms)
+
+
+def _weights_per_series(thetas, ns, cos, sin):
+    """(weight, coefficient) of one series, with its own cos(n theta) and sin(n theta)."""
+    for n, c, s in zip(ns, cos, sin):
+        if np.any(c):
+            yield (None if n == 0 else np.cos(n * thetas)), c
+        if n != 0 and np.any(s):
+            yield np.sin(n * thetas), s
+
+
+def _values_reference(thetas, ns, cos, sin):
+    out = np.zeros(thetas.shape + np.shape(cos)[1:], dtype=np.result_type(cos, sin))
+    for weight, c in _weights_per_series(thetas, ns, cos, sin):
+        out += c if weight is None else weight.reshape(weight.shape + (1,) * np.ndim(c)) * c
+    return out
+
+
+def _norm_sq_reference(thetas, y, terms):
+    z = np.ascontiguousarray(y).view(np.float64)
+    out = np.zeros(len(thetas))
+    ns, cos, sin = zip(*terms)
+    for weight, c in _weights_per_series(thetas, ns, cos, sin):
+        q = np.einsum("ni,ni->n", z @ kernels._realify_interleaved(c), z)
+        out += q if weight is None else weight * q
+    return out
+
+
+def _pairing_reference(thetas, y, a, terms):
+    out = np.zeros(len(thetas), dtype=np.complex128)
+    ns, cos, sin = zip(*terms)
+    for weight, c in _weights_per_series(thetas, ns, cos, sin):
+        p = y @ (c @ a).conj()
+        out += p if weight is None else weight * p
+    return out.conj()
+
+
+def _series_reference(term, thetas):
+    coeff = list(term.coeff[:1]) + [0.0] + list(term.coeff[1:])
+    pairs = np.array(coeff + [0.0] * (len(coeff) % 2)).reshape(-1, 2)
+    return _values_reference(thetas, np.arange(len(pairs), dtype=float), pairs[:, 0], pairs[:, 1])
+
+
+def test_harmonic_table_outputs_bitwise_per_series_reference():
+    cfg = _table_config()
+    rng = np.random.default_rng(22)
+    thetas, y_prime, y_second = random_domain_batch(rng, cfg, 333)
+    field = cfg.metric_field
+    g1 = _norm_sq_reference(thetas, y_prime, field.g_prime_terms)
+    g2 = _norm_sq_reference(thetas, y_second, field.g_second_terms)
+    chi = -0.5 * (g1 - g2)
+    for term in cfg.perturbation.terms:
+        value = _series_reference(term, thetas)
+        if term.mixed_pow:
+            value = value * (g1 * g2) ** term.mixed_pow
+        if term.ref_inner_pow:
+            inner = _pairing_reference(thetas, y_prime, term.ref_section, field.g_prime_terms)
+            value = value * (abs(inner) ** 2) ** term.ref_inner_pow
+        chi = chi + value
+
+    for got, ref in zip(chi_parts_batch(cfg, thetas, y_prime, y_second), (chi, g1, g2)):
+        assert got.tobytes() == ref.tobytes()
+    for got, ref in zip(fiber_norms_batch(cfg, thetas, y_prime, y_second), (g1, g2)):
+        assert got.tobytes() == ref.tobytes()
+    a = cfg.perturbation.terms[0].ref_section
+    assert (kernels.fourier_pairing(thetas, y_prime, a, *field.packed_prime).tobytes()
+            == _pairing_reference(thetas, y_prime, a, field.g_prime_terms).tobytes())
+    for packed, terms in ((field.packed_prime, field.g_prime_terms), (field.packed_second, field.g_second_terms)):
+        assert (kernels.fourier_values(thetas, *packed).tobytes()
+                == _values_reference(thetas, *(np.array(x) for x in zip(*terms))).tobytes())
+    for term in cfg.perturbation.terms:
+        assert kernels.fourier_values(thetas, *term.series).tobytes() == _series_reference(term, thetas).tobytes()
+
+
+def test_harmonic_table_evaluates_each_harmonic_once_per_call(monkeypatch):
+    cfg = _table_config()
+    thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(23), cfg, 50)
+    evaluated = []
+    evaluate = kernels.Harmonics._evaluate
+
+    def counted(table, n, sine):
+        evaluated.append((n, sine))
+        return evaluate(table, n, sine)
+
+    monkeypatch.setattr(kernels.Harmonics, "_evaluate", counted)
+    # the metric blocks use cos and sin at n = 1, 2; the terms add nothing new
+    distinct = [(1.0, False), (1.0, True), (2.0, False), (2.0, True)]
+    for call in (chi_parts_batch, fiber_norms_batch):
+        for _ in range(2):  # the table lives for one call: a second call evaluates again
+            evaluated.clear()
+            call(cfg, thetas, y_prime, y_second)
+            assert sorted(evaluated) == distinct
+
+
+def _newton_masked_loop(ap, app, c, seed, tol=kernels.NEWTON_TOL, max_iter=kernels.NEWTON_MAX_ITER):
+    """newton_rescale as it was with a masked step, a masked alpha and iters[active] += 1."""
+    ok = np.isfinite(seed) & (seed > 0.0) & kernels.has_positive_root(ap, app, c)
+    rho = np.where(ok, seed, 1.0)
+    iters = np.zeros(ap.shape[0], dtype=np.int32)
+    status = np.where(ok, kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
+    alpha = kernels.rescale_alpha(rho, ap, app, c)
+    active = ok & (np.abs(alpha) > tol)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        beta = kernels.rescale_beta(rho, ap, app)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = np.where(active, alpha / beta, 0.0)
+        new = rho - step
+        new = np.where(new <= 0.0, 0.5 * rho, new)
+        rho = np.where(active, new, rho)
+        iters[active] += 1
+        alpha = np.where(active, kernels.rescale_alpha(rho, ap, app, c), alpha)
+        active = active & (np.abs(alpha) > tol)
+    status[active] = kernels.STATUS_NO_CONVERGENCE
+    return np.where(ok, rho, np.nan), np.where(ok, np.abs(alpha), np.nan), iters, status
+
+
+@pytest.mark.parametrize("max_iter", [2, kernels.NEWTON_MAX_ITER])
+def test_newton_loop_bitwise_masked_loop(max_iter):
+    # lanes: far seed, exact root (0 iterations), NaN seed, both blocks zero,
+    # a'' = 0 with c = 0 and c > 0, a first step to rho = -4 that halves
+    # instead, and a seed within tol of its root (0 iterations, rho kept
+    # while the other lanes iterate)
+    ap = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    app = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+    c = np.array([0.1, 0.0, 0.1, 0.1, 0.0, 0.2, 10.0, 0.0])
+    seed = np.array([25.0, 1.0, np.nan, 1.0, 1.0, 1.0, 1.0, 1.0 + 1e-13])
+    got = kernels.newton_rescale(ap, app, c, seed=seed, max_iter=max_iter)
+    expected = _newton_masked_loop(ap, app, c, seed, max_iter=max_iter)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    assert got[2][1] == 0 and got[2][6] > 0
+    assert got[2][7] == 0 and got[0][7] == seed[7]
+    if max_iter == 2:  # the far seed is still above tol
+        assert got[3][0] == kernels.STATUS_NO_CONVERGENCE
 
 
 @pytest.mark.parametrize("c", [-0.1, 0.0, 0.1])
