@@ -6,8 +6,9 @@ one seeded stream, row by row in grid order (each batch pass of rows takes
 its samples in one draw of that stream), and rows are emitted in that order.
 Match and scan run as batch passes; match and report compute matching_stats
 from the lane arrays of one match pass and one ray pass, and only match
-renders the per-point entries and ray documents.  --threads is accepted and
-ignored.
+renders the per-point entries and ray documents.  Every document goes through
+flipq's own JSON writer, whose output is byte-identical to
+json.dumps(doc, indent=2, sort_keys=True).  --threads is accepted and ignored.
 Exit codes: 0 pass, 1 check failure (also any other flipq error mid-run,
 reported on one stderr line), 2 config or usage error.
 """
@@ -19,7 +20,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +50,7 @@ BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 MATCH_DRAW_ROUNDS = 100
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     theta: float
     t: float
     fiber_type: str
@@ -72,9 +72,108 @@ def _fiber_to_json(p: FiberPoint) -> dict:
     return _point_json(p.base.theta, p.base.t, _v2j(p.y_prime), _v2j(p.y_second))
 
 
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _json_text(doc) -> str:
+    """doc as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) writes it, byte for byte.
+
+    Dict keys must be str, as in every flipq document.  A list of dicts that
+    share one key set and hold only scalars (the scan rows) is written column
+    by column and then row by row through one %-template.  Each nonzero
+    float's text is computed once per call; zero is left out because
+    -0.0 == 0.0 and the two print apart.
+    """
+    escape = json.encoder.encode_basestring_ascii
+    floats: dict = {}
+
+    def float_text(value):
+        text = float.__repr__(value)
+        if text in _NON_FINITE:
+            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+        return text
+
+    def scalar(value):
+        """The JSON text of a float, str, int, bool or None; None for anything else."""
+        if isinstance(value, float):
+            if not value:
+                return float.__repr__(value)
+            text = floats.get(value)
+            if text is None:
+                text = floats[value] = float_text(value)
+            return text
+        if isinstance(value, str):
+            return escape(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        return None
+
+    def float_column(column):
+        new = set(column).difference(floats)
+        new.discard(0.0)
+        floats.update(zip(new, map(float_text, new)))
+        texts = list(map(floats.get, column))
+        if None in texts:  # the zeros
+            texts = [text or float.__repr__(v) for text, v in zip(texts, column)]
+        return texts
+
+    def table(items, pad):
+        """The texts of a list's items if they are dicts of one key set holding scalars, else None."""
+        first = items[0]
+        if (type(first) is not dict or not first or set(map(type, items)) != {dict}
+                or set(map(len, items)) != {len(first)}):
+            return None
+        keys = sorted(first)
+        try:
+            columns = [list(map(itemgetter(k), items)) for k in keys]
+        except KeyError:
+            return None
+        for i, column in enumerate(columns):
+            kinds = set(map(type, column))
+            if kinds == {float}:
+                columns[i] = float_column(column)
+            elif kinds == {str}:
+                columns[i] = list(map(escape, column))
+            elif kinds == {int}:
+                columns[i] = list(map(int.__repr__, column))
+            else:
+                columns[i] = [scalar(v) for v in column]
+                if None in columns[i]:
+                    return None
+        inner = pad + "  "
+        template = "{\n%s\n%s}" % (",\n".join(inner + escape(k).replace("%", "%%") + ": %s" for k in keys),
+                                    pad)
+        return list(map(template.__mod__, zip(*columns)))
+
+    def write(value, pad):
+        text = scalar(value)
+        if text is not None:
+            return text
+        inner = pad + "  "
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            texts = table(value, inner) or [write(item, inner) for item in value]
+            return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            return ("{\n" + inner + (",\n" + inner).join([escape(k) + ": " + write(value[k], inner)
+                                                          for k in sorted(value)]) + "\n" + pad + "}")
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return write(doc, "")
+
+
 def _dump(doc, out_path: str | None) -> None:
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _json_text(doc) + "\n"
     except ValueError as e:  # a non-finite value: fail the run, never write a NaN token
         raise FlipQError(f"output holds a non-finite value ({e})") from e
     if out_path:
@@ -115,20 +214,23 @@ def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol:
     return doc, report.all_ok
 
 
-def _scan_residuals(cfg, grid: list[tuple[float, float]], k: int, seed: int) -> list[float]:
-    """Mean level residual per grid row over k samples; rows draw from one stream in grid order."""
+def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
+    """Mean level residual per grid row (thetas[i], ts[i]) over k samples; rows draw from one
+    stream in grid order."""
     rng = np.random.default_rng(seed)
     rows_per_block = max(1, kernels.BLOCK_LANES // k)
     means: list[float] = []
-    for start in range(0, len(grid), rows_per_block):
-        block = grid[start:start + rows_per_block]
-        y_prime, y_second = complex_gaussian_rows(rng, len(block), k, cfg.r_prime, cfg.r_second)
-        thetas = np.repeat([theta for theta, _ in block], k)
-        ts = np.repeat([t for _, t in block], k)
-        rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
-        resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None],
+    for start in range(0, len(thetas), rows_per_block):
+        block = slice(start, start + rows_per_block)
+        rows = len(thetas[block])
+        y_prime, y_second = complex_gaussian_rows(rng, rows, k, cfg.r_prime, cfg.r_second)
+        # one harmonic table for both norm evaluations of the pass
+        table = kernels.Harmonics(np.repeat(thetas[block], k))
+        lane_ts = np.repeat(ts[block], k)
+        rho = level_rho_batch(cfg, table, lane_ts, y_prime, y_second)
+        resid = np.abs(moment_value_batch(cfg, table, lane_ts, y_prime * rho[:, None],
                                           y_second / rho[:, None]))
-        means.extend(resid.reshape(len(block), k).mean(axis=1).tolist())
+        means.extend(resid.reshape(rows, k).mean(axis=1).tolist())
     return means
 
 
@@ -139,13 +241,12 @@ def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
     # a symmetric grid is meant to hit the wall exactly
     ts[np.abs(ts) < 1e-15] = 0.0
-    grid = [(float(th), float(t)) for th in thetas for t in ts]
-    residuals = _scan_residuals(cfg, grid, samples, seed)
-    types = {t: fiber_type(BasePoint(0.0, t)).value for t in ts.tolist()}
-    return [
-        ScanRow(th, t, types[t], samples, resid)
-        for (th, t), resid in zip(grid, residuals)
-    ]
+    grid_thetas, grid_ts = np.repeat(thetas, len(ts)), np.tile(ts, len(thetas))
+    residuals = _scan_residuals(cfg, grid_thetas, grid_ts, samples, seed)
+    ts = ts.tolist()
+    types = [fiber_type(BasePoint(0.0, t)).value for t in ts]
+    return list(map(ScanRow._make, zip(grid_thetas.tolist(), grid_ts.tolist(), types * len(thetas),
+                                       [samples] * len(grid_ts), residuals)))
 
 
 def _scan_csv(rows: list[ScanRow]) -> str:
@@ -352,7 +453,7 @@ def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
         "seed": seed,
         "condition_report": verify_doc["condition_report"],
         "rest_bound": verify_doc["rest_bound"],
-        "scan": [vars(r) for r in rows],
+        "scan": [r._asdict() for r in rows],
         "matching_stats": stats,
         "checks": {
             "conditions_ok": bool(conditions_ok),
@@ -479,7 +580,7 @@ def main(argv=None) -> int:
                 doc = {
                     "config_digest": run_cfg.digest,
                     "seed": seed,
-                    "scan": [vars(r) for r in rows],
+                    "scan": [r._asdict() for r in rows],
                 }
                 if args.csv:
                     with open(args.csv, "w") as f:

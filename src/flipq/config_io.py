@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,8 +188,7 @@ def build_model(doc: dict) -> ModelConfig:
     return cfg
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
+class RunConfig(NamedTuple):
     model: ModelConfig
     phi_spec: dict | None
     seed: int

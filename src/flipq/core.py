@@ -9,9 +9,9 @@ zeta . (y', y'') = (zeta y', zeta^-1 y'').
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -274,15 +274,13 @@ def cstar_act(zeta: complex, p: FiberPoint) -> FiberPoint:
     return FiberPoint(base=p.base, y_prime=zeta * p.y_prime, y_second=p.y_second / zeta)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...] = field(default_factory=tuple)
+class ValidationReport(NamedTuple):
+    issues: tuple[ValidationIssue, ...] = ()
 
     @property
     def ok(self) -> bool:

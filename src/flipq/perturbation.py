@@ -253,8 +253,7 @@ def phi_moment(cfg: ModelConfig) -> PhiFunc:
     return phi_quadratic(cfg, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     p1_ok: bool
     p2_ok: bool
     p3_ok: bool
@@ -393,8 +392,7 @@ def extract_graph(
 # Rest-term bound
 
 
-@dataclass(frozen=True, eq=False)
-class RestBoundReport:
+class RestBoundReport(NamedTuple):
     """Empirical cubic bound on the rest term over a domain sample.
 
     margin_value = empirical_M * domain_radius is compared against
@@ -442,8 +440,7 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
 # The rescaling equation
 
 
-@dataclass(frozen=True)
-class RhoSolution:
+class RhoSolution(NamedTuple):
     rho: float
     residual: float
     iterations: int

@@ -7,8 +7,17 @@ import numpy as np
 from .core import FiberPoint, ModelConfig, fiber_norms_batch
 
 
+def _complex(real, imag) -> np.ndarray:
+    """The complex array with these real and imaginary parts, written in place:
+    the value of real + 1j * imag without its temporaries."""
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
+
+
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return _complex(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
 def random_zeta(rng: np.random.Generator, max_log_mod: float = 2.0) -> complex:
@@ -39,8 +48,8 @@ def complex_gaussian_rows(rng: np.random.Generator, rows: int, k: int, r_prime: 
     draws = rng.standard_normal((rows, 2 * k * (r_prime + r_second)))
     prime = draws[:, : 2 * k * r_prime].reshape(rows, 2, k * r_prime)
     second = draws[:, 2 * k * r_prime :].reshape(rows, 2, k * r_second)
-    return ((prime[:, 0] + 1j * prime[:, 1]).reshape(rows * k, r_prime),
-            (second[:, 0] + 1j * second[:, 1]).reshape(rows * k, r_second))
+    return (_complex(prime[:, 0], prime[:, 1]).reshape(rows * k, r_prime),
+            _complex(second[:, 0], second[:, 1]).reshape(rows * k, r_second))
 
 
 def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):

@@ -562,14 +562,34 @@ def test_scan_sample_count_above_the_lane_cap(tmp_path):
         assert row.n_stable_samples == k
 
 
-@pytest.mark.parametrize("rows, k, r_prime, r_second", [(1, 1, 1, 1), (3, 5, 2, 1), (4, 7, 3, 3)])
+DRAW_SEEDS = (0, 3, 7, 2**32 + 5)
+
+
+@pytest.mark.parametrize("shape", [1, 3, (1, 1), (5, 2), (4, 1), (2, 3, 2)])
+def test_complex_gaussian_is_two_standard_normal_draws(shape):
+    for seed in DRAW_SEEDS:
+        out = complex_gaussian(np.random.default_rng(seed), shape)
+        rng = np.random.default_rng(seed)
+        expected = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows, k, r_prime, r_second",
+                         [(1, 1, 1, 1), (3, 5, 2, 1), (4, 7, 3, 3), (1, 6, 2, 1), (5, 1, 1, 1), (4, 2, 1, 2)])
 def test_complex_gaussian_rows_is_the_per_row_stream(rows, k, r_prime, r_second):
-    y_prime, y_second = complex_gaussian_rows(np.random.default_rng(3), rows, k, r_prime, r_second)
-    rng = np.random.default_rng(3)
-    for row in range(rows):
-        lanes = slice(row * k, (row + 1) * k)
-        assert np.array_equal(y_prime[lanes], complex_gaussian(rng, (k, r_prime)))
-        assert np.array_equal(y_second[lanes], complex_gaussian(rng, (k, r_second)))
+    # bitwise the stream of rows successive complex_gaussian (k, r'), (k, r'') pairs
+    for seed in DRAW_SEEDS:
+        batched = np.random.default_rng(seed)
+        y_prime, y_second = complex_gaussian_rows(batched, rows, k, r_prime, r_second)
+        assert y_prime.shape == (rows * k, r_prime) and y_second.shape == (rows * k, r_second)
+        rng = np.random.default_rng(seed)
+        for row in range(rows):
+            lanes = slice(row * k, (row + 1) * k)
+            assert y_prime[lanes].tobytes() == complex_gaussian(rng, (k, r_prime)).tobytes()
+            assert y_second[lanes].tobytes() == complex_gaussian(rng, (k, r_second)).tobytes()
+        # both leave the generator at the same place in the stream
+        assert batched.standard_normal() == rng.standard_normal()
 
 
 

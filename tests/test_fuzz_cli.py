@@ -1,7 +1,8 @@
 """Fuzzed CLI boundary: mutated config documents and small flag vectors.
 
 Every run must end in exit 0, 1 or 2 without an escaping exception, and
-print either nothing or strict JSON (no NaN or Infinity tokens) on stdout.
+print either nothing or strict JSON (no NaN or Infinity tokens) on stdout,
+laid out as json.dumps(indent=2, sort_keys=True) lays it out.
 """
 
 import copy
@@ -118,4 +119,7 @@ def test_cli_boundary_is_total(doc, argv):
                 code = e.code
     assert code in (0, 1, 2), err.getvalue()
     if out.getvalue():
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        stdout = out.getvalue()
+        # flipq's writer prints what json.dumps would
+        assert stdout == json.dumps(json.loads(stdout, parse_constant=_reject_constant),
+                                    indent=2, sort_keys=True) + "\n"
