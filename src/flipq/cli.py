@@ -6,11 +6,13 @@ one seeded stream, row by row in grid order (each batch pass of rows takes
 its samples in one draw of that stream), and rows are emitted in that order.
 Match and scan run as batch passes; match and report compute matching_stats
 from the lane arrays of one match pass and one ray pass, and only match
-renders the per-point entries and ray documents.  Every document goes through
-flipq's own JSON writer, whose output is byte-identical to
-json.dumps(doc, indent=2, sort_keys=True).  --threads is accepted and ignored.
+renders the per-point entries and ray documents.  json.dumps(indent=2,
+sort_keys=True) writes every value of a document except the scan table,
+which one %-template writes byte-identically.  --threads is accepted and
+ignored.
 Exit codes: 0 pass, 1 check failure (also any other flipq error mid-run,
-reported on one stderr line), 2 config or usage error.
+reported on one stderr line), 2 config or usage error (also an --out or --csv
+path that cannot be written).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .config_io import RunConfig, load_run_config, parse_vector, phi_from_config
+from .config_io import RunConfig, _number, load_run_config, parse_vector, phi_from_config
 from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, FlipQError, OutOfDomain
 from .perturbation import (
@@ -50,12 +52,7 @@ BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 MATCH_DRAW_ROUNDS = 100
 
 
-class ScanRow(NamedTuple):
-    theta: float
-    t: float
-    fiber_type: str
-    n_stable_samples: int
-    mean_level_residual: float
+SCAN_COLUMNS = ("theta", "t", "fiber_type", "n_stable_samples", "mean_level_residual")
 
 
 def _v2j(v):
@@ -72,103 +69,76 @@ def _fiber_to_json(p: FiberPoint) -> dict:
     return _point_json(p.base.theta, p.base.t, _v2j(p.y_prime), _v2j(p.y_second))
 
 
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+_JSON = {"indent": 2, "sort_keys": True, "allow_nan": False}
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    if text in ("nan", "inf", "-inf"):
+        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return text
+
+
+def _table_text(rows) -> str | None:
+    """rows as json.dumps writes a top-level value of an indent=2 document, if rows is a table; else None.
+
+    A table is a non-empty list of dicts that share one key set and hold, per
+    key, only floats, only ints or only strs (the scan rows).  It is written
+    column by column and then row by row through one %-template.  Each
+    distinct nonzero float's text is computed once; zero is never memoized,
+    because -0.0 == 0.0 and the two print apart.
+    """
+    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
+        return None
+    first = rows[0]
+    if not first or set(map(type, first)) != {str} or set(map(len, rows)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    try:
+        columns = [list(map(itemgetter(key), rows)) for key in keys]
+    except KeyError:
+        return None
+    floats: dict = {}
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            new = set(column).difference(floats)
+            new.discard(0.0)
+            floats.update(zip(new, map(_float_text, new)))
+            columns[i] = list(map(floats.get, column))
+            if None in columns[i]:  # the zeros
+                columns[i] = [text or float.__repr__(x) for text, x in zip(columns[i], column)]
+        elif kinds == {int}:
+            columns[i] = list(map(int.__repr__, column))
+        elif kinds == {str}:
+            columns[i] = list(map(_escape, column))
+        else:
+            return None
+    template = "{\n%s\n    }" % ",\n".join("      " + _escape(key).replace("%", "%%") + ": %s" for key in keys)
+    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*columns))) + "\n  ]"
 
 
 def _json_text(doc) -> str:
     """doc as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) writes it, byte for byte.
 
-    Dict keys must be str, as in every flipq document.  A list of dicts that
-    share one key set and hold only scalars (the scan rows) is written column
-    by column and then row by row through one %-template.  Each nonzero
-    float's text is computed once per call; zero is left out because
-    -0.0 == 0.0 and the two print apart.
+    json.dumps writes each top-level value, re-indented one level (JSON text
+    holds no raw newline), except a table, which _table_text writes.
     """
-    escape = json.encoder.encode_basestring_ascii
-    floats: dict = {}
+    if type(doc) is not dict or not doc or set(map(type, doc)) != {str}:
+        return json.dumps(doc, **_JSON)
+    return "{\n  " + ",\n  ".join(
+        _escape(key) + ": " + (_table_text(doc[key]) or json.dumps(doc[key], **_JSON).replace("\n", "\n  "))
+        for key in sorted(doc)) + "\n}"
 
-    def float_text(value):
-        text = float.__repr__(value)
-        if text in _NON_FINITE:
-            raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-        return text
 
-    def scalar(value):
-        """The JSON text of a float, str, int, bool or None; None for anything else."""
-        if isinstance(value, float):
-            if not value:
-                return float.__repr__(value)
-            text = floats.get(value)
-            if text is None:
-                text = floats[value] = float_text(value)
-            return text
-        if isinstance(value, str):
-            return escape(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        return None
-
-    def float_column(column):
-        new = set(column).difference(floats)
-        new.discard(0.0)
-        floats.update(zip(new, map(float_text, new)))
-        texts = list(map(floats.get, column))
-        if None in texts:  # the zeros
-            texts = [text or float.__repr__(v) for text, v in zip(texts, column)]
-        return texts
-
-    def table(items, pad):
-        """The texts of a list's items if they are dicts of one key set holding scalars, else None."""
-        first = items[0]
-        if (type(first) is not dict or not first or set(map(type, items)) != {dict}
-                or set(map(len, items)) != {len(first)}):
-            return None
-        keys = sorted(first)
-        try:
-            columns = [list(map(itemgetter(k), items)) for k in keys]
-        except KeyError:
-            return None
-        for i, column in enumerate(columns):
-            kinds = set(map(type, column))
-            if kinds == {float}:
-                columns[i] = float_column(column)
-            elif kinds == {str}:
-                columns[i] = list(map(escape, column))
-            elif kinds == {int}:
-                columns[i] = list(map(int.__repr__, column))
-            else:
-                columns[i] = [scalar(v) for v in column]
-                if None in columns[i]:
-                    return None
-        inner = pad + "  "
-        template = "{\n%s\n%s}" % (",\n".join(inner + escape(k).replace("%", "%%") + ": %s" for k in keys),
-                                    pad)
-        return list(map(template.__mod__, zip(*columns)))
-
-    def write(value, pad):
-        text = scalar(value)
-        if text is not None:
-            return text
-        inner = pad + "  "
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            texts = table(value, inner) or [write(item, inner) for item in value]
-            return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            return ("{\n" + inner + (",\n" + inner).join([escape(k) + ": " + write(value[k], inner)
-                                                          for k in sorted(value)]) + "\n" + pad + "}")
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    return write(doc, "")
+def _write(text: str, path: str | None) -> None:
+    """text to path, or to stdout without one: the one place the CLI writes output."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def _dump(doc, out_path: str | None) -> None:
@@ -176,11 +146,7 @@ def _dump(doc, out_path: str | None) -> None:
         text = _json_text(doc) + "\n"
     except ValueError as e:  # a non-finite value: fail the run, never write a NaN token
         raise FlipQError(f"output holds a non-finite value ({e})") from e
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path)
 
 
 def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol: float,
@@ -192,23 +158,8 @@ def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol:
     doc = {
         "config_digest": run_cfg.digest,
         "seed": seed,
-        "condition_report": {
-            "p1_ok": report.p1_ok,
-            "p2_ok": report.p2_ok,
-            "p3_ok": report.p3_ok,
-            "worst_p1": report.worst_p1,
-            "worst_p2": report.worst_p2,
-            "worst_p3": report.worst_p3,
-            "samples": report.samples,
-        },
-        "rest_bound": {
-            "empirical_M": rest.empirical_M,
-            "max_ratio_point": _fiber_to_json(rest.max_ratio_point),
-            "samples": rest.samples,
-            "margin_value": rest.margin_value,
-            "margin_bound": rest.margin_bound,
-            "margin_ok": rest.margin_ok,
-        },
+        "condition_report": report._asdict(),
+        "rest_bound": {**rest._asdict(), "max_ratio_point": _fiber_to_json(rest.max_ratio_point)},
         "pass": report.all_ok,
     }
     return doc, report.all_ok
@@ -235,7 +186,7 @@ def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
 
 
 def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
-             samples: int) -> list[ScanRow]:
+             samples: int) -> list[dict]:
     cfg = run_cfg.model
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_steps, endpoint=False)
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
@@ -243,18 +194,20 @@ def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
     ts[np.abs(ts) < 1e-15] = 0.0
     grid_thetas, grid_ts = np.repeat(thetas, len(ts)), np.tile(ts, len(thetas))
     residuals = _scan_residuals(cfg, grid_thetas, grid_ts, samples, seed)
-    ts = ts.tolist()
-    types = [fiber_type(BasePoint(0.0, t)).value for t in ts]
-    return list(map(ScanRow._make, zip(grid_thetas.tolist(), grid_ts.tolist(), types * len(thetas),
-                                       [samples] * len(grid_ts), residuals)))
+    types = [fiber_type(BasePoint(0.0, t)).value for t in ts.tolist()] * len(thetas)
+    return [{"theta": theta, "t": t, "fiber_type": kind, "n_stable_samples": samples, "mean_level_residual": resid}
+            for theta, t, kind, resid in zip(grid_thetas.tolist(), grid_ts.tolist(), types, residuals)]
 
 
-def _scan_csv(rows: list[ScanRow]) -> str:
+def _scan_ok(rows: list[dict]) -> bool:
+    return all(row["mean_level_residual"] <= SCAN_RESIDUAL_TOL for row in rows)
+
+
+def _scan_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta", "t", "fiber_type", "n_stable_samples", "mean_level_residual"])
-    for r in rows:
-        writer.writerow([r.theta, r.t, r.fiber_type, r.n_stable_samples, r.mean_level_residual])
+    writer = csv.DictWriter(buf, SCAN_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -435,43 +388,31 @@ def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint],
 
 
 def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
-    verify_doc, conditions_ok = run_verify(
+    doc, conditions_ok = run_verify(
         run_cfg, seed, args.samples, args.fd_step, args.tol, theta_grid=args.theta_grid
     )
     rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples)
     stats = matching_stats(*_match_passes(run_cfg, seed, [], args.match_samples, args.blowup_rays))
-    scan_ok = all(r.mean_level_residual <= SCAN_RESIDUAL_TOL for r in rows)
+    scan_ok = _scan_ok(rows)
     match_ok = (
         stats["n_errors"] == 0
         and stats["max_moment_residual"] is not None
         and stats["max_moment_residual"] <= MOMENT_RESIDUAL_TOL
         and stats["max_orbit_deviation"] <= ORBIT_DEVIATION_TOL
     )
-    passed = bool(conditions_ok and scan_ok and match_ok)
-    doc = {
-        "config_digest": run_cfg.digest,
-        "seed": seed,
-        "condition_report": verify_doc["condition_report"],
-        "rest_bound": verify_doc["rest_bound"],
-        "scan": [r._asdict() for r in rows],
-        "matching_stats": stats,
-        "checks": {
-            "conditions_ok": bool(conditions_ok),
-            "scan_ok": bool(scan_ok),
-            "match_ok": bool(match_ok),
-        },
-        "pass": passed,
-    }
+    passed = conditions_ok and scan_ok and match_ok
+    doc.update({"scan": rows, "matching_stats": stats, "pass": passed,
+                "checks": {"conditions_ok": conditions_ok, "scan_ok": scan_ok, "match_ok": match_ok}})
     return doc, passed
 
 
 def _parse_point(text: str, cfg) -> FiberPoint:
     try:
         doc = json.loads(text)
-        theta = float(doc.get("theta", 0.0))
+        theta = _number(doc.get("theta", 0.0), "theta")
         y_prime = parse_vector(doc["y_prime"])
         y_second = parse_vector(doc["y_second"])
-    except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigInvalid) as e:
         raise ConfigParse(f"bad --point payload: {e}") from e
     if not (np.isfinite(theta) and np.isfinite(y_prime).all() and np.isfinite(y_second).all()):
         raise ConfigParse("bad --point payload: theta and the vector entries must be finite")
@@ -572,30 +513,16 @@ def main(argv=None) -> int:
             if args.command == "verify":
                 doc, ok = run_verify(run_cfg, seed, args.samples, args.fd_step, args.tol,
                                      theta_grid=args.theta_grid)
-                _dump(doc, args.out)
-                return 0 if ok else 1
-
-            if args.command == "scan":
+            elif args.command == "scan":
                 rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
-                doc = {
-                    "config_digest": run_cfg.digest,
-                    "seed": seed,
-                    "scan": [r._asdict() for r in rows],
-                }
                 if args.csv:
-                    with open(args.csv, "w") as f:
-                        f.write(_scan_csv(rows))
-                _dump(doc, args.out)
-                ok = all(r.mean_level_residual <= SCAN_RESIDUAL_TOL for r in rows)
-                return 0 if ok else 1
-
-            if args.command == "match":
+                    _write(_scan_csv(rows), args.csv)
+                doc, ok = {"config_digest": run_cfg.digest, "seed": seed, "scan": rows}, _scan_ok(rows)
+            elif args.command == "match":
                 points = [_parse_point(text, run_cfg.model) for text in args.point]
-                doc = run_match(run_cfg, seed, points, args.random, args.blowup_rays)
-                _dump(doc, args.out)
-                return 0
-
-            doc, ok = run_report(run_cfg, seed, args)
+                doc, ok = run_match(run_cfg, seed, points, args.random, args.blowup_rays), True
+            else:
+                doc, ok = run_report(run_cfg, seed, args)
             _dump(doc, args.out)
             return 0 if ok else 1
 
@@ -609,6 +536,9 @@ def main(argv=None) -> int:
             # a check that fails mid-run, e.g. a blowup ray leaving the fiber domain
             print(f"{type(e).__name__}: {e}", file=sys.stderr)
             return 1
+        except OSError as e:  # an --out or --csv path that cannot be written: a usage error
+            print(f"cannot write output: {e}", file=sys.stderr)
+            return 2
 
 
 def entry() -> None:  # console-script hook

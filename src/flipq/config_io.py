@@ -193,7 +193,6 @@ class RunConfig(NamedTuple):
     phi_spec: dict | None
     seed: int
     digest: str
-    raw: dict
 
 
 def parse_run_config(doc) -> RunConfig:
@@ -213,7 +212,6 @@ def parse_run_config(doc) -> RunConfig:
         phi_spec=phi_spec,
         seed=_integer(doc.get("seed", 0), "seed", minimum=0),
         digest=config_digest(doc),
-        raw=doc,
     )
 
 

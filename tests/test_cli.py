@@ -1,5 +1,7 @@
 """CLI contract: outputs, determinism, and the 0/1/2 exit-code scheme."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -138,6 +140,32 @@ def test_scan_csv_header_and_rows(tmp_path):
     assert lines[0] == "theta,t,fiber_type,n_stable_samples,mean_level_residual"
     assert len(lines) == 7
     assert lines[1].split(",")[2] == "QPrime"
+    # the bytes csv.writer gives for the JSON document's rows, the wall row's t = 0.0 included
+    header = lines[0].split(",")
+    rows = json.loads((tmp_path / "o.json").read_text())["scan"]
+    assert any(row["t"] == 0.0 for row in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row[key] for key in header] for row in rows)
+    assert csv_path.read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "200", "--theta-grid", "8", "--out", "{missing}/x.json"],
+    ["verify", "--samples", "200", "--theta-grid", "8", "--out", "{tmp}"],  # a directory
+    ["scan", "--theta-steps", "2", "--t-steps", "3", "--samples", "4", "--out", "{missing}/x.json"],
+    ["scan", "--theta-steps", "2", "--t-steps", "3", "--samples", "4", "--csv", "{missing}/x.csv"],
+    ["match", "--random", "2", "--out", "{missing}/x.json"],
+])
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing, tmp=tmp_path) for arg in argv]
+    assert main(argv + ["--config", QUARTIC]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot write output: ")
+    assert not missing.exists()
 
 
 # -- match ----------------------------------------------------------------------
@@ -334,6 +362,17 @@ TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--
         (_non_pd_between_grid, ["verify", "--samples", "200"], 2, "is not positive definite"),
         (_non_pd_between_grid, ["report", *TINY_REPORT], 2, "is not positive definite"),
         (_non_pd_between_grid, ["match", "--blowup-rays", "8"], 2, "is not positive definite"),
+        # mistyped --point values: theta follows the config's number rule
+        (_keep, ["match", "--point", '{"theta": "1.5", "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}'], 2,
+         "bad --point payload: theta must be a number, got '1.5'"),
+        (_keep, ["match", "--point", '{"theta": true, "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}'], 2,
+         "bad --point payload: theta must be a number, got True"),
+        (_keep, ["match", "--point", '{"theta": 1%s, "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}' % ("0" * 400)],
+         2, "bad --point payload: theta is an integer outside the float range"),
+        (_keep, ["match", "--point", '{"theta": 0.5, "y_prime": [true], "y_second": [[0.2, 0]]}'], 2,
+         "config parse error: bad --point payload: expected a number or [re, im] pair, got True"),
+        (_keep, ["match", "--point", '{"theta": 0.5, "y_prime": [[0.1, 0]], "y_second": [[false, 0]]}'], 2,
+         "config parse error: bad --point payload: expected a number or [re, im] pair, got [False, 0]"),
     ],
 )
 def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
@@ -419,7 +458,7 @@ def test_batched_match_agrees_with_scalar_path():
                       scale * complex_gaussian(rng, 1)))
     points = [FiberPoint(BasePoint(theta, 0.0), np.array(yp, dtype=complex), np.array(ys, dtype=complex))
               for theta, yp, ys in cases]
-    run_cfg = RunConfig(model=cfg, phi_spec=None, seed=7, digest="mixed", raw={})
+    run_cfg = RunConfig(model=cfg, phi_spec=None, seed=7, digest="mixed")
     doc = run_match(run_cfg, 7, points, random_n=0, blowup_rays=0)
     assert [e.get("error") for e in doc["points"][:8]] == [case[3] for case in named]
     messages = _assert_matches_scalar_path(cfg, doc["points"])
@@ -441,7 +480,7 @@ def test_batched_match_agrees_with_scalar_path():
 def test_random_draws_replace_wall_rejects_and_keep_metric_faults():
     # on this config most draws leave the wall interval and are redrawn; draws
     # at a theta where g' is not positive definite stay, as ConfigInvalid entries
-    run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed", raw={})
+    run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
     doc = run_match(run_cfg, 7, [], random_n=200, blowup_rays=0)
     errors = [e.get("error") for e in doc["points"]]
     assert len(errors) == 200
@@ -504,7 +543,7 @@ def test_blowup_rays_solve_the_renormalized_quadratic(cfg_fourier_quartic):
     # rho^2 = s solves a' s^2 + 2 c s - a'' = 0 with a', a'', c taken by the
     # scalar path at v = r w and divided by r^2
     cfg = cfg_fourier_quartic
-    run_cfg = RunConfig(model=cfg, phi_spec=None, seed=5, digest="rays", raw={})
+    run_cfg = RunConfig(model=cfg, phi_spec=None, seed=5, digest="rays")
     rays = run_match(run_cfg, 5, [], random_n=0, blowup_rays=6)["blowup_rays"]
     assert len(rays) == 6
     for ray in rays:
@@ -533,12 +572,12 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
     for row in rows:
         y_prime = complex_gaussian(rng, (k, cfg.r_prime))
         y_second = complex_gaussian(rng, (k, cfg.r_second))
-        thetas = np.full(k, row.theta)
-        ts = np.full(k, row.t)
+        thetas = np.full(k, row["theta"])
+        ts = np.full(k, row["t"])
         rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
         resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None], y_second / rho[:, None]))
-        assert row.mean_level_residual == float(resid.mean())
-        assert row.n_stable_samples == k
+        assert row["mean_level_residual"] == float(resid.mean())
+        assert row["n_stable_samples"] == k
 
 
 
@@ -554,12 +593,12 @@ def test_scan_sample_count_above_the_lane_cap(tmp_path):
     for row in rows:
         y_prime = complex_gaussian(rng, (k, cfg.r_prime))
         y_second = complex_gaussian(rng, (k, cfg.r_second))
-        thetas = np.full(k, row.theta)
-        ts = np.full(k, row.t)
+        thetas = np.full(k, row["theta"])
+        ts = np.full(k, row["t"])
         rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
         resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None], y_second / rho[:, None]))
-        assert row.mean_level_residual == float(resid.mean())
-        assert row.n_stable_samples == k
+        assert row["mean_level_residual"] == float(resid.mean())
+        assert row["n_stable_samples"] == k
 
 
 DRAW_SEEDS = (0, 3, 7, 2**32 + 5)
@@ -711,7 +750,7 @@ def test_report_stats_equal_stats_of_match_entries(source, seed, match_samples, 
         path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
         run_cfg = load_run_config(str(path))
     elif source == "mixed":
-        run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed", raw={})
+        run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
         # the rest-bound scan stops at the indefinite metric; the stats do not depend on it
         monkeypatch.setattr(cli, "run_verify", lambda *a, **k: ({"condition_report": {}, "rest_bound": {}}, True))
     else:

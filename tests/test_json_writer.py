@@ -1,4 +1,8 @@
-"""flipq's JSON writer: byte-identical to json.dumps(indent=2, sort_keys=True, allow_nan=False)."""
+"""flipq's JSON writer: byte-identical to json.dumps(indent=2, sort_keys=True, allow_nan=False).
+
+json.dumps writes every value but a top-level table, which cli._table_text
+writes through one %-template; the tests here pin that boundary.
+"""
 
 import json
 from pathlib import Path
@@ -99,6 +103,56 @@ def test_float_columns_keep_signed_zeros(column):
     # the float texts are shared within one call, but -0.0 == 0.0 print apart
     doc = {"rows": [{"x": x, "y": -x} for x in column], "again": column}
     assert _json_text(doc) == _reference(doc)
+
+
+# -- the table boundary -----------------------------------------------------------
+
+# lists that are tables and lists next to one: each must come out as json.dumps writes it
+BOUNDARY_TABLES = {
+    "int and float in one column": [{"a": 1, "b": 0.5}, {"a": 2.0, "b": 1.5}],
+    "bool column": [{"a": True, "b": 0.5}, {"a": False, "b": 1.5}],
+    "bool among ints": [{"a": 1}, {"a": True}],
+    "None column": [{"a": None, "b": "x"}, {"a": None, "b": "y"}],
+    "np.float64 column": [{"a": np.float64(0.1)}, {"a": np.float64(-0.0)}],
+    "np.float64 among floats": [{"a": 0.1}, {"a": np.float64(0.2)}],
+    "nested lists": [{"a": [0.5, 1]}, {"a": [2.0]}],
+    "nested dicts": [{"a": {"b": 0.5}}, {"a": {"b": 1.0}}],
+    "key sets differ at one size": [{"a": 0.5, "b": 1.0}, {"a": 0.5, "c": 1.0}],
+    "a row with an extra key": [{"a": 0.5}, {"a": 1.0, "b": 2.0}],
+    "a row with a missing key": [{"a": 0.5, "b": 2.0}, {"a": 1.0}],
+    "empty rows": [{}, {}],
+    "a row that is a list": [{"a": 0.5}, [0.5]],
+    "signed zeros": [{"x": 0.0, "y": -0.0}, {"x": -0.0, "y": 0.0}, {"x": 0.0, "y": 0.0}],
+    "repeated floats": [{"x": 0.1, "y": 0.1}, {"x": 0.1, "y": -0.1}],
+    "% in keys and values": [{"%s": 0.5, "%%": 1, "%(a)s": "%d"}, {"%s": 1.5, "%%": 2, "%(a)s": "%%"}],
+    "scan rows": [{"fiber_type": "QZero", "mean_level_residual": 0.5, "n_stable_samples": 4, "t": 0.0,
+                   "theta": -0.0}] * 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_TABLES))
+@pytest.mark.parametrize("place", [
+    lambda table: {"scan": table},
+    lambda table: {"a": 1.0, "z": {"scan": table}},  # nested below the top level
+    lambda table: {"z": [table]},
+    lambda table: table,
+], ids=["top", "nested dict", "nested list", "bare"])
+def test_table_boundary_matches_json_dumps(name, place):
+    doc = place(BOUNDARY_TABLES[name])
+    assert _json_text(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize("command", ["scan", "report"])
+def test_nan_scan_residual_fails_the_run_on_one_line(command, fourier_config, monkeypatch, capsys, tmp_path):
+    residuals = cli._scan_residuals
+    monkeypatch.setattr(cli, "_scan_residuals",
+                        lambda *args: [float("nan")] + residuals(*args)[1:])
+    out = tmp_path / "out.json"
+    assert main(COMMANDS[command] + ["--config", fourier_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("FlipQError: output holds a non-finite value "
+                   "(Out of range float values are not JSON compliant: nan)\n")
+    assert not out.exists()
 
 
 # -- refused values ------------------------------------------------------------

@@ -55,12 +55,12 @@ def test_metrics_cache_reports_hits():
 
 def test_run_scan_returns_a_sized_sequence_of_rows(tmp_path):
     # the tracer's cli.scan_rows counter is len(run_scan(...)); a row container
-    # without len, or rows without attribute access, would break it silently
+    # without len would break it silently
     path = tmp_path / "fourier.json"
     path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
     theta_steps, t_steps = 4, 3
     rows = run_scan(load_run_config(str(path)), 3, theta_steps, t_steps, 2)
     assert len(rows) == theta_steps * t_steps
-    assert [row.fiber_type for row in rows[:t_steps]] == ["QPrime", "QZero", "QSecond"]
-    assert all(row.n_stable_samples == 2 and row.theta == rows[i - i % t_steps].theta
+    assert [row["fiber_type"] for row in rows[:t_steps]] == ["QPrime", "QZero", "QSecond"]
+    assert all(row["n_stable_samples"] == 2 and row["theta"] == rows[i - i % t_steps]["theta"]
                for i, row in enumerate(rows))
