@@ -71,10 +71,8 @@ from .perturbation import (
     phi_moment,
     phi_quadratic,
     renorm_eval,
-    rescale_alpha_beta,
     rest_bound_scan,
     solve_rho,
-    solve_rho_batch,
     solve_rho_blowup,
     taylor_rest,
     verify_conditions,

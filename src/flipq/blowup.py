@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BasePoint, FiberPoint, ModelConfig, fiber_norms
+from .core import BasePoint, FiberPoint, ModelConfig, _frozen_complex_vector, fiber_norms
 from .errors import ConfigInvalid, NotOnBoundary, OnCenter, ZeroScalar
 
 UNIT_NORM_TOL = 1e-12
@@ -30,8 +30,8 @@ class BlowupPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "w_prime", _frozen_vector(self.w_prime))
-        object.__setattr__(self, "w_second", _frozen_vector(self.w_second))
+        object.__setattr__(self, "w_prime", _frozen_complex_vector(self.w_prime))
+        object.__setattr__(self, "w_second", _frozen_complex_vector(self.w_second))
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,19 +42,12 @@ class BoundaryPoint:
     base: BasePoint
 
     def __post_init__(self):
-        object.__setattr__(self, "homog", _frozen_vector(self.homog))
-
-
-def _frozen_vector(v) -> np.ndarray:
-    arr = np.array(v, dtype=np.complex128)
-    arr.flags.writeable = False
-    return arr
+        object.__setattr__(self, "homog", _frozen_complex_vector(self.homog))
 
 
 def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
     """Construct with the unit-sphere invariant checked at base theta."""
-    bp = BlowupPoint(r=float(r), w_prime=np.asarray(w_prime, dtype=complex),
-                     w_second=np.asarray(w_second, dtype=complex), base=base)
+    bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=base)
     if bp.r < 0:
         raise ConfigInvalid(f"blowup radius must be >= 0, got {bp.r}")
     total = sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second)))

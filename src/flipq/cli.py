@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .config_io import RunConfig, _number, load_run_config, parse_vector, phi_from_config
-from .core import BasePoint, FiberPoint
+from .core import BasePoint, FiberPoint, check_metrics
 from .errors import ConfigInvalid, ConfigParse, FlipQError, OutOfDomain
 from .perturbation import (
     FD_STEP_RANGE,
@@ -189,6 +189,8 @@ def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
              samples: int) -> list[dict]:
     cfg = run_cfg.model
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_steps, endpoint=False)
+    # validation checks the metrics on its own theta grid only
+    check_metrics(cfg, thetas)
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
     # a symmetric grid is meant to hit the wall exactly
     ts[np.abs(ts) < 1e-15] = 0.0

@@ -142,7 +142,7 @@ def build_metric_field(doc: dict) -> MetricFieldSpec:
 
 def build_perturbation(doc: dict | None) -> PerturbationSpec:
     if doc is None:
-        return PerturbationSpec.none()
+        return PerturbationSpec()
     items = _object(doc, "perturbation").get("terms", [])
     if not isinstance(items, list):
         raise ConfigInvalid(f"perturbation.terms must be a list, got {type(items).__name__}")

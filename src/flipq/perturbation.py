@@ -55,6 +55,7 @@ from .errors import (
 
 DOMAIN_SLACK = 1e-12
 GRAPH_NEWTON_TOL = 1e-12
+GRAPH_MAX_ITER = 50
 GRAPH_FD_STEP = 1e-6
 MIN_GRAPH_DERIVATIVE = 1e-8
 RENORM_FD_STEP = 1e-2
@@ -102,10 +103,6 @@ class PerturbationTerm:
 @dataclass(frozen=True, eq=False)
 class PerturbationSpec:
     terms: tuple[PerturbationTerm, ...] = ()
-
-    @classmethod
-    def none(cls) -> "PerturbationSpec":
-        return cls(terms=())
 
     @classmethod
     def single(cls, **kwargs) -> "PerturbationSpec":
@@ -344,18 +341,12 @@ def verify_conditions(
     )
 
 
-def extract_graph(
-    cfg: ModelConfig,
-    phi: PhiFunc,
-    p: FiberPoint,
-    tol: float = GRAPH_NEWTON_TOL,
-    max_iter: int = 50,
-) -> float:
+def extract_graph(cfg: ModelConfig, phi: PhiFunc, p: FiberPoint) -> float:
     """Newton-solve phi(v, t) = 0 for t in the wall interval.
 
     Seeded at the unperturbed graph value -(|v'|^2 - |v''|^2)/2; the
     t-derivative is taken by central differences and guarded against
-    degeneracy.  phi is called on one lane.
+    degeneracy, also at a seed that is a root.  phi is called on one lane.
     """
     lane = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
     g1, g2 = fiber_norms_batch(cfg, *lane)
@@ -364,25 +355,23 @@ def extract_graph(
     def phi_at(t):
         return phi(*lane, np.array([t]))[0]
 
+    def slope(t):
+        h = GRAPH_FD_STEP
+        deriv = (phi_at(t + h) - phi_at(t - h)) / (2.0 * h)
+        if abs(deriv) < MIN_GRAPH_DERIVATIVE:
+            raise DegenerateDerivative(f"|dphi/dt| = {abs(deriv):.3g} below {MIN_GRAPH_DERIVATIVE}")
+        return deriv
+
     t = -0.5 * (g1[0] - g2[0])
-    h = GRAPH_FD_STEP
-    deriv = None
-    for _ in range(max_iter):
+    for step in range(GRAPH_MAX_ITER):
         value = phi_at(t)
-        if abs(value) <= tol:
+        if abs(value) <= GRAPH_NEWTON_TOL:
+            if step == 0:
+                slope(t)
             break
-        deriv = (phi_at(t + h) - phi_at(t - h)) / (2.0 * h)
-        if abs(deriv) < MIN_GRAPH_DERIVATIVE:
-            raise DegenerateDerivative(f"|dphi/dt| = {abs(deriv):.3g} below {MIN_GRAPH_DERIVATIVE}")
-        t = t - value / deriv
+        t = t - value / slope(t)
     else:
-        raise NoRoot(f"no root of phi(v, .) after {max_iter} iterations")
-    if abs(phi_at(t)) > tol:
-        raise NoRoot("Newton terminated away from a root")
-    if deriv is None:
-        deriv = (phi_at(t + h) - phi_at(t - h)) / (2.0 * h)
-        if abs(deriv) < MIN_GRAPH_DERIVATIVE:
-            raise DegenerateDerivative(f"|dphi/dt| = {abs(deriv):.3g} below {MIN_GRAPH_DERIVATIVE}")
+        raise NoRoot(f"no root of phi(v, .) after {GRAPH_MAX_ITER} iterations")
     if not abs(t) < cfg.epsilon:
         raise NoRoot(f"root t = {t} lies outside the wall interval (+-{cfg.epsilon})")
     return float(t)
@@ -447,26 +436,18 @@ class RhoSolution(NamedTuple):
     converged: bool
 
 
-def rescale_alpha_beta(g1: float, g2: float, c: float, rho: float) -> tuple[float, float]:
-    """Residual and derivative of the rescaling equation at rho, as kernels.newton_rescale takes them."""
-    return kernels.rescale_alpha(rho, g1, g2, c), kernels.rescale_beta(rho, g1, g2)
-
-
-def _branch_check(prime_zero: bool, second_zero: bool, c: float) -> None:
-    if kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
-        return
-    if prime_zero and second_zero:
-        raise DegenerateBranch("the rescaling equation is undefined on the zero section")
-    if second_zero:
-        raise DegenerateBranch(f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0")
-    raise DegenerateBranch(f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0")
-
-
-def _check_status(status, resid, iters) -> None:
+def _check_rescale(status, prime_zero: bool, second_zero: bool, c: float, resid, iters) -> None:
+    """Raise the error of a lane whose status is not STATUS_OK: its branch's when the zero
+    pattern of (y', y'') has no positive root, else the solver's (norms may underflow to 0)."""
+    if not kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
+        if prime_zero and second_zero:
+            raise DegenerateBranch("the rescaling equation is undefined on the zero section")
+        if second_zero:
+            raise DegenerateBranch(f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0")
+        raise DegenerateBranch(f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0")
     if status == kernels.STATUS_NO_POSITIVE_ROOT:
         raise DegenerateBranch("no positive root on this branch")
-    if status == kernels.STATUS_NO_CONVERGENCE:
-        raise NoConvergence(f"residual {resid:.3g} after {iters} iterations")
+    raise NoConvergence(f"residual {resid:.3g} after {iters} iterations")
 
 
 def _rho_solution(m: LaneMatch) -> RhoSolution:
@@ -496,12 +477,6 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
         return RhoSolution(rho=1.0, residual=0.0, iterations=0, converged=True)
     return _rho_solution(rescale_lanes(cfg, [bp.base.theta], [bp.r * bp.w_prime],
                                        [bp.r * bp.w_second], r2=bp.r**2))
-
-
-def solve_rho_batch(cfg: ModelConfig, thetas, y_prime, y_second):
-    """Batch rescaling solves: (rho, residual, iterations, status); degenerate branches come back as status codes."""
-    m = match_lanes(cfg, thetas, y_prime, y_second)
-    return m.rho, m.residual, m.iterations, m.status
 
 
 # ---------------------------------------------------------------------------
@@ -637,20 +612,19 @@ def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -
     """Per lane, the FlipQError of the rescaling solve on that point, or None.
 
     The checks run in this order: metric positivity at theta, fiber domain,
-    rescaling branch, Newton status.  Each vector test only selects candidate
-    lanes; the scalar check then decides and builds the error.  Matching
-    also needs the graph value inside the wall interval (wall_error).
+    then, on lanes whose Newton status is not STATUS_OK, the rescaling rule
+    of _check_rescale.  Each vector test only selects candidate lanes; the
+    scalar check then decides and builds the error.  Matching also needs the
+    graph value inside the wall interval (wall_error).
     """
     y_prime = np.asarray(y_prime)
     y_second = np.asarray(y_second)
-    prime_zero = ~np.any(y_prime, axis=1)
-    second_zero = ~np.any(y_second, axis=1)
     checks = (
         (metric_faults_batch(cfg, thetas), lambda i: metric_at(cfg, float(thetas[i]))),
         (_outside_domain(cfg, m.g1, m.g2), lambda i: _check_domain(cfg, m.g1[i], m.g2[i])),
-        (prime_zero | second_zero, lambda i: _branch_check(prime_zero[i], second_zero[i], m.t[i])),
         (m.status != kernels.STATUS_OK,
-         lambda i: _check_status(m.status[i], m.residual[i], m.iterations[i])),
+         lambda i: _check_rescale(m.status[i], not y_prime[i].any(), not y_second[i].any(),
+                                  m.t[i], m.residual[i], m.iterations[i])),
     )
     errors = [None] * len(m.t)
     for lanes, check in checks:

@@ -6,6 +6,7 @@ import pytest
 from flipq import (
     BasePoint,
     BlowupPoint,
+    DimensionMismatch,
     FiberPoint,
     NotOnBoundary,
     OnCenter,
@@ -49,6 +50,11 @@ def test_to_blowup_unit(cfg_identity):
 def test_to_blowup_on_center(cfg_identity):
     with pytest.raises(OnCenter):
         to_blowup(cfg_identity, _point([0.0], [0.0]))
+
+
+def test_blowup_point_rejects_a_non_vector_direction():
+    with pytest.raises(DimensionMismatch):
+        _bp(0.0, [[1.0]], [0.0])
 
 
 def test_from_blowup_boundary_blows_down(cfg_identity):

@@ -299,82 +299,132 @@ TINY_REPORT = ["--theta-grid", "2", "--samples", "20", "--theta-steps", "1", "--
                "--scan-samples", "2", "--match-samples", "2", "--blowup-rays", "1"]
 
 
-@pytest.mark.parametrize(
-    "edit, argv, code, message",
-    [
-        # non-finite values
+# Each case's id is its key: the older keys are the names pytest gave the cases by
+# list position, kept so that results recorded by test id still line up.
+BAD_CONFIGS = {
+    # non-finite values
+    "edit-argv0-2-MetricFiniteViolation":
         (_set(["metrics", "g_prime", 0, 0], NAN), ["verify"], 2, "MetricFiniteViolation"),
+    "edit-argv1-2-MetricFiniteViolation":
         (_set(["metrics", "g_second", 0, 0], INF), ["report"], 2, "MetricFiniteViolation"),
+    "edit-argv2-2-EpsilonViolation":
         (_set(["epsilon"], INF), ["verify"], 2, "EpsilonViolation"),
+    "edit-argv3-2-DomainRadiusViolation":
         (_set(["domain_radius"], NAN), ["verify"], 2, "DomainRadiusViolation"),
+    "edit-argv4-2-PerturbationCoefficientViolation":
         (_set(["perturbation", "terms", 0, "coeff_fourier"], [0.1, NAN]), ["report"], 2,
          "PerturbationCoefficientViolation"),
+    "edit-argv5-2-ReferenceSectionViolation":
         (_add_ref_term([NAN]), ["verify"], 2, "ReferenceSectionViolation"),
+    "edit-argv6-2-phi.coeff_prime":
         (_set(["phi"], {"kind": "quadratic", "coeff_prime": NAN}), ["verify"], 2, "phi.coeff_prime"),
-        # mistyped values
+    # mistyped values
+    "edit-argv7-2-ranks.r_prime must be an integer":
         (_set(["ranks", "r_prime"], "two"), ["verify"], 2, "ranks.r_prime must be an integer"),
+    "edit-argv8-2-ranks.r_second must be an integer":
         (_set(["ranks", "r_second"], True), ["verify"], 2, "ranks.r_second must be an integer"),
+    "edit-argv9-2-ranks must be an object":
         (_set(["ranks"], [1, 1]), ["verify"], 2, "ranks must be an object"),
+    "edit-argv10-2-epsilon must be a number":
         (_set(["epsilon"], "0.5"), ["verify"], 2, "epsilon must be a number"),
+    "edit-argv11-2-coeff_fourier must be a list":
         (_set(["perturbation", "terms", 0, "coeff_fourier"], "abc"), ["verify"], 2,
          "coeff_fourier must be a list"),
+    "edit-argv12-2-coeff_fourier entry must be a number":
         (_set(["perturbation", "terms", 0, "coeff_fourier"], ["abc"]), ["verify"], 2,
          "coeff_fourier entry must be a number"),
+    "edit-argv13-2-generator mixed must be an integer":
         (_set(["perturbation", "terms", 0, "generators", "mixed"], 1.5), ["verify"], 2,
          "generator mixed must be an integer"),
+    "edit-argv14-2-phi must be an object":
         (_set(["phi"], "graph"), ["verify"], 2, "phi must be an object"),
+    "edit-argv15-2-seed must be >= 0":
         (_set(["seed"], -5), ["verify"], 2, "seed must be >= 0"),
+    "edit-argv16-2-seed must be an integer":
         (_set(["seed"], 1.5), ["report"], 2, "seed must be an integer"),
-        # a check that fails mid-run: the blowup rays start at r = 0.1
+    # a check that fails mid-run: the blowup rays start at r = 0.1
+    "edit-argv17-1-OutOfDomain":
         (_set(["domain_radius"], 0.05), ["match", "--blowup-rays", "1"], 1, "OutOfDomain"),
+    "edit-argv18-1-OutOfDomain":
         (_set(["domain_radius"], 0.05), ["report", *TINY_REPORT], 1, "OutOfDomain"),
-        # a radius whose square overflows
+    # a radius whose square overflows
+    "edit-argv19-2-DomainRadiusViolation":
         (_set(["domain_radius"], 1e200), ["verify"], 2, "DomainRadiusViolation"),
+    "edit-argv20-2-DomainRadiusViolation":
         (_set(["domain_radius"], 1e200), ["report", *TINY_REPORT], 2, "DomainRadiusViolation"),
-        # metric matrices that are ragged, not square, or have an empty row
+    # metric matrices that are ragged, not square, or have an empty row
+    "edit-argv21-2-expected a non-empty square matrix":
         (_set(["metrics", "g_prime"], [[1, 0], [0]]), ["verify"], 2, "expected a non-empty square matrix"),
+    "edit-argv22-2-expected a non-empty square matrix":
         (_set(["metrics", "g_prime"], [[1, 2]]), ["verify"], 2, "expected a non-empty square matrix"),
+    "edit-argv23-2-expected a non-empty square matrix":
         (_set(["metrics", "g_second"], [[]]), ["verify"], 2, "expected a non-empty square matrix"),
-        # non-finite --point values
+    # non-finite --point values
+    "_keep-argv24-2-must be finite":
         (_keep, ["match", "--point", '{"theta": NaN, "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}'], 2,
          "must be finite"),
+    "_keep-argv25-2-must be finite":
         (_keep, ["match", "--point", '{"theta": 0.5, "y_prime": [[Infinity, 0]], "y_second": [[0.2, 0]]}'], 2,
          "must be finite"),
-        # a --point payload that is not an object
+    # a --point payload that is not an object
+    "_keep-argv26-2-bad --point payload":
         (_keep, ["match", "--point", "[1]"], 2, "bad --point payload"),
-        # a wall interval whose width 2 epsilon overflows
+    # a wall interval whose width 2 epsilon overflows
+    "edit-argv27-2-EpsilonViolation":
         (_set(["epsilon"], 1e308), ["verify"], 2, "EpsilonViolation"),
+    "edit-argv28-2-EpsilonViolation":
         (_set(["epsilon"], 1e308), ["report", *TINY_REPORT], 2, "EpsilonViolation"),
-        # a wall interval so thin that no random draw lands inside it
+    # a wall interval so thin that no random draw lands inside it
+    "edit-argv29-1-random draws still leave the wall interval":
         (_set(["epsilon"], 1e-9), ["match", "--random", "4"], 1,
          "random draws still leave the wall interval"),
-        # JSON integers past the float range
+    # JSON integers past the float range
+    "edit-argv30-2-epsilon is an integer outside the float range":
         (_set(["epsilon"], 10**400), ["verify"], 2, "epsilon is an integer outside the float range"),
+    "edit-argv31-2-outside the float range":
         (_set(["metrics", "g_prime", 0, 0], 10**400), ["verify"], 2, "outside the float range"),
+    "edit-argv32-2-coeff_fourier entry is an integer outside the float range":
         (_set(["perturbation", "terms", 0, "coeff_fourier"], [0.1, -10**400]), ["report", *TINY_REPORT], 2,
          "coeff_fourier entry is an integer outside the float range"),
+    "edit-argv33-2-phi.coeff_prime is an integer outside the float range":
         (_set(["phi"], {"kind": "quadratic", "coeff_prime": 10**400}), ["verify"], 2,
          "phi.coeff_prime is an integer outside the float range"),
+    "edit-argv34-2-generator mixed must fit in a signed 64-bit integer":
         (_set(["perturbation", "terms", 0, "generators", "mixed"], 10**400), ["verify"], 2,
          "generator mixed must fit in a signed 64-bit integer"),
+    "edit-argv35-2-g_prime n must fit in a signed 64-bit integer":
         (_fourier_harmonic(2**63), ["verify"], 2, "g_prime n must fit in a signed 64-bit integer"),
-        # a metric positive definite on the validation grid but not between its points
+    # a metric positive definite on the validation grid but not between its points
+    "_non_pd_between_grid-argv36-2-is not positive definite":
         (_non_pd_between_grid, ["verify", "--samples", "200"], 2, "is not positive definite"),
+    "_non_pd_between_grid-argv37-2-is not positive definite":
         (_non_pd_between_grid, ["report", *TINY_REPORT], 2, "is not positive definite"),
+    "_non_pd_between_grid-argv38-2-is not positive definite":
         (_non_pd_between_grid, ["match", "--blowup-rays", "8"], 2, "is not positive definite"),
-        # mistyped --point values: theta follows the config's number rule
+    # mistyped --point values: theta follows the config's number rule
+    "_keep-argv39-2-bad --point payload: theta must be a number, got '1.5'":
         (_keep, ["match", "--point", '{"theta": "1.5", "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}'], 2,
          "bad --point payload: theta must be a number, got '1.5'"),
+    "_keep-argv40-2-bad --point payload: theta must be a number, got True":
         (_keep, ["match", "--point", '{"theta": true, "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}'], 2,
          "bad --point payload: theta must be a number, got True"),
+    "_keep-argv41-2-bad --point payload: theta is an integer outside the float range":
         (_keep, ["match", "--point", '{"theta": 1%s, "y_prime": [[0.1, 0]], "y_second": [[0.2, 0]]}' % ("0" * 400)],
          2, "bad --point payload: theta is an integer outside the float range"),
+    "_keep-argv42-2-config parse error: bad --point payload: expected a number or [re, im] pair, got True":
         (_keep, ["match", "--point", '{"theta": 0.5, "y_prime": [true], "y_second": [[0.2, 0]]}'], 2,
          "config parse error: bad --point payload: expected a number or [re, im] pair, got True"),
+    "_keep-argv43-2-config parse error: bad --point payload: expected a number or [re, im] pair, got [False, 0]":
         (_keep, ["match", "--point", '{"theta": 0.5, "y_prime": [[0.1, 0]], "y_second": [[false, 0]]}'], 2,
          "config parse error: bad --point payload: expected a number or [re, im] pair, got [False, 0]"),
-    ],
-)
+    # scan checks the metric at its own grid thetas: 128 of them reach the faults between the 64 validation thetas
+    "scan-metric-between-grid":
+        (_non_pd_between_grid, ["scan", "--theta-steps", "128", "--t-steps", "3", "--samples", "4"], 2,
+         "invalid config: g_prime(1.1290098598838318) is not positive definite"),
+}
+
+
+@pytest.mark.parametrize("edit, argv, code, message", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_bad_config_exits_cleanly(edit, argv, code, message, tmp_path):
     doc = json.loads(Path(QUARTIC).read_text())
     edit(doc)
@@ -450,6 +500,7 @@ def test_batched_match_agrees_with_scalar_path():
         (0.0, [2.0, 0.0], [0.0], "OutOfDomain"),  # |v| > domain_radius and y'' = 0 with chi >= 0
         (0.0, [0.05, 0.0], [0.9], "OutOfDomain"),  # |chi| >= epsilon
         (31.5 * np.pi / 32, [0.3, 0.0], [0.2], "ConfigInvalid"),  # metric not positive definite
+        (0.0, [1e-170, 0.0], [1e-170], "DegenerateBranch"),  # both norms underflow to 0
     ]
     cases = [case[:3] for case in named]
     for _ in range(200):
@@ -460,10 +511,10 @@ def test_batched_match_agrees_with_scalar_path():
               for theta, yp, ys in cases]
     run_cfg = RunConfig(model=cfg, phi_spec=None, seed=7, digest="mixed")
     doc = run_match(run_cfg, 7, points, random_n=0, blowup_rays=0)
-    assert [e.get("error") for e in doc["points"][:8]] == [case[3] for case in named]
+    assert [e.get("error") for e in doc["points"][:len(named)]] == [case[3] for case in named]
     messages = _assert_matches_scalar_path(cfg, doc["points"])
     for fragment in ("zero section", "y'' = 0", "y' = 0", "exceeds domain_radius",
-                     "leaves the wall interval", "not positive definite"):
+                     "leaves the wall interval", "not positive definite", "no positive root on this branch"):
         assert any(fragment in m for m in messages), fragment
     assert doc["matching_stats"]["n_points"] - doc["matching_stats"]["n_errors"] >= 100
 
@@ -486,6 +537,16 @@ def test_random_draws_replace_wall_rejects_and_keep_metric_faults():
     assert len(errors) == 200
     assert "ConfigInvalid" in errors and None in errors and "OutOfDomain" not in errors
 
+
+
+def test_scan_on_a_grid_between_metric_faults_passes(tmp_path, capsys):
+    # the 64 scan thetas are the validation thetas, where g' is positive definite
+    doc = json.loads(Path(QUARTIC).read_text())
+    _non_pd_between_grid(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scan", "--theta-steps", "64", "--t-steps", "3", "--samples", "4", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_random_draws_at_an_indefinite_metric_stay_finite(tmp_path, capsys):

@@ -9,7 +9,7 @@ from conftest import make_config
 from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
-from flipq.perturbation import _branch_check, chi_parts_batch
+from flipq.perturbation import _check_rescale, chi_parts_batch
 from flipq.sampling import random_domain_batch
 
 
@@ -321,12 +321,10 @@ def test_has_positive_root_decides_classify_and_branch_check(prime_zero, second_
     assert kernels.has_positive_root(ap, app, c) == expected
     assert kernels.has_positive_root(np.array([ap]), np.array([app]), np.array([c]))[0] == expected
     assert (classify(cfg, p) is StabilityClass.Stable) == expected
-    try:
-        _branch_check(prime_zero, second_zero, c)
-        raised = False
-    except DegenerateBranch:
-        raised = True
-    assert raised != expected
+    # a zero pattern with a root leaves the failure to the solver's status
+    with pytest.raises(DegenerateBranch) as info:
+        _check_rescale(kernels.STATUS_NO_POSITIVE_ROOT, prime_zero, second_zero, c, np.nan, 0)
+    assert (str(info.value) == "no positive root on this branch") == expected
     status = kernels.newton_rescale(np.array([ap]), np.array([app]), np.array([c]))[3][0]
     assert (status == kernels.STATUS_OK) == expected
 

@@ -14,6 +14,7 @@ from flipq import (
     DegenerateBranch,
     DegenerateDerivative,
     FiberPoint,
+    NoConvergence,
     NoRoot,
     OutOfDomain,
     PerturbationSpec,
@@ -30,10 +31,8 @@ from flipq import (
     phi_moment,
     phi_quadratic,
     renorm_eval,
-    rescale_alpha_beta,
     rest_bound_scan,
     solve_rho,
-    solve_rho_batch,
     solve_rho_blowup,
     taylor_rest,
     presets,
@@ -43,7 +42,7 @@ from flipq import (
 from flipq import kernels
 from flipq.config_io import parse_run_config, phi_from_config
 from flipq.kernels import realify
-from flipq.perturbation import match_lanes
+from flipq.perturbation import match_lanes, matching_errors
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction
 
@@ -146,6 +145,12 @@ def test_extract_graph_quartic(cfg_quartic_wide):
 def test_extract_graph_degenerate_derivative(cfg_wide):
     with pytest.raises(DegenerateDerivative):
         extract_graph(cfg_wide, lambda thetas, yp, ys, t: t * 0 + 1.0, _point([1.0], [1.0]))
+
+
+def test_extract_graph_degenerate_derivative_at_a_root_seed(cfg_wide):
+    # the seed t = 0 at the zero section is already a root of t^2, a double one
+    with pytest.raises(DegenerateDerivative):
+        extract_graph(cfg_wide, lambda thetas, yp, ys, t: t**2, _point([0.0], [0.0]))
 
 
 def test_extract_graph_no_root_in_window(cfg_identity):
@@ -401,6 +406,15 @@ def test_solve_rho_degenerate_branches():
         solve_rho(cfg_neg, _point([0.0], [0.0]))  # zero section
 
 
+def test_matching_errors_reports_no_convergence(cfg_quartic):
+    thetas, yp, ys = [0.0], [[0.3 + 0j]], [[0.2 + 0j]]
+    m = match_lanes(cfg_quartic, thetas, yp, ys)._replace(
+        status=np.array([kernels.STATUS_NO_CONVERGENCE], dtype=np.int8),
+        residual=np.array([1e-3]), iterations=np.array([50]))
+    [error] = matching_errors(cfg_quartic, thetas, yp, ys, m)
+    assert isinstance(error, NoConvergence) and str(error) == "residual 0.001 after 50 iterations"
+
+
 def test_solve_rho_sign_certificate(rng, cfg_fourier_quartic):
     # alpha at the root is tiny and the derivative is strictly negative
     cfg = cfg_fourier_quartic
@@ -409,18 +423,18 @@ def test_solve_rho_sign_certificate(rng, cfg_fourier_quartic):
         p = _point(yp[i], ys[i], theta=float(thetas[i]))
         sol = solve_rho(cfg, p)
         c, (g1, g2) = chi_eval(cfg, p), fiber_norms(cfg, p)
-        alpha, beta = rescale_alpha_beta(g1, g2, c, sol.rho)
+        alpha, beta = kernels.rescale_alpha(sol.rho, g1, g2, c), kernels.rescale_beta(sol.rho, g1, g2)
         assert abs(alpha) <= 1e-12
         assert beta < 0.0
 
 
 def test_solve_rho_batch_matches_pointwise(rng, cfg_quartic):
     thetas, yp, ys = random_domain_batch(rng, cfg_quartic, 64)
-    rho, resid, iters, status = solve_rho_batch(cfg_quartic, thetas, yp, ys)
-    assert (status == 0).all()
+    m = match_lanes(cfg_quartic, thetas, yp, ys)
+    assert (m.status == 0).all()
     for i in range(64):
         sol = solve_rho(cfg_quartic, _point(yp[i], ys[i], theta=float(thetas[i])))
-        assert rho[i] == pytest.approx(sol.rho, abs=1e-13)
+        assert m.rho[i] == pytest.approx(sol.rho, abs=1e-13)
 
 
 # -- solve_rho_blowup --------------------------------------------------------
