@@ -192,8 +192,8 @@ def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
     # validation checks the metrics on its own theta grid only
     check_metrics(cfg, thetas)
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
-    # a symmetric grid is meant to hit the wall exactly
-    ts[np.abs(ts) < 1e-15] = 0.0
+    # a symmetric grid is meant to hit the wall exactly: snap its roundoff, relative to epsilon
+    ts[np.abs(ts) < 1e-15 * cfg.epsilon] = 0.0
     grid_thetas, grid_ts = np.repeat(thetas, len(ts)), np.tile(ts, len(thetas))
     residuals = _scan_residuals(cfg, grid_thetas, grid_ts, samples, seed)
     types = [fiber_type(BasePoint(0.0, t)).value for t in ts.tolist()] * len(thetas)
@@ -368,8 +368,9 @@ def matching_stats(match: MatchPass, rays: RayPass) -> dict:
     }
 
 
-def _match_passes(run_cfg: RunConfig, seed: int, points: list[FiberPoint], random_n: int,
-                  blowup_rays: int) -> tuple[MatchPass, RayPass]:
+def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint], random_n: int,
+              blowup_rays: int) -> tuple[MatchPass, RayPass]:
+    """The match stage of match and report: the given points and random_n draws, then the rays."""
     cfg = run_cfg.model
     lanes = (np.array([p.base.theta for p in points], dtype=float),
              np.array([p.y_prime for p in points], dtype=complex).reshape(len(points), cfg.r_prime),
@@ -377,9 +378,7 @@ def _match_passes(run_cfg: RunConfig, seed: int, points: list[FiberPoint], rando
     return _match_with_draws(cfg, seed, lanes, random_n), _blowup_rays(cfg, seed, blowup_rays)
 
 
-def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint],
-              random_n: int, blowup_rays: int) -> dict:
-    match, rays = _match_passes(run_cfg, seed, points, random_n, blowup_rays)
+def _match_doc(run_cfg: RunConfig, seed: int, match: MatchPass, rays: RayPass) -> dict:
     return {
         "config_digest": run_cfg.digest,
         "seed": seed,
@@ -394,7 +393,7 @@ def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
         run_cfg, seed, args.samples, args.fd_step, args.tol, theta_grid=args.theta_grid
     )
     rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples)
-    stats = matching_stats(*_match_passes(run_cfg, seed, [], args.match_samples, args.blowup_rays))
+    stats = matching_stats(*run_match(run_cfg, seed, [], args.match_samples, args.blowup_rays))
     scan_ok = _scan_ok(rows)
     match_ok = (
         stats["n_errors"] == 0
@@ -414,7 +413,7 @@ def _parse_point(text: str, cfg) -> FiberPoint:
         theta = _number(doc.get("theta", 0.0), "theta")
         y_prime = parse_vector(doc["y_prime"])
         y_second = parse_vector(doc["y_second"])
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigInvalid) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, ConfigInvalid) as e:
         raise ConfigParse(f"bad --point payload: {e}") from e
     if not (np.isfinite(theta) and np.isfinite(y_prime).all() and np.isfinite(y_second).all()):
         raise ConfigParse("bad --point payload: theta and the vector entries must be finite")
@@ -522,7 +521,8 @@ def main(argv=None) -> int:
                 doc, ok = {"config_digest": run_cfg.digest, "seed": seed, "scan": rows}, _scan_ok(rows)
             elif args.command == "match":
                 points = [_parse_point(text, run_cfg.model) for text in args.point]
-                doc, ok = run_match(run_cfg, seed, points, args.random, args.blowup_rays), True
+                match, rays = run_match(run_cfg, seed, points, args.random, args.blowup_rays)
+                doc, ok = _match_doc(run_cfg, seed, match, rays), True
             else:
                 doc, ok = run_report(run_cfg, seed, args)
             _dump(doc, args.out)

@@ -219,13 +219,16 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigParse(f"cannot read config {path}: {e}") from e
     try:
         doc = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, an integer past the digit limit, deep nesting
         raise ConfigParse(f"config {path} is not valid JSON: {e}") from e
-    return parse_run_config(doc)
+    try:
+        return parse_run_config(doc)
+    except RecursionError as e:  # nesting that decodes, but one level too deep to encode for the digest
+        raise ConfigParse(f"config {path} is nested too deeply: {e}") from e
 
 
 def phi_from_config(run_cfg: RunConfig) -> PhiFunc:

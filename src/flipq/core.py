@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigInvalid, DimensionMismatch, ZeroScalar
+from .errors import ConfigInvalid, DimensionMismatch, FlipQError, ZeroScalar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perturbation import PerturbationSpec
@@ -105,12 +105,6 @@ class MetricFieldSpec:
     def identity(cls, r_prime: int, r_second: int) -> "MetricFieldSpec":
         return cls.constant(np.eye(r_prime), np.eye(r_second))
 
-    def g_prime_at(self, theta: float) -> np.ndarray:
-        return kernels.fourier_values([theta], *self.packed_prime)[0]
-
-    def g_second_at(self, theta: float) -> np.ndarray:
-        return kernels.fourier_values([theta], *self.packed_second)[0]
-
     @staticmethod
     def _pack(terms):
         return kernels.pack_field([n for n, _, _ in terms], np.stack([c for _, c, _ in terms]),
@@ -186,64 +180,67 @@ def _hermitian_pd_faults(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return not_hermitian, not_pd
 
 
-def _check_hermitian_pd(G: np.ndarray, label: str) -> None:
-    not_hermitian, not_pd = _hermitian_pd_faults(G[None])
-    if not_hermitian[0]:
-        raise ConfigInvalid(f"{label} is not Hermitian (tolerance {HERMITIAN_TOL})")
-    if not_pd[0]:
-        raise ConfigInvalid(f"{label} is not positive definite")
+def _metric_codes(cfg: ModelConfig, thetas) -> np.ndarray:
+    """The metric rule at each of thetas: 0 where it passes, else 1 + the index of the first failed
+    check of: g' Hermitian, g' positive definite, g'' Hermitian, g'' positive definite, block sizes
+    equal to the ranks."""
+    table = kernels.Harmonics(thetas)
+    failed = []
+    for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second):
+        failed.extend(_hermitian_pd_faults(kernels.fourier_values(table, *packed)))
+    failed.append(np.full(table.thetas.shape, _metric_sizes(cfg) != (cfg.r_prime, cfg.r_second)))
+    failed = np.array(failed)
+    return np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
 
 
-def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Metric pair (G'(theta), G''(theta)); checks Hermitian positivity."""
-    G1 = cfg.metric_field.g_prime_at(theta)
-    G2 = cfg.metric_field.g_second_at(theta)
-    _check_hermitian_pd(G1, f"g_prime({theta})")
-    _check_hermitian_pd(G2, f"g_second({theta})")
-    if G1.shape[0] != cfg.r_prime or G2.shape[0] != cfg.r_second:
-        raise DimensionMismatch(
-            f"metric sizes {G1.shape[0]}/{G2.shape[0]} do not match ranks "
-            f"{cfg.r_prime}/{cfg.r_second}"
-        )
-    return G1, G2
+def _metric_sizes(cfg: ModelConfig) -> tuple[int, int]:
+    return cfg.metric_field.packed_prime[-1].shape[-1], cfg.metric_field.packed_second[-1].shape[-1]
 
 
-def metric_faults_batch(cfg: ModelConfig, thetas) -> np.ndarray:
-    """Lanes whose theta fails metric_at's checks: a batch on one theta is one
-    _metrics_cached lookup, any other batch one eigvalsh pass over its distinct thetas."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size and (thetas == thetas[0]).all():
-        try:
-            _metrics_cached(cfg, float(thetas[0]))
-        except (ConfigInvalid, DimensionMismatch):
-            return np.ones(thetas.shape[0], dtype=bool)
-        return np.zeros(thetas.shape[0], dtype=bool)
-    distinct, lanes = np.unique(thetas, return_inverse=True)
-    table = kernels.Harmonics(distinct)
-    faults = np.zeros(distinct.shape[0], dtype=bool)
-    for packed, rank in ((cfg.metric_field.packed_prime, cfg.r_prime),
-                         (cfg.metric_field.packed_second, cfg.r_second)):
-        not_hermitian, not_pd = _hermitian_pd_faults(kernels.fourier_values(table, *packed))
-        faults |= not_hermitian | not_pd | (packed[-1].shape[-1] != rank)
-    return faults[lanes]
+def metric_error(cfg: ModelConfig, theta: float, code: int) -> FlipQError:
+    """The error of a nonzero metric code at theta: the one place the metric messages are written."""
+    if code == 5:
+        prime, second = _metric_sizes(cfg)
+        return DimensionMismatch(f"metric sizes {prime}/{second} do not match ranks {cfg.r_prime}/{cfg.r_second}")
+    label = "g_prime" if code <= 2 else "g_second"
+    fault = "positive definite" if code % 2 == 0 else f"Hermitian (tolerance {HERMITIAN_TOL})"
+    return ConfigInvalid(f"{label}({theta}) is not {fault}")
 
 
 @lru_cache(maxsize=4096)
-def _metrics_cached(cfg: ModelConfig, theta: float):
-    """metric_at, remembered per (config, theta): a repeated theta pays no eigvalsh."""
-    return metric_at(cfg, theta)
+def _metrics_cached(cfg: ModelConfig, theta: float) -> int:
+    """The metric code at theta, remembered per (config, theta): a repeated theta pays no eigvalsh."""
+    return int(_metric_codes(cfg, [theta])[0])
+
+
+def metric_codes(cfg: ModelConfig, thetas) -> np.ndarray:
+    """The metric code of each lane's theta: a batch on one theta is one _metrics_cached lookup,
+    any other batch one _metric_codes pass over its distinct thetas."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.size and (thetas == thetas[0]).all():
+        return np.full(thetas.shape[0], _metrics_cached(cfg, float(thetas[0])))
+    distinct, lanes = np.unique(thetas, return_inverse=True)
+    return _metric_codes(cfg, distinct)[lanes]
 
 
 def check_metrics(cfg: ModelConfig, thetas) -> None:
-    """Raise metric_at's error at the first lane, in lane order, whose theta fails its checks."""
-    faults = np.flatnonzero(metric_faults_batch(cfg, thetas))
+    """Raise the metric_error of the first lane, in lane order, whose theta fails the metric rule."""
+    codes = metric_codes(cfg, thetas)
+    faults = np.flatnonzero(codes)
     if faults.size:
-        metric_at(cfg, float(np.asarray(thetas, dtype=float)[faults[0]]))
+        raise metric_error(cfg, float(np.asarray(thetas, dtype=float)[faults[0]]), int(codes[faults[0]]))
+
+
+def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Metric pair (G'(theta), G''(theta)), after check_metrics at theta."""
+    check_metrics(cfg, [theta])
+    return tuple(kernels.fourier_values([theta], *packed)[0]
+                 for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second))
 
 
 def one_lane(cfg: ModelConfig, theta: float, y_prime, y_second):
-    """One fiber vector as a batch (thetas, y', y'') of one lane, after metric_at's checks at theta."""
-    _metrics_cached(cfg, theta)
+    """One fiber vector as a batch (thetas, y', y'') of one lane, after check_metrics at theta."""
+    check_metrics(cfg, [theta])
     y_prime = _check_length(np.asarray(y_prime, dtype=complex), cfg.r_prime, "y_prime")
     y_second = _check_length(np.asarray(y_second, dtype=complex), cfg.r_second, "y_second")
     return np.array([theta], dtype=float), y_prime[None], y_second[None]

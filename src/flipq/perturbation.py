@@ -38,8 +38,8 @@ from .core import (
     _metrics_cached,  # not called here: perfbench's tracer reads its cache_info()
     check_metrics,
     fiber_norms_batch,
-    metric_at,
-    metric_faults_batch,
+    metric_codes,
+    metric_error,
     min_metric_eigenvalue,
     one_lane,
 )
@@ -433,7 +433,6 @@ class RhoSolution(NamedTuple):
     rho: float
     residual: float
     iterations: int
-    converged: bool
 
 
 def _check_rescale(status, prime_zero: bool, second_zero: bool, c: float, resid, iters) -> None:
@@ -452,7 +451,7 @@ def _check_rescale(status, prime_zero: bool, second_zero: bool, c: float, resid,
 
 def _rho_solution(m: LaneMatch) -> RhoSolution:
     return RhoSolution(rho=float(m.rho[0]), residual=float(m.residual[0]),
-                       iterations=int(m.iterations[0]), converged=True)
+                       iterations=int(m.iterations[0]))
 
 
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
@@ -474,7 +473,7 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     is reported in that normalization.
     """
     if bp.r == 0.0:
-        return RhoSolution(rho=1.0, residual=0.0, iterations=0, converged=True)
+        return RhoSolution(rho=1.0, residual=0.0, iterations=0)
     return _rho_solution(rescale_lanes(cfg, [bp.base.theta], [bp.r * bp.w_prime],
                                        [bp.r * bp.w_second], r2=bp.r**2))
 
@@ -611,22 +610,24 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True, 
 def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -> list:
     """Per lane, the FlipQError of the rescaling solve on that point, or None.
 
-    The checks run in this order: metric positivity at theta, fiber domain,
-    then, on lanes whose Newton status is not STATUS_OK, the rescaling rule
-    of _check_rescale.  Each vector test only selects candidate lanes; the
-    scalar check then decides and builds the error.  Matching also needs the
-    graph value inside the wall interval (wall_error).
+    The checks run in this order: the metric codes of one metric_codes call,
+    fiber domain, then, on lanes whose Newton status is not STATUS_OK, the
+    rescaling rule of _check_rescale.  For the last two a vector test selects
+    candidate lanes and the scalar check decides and builds the error.
+    Matching also needs the graph value inside the wall interval (wall_error).
     """
     y_prime = np.asarray(y_prime)
     y_second = np.asarray(y_second)
+    codes = metric_codes(cfg, thetas)
+    errors = [None] * len(m.t)
+    for i in np.flatnonzero(codes):
+        errors[i] = metric_error(cfg, float(thetas[i]), int(codes[i]))
     checks = (
-        (metric_faults_batch(cfg, thetas), lambda i: metric_at(cfg, float(thetas[i]))),
         (_outside_domain(cfg, m.g1, m.g2), lambda i: _check_domain(cfg, m.g1[i], m.g2[i])),
         (m.status != kernels.STATUS_OK,
          lambda i: _check_rescale(m.status[i], not y_prime[i].any(), not y_second[i].any(),
                                   m.t[i], m.residual[i], m.iterations[i])),
     )
-    errors = [None] * len(m.t)
     for lanes, check in checks:
         for i in np.flatnonzero(lanes):
             if errors[i] is None:

@@ -61,17 +61,6 @@ def ref_section_config(r_prime=2, r_second=2, epsilon=0.5, domain_radius=0.8, se
     return doc
 
 
-def wrong_sign_config(seed=1234) -> dict:
-    """Defining function with a flipped second block: t + (|y'|^2 + |y''|^2)/2.
-
-    The wall and gradient conditions still hold but the fiber Hessian has
-    the wrong sign on the second block, so verification must fail there.
-    """
-    doc = identity_config(seed=seed)
-    doc["phi"] = {"kind": "quadratic", "coeff_prime": 1.0, "coeff_second": 1.0}
-    return doc
-
-
 def builtin_perturbation_terms() -> list[dict]:
     """Degree >= 4 term shapes used by the verification sweep."""
     return [

@@ -25,8 +25,9 @@ from flipq import (
     presets,
     solve_rho,
 )
-from flipq.cli import _blowup_rays, _dump, main, run_match, run_scan
-from flipq.config_io import RunConfig, load_run_config
+from flipq.cli import _blowup_rays, _dump, _match_doc, main, run_match, run_scan
+from flipq.config_io import RunConfig, load_run_config, parse_run_config
+from flipq.errors import ConfigParse
 from flipq.core import fiber_norms_batch
 from flipq.kernels import BLOCK_LANES
 from flipq.quotient import level_rho_batch, moment_value_batch
@@ -109,6 +110,18 @@ def test_scan_fiber_types_across_wall(tmp_path):
     assert [r["fiber_type"] for r in by_theta] == ["QPrime", "QZero", "QSecond"]
     assert all(r["mean_level_residual"] <= 1e-12 for r in rows)
     assert all(r["n_stable_samples"] == 16 for r in rows)
+
+
+@pytest.mark.parametrize("epsilon, t_steps, types", [
+    (12.9, 5, ["QPrime", "QPrime", "QZero", "QSecond", "QSecond"]),
+    (1e-16, 3, ["QPrime", "QZero", "QSecond"]),
+])
+def test_scan_wall_row_snaps_relative_to_epsilon(epsilon, t_steps, types):
+    # the middle t of the grid is roundoff of epsilon's size; it alone is the wall fiber
+    run_cfg = parse_run_config(presets.quartic_config(epsilon=epsilon))
+    rows = run_scan(run_cfg, 1, 1, t_steps, 2)
+    assert [r["fiber_type"] for r in rows] == types
+    assert [r["t"] == 0.0 for r in rows] == [kind == "QZero" for kind in types]
 
 
 def test_scan_zero_samples(capsys):
@@ -421,6 +434,9 @@ BAD_CONFIGS = {
     "scan-metric-between-grid":
         (_non_pd_between_grid, ["scan", "--theta-steps", "128", "--t-steps", "3", "--samples", "4"], 2,
          "invalid config: g_prime(1.1290098598838318) is not positive definite"),
+    "point-nested-past-the-recursion-limit":
+        (_keep, ["match", "--point", "[" * 5000 + "]" * 5000], 2,
+         "config parse error: bad --point payload: maximum recursion depth exceeded"),
 }
 
 
@@ -454,6 +470,43 @@ def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     assert captured.out == "" and "is not valid JSON" in captured.err
 
 
+def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(Path(QUARTIC).read_bytes().replace(b'"epsilon"', b'"\xffepsilon"'))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config parse error: cannot read config {path}: 'utf-8' codec can't decode")
+
+
+def test_config_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    # the nesting sits under a key that nothing reads
+    depth = sys.getrecursionlimit() + 10
+    nested = "[" * depth + "]" * depth
+    path = tmp_path / "cfg.json"
+    path.write_text(Path(QUARTIC).read_text().replace('"epsilon": 1.5', f'"unused": {nested}, "epsilon": 1.5'))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "is not valid JSON: maximum recursion depth exceeded" in captured.err
+
+
+def test_config_nested_near_the_recursion_limit_loads_or_is_a_parse_error(tmp_path):
+    # json decodes a few levels deeper than the digest can encode again
+    template = Path(QUARTIC).read_text().replace('"epsilon": 1.5', '"unused": %s, "epsilon": 1.5')
+    path = tmp_path / "cfg.json"
+    outcomes = set()
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit + 1):
+        path.write_text(template % ("[" * depth + "]" * depth))
+        try:
+            load_run_config(path)
+            outcomes.add("loaded")
+        except ConfigParse:
+            outcomes.add("parse error")
+    assert outcomes == {"loaded", "parse error"}
+
+
 def test_seed_past_64_bits_runs(tmp_path, capsys):
     # numpy's generators take a seed of any size; only exponents and harmonics are 64-bit
     doc = json.loads(Path(QUARTIC).read_text())
@@ -462,6 +515,11 @@ def test_seed_past_64_bits_runs(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(path), "--samples", "20"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 2**64 + 1
+
+
+def _match_document(run_cfg, seed, points, random_n, blowup_rays):
+    """The document `flipq match` writes for these points and draws."""
+    return _match_doc(run_cfg, seed, *run_match(run_cfg, seed, points, random_n, blowup_rays))
 
 
 def _assert_matches_scalar_path(cfg, entries):
@@ -510,7 +568,7 @@ def test_batched_match_agrees_with_scalar_path():
     points = [FiberPoint(BasePoint(theta, 0.0), np.array(yp, dtype=complex), np.array(ys, dtype=complex))
               for theta, yp, ys in cases]
     run_cfg = RunConfig(model=cfg, phi_spec=None, seed=7, digest="mixed")
-    doc = run_match(run_cfg, 7, points, random_n=0, blowup_rays=0)
+    doc = _match_document(run_cfg, 7, points, random_n=0, blowup_rays=0)
     assert [e.get("error") for e in doc["points"][:len(named)]] == [case[3] for case in named]
     messages = _assert_matches_scalar_path(cfg, doc["points"])
     for fragment in ("zero section", "y'' = 0", "y' = 0", "exceeds domain_radius",
@@ -521,7 +579,7 @@ def test_batched_match_agrees_with_scalar_path():
     # seeded --random samples go through the same batch path
     run_cfg = load_run_config(DEFAULT)
     zero = FiberPoint(BasePoint(0.0, 0.0), np.zeros(1), np.zeros(1))
-    doc = run_match(run_cfg, 3, [zero], random_n=200, blowup_rays=0)
+    doc = _match_document(run_cfg, 3, [zero], random_n=200, blowup_rays=0)
     assert len(doc["points"]) == 201 and doc["points"][0]["error"] == "DegenerateBranch"
     _assert_matches_scalar_path(run_cfg.model, doc["points"])
 
@@ -532,7 +590,7 @@ def test_random_draws_replace_wall_rejects_and_keep_metric_faults():
     # on this config most draws leave the wall interval and are redrawn; draws
     # at a theta where g' is not positive definite stay, as ConfigInvalid entries
     run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
-    doc = run_match(run_cfg, 7, [], random_n=200, blowup_rays=0)
+    doc = _match_document(run_cfg, 7, [], random_n=200, blowup_rays=0)
     errors = [e.get("error") for e in doc["points"]]
     assert len(errors) == 200
     assert "ConfigInvalid" in errors and None in errors and "OutOfDomain" not in errors
@@ -605,7 +663,7 @@ def test_blowup_rays_solve_the_renormalized_quadratic(cfg_fourier_quartic):
     # scalar path at v = r w and divided by r^2
     cfg = cfg_fourier_quartic
     run_cfg = RunConfig(model=cfg, phi_spec=None, seed=5, digest="rays")
-    rays = run_match(run_cfg, 5, [], random_n=0, blowup_rays=6)["blowup_rays"]
+    rays = _match_document(run_cfg, 5, [], random_n=0, blowup_rays=6)["blowup_rays"]
     assert len(rays) == 6
     for ray in rays:
         w_prime = np.array([complex(*z) for z in ray["w_prime"]])
@@ -821,7 +879,7 @@ def test_report_stats_equal_stats_of_match_entries(source, seed, match_samples, 
          "--t-steps", "1", "--scan-samples", "4", "--match-samples", str(match_samples),
          "--blowup-rays", str(rays)])
     stats = cli.run_report(run_cfg, seed, args)[0]["matching_stats"]
-    match_doc = run_match(run_cfg, seed, [], match_samples, rays)
+    match_doc = _match_document(run_cfg, seed, [], match_samples, rays)
     assert stats == match_doc["matching_stats"] == _stats_from_match_doc(match_doc)
     if source == DEFAULT:
         assert stats["rho_boundary_slope"] is None and stats["max_moment_residual"] is not None

@@ -33,8 +33,9 @@ from flipq import (
     validate_config,
 )
 from flipq import kernels
-from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, metric_faults_batch, min_metric_eigenvalue
-from flipq.perturbation import chi_parts_batch
+from flipq import core
+from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, metric_codes, min_metric_eigenvalue
+from flipq.perturbation import LaneMatch, chi_parts_batch, match_lanes, matching_errors
 from flipq.sampling import random_domain_batch
 
 from conftest import make_config, mixed_match_config
@@ -127,13 +128,13 @@ def test_metric_faults_batch_is_metric_at_per_lane(rng):
     thetas = _gate_thetas(rng)
     expected = _metric_at_faults(cfg, thetas)
     assert 0 < expected.sum() < len(expected)
-    assert np.array_equal(metric_faults_batch(cfg, thetas), expected)
+    assert np.array_equal(metric_codes(cfg, thetas) > 0, expected)
     # a batch on one theta goes through the scalar lookup
     for theta, fault in zip(thetas[:24], expected[:24]):
-        assert np.array_equal(metric_faults_batch(cfg, np.full(3, theta)), np.full(3, fault))
+        assert np.array_equal(metric_codes(cfg, np.full(3, theta)) > 0, np.full(3, fault))
     # a metric of the wrong size fails every lane, as metric_at raises there
     wrong = make_config(r_prime=2, r_second=1, metric_field=MetricFieldSpec.identity(1, 1))
-    assert metric_faults_batch(wrong, thetas[:5]).all() and metric_faults_batch(wrong, [0.5]).all()
+    assert (metric_codes(wrong, thetas[:5]) > 0).all() and (metric_codes(wrong, [0.5]) > 0).all()
 
 
 def test_check_metrics_raises_metric_at_error_of_first_failing_lane(rng):
@@ -152,7 +153,7 @@ def test_metric_gate_on_one_theta_is_one_cache_lookup():
     cfg = mixed_match_config()
     for _ in range(2):
         before = _metrics_cached.cache_info()
-        metric_faults_batch(cfg, np.full(5, 0.123))
+        metric_codes(cfg, np.full(5, 0.123))
         after = _metrics_cached.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 1
     assert after.hits == before.hits + 1
@@ -160,9 +161,74 @@ def test_metric_gate_on_one_theta_is_one_cache_lookup():
 
 def test_metric_gate_on_empty_batch():
     cfg = mixed_match_config()
-    faults = metric_faults_batch(cfg, np.zeros(0))
+    faults = metric_codes(cfg, np.zeros(0)) > 0
     assert faults.shape == (0,) and faults.dtype == bool
     check_metrics(cfg, np.zeros(0))
+
+
+def _one_fault_configs():
+    """(config, code, error type, message at theta 0.5) per metric code, each failing only that check."""
+    skew = [[1.0, 0.5], [0.0, 1.0]]  # not Hermitian
+    indefinite = [[1.0, 0.0], [0.0, -1.0]]
+    return [
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(skew, np.eye(2))), 1, ConfigInvalid,
+         "g_prime(0.5) is not Hermitian (tolerance 1e-14)"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(indefinite, np.eye(2))), 2, ConfigInvalid,
+         "g_prime(0.5) is not positive definite"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(np.eye(2), skew)), 3, ConfigInvalid,
+         "g_second(0.5) is not Hermitian (tolerance 1e-14)"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(np.eye(2), indefinite)), 4, ConfigInvalid,
+         "g_second(0.5) is not positive definite"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.identity(2, 1)), 5, DimensionMismatch,
+         "metric sizes 2/1 do not match ranks 2/2"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_each_metric_code_has_one_message_on_every_path(case):
+    cfg, code, error, message = _one_fault_configs()[case]
+    thetas = np.array([0.5, 1.5])
+    assert metric_codes(cfg, thetas).tolist() == [code, code]
+    assert metric_codes(cfg, [0.5]).tolist() == [code]
+    y_prime, y_second = np.full((2, 2), 0.1 + 0j), np.full((2, 2), 0.1 + 0j)
+    for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg, thetas),
+                 lambda: fiber_norms(cfg, FiberPoint(BasePoint(0.5, 0.0), y_prime[0], y_second[0]))):
+        with pytest.raises(error) as got:
+            path()
+        assert type(got.value) is error and str(got.value) == message
+    # lanes whose matching passed: each error comes from the metric alone
+    ok = np.zeros(2)
+    m = LaneMatch(ok, ok, ok, np.ones(2), ok, np.zeros(2, dtype=int), np.full(2, kernels.STATUS_OK),
+                  y_prime, y_second)
+    errors = matching_errors(cfg, thetas, y_prime, y_second, m)
+    assert [type(e) for e in errors] == [error, error]
+    assert str(errors[0]) == message and str(errors[1]) == message.replace("0.5", "1.5")
+
+
+def test_faulty_theta_is_cached_once():
+    cfg = mixed_match_config()
+    theta = 31.5 * np.pi / 32
+    before = _metrics_cached.cache_info()
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid, match="is not positive definite"):
+            check_metrics(cfg, [theta])
+    after = _metrics_cached.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+def test_matching_errors_runs_the_metric_rule_once_per_batch(rng, monkeypatch):
+    cfg = mixed_match_config()
+    thetas = _gate_thetas(rng)
+    faults = _metric_at_faults(cfg, thetas)
+    y_prime = np.full((len(thetas), 2), 0.1 + 0j)
+    y_second = np.full((len(thetas), 1), 0.1 + 0j)
+    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
+    calls = []
+    rule = core._metric_codes
+    monkeypatch.setattr(core, "_metric_codes", lambda *args: calls.append(args) or rule(*args))
+    errors = matching_errors(cfg, thetas, y_prime, y_second, m)
+    assert len(calls) == 1
+    assert [isinstance(e, ConfigInvalid) for e in errors] == faults.tolist()
 
 
 # -- the Hermitian pairing and norm of a constant metric ---------------------
