@@ -175,8 +175,8 @@ def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
         block = slice(start, start + rows_per_block)
         rows = len(thetas[block])
         y_prime, y_second = complex_gaussian_rows(rng, rows, k, cfg.r_prime, cfg.r_second)
-        # one harmonic table for both norm evaluations of the pass
-        table = kernels.Harmonics(np.repeat(thetas[block], k))
+        # one harmonic table for both norm evaluations of the pass, its trig on the rows' thetas
+        table = kernels.Harmonics(thetas[block], repeat=k)
         lane_ts = np.repeat(ts[block], k)
         rho = level_rho_batch(cfg, table, lane_ts, y_prime, y_second)
         resid = np.abs(moment_value_batch(cfg, table, lane_ts, y_prime * rho[:, None],
@@ -188,9 +188,8 @@ def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
 def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
              samples: int) -> list[dict]:
     cfg = run_cfg.model
+    check_metrics(cfg)
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_steps, endpoint=False)
-    # validation checks the metrics on its own theta grid only
-    check_metrics(cfg, thetas)
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
     # a symmetric grid is meant to hit the wall exactly: snap its roundoff, relative to epsilon
     ts[np.abs(ts) < 1e-15 * cfg.epsilon] = 0.0
@@ -252,8 +251,6 @@ def _match_with_draws(cfg, seed: int, lanes, random_n: int) -> MatchPass:
 
     The first round matches the given lanes and random_n draws in one batch
     pass.  Each later round replaces the rejected draws from the same stream.
-    A draw at a theta where the metric is not positive definite is kept, as
-    an error lane.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     passes: list[MatchPass] = []
@@ -263,8 +260,6 @@ def _match_with_draws(cfg, seed: int, lanes, random_n: int) -> MatchPass:
             lanes = [np.concatenate(pair) for pair in zip(lanes, random_domain_batch(rng, cfg, wanted))]
         batch = _match_pass(cfg, *lanes)
         kept = ~(np.abs(batch.t[fixed:]) >= cfg.epsilon)
-        for i in np.flatnonzero(~kept):
-            kept[i] = isinstance(batch.errors[fixed + i], ConfigInvalid)
         passes.append(batch.take(np.concatenate([np.ones(fixed, dtype=bool), kept])))
         wanted -= int(kept.sum())
         if not wanted:
@@ -372,6 +367,7 @@ def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint], random_n:
               blowup_rays: int) -> tuple[MatchPass, RayPass]:
     """The match stage of match and report: the given points and random_n draws, then the rays."""
     cfg = run_cfg.model
+    check_metrics(cfg)
     lanes = (np.array([p.base.theta for p in points], dtype=float),
              np.array([p.y_prime for p in points], dtype=complex).reshape(len(points), cfg.r_prime),
              np.array([p.y_second for p in points], dtype=complex).reshape(len(points), cfg.r_second))

@@ -172,75 +172,108 @@ def _check_length(v: np.ndarray, n: int, name: str) -> np.ndarray:
     return v
 
 
-def _hermitian_pd_faults(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of a stack (n, r, r): (not Hermitian, not positive definite)."""
-    # negated passes: NaN compares false, so a non-finite matrix fails both
-    not_hermitian = ~(np.abs(G - np.swapaxes(G.conj(), -1, -2)).max(axis=(-2, -1)) <= HERMITIAN_TOL)
-    not_pd = ~(np.linalg.eigvalsh(G).min(axis=-1) > 0.0)
-    return not_hermitian, not_pd
+CERTIFY_MAX_THETAS = 16384  # the grid certificate's cap on thetas per metric block
 
 
-def _metric_codes(cfg: ModelConfig, thetas) -> np.ndarray:
-    """The metric rule at each of thetas: 0 where it passes, else 1 + the index of the first failed
-    check of: g' Hermitian, g' positive definite, g'' Hermitian, g'' positive definite, block sizes
-    equal to the ranks."""
-    table = kernels.Harmonics(thetas)
-    failed = []
-    for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second):
-        failed.extend(_hermitian_pd_faults(kernels.fourier_values(table, *packed)))
-    failed.append(np.full(table.thetas.shape, _metric_sizes(cfg) != (cfg.r_prime, cfg.r_second)))
-    failed = np.array(failed)
-    return np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
+def _min_eigenvalues(packed, thetas) -> np.ndarray:
+    """The smallest eigenvalue of a packed block at each theta, kernels.BLOCK_LANES thetas at a time."""
+    return np.concatenate([np.linalg.eigvalsh(kernels.fourier_values(thetas[i:i + kernels.BLOCK_LANES], *packed))
+                           .min(axis=-1) for i in range(0, len(thetas), kernels.BLOCK_LANES)])
+
+
+def _certify_block(label: str, packed) -> tuple[tuple | None, float]:
+    """(fault or None, least eigenvalue on VALIDATION_THETAS) of one packed metric block.
+
+    Hermitian coefficients make every value Hermitian.  G = C_0 + sum_m cos(m theta) C_m
+    + sin(m theta) S_m (m = |n|) is positive definite on the whole circle if the Weyl bound
+    lambda_min(C_0) - sum_m sqrt(|C_m|^2 + |S_m|^2) is positive, or if lambda_min on a grid of M
+    thetas exceeds L pi / M, L = sum_m m (|C_m| + |S_m|) being the Lipschitz constant of lambda_min;
+    M doubles from the validation grid up to CERTIFY_MAX_THETAS.  Each |.| is the largest |eigenvalue|.
+    """
+    ns, sines, coeffs = packed
+    # a negated pass: NaN compares false, so a non-finite coefficient fails
+    hermitian = np.abs(coeffs - coeffs.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) <= HERMITIAN_TOL
+    if not hermitian.all():
+        k = int(np.argmin(hermitian))
+        return (label, "hermitian", ns[k], sines[k]), np.nan
+    orders = sorted({abs(n) for n in ns} | {0.0})
+    parts = np.zeros((len(orders), 2) + coeffs.shape[1:], dtype=coeffs.dtype)  # [C_m, S_m] per order m
+    for n, sine, coeff in zip(ns, sines, coeffs):  # cos(-n theta) = cos(n theta), sin(-n theta) = -sin(n theta)
+        parts[orders.index(abs(n)), int(sine)] += -coeff if sine and n < 0 else coeff
+    norms = np.abs(np.linalg.eigvalsh(parts[1:])).max(axis=-1)
+    weyl = np.linalg.eigvalsh(parts[0, 0]).min() - np.hypot(*norms.T).sum()
+    lipschitz = (np.array(orders[1:]) * norms.sum(axis=-1)).sum()
+
+    thetas, m = VALIDATION_THETAS, VALIDATION_THETA_SAMPLES
+    lam = _min_eigenvalues(packed, thetas)
+    grid_min = low = float(lam.min())
+    while True:
+        faulty = np.flatnonzero(~(lam > 0.0))
+        if faulty.size:
+            return (label, "indefinite", float(thetas[faulty[0]])), grid_min
+        low = min(low, float(lam.min()))
+        margin = lipschitz * np.pi / m
+        if weyl > 0.0 or low > margin:
+            return None, grid_min
+        if 2 * m > CERTIFY_MAX_THETAS:
+            return (label, "undecided", m, low, margin), grid_min
+        # the doubled grid's new thetas: the midpoints of the current one
+        m *= 2
+        thetas = np.linspace(0.0, TWO_PI, m, endpoint=False)[1::2]
+        lam = _min_eigenvalues(packed, thetas)
+
+
+@lru_cache(maxsize=1024)
+def _metrics_cached(field: MetricFieldSpec) -> tuple[tuple, float]:
+    """A metric field's certificate, computed on its first lookup: (the faults of g' then g'', the least
+    eigenvalue of either block on VALIDATION_THETAS)."""
+    (prime, prime_min), (second, second_min) = (_certify_block("g_prime", field.packed_prime),
+                                                _certify_block("g_second", field.packed_second))
+    return tuple(fault for fault in (prime, second) if fault), min(prime_min, second_min)
 
 
 def _metric_sizes(cfg: ModelConfig) -> tuple[int, int]:
     return cfg.metric_field.packed_prime[-1].shape[-1], cfg.metric_field.packed_second[-1].shape[-1]
 
 
-def metric_error(cfg: ModelConfig, theta: float, code: int) -> FlipQError:
-    """The error of a nonzero metric code at theta: the one place the metric messages are written."""
-    if code == 5:
+def metric_error(cfg: ModelConfig, fault: tuple) -> FlipQError:
+    """The error of a metric fault: the one place the metric messages are written."""
+    label, kind, *detail = fault
+    if kind == "sizes":
         prime, second = _metric_sizes(cfg)
         return DimensionMismatch(f"metric sizes {prime}/{second} do not match ranks {cfg.r_prime}/{cfg.r_second}")
-    label = "g_prime" if code <= 2 else "g_second"
-    fault = "positive definite" if code % 2 == 0 else f"Hermitian (tolerance {HERMITIAN_TOL})"
-    return ConfigInvalid(f"{label}({theta}) is not {fault}")
+    if kind == "hermitian":
+        n, sine = detail
+        return ConfigInvalid(f"{label} harmonic {int(n)} {'sin' if sine else 'cos'} coefficient is not Hermitian "
+                             f"(tolerance {HERMITIAN_TOL})")
+    if kind == "indefinite":
+        return ConfigInvalid(f"{label}({detail[0]}) is not positive definite")
+    thetas, low, margin = detail
+    return ConfigInvalid(f"{label} is not certified positive definite: its smallest eigenvalue on {thetas} "
+                         f"grid thetas, {low:.6g}, does not exceed the Lipschitz margin {margin:.6g}")
 
 
-@lru_cache(maxsize=4096)
-def _metrics_cached(cfg: ModelConfig, theta: float) -> int:
-    """The metric code at theta, remembered per (config, theta): a repeated theta pays no eigvalsh."""
-    return int(_metric_codes(cfg, [theta])[0])
-
-
-def metric_codes(cfg: ModelConfig, thetas) -> np.ndarray:
-    """The metric code of each lane's theta: a batch on one theta is one _metrics_cached lookup,
-    any other batch one _metric_codes pass over its distinct thetas."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size and (thetas == thetas[0]).all():
-        return np.full(thetas.shape[0], _metrics_cached(cfg, float(thetas[0])))
-    distinct, lanes = np.unique(thetas, return_inverse=True)
-    return _metric_codes(cfg, distinct)[lanes]
-
-
-def check_metrics(cfg: ModelConfig, thetas) -> None:
-    """Raise the metric_error of the first lane, in lane order, whose theta fails the metric rule."""
-    codes = metric_codes(cfg, thetas)
-    faults = np.flatnonzero(codes)
-    if faults.size:
-        raise metric_error(cfg, float(np.asarray(thetas, dtype=float)[faults[0]]), int(codes[faults[0]]))
+def check_metrics(cfg: ModelConfig) -> tuple[tuple, float]:
+    """Raise the metric_error of cfg's first metric fault: g', then g'' (one _metrics_cached lookup),
+    then block sizes that differ from the ranks.  Returns the certificate."""
+    faults, grid_min = _metrics_cached(cfg.metric_field)
+    if faults:
+        raise metric_error(cfg, faults[0])
+    if _metric_sizes(cfg) != (cfg.r_prime, cfg.r_second):
+        raise metric_error(cfg, ("metric", "sizes"))
+    return faults, grid_min
 
 
 def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Metric pair (G'(theta), G''(theta)), after check_metrics at theta."""
-    check_metrics(cfg, [theta])
+    """Metric pair (G'(theta), G''(theta)), after check_metrics."""
+    check_metrics(cfg)
     return tuple(kernels.fourier_values([theta], *packed)[0]
                  for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second))
 
 
 def one_lane(cfg: ModelConfig, theta: float, y_prime, y_second):
-    """One fiber vector as a batch (thetas, y', y'') of one lane, after check_metrics at theta."""
-    check_metrics(cfg, [theta])
+    """One fiber vector as a batch (thetas, y', y'') of one lane, after check_metrics."""
+    check_metrics(cfg)
     y_prime = _check_length(np.asarray(y_prime, dtype=complex), cfg.r_prime, "y_prime")
     y_second = _check_length(np.asarray(y_second, dtype=complex), cfg.r_second, "y_second")
     return np.array([theta], dtype=float), y_prime[None], y_second[None]
@@ -288,7 +321,7 @@ class ValidationReport(NamedTuple):
 
 
 def validate_config(cfg: ModelConfig) -> ValidationReport:
-    """Structural checks: ranks, positivity on a theta grid, perturbation order."""
+    """Structural checks: ranks, the metric certificate (check_metrics), perturbation order."""
     issues: list[ValidationIssue] = []
     if cfg.r_prime < 1:
         issues.append(ValidationIssue("RankViolation", f"r_prime = {cfg.r_prime} must be >= 1"))
@@ -302,50 +335,25 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
     # the fiber domain test compares |v|^2 against domain_radius^2
     radius = float(cfg.domain_radius)
     if not (np.isfinite(radius * radius) and radius > 0):
-        issues.append(
-            ValidationIssue("DomainRadiusViolation",
-                            f"domain_radius = {cfg.domain_radius} must be > 0 with a finite square")
-        )
+        issues.append(ValidationIssue("DomainRadiusViolation",
+                                      f"domain_radius = {cfg.domain_radius} must be > 0 with a finite square"))
 
-    for label, terms, rank in (
-        ("g_prime", cfg.metric_field.g_prime_terms, cfg.r_prime),
-        ("g_second", cfg.metric_field.g_second_terms, cfg.r_second),
-    ):
-        if rank < 1:
-            continue  # already reported as a rank violation
-        evaluable = True
-        for n, cos_mat, sin_mat in terms:
-            for mat in (cos_mat, sin_mat):
+    before = len(issues)
+    for label, terms, rank in (("g_prime", cfg.metric_field.g_prime_terms, cfg.r_prime),
+                               ("g_second", cfg.metric_field.g_second_terms, cfg.r_second)):
+        for n, *mats in terms if rank >= 1 else ():  # a rank below 1 is already reported
+            for mat in mats:
                 if mat.shape != (rank, rank):
-                    issues.append(
-                        ValidationIssue(
-                            "MetricShapeViolation",
-                            f"{label} harmonic {n} has shape {mat.shape}, expected {(rank, rank)}",
-                        )
-                    )
-                    evaluable = False
+                    issues.append(ValidationIssue("MetricShapeViolation", f"{label} harmonic {n} has shape "
+                                                  f"{mat.shape}, expected {(rank, rank)}"))
                 elif not np.isfinite(mat).all():
-                    issues.append(
-                        ValidationIssue("MetricFiniteViolation", f"{label} harmonic {n} has a non-finite entry")
-                    )
-                    evaluable = False
-        if not evaluable:
-            continue
-        thetas = VALIDATION_THETAS
-        not_hermitian, not_pd = _hermitian_pd_faults(kernels.fourier_values(thetas, *MetricFieldSpec._pack(terms)))
-        bad = np.flatnonzero(not_hermitian | not_pd)
-        if bad.size:  # report the first faulty theta only
-            k = bad[0]
-            if not_hermitian[k]:
-                issues.append(
-                    ValidationIssue("HermitianViolation", f"{label}({thetas[k]:.4f}) is not Hermitian")
-                )
-            else:
-                issues.append(
-                    ValidationIssue(
-                        "PositivityViolation", f"{label}({thetas[k]:.4f}) has a non-positive eigenvalue"
-                    )
-                )
+                    issues.append(ValidationIssue("MetricFiniteViolation",
+                                                  f"{label} harmonic {n} has a non-finite entry"))
+    # the certificate needs both blocks finite and of their rank's shape
+    evaluable = cfg.r_prime >= 1 and cfg.r_second >= 1 and len(issues) == before
+    for fault in _metrics_cached(cfg.metric_field)[0] if evaluable else ():
+        code = "HermitianViolation" if fault[1] == "hermitian" else "PositivityViolation"
+        issues.append(ValidationIssue(code, str(metric_error(cfg, fault))))
 
     from .perturbation import validate_perturbation
 
@@ -354,7 +362,5 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
 
 
 def min_metric_eigenvalue(cfg: ModelConfig) -> float:
-    """Smallest eigenvalue of either metric block over the validation theta grid."""
-    table = kernels.Harmonics(VALIDATION_THETAS)
-    return float(min(np.linalg.eigvalsh(kernels.fourier_values(table, *packed)).min()
-                     for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second)))
+    """Smallest eigenvalue of either metric block over the validation theta grid, from the certificate."""
+    return check_metrics(cfg)[1]

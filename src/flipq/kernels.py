@@ -80,21 +80,24 @@ class Harmonics:
     so fields that share a harmonic pay its trig once.  A batch entry point
     builds one table and hands it to every kernel it calls in place of the
     thetas; the table goes when the call returns, and nothing outlives it.
+    With repeat = k the lanes are each of thetas k times in a row
+    (np.repeat): a weight is evaluated on thetas and then repeated.
     """
 
-    __slots__ = ("thetas", "_weights")
+    __slots__ = ("thetas", "repeat", "_weights")
 
-    def __init__(self, thetas):
+    def __init__(self, thetas, repeat=1):
         self.thetas = np.asarray(thetas, dtype=np.float64)
+        self.repeat = repeat
         self._weights = {}
 
     def __len__(self):
-        return self.thetas.shape[0]
+        return self.thetas.shape[0] * self.repeat
 
     @property
     def nbytes(self):
-        # the size of the thetas array the table stands in for
-        return self.thetas.nbytes
+        # the size of the lane thetas array the table stands in for
+        return self.thetas.nbytes * self.repeat
 
     def weight(self, n, sine):
         """sin(n theta) or cos(n theta) over the lanes; None stands for cos(0) = 1."""
@@ -107,7 +110,8 @@ class Harmonics:
         return weight
 
     def _evaluate(self, n, sine):
-        return np.sin(n * self.thetas) if sine else np.cos(n * self.thetas)
+        weight = np.sin(n * self.thetas) if sine else np.cos(n * self.thetas)
+        return weight if self.repeat == 1 else np.repeat(weight, self.repeat)
 
 
 def harmonics(thetas) -> Harmonics:
@@ -118,7 +122,7 @@ def harmonics(thetas) -> Harmonics:
 def fourier_values(thetas, ns, sines, coeffs):
     """Values sum_k cos(n_k theta) C_k + sin(n_k theta) S_k at each theta, shape (n,) + C_k.shape."""
     table = harmonics(thetas)
-    out = np.zeros(table.thetas.shape + coeffs.shape[1:], dtype=coeffs.dtype)
+    out = np.zeros((len(table),) + coeffs.shape[1:], dtype=coeffs.dtype)
     for n, sine, coeff in zip(ns, sines, coeffs):
         weight = table.weight(n, sine)
         out += coeff if weight is None else weight.reshape(weight.shape + (1,) * coeff.ndim) * coeff

@@ -35,11 +35,9 @@ from .core import (
     FiberPoint,
     ModelConfig,
     ValidationIssue,
-    _metrics_cached,  # not called here: perfbench's tracer reads its cache_info()
+    _metrics_cached,  # the metric certificates' cache; perfbench's tracer reads its cache_info() here
     check_metrics,
     fiber_norms_batch,
-    metric_codes,
-    metric_error,
     min_metric_eigenvalue,
     one_lane,
 )
@@ -228,7 +226,7 @@ def phi_graph(cfg: ModelConfig) -> PhiFunc:
     """Defining function t - chi(v) whose zero set is the graph of chi."""
 
     def phi(thetas, y_prime, y_second, t):
-        check_metrics(cfg, thetas)
+        check_metrics(cfg)
         chi, _, _ = chi_parts_batch(cfg, thetas, y_prime, y_second)
         return t - chi
 
@@ -239,7 +237,7 @@ def phi_quadratic(cfg: ModelConfig, coeff_prime: float, coeff_second: float) -> 
     """Defining function t + (a |y'|^2 + b |y''|^2)/2; a = 1, b = -1 is the moment map."""
 
     def phi(thetas, y_prime, y_second, t):
-        check_metrics(cfg, thetas)
+        check_metrics(cfg)
         g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
         return t + 0.5 * (coeff_prime * g1 + coeff_second * g2)
 
@@ -284,6 +282,7 @@ def verify_conditions(
         raise ValueError(f"fd_step = {fd_step} must lie in ({lo:g}, {hi:g})")
     if n_theta < 1:
         raise ValueError(f"n_theta = {n_theta} must be >= 1")
+    check_metrics(cfg)
     rp, rs = cfg.r_prime, cfg.r_second
     dim = 2 * (rp + rs)
     h = fd_step
@@ -321,7 +320,6 @@ def verify_conditions(
     H[:, i, j] = H[:, j, i] = (
         corners[..., 0] - corners[..., 1] - corners[..., 2] + corners[..., 3]
     ) / (4.0 * h**2)
-    check_metrics(cfg, thetas)
     table = kernels.Harmonics(thetas)
     expected = np.zeros((n_theta, dim, dim))
     expected[:, : 2 * rp, : 2 * rp] = kernels.realify(kernels.fourier_values(table, *cfg.metric_field.packed_prime))
@@ -402,10 +400,9 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
     """Sample |rest(v)| / |v|^3 over the fiber domain and report the max."""
     from .sampling import random_domain_batch
 
+    check_metrics(cfg)
     rng = np.random.default_rng(seed)
     thetas, y_prime, y_second = random_domain_batch(rng, cfg, n_samples)
-    # validation checks the metrics on a theta grid only; a draw may fall between its points
-    check_metrics(cfg, thetas)
     chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     rest = chi + 0.5 * (g1 - g2)
     norm3 = (g1 + g2) ** 1.5
@@ -610,18 +607,16 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True, 
 def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -> list:
     """Per lane, the FlipQError of the rescaling solve on that point, or None.
 
-    The checks run in this order: the metric codes of one metric_codes call,
-    fiber domain, then, on lanes whose Newton status is not STATUS_OK, the
-    rescaling rule of _check_rescale.  For the last two a vector test selects
-    candidate lanes and the scalar check decides and builds the error.
+    A metric that check_metrics refuses raises for the whole batch.  The lane
+    checks run in this order: fiber domain, then, on lanes whose Newton status
+    is not STATUS_OK, the rescaling rule of _check_rescale.  A vector test
+    selects candidate lanes and the scalar check decides and builds the error.
     Matching also needs the graph value inside the wall interval (wall_error).
     """
+    check_metrics(cfg)
     y_prime = np.asarray(y_prime)
     y_second = np.asarray(y_second)
-    codes = metric_codes(cfg, thetas)
     errors = [None] * len(m.t)
-    for i in np.flatnonzero(codes):
-        errors[i] = metric_error(cfg, float(thetas[i]), int(codes[i]))
     checks = (
         (_outside_domain(cfg, m.g1, m.g2), lambda i: _check_domain(cfg, m.g1[i], m.g2[i])),
         (m.status != kernels.STATUS_OK,

@@ -55,31 +55,27 @@ def complex_gaussian_rows(rng: np.random.Generator, rows: int, k: int, r_prime: 
 def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):
     """Batch of fiber vectors with metric norm uniformly in (0, domain_radius].
 
-    A draw whose norm is not positive (the metric is not positive definite at
-    its theta) stays unscaled, so it is finite; callers check the metric there.
+    The metric must be positive definite at every theta, as check_metrics
+    certifies (every loaded config is), so each draw has a positive norm.
     """
     thetas = rng.uniform(0.0, 2.0 * np.pi, n)
     y_prime = complex_gaussian(rng, (n, cfg.r_prime))
     y_second = complex_gaussian(rng, (n, cfg.r_second))
     g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    norm_sq = g1 + g2
-    with np.errstate(invalid="ignore"):
-        norm = np.sqrt(norm_sq)
     radii = cfg.domain_radius * rng.uniform(0.0, 1.0, n) ** (1.0 / (2.0 * (cfg.r_prime + cfg.r_second)))
-    factor = np.divide(radii, norm, out=np.ones(n), where=norm_sq > 0.0)
+    factor = radii / np.sqrt(g1 + g2)
     return thetas, y_prime * factor[:, None], y_second * factor[:, None]
 
 
 def unit_directions_batch(cfg: ModelConfig, thetas, w_prime, w_second):
     """The fiber vectors (w', w'') of each lane divided by their metric norm at its theta.
 
-    A lane whose metric norm is negative (the metric is not positive definite
-    at its theta) comes out NaN; callers check the metric there.
+    The metric must be positive definite at every theta, as check_metrics
+    certifies, so only a zero lane has no direction (it comes out NaN).
     """
     g1, g2 = fiber_norms_batch(cfg, thetas, w_prime, w_second)
-    with np.errstate(invalid="ignore"):
-        norm = np.sqrt(g1 + g2)[:, None]
-        return w_prime / norm, w_second / norm
+    norm = np.sqrt(g1 + g2)[:, None]
+    return w_prime / norm, w_second / norm
 
 
 def random_unit_direction(rng: np.random.Generator, cfg: ModelConfig, theta: float):

@@ -30,20 +30,28 @@ def mixed_quartic_term(coeff=0.1) -> PerturbationTerm:
     return PerturbationTerm(mixed_pow=1, coeff=(coeff,))
 
 
-def mixed_match_config() -> ModelConfig:
-    """Ranks 2/1, three quartic terms, and a g' that is not positive definite at 31.5 pi / 32."""
-    # g'(theta) = (2 + cos theta + 2.5 sin 32 theta) I is positive definite on
-    # the 64-point validation grid (where sin 32 theta = 0) but not between it
-    metric = MetricFieldSpec.fourier(
-        [(0, 2.0 * np.eye(2)), (1, np.eye(2)), (32, np.zeros((2, 2)), 2.5 * np.eye(2))],
-        [(0, 1.5 * np.eye(1)), (1, np.zeros((1, 1)), 0.5 * np.eye(1))],
-    )
+def mixed_match_config(indefinite=True) -> ModelConfig:
+    """Ranks 2/1, three quartic terms and g' = (2 + cos theta + 2.5 sin 32 theta) I.
+
+    That g' is positive definite on the 64 validation thetas (where
+    sin 32 theta = 0) but not at 23 pi / 64, so check_metrics refuses it.
+    Without indefinite, g' = (2 + cos theta) I, which it certifies.
+    """
+    g_prime = [(0, 2.0 * np.eye(2)), (1, np.eye(2))]
+    if indefinite:
+        g_prime.append((32, np.zeros((2, 2)), 2.5 * np.eye(2)))
+    metric = MetricFieldSpec.fourier(g_prime, [(0, 1.5 * np.eye(1)), (1, np.zeros((1, 1)), 0.5 * np.eye(1))])
     terms = [
         PerturbationTerm(mixed_pow=1, coeff=(0.1,)),
         PerturbationTerm(norm_prime_pow=2, coeff=(1.0,)),
         PerturbationTerm(norm_second_pow=2, coeff=(-1.0,)),
     ]
     return make_config(2, 1, epsilon=0.5, domain_radius=2.0, metric_field=metric, terms=terms)
+
+
+# the message check_metrics raises on mixed_match_config(): the first theta of the 128-point grid
+# where g' has an eigenvalue <= 0
+MIXED_MATCH_REFUSAL = "g_prime(1.1290098598838318) is not positive definite"
 
 
 def fourier_metric(r_prime, r_second) -> MetricFieldSpec:

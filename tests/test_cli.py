@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import mixed_match_config
+from conftest import MIXED_MATCH_REFUSAL, mixed_match_config
 from flipq import (
     BasePoint,
     ConfigInvalid,
@@ -21,7 +21,6 @@ from flipq import (
     cli,
     fiber_norms,
     matching_map,
-    metric_at,
     presets,
     solve_rho,
 )
@@ -29,6 +28,7 @@ from flipq.cli import _blowup_rays, _dump, _match_doc, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config, parse_run_config
 from flipq.errors import ConfigParse
 from flipq.core import fiber_norms_batch
+from flipq import kernels
 from flipq.kernels import BLOCK_LANES
 from flipq.quotient import level_rho_batch, moment_value_batch
 from flipq.sampling import (
@@ -430,10 +430,11 @@ BAD_CONFIGS = {
     "_keep-argv43-2-config parse error: bad --point payload: expected a number or [re, im] pair, got [False, 0]":
         (_keep, ["match", "--point", '{"theta": 0.5, "y_prime": [[0.1, 0]], "y_second": [[false, 0]]}'], 2,
          "config parse error: bad --point payload: expected a number or [re, im] pair, got [False, 0]"),
-    # scan checks the metric at its own grid thetas: 128 of them reach the faults between the 64 validation thetas
+    # the load-time certificate refuses the metric, whatever the scan's own grid
     "scan-metric-between-grid":
         (_non_pd_between_grid, ["scan", "--theta-steps", "128", "--t-steps", "3", "--samples", "4"], 2,
-         "invalid config: g_prime(1.1290098598838318) is not positive definite"),
+         "invalid config: config failed validation: PositivityViolation: g_prime(1.1290098598838318) is not "
+         "positive definite"),
     "point-nested-past-the-recursion-limit":
         (_keep, ["match", "--point", "[" * 5000 + "]" * 5000], 2,
          "config parse error: bad --point payload: maximum recursion depth exceeded"),
@@ -546,7 +547,7 @@ def _assert_matches_scalar_path(cfg, entries):
 
 
 def test_batched_match_agrees_with_scalar_path():
-    cfg = mixed_match_config()
+    cfg = mixed_match_config(indefinite=False)
     rng = np.random.default_rng(42)
     # (theta, y', y'', the error the checks' order gives, None for a match)
     named = [
@@ -557,7 +558,6 @@ def test_batched_match_agrees_with_scalar_path():
         (0.0, [2.0, 0.0], [1.0], "OutOfDomain"),  # |v| > domain_radius
         (0.0, [2.0, 0.0], [0.0], "OutOfDomain"),  # |v| > domain_radius and y'' = 0 with chi >= 0
         (0.0, [0.05, 0.0], [0.9], "OutOfDomain"),  # |chi| >= epsilon
-        (31.5 * np.pi / 32, [0.3, 0.0], [0.2], "ConfigInvalid"),  # metric not positive definite
         (0.0, [1e-170, 0.0], [1e-170], "DegenerateBranch"),  # both norms underflow to 0
     ]
     cases = [case[:3] for case in named]
@@ -572,9 +572,14 @@ def test_batched_match_agrees_with_scalar_path():
     assert [e.get("error") for e in doc["points"][:len(named)]] == [case[3] for case in named]
     messages = _assert_matches_scalar_path(cfg, doc["points"])
     for fragment in ("zero section", "y'' = 0", "y' = 0", "exceeds domain_radius",
-                     "leaves the wall interval", "not positive definite", "no positive root on this branch"):
+                     "leaves the wall interval", "no positive root on this branch"):
         assert any(fragment in m for m in messages), fragment
     assert doc["matching_stats"]["n_points"] - doc["matching_stats"]["n_errors"] >= 100
+    # a metric indefinite between the validation thetas refuses the whole pass, not one lane
+    run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
+    with pytest.raises(ConfigInvalid) as got:
+        _match_document(run_cfg, 7, points, random_n=0, blowup_rays=0)
+    assert str(got.value) == MIXED_MATCH_REFUSAL
 
     # seeded --random samples go through the same batch path
     run_cfg = load_run_config(DEFAULT)
@@ -584,78 +589,86 @@ def test_batched_match_agrees_with_scalar_path():
     _assert_matches_scalar_path(run_cfg.model, doc["points"])
 
 
-# a draw at such a theta has a NaN norm: no floating-point warning may escape
 @pytest.mark.filterwarnings("error")
-def test_random_draws_replace_wall_rejects_and_keep_metric_faults():
-    # on this config most draws leave the wall interval and are redrawn; draws
-    # at a theta where g' is not positive definite stay, as ConfigInvalid entries
-    run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
+def test_random_draws_replace_wall_rejects():
+    # on this config most draws leave the wall interval and are redrawn
+    run_cfg = RunConfig(model=mixed_match_config(indefinite=False), phi_spec=None, seed=7, digest="mixed")
     doc = _match_document(run_cfg, 7, [], random_n=200, blowup_rays=0)
     errors = [e.get("error") for e in doc["points"]]
-    assert len(errors) == 200
-    assert "ConfigInvalid" in errors and None in errors and "OutOfDomain" not in errors
+    assert len(errors) == 200 and None in errors and "OutOfDomain" not in errors
+    assert all(abs(e["matched"]["t"]) < 0.5 for e in doc["points"] if "matched" in e)
+    # a metric the certificate refuses is refused before any draw, so no draw has a NaN norm
+    run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
+    with pytest.raises(ConfigInvalid) as got:
+        _match_document(run_cfg, 7, [], random_n=200, blowup_rays=0)
+    assert str(got.value) == MIXED_MATCH_REFUSAL
 
 
-
-def test_scan_on_a_grid_between_metric_faults_passes(tmp_path, capsys):
-    # the 64 scan thetas are the validation thetas, where g' is positive definite
+def _refused_by_the_certificate(argv, tmp_path, capsys):
+    """main(argv) on the Fourier preset made indefinite between the validation thetas: its one stderr line."""
     doc = json.loads(Path(QUARTIC).read_text())
     _non_pd_between_grid(doc)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    assert main(["scan", "--theta-steps", "64", "--t-steps", "3", "--samples", "4", "--config", str(path)]) == 0
+    assert main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid config: config failed validation: PositivityViolation: "
+                            "g_prime(1.1290098598838318) is not positive definite\n")
+
+
+def test_scan_on_a_grid_between_metric_faults_is_refused(tmp_path, capsys):
+    # the 64 scan thetas are the validation thetas, where g' is positive definite, but the field is not
+    _refused_by_the_certificate(["scan", "--theta-steps", "64", "--t-steps", "3", "--samples", "4"], tmp_path,
+                                capsys)
+
+
+def test_random_draws_on_an_indefinite_metric_are_refused(tmp_path, capsys):
+    # refused at load: no draw lands where g' is indefinite, and no output is written
+    _refused_by_the_certificate(["match", "--random", "50"], tmp_path, capsys)
+
+
+def test_refused_metric_has_one_message_under_every_command(tmp_path):
+    # a g' coefficient that is not Hermitian: validation writes check_metrics' message, at load
+    doc = presets.fourier_metric_config(2, 1)
+    doc["metrics"]["g_prime"][0]["cos"] = [[2.0, 0.5], [0.0, 2.0]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    point = '{"theta": 0.5, "y_prime": [[0.1, 0], [0, 0]], "y_second": [[0.2, 0]]}'
+    for argv in (["verify"], ["scan"], ["match", "--point", point], ["report"]):
+        proc = subprocess.run([sys.executable, "-m", "flipq.cli", *argv, "--config", str(path)],
+                              capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("invalid config: config failed validation: HermitianViolation: g_prime harmonic 0 "
+                               "cos coefficient is not Hermitian (tolerance 1e-14)\n")
+
+
+def test_metric_with_a_huge_harmonic_passes_by_the_grid_free_bound(tmp_path, capsys):
+    # (2 + cos(2^62 theta)) I: the Weyl bound 2 - 1 > 0 certifies it, whatever its Lipschitz constant
+    doc = presets.fourier_metric_config(2, 1)
+    doc["metrics"]["g_prime"] = [{"n": 0, "cos": [[2, 0], [0, 2]]}, {"n": 2**62, "cos": [[1, 0], [0, 1]]}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--samples", "200", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
 
 
-def test_random_draws_at_an_indefinite_metric_stay_finite(tmp_path, capsys):
-    # g' is indefinite between the validation thetas: a draw there whose norm is
-    # not positive stays unscaled, so its ConfigInvalid entry has a finite input
-    doc = json.loads(Path(QUARTIC).read_text())
-    _non_pd_between_grid(doc)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert main(["match", "--random", "50", "--config", str(path)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-
-    def no_constant(token):
-        raise AssertionError(f"{token} in stdout")
-
-    out = json.loads(captured.out, parse_constant=no_constant)
-    assert len(out["points"]) == 50
-    assert "ConfigInvalid" in [e.get("error") for e in out["points"]]
-    inputs = [e["input"] for e in out["points"]]
-    assert np.isfinite([[p["theta"], *np.ravel(p["y_prime"]), *np.ravel(p["y_second"])] for p in inputs]).all()
-    # every first-round draw at an indefinite metric is kept, whatever its graph value
-    run_cfg = load_run_config(str(path))
-    rng = np.random.default_rng(np.random.SeedSequence(run_cfg.seed).spawn(1)[0])
-    faulty = set()
-    for theta in random_domain_batch(rng, run_cfg.model, 50)[0].tolist():
-        try:
-            metric_at(run_cfg.model, theta)
-        except ConfigInvalid:
-            faulty.add(theta)
-    assert faulty
-    assert faulty <= {e["input"]["theta"] for e in out["points"] if e.get("error") == "ConfigInvalid"}
-
-
-def test_random_domain_batch_leaves_non_positive_norms_unscaled():
-    cfg = mixed_match_config()
+def test_random_domain_batch_scales_every_draw_to_its_radius():
+    cfg = mixed_match_config(indefinite=False)
     thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(5), cfg, 4000)
-    # the same stream, scaled the old way: radius / sqrt(g1 + g2)
+    # the same stream, scaled by radius / sqrt(g1 + g2)
     rng = np.random.default_rng(5)
     ref_thetas = rng.uniform(0.0, 2.0 * np.pi, 4000)
     raw_prime, raw_second = complex_gaussian(rng, (4000, 2)), complex_gaussian(rng, (4000, 1))
     g1, g2 = fiber_norms_batch(cfg, ref_thetas, raw_prime, raw_second)
     radii = cfg.domain_radius * rng.uniform(0.0, 1.0, 4000) ** (1.0 / 6.0)
-    positive = g1 + g2 > 0.0
-    assert not positive.all()
     assert np.array_equal(thetas, ref_thetas)
-    scale = radii[positive] / np.sqrt(g1[positive] + g2[positive])
-    assert np.array_equal(y_prime[positive], raw_prime[positive] * scale[:, None])
-    assert np.array_equal(y_second[positive], raw_second[positive] * scale[:, None])
-    assert np.array_equal(y_prime[~positive], raw_prime[~positive])
-    assert np.array_equal(y_second[~positive], raw_second[~positive])
+    scale = radii / np.sqrt(g1 + g2)
+    assert np.array_equal(y_prime, raw_prime * scale[:, None])
+    assert np.array_equal(y_second, raw_second * scale[:, None])
+    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
+    assert np.allclose(np.sqrt(g1 + g2), radii, rtol=1e-13, atol=0.0)
 
 
 def test_blowup_rays_solve_the_renormalized_quadratic(cfg_fourier_quartic):
@@ -698,6 +711,29 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
         assert row["mean_level_residual"] == float(resid.mean())
         assert row["n_stable_samples"] == k
 
+
+
+def test_scan_evaluates_trig_on_row_thetas(tmp_path, monkeypatch):
+    # each pass's harmonic table evaluates cos/sin on its rows' thetas and repeats them per sample,
+    # so _evaluate sees row-length arrays; test_scan_blocks_match_per_row_reference checks the bits
+    path = tmp_path / "fourier.json"
+    path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
+    run_cfg = load_run_config(str(path))
+    evaluated = []
+    evaluate = kernels.Harmonics._evaluate
+
+    def recorded(table, n, sine):
+        evaluated.append(len(table.thetas))
+        weight = evaluate(table, n, sine)
+        assert len(weight) == len(table) == table.repeat * len(table.thetas)
+        return weight
+
+    monkeypatch.setattr(kernels.Harmonics, "_evaluate", recorded)
+    k = 1000  # 4 rows per pass: 9 rows take passes of 4, 4 and 1 rows
+    rows = run_scan(run_cfg, 11, 3, 3, k)
+    assert len(rows) == 9
+    # g' has cos theta, g'' sin theta: two weights per pass, each of the pass's row count
+    assert evaluated == [4, 4, 4, 4, 1, 1]
 
 
 def test_scan_sample_count_above_the_lane_cap(tmp_path):
@@ -859,19 +895,16 @@ def _stats_from_match_doc(doc):
 @pytest.mark.parametrize("source, seed, match_samples, rays", [
     ("fourier", 3, 300, 16),
     (DEFAULT, 1, 200, 8),  # draws rejected and redrawn; rho = 1 on every ray, so no slope
-    ("mixed", 7, 200, 0),  # ConfigInvalid entries; no rays, so no slope
+    ("mixed", 7, 200, 0),  # most draws redrawn; no rays, so no slope
     (QUARTIC, 2, 0, 4),  # no lane at all, so no residual maximum
 ])
-def test_report_stats_equal_stats_of_match_entries(source, seed, match_samples, rays, tmp_path,
-                                                   monkeypatch):
+def test_report_stats_equal_stats_of_match_entries(source, seed, match_samples, rays, tmp_path):
     if source == "fourier":
         path = tmp_path / "fourier.json"
         path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
         run_cfg = load_run_config(str(path))
     elif source == "mixed":
-        run_cfg = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
-        # the rest-bound scan stops at the indefinite metric; the stats do not depend on it
-        monkeypatch.setattr(cli, "run_verify", lambda *a, **k: ({"condition_report": {}, "rest_bound": {}}, True))
+        run_cfg = RunConfig(model=mixed_match_config(indefinite=False), phi_spec=None, seed=7, digest="mixed")
     else:
         run_cfg = load_run_config(source)
     args = cli.build_parser().parse_args(
@@ -884,8 +917,12 @@ def test_report_stats_equal_stats_of_match_entries(source, seed, match_samples, 
     if source == DEFAULT:
         assert stats["rho_boundary_slope"] is None and stats["max_moment_residual"] is not None
     if source == "mixed":
-        assert 0 < stats["n_errors"] < stats["n_points"] == 200
-        assert stats["rho_boundary_slope"] is None
+        assert stats["n_points"] == 200 and stats["rho_boundary_slope"] is None
+        # with the metric made indefinite between the validation thetas, report refuses the config
+        refused = RunConfig(model=mixed_match_config(), phi_spec=None, seed=7, digest="mixed")
+        with pytest.raises(ConfigInvalid) as got:
+            cli.run_report(refused, seed, args)
+        assert str(got.value) == MIXED_MATCH_REFUSAL
     if source == QUARTIC:
         assert stats["max_moment_residual"] is None and stats["max_orbit_deviation"] is None
         assert stats["n_points"] == 0 and stats["rho_boundary_slope"] is not None

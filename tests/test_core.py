@@ -1,4 +1,8 @@
-"""Metric fields, the metric norms, the scaling action, validation."""
+"""Metric fields, the metric certificate, the metric norms, the scaling action, validation."""
+
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +38,11 @@ from flipq import (
 )
 from flipq import kernels
 from flipq import core
-from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, metric_codes, min_metric_eigenvalue
+from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, min_metric_eigenvalue
 from flipq.perturbation import LaneMatch, chi_parts_batch, match_lanes, matching_errors
 from flipq.sampling import random_domain_batch
 
-from conftest import make_config, mixed_match_config
+from conftest import MIXED_MATCH_REFUSAL, make_config, mixed_match_config
 
 
 # -- metric_at ---------------------------------------------------------------
@@ -100,7 +104,120 @@ def test_min_metric_eigenvalue_matches_per_theta_loop():
     assert min_metric_eigenvalue(cfg) == pytest.approx(expected, rel=1e-13)
 
 
-# -- the metric gate ---------------------------------------------------------
+# -- the metric certificate -------------------------------------------------
+
+
+def _scalar_field(g_prime):
+    """A 1/1 config whose g' is the (n, cos[, sin]) series of scalars g_prime, with g'' = 1."""
+    terms = [(n, *(np.array([[c]]) for c in coeffs)) for n, *coeffs in g_prime]
+    return make_config(metric_field=MetricFieldSpec.fourier(terms, [(0, np.eye(1))]))
+
+
+def _grid_sizes(monkeypatch):
+    """The number of thetas of each grid pass the certificate makes, recorded as it makes them."""
+    sizes = []
+    passes = core._min_eigenvalues
+    monkeypatch.setattr(core, "_min_eigenvalues", lambda packed, thetas: sizes.append(len(thetas)) or
+                        passes(packed, thetas))
+    return sizes
+
+
+def _refusal(cfg):
+    with pytest.raises(ConfigInvalid) as got:
+        check_metrics(cfg)
+    return str(got.value)
+
+
+def _first_grid_fault(cfg, m):
+    """The first theta of the m-point grid where g' has an eigenvalue <= 0, by one eigvalsh per theta."""
+    for theta in np.linspace(0.0, 2.0 * np.pi, m, endpoint=False):
+        G = sum(np.cos(n * theta) * c + np.sin(n * theta) * s for n, c, s in cfg.metric_field.g_prime_terms)
+        if np.linalg.eigvalsh(G).min() <= 0.0:
+            return float(theta)
+    return None
+
+
+def _shipped_configs():
+    docs = [presets.fourier_metric_config(2, 1), presets.fourier_metric_config(3, 3),
+            presets.ref_section_config(2, 2), presets.quartic_config(2, 2)]
+    fixtures = Path(__file__).parent / "fixtures"
+    docs += [json.loads((fixtures / name).read_text()) for name in ("default.json", "quartic.json", "wrong_sign.json")]
+    return docs
+
+
+def test_certificate_passes_every_shipped_config_on_the_validation_grid(monkeypatch):
+    sizes = _grid_sizes(monkeypatch)
+    for doc in _shipped_configs():
+        sizes.clear()
+        cfg = parse_run_config(doc).model
+        assert check_metrics(cfg)[0] == ()
+        assert sizes == [64, 64]  # one pass of the 64 validation thetas per block
+
+
+def test_certificate_refines_the_grid_where_the_weyl_bound_fails(monkeypatch):
+    sizes = _grid_sizes(monkeypatch)
+    # 1.001 + cos theta: the grid-free bound 1.001 - 1 > 0 decides it
+    check_metrics(_scalar_field([(0, 1.001), (1, 1.0)]))
+    assert sizes == [64, 64]
+    # 1.126 + cos theta + cos 2 theta has minimum 0.001 but Weyl bound 1.126 - 2 < 0; with L = 3 the
+    # grid minimum exceeds L pi / M only at M = 16,384
+    sizes.clear()
+    check_metrics(_scalar_field([(0, 1.126), (1, 1.0), (2, 1.0)]))
+    assert sizes == [64, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 64]
+
+
+def test_certificate_rejects_a_grid_zero_naming_its_theta():
+    assert _refusal(_scalar_field([(0, 1.0), (1, 1.0)])) == f"g_prime({np.pi}) is not positive definite"
+    cfg = mixed_match_config()
+    assert _refusal(cfg) == MIXED_MATCH_REFUSAL
+    assert MIXED_MATCH_REFUSAL == f"g_prime({_first_grid_fault(cfg, 128)}) is not positive definite"
+
+
+@pytest.mark.parametrize("g_prime, m", [
+    # 0.8 + cos 64 theta is 1.8 on the 64 validation thetas and -0.2 between them; L pi / 64 = pi
+    # keeps it undecided there, half of that or no margin at all would pass it
+    ([(0, 0.8), (64, 1.0)], 128),
+    # 1.2 + cos 64 theta + sin 64 theta dips to 1.2 - sqrt 2 < 0: a bound with max(|C|, |S|) in place
+    # of sqrt(|C|^2 + |S|^2) would pass it without a grid
+    ([(0, 1.2), (64, 1.0, 1.0)], 512),
+])
+def test_certificate_refuses_a_field_indefinite_between_grid_points(g_prime, m):
+    cfg = _scalar_field(g_prime)
+    theta = _first_grid_fault(cfg, m)
+    assert theta is not None and _first_grid_fault(cfg, m // 2) is None
+    assert _refusal(cfg) == f"g_prime({theta}) is not positive definite"
+
+
+def test_certificate_names_the_margin_when_the_cap_is_reached():
+    # minimum 1e-4 < L pi / 16,384 = 5.8e-4: positive definite, but not provably so under the cap
+    cfg = _scalar_field([(0, 1.1251), (1, 1.0), (2, 1.0)])
+    message = _refusal(cfg)
+    assert message.startswith("g_prime is not certified positive definite: its smallest eigenvalue on "
+                              f"{core.CERTIFY_MAX_THETAS} grid thetas, 0.0001")
+    assert message.endswith(f"does not exceed the Lipschitz margin {3 * np.pi / core.CERTIFY_MAX_THETAS:.6g}")
+
+
+def test_certificate_of_negative_harmonics():
+    # cos(-theta) = cos theta and sin(-theta) = -sin theta: n = -1 certifies as n = 1
+    for g_prime, mirror in (([(0, 1.5), (-1, 1.0, 0.3)], [(0, 1.5), (1, 1.0, -0.3)]),
+                            ([(0, 1.0), (-1, 1.0)], [(0, 1.0), (1, 1.0)])):
+        got, want = _metrics_cached(_scalar_field(g_prime).metric_field), _metrics_cached(
+            _scalar_field(mirror).metric_field)
+        assert got == want
+    assert got[0] == (("g_prime", "indefinite", np.pi),)
+    doc = presets.fourier_metric_config(2, 1)
+    doc["metrics"]["g_prime"][1]["n"] = -1
+    assert check_metrics(parse_run_config(doc).model)[1] == 1.0
+
+
+def test_certificate_checks_each_kept_coefficient_is_hermitian():
+    skew = [[2.0, 0.5], [0.0, 2.0]]
+    cfg = make_config(2, 1, metric_field=MetricFieldSpec.fourier([(0, np.eye(2)), (3, np.eye(2), skew)],
+                                                                 [(0, np.eye(1))]))
+    assert _refusal(cfg) == "g_prime harmonic 3 sin coefficient is not Hermitian (tolerance 1e-14)"
+    # a sine at n = 0 has no effect: kernels.pack_field drops it, so it stays unchecked
+    cfg = make_config(2, 1, metric_field=MetricFieldSpec.fourier([(0, np.eye(2), skew)], [(0, np.eye(1))]))
+    assert check_metrics(cfg)[1] == 1.0
 
 
 def _gate_thetas(rng):
@@ -112,123 +229,125 @@ def _gate_thetas(rng):
     return rng.permutation(np.repeat(thetas, 2))
 
 
-def _metric_at_faults(cfg, thetas):
-    faults = []
-    for theta in thetas:
-        try:
-            metric_at(cfg, float(theta))
-            faults.append(False)
-        except ConfigInvalid:
-            faults.append(True)
-    return np.array(faults)
-
-
 def test_metric_faults_batch_is_metric_at_per_lane(rng):
+    # the refusal does not depend on the theta: metric_at raises it at every lane's theta, also on the
+    # validation grid, and matching_errors raises it for the whole batch
     cfg = mixed_match_config()
     thetas = _gate_thetas(rng)
-    expected = _metric_at_faults(cfg, thetas)
-    assert 0 < expected.sum() < len(expected)
-    assert np.array_equal(metric_codes(cfg, thetas) > 0, expected)
-    # a batch on one theta goes through the scalar lookup
-    for theta, fault in zip(thetas[:24], expected[:24]):
-        assert np.array_equal(metric_codes(cfg, np.full(3, theta)) > 0, np.full(3, fault))
-    # a metric of the wrong size fails every lane, as metric_at raises there
+    for theta in thetas:
+        with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
+            metric_at(cfg, float(theta))
+    y_prime = np.full((len(thetas), 2), 0.1 + 0j)
+    y_second = np.full((len(thetas), 1), 0.1 + 0j)
+    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
+    with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
+        matching_errors(cfg, thetas, y_prime, y_second, m)
+    # a metric of the wrong size fails at every theta
     wrong = make_config(r_prime=2, r_second=1, metric_field=MetricFieldSpec.identity(1, 1))
-    assert (metric_codes(wrong, thetas[:5]) > 0).all() and (metric_codes(wrong, [0.5]) > 0).all()
+    for theta in thetas[:5]:
+        with pytest.raises(DimensionMismatch):
+            metric_at(wrong, float(theta))
 
 
 def test_check_metrics_raises_metric_at_error_of_first_failing_lane(rng):
+    # check_metrics raises metric_at's error, which names the first theta of the certificate's grid
+    # where an eigenvalue is <= 0; the same field without that harmonic passes
     cfg = mixed_match_config()
-    thetas = _gate_thetas(rng)
-    faults = _metric_at_faults(cfg, thetas)
     with pytest.raises(ConfigInvalid) as want:
-        metric_at(cfg, float(thetas[np.argmax(faults)]))
+        metric_at(cfg, float(rng.uniform(0.0, 2.0 * np.pi)))
     with pytest.raises(ConfigInvalid) as got:
-        check_metrics(cfg, thetas)
-    assert str(got.value) == str(want.value)
-    check_metrics(cfg, thetas[~faults])
+        check_metrics(cfg)
+    assert str(got.value) == str(want.value) == MIXED_MATCH_REFUSAL
+    check_metrics(mixed_match_config(indefinite=False))
 
 
 def test_metric_gate_on_one_theta_is_one_cache_lookup():
-    cfg = mixed_match_config()
-    for _ in range(2):
+    # the first lookup of a field computes its certificate, every later one reads it
+    cfg = mixed_match_config(indefinite=False)
+    for i, call in enumerate((lambda: check_metrics(cfg), lambda: metric_at(cfg, 0.123),
+                              lambda: core.one_lane(cfg, 0.123, [0.1, 0.0], [0.2]))):
         before = _metrics_cached.cache_info()
-        metric_codes(cfg, np.full(5, 0.123))
+        call()
         after = _metrics_cached.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses + 1
-    assert after.hits == before.hits + 1
+        assert (after.misses - before.misses, after.hits - before.hits) == ((1, 0) if i == 0 else (0, 1))
 
 
 def test_metric_gate_on_empty_batch():
-    cfg = mixed_match_config()
-    faults = metric_codes(cfg, np.zeros(0)) > 0
-    assert faults.shape == (0,) and faults.dtype == bool
-    check_metrics(cfg, np.zeros(0))
+    # the gate is one config-level check: a batch of no lanes is refused too
+    empty = (np.zeros(0), np.zeros((0, 2)), np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
+        phi_graph(mixed_match_config())(*empty)
+    assert phi_graph(mixed_match_config(indefinite=False))(*empty).shape == (0,)
 
 
 def _one_fault_configs():
-    """(config, code, error type, message at theta 0.5) per metric code, each failing only that check."""
+    """(config, error type, message, validation code) per metric fault, each failing only that check."""
     skew = [[1.0, 0.5], [0.0, 1.0]]  # not Hermitian
     indefinite = [[1.0, 0.0], [0.0, -1.0]]
     return [
-        (make_config(2, 2, metric_field=MetricFieldSpec.constant(skew, np.eye(2))), 1, ConfigInvalid,
-         "g_prime(0.5) is not Hermitian (tolerance 1e-14)"),
-        (make_config(2, 2, metric_field=MetricFieldSpec.constant(indefinite, np.eye(2))), 2, ConfigInvalid,
-         "g_prime(0.5) is not positive definite"),
-        (make_config(2, 2, metric_field=MetricFieldSpec.constant(np.eye(2), skew)), 3, ConfigInvalid,
-         "g_second(0.5) is not Hermitian (tolerance 1e-14)"),
-        (make_config(2, 2, metric_field=MetricFieldSpec.constant(np.eye(2), indefinite)), 4, ConfigInvalid,
-         "g_second(0.5) is not positive definite"),
-        (make_config(2, 2, metric_field=MetricFieldSpec.identity(2, 1)), 5, DimensionMismatch,
-         "metric sizes 2/1 do not match ranks 2/2"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(skew, np.eye(2))), ConfigInvalid,
+         "g_prime harmonic 0 cos coefficient is not Hermitian (tolerance 1e-14)", "HermitianViolation"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(indefinite, np.eye(2))), ConfigInvalid,
+         "g_prime(0.0) is not positive definite", "PositivityViolation"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(np.eye(2), skew)), ConfigInvalid,
+         "g_second harmonic 0 cos coefficient is not Hermitian (tolerance 1e-14)", "HermitianViolation"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant(np.eye(2), indefinite)), ConfigInvalid,
+         "g_second(0.0) is not positive definite", "PositivityViolation"),
+        (make_config(2, 2, metric_field=MetricFieldSpec.identity(2, 1)), DimensionMismatch,
+         "metric sizes 2/1 do not match ranks 2/2", "MetricShapeViolation"),
     ]
 
 
 @pytest.mark.parametrize("case", range(5))
 def test_each_metric_code_has_one_message_on_every_path(case):
-    cfg, code, error, message = _one_fault_configs()[case]
+    cfg, error, message, code = _one_fault_configs()[case]
     thetas = np.array([0.5, 1.5])
-    assert metric_codes(cfg, thetas).tolist() == [code, code]
-    assert metric_codes(cfg, [0.5]).tolist() == [code]
     y_prime, y_second = np.full((2, 2), 0.1 + 0j), np.full((2, 2), 0.1 + 0j)
-    for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg, thetas),
-                 lambda: fiber_norms(cfg, FiberPoint(BasePoint(0.5, 0.0), y_prime[0], y_second[0]))):
-        with pytest.raises(error) as got:
-            path()
-        assert type(got.value) is error and str(got.value) == message
-    # lanes whose matching passed: each error comes from the metric alone
+    # lanes whose matching passed: the error comes from the metric alone
     ok = np.zeros(2)
     m = LaneMatch(ok, ok, ok, np.ones(2), ok, np.zeros(2, dtype=int), np.full(2, kernels.STATUS_OK),
                   y_prime, y_second)
-    errors = matching_errors(cfg, thetas, y_prime, y_second, m)
-    assert [type(e) for e in errors] == [error, error]
-    assert str(errors[0]) == message and str(errors[1]) == message.replace("0.5", "1.5")
+    for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg),
+                 lambda: fiber_norms(cfg, FiberPoint(BasePoint(0.5, 0.0), y_prime[0], y_second[0])),
+                 lambda: matching_errors(cfg, thetas, y_prime, y_second, m)):
+        with pytest.raises(error) as got:
+            path()
+        assert type(got.value) is error and str(got.value) == message
+    # validation writes the same message; the sizes are its per-harmonic shape check instead
+    issues = validate_config(cfg).issues
+    assert {i.code for i in issues} == {code}
+    if code != "MetricShapeViolation":
+        assert [i.message for i in issues] == [message]
 
 
-def test_faulty_theta_is_cached_once():
+def test_faulty_theta_is_cached_once(monkeypatch):
+    # a refused field's certificate, and so its faulty theta, is computed once per block
     cfg = mixed_match_config()
-    theta = 31.5 * np.pi / 32
+    blocks = []
+    certify = core._certify_block
+    monkeypatch.setattr(core, "_certify_block", lambda *args: blocks.append(args[0]) or certify(*args))
     before = _metrics_cached.cache_info()
     for _ in range(2):
-        with pytest.raises(ConfigInvalid, match="is not positive definite"):
-            check_metrics(cfg, [theta])
+        with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
+            check_metrics(cfg)
     after = _metrics_cached.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert blocks == ["g_prime", "g_second"]
 
 
-def test_matching_errors_runs_the_metric_rule_once_per_batch(rng, monkeypatch):
-    cfg = mixed_match_config()
+def test_matching_errors_runs_the_metric_rule_once_per_batch(rng):
+    # one certificate lookup per batch, whatever its lanes; no lane error is a metric error
+    cfg = mixed_match_config(indefinite=False)
     thetas = _gate_thetas(rng)
-    faults = _metric_at_faults(cfg, thetas)
     y_prime = np.full((len(thetas), 2), 0.1 + 0j)
     y_second = np.full((len(thetas), 1), 0.1 + 0j)
     m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
-    calls = []
-    rule = core._metric_codes
-    monkeypatch.setattr(core, "_metric_codes", lambda *args: calls.append(args) or rule(*args))
+    check_metrics(cfg)
+    before = _metrics_cached.cache_info()
     errors = matching_errors(cfg, thetas, y_prime, y_second, m)
-    assert len(calls) == 1
-    assert [isinstance(e, ConfigInvalid) for e in errors] == faults.tolist()
+    after = _metrics_cached.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
+    assert errors == [None] * len(thetas)
 
 
 # -- the Hermitian pairing and norm of a constant metric ---------------------
@@ -497,12 +616,8 @@ def test_scalar_entry_point_is_one_batch_lane(name, rng):
             p = FiberPoint(BasePoint(theta, t), yp, ys)
             expected, scale = batch(cfg, p)
             assert np.all(np.abs(scalar(cfg, p) - expected) <= 1e-15 * scale)
-    # metric_at's check at a theta between the validation grid's samples
-    bad = mixed_match_config()
-    theta = 31.5 * np.pi / 32
-    with pytest.raises(ConfigInvalid) as want:
-        metric_at(bad, theta)
-    p = FiberPoint(BasePoint(theta, 0.1), np.array([0.3, 0.0]), np.array([0.2]))
+    # the config-level check: a refused field raises its one message at any theta, here a validation theta
+    p = FiberPoint(BasePoint(0.0, 0.1), np.array([0.3, 0.0]), np.array([0.2]))
     with pytest.raises(ConfigInvalid) as got:
-        scalar(bad, p)
-    assert str(got.value) == str(want.value) == f"g_prime({theta}) is not positive definite"
+        scalar(mixed_match_config(), p)
+    assert str(got.value) == MIXED_MATCH_REFUSAL

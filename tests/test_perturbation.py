@@ -1,6 +1,7 @@
 """Graph functions, condition checks, the rescaling solve, and matching."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from flipq.perturbation import match_lanes, matching_errors
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction
 
-from conftest import fourier_metric, make_config, mixed_match_config, mixed_quartic_term
+from conftest import MIXED_MATCH_REFUSAL, fourier_metric, make_config, mixed_match_config, mixed_quartic_term
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -301,23 +302,21 @@ def test_verify_conditions_stencil_leaves_the_domain():
 
 @pytest.mark.parametrize("make_phi", [phi_graph, phi_moment])
 def test_verify_conditions_checks_the_metric_on_its_grid(make_phi):
-    # g' fails positivity at 31.5 pi / 32 and other odd multiples of pi / 64:
-    # on the 128-point grid, phi raises metric_at's error at the first of them
+    # g' is positive definite on the 64 validation thetas but not between them: the certificate
+    # refuses it whatever verify's grid, also on the validation grid itself, and phi refuses every batch
     cfg = mixed_match_config()
-    grid = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    messages = []
-    for theta in grid:
-        try:
-            metric_at(cfg, float(theta))
-        except ConfigInvalid as e:
-            messages.append(str(e))
-    assert messages
-    with pytest.raises(ConfigInvalid) as exc:
-        verify_conditions(cfg, make_phi(cfg), n_theta=128)
-    assert str(exc.value) == messages[0]
-    # phi itself checks, at each distinct theta of its lanes
-    with pytest.raises(ConfigInvalid, match="not positive definite"):
-        make_phi(cfg)(np.array([0.0, 31.5 * np.pi / 32]), np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2))
+    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    for G in kernels.fourier_values(grid, *cfg.metric_field.packed_prime):
+        assert np.linalg.eigvalsh(G).min() > 0.0
+    for n_theta in (64, 128):
+        with pytest.raises(ConfigInvalid) as exc:
+            verify_conditions(cfg, make_phi(cfg), n_theta=n_theta)
+        assert str(exc.value) == MIXED_MATCH_REFUSAL
+    with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
+        make_phi(cfg)(grid[:2], np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2))
+    # the certified field passes
+    cfg = mixed_match_config(indefinite=False)
+    assert verify_conditions(cfg, make_phi(cfg), n_theta=8).p3_ok
 
 
 # -- taylor_rest / rest_bound_scan -------------------------------------------
