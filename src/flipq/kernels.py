@@ -2,13 +2,17 @@
 
 The metric kernels evaluate a matrix Fourier field
 G(theta) = sum_k cos(n_k theta) C_k + sin(n_k theta) S_k against lane
-batches without forming the (n, r, r) stack of values: each nonzero
-coefficient matrix is contracted with the lanes once and weighted by its
-harmonic (fourier_values alone forms the values).  Hermitian norms run in
-real arithmetic on the float view of the complex lanes.  Trig is computed
-once per call: a batch entry point passes one Harmonics table to every
-kernel it calls, and each cos(n theta), sin(n theta) its fields use is
-evaluated on first use and read from the table after that.
+batches without forming the (n, r, r) stack of values (fourier_values alone
+forms the values).  fourier_norm_sq and fourier_pairing work on blocks of
+BLOCK_LANES lanes stored lane-last: each block forms the Hermitian products
+of its lanes once, sums each coefficient's weighted products and only then
+weights the sum by the coefficient's harmonic.  Only exactly rounded
+elementwise operations touch a lane (no matrix product and no reduction
+over an axis), so a lane's bits do not depend on the batch around it: the
+scalar API, a batch of one, gives each lane of any batch exactly.  Trig is
+computed once per call: a batch entry point passes one Harmonics table to
+every kernel it calls, and each cos(n theta), sin(n theta) its fields use
+is evaluated on first use and read from the table after that.
 
 The rescaling solver works on the scalar reduction of the level equation:
 with a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root
@@ -16,6 +20,8 @@ in s = rho^2 satisfies  a' s^2 + 2 c s - a'' = 0.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -26,11 +32,13 @@ STATUS_NO_POSITIVE_ROOT = 2
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
-# Lanes per call in the blocked batch loops: the CLI's scan rows and
-# verify_conditions' stencil.  Bounds the working set: one scan pass over a
-# 1,984-row, 32-sample grid (63,488 lanes) raised peak RSS from 45 to 58 MB,
-# and one 2,000-theta verify on the 3/3 preset (582,000 stencil lanes) from
-# 56 to 184 MB; neither ran faster than in 4096-lane blocks.
+# Lanes per call in the blocked batch loops: the CLI's scan rows,
+# verify_conditions' stencil, and the lane blocks of fourier_norm_sq and
+# fourier_pairing, where only elementwise operations touch a lane.  Bounds the
+# working set: one scan pass over a 1,984-row, 32-sample grid (63,488 lanes)
+# raised peak RSS from 45 to 58 MB, and one 2,000-theta verify on the 3/3
+# preset (582,000 stencil lanes) from 56 to 184 MB; neither ran faster than in
+# 4096-lane blocks.
 BLOCK_LANES = 4096
 
 
@@ -41,15 +49,6 @@ BLOCK_LANES = 4096
 def realify(M: np.ndarray) -> np.ndarray:
     """Real form [[Re M, -Im M], [Im M, Re M]] of M, acting on [Re y, Im y]."""
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
-
-
-def _realify_interleaved(M: np.ndarray) -> np.ndarray:
-    # realify of each matrix of a stack (..., r, r), rows and columns reordered
-    # to act on the float view of y, (Re y_0, Im y_0, Re y_1, ...), so the
-    # lanes need no copy; C order keeps the products' BLAS path
-    r = M.shape[-1]
-    p = np.arange(2 * r).reshape(2, r).T.ravel()
-    return np.ascontiguousarray(realify(M)[..., p[:, None], p])
 
 
 def pack_field(ns, cos, sin):
@@ -68,9 +67,31 @@ def pack_field(ns, cos, sin):
 
 
 def norm_forms(ns, sines, coeffs):
-    """A packed metric field with each coefficient matrix replaced by its real
-    form: the field argument of fourier_norm_sq, built once per field."""
-    return ns, sines, _realify_interleaved(coeffs)
+    """A packed metric field as the Hermitian products its norms need: the
+    field argument of fourier_norm_sq, built once per field.
+
+    With H = (M + M^H)/2, Re(conj(y) M y) = sum_i H_ii |y_i|^2
+    + sum_{i<j} 2 Re H_ij Re(conj(y_i) y_j) - 2 Im H_ij Im(conj(y_i) y_j).
+    The forms are (products, weights).  Over the rows Re y_0, Im y_0,
+    Re y_1, ... of a lane block z, product (a, b, c, d, imag) is
+    z[a] z[b] - z[c] z[d] if imag else z[a] z[b] + z[c] z[d], and weights
+    (entries, products) holds each coefficient's weight on it.  A product
+    no coefficient weighs is left out.
+    """
+    hermitian = (coeffs + np.conj(np.swapaxes(coeffs, -1, -2))) / 2.0
+    products, weights = [], []
+    for i, j in itertools.combinations_with_replacement(range(coeffs.shape[-1]), 2):
+        h = hermitian[:, i, j]
+        re_i, im_i, re_j, im_j = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+        # Re(conj(y_i) y_j) = Re y_i Re y_j + Im y_i Im y_j
+        candidates = [((re_i, re_j, im_i, im_j, False), (1.0 if i == j else 2.0) * h.real)]
+        if i != j:  # Im(conj(y_i) y_j) = Re y_i Im y_j - Im y_i Re y_j
+            candidates.append(((re_i, im_j, im_i, re_j, True), -2.0 * h.imag))
+        for product, weight in candidates:
+            if weight.any():
+                products.append(product)
+                weights.append(weight)
+    return ns, sines, (tuple(products), np.array(weights).T.reshape(len(coeffs), len(products)))
 
 
 class Harmonics:
@@ -129,36 +150,69 @@ def fourier_values(thetas, ns, sines, coeffs):
     return out
 
 
+def _lane_last_blocks(y):
+    """(lane slice, z) per BLOCK_LANES lanes of y (n, r), with z (2r, lanes)
+    the block's rows Re y_0, Im y_0, Re y_1, Im y_1, ... stored lane-last."""
+    y = np.ascontiguousarray(y, dtype=np.complex128)
+    floats = y.view(np.float64).reshape(y.shape[0], 2 * y.shape[1])
+    for start in range(0, y.shape[0], BLOCK_LANES):
+        lanes = slice(start, start + BLOCK_LANES)
+        yield lanes, np.ascontiguousarray(floats[lanes].T)
+
+
+def _weighted_sums(weights, products):
+    """sum_p weights[k, p] products[p] for each entry k, added in order of p."""
+    sums = np.zeros((weights.shape[0], products.shape[1]))
+    term = np.empty_like(sums)
+    for p in range(products.shape[0]):
+        np.add(sums, np.multiply(weights[:, p:p + 1], products[p], out=term), out=sums)
+    return sums
+
+
+def _add_harmonics(out, lanes, sums, table, ns, sines):
+    """out += weight_k * sums[k] with each entry's harmonic weight on the lanes, in entry order."""
+    term = np.empty_like(out)
+    for n, sine, value in zip(ns, sines, sums):
+        weight = table.weight(n, sine)
+        np.add(out, value if weight is None else np.multiply(weight[lanes], value, out=term), out=out)
+
+
 def fourier_norm_sq(thetas, y, ns, sines, forms):
     """Batch Hermitian norms |y|^2 under a matrix Fourier field at each theta.
 
-    Re(conj(y) M y) = z^T M~ z with z the float view of y and M~ the real
-    form of M (the field comes packed by norm_forms), so each harmonic costs
-    one (n, 2r) x (2r, 2r) product.
+    The field comes packed by norm_forms.  Each block of lanes forms the
+    Hermitian products of its field once; each entry's weighted sum of them
+    is then scaled by the entry's harmonic.
     """
     table = harmonics(thetas)
-    z = np.ascontiguousarray(y, dtype=np.complex128).view(np.float64)
+    spec, weights = forms
     out = np.zeros(len(table))
-    for n, sine, form in zip(ns, sines, forms):
-        q = np.einsum("ni,ni->n", z @ form, z)
-        # read after the (n, 2r) product is freed, so a weight evaluated here
-        # does not add to the call's peak memory
-        weight = table.weight(n, sine)
-        out += q if weight is None else weight * q
+    for lanes, z in _lane_last_blocks(y):
+        products = np.empty((len(spec), z.shape[1]))
+        term = np.empty(z.shape[1])
+        for product, (a, b, c, d, imag) in zip(products, spec):
+            np.multiply(z[a], z[b], out=product)
+            (np.subtract if imag else np.add)(product, np.multiply(z[c], z[d], out=term), out=product)
+        _add_harmonics(out[lanes], lanes, _weighted_sums(weights, products), table, ns, sines)
     return out
 
 
 def fourier_pairing(thetas, y, a, ns, sines, coeffs):
     """Batch Hermitian pairings conj(y) G(theta) a with one fixed vector a."""
     table = harmonics(thetas)
-    y = np.asarray(y, dtype=np.complex128)
-    # conj(y) (M a) = conj(y conj(M a)): conjugate the (n,) result, not the lanes
+    b = coeffs @ np.asarray(a, dtype=np.complex128)
+    # conj(y_i) b_i = (Re y_i Re b_i + Im y_i Im b_i) + i (Re y_i Im b_i - Im y_i Re b_i): the real
+    # parts' weights on the rows Re y_0, Im y_0, Re y_1, ..., then the imaginary parts'; a row no entry
+    # weighs is left out
+    weights = np.concatenate([np.stack([b.real, b.imag], axis=-1), np.stack([b.imag, -b.real], axis=-1)])
+    weights = weights.reshape(2 * b.shape[0], -1)
+    rows = np.flatnonzero(weights.any(axis=0))
     out = np.zeros(len(table), dtype=np.complex128)
-    for n, sine, M in zip(ns, sines, coeffs):
-        p = y @ (M @ a).conj()
-        weight = table.weight(n, sine)
-        out += p if weight is None else weight * p
-    return out.conj()
+    for lanes, z in _lane_last_blocks(y):
+        sums = _weighted_sums(weights[:, rows], z[rows])
+        _add_harmonics(out.real[lanes], lanes, sums[:len(b)], table, ns, sines)
+        _add_harmonics(out.imag[lanes], lanes, sums[len(b):], table, ns, sines)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,24 @@ def fourier_metric(r_prime, r_second) -> MetricFieldSpec:
     )
 
 
+def random_hermitian(rng, rank, scale=1.0):
+    a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+    return scale * (a + a.conj().T) / 2.0
+
+
+def dense_metric(r_prime, r_second, rng) -> MetricFieldSpec:
+    """Dense complex Hermitian g', g'' that the certificate accepts: cos and sin
+    terms at n = 0, 1, 2 around 2 I, with a nonzero sine at n = 0 (which
+    contributes nothing) and an all-zero cosine at n = 2."""
+
+    def field(rank):
+        return [(0, 2.0 * np.eye(rank) + random_hermitian(rng, rank, 0.1), random_hermitian(rng, rank)),
+                (1, random_hermitian(rng, rank, 0.1), random_hermitian(rng, rank, 0.1)),
+                (2, np.zeros((rank, rank)), random_hermitian(rng, rank, 0.1))]
+
+    return MetricFieldSpec.fourier(field(r_prime), field(r_second))
+
+
 @pytest.fixture
 def cfg_identity():
     return make_config()

@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MIXED_MATCH_REFUSAL, mixed_match_config
+from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
 from flipq import (
     BasePoint,
     ConfigInvalid,
     FiberPoint,
     FlipQError,
+    PerturbationTerm,
     chi_eval,
     cli,
     fiber_norms,
@@ -541,7 +542,7 @@ def _assert_matches_scalar_path(cfg, entries):
             messages.add(str(e))
             continue
         assert "error" not in entry
-        assert entry["rho"] == pytest.approx(sol.rho, rel=1e-14, abs=0.0)
+        assert entry["rho"] == sol.rho
         assert entry["newton_iterations"] == sol.iterations
     return messages
 
@@ -587,6 +588,15 @@ def test_batched_match_agrees_with_scalar_path():
     doc = _match_document(run_cfg, 3, [zero], random_n=200, blowup_rays=0)
     assert len(doc["points"]) == 201 and doc["points"][0]["error"] == "DegenerateBranch"
     _assert_matches_scalar_path(run_cfg.model, doc["points"])
+
+    # and on a dense Hermitian metric field, with a reference-pairing term
+    terms = [PerturbationTerm(mixed_pow=1, coeff=(0.1,)),
+             PerturbationTerm(ref_inner_pow=2, coeff=(0.05, 0.02), ref_section=np.array([1.0, 0.5j]))]
+    dense = make_config(2, 2, metric_field=dense_metric(2, 2, rng), terms=terms)
+    doc = _match_document(RunConfig(model=dense, phi_spec=None, seed=7, digest="dense"), 5, [], random_n=200,
+                          blowup_rays=0)
+    _assert_matches_scalar_path(dense, doc["points"])
+    assert sum("rho" in entry for entry in doc["points"]) >= 100
 
 
 @pytest.mark.filterwarnings("error")

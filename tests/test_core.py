@@ -39,10 +39,10 @@ from flipq import (
 from flipq import kernels
 from flipq import core
 from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, min_metric_eigenvalue
-from flipq.perturbation import LaneMatch, chi_parts_batch, match_lanes, matching_errors
+from flipq.perturbation import LaneMatch, _term_values, chi_parts_batch, match_lanes, matching_errors
 from flipq.sampling import random_domain_batch
 
-from conftest import MIXED_MATCH_REFUSAL, make_config, mixed_match_config
+from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
 
 
 # -- metric_at ---------------------------------------------------------------
@@ -552,49 +552,43 @@ def test_norm_sq_zero_iff_zero():
 # -- scalar entry points as one-lane batches ---------------------------------
 
 
-def _lane(p):
-    return [p.base.theta], p.y_prime[None], p.y_second[None]
+def _norms(cfg, thetas, ts, y_prime, y_second):
+    return np.stack(fiber_norms_batch(cfg, thetas, y_prime, y_second), axis=1)
 
 
-def _lane_norms(cfg, p):
-    g1, g2 = fiber_norms_batch(cfg, *_lane(p))
-    return np.array([g1[0], g2[0]])
+def _rest(cfg, thetas, ts, y_prime, y_second):
+    # the rest is summed apart from chi, as taylor_rest sums it
+    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
+    terms = _term_values(cfg, cfg.perturbation.terms, kernels.Harmonics(thetas), y_prime, g1, g2)
+    return sum(terms, np.zeros(len(thetas)))
 
 
-def _blowup_radius(cfg, p, zeta):
+def _radius(cfg, thetas, ts, y_prime, y_second):
+    return np.sqrt(_norms(cfg, thetas, ts, y_prime, y_second).sum(axis=1))
+
+
+def _blowup_radius(cfg, thetas, ts, y_prime, y_second, zeta):
     # zeta . (r, w) has radius r |(zeta w', w'' / zeta)|, w = y / r
-    r = np.sqrt(_lane_norms(cfg, p).sum())
-    a, b = _lane_norms(cfg, FiberPoint(p.base, p.y_prime / r, p.y_second / r))
-    return r * np.sqrt(abs(zeta) ** 2 * a + b / abs(zeta) ** 2)
-
-
-def _same(expected):
-    return expected, np.abs(expected)
-
-
-def _rest(cfg, p):
-    # the rest is chi minus its quadratic part; their difference carries the
-    # roundoff of the quadratic part, so compare at its scale
-    chi, g1, g2 = chi_parts_batch(cfg, *_lane(p))
-    return chi[0] + 0.5 * (g1[0] - g2[0]), g1[0] + g2[0]
+    r = _radius(cfg, thetas, ts, y_prime, y_second)
+    a, b = _norms(cfg, thetas, ts, y_prime / r[:, None], y_second / r[:, None]).T
+    m2 = abs(zeta) ** 2
+    return r * np.sqrt(m2 * a + b / m2)
 
 
 ZETA = 1.7 * np.exp(0.3j)
 
-# name -> (the scalar call, its batch counterpart); the counterpart returns the
-# lane's value and the scale the gap is measured at, or is None where there is none
+# name -> (the scalar call, its batch counterpart (cfg, thetas, ts, y', y'') -> each lane's value,
+# or None where there is none)
 ONE_LANE_CASES = {
-    "fiber_norms": (lambda cfg, p: np.array(fiber_norms(cfg, p)), lambda cfg, p: _same(_lane_norms(cfg, p))),
-    "moment_value": (moment_value, lambda cfg, p: _same(
-        moment_value_batch(cfg, [p.base.theta], [p.base.t], p.y_prime[None], p.y_second[None])[0])),
-    "normalize_to_level": (lambda cfg, p: normalize_to_level(cfg, p)[0], lambda cfg, p: _same(
-        level_rho_batch(cfg, [p.base.theta], [p.base.t], p.y_prime[None], p.y_second[None])[0])),
-    "chi_eval": (chi_eval, lambda cfg, p: _same(chi_eval_batch(cfg, *_lane(p))[0])),
+    "fiber_norms": (lambda cfg, p: np.array(fiber_norms(cfg, p)), _norms),
+    "moment_value": (moment_value, moment_value_batch),
+    "normalize_to_level": (lambda cfg, p: normalize_to_level(cfg, p)[0], level_rho_batch),
+    "chi_eval": (chi_eval, lambda cfg, thetas, ts, y_prime, y_second: chi_eval_batch(cfg, thetas, y_prime,
+                                                                                      y_second)),
     "taylor_rest": (taylor_rest, _rest),
-    "to_blowup": (lambda cfg, p: to_blowup(cfg, p).r,
-                  lambda cfg, p: _same(np.sqrt(_lane_norms(cfg, p).sum()))),
+    "to_blowup": (lambda cfg, p: to_blowup(cfg, p).r, _radius),
     "cstar_act_blowup": (lambda cfg, p: cstar_act_blowup(cfg, ZETA, to_blowup(cfg, p)).r,
-                         lambda cfg, p: _same(_blowup_radius(cfg, p, ZETA))),
+                         lambda *lanes: _blowup_radius(*lanes, ZETA)),
     "make_blowup_point": (lambda cfg, p: make_blowup_point(cfg, 0.5, p.y_prime, p.y_second, p.base), None),
     "extract_graph": (lambda cfg, p: extract_graph(cfg, phi_graph(cfg), p), None),
     "renorm_eval": (lambda cfg, p: renorm_eval(cfg, cfg.perturbation, 4, 0.0, p.y_prime, p.y_second,
@@ -602,20 +596,28 @@ ONE_LANE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ONE_LANE_CASES))
-def test_scalar_entry_point_is_one_batch_lane(name, rng):
-    scalar, batch = ONE_LANE_CASES[name]
-    # the Fourier preset, with a reference-pairing term so every generator runs
+def _one_lane_configs(rng):
+    """The Fourier preset and a dense Hermitian 2/2 field, each with a reference-pairing term so every
+    generator runs."""
     doc = presets.fourier_metric_config(2, 2)
     doc["perturbation"]["terms"].append({"generators": {"ref_inner_sq": 2}, "coeff_fourier": [0.05, 0.02],
                                           "ref_section": [[1.0, 0.0], [0.0, 0.0]]})
     cfg = parse_run_config(doc).model
-    if batch is not None:
-        thetas, y_prime, y_second = random_domain_batch(rng, cfg, 16)
-        for theta, t, yp, ys in zip(thetas, rng.uniform(-0.4, 0.4, 16), y_prime, y_second):
-            p = FiberPoint(BasePoint(theta, t), yp, ys)
-            expected, scale = batch(cfg, p)
-            assert np.all(np.abs(scalar(cfg, p) - expected) <= 1e-15 * scale)
+    dense = make_config(2, 2, metric_field=dense_metric(2, 2, rng), terms=cfg.perturbation.terms)
+    return cfg, dense
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LANE_CASES))
+def test_scalar_entry_point_is_one_batch_lane(name, rng):
+    scalar, batch = ONE_LANE_CASES[name]
+    for cfg in _one_lane_configs(rng):
+        if batch is not None:
+            thetas, y_prime, y_second = random_domain_batch(rng, cfg, 64)
+            ts = rng.uniform(-0.4, 0.4, 64)
+            expected = batch(cfg, thetas, ts, y_prime, y_second)
+            for i, (theta, t, yp, ys) in enumerate(zip(thetas, ts, y_prime, y_second)):
+                got = scalar(cfg, FiberPoint(BasePoint(theta, t), yp, ys))
+                assert np.asarray(got).tobytes() == expected[i].tobytes(), i
     # the config-level check: a refused field raises its one message at any theta, here a validation theta
     p = FiberPoint(BasePoint(0.0, 0.1), np.array([0.3, 0.0]), np.array([0.2]))
     with pytest.raises(ConfigInvalid) as got:

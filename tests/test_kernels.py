@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import dense_metric, make_config, random_hermitian
 from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
@@ -18,51 +18,48 @@ def _term_sum(terms, theta):
     return sum(np.cos(n * theta) * c + np.sin(n * theta) * s for n, c, s in terms)
 
 
-def _random_hermitian(rng, rank, scale=1.0):
-    a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
-    return scale * (a + a.conj().T) / 2.0
+def _each_lane_alone_is_its_batch_lane(kernel, thetas, y, *field):
+    """kernel over the batch, after asserting that each lane alone gives that lane's bits at batch sizes
+    1, 7 and BLOCK_LANES + 3 (the prefixes of thetas, y)."""
+    for n in (1, 7, kernels.BLOCK_LANES + 3):
+        batch = kernel(thetas[:n], y[:n], *field)
+        alone = np.concatenate([kernel(thetas[i:i + 1], y[i:i + 1], *field) for i in range(n)])
+        assert alone.tobytes() == batch.tobytes(), n
+    return batch
+
+
+def _lanes(rng, rank):
+    n = kernels.BLOCK_LANES + 3
+    return rng.uniform(0.0, 2.0 * np.pi, n), rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_fourier_norm_sq_matches_per_lane_reference(rank):
     rng = np.random.default_rng(100 + rank)
-    # complex off-diagonal Hermitian terms; a nonzero sine at n = 0 (which
+    # complex off-diagonal Hermitian terms, a nonzero sine at n = 0 (which
     # must contribute nothing) and an all-zero cosine at n = 2
-    terms = (
-        (0, _random_hermitian(rng, rank), _random_hermitian(rng, rank)),
-        (1, _random_hermitian(rng, rank), _random_hermitian(rng, rank)),
-        (2, np.zeros((rank, rank), dtype=complex), _random_hermitian(rng, rank)),
-    )
-    spec = MetricFieldSpec.fourier(terms, [(0, np.eye(1))])
-    n = 300
-    thetas = rng.uniform(0.0, 2.0 * np.pi, n)
-    y = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    got = kernels.fourier_norm_sq(thetas, y, *spec.norm_forms_prime)
+    spec = dense_metric(rank, 1, rng)
+    thetas, y = _lanes(rng, rank)
+    got = _each_lane_alone_is_its_batch_lane(kernels.fourier_norm_sq, thetas, y, *spec.norm_forms_prime)
     expected = np.array([
         (y[i].conj() @ _term_sum(spec.g_prime_terms, thetas[i]) @ y[i]).real
-        for i in range(n)
+        for i in range(300)
     ])
     scale = np.abs(expected).max()
-    assert np.abs(got - expected).max() <= 1e-13 * scale
+    assert np.abs(got[:300] - expected).max() <= 1e-13 * scale
 
 
 def test_fourier_pairing_matches_per_lane_reference():
     rng = np.random.default_rng(7)
-    terms = (
-        (0, 3.0 * np.eye(3), _random_hermitian(rng, 3)),
-        (1, _random_hermitian(rng, 3), _random_hermitian(rng, 3)),
-        (2, np.zeros((3, 3)), _random_hermitian(rng, 3)),
-    )
-    spec = MetricFieldSpec.fourier(terms, [(0, np.eye(1))])
-    n = 200
-    thetas = rng.uniform(0.0, 2.0 * np.pi, n)
-    y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    got = kernels.fourier_pairing(thetas, y, a, *spec.packed_prime)
+    spec = dense_metric(4, 1, rng)
+    thetas, y = _lanes(rng, 4)
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    got = _each_lane_alone_is_its_batch_lane(
+        lambda thetas, y, *field: kernels.fourier_pairing(thetas, y, a, *field), thetas, y, *spec.packed_prime)
     expected = np.array([
-        y[i].conj() @ _term_sum(spec.g_prime_terms, thetas[i]) @ a for i in range(n)
+        y[i].conj() @ _term_sum(spec.g_prime_terms, thetas[i]) @ a for i in range(200)
     ])
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.abs(got[:200] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_fourier_values_matches_per_theta_sum():
@@ -70,9 +67,9 @@ def test_fourier_values_matches_per_theta_sum():
     # complex Hermitian cos and sin terms, a nonzero sine at n = 0 (which
     # contributes nothing) and an all-zero cosine at n = 3
     terms = (
-        (0, _random_hermitian(rng, 3), _random_hermitian(rng, 3)),
-        (1, _random_hermitian(rng, 3), _random_hermitian(rng, 3)),
-        (3, np.zeros((3, 3)), _random_hermitian(rng, 3)),
+        (0, random_hermitian(rng, 3), random_hermitian(rng, 3)),
+        (1, random_hermitian(rng, 3), random_hermitian(rng, 3)),
+        (3, np.zeros((3, 3)), random_hermitian(rng, 3)),
     )
     spec = MetricFieldSpec.fourier(terms, [(0, np.eye(1))])
     thetas = rng.uniform(0.0, 2.0 * np.pi, 50)
@@ -133,10 +130,10 @@ def test_chi_parts_batch_matches_scalar_path():
     metric = MetricFieldSpec.fourier(
         [
             (0, 3.0 * np.eye(3)),
-            (1, _random_hermitian(rng, 3, 0.3), _random_hermitian(rng, 3, 0.3)),
-            (2, np.zeros((3, 3)), _random_hermitian(rng, 3, 0.3)),
+            (1, random_hermitian(rng, 3, 0.3), random_hermitian(rng, 3, 0.3)),
+            (2, np.zeros((3, 3)), random_hermitian(rng, 3, 0.3)),
         ],
-        [(0, 2.0 * np.eye(2)), (1, np.zeros((2, 2)), _random_hermitian(rng, 2, 0.3))],
+        [(0, 2.0 * np.eye(2)), (1, np.zeros((2, 2)), random_hermitian(rng, 2, 0.3))],
     )
     terms = [
         PerturbationTerm(ref_inner_pow=2, coeff=(0.05, 0.02, -0.03),
@@ -162,9 +159,9 @@ def _table_config():
     rng = np.random.default_rng(21)
 
     def field(rank):
-        return [(0, 4.0 * np.eye(rank), _random_hermitian(rng, rank)),
-                (1, _random_hermitian(rng, rank, 0.3), _random_hermitian(rng, rank, 0.3)),
-                (2, _random_hermitian(rng, rank, 0.3), _random_hermitian(rng, rank, 0.3))]
+        return [(0, 4.0 * np.eye(rank), random_hermitian(rng, rank)),
+                (1, random_hermitian(rng, rank, 0.3), random_hermitian(rng, rank, 0.3)),
+                (2, random_hermitian(rng, rank, 0.3), random_hermitian(rng, rank, 0.3))]
 
     metric = MetricFieldSpec.fourier(field(3), field(2))
     terms = [
@@ -192,22 +189,42 @@ def _values_reference(thetas, ns, cos, sin):
 
 
 def _norm_sq_reference(thetas, y, terms):
-    z = np.ascontiguousarray(y).view(np.float64)
+    """Re(conj(y) C y) per coefficient C as sum_{i<=j} of its Hermitian products
+    Re(conj(y_i) y_j), then Im(conj(y_i) y_j) for i < j, weighted by H = (C + C^H)/2
+    and added lane by lane in that order; then the harmonics in series order."""
+    re, im = y.real.T, y.imag.T
     out = np.zeros(len(thetas))
     ns, cos, sin = zip(*terms)
     for weight, c in _weights_per_series(thetas, ns, cos, sin):
-        q = np.einsum("ni,ni->n", z @ kernels._realify_interleaved(c), z)
+        h = (c + c.conj().T) / 2.0
+        q = np.zeros(len(thetas))
+        for i, j in zip(*np.triu_indices(len(c))):
+            q += (1.0 if i == j else 2.0) * h[i, j].real * (re[i] * re[j] + im[i] * im[j])
+            if i != j:
+                q += -2.0 * h[i, j].imag * (re[i] * im[j] - im[i] * re[j])
         out += q if weight is None else weight * q
     return out
 
 
 def _pairing_reference(thetas, y, a, terms):
-    out = np.zeros(len(thetas), dtype=np.complex128)
+    """conj(y) C a per coefficient C with b = C a, its real part
+    sum_i Re y_i Re b_i + Im y_i Im b_i and its imaginary part
+    sum_i Re y_i Im b_i - Im y_i Re b_i, added lane by lane in that order."""
+    re_out, im_out = np.zeros(len(thetas)), np.zeros(len(thetas))
     ns, cos, sin = zip(*terms)
     for weight, c in _weights_per_series(thetas, ns, cos, sin):
-        p = y @ (c @ a).conj()
-        out += p if weight is None else weight * p
-    return out.conj()
+        b = c @ a
+        re, im = np.zeros(len(thetas)), np.zeros(len(thetas))
+        for i in range(len(b)):
+            re += b[i].real * y[:, i].real
+            re += b[i].imag * y[:, i].imag
+            im += b[i].imag * y[:, i].real
+            im += -b[i].real * y[:, i].imag
+        re_out += re if weight is None else weight * re
+        im_out += im if weight is None else weight * im
+    out = np.empty(len(thetas), dtype=np.complex128)
+    out.real, out.imag = re_out, im_out
+    return out
 
 
 def _series_reference(term, thetas):
