@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .config_io import RunConfig, _number, load_run_config, parse_vector, phi_from_config
 from .core import BasePoint, FiberPoint, check_metrics
-from .errors import ConfigInvalid, ConfigParse, FlipQError, OutOfDomain
+from .errors import ConfigInvalid, ConfigParse, DimensionMismatch, FlipQError, OutOfDomain
 from .perturbation import (
     FD_STEP_RANGE,
     match_lanes,
@@ -233,10 +233,10 @@ class MatchPass(NamedTuple):
 
 def _match_pass(cfg, thetas, y_prime, y_second) -> MatchPass:
     """Match every lane in one batch pass and check it."""
-    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
+    m = match_lanes(cfg, thetas, y_prime, y_second)
     errors = np.empty(len(thetas), dtype=object)
-    errors[:] = matching_errors(cfg, thetas, y_prime, y_second, m)
-    for i in np.flatnonzero(~(np.abs(m.t) < cfg.epsilon)):
+    errors[:] = matching_errors(cfg, m)
+    for i in np.flatnonzero(~cfg.in_wall(m.t)):
         errors[i] = errors[i] or wall_error(cfg, m.t[i])
     resid = np.abs(moment_value_batch(cfg, thetas, m.t, m.out_prime, m.out_second))
     segre_in = y_prime[:, :, None] * y_second[:, None, :]
@@ -259,7 +259,7 @@ def _match_with_draws(cfg, seed: int, lanes, random_n: int) -> MatchPass:
         if wanted:
             lanes = [np.concatenate(pair) for pair in zip(lanes, random_domain_batch(rng, cfg, wanted))]
         batch = _match_pass(cfg, *lanes)
-        kept = ~(np.abs(batch.t[fixed:]) >= cfg.epsilon)
+        kept = cfg.in_wall(batch.t[fixed:])
         passes.append(batch.take(np.concatenate([np.ones(fixed, dtype=bool), kept])))
         wanted -= int(kept.sum())
         if not wanted:
@@ -409,14 +409,11 @@ def _parse_point(text: str, cfg) -> FiberPoint:
         theta = _number(doc.get("theta", 0.0), "theta")
         y_prime = parse_vector(doc["y_prime"])
         y_second = parse_vector(doc["y_second"])
-    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, ConfigInvalid) as e:
+        if not (np.isfinite(theta) and np.isfinite(y_prime).all() and np.isfinite(y_second).all()):
+            raise ConfigInvalid("theta and the vector entries must be finite")
+        return cfg.fiber_point(theta, 0.0, y_prime, y_second)
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, ConfigInvalid, DimensionMismatch) as e:
         raise ConfigParse(f"bad --point payload: {e}") from e
-    if not (np.isfinite(theta) and np.isfinite(y_prime).all() and np.isfinite(y_second).all()):
-        raise ConfigParse("bad --point payload: theta and the vector entries must be finite")
-    for name, v, rank in (("y_prime", y_prime, cfg.r_prime), ("y_second", y_second, cfg.r_second)):
-        if v.shape[0] != rank:
-            raise ConfigParse(f"bad --point payload: {name} has length {v.shape[0]}, expected {rank}")
-    return FiberPoint(base=BasePoint(theta, 0.0), y_prime=y_prime, y_second=y_second)
 
 
 def _non_negative_int(text: str) -> int:

@@ -138,11 +138,13 @@ class ModelConfig:
     perturbation: "PerturbationSpec"
     domain_radius: float
 
+    def in_wall(self, t):
+        """Whether t lies in the open wall interval (-epsilon, epsilon), elementwise; NaN does not."""
+        return np.abs(t) < self.epsilon
+
     def base_point(self, theta: float, t: float) -> BasePoint:
-        if not abs(t) < self.epsilon:
-            raise ConfigInvalid(
-                f"|t| = {abs(t)} must be below the wall half-width {self.epsilon}"
-            )
+        if not self.in_wall(t):
+            raise ConfigInvalid(f"|t| = {abs(t)} must be below the wall half-width {self.epsilon}")
         return BasePoint(theta, t)
 
     def fiber_point(self, theta, t, y_prime, y_second) -> "FiberPoint":
@@ -167,8 +169,8 @@ class FiberPoint:
 
 
 def _check_length(v: np.ndarray, n: int, name: str) -> np.ndarray:
-    if v.shape[0] != n:
-        raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {n}")
+    if v.shape[-1] != n:
+        raise DimensionMismatch(f"{name} has length {v.shape[-1]}, expected {n}")
     return v
 
 
@@ -274,9 +276,8 @@ def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
 def one_lane(cfg: ModelConfig, theta: float, y_prime, y_second):
     """One fiber vector as a batch (thetas, y', y'') of one lane, after check_metrics."""
     check_metrics(cfg)
-    y_prime = _check_length(np.asarray(y_prime, dtype=complex), cfg.r_prime, "y_prime")
-    y_second = _check_length(np.asarray(y_second, dtype=complex), cfg.r_second, "y_second")
-    return np.array([theta], dtype=float), y_prime[None], y_second[None]
+    return (np.array([theta], dtype=float), np.asarray(y_prime, dtype=complex)[None],
+            np.asarray(y_second, dtype=complex)[None])
 
 
 def fiber_norms(cfg: ModelConfig, p: FiberPoint) -> tuple[float, float]:
@@ -288,9 +289,16 @@ def fiber_norms(cfg: ModelConfig, p: FiberPoint) -> tuple[float, float]:
 def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """Vectorized metric norms squared over point batches (kernel-backed).
 
-    thetas may be a kernels.Harmonics table that the caller shares with its other kernels.
+    thetas may be a kernels.Harmonics table that the caller shares with its other kernels.  Every
+    evaluated lane enters here, so here is the batch shape rule: y' (n, r'), y'' (n, r''), n = len(thetas).
     """
     table = kernels.harmonics(thetas)
+    if table.thetas.ndim != 1:
+        raise DimensionMismatch(f"thetas has shape {table.thetas.shape}, expected a vector")
+    for name, y, rank in (("y_prime", y_prime, cfg.r_prime), ("y_second", y_second, cfg.r_second)):
+        if np.ndim(y) != 2 or len(y) != len(table):
+            raise DimensionMismatch(f"{name} has shape {np.shape(y)}, expected ({len(table)}, {rank})")
+        _check_length(np.asarray(y), rank, name)
     ap = kernels.fourier_norm_sq(table, y_prime, *cfg.metric_field.norm_forms_prime)
     app = kernels.fourier_norm_sq(table, y_second, *cfg.metric_field.norm_forms_second)
     return ap, app

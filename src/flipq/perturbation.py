@@ -151,11 +151,15 @@ def _outside_domain(cfg, g1, g2):
     return g1 + g2 > cfg.domain_radius**2 * (1.0 + DOMAIN_SLACK)
 
 
+def _domain_error(cfg, g1, g2) -> OutOfDomain:
+    return OutOfDomain(f"|v| = {np.sqrt(g1 + g2):.6g} exceeds domain_radius = {cfg.domain_radius}")
+
+
 def _check_domain(cfg, g1, g2):
-    if _outside_domain(cfg, g1, g2):
-        raise OutOfDomain(
-            f"|v| = {np.sqrt(g1 + g2):.6g} exceeds domain_radius = {cfg.domain_radius}"
-        )
+    """Raise the _domain_error of the first lane of the batch (g1, g2) outside the fiber domain."""
+    outside = np.flatnonzero(_outside_domain(cfg, g1, g2))
+    if outside.size:
+        raise _domain_error(cfg, g1[outside[0]], g2[outside[0]])
 
 
 def _monomial(term: PerturbationTerm, table, g1, g2, inner):
@@ -188,9 +192,8 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
-    if check_domain and np.any(_outside_domain(cfg, g1, g2)):
-        first = np.argmax(_outside_domain(cfg, g1, g2))  # raise the first such lane's message
-        _check_domain(cfg, g1[first], g2[first])
+    if check_domain:
+        _check_domain(cfg, g1, g2)
     chi = -0.5 * (g1 - g2)
     for value in _term_values(cfg, cfg.perturbation.terms, table, y_prime, g1, g2):
         chi = chi + value
@@ -208,7 +211,7 @@ def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
     thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
     table = kernels.Harmonics(thetas)
     g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
-    _check_domain(cfg, g1[0], g2[0])
+    _check_domain(cfg, g1, g2)
     # summed apart from chi: chi + (g1 - g2)/2 would lose the rest to cancellation
     return float(sum(_term_values(cfg, cfg.perturbation.terms, table, y_prime, g1, g2), np.zeros(1))[0])
 
@@ -348,7 +351,7 @@ def extract_graph(cfg: ModelConfig, phi: PhiFunc, p: FiberPoint) -> float:
     """
     lane = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
     g1, g2 = fiber_norms_batch(cfg, *lane)
-    _check_domain(cfg, g1[0], g2[0])
+    _check_domain(cfg, g1, g2)
 
     def phi_at(t):
         return phi(*lane, np.array([t]))[0]
@@ -370,7 +373,7 @@ def extract_graph(cfg: ModelConfig, phi: PhiFunc, p: FiberPoint) -> float:
         t = t - value / slope(t)
     else:
         raise NoRoot(f"no root of phi(v, .) after {GRAPH_MAX_ITER} iterations")
-    if not abs(t) < cfg.epsilon:
+    if not cfg.in_wall(t):
         raise NoRoot(f"root t = {t} lies outside the wall interval (+-{cfg.epsilon})")
     return float(t)
 
@@ -432,18 +435,18 @@ class RhoSolution(NamedTuple):
     iterations: int
 
 
-def _check_rescale(status, prime_zero: bool, second_zero: bool, c: float, resid, iters) -> None:
-    """Raise the error of a lane whose status is not STATUS_OK: its branch's when the zero
-    pattern of (y', y'') has no positive root, else the solver's (norms may underflow to 0)."""
+def _rescale_error(status, prime_zero: bool, second_zero: bool, c: float, resid, iters) -> FlipQError:
+    """The error of a lane whose status is not STATUS_OK: its branch's when the zero pattern
+    of (y', y'') has no positive root, else the solver's (norms may underflow to 0)."""
     if not kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
         if prime_zero and second_zero:
-            raise DegenerateBranch("the rescaling equation is undefined on the zero section")
+            return DegenerateBranch("the rescaling equation is undefined on the zero section")
         if second_zero:
-            raise DegenerateBranch(f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0")
-        raise DegenerateBranch(f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0")
+            return DegenerateBranch(f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0")
+        return DegenerateBranch(f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0")
     if status == kernels.STATUS_NO_POSITIVE_ROOT:
-        raise DegenerateBranch("no positive root on this branch")
-    raise NoConvergence(f"residual {resid:.3g} after {iters} iterations")
+        return DegenerateBranch("no positive root on this branch")
+    return NoConvergence(f"residual {resid:.3g} after {iters} iterations")
 
 
 def _rho_solution(m: LaneMatch) -> RhoSolution:
@@ -459,7 +462,7 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
     behavior of the iteration (the derivative is negative everywhere, so
     any positive seed converges to the same root).
     """
-    return _rho_solution(rescale_lanes(cfg, [p.base.theta], [p.y_prime], [p.y_second], seed=seed))
+    return _rho_solution(rescale_lanes(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second), seed=seed))
 
 
 def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
@@ -471,8 +474,8 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     """
     if bp.r == 0.0:
         return RhoSolution(rho=1.0, residual=0.0, iterations=0)
-    return _rho_solution(rescale_lanes(cfg, [bp.base.theta], [bp.r * bp.w_prime],
-                                       [bp.r * bp.w_second], r2=bp.r**2))
+    lane = one_lane(cfg, bp.base.theta, bp.r * bp.w_prime, bp.r * bp.w_second)
+    return _rho_solution(rescale_lanes(cfg, *lane, r2=bp.r**2))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +556,7 @@ def renorm_eval(
 
 def wall_error(cfg: ModelConfig, c) -> OutOfDomain | None:
     """The error of a graph value c outside the wall interval, else None."""
-    if not abs(c) < cfg.epsilon:
+    if not cfg.in_wall(c):
         return OutOfDomain(f"graph value t = {c:.6g} leaves the wall interval (+-{cfg.epsilon})")
     return None
 
@@ -564,7 +567,7 @@ def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     Output (rho v', rho^-1 v'') over base (theta, t = chi(v)); the moment
     value there vanishes and the rank-one tensor is unchanged.
     """
-    m = rescale_lanes(cfg, [p.base.theta], [p.y_prime], [p.y_second])
+    m = rescale_lanes(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second))
     error = wall_error(cfg, m.t[0])
     if error is not None:
         raise error
@@ -585,18 +588,18 @@ class LaneMatch(NamedTuple):
     out_second: np.ndarray
 
 
-def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True, r2=None, seed=None) -> LaneMatch:
+def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, r2=None, seed=None) -> LaneMatch:
     """Batch matching: chi, then the Newton rescaling, then the rescaled points.
 
-    Lanes whose status is not STATUS_OK keep their input coordinates.  With
-    check_domain, a lane outside the fiber domain fails the whole batch.
-    With r2, lane i is v = r w with r^2 = r2[i] and Newton solves the equation
+    Lanes whose status is not STATUS_OK keep their input coordinates.  No lane
+    error raises, not even the fiber domain's: matching_errors reads them from the
+    result.  With r2, lane i is v = r w with r^2 = r2[i] and Newton solves the equation
     over r^2 (t, g1, g2 stay those of v); seed replaces the closed-form seed.
     """
     thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
-    c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=check_domain)
+    c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=False)
     equation = (g1, g2, c) if r2 is None else (g1 / r2, g2 / r2, c / r2)
     rho, resid, iters, status = kernels.newton_rescale(*equation, seed=seed)
     scale = np.where(status == kernels.STATUS_OK, rho, 1.0)
@@ -604,39 +607,29 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True, 
                      y_prime * scale[:, None], y_second / scale[:, None])
 
 
-def matching_errors(cfg: ModelConfig, thetas, y_prime, y_second, m: LaneMatch) -> list:
-    """Per lane, the FlipQError of the rescaling solve on that point, or None.
+def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
+    """Per lane of a match_lanes result, the FlipQError of matching that point, or None.
 
-    A metric that check_metrics refuses raises for the whole batch.  The lane
-    checks run in this order: fiber domain, then, on lanes whose Newton status
-    is not STATUS_OK, the rescaling rule of _check_rescale.  A vector test
-    selects candidate lanes and the scalar check decides and builds the error.
+    A metric that check_metrics refuses raises for the whole batch.  A lane
+    outside the fiber domain gets its _domain_error; else a lane whose Newton
+    status is not STATUS_OK gets its _rescale_error, from the zero pattern of
+    its input, which a failed lane keeps in out_prime and out_second.
     Matching also needs the graph value inside the wall interval (wall_error).
     """
     check_metrics(cfg)
-    y_prime = np.asarray(y_prime)
-    y_second = np.asarray(y_second)
     errors = [None] * len(m.t)
-    checks = (
-        (_outside_domain(cfg, m.g1, m.g2), lambda i: _check_domain(cfg, m.g1[i], m.g2[i])),
-        (m.status != kernels.STATUS_OK,
-         lambda i: _check_rescale(m.status[i], not y_prime[i].any(), not y_second[i].any(),
-                                  m.t[i], m.residual[i], m.iterations[i])),
-    )
-    for lanes, check in checks:
-        for i in np.flatnonzero(lanes):
-            if errors[i] is None:
-                try:
-                    check(i)
-                except FlipQError as e:
-                    errors[i] = e
+    outside = _outside_domain(cfg, m.g1, m.g2)
+    for i in np.flatnonzero(outside | (m.status != kernels.STATUS_OK)):
+        errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if outside[i] else
+                     _rescale_error(m.status[i], not m.out_prime[i].any(), not m.out_second[i].any(),
+                                    m.t[i], m.residual[i], m.iterations[i]))
     return errors
 
 
 def rescale_lanes(cfg: ModelConfig, thetas, y_prime, y_second, r2=None, seed=None) -> LaneMatch:
-    """match_lanes raising the first lane error of matching_errors: the scalar solvers, the CLI's rays."""
-    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False, r2=r2, seed=seed)
-    for error in matching_errors(cfg, thetas, y_prime, y_second, m):
+    """match_lanes, raising the first lane error of matching_errors: the scalar solvers, the CLI's rays."""
+    m = match_lanes(cfg, thetas, y_prime, y_second, r2=r2, seed=seed)
+    for error in matching_errors(cfg, m):
         if error is not None:
             raise error
     return m
@@ -646,8 +639,9 @@ def matching_map_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """Batch matching: returns (rho, t, out_prime, out_second, status).
 
     Lanes with no positive root keep NaN rho and untouched coordinates;
-    status follows the kernel codes.  Any lane outside the fiber domain
-    raises OutOfDomain for the whole batch.
+    status follows the kernel codes.  The first lane outside the fiber
+    domain raises its OutOfDomain for the whole batch.
     """
     m = match_lanes(cfg, thetas, y_prime, y_second)
+    _check_domain(cfg, m.g1, m.g2)
     return m.rho, m.t, m.out_prime, m.out_second, m.status

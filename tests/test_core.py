@@ -24,12 +24,14 @@ from flipq import (
     fiber_norms,
     level_rho_batch,
     make_blowup_point,
+    matching_map_batch,
     metric_at,
     moment_value,
     moment_value_batch,
     normalize_to_level,
     parse_run_config,
     phi_graph,
+    phi_quadratic,
     presets,
     renorm_eval,
     taylor_rest,
@@ -40,7 +42,7 @@ from flipq import kernels
 from flipq import core
 from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, min_metric_eigenvalue
 from flipq.perturbation import LaneMatch, _term_values, chi_parts_batch, match_lanes, matching_errors
-from flipq.sampling import random_domain_batch
+from flipq.sampling import random_domain_batch, unit_directions_batch
 
 from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
 
@@ -239,9 +241,9 @@ def test_metric_faults_batch_is_metric_at_per_lane(rng):
             metric_at(cfg, float(theta))
     y_prime = np.full((len(thetas), 2), 0.1 + 0j)
     y_second = np.full((len(thetas), 1), 0.1 + 0j)
-    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
+    m = match_lanes(cfg, thetas, y_prime, y_second)
     with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
-        matching_errors(cfg, thetas, y_prime, y_second, m)
+        matching_errors(cfg, m)
     # a metric of the wrong size fails at every theta
     wrong = make_config(r_prime=2, r_second=1, metric_field=MetricFieldSpec.identity(1, 1))
     for theta in thetas[:5]:
@@ -309,7 +311,7 @@ def test_each_metric_code_has_one_message_on_every_path(case):
                   y_prime, y_second)
     for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg),
                  lambda: fiber_norms(cfg, FiberPoint(BasePoint(0.5, 0.0), y_prime[0], y_second[0])),
-                 lambda: matching_errors(cfg, thetas, y_prime, y_second, m)):
+                 lambda: matching_errors(cfg, m)):
         with pytest.raises(error) as got:
             path()
         assert type(got.value) is error and str(got.value) == message
@@ -341,10 +343,10 @@ def test_matching_errors_runs_the_metric_rule_once_per_batch(rng):
     thetas = _gate_thetas(rng)
     y_prime = np.full((len(thetas), 2), 0.1 + 0j)
     y_second = np.full((len(thetas), 1), 0.1 + 0j)
-    m = match_lanes(cfg, thetas, y_prime, y_second, check_domain=False)
+    m = match_lanes(cfg, thetas, y_prime, y_second)
     check_metrics(cfg)
     before = _metrics_cached.cache_info()
-    errors = matching_errors(cfg, thetas, y_prime, y_second, m)
+    errors = matching_errors(cfg, m)
     after = _metrics_cached.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
     assert errors == [None] * len(thetas)
@@ -524,6 +526,71 @@ def test_fiber_point_rank_check():
     cfg = make_config(r_prime=2, r_second=1)
     with pytest.raises(DimensionMismatch):
         cfg.fiber_point(0.0, 0.0, [1.0], [1.0])
+
+
+def test_in_wall_is_the_open_wall_interval():
+    cfg = make_config(epsilon=0.5)
+    t = np.array([-0.5, -0.49, -0.0, 0.49, 0.5, np.nan, np.inf])
+    assert cfg.in_wall(t).tolist() == [False, True, True, True, False, False, False]
+    assert cfg.in_wall(0.49) and not cfg.in_wall(float("nan"))
+    with pytest.raises(ConfigInvalid, match=re.escape("|t| = nan must be below the wall half-width 0.5")):
+        cfg.base_point(0.0, float("nan"))
+
+
+# -- the batch shape rule ----------------------------------------------------
+
+# every batch entry point as f(cfg, thetas, y', y''), the t or ts lanes zero
+BATCH_ENTRY_POINTS = {
+    "fiber_norms_batch": fiber_norms_batch,
+    "chi_parts_batch": chi_parts_batch,
+    "chi_eval_batch": chi_eval_batch,
+    "match_lanes": match_lanes,
+    "matching_map_batch": matching_map_batch,
+    "level_rho_batch": lambda cfg, thetas, yp, ys: level_rho_batch(cfg, thetas, np.zeros(len(thetas)), yp, ys),
+    "moment_value_batch": lambda cfg, thetas, yp, ys: moment_value_batch(cfg, thetas, np.zeros(len(thetas)),
+                                                                         yp, ys),
+    "phi_graph": lambda cfg, thetas, yp, ys: phi_graph(cfg)(thetas, yp, ys, np.zeros(len(thetas))),
+    "phi_quadratic": lambda cfg, thetas, yp, ys: phi_quadratic(cfg, 1.0, -1.0)(thetas, yp, ys,
+                                                                               np.zeros(len(thetas))),
+    "unit_directions_batch": unit_directions_batch,
+}
+
+# (thetas, y', y'') shapes against ranks 2/1, each breaking the rule once, and the message
+BAD_SHAPES = {
+    "prime-too-wide": ((3,), (3, 3), (3, 1), "y_prime has length 3, expected 2"),
+    "second-too-wide": ((3,), (3, 2), (3, 2), "y_second has length 2, expected 1"),
+    "prime-too-narrow": ((3,), (3, 1), (3, 1), "y_prime has length 1, expected 2"),
+    "second-too-narrow": ((3,), (3, 2), (3, 0), "y_second has length 0, expected 1"),
+    "prime-1d": ((1,), (2,), (1, 1), "y_prime has shape (2,), expected (1, 2)"),
+    "second-1d": ((3,), (3, 2), (3,), "y_second has shape (3,), expected (3, 1)"),
+    "lanes-not-thetas": ((3,), (2, 2), (2, 1), "y_prime has shape (2, 2), expected (3, 2)"),
+    "one-lane-two-thetas": ((2,), (1, 2), (1, 1), "y_prime has shape (1, 2), expected (2, 2)"),
+    "lane-counts-differ": ((3,), (3, 2), (2, 1), "y_second has shape (2, 1), expected (3, 1)"),
+    "thetas-2d": ((3, 1), (3, 2), (3, 1), "thetas has shape (3, 1), expected a vector"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("name", sorted(BATCH_ENTRY_POINTS))
+def test_batch_entry_point_refuses_a_bad_lane_shape(name, case, cfg_fourier_quartic):
+    theta_shape, prime_shape, second_shape, message = BAD_SHAPES[case]
+    thetas = np.linspace(0.1, 1.0, int(np.prod(theta_shape))).reshape(theta_shape)
+    y_prime, y_second = np.full(prime_shape, 0.1 + 0.05j), np.full(second_shape, 0.2 - 0.1j)
+    with pytest.raises(DimensionMismatch) as got:
+        BATCH_ENTRY_POINTS[name](cfg_fourier_quartic, thetas, y_prime, y_second)
+    assert str(got.value) == message
+    # the same lanes of the right shape pass
+    lanes = theta_shape[0]
+    BATCH_ENTRY_POINTS[name](cfg_fourier_quartic, thetas.reshape(-1)[:lanes], np.full((lanes, 2), 0.1 + 0.05j),
+                             np.full((lanes, 1), 0.2 - 0.1j))
+
+
+def test_shape_rule_counts_the_lanes_of_a_harmonics_table(cfg_fourier_quartic):
+    table = kernels.Harmonics([0.3, 1.1, 2.0], repeat=2)
+    with pytest.raises(DimensionMismatch, match=re.escape("y_prime has shape (3, 2), expected (6, 2)")):
+        fiber_norms_batch(cfg_fourier_quartic, table, np.ones((3, 2)), np.ones((3, 1)))
+    g1, g2 = fiber_norms_batch(cfg_fourier_quartic, table, np.ones((6, 2)), np.ones((6, 1)))
+    assert g1.shape == g2.shape == (6,)
 
 
 # -- batch norm consistency --------------------------------------------------

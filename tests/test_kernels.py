@@ -9,7 +9,7 @@ from conftest import dense_metric, make_config, random_hermitian
 from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
-from flipq.perturbation import _check_rescale, chi_parts_batch
+from flipq.perturbation import _rescale_error, chi_parts_batch
 from flipq.sampling import random_domain_batch
 
 
@@ -344,9 +344,9 @@ def test_has_positive_root_decides_classify_and_branch_check(prime_zero, second_
     assert kernels.has_positive_root(np.array([ap]), np.array([app]), np.array([c]))[0] == expected
     assert (classify(cfg, p) is StabilityClass.Stable) == expected
     # a zero pattern with a root leaves the failure to the solver's status
-    with pytest.raises(DegenerateBranch) as info:
-        _check_rescale(kernels.STATUS_NO_POSITIVE_ROOT, prime_zero, second_zero, c, np.nan, 0)
-    assert (str(info.value) == "no positive root on this branch") == expected
+    error = _rescale_error(kernels.STATUS_NO_POSITIVE_ROOT, prime_zero, second_zero, c, np.nan, 0)
+    assert isinstance(error, DegenerateBranch)
+    assert (str(error) == "no positive root on this branch") == expected
     status = kernels.newton_rescale(np.array([ap]), np.array([app]), np.array([c]))[3][0]
     assert (status == kernels.STATUS_OK) == expected
 

@@ -14,6 +14,7 @@ from flipq import (
     ConfigInvalid,
     DegenerateBranch,
     DegenerateDerivative,
+    DimensionMismatch,
     FiberPoint,
     NoConvergence,
     NoRoot,
@@ -21,6 +22,7 @@ from flipq import (
     PerturbationSpec,
     PerturbationTerm,
     chi_eval,
+    chi_eval_batch,
     cstar_act,
     extract_graph,
     fiber_norms,
@@ -43,9 +45,9 @@ from flipq import (
 from flipq import kernels
 from flipq.config_io import parse_run_config, phi_from_config
 from flipq.kernels import realify
-from flipq.perturbation import match_lanes, matching_errors
+from flipq.perturbation import match_lanes, matching_errors, rescale_lanes
 from flipq.quotient import moment_value_batch
-from flipq.sampling import random_domain_batch, random_unit_direction
+from flipq.sampling import random_domain_batch, random_unit_direction, unit_directions_batch
 
 from conftest import MIXED_MATCH_REFUSAL, fourier_metric, make_config, mixed_match_config, mixed_quartic_term
 
@@ -408,7 +410,7 @@ def test_matching_errors_reports_no_convergence(cfg_quartic):
     m = match_lanes(cfg_quartic, thetas, yp, ys)._replace(
         status=np.array([kernels.STATUS_NO_CONVERGENCE], dtype=np.int8),
         residual=np.array([1e-3]), iterations=np.array([50]))
-    [error] = matching_errors(cfg_quartic, thetas, yp, ys, m)
+    [error] = matching_errors(cfg_quartic, m)
     assert isinstance(error, NoConvergence) and str(error) == "residual 0.001 after 50 iterations"
 
 
@@ -609,6 +611,57 @@ def test_matching_out_of_window():
     cfg = make_config(epsilon=0.1, domain_radius=3.0)
     with pytest.raises(OutOfDomain):
         matching_map(cfg, _point([2.0], [0.0]))  # chi = -2 leaves (-0.1, 0.1)
+
+
+def _domain_lanes(cfg):
+    """Five lanes at 0.5, 0, 1.5, 1.2 and 0.7 times the fiber-domain radius: the second is the zero
+    section, the third and fourth lie outside the domain."""
+    thetas = np.array([0.2, 1.3, 2.1, 3.4, 5.0])
+    w_prime, w_second = unit_directions_batch(cfg, thetas, np.tile([0.3 + 0.1j, -0.2j], (5, 1)),
+                                              np.full((5, 1), 0.4 + 0j))
+    radii = cfg.domain_radius * np.array([[0.5], [0.0], [1.5], [1.2], [0.7]])
+    return thetas, radii * w_prime, radii * w_second
+
+
+@pytest.mark.parametrize("call", [matching_map_batch, chi_eval_batch], ids=["matching_map_batch", "chi_eval_batch"])
+def test_first_out_of_domain_lane_fails_the_whole_batch(call, cfg_fourier_quartic):
+    with pytest.raises(OutOfDomain) as got:
+        call(cfg_fourier_quartic, *_domain_lanes(cfg_fourier_quartic))
+    assert str(got.value) == "|v| = 1.2 exceeds domain_radius = 0.8"
+
+
+def test_match_lanes_leaves_the_domain_to_matching_errors(cfg_fourier_quartic):
+    cfg = cfg_fourier_quartic
+    m = match_lanes(cfg, *_domain_lanes(cfg))  # raises for no lane
+    assert m.status.tolist() == [kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT] + [kernels.STATUS_OK] * 3
+    errors = matching_errors(cfg, m)
+    assert [type(e).__name__ if e else None for e in errors] == [None, "DegenerateBranch", "OutOfDomain",
+                                                                  "OutOfDomain", None]
+    assert [str(e) for e in errors[1:4]] == ["the rescaling equation is undefined on the zero section",
+                                             "|v| = 1.2 exceeds domain_radius = 0.8",
+                                             "|v| = 0.96 exceeds domain_radius = 0.8"]
+    # rescale_lanes raises the first lane error, here the zero section's
+    with pytest.raises(DegenerateBranch, match="undefined on the zero section"):
+        rescale_lanes(cfg, *_domain_lanes(cfg))
+
+
+SCALAR_SOLVERS = {
+    "solve_rho": solve_rho,
+    "solve_rho_blowup": lambda cfg, p: solve_rho_blowup(cfg, BlowupPoint(1.0, p.y_prime, p.y_second, p.base)),
+    "matching_map": matching_map,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_SOLVERS))
+def test_scalar_solver_has_the_length_rule_of_fiber_norms(name, cfg_fourier_quartic):
+    # ranks 2/1: y' too long, y' too short, y'' too long
+    for y_prime, y_second in (([0.1, 0.2, 0.3], [0.2]), ([0.1], [0.2]), ([0.1, 0.2], [0.2, 0.1])):
+        p = _point(y_prime, y_second, theta=0.4)
+        with pytest.raises(DimensionMismatch) as want:
+            fiber_norms(cfg_fourier_quartic, p)
+        with pytest.raises(DimensionMismatch) as got:
+            SCALAR_SOLVERS[name](cfg_fourier_quartic, p)
+        assert str(got.value) == str(want.value)
 
 
 # -- sign separation ---------------------------------------------------------
