@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .config_io import RunConfig, _number, load_run_config, parse_vector, phi_from_config
-from .core import BasePoint, FiberPoint, check_metrics
+from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, DimensionMismatch, FlipQError, OutOfDomain
 from .perturbation import (
     FD_STEP_RANGE,
@@ -188,7 +188,6 @@ def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
 def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
              samples: int) -> list[dict]:
     cfg = run_cfg.model
-    check_metrics(cfg)
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_steps, endpoint=False)
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
     # a symmetric grid is meant to hit the wall exactly: snap its roundoff, relative to epsilon
@@ -367,7 +366,6 @@ def run_match(run_cfg: RunConfig, seed: int, points: list[FiberPoint], random_n:
               blowup_rays: int) -> tuple[MatchPass, RayPass]:
     """The match stage of match and report: the given points and random_n draws, then the rays."""
     cfg = run_cfg.model
-    check_metrics(cfg)
     lanes = (np.array([p.base.theta for p in points], dtype=float),
              np.array([p.y_prime for p in points], dtype=complex).reshape(len(points), cfg.r_prime),
              np.array([p.y_second for p in points], dtype=complex).reshape(len(points), cfg.r_second))

@@ -273,16 +273,23 @@ def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
                  for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second))
 
 
-def one_lane(cfg: ModelConfig, theta: float, y_prime, y_second):
-    """One fiber vector as a batch (thetas, y', y'') of one lane, after check_metrics."""
-    check_metrics(cfg)
+def one_lane(theta: float, y_prime, y_second):
+    """One fiber vector as a batch (thetas, y', y'') of one lane."""
     return (np.array([theta], dtype=float), np.asarray(y_prime, dtype=complex)[None],
             np.asarray(y_second, dtype=complex)[None])
 
 
+def lane_values(name: str, values, n: int) -> np.ndarray:
+    """values as one float per lane, shape (n,): the shape rule of the t lanes."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise DimensionMismatch(f"{name} has shape {values.shape}, expected ({n},)")
+    return values
+
+
 def fiber_norms(cfg: ModelConfig, p: FiberPoint) -> tuple[float, float]:
     """Metric norms squared (|y'|^2, |y''|^2) at the point's theta."""
-    g1, g2 = fiber_norms_batch(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second))
+    g1, g2 = fiber_norms_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
     return float(g1[0]), float(g2[0])
 
 
@@ -290,8 +297,10 @@ def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """Vectorized metric norms squared over point batches (kernel-backed).
 
     thetas may be a kernels.Harmonics table that the caller shares with its other kernels.  Every
-    evaluated lane enters here, so here is the batch shape rule: y' (n, r'), y'' (n, r''), n = len(thetas).
+    evaluated lane enters here, so here are the metric gate (check_metrics refuses a refused field,
+    whatever the lanes) and the batch shape rule: y' (n, r'), y'' (n, r''), n = len(thetas).
     """
+    check_metrics(cfg)
     table = kernels.harmonics(thetas)
     if table.thetas.ndim != 1:
         raise DimensionMismatch(f"thetas has shape {table.thetas.shape}, expected a vector")

@@ -38,6 +38,7 @@ from .core import (
     _metrics_cached,  # the metric certificates' cache; perfbench's tracer reads its cache_info() here
     check_metrics,
     fiber_norms_batch,
+    lane_values,
     min_metric_eigenvalue,
     one_lane,
 )
@@ -202,13 +203,13 @@ def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=Tr
 
 def chi_eval(cfg: ModelConfig, p: FiberPoint) -> float:
     """Graph value chi(v) at a fiber vector over theta (base t is ignored)."""
-    chi, _, _ = chi_parts_batch(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second))
+    chi, _, _ = chi_parts_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
     return float(chi[0])
 
 
 def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
     """chi minus its quadratic part: the configured perturbation value."""
-    thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
     table = kernels.Harmonics(thetas)
     g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
     _check_domain(cfg, g1, g2)
@@ -229,9 +230,8 @@ def phi_graph(cfg: ModelConfig) -> PhiFunc:
     """Defining function t - chi(v) whose zero set is the graph of chi."""
 
     def phi(thetas, y_prime, y_second, t):
-        check_metrics(cfg)
         chi, _, _ = chi_parts_batch(cfg, thetas, y_prime, y_second)
-        return t - chi
+        return lane_values("t", t, len(chi)) - chi
 
     return phi
 
@@ -240,9 +240,8 @@ def phi_quadratic(cfg: ModelConfig, coeff_prime: float, coeff_second: float) -> 
     """Defining function t + (a |y'|^2 + b |y''|^2)/2; a = 1, b = -1 is the moment map."""
 
     def phi(thetas, y_prime, y_second, t):
-        check_metrics(cfg)
         g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-        return t + 0.5 * (coeff_prime * g1 + coeff_second * g2)
+        return lane_values("t", t, len(g1)) + 0.5 * (coeff_prime * g1 + coeff_second * g2)
 
     return phi
 
@@ -285,7 +284,7 @@ def verify_conditions(
         raise ValueError(f"fd_step = {fd_step} must lie in ({lo:g}, {hi:g})")
     if n_theta < 1:
         raise ValueError(f"n_theta = {n_theta} must be >= 1")
-    check_metrics(cfg)
+    check_metrics(cfg)  # the expected blocks read the metric, and phi need not pass fiber_norms_batch
     rp, rs = cfg.r_prime, cfg.r_second
     dim = 2 * (rp + rs)
     h = fd_step
@@ -349,7 +348,7 @@ def extract_graph(cfg: ModelConfig, phi: PhiFunc, p: FiberPoint) -> float:
     t-derivative is taken by central differences and guarded against
     degeneracy, also at a seed that is a root.  phi is called on one lane.
     """
-    lane = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    lane = one_lane(p.base.theta, p.y_prime, p.y_second)
     g1, g2 = fiber_norms_batch(cfg, *lane)
     _check_domain(cfg, g1, g2)
 
@@ -403,7 +402,6 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
     """Sample |rest(v)| / |v|^3 over the fiber domain and report the max."""
     from .sampling import random_domain_batch
 
-    check_metrics(cfg)
     rng = np.random.default_rng(seed)
     thetas, y_prime, y_second = random_domain_batch(rng, cfg, n_samples)
     chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
@@ -462,7 +460,7 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
     behavior of the iteration (the derivative is negative everywhere, so
     any positive seed converges to the same root).
     """
-    return _rho_solution(rescale_lanes(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second), seed=seed))
+    return _rho_solution(rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second), seed=seed))
 
 
 def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
@@ -472,9 +470,10 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     alpha / r^2, which stays uniformly conditioned as r -> 0; its residual
     is reported in that normalization.
     """
+    lane = one_lane(bp.base.theta, bp.r * bp.w_prime, bp.r * bp.w_second)
     if bp.r == 0.0:
+        fiber_norms_batch(cfg, *lane)  # the boundary lane meets the metric gate and the shape rule too
         return RhoSolution(rho=1.0, residual=0.0, iterations=0)
-    lane = one_lane(cfg, bp.base.theta, bp.r * bp.w_prime, bp.r * bp.w_second)
     return _rho_solution(rescale_lanes(cfg, *lane, r2=bp.r**2))
 
 
@@ -508,7 +507,7 @@ def renorm_eval(
     the boundary value is then the k-th derivative of s -> tau(s w) at 0
     over k!, by 5-point central differences (step grows with the order).
     """
-    thetas, lane_prime, lane_second = one_lane(cfg, theta, w_prime, w_second)
+    thetas, lane_prime, lane_second = one_lane(theta, w_prime, w_second)
     w_prime, w_second = lane_prime[0], lane_second[0]
     table = kernels.Harmonics(thetas)
     g1, g2 = fiber_norms_batch(cfg, table, lane_prime, lane_second)
@@ -567,7 +566,7 @@ def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     Output (rho v', rho^-1 v'') over base (theta, t = chi(v)); the moment
     value there vanishes and the rank-one tensor is unchanged.
     """
-    m = rescale_lanes(cfg, *one_lane(cfg, p.base.theta, p.y_prime, p.y_second))
+    m = rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
     error = wall_error(cfg, m.t[0])
     if error is not None:
         raise error
@@ -610,13 +609,12 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, r2=None, seed=None)
 def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
     """Per lane of a match_lanes result, the FlipQError of matching that point, or None.
 
-    A metric that check_metrics refuses raises for the whole batch.  A lane
+    It reads no metric: match_lanes has already refused a refused field.  A lane
     outside the fiber domain gets its _domain_error; else a lane whose Newton
     status is not STATUS_OK gets its _rescale_error, from the zero pattern of
     its input, which a failed lane keeps in out_prime and out_second.
     Matching also needs the graph value inside the wall interval (wall_error).
     """
-    check_metrics(cfg)
     errors = [None] * len(m.t)
     outside = _outside_domain(cfg, m.g1, m.g2)
     for i in np.flatnonzero(outside | (m.status != kernels.STATUS_OK)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BasePoint, FiberPoint, ModelConfig, cstar_act, fiber_norms_batch, one_lane
+from .core import BasePoint, FiberPoint, ModelConfig, cstar_act, fiber_norms_batch, lane_values, one_lane
 from .errors import NotStable, OnExceptionalLocus
 
 
@@ -53,13 +53,13 @@ class TildeCoords:
 
 
 def moment_value(cfg: ModelConfig, p: FiberPoint) -> float:
-    thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
     return float(moment_value_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
 
 
 def moment_value_batch(cfg: ModelConfig, thetas, ts, y_prime, y_second):
     ap, app = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    return 0.5 * (ap - app) + np.asarray(ts, dtype=float)
+    return 0.5 * (ap - app) + lane_values("ts", ts, len(ap))
 
 
 def fiber_type(base: BasePoint) -> FiberType:
@@ -91,7 +91,7 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
     """
     if classify(cfg, p) is StabilityClass.Unstable:
         raise NotStable("point is outside the fiberwise stable locus")
-    thetas, y_prime, y_second = one_lane(cfg, p.base.theta, p.y_prime, p.y_second)
+    thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
     rho = float(level_rho_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
     if not np.isfinite(rho):
         raise NotStable("no positive rescaling reaches the zero level")
@@ -101,7 +101,7 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
 def level_rho_batch(cfg: ModelConfig, thetas, ts, y_prime, y_second):
     """Closed-form level rescaling per point; NaN where no positive root."""
     ap, app = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    s = kernels.scale_root(ap, app, np.asarray(ts, dtype=float))
+    s = kernels.scale_root(ap, app, lane_values("ts", ts, len(ap)))
     return np.sqrt(s)
 
 

@@ -55,8 +55,8 @@ def complex_gaussian_rows(rng: np.random.Generator, rows: int, k: int, r_prime: 
 def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):
     """Batch of fiber vectors with metric norm uniformly in (0, domain_radius].
 
-    The metric must be positive definite at every theta, as check_metrics
-    certifies (every loaded config is), so each draw has a positive norm.
+    fiber_norms_batch refuses a field the metric certificate refuses, so the metric is
+    positive definite at every theta and each draw has a positive norm.
     """
     thetas = rng.uniform(0.0, 2.0 * np.pi, n)
     y_prime = complex_gaussian(rng, (n, cfg.r_prime))
@@ -70,8 +70,8 @@ def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):
 def unit_directions_batch(cfg: ModelConfig, thetas, w_prime, w_second):
     """The fiber vectors (w', w'') of each lane divided by their metric norm at its theta.
 
-    The metric must be positive definite at every theta, as check_metrics
-    certifies, so only a zero lane has no direction (it comes out NaN).
+    fiber_norms_batch refuses a field the metric certificate refuses, so only a zero
+    lane has no direction (it comes out NaN).
     """
     g1, g2 = fiber_norms_batch(cfg, thetas, w_prime, w_second)
     norm = np.sqrt(g1 + g2)[:, None]

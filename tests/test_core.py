@@ -41,7 +41,7 @@ from flipq import (
 from flipq import kernels
 from flipq import core
 from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, min_metric_eigenvalue
-from flipq.perturbation import LaneMatch, _term_values, chi_parts_batch, match_lanes, matching_errors
+from flipq.perturbation import _term_values, chi_parts_batch, match_lanes, matching_errors
 from flipq.sampling import random_domain_batch, unit_directions_batch
 
 from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
@@ -233,7 +233,7 @@ def _gate_thetas(rng):
 
 def test_metric_faults_batch_is_metric_at_per_lane(rng):
     # the refusal does not depend on the theta: metric_at raises it at every lane's theta, also on the
-    # validation grid, and matching_errors raises it for the whole batch
+    # validation grid, and match_lanes raises it for the whole batch
     cfg = mixed_match_config()
     thetas = _gate_thetas(rng)
     for theta in thetas:
@@ -241,9 +241,8 @@ def test_metric_faults_batch_is_metric_at_per_lane(rng):
             metric_at(cfg, float(theta))
     y_prime = np.full((len(thetas), 2), 0.1 + 0j)
     y_second = np.full((len(thetas), 1), 0.1 + 0j)
-    m = match_lanes(cfg, thetas, y_prime, y_second)
     with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
-        matching_errors(cfg, m)
+        match_lanes(cfg, thetas, y_prime, y_second)
     # a metric of the wrong size fails at every theta
     wrong = make_config(r_prime=2, r_second=1, metric_field=MetricFieldSpec.identity(1, 1))
     for theta in thetas[:5]:
@@ -266,8 +265,9 @@ def test_check_metrics_raises_metric_at_error_of_first_failing_lane(rng):
 def test_metric_gate_on_one_theta_is_one_cache_lookup():
     # the first lookup of a field computes its certificate, every later one reads it
     cfg = mixed_match_config(indefinite=False)
+    p = FiberPoint(BasePoint(0.123, 0.0), np.array([0.1, 0.0]), np.array([0.2]))
     for i, call in enumerate((lambda: check_metrics(cfg), lambda: metric_at(cfg, 0.123),
-                              lambda: core.one_lane(cfg, 0.123, [0.1, 0.0], [0.2]))):
+                              lambda: fiber_norms(cfg, p))):
         before = _metrics_cached.cache_info()
         call()
         after = _metrics_cached.cache_info()
@@ -305,13 +305,9 @@ def test_each_metric_code_has_one_message_on_every_path(case):
     cfg, error, message, code = _one_fault_configs()[case]
     thetas = np.array([0.5, 1.5])
     y_prime, y_second = np.full((2, 2), 0.1 + 0j), np.full((2, 2), 0.1 + 0j)
-    # lanes whose matching passed: the error comes from the metric alone
-    ok = np.zeros(2)
-    m = LaneMatch(ok, ok, ok, np.ones(2), ok, np.zeros(2, dtype=int), np.full(2, kernels.STATUS_OK),
-                  y_prime, y_second)
     for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg),
                  lambda: fiber_norms(cfg, FiberPoint(BasePoint(0.5, 0.0), y_prime[0], y_second[0])),
-                 lambda: matching_errors(cfg, m)):
+                 lambda: match_lanes(cfg, thetas, y_prime, y_second)):
         with pytest.raises(error) as got:
             path()
         assert type(got.value) is error and str(got.value) == message
@@ -337,18 +333,21 @@ def test_faulty_theta_is_cached_once(monkeypatch):
     assert blocks == ["g_prime", "g_second"]
 
 
-def test_matching_errors_runs_the_metric_rule_once_per_batch(rng):
-    # one certificate lookup per batch, whatever its lanes; no lane error is a metric error
+def test_match_lanes_runs_the_metric_rule_once_per_batch(rng):
+    # one certificate lookup per batch, whatever its lanes, at the door (fiber_norms_batch);
+    # matching_errors reads no metric, and no lane error is a metric error
     cfg = mixed_match_config(indefinite=False)
     thetas = _gate_thetas(rng)
     y_prime = np.full((len(thetas), 2), 0.1 + 0j)
     y_second = np.full((len(thetas), 1), 0.1 + 0j)
-    m = match_lanes(cfg, thetas, y_prime, y_second)
     check_metrics(cfg)
     before = _metrics_cached.cache_info()
+    m = match_lanes(cfg, thetas, y_prime, y_second)
+    between = _metrics_cached.cache_info()
     errors = matching_errors(cfg, m)
     after = _metrics_cached.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
+    assert (between.misses - before.misses, between.hits - before.hits) == (0, 1)
+    assert (after.misses, after.hits) == (between.misses, between.hits)
     assert errors == [None] * len(thetas)
 
 
@@ -583,6 +582,53 @@ def test_batch_entry_point_refuses_a_bad_lane_shape(name, case, cfg_fourier_quar
     lanes = theta_shape[0]
     BATCH_ENTRY_POINTS[name](cfg_fourier_quartic, thetas.reshape(-1)[:lanes], np.full((lanes, 2), 0.1 + 0.05j),
                              np.full((lanes, 1), 0.2 - 0.1j))
+
+
+# the entry points whose t lanes follow the shape rule too, as f(cfg, thetas, ts, y', y''), and the
+# name of their t lanes
+T_LANE_ENTRY_POINTS = {
+    "level_rho_batch": (level_rho_batch, "ts"),
+    "moment_value_batch": (moment_value_batch, "ts"),
+    "phi_graph": (lambda cfg, thetas, t, yp, ys: phi_graph(cfg)(thetas, yp, ys, t), "t"),
+    "phi_quadratic": (lambda cfg, thetas, t, yp, ys: phi_quadratic(cfg, 1.0, -1.0)(thetas, yp, ys, t), "t"),
+}
+
+
+@pytest.mark.parametrize("shape", [(1,), (), (3, 1)], ids=["one-lane", "0d", "2d"])
+@pytest.mark.parametrize("name", sorted(T_LANE_ENTRY_POINTS))
+def test_t_lanes_have_one_value_per_lane(name, shape, cfg_fourier_quartic):
+    # no broadcasting: one t against three lanes, a bare number and a column are refused
+    call, label = T_LANE_ENTRY_POINTS[name]
+    thetas, y_prime, y_second = np.linspace(0.1, 1.0, 3), np.full((3, 2), 0.1 + 0.05j), np.full((3, 1), 0.2 - 0.1j)
+    with pytest.raises(DimensionMismatch) as got:
+        call(cfg_fourier_quartic, thetas, np.zeros(shape), y_prime, y_second)
+    assert str(got.value) == f"{label} has shape {shape}, expected (3,)"
+    assert call(cfg_fourier_quartic, thetas, [0.0, 0.1, -0.1], y_prime, y_second).shape == (3,)
+
+
+# every batch entry point, and random_domain_batch, which draws its own lanes (as many as thetas)
+REFUSING_ENTRY_POINTS = dict(
+    BATCH_ENTRY_POINTS,
+    random_domain_batch=lambda cfg, thetas, yp, ys: random_domain_batch(np.random.default_rng(5), cfg, len(thetas)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSING_ENTRY_POINTS))
+def test_batch_entry_point_refuses_a_refused_metric(name):
+    # the metric gate at the door, fiber_norms_batch: a refused field raises the certificate's one
+    # message, whatever the lanes, before any lane is evaluated
+    call = REFUSING_ENTRY_POINTS[name]
+    thetas = np.linspace(0.1, 1.0, 3)
+    lanes = (thetas, np.full((3, 2), 0.1 + 0.05j), np.full((3, 1), 0.2 - 0.1j))
+    with pytest.raises(ConfigInvalid) as got:
+        call(mixed_match_config(), *lanes)
+    assert type(got.value) is ConfigInvalid and str(got.value) == MIXED_MATCH_REFUSAL
+    wrong = make_config(2, 2, metric_field=MetricFieldSpec.identity(2, 1))
+    with pytest.raises(DimensionMismatch) as got:
+        call(wrong, thetas, np.full((3, 2), 0.1 + 0.05j), np.full((3, 2), 0.2 - 0.1j))
+    assert str(got.value) == "metric sizes 2/1 do not match ranks 2/2"
+    # the same lanes on the certified field pass
+    call(mixed_match_config(indefinite=False), *lanes)
 
 
 def test_shape_rule_counts_the_lanes_of_a_harmonics_table(cfg_fourier_quartic):

@@ -649,6 +649,9 @@ SCALAR_SOLVERS = {
     "solve_rho": solve_rho,
     "solve_rho_blowup": lambda cfg, p: solve_rho_blowup(cfg, BlowupPoint(1.0, p.y_prime, p.y_second, p.base)),
     "matching_map": matching_map,
+    # on the boundary r = 0, where rho = 1 without a solve
+    "solve_rho_blowup-boundary": lambda cfg, p: solve_rho_blowup(cfg, BlowupPoint(0.0, p.y_prime, p.y_second,
+                                                                                 p.base)),
 }
 
 
@@ -662,6 +665,17 @@ def test_scalar_solver_has_the_length_rule_of_fiber_norms(name, cfg_fourier_quar
         with pytest.raises(DimensionMismatch) as got:
             SCALAR_SOLVERS[name](cfg_fourier_quartic, p)
         assert str(got.value) == str(want.value)
+
+
+def test_solve_rho_blowup_refuses_a_refused_metric_on_the_boundary():
+    # the boundary lane passes the metric gate too: at r = 0 as at r > 0
+    p = _point([0.6, 0.0], [0.8], theta=0.4)
+    for r in (0.0, 0.1):
+        with pytest.raises(ConfigInvalid) as got:
+            solve_rho_blowup(mixed_match_config(), BlowupPoint(r, p.y_prime, p.y_second, p.base))
+        assert str(got.value) == MIXED_MATCH_REFUSAL
+    assert solve_rho_blowup(mixed_match_config(indefinite=False),
+                            BlowupPoint(0.0, p.y_prime, p.y_second, p.base)) == (1.0, 0.0, 0)
 
 
 # -- sign separation ---------------------------------------------------------

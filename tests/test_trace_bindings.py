@@ -50,7 +50,7 @@ def test_metrics_cache_reports_hits():
     after = perturbation._metrics_cached.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
     for call in (lambda: fiber_norms(cfg, p), lambda: chi_eval(cfg, p),
-                 lambda: phi([p.base.theta], p.y_prime[None], p.y_second[None], 0.0),
+                 lambda: phi([p.base.theta], p.y_prime[None], p.y_second[None], [0.0]),
                  lambda: solve_rho(cfg, p), lambda: matching_map(cfg, p)):
         before = perturbation._metrics_cached.cache_info()
         call()
