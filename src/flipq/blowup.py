@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BasePoint, FiberPoint, ModelConfig, _frozen_complex_vector, fiber_norms
-from .errors import ConfigInvalid, NotOnBoundary, OnCenter, ZeroScalar
+from .core import BasePoint, FiberPoint, ModelConfig, _frozen_complex_vector, fiber_norms, _cstar_scalar
+from .errors import ConfigInvalid, NotOnBoundary, OnCenter
+from .quotient import _pivot
 
 UNIT_NORM_TOL = 1e-12
 
@@ -48,8 +49,8 @@ class BoundaryPoint:
 def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
     """Construct with the unit-sphere invariant checked at base theta."""
     bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=base)
-    if bp.r < 0:
-        raise ConfigInvalid(f"blowup radius must be >= 0, got {bp.r}")
+    if not 0.0 <= bp.r < np.inf:
+        raise ConfigInvalid(f"blowup radius must be finite and >= 0, got {bp.r}")
     total = sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second)))
     if abs(total - 1.0) > UNIT_NORM_TOL:
         raise ConfigInvalid(f"direction norm^2 = {total} is not 1 to {UNIT_NORM_TOL}")
@@ -77,9 +78,7 @@ def cstar_act_blowup(cfg: ModelConfig, zeta: complex, bp: BlowupPoint) -> Blowup
     u = (|zeta|^2 |w'|^2 + |zeta|^-2 |w''|^2)^(1/2); keeps |w| = 1 and
     preserves the boundary r = 0.
     """
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise ZeroScalar("the scaling action requires zeta != 0")
+    zeta = _cstar_scalar(zeta)
     ap, app = fiber_norms(cfg, FiberPoint(base=bp.base, y_prime=bp.w_prime, y_second=bp.w_second))
     m2 = abs(zeta) ** 2
     u = np.sqrt(m2 * ap + app / m2)
@@ -96,5 +95,7 @@ def boundary_coords(cfg: ModelConfig, bp: BlowupPoint) -> BoundaryPoint:
     if bp.r != 0.0 or bp.base.t != 0.0:
         raise NotOnBoundary(f"needs r = 0 and t = 0, got r = {bp.r}, t = {bp.base.t}")
     homog = np.concatenate([bp.w_prime, bp.w_second.conj()])
-    k = int(np.argmax(np.abs(homog)))
+    k = _pivot(homog)
+    if homog[k] == 0:
+        raise OnCenter("boundary coordinates need a nonzero direction")
     return BoundaryPoint(homog=homog / homog[k], base=bp.base)

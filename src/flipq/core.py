@@ -313,11 +313,17 @@ def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     return ap, app
 
 
+def _cstar_scalar(zeta) -> complex:
+    """zeta as a complex number of the scaling group C*: finite and nonzero, else ZeroScalar."""
+    zeta = complex(zeta)
+    if zeta == 0 or not np.isfinite(zeta):
+        raise ZeroScalar(f"the scaling action requires a finite zeta != 0, got {zeta}")
+    return zeta
+
+
 def cstar_act(zeta: complex, p: FiberPoint) -> FiberPoint:
     """Scaling action zeta . (y', y'') = (zeta y', zeta^-1 y''); base fixed."""
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise ZeroScalar("the scaling action requires zeta != 0")
+    zeta = _cstar_scalar(zeta)
     return FiberPoint(base=p.base, y_prime=zeta * p.y_prime, y_second=p.y_second / zeta)
 
 

@@ -18,7 +18,7 @@ class DimensionMismatch(FlipQError):
 
 
 class ZeroScalar(FlipQError):
-    """The scaling group acts only through nonzero scalars."""
+    """The scaling group acts only through finite nonzero scalars."""
 
 
 class NotStable(FlipQError):

@@ -22,7 +22,6 @@ conditioned down to r = 0 where rho = 1 identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -57,7 +56,6 @@ GRAPH_NEWTON_TOL = 1e-12
 GRAPH_MAX_ITER = 50
 GRAPH_FD_STEP = 1e-6
 MIN_GRAPH_DERIVATIVE = 1e-8
-RENORM_FD_STEP = 1e-2
 FD_STEP_RANGE = (1e-6, 1e-2)  # open interval of verify_conditions step sizes
 
 # phi(thetas (n,), Y' (n, r'), Y'' (n, r''), t (n,)) -> (n,) values, one per lane
@@ -480,19 +478,10 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
 # ---------------------------------------------------------------------------
 # Renormalized evaluation near the zero section
 
-_FD5_NODES = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-_FD5_WEIGHTS = {
-    1: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
-    2: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
-    3: np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / 2.0,
-    4: np.array([1.0, -4.0, 6.0, -4.0, 1.0]),
-}
-
 
 def renorm_eval(
     cfg: ModelConfig,
-    tau,
+    tau: PerturbationSpec,
     k: int,
     r: float,
     w_prime,
@@ -501,56 +490,30 @@ def renorm_eval(
 ) -> float:
     """Evaluate tau(r w) / r^k, extended through r = 0.
 
-    tau is either a PerturbationSpec (polynomial in the invariant
-    generators, boundary value computed analytically) or a callable
-    tau(theta, y', y'') with |tau(v)| <= C |v|^k, checked by a ray scan;
-    the boundary value is then the k-th derivative of s -> tau(s w) at 0
-    over k!, by 5-point central differences (step grows with the order).
+    tau is a PerturbationSpec, expanded per degree along the ray through the
+    unit direction w: tau(r w) = sum_d a_d r^d, a_d its degree-d terms at w.
+    The value is sum_d a_d r^(d - k), so a_k at r = 0; a term of degree
+    below k cannot satisfy |tau| <= C |v|^k and raises BoundViolated.
     """
+    if not isinstance(tau, PerturbationSpec):
+        raise TypeError(f"tau must be a PerturbationSpec, got {type(tau).__name__}")
     thetas, lane_prime, lane_second = one_lane(theta, w_prime, w_second)
-    w_prime, w_second = lane_prime[0], lane_second[0]
     table = kernels.Harmonics(thetas)
     g1, g2 = fiber_norms_batch(cfg, table, lane_prime, lane_second)
     if abs(g1[0] + g2[0] - 1.0) > 1e-9:
         raise ValueError(f"w must be a unit direction; |w|^2 = {g1[0] + g2[0]}")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-
-    if isinstance(tau, PerturbationSpec):
-        degrees = [t.degree for t in tau.terms]
-        if any(d < k for d in degrees):
-            raise BoundViolated(
-                f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
-            )
-        # coefficients a_d of tau(s w) = sum a_d s^d along the ray through w
-        coeffs: dict[int, float] = {}
-        for term, value in zip(tau.terms, _term_values(cfg, tau.terms, table, lane_prime, g1, g2)):
-            coeffs[term.degree] = coeffs.get(term.degree, 0.0) + float(value[0])
-        if r == 0.0:
-            return float(coeffs.get(k, 0.0))
-        return float(sum(a * r ** (d - k) for d, a in coeffs.items()))
-
-    def ray(s: float) -> float:
-        return float(tau(theta, s * w_prime, s * w_second))
-
-    # vanishing-order scan: log-log slope of |tau(s w)| must reach k
-    s_grid = cfg.domain_radius * np.logspace(-3.0, -0.3, 10)
-    values = np.array([abs(ray(s)) for s in s_grid])
-    keep = values > 1e-300
-    if keep.sum() >= 3:
-        slope = np.polyfit(np.log(s_grid[keep]), np.log(values[keep]), 1)[0]
-        if slope < k - 0.5:
-            raise BoundViolated(
-                f"tau vanishes to order ~{slope:.2f} along this ray, below the required {k}"
-            )
-    if r > 0.0:
-        return ray(r) / r**k
-    if k not in _FD5_WEIGHTS:
-        raise ValueError(f"finite-difference boundary values support k in 1..4, got {k}")
-    h = RENORM_FD_STEP * k
-    samples = np.array([ray(float(n) * h) for n in _FD5_NODES])
-    deriv = float(_FD5_WEIGHTS[k] @ samples) / h**k
-    return deriv / math.factorial(k)
+    if not 0.0 <= r < np.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
+    degrees = [t.degree for t in tau.terms]
+    if any(d < k for d in degrees):
+        raise BoundViolated(
+            f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
+        )
+    # coefficients a_d of tau(r w) = sum a_d r^d along the ray through w
+    coeffs: dict[int, float] = {}
+    for term, value in zip(tau.terms, _term_values(cfg, tau.terms, table, lane_prime, g1, g2)):
+        coeffs[term.degree] = coeffs.get(term.degree, 0.0) + float(value[0])
+    return float(sum(a * r ** (d - k) for d, a in coeffs.items()))
 
 
 def wall_error(cfg: ModelConfig, c) -> OutOfDomain | None:

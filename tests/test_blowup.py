@@ -1,5 +1,7 @@
 """Polar fiber coordinates, the extended action, boundary projectivization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,19 @@ def test_blowup_action_zero_scalar(cfg_identity):
         cstar_act_blowup(cfg_identity, 0.0, _bp(1.0, [1.0], [0.0]))
 
 
+@pytest.mark.parametrize("zeta", [0.0, np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)],
+                         ids=["0", "nan", "inf", "inf+0j", "0+nanj"])
+@pytest.mark.parametrize("action", [
+    lambda cfg, zeta: cstar_act(zeta, _point([0.6], [0.8])),
+    lambda cfg, zeta: cstar_act_blowup(cfg, zeta, _bp(1.0, [0.6], [0.8])),
+], ids=["cstar_act", "cstar_act_blowup"])
+def test_scaling_actions_refuse_zero_and_non_finite_scalars(cfg_identity, action, zeta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroScalar, match="requires a finite zeta != 0"):
+            action(cfg_identity, zeta)
+
+
 def test_blowup_action_equivariance(rng):
     # oracle: compose to_blowup after the linear action independently
     cfg = make_config(r_prime=2, r_second=1, metric_field=fourier_metric(2, 1))
@@ -178,6 +193,24 @@ def test_boundary_coords_requires_boundary(cfg_identity):
         boundary_coords(cfg_identity, _bp(0.0, [1.0], [0.0], t=0.1))
 
 
+def test_boundary_coords_refuses_a_zero_direction(cfg_identity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OnCenter, match="boundary coordinates need a nonzero direction"):
+            boundary_coords(cfg_identity, _bp(0.0, [0.0], [0.0]))
+
+
+def test_boundary_coords_keep_the_largest_modulus_pivot(rng):
+    # oracle: the pivot rule written out, largest modulus, lowest index on a tie
+    cfg = make_config(r_prime=2, r_second=2, metric_field=fourier_metric(2, 2))
+    for _ in range(100):
+        theta = rng.uniform(0, 2 * np.pi)
+        wp, ws = random_unit_direction(rng, cfg, theta)
+        homog = np.concatenate([wp, ws.conj()])
+        expected = homog / homog[int(np.argmax(np.abs(homog)))]
+        assert np.array_equal(boundary_coords(cfg, _bp(0.0, wp, ws, theta=theta)).homog, expected)
+
+
 def test_make_blowup_point_checks_unit(cfg_identity):
     from flipq import ConfigInvalid
 
@@ -185,3 +218,11 @@ def test_make_blowup_point_checks_unit(cfg_identity):
         make_blowup_point(cfg_identity, 1.0, [2.0], [0.0], BasePoint(0.0, 0.0))
     bp = make_blowup_point(cfg_identity, 1.0, [1.0], [0.0], BasePoint(0.0, 0.0))
     assert bp.r == 1.0
+
+
+@pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
+def test_make_blowup_point_refuses_a_negative_or_non_finite_radius(cfg_identity, r):
+    from flipq import ConfigInvalid
+
+    with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
+        make_blowup_point(cfg_identity, r, [1.0], [0.0], BasePoint(0.0, 0.0))

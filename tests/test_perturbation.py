@@ -43,9 +43,10 @@ from flipq import (
     verify_conditions,
 )
 from flipq import kernels
-from flipq.config_io import parse_run_config, phi_from_config
+from flipq.config_io import build_model, parse_run_config, phi_from_config
+from flipq.core import fiber_norms_batch, one_lane
 from flipq.kernels import realify
-from flipq.perturbation import match_lanes, matching_errors, rescale_lanes
+from flipq.perturbation import _term_values, match_lanes, matching_errors, rescale_lanes
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction, unit_directions_batch
 
@@ -527,15 +528,51 @@ def test_renorm_mixed_term(cfg_identity):
     assert renorm_eval(cfg_identity, spec, 4, 0.0, w[0], w[1]) == pytest.approx(c / 4.0)
 
 
-def test_renorm_callable_boundary_matches_analytic(cfg_identity):
+def test_renorm_refuses_a_callable_tau_on_the_boundary(cfg_identity):
     def tau(theta, yp, ys):
         return float((np.abs(yp) ** 2).sum() + (np.abs(ys) ** 2).sum()) ** 2
 
     w = np.array([0.6]), np.array([0.8])
-    val = renorm_eval(cfg_identity, tau, 4, 0.0, w[0], w[1])
-    assert val == pytest.approx(1.0, abs=1e-8)
-    val3 = renorm_eval(cfg_identity, tau, 3, 0.0, w[0], w[1])
-    assert val3 == pytest.approx(0.0, abs=1e-8)
+    with pytest.raises(TypeError, match="tau must be a PerturbationSpec, got function"):
+        renorm_eval(cfg_identity, tau, 4, 0.0, w[0], w[1])
+
+
+def _degree_coefficient(cfg, spec, k, theta, wp, ws):
+    # a_k at w: the degree-k terms' values, summed in term order
+    thetas, lane_prime, lane_second = one_lane(theta, wp, ws)
+    table = kernels.Harmonics(thetas)
+    g1, g2 = fiber_norms_batch(cfg, table, lane_prime, lane_second)
+    values = _term_values(cfg, spec.terms, table, lane_prime, g1, g2)
+    return sum(float(value[0]) for term, value in zip(spec.terms, values) if term.degree == k)
+
+
+def _degrees_4_and_6():
+    return PerturbationSpec(terms=(
+        PerturbationTerm(norm_second_pow=3, coeff=(0.04, 0.0, 0.01)),
+        PerturbationTerm(mixed_pow=1, coeff=(0.1, 0.03)),
+        PerturbationTerm(norm_prime_pow=1, mixed_pow=1, coeff=(-0.02,)),
+        PerturbationTerm(norm_prime_pow=2, coeff=(0.05,)),
+    ))
+
+
+@pytest.mark.parametrize("doc, spec", [
+    (presets.fourier_metric_config(2, 1), None),
+    (presets.ref_section_config(2, 2), None),
+    (presets.fourier_metric_config(2, 1), _degrees_4_and_6()),
+], ids=["fourier_2_1", "ref_section_2_2", "degrees_4_and_6"])
+def test_renorm_boundary_value_is_the_degree_k_coefficient(doc, spec):
+    cfg = build_model(doc)
+    spec = cfg.perturbation if spec is None else spec
+    k = min(term.degree for term in spec.terms)  # higher degrees add +-0.0 at r = 0
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        theta = float(rng.uniform(0, 2 * np.pi))
+        wp, ws = random_unit_direction(rng, cfg, theta)
+        expected = _degree_coefficient(cfg, spec, k, theta, wp, ws)
+        assert expected != 0.0
+        assert renorm_eval(cfg, spec, k, 0.0, wp, ws, theta).hex() == expected.hex()
+        # no term has degree 3: the boundary value is exactly 0.0
+        assert renorm_eval(cfg, spec, 3, 0.0, wp, ws, theta).hex() == (0.0).hex()
 
 
 def test_renorm_bound_violated_poly(cfg_identity):
@@ -544,17 +581,23 @@ def test_renorm_bound_violated_poly(cfg_identity):
         renorm_eval(cfg_identity, spec, 3, 0.1, np.array([1.0]), np.array([0.0]))
 
 
-def test_renorm_bound_violated_callable(cfg_identity):
+def test_renorm_refuses_a_callable_tau_off_the_boundary(cfg_identity):
     def tau(theta, yp, ys):
         return float((np.abs(yp) ** 2).sum() + (np.abs(ys) ** 2).sum())
 
-    with pytest.raises(BoundViolated):
+    with pytest.raises(TypeError, match="tau must be a PerturbationSpec, got function"):
         renorm_eval(cfg_identity, tau, 3, 0.1, np.array([0.6]), np.array([0.8]))
 
 
 def test_renorm_requires_unit_direction(cfg_identity):
     with pytest.raises(ValueError):
         renorm_eval(cfg_identity, _norm4_spec(), 4, 0.1, np.array([2.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
+def test_renorm_refuses_a_negative_or_non_finite_radius(cfg_identity, r):
+    with pytest.raises(ValueError, match="r must be finite and >= 0"):
+        renorm_eval(cfg_identity, _norm4_spec(), 4, r, np.array([0.6]), np.array([0.8]))
 
 
 # -- matching ---------------------------------------------------------------
