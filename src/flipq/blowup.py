@@ -52,7 +52,7 @@ def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
     if not 0.0 <= bp.r < np.inf:
         raise ConfigInvalid(f"blowup radius must be finite and >= 0, got {bp.r}")
     total = sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second)))
-    if abs(total - 1.0) > UNIT_NORM_TOL:
+    if not abs(total - 1.0) <= UNIT_NORM_TOL:
         raise ConfigInvalid(f"direction norm^2 = {total} is not 1 to {UNIT_NORM_TOL}")
     return bp
 

@@ -6,10 +6,12 @@ one seeded stream, row by row in grid order (each batch pass of rows takes
 its samples in one draw of that stream), and rows are emitted in that order.
 Match and scan run as batch passes; match and report compute matching_stats
 from the lane arrays of one match pass and one ray pass, and only match
-renders the per-point entries and ray documents.  json.dumps(indent=2,
-sort_keys=True) writes every value of a document except the scan table,
-which one %-template writes byte-identically.  --threads is accepted and
-ignored.
+renders the per-point entries and ray documents; --random draws are kept
+only if their graph value lies in the wall interval, before that one match
+pass.  json.dumps(indent=2, sort_keys=True) writes every value of a document
+except the scan rows under its top-level "scan" key, which one %-template
+over the sorted SCAN_COLUMNS writes byte-identically.  --threads is accepted
+and ignored.
 Exit codes: 0 pass, 1 check failure (also any other flipq error mid-run,
 reported on one stderr line), 2 config or usage error (also an --out or --csv
 path that cannot be written).
@@ -33,6 +35,7 @@ from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, DimensionMismatch, FlipQError, OutOfDomain
 from .perturbation import (
     FD_STEP_RANGE,
+    chi_parts_batch,
     match_lanes,
     matching_errors,
     rescale_lanes,
@@ -80,55 +83,40 @@ def _float_text(value: float) -> str:
     return text
 
 
-def _table_text(rows) -> str | None:
-    """rows as json.dumps writes a top-level value of an indent=2 document, if rows is a table; else None.
+_SCAN_ROW = "{\n%s\n    }" % ",\n".join(f"      {_escape(key)}: %s" for key in sorted(SCAN_COLUMNS))
 
-    A table is a non-empty list of dicts that share one key set and hold, per
-    key, only floats, only ints or only strs (the scan rows).  It is written
-    column by column and then row by row through one %-template.  Each
-    distinct nonzero float's text is computed once; zero is never memoized,
-    because -0.0 == 0.0 and the two print apart.
+
+def _scan_text(rows: list[dict]) -> str:
+    """run_scan's rows as json.dumps writes the "scan" value of an indent=2 document.
+
+    One %-template writes the columns in sorted order, row by row.  Each
+    distinct nonzero float's text is computed once per column; zero is never
+    memoized, because -0.0 == 0.0 and the two print apart.
     """
-    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
-        return None
-    first = rows[0]
-    if not first or set(map(type, first)) != {str} or set(map(len, rows)) != {len(first)}:
-        return None
-    keys = sorted(first)
-    try:
-        columns = [list(map(itemgetter(key), rows)) for key in keys]
-    except KeyError:
-        return None
-    floats: dict = {}
-    for i, column in enumerate(columns):
-        kinds = set(map(type, column))
-        if kinds == {float}:
-            new = set(column).difference(floats)
-            new.discard(0.0)
-            floats.update(zip(new, map(_float_text, new)))
-            columns[i] = list(map(floats.get, column))
-            if None in columns[i]:  # the zeros
-                columns[i] = [text or float.__repr__(x) for text, x in zip(columns[i], column)]
-        elif kinds == {int}:
-            columns[i] = list(map(int.__repr__, column))
-        elif kinds == {str}:
-            columns[i] = list(map(_escape, column))
+    columns = []
+    for key in sorted(SCAN_COLUMNS):
+        column = list(map(itemgetter(key), rows))
+        if key == "fiber_type":
+            columns.append(map(_escape, column))
+        elif key == "n_stable_samples":
+            columns.append(map(int.__repr__, column))
         else:
-            return None
-    template = "{\n%s\n    }" % ",\n".join("      " + _escape(key).replace("%", "%%") + ": %s" for key in keys)
-    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+            texts = {x: _float_text(x) for x in set(column) - {0.0}}
+            columns.append([texts.get(x) or float.__repr__(x) for x in column])
+    return "[\n    " + ",\n    ".join(map(_SCAN_ROW.__mod__, zip(*columns))) + "\n  ]"
 
 
 def _json_text(doc) -> str:
     """doc as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) writes it, byte for byte.
 
     json.dumps writes each top-level value, re-indented one level (JSON text
-    holds no raw newline), except a table, which _table_text writes.
+    holds no raw newline), except the scan rows, which _scan_text writes.
     """
-    if type(doc) is not dict or not doc or set(map(type, doc)) != {str}:
+    if type(doc) is not dict or "scan" not in doc:
         return json.dumps(doc, **_JSON)
     return "{\n  " + ",\n  ".join(
-        _escape(key) + ": " + (_table_text(doc[key]) or json.dumps(doc[key], **_JSON).replace("\n", "\n  "))
+        _escape(key) + ": " + (_scan_text(doc[key]) if key == "scan"
+                               else json.dumps(doc[key], **_JSON).replace("\n", "\n  "))
         for key in sorted(doc)) + "\n}"
 
 
@@ -226,9 +214,6 @@ class MatchPass(NamedTuple):
     moment_residual: np.ndarray
     orbit_deviation: np.ndarray
 
-    def take(self, lanes) -> MatchPass:
-        return MatchPass(*(field[lanes] for field in self))
-
 
 def _match_pass(cfg, thetas, y_prime, y_second) -> MatchPass:
     """Match every lane in one batch pass and check it."""
@@ -248,24 +233,24 @@ def _match_pass(cfg, thetas, y_prime, y_second) -> MatchPass:
 def _match_with_draws(cfg, seed: int, lanes, random_n: int) -> MatchPass:
     """The given lanes, then random_n draws whose graph value lies in the wall interval, matched.
 
-    The first round matches the given lanes and random_n draws in one batch
-    pass.  Each later round replaces the rejected draws from the same stream.
+    Each round draws the missing count from the same stream and keeps the
+    draws whose graph value lies in the wall interval (a draw outside the
+    fiber domain is kept, and its match reports the error); then one batch
+    pass matches the given lanes and the kept draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    passes: list[MatchPass] = []
-    fixed, wanted = len(lanes[0]), random_n
+    parts, wanted = [lanes], random_n
     for _ in range(MATCH_DRAW_ROUNDS):
-        if wanted:
-            lanes = [np.concatenate(pair) for pair in zip(lanes, random_domain_batch(rng, cfg, wanted))]
-        batch = _match_pass(cfg, *lanes)
-        kept = cfg.in_wall(batch.t[fixed:])
-        passes.append(batch.take(np.concatenate([np.ones(fixed, dtype=bool), kept])))
-        wanted -= int(kept.sum())
         if not wanted:
-            return MatchPass(*map(np.concatenate, zip(*passes)))
-        lanes, fixed = [lane[:0] for lane in lanes], 0
-    raise OutOfDomain(f"{wanted} of {random_n} random draws still leave the wall interval "
-                      f"(+-{cfg.epsilon}) after {MATCH_DRAW_ROUNDS} rounds")
+            break
+        draws = random_domain_batch(rng, cfg, wanted)
+        kept = cfg.in_wall(chi_parts_batch(cfg, *draws, check_domain=False)[0])
+        parts.append([lane[kept] for lane in draws])
+        wanted -= int(kept.sum())
+    if wanted:
+        raise OutOfDomain(f"{wanted} of {random_n} random draws still leave the wall interval "
+                          f"(+-{cfg.epsilon}) after {MATCH_DRAW_ROUNDS} rounds")
+    return _match_pass(cfg, *map(np.concatenate, zip(*parts)))
 
 
 def _match_entries(p: MatchPass) -> list[dict]:

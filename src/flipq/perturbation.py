@@ -500,7 +500,7 @@ def renorm_eval(
     thetas, lane_prime, lane_second = one_lane(theta, w_prime, w_second)
     table = kernels.Harmonics(thetas)
     g1, g2 = fiber_norms_batch(cfg, table, lane_prime, lane_second)
-    if abs(g1[0] + g2[0] - 1.0) > 1e-9:
+    if not abs(g1[0] + g2[0] - 1.0) <= 1e-9:
         raise ValueError(f"w must be a unit direction; |w|^2 = {g1[0] + g2[0]}")
     if not 0.0 <= r < np.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")

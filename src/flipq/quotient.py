@@ -118,17 +118,18 @@ def _pivot(v: np.ndarray) -> int:
 def quotient_chart(cfg: ModelConfig, p: FiberPoint) -> ChartCoords:
     """Chart of the quotient at a stable point.
 
-    The pivot block is y' for t <= 0 and y'' for t > 0.  The affine part is
+    The pivot block is y'' over the QSecond fibers (t > 0) and y' over the
+    others (t <= 0), as fiber_type sorts the base.  The affine part is
     the pivot block divided by its largest-modulus coordinate (pivot slot
     dropped); the line fiber is pivot coordinate times the other block.
     Both are invariant under the scaling action.
     """
     if classify(cfg, p) is StabilityClass.Unstable:
         raise NotStable("charts exist only over the stable locus")
-    if p.base.t <= 0:
-        block, pivot_vec, other = "prime", p.y_prime, p.y_second
-    else:
+    if fiber_type(p.base) is FiberType.QSecond:
         block, pivot_vec, other = "second", p.y_second, p.y_prime
+    else:
+        block, pivot_vec, other = "prime", p.y_prime, p.y_second
     k = _pivot(pivot_vec)
     pivot_coord = pivot_vec[k]
     affine = np.delete(pivot_vec, k) / pivot_coord

@@ -214,8 +214,10 @@ def test_boundary_coords_keep_the_largest_modulus_pivot(rng):
 def test_make_blowup_point_checks_unit(cfg_identity):
     from flipq import ConfigInvalid
 
-    with pytest.raises(ConfigInvalid):
-        make_blowup_point(cfg_identity, 1.0, [2.0], [0.0], BasePoint(0.0, 0.0))
+    # a NaN entry fails the norm check too: NaN compares false
+    for w_prime, w_second in (([2.0], [0.0]), ([np.nan], [0.0]), ([1.0], [np.nan])):
+        with pytest.raises(ConfigInvalid, match="is not 1 to"):
+            make_blowup_point(cfg_identity, 1.0, w_prime, w_second, BasePoint(0.0, 0.0))
     bp = make_blowup_point(cfg_identity, 1.0, [1.0], [0.0], BasePoint(0.0, 0.0))
     assert bp.r == 1.0
 

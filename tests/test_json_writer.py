@@ -1,7 +1,9 @@
 """flipq's JSON writer: byte-identical to json.dumps(indent=2, sort_keys=True, allow_nan=False).
 
-json.dumps writes every value but a top-level table, which cli._table_text
-writes through one %-template; the tests here pin that boundary.
+json.dumps writes every value but the scan rows under a document's top-level
+"scan" key, which cli._scan_text writes through one %-template over the
+sorted SCAN_COLUMNS; the tests here pin that boundary and the scan rows'
+float texts.
 """
 
 import json
@@ -61,33 +63,36 @@ def test_command_documents_match_json_dumps(command, fixture, fourier_config, mo
 
 # -- generated documents ---------------------------------------------------------
 
+
+def _row(residual, theta=1.5, t=0.0, fiber_type="QZero", samples=4):
+    return {"fiber_type": fiber_type, "mean_level_residual": residual, "n_stable_samples": samples, "t": t,
+            "theta": theta}
+
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                np.float64(0.1), np.float64(-0.0), np.float64(0.0), np.float64(-2.5e-300)]
 EDGE_STRINGS = ["", "é", "naïve ∂ρ", "\x00\x01\x1f\x7f", '"\\/', "  ", "\U0001f600", "%s %d %%"]
 
-keys = st.text(max_size=6) | st.sampled_from(EDGE_STRINGS)
-scalars = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-           | st.sampled_from(EDGE_FLOATS) | st.text() | st.sampled_from(EDGE_STRINGS)
-           | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+# "scan" holds scan rows only: a generated document gets them from `tables`
+keys = (st.text(max_size=6) | st.sampled_from(EDGE_STRINGS)).filter(lambda key: key != "scan")
+floats = (st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+scalars = st.none() | st.booleans() | st.integers() | floats | st.text() | st.sampled_from(EDGE_STRINGS)
 
+# scan rows: edge floats in the float columns, edge strings as the fiber type, ints as the sample count
+tables = st.lists(st.fixed_dictionaries({
+    "theta": floats, "t": floats, "mean_level_residual": floats,
+    "fiber_type": st.sampled_from(EDGE_STRINGS) | st.text(), "n_stable_samples": st.integers(),
+}), min_size=1, max_size=8)
 
-@st.composite
-def tables(draw, values):
-    """Lists of flat dicts: one key set (sometimes broken by a row) and values that may change type."""
-    names = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
-    rows = draw(st.lists(st.fixed_dictionaries({name: values for name in names}), min_size=1, max_size=8))
-    if draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), draw(st.dictionaries(keys, values, max_size=4)))
-    return rows
-
-
-documents = st.recursive(
+values = st.recursive(
     scalars,
     lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=3).map(tuple)
-                      | st.dictionaries(keys, children, max_size=5)
-                      | tables(children) | tables(scalars)),
+                      | st.dictionaries(keys, children, max_size=5) | tables),
     max_leaves=40,
 )
+documents = values | st.builds(lambda doc, rows: {**doc, "scan": rows},
+                               st.dictionaries(keys, values, max_size=5), tables)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -97,17 +102,17 @@ def test_generated_documents_match_json_dumps(doc):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(column=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
-                       min_size=1, max_size=20))
+@given(column=st.lists(floats, min_size=1, max_size=20))
 def test_float_columns_keep_signed_zeros(column):
-    # the float texts are shared within one call, but -0.0 == 0.0 print apart
-    doc = {"rows": [{"x": x, "y": -x} for x in column], "again": column}
+    # the float texts are shared within a column, but -0.0 == 0.0 print apart
+    doc = {"scan": [_row(x, theta=-x, t=x) for x in column], "again": column}
     assert _json_text(doc) == _reference(doc)
 
 
 # -- the table boundary -----------------------------------------------------------
 
-# lists that are tables and lists next to one: each must come out as json.dumps writes it
+# lists that are tables and lists next to one: anywhere but under the top-level "scan" key,
+# each must come out as json.dumps writes it
 BOUNDARY_TABLES = {
     "int and float in one column": [{"a": 1, "b": 0.5}, {"a": 2.0, "b": 1.5}],
     "bool column": [{"a": True, "b": 0.5}, {"a": False, "b": 1.5}],
@@ -125,14 +130,13 @@ BOUNDARY_TABLES = {
     "signed zeros": [{"x": 0.0, "y": -0.0}, {"x": -0.0, "y": 0.0}, {"x": 0.0, "y": 0.0}],
     "repeated floats": [{"x": 0.1, "y": 0.1}, {"x": 0.1, "y": -0.1}],
     "% in keys and values": [{"%s": 0.5, "%%": 1, "%(a)s": "%d"}, {"%s": 1.5, "%%": 2, "%(a)s": "%%"}],
-    "scan rows": [{"fiber_type": "QZero", "mean_level_residual": 0.5, "n_stable_samples": 4, "t": 0.0,
-                   "theta": -0.0}] * 3,
+    "scan rows": [_row(0.5, theta=-0.0)] * 3,
 }
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_TABLES))
 @pytest.mark.parametrize("place", [
-    lambda table: {"scan": table},
+    lambda table: {"rows": table, "seed": 1},  # a top-level table under a key other than "scan"
     lambda table: {"a": 1.0, "z": {"scan": table}},  # nested below the top level
     lambda table: {"z": [table]},
     lambda table: table,
@@ -140,6 +144,44 @@ BOUNDARY_TABLES = {
 def test_table_boundary_matches_json_dumps(name, place):
     doc = place(BOUNDARY_TABLES[name])
     assert _json_text(doc) == _reference(doc)
+
+
+# -- the scan rows ---------------------------------------------------------------
+
+MAX = 1.7976931348623157e308
+SCAN_ROWS = {
+    "one row": [_row(0.5)],
+    "signed zeros in theta": [_row(0.5, theta=-0.0), _row(0.5, theta=0.0), _row(0.5, theta=-0.0)],
+    "signed zeros in t": [_row(0.5, t=0.0), _row(0.5, t=-0.0), _row(0.5, t=0.0)],
+    "signed zeros in mean_level_residual": [_row(-0.0), _row(0.0), _row(-0.0)],
+    "a zero residual next to a nonzero one": [_row(0.0), _row(2.5e-17), _row(0.0), _row(-0.0)],
+    "repeated values": [_row(0.1, theta=0.1, t=-0.1), _row(0.1, theta=0.1, t=0.1)] * 3,
+    "np.float64 values": [_row(np.float64(0.1), theta=np.float64(-0.0), t=np.float64(2.5)),
+                          _row(0.1, theta=np.float64(0.0), t=2.5)],
+    "extreme floats": [_row(5e-324, theta=MAX, t=-MAX), _row(-5e-324, theta=-MAX, t=MAX)],
+    "escaped fiber types": [_row(0.5, fiber_type=text) for text in EDGE_STRINGS],
+    "sample counts": [_row(0.5, samples=n) for n in (0, 1, -7, 10**30)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ROWS))
+def test_scan_rows_match_json_dumps(name):
+    doc = {"config_digest": "sha256:0", "scan": SCAN_ROWS[name], "seed": 1}
+    assert _json_text(doc) == _reference(doc)
+
+
+def test_report_sweep_document_matches_json_dumps(monkeypatch, tmp_path):
+    # a full-size report: 64 x 31 scan rows of 32 samples, 2,000 matches and 64 rays on ranks 2/1
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(presets.fourier_metric_config(2, 1, seed=1)))
+    docs = []
+    monkeypatch.setattr(cli, "_dump", lambda doc, out: docs.append(doc))
+    main(["report", "--theta-steps", "64", "--t-steps", "31", "--match-samples", "2000",
+          "--blowup-rays", "64", "--config", str(config)])
+    [doc] = docs
+    assert len(doc["scan"]) == 64 * 31
+    # compared line by line, so that a failure names the first differing line
+    assert _json_text(doc).splitlines() == _reference(doc).splitlines()
 
 
 @pytest.mark.parametrize("command", ["scan", "report"])
@@ -158,10 +200,6 @@ def test_nan_scan_residual_fails_the_run_on_one_line(command, fourier_config, mo
 # -- refused values ------------------------------------------------------------
 
 
-def _row(value):
-    return {"fiber_type": "Q0", "mean_level_residual": value, "n_stable_samples": 4, "t": 0.0, "theta": 1.5}
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
 @pytest.mark.parametrize("place", [
     lambda v: v,
@@ -171,6 +209,8 @@ def _row(value):
     lambda v: {"scan": [_row(v)]},
     lambda v: {"scan": [_row(0.0), _row(-0.0), _row(v)]},
     lambda v: [{"a": 1.0}, {"a": [v]}],
+    lambda v: {"scan": [_row(0.5), _row(0.5, theta=v)]},
+    lambda v: {"scan": [_row(0.5, t=v), _row(0.5)]},
 ])
 def test_non_finite_values_fail_the_run(bad, place, tmp_path):
     out = tmp_path / "out.json"

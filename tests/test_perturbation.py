@@ -590,8 +590,10 @@ def test_renorm_refuses_a_callable_tau_off_the_boundary(cfg_identity):
 
 
 def test_renorm_requires_unit_direction(cfg_identity):
-    with pytest.raises(ValueError):
-        renorm_eval(cfg_identity, _norm4_spec(), 4, 0.1, np.array([2.0]), np.array([0.0]))
+    # a NaN entry fails the norm check too: NaN compares false
+    for w_prime, w_second in (([2.0], [0.0]), ([np.nan], [0.8]), ([0.6], [np.nan])):
+        with pytest.raises(ValueError, match="w must be a unit direction"):
+            renorm_eval(cfg_identity, _norm4_spec(), 4, 0.1, np.array(w_prime), np.array(w_second))
 
 
 @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
