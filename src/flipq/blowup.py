@@ -22,7 +22,7 @@ UNIT_NORM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BlowupPoint:
-    """Polar fiber coordinates: radius r >= 0 and unit direction (w', w'')."""
+    """Polar fiber coordinates: radius r >= 0 (finite, else ConfigInvalid) and unit direction (w', w'')."""
 
     r: float
     w_prime: np.ndarray
@@ -31,6 +31,8 @@ class BlowupPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "r", float(self.r))
+        if not 0.0 <= self.r < np.inf:
+            raise ConfigInvalid(f"blowup radius must be finite and >= 0, got {self.r}")
         object.__setattr__(self, "w_prime", _frozen_complex_vector(self.w_prime))
         object.__setattr__(self, "w_second", _frozen_complex_vector(self.w_second))
 
@@ -49,8 +51,6 @@ class BoundaryPoint:
 def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
     """Construct with the unit-sphere invariant checked at base theta."""
     bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=base)
-    if not 0.0 <= bp.r < np.inf:
-        raise ConfigInvalid(f"blowup radius must be finite and >= 0, got {bp.r}")
     total = sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second)))
     if not abs(total - 1.0) <= UNIT_NORM_TOL:
         raise ConfigInvalid(f"direction norm^2 = {total} is not 1 to {UNIT_NORM_TOL}")
@@ -82,6 +82,8 @@ def cstar_act_blowup(cfg: ModelConfig, zeta: complex, bp: BlowupPoint) -> Blowup
     ap, app = fiber_norms(cfg, FiberPoint(base=bp.base, y_prime=bp.w_prime, y_second=bp.w_second))
     m2 = abs(zeta) ** 2
     u = np.sqrt(m2 * ap + app / m2)
+    if u == 0.0:
+        raise OnCenter("the scaling action needs a nonzero direction")
     return BlowupPoint(
         r=bp.r * u,
         w_prime=(zeta / u) * bp.w_prime,

@@ -161,40 +161,39 @@ def _check_domain(cfg, g1, g2):
         raise _domain_error(cfg, g1[outside[0]], g2[outside[0]])
 
 
-def _monomial(term: PerturbationTerm, table, g1, g2, inner):
-    """One perturbation term over the lanes (table, g1, g2); inner(a) gives the reference pairing <y', a>."""
-    value = kernels.fourier_values(table, *term.series)
-    if term.norm_prime_pow:
-        value = value * g1**term.norm_prime_pow
-    if term.norm_second_pow:
-        value = value * g2**term.norm_second_pow
-    if term.mixed_pow:
-        value = value * (g1 * g2) ** term.mixed_pow
-    if term.ref_inner_pow:
-        value = value * (abs(inner(term.ref_section)) ** 2) ** term.ref_inner_pow
-    return value
+def _tau_lanes(cfg: ModelConfig, terms, thetas, y_prime, y_second):
+    """(g1, g2, values) over point batches: the fiber norms and each term's lane values, in term
+    order, all read from one kernels.Harmonics table; the reference pairing is kernels.fourier_pairing.
 
-
-def _term_values(cfg, terms, table, y_prime, g1, g2):
-    """Each term's value over the lanes of a kernels.Harmonics table, in order;
-    the reference pairing is kernels.fourier_pairing."""
-
-    def inner(a):
-        return kernels.fourier_pairing(table, y_prime, a, *cfg.metric_field.packed_prime)
-
-    return (_monomial(term, table, g1, g2, inner) for term in terms)
-
-
-def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True):
-    """Vectorized (chi, g1, g2) over point batches, all fields read from one harmonic table."""
+    The rest term is the values summed from zero: chi + (g1 - g2)/2 would lose it to cancellation.
+    """
     table = kernels.Harmonics(thetas)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
+    values = []
+    for term in terms:
+        value = kernels.fourier_values(table, *term.series)
+        if term.norm_prime_pow:
+            value = value * g1**term.norm_prime_pow
+        if term.norm_second_pow:
+            value = value * g2**term.norm_second_pow
+        if term.mixed_pow:
+            value = value * (g1 * g2) ** term.mixed_pow
+        if term.ref_inner_pow:
+            inner = kernels.fourier_pairing(table, y_prime, term.ref_section, *cfg.metric_field.packed_prime)
+            value = value * (abs(inner) ** 2) ** term.ref_inner_pow
+        values.append(value)
+    return g1, g2, values
+
+
+def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True):
+    """Vectorized (chi, g1, g2) over point batches: the quadratic part, then each term's values."""
+    g1, g2, values = _tau_lanes(cfg, cfg.perturbation.terms, thetas, y_prime, y_second)
     if check_domain:
         _check_domain(cfg, g1, g2)
     chi = -0.5 * (g1 - g2)
-    for value in _term_values(cfg, cfg.perturbation.terms, table, y_prime, g1, g2):
+    for value in values:
         chi = chi + value
     return chi, g1, g2
 
@@ -207,12 +206,9 @@ def chi_eval(cfg: ModelConfig, p: FiberPoint) -> float:
 
 def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
     """chi minus its quadratic part: the configured perturbation value."""
-    thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
-    table = kernels.Harmonics(thetas)
-    g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
+    g1, g2, values = _tau_lanes(cfg, cfg.perturbation.terms, *one_lane(p.base.theta, p.y_prime, p.y_second))
     _check_domain(cfg, g1, g2)
-    # summed apart from chi: chi + (g1 - g2)/2 would lose the rest to cancellation
-    return float(sum(_term_values(cfg, cfg.perturbation.terms, table, y_prime, g1, g2), np.zeros(1))[0])
+    return float(sum(values, np.zeros(1))[0])
 
 
 def chi_eval_batch(cfg: ModelConfig, thetas, y_prime, y_second):
@@ -400,10 +396,12 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
     """Sample |rest(v)| / |v|^3 over the fiber domain and report the max."""
     from .sampling import random_domain_batch
 
+    if n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples} must be >= 1")
     rng = np.random.default_rng(seed)
     thetas, y_prime, y_second = random_domain_batch(rng, cfg, n_samples)
-    chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
-    rest = chi + 0.5 * (g1 - g2)
+    g1, g2, values = _tau_lanes(cfg, cfg.perturbation.terms, thetas, y_prime, y_second)
+    rest = sum(values, np.zeros(n_samples))
     norm3 = (g1 + g2) ** 1.5
     ratio = np.abs(rest) / norm3
     k = int(np.argmax(ratio))
@@ -497,11 +495,6 @@ def renorm_eval(
     """
     if not isinstance(tau, PerturbationSpec):
         raise TypeError(f"tau must be a PerturbationSpec, got {type(tau).__name__}")
-    thetas, lane_prime, lane_second = one_lane(theta, w_prime, w_second)
-    table = kernels.Harmonics(thetas)
-    g1, g2 = fiber_norms_batch(cfg, table, lane_prime, lane_second)
-    if not abs(g1[0] + g2[0] - 1.0) <= 1e-9:
-        raise ValueError(f"w must be a unit direction; |w|^2 = {g1[0] + g2[0]}")
     if not 0.0 <= r < np.inf:
         raise ValueError(f"r must be finite and >= 0, got {r}")
     degrees = [t.degree for t in tau.terms]
@@ -509,9 +502,12 @@ def renorm_eval(
         raise BoundViolated(
             f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
         )
+    g1, g2, values = _tau_lanes(cfg, tau.terms, *one_lane(theta, w_prime, w_second))
+    if not abs(g1[0] + g2[0] - 1.0) <= 1e-9:
+        raise ValueError(f"w must be a unit direction; |w|^2 = {g1[0] + g2[0]}")
     # coefficients a_d of tau(r w) = sum a_d r^d along the ray through w
     coeffs: dict[int, float] = {}
-    for term, value in zip(tau.terms, _term_values(cfg, tau.terms, table, lane_prime, g1, g2)):
+    for term, value in zip(tau.terms, values):
         coeffs[term.degree] = coeffs.get(term.degree, 0.0) + float(value[0])
     return float(sum(a * r ** (d - k) for d, a in coeffs.items()))
 

@@ -116,6 +116,15 @@ def test_scaling_actions_refuse_zero_and_non_finite_scalars(cfg_identity, action
             action(cfg_identity, zeta)
 
 
+def test_blowup_action_refuses_a_zero_direction(cfg_identity):
+    # u = 0 on a zero direction, as boundary_coords refuses one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (0.0, 0.1):
+            with pytest.raises(OnCenter, match="the scaling action needs a nonzero direction"):
+                cstar_act_blowup(cfg_identity, 2.0, _bp(r, [0.0], [0.0]))
+
+
 def test_blowup_action_equivariance(rng):
     # oracle: compose to_blowup after the linear action independently
     cfg = make_config(r_prime=2, r_second=1, metric_field=fourier_metric(2, 1))
@@ -228,3 +237,6 @@ def test_make_blowup_point_refuses_a_negative_or_non_finite_radius(cfg_identity,
 
     with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
         make_blowup_point(cfg_identity, r, [1.0], [0.0], BasePoint(0.0, 0.0))
+    # the rule is BlowupPoint's own: every blowup point obeys it
+    with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
+        _bp(r, [1.0], [0.0])

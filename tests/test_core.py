@@ -41,7 +41,7 @@ from flipq import (
 from flipq import kernels
 from flipq import core
 from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, min_metric_eigenvalue
-from flipq.perturbation import _term_values, chi_parts_batch, match_lanes, matching_errors
+from flipq.perturbation import _tau_lanes, chi_parts_batch, match_lanes, matching_errors
 from flipq.sampling import random_domain_batch, unit_directions_batch
 
 from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
@@ -671,9 +671,8 @@ def _norms(cfg, thetas, ts, y_prime, y_second):
 
 def _rest(cfg, thetas, ts, y_prime, y_second):
     # the rest is summed apart from chi, as taylor_rest sums it
-    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    terms = _term_values(cfg, cfg.perturbation.terms, kernels.Harmonics(thetas), y_prime, g1, g2)
-    return sum(terms, np.zeros(len(thetas)))
+    _, _, values = _tau_lanes(cfg, cfg.perturbation.terms, thetas, y_prime, y_second)
+    return sum(values, np.zeros(len(thetas)))
 
 
 def _radius(cfg, thetas, ts, y_prime, y_second):

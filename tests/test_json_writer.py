@@ -34,6 +34,15 @@ def _reference(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _assert_same_text(got: str, want: str):
+    # names the first differing line only: pytest's own diff of two long texts can run for minutes
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {i + 1} differs: got {got_lines[i:i + 1]}, want {want_lines[i:i + 1]}", pytrace=False)
+
+
 @pytest.fixture
 def fourier_config(tmp_path):
     path = tmp_path / "fourier.json"
@@ -57,8 +66,8 @@ def test_command_documents_match_json_dumps(command, fixture, fourier_config, mo
             argv += ["--point", json.dumps(point)]
     main(argv)
     [doc] = docs
-    assert _json_text(doc) == _reference(doc)
-    assert capsys.readouterr().out == _reference(doc) + "\n"
+    _assert_same_text(_json_text(doc), _reference(doc))
+    _assert_same_text(capsys.readouterr().out, _reference(doc) + "\n")
 
 
 # -- generated documents ---------------------------------------------------------
@@ -98,7 +107,7 @@ documents = values | st.builds(lambda doc, rows: {**doc, "scan": rows},
 @settings(max_examples=300, deadline=None, database=None)
 @given(doc=documents)
 def test_generated_documents_match_json_dumps(doc):
-    assert _json_text(doc) == _reference(doc)
+    _assert_same_text(_json_text(doc), _reference(doc))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -106,7 +115,7 @@ def test_generated_documents_match_json_dumps(doc):
 def test_float_columns_keep_signed_zeros(column):
     # the float texts are shared within a column, but -0.0 == 0.0 print apart
     doc = {"scan": [_row(x, theta=-x, t=x) for x in column], "again": column}
-    assert _json_text(doc) == _reference(doc)
+    _assert_same_text(_json_text(doc), _reference(doc))
 
 
 # -- the table boundary -----------------------------------------------------------
@@ -143,7 +152,7 @@ BOUNDARY_TABLES = {
 ], ids=["top", "nested dict", "nested list", "bare"])
 def test_table_boundary_matches_json_dumps(name, place):
     doc = place(BOUNDARY_TABLES[name])
-    assert _json_text(doc) == _reference(doc)
+    _assert_same_text(_json_text(doc), _reference(doc))
 
 
 # -- the scan rows ---------------------------------------------------------------
@@ -167,7 +176,7 @@ SCAN_ROWS = {
 @pytest.mark.parametrize("name", sorted(SCAN_ROWS))
 def test_scan_rows_match_json_dumps(name):
     doc = {"config_digest": "sha256:0", "scan": SCAN_ROWS[name], "seed": 1}
-    assert _json_text(doc) == _reference(doc)
+    _assert_same_text(_json_text(doc), _reference(doc))
 
 
 def test_report_sweep_document_matches_json_dumps(monkeypatch, tmp_path):
@@ -180,8 +189,7 @@ def test_report_sweep_document_matches_json_dumps(monkeypatch, tmp_path):
           "--blowup-rays", "64", "--config", str(config)])
     [doc] = docs
     assert len(doc["scan"]) == 64 * 31
-    # compared line by line, so that a failure names the first differing line
-    assert _json_text(doc).splitlines() == _reference(doc).splitlines()
+    _assert_same_text(_json_text(doc), _reference(doc))
 
 
 @pytest.mark.parametrize("command", ["scan", "report"])

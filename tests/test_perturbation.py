@@ -46,7 +46,7 @@ from flipq import kernels
 from flipq.config_io import build_model, parse_run_config, phi_from_config
 from flipq.core import fiber_norms_batch, one_lane
 from flipq.kernels import realify
-from flipq.perturbation import _term_values, match_lanes, matching_errors, rescale_lanes
+from flipq.perturbation import _tau_lanes, match_lanes, matching_errors, rescale_lanes
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction, unit_directions_batch
 
@@ -357,6 +357,31 @@ def test_rest_bound_quartic(cfg_quartic):
     assert report.samples == 2000
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("doc", [
+    presets.ref_section_config(2, 2),
+    presets.fourier_metric_config(2, 1),
+    presets.quartic_config(1, 1),
+], ids=["ref_section_2_2", "fourier_2_1", "quartic_1_1"])
+def test_rest_bound_is_the_largest_taylor_rest_ratio(doc, seed):
+    # the scan reads each lane's rest as taylor_rest does, summed apart from chi,
+    # so its empirical_M is bitwise the largest |taylor_rest(v)| / |v|^3 over its draws
+    cfg = build_model(doc)
+    n = 500
+    thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(seed), cfg, n)
+    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
+    rest = np.array([taylor_rest(cfg, _point(yp, ys, theta=theta))
+                     for theta, yp, ys in zip(thetas, y_prime, y_second)])
+    expected = float(np.max(np.abs(rest) / (g1 + g2) ** 1.5))
+    assert rest_bound_scan(cfg, n, seed=seed).empirical_M.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rest_bound_scan_refuses_an_empty_sample(cfg_quartic, n):
+    with pytest.raises(ValueError, match=f"n_samples = {n} must be >= 1"):
+        rest_bound_scan(cfg_quartic, n)
+
+
 def test_rest_margin_flagging():
     cfg = make_config(epsilon=2.0, domain_radius=3.0,
                       terms=[PerturbationTerm(norm_second_pow=2, coeff=(-10.0,))])
@@ -539,10 +564,7 @@ def test_renorm_refuses_a_callable_tau_on_the_boundary(cfg_identity):
 
 def _degree_coefficient(cfg, spec, k, theta, wp, ws):
     # a_k at w: the degree-k terms' values, summed in term order
-    thetas, lane_prime, lane_second = one_lane(theta, wp, ws)
-    table = kernels.Harmonics(thetas)
-    g1, g2 = fiber_norms_batch(cfg, table, lane_prime, lane_second)
-    values = _term_values(cfg, spec.terms, table, lane_prime, g1, g2)
+    _, _, values = _tau_lanes(cfg, spec.terms, *one_lane(theta, wp, ws))
     return sum(float(value[0]) for term, value in zip(spec.terms, values) if term.degree == k)
 
 
@@ -721,6 +743,13 @@ def test_solve_rho_blowup_refuses_a_refused_metric_on_the_boundary():
         assert str(got.value) == MIXED_MATCH_REFUSAL
     assert solve_rho_blowup(mixed_match_config(indefinite=False),
                             BlowupPoint(0.0, p.y_prime, p.y_second, p.base)) == (1.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("r", [-0.1, np.nan])
+def test_solve_rho_blowup_meets_the_radius_rule(cfg_quartic, r):
+    # no blowup point has a negative or NaN radius, so the solver never sees one
+    with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
+        solve_rho_blowup(cfg_quartic, BlowupPoint(r, [0.6], [0.8], BasePoint(0.0, 0.0)))
 
 
 # -- sign separation ---------------------------------------------------------
