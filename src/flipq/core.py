@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigInvalid, DimensionMismatch, FlipQError, ZeroScalar
+from .errors import ConfigInvalid, DimensionMismatch, ZeroScalar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perturbation import PerturbationSpec
@@ -63,11 +63,16 @@ class MetricFieldSpec:
 
     Each series is a tuple of (harmonic n, cosine matrix, sine matrix);
     constant fields are a single n = 0 term.  Coefficient matrices must be
-    Hermitian so every sampled value is Hermitian.
+    Hermitian so every sampled value is Hermitian.  The constructor takes
+    (n, cos) or (n, cos, sin) entries and normalizes them.
     """
 
     g_prime_terms: tuple[tuple[int, np.ndarray, np.ndarray], ...]
     g_second_terms: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self):
+        for name in ("g_prime_terms", "g_second_terms"):
+            object.__setattr__(self, name, self._normalize_terms(getattr(self, name)))
 
     @staticmethod
     def _normalize_terms(terms):
@@ -84,22 +89,20 @@ class MetricFieldSpec:
                 sin_mat.flags.writeable = False
             else:
                 sin_mat = _frozen_complex_matrix(sin_mat)
+            if not float(n).is_integer():
+                raise ConfigInvalid(f"harmonic n = {n} must be an integer")
             out.append((int(n), cos_mat, sin_mat))
+        if not out:
+            raise ConfigInvalid("a metric block needs at least one harmonic")
         return tuple(out)
 
     @classmethod
     def constant(cls, g_prime, g_second) -> "MetricFieldSpec":
-        return cls(
-            g_prime_terms=cls._normalize_terms([(0, g_prime)]),
-            g_second_terms=cls._normalize_terms([(0, g_second)]),
-        )
+        return cls(g_prime_terms=[(0, g_prime)], g_second_terms=[(0, g_second)])
 
     @classmethod
     def fourier(cls, g_prime_terms, g_second_terms) -> "MetricFieldSpec":
-        return cls(
-            g_prime_terms=cls._normalize_terms(g_prime_terms),
-            g_second_terms=cls._normalize_terms(g_second_terms),
-        )
+        return cls(g_prime_terms=g_prime_terms, g_second_terms=g_second_terms)
 
     @classmethod
     def identity(cls, r_prime: int, r_second: int) -> "MetricFieldSpec":
@@ -183,8 +186,8 @@ def _min_eigenvalues(packed, thetas) -> np.ndarray:
                            .min(axis=-1) for i in range(0, len(thetas), kernels.BLOCK_LANES)])
 
 
-def _certify_block(label: str, packed) -> tuple[tuple | None, float]:
-    """(fault or None, least eigenvalue on VALIDATION_THETAS) of one packed metric block.
+def _certify_block(label: str, packed) -> tuple[ValidationIssue | None, float]:
+    """(issue or None, least eigenvalue on VALIDATION_THETAS) of one packed metric block.
 
     Hermitian coefficients make every value Hermitian.  G = C_0 + sum_m cos(m theta) C_m
     + sin(m theta) S_m (m = |n|) is positive definite on the whole circle if the Weyl bound
@@ -197,7 +200,8 @@ def _certify_block(label: str, packed) -> tuple[tuple | None, float]:
     hermitian = np.abs(coeffs - coeffs.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) <= HERMITIAN_TOL
     if not hermitian.all():
         k = int(np.argmin(hermitian))
-        return (label, "hermitian", ns[k], sines[k]), np.nan
+        return ValidationIssue("HermitianViolation", f"{label} harmonic {int(ns[k])} {'sin' if sines[k] else 'cos'} "
+                               f"coefficient is not Hermitian (tolerance {HERMITIAN_TOL})"), np.nan
     orders = sorted({abs(n) for n in ns} | {0.0})
     parts = np.zeros((len(orders), 2) + coeffs.shape[1:], dtype=coeffs.dtype)  # [C_m, S_m] per order m
     for n, sine, coeff in zip(ns, sines, coeffs):  # cos(-n theta) = cos(n theta), sin(-n theta) = -sin(n theta)
@@ -212,58 +216,31 @@ def _certify_block(label: str, packed) -> tuple[tuple | None, float]:
     while True:
         faulty = np.flatnonzero(~(lam > 0.0))
         if faulty.size:
-            return (label, "indefinite", float(thetas[faulty[0]])), grid_min
+            return ValidationIssue("PositivityViolation",
+                                   f"{label}({float(thetas[faulty[0]])}) is not positive definite"), grid_min
         low = min(low, float(lam.min()))
         margin = lipschitz * np.pi / m
         if weyl > 0.0 or low > margin:
             return None, grid_min
         if 2 * m > CERTIFY_MAX_THETAS:
-            return (label, "undecided", m, low, margin), grid_min
+            return ValidationIssue("PositivityViolation", f"{label} is not certified positive definite: its smallest "
+                                   f"eigenvalue on {m} grid thetas, {low:.6g}, does not exceed the Lipschitz margin "
+                                   f"{margin:.6g}"), grid_min
         # the doubled grid's new thetas: the midpoints of the current one
         m *= 2
         thetas = np.linspace(0.0, TWO_PI, m, endpoint=False)[1::2]
         lam = _min_eigenvalues(packed, thetas)
 
 
-@lru_cache(maxsize=1024)
-def _metrics_cached(field: MetricFieldSpec) -> tuple[tuple, float]:
-    """A metric field's certificate, computed on its first lookup: (the faults of g' then g'', the least
-    eigenvalue of either block on VALIDATION_THETAS)."""
-    (prime, prime_min), (second, second_min) = (_certify_block("g_prime", field.packed_prime),
-                                                _certify_block("g_second", field.packed_second))
-    return tuple(fault for fault in (prime, second) if fault), min(prime_min, second_min)
-
-
-def _metric_sizes(cfg: ModelConfig) -> tuple[int, int]:
-    return cfg.metric_field.packed_prime[-1].shape[-1], cfg.metric_field.packed_second[-1].shape[-1]
-
-
-def metric_error(cfg: ModelConfig, fault: tuple) -> FlipQError:
-    """The error of a metric fault: the one place the metric messages are written."""
-    label, kind, *detail = fault
-    if kind == "sizes":
-        prime, second = _metric_sizes(cfg)
-        return DimensionMismatch(f"metric sizes {prime}/{second} do not match ranks {cfg.r_prime}/{cfg.r_second}")
-    if kind == "hermitian":
-        n, sine = detail
-        return ConfigInvalid(f"{label} harmonic {int(n)} {'sin' if sine else 'cos'} coefficient is not Hermitian "
-                             f"(tolerance {HERMITIAN_TOL})")
-    if kind == "indefinite":
-        return ConfigInvalid(f"{label}({detail[0]}) is not positive definite")
-    thetas, low, margin = detail
-    return ConfigInvalid(f"{label} is not certified positive definite: its smallest eigenvalue on {thetas} "
-                         f"grid thetas, {low:.6g}, does not exceed the Lipschitz margin {margin:.6g}")
-
-
 def check_metrics(cfg: ModelConfig) -> tuple[tuple, float]:
-    """Raise the metric_error of cfg's first metric fault: g', then g'' (one _metrics_cached lookup),
-    then block sizes that differ from the ranks.  Returns the certificate."""
-    faults, grid_min = _metrics_cached(cfg.metric_field)
-    if faults:
-        raise metric_error(cfg, faults[0])
-    if _metric_sizes(cfg) != (cfg.r_prime, cfg.r_second):
-        raise metric_error(cfg, ("metric", "sizes"))
-    return faults, grid_min
+    """Raise validate_config's first issue of cfg, read in one _metrics_cached lookup: DimensionMismatch
+    for a MetricShapeViolation, else ConfigInvalid, with the issue's message.  Returns ((), the least
+    eigenvalue of either metric block on VALIDATION_THETAS)."""
+    issues, grid_min = _metrics_cached(cfg)
+    if issues:
+        code, message = issues[0]
+        raise (DimensionMismatch if code == "MetricShapeViolation" else ConfigInvalid)(message)
+    return issues, grid_min
 
 
 def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +274,8 @@ def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """Vectorized metric norms squared over point batches (kernel-backed).
 
     thetas may be a kernels.Harmonics table that the caller shares with its other kernels.  Every
-    evaluated lane enters here, so here are the metric gate (check_metrics refuses a refused field,
-    whatever the lanes) and the batch shape rule: y' (n, r'), y'' (n, r''), n = len(thetas).
+    evaluated lane enters here, so here are the config gate (check_metrics refuses what validate_config
+    refuses, whatever the lanes) and the batch shape rule: y' (n, r'), y'' (n, r''), n = len(thetas).
     """
     check_metrics(cfg)
     table = kernels.harmonics(thetas)
@@ -344,7 +321,15 @@ class ValidationReport(NamedTuple):
 
 
 def validate_config(cfg: ModelConfig) -> ValidationReport:
-    """Structural checks: ranks, the metric certificate (check_metrics), perturbation order."""
+    """Structural checks: ranks, epsilon, domain_radius, the metric (shapes, then its certificate),
+    the perturbation terms; computed once per config."""
+    return ValidationReport(issues=_metrics_cached(cfg)[0])
+
+
+@lru_cache(maxsize=1024)
+def _metrics_cached(cfg: ModelConfig) -> tuple[tuple[ValidationIssue, ...], float]:
+    """cfg's validation issues and the least eigenvalue of either metric block on VALIDATION_THETAS,
+    computed on cfg's first lookup: the one config rule, read by validate_config and check_metrics."""
     issues: list[ValidationIssue] = []
     if cfg.r_prime < 1:
         issues.append(ValidationIssue("RankViolation", f"r_prime = {cfg.r_prime} must be >= 1"))
@@ -361,27 +346,29 @@ def validate_config(cfg: ModelConfig) -> ValidationReport:
         issues.append(ValidationIssue("DomainRadiusViolation",
                                       f"domain_radius = {cfg.domain_radius} must be > 0 with a finite square"))
 
-    before = len(issues)
+    grid_min = np.inf
     for label, terms, rank in (("g_prime", cfg.metric_field.g_prime_terms, cfg.r_prime),
                                ("g_second", cfg.metric_field.g_second_terms, cfg.r_second)):
-        for n, *mats in terms if rank >= 1 else ():  # a rank below 1 is already reported
-            for mat in mats:
-                if mat.shape != (rank, rank):
-                    issues.append(ValidationIssue("MetricShapeViolation", f"{label} harmonic {n} has shape "
-                                                  f"{mat.shape}, expected {(rank, rank)}"))
-                elif not np.isfinite(mat).all():
-                    issues.append(ValidationIssue("MetricFiniteViolation",
-                                                  f"{label} harmonic {n} has a non-finite entry"))
-    # the certificate needs both blocks finite and of their rank's shape
-    evaluable = cfg.r_prime >= 1 and cfg.r_second >= 1 and len(issues) == before
-    for fault in _metrics_cached(cfg.metric_field)[0] if evaluable else ():
-        code = "HermitianViolation" if fault[1] == "hermitian" else "PositivityViolation"
-        issues.append(ValidationIssue(code, str(metric_error(cfg, fault))))
+        if rank < 1:  # already reported
+            continue
+        faults = []
+        for n, *mats in terms:
+            shape = next((mat.shape for mat in mats if mat.shape != (rank, rank)), None)
+            if shape:
+                faults.append(ValidationIssue("MetricShapeViolation",
+                                              f"{label} harmonic {n} has shape {shape}, expected {(rank, rank)}"))
+            elif not np.isfinite(mats).all():
+                faults.append(ValidationIssue("MetricFiniteViolation", f"{label} harmonic {n} has a non-finite entry"))
+        if not faults:  # the certificate needs the block finite and of its rank's shape
+            fault, low = _certify_block(label, MetricFieldSpec._pack(terms))
+            faults = [fault] if fault else []
+            grid_min = min(grid_min, low)
+        issues += faults
 
     from .perturbation import validate_perturbation
 
     issues.extend(validate_perturbation(cfg.perturbation, cfg.r_prime))
-    return ValidationReport(issues=tuple(issues))
+    return tuple(issues), grid_min
 
 
 def min_metric_eigenvalue(cfg: ModelConfig) -> float:

@@ -34,7 +34,8 @@ from .core import (
     FiberPoint,
     ModelConfig,
     ValidationIssue,
-    _metrics_cached,  # the metric certificates' cache; perfbench's tracer reads its cache_info() here
+    _frozen_complex_vector,
+    _metrics_cached,  # the per-config validation cache; perfbench's tracer reads its cache_info() here
     check_metrics,
     fiber_norms_batch,
     lane_values,
@@ -80,9 +81,7 @@ class PerturbationTerm:
     def __post_init__(self):
         object.__setattr__(self, "coeff", tuple(float(c) for c in self.coeff))
         if self.ref_section is not None:
-            ref = np.array(self.ref_section, dtype=complex)
-            ref.flags.writeable = False
-            object.__setattr__(self, "ref_section", ref)
+            object.__setattr__(self, "ref_section", _frozen_complex_vector(self.ref_section))
 
     @cached_property
     def series(self):
@@ -112,6 +111,9 @@ def validate_perturbation(spec: PerturbationSpec, r_prime: int) -> list[Validati
         pows = (term.norm_prime_pow, term.norm_second_pow, term.ref_inner_pow, term.mixed_pow)
         if any(p < 0 for p in pows):
             issues.append(ValidationIssue("PerturbationOrderViolation", f"term {i} has a negative exponent"))
+            continue
+        if not all(float(p).is_integer() for p in pows):  # a NaN exponent too
+            issues.append(ValidationIssue("PerturbationOrderViolation", f"term {i} has a non-integral exponent"))
             continue
         if term.degree < 4:
             issues.append(

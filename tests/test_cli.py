@@ -654,6 +654,30 @@ def test_refused_metric_has_one_message_under_every_command(tmp_path):
                                "cos coefficient is not Hermitian (tolerance 1e-14)\n")
 
 
+def test_mis_shaped_harmonic_has_one_message(tmp_path, capsys):
+    # a cos-only g'' harmonic of the wrong size is one issue: the zero sin filled in beside it is not
+    # reported again
+    doc = presets.fourier_metric_config(2, 1)
+    doc["metrics"]["g_second"][0]["cos"] = [[1.5, 0], [0, 1.5]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "invalid config: config failed validation: MetricShapeViolation: "
+                                                "g_second harmonic 0 has shape (2, 2), expected (1, 1)\n")
+
+
+def test_loading_a_config_does_not_import_numpy_ma():
+    # numpy.ma takes a good share of start-up to import (cli._median exists to avoid it); a fresh
+    # interpreter that loads the default fixture through flipq.cli must not have imported it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; from flipq.cli import load_run_config; load_run_config(sys.argv[1]); "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, DEFAULT], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_metric_with_a_huge_harmonic_passes_by_the_grid_free_bound(tmp_path, capsys):
     # (2 + cos(2^62 theta)) I: the Weyl bound 2 - 1 > 0 certifies it, whatever its Lipschitz constant
     doc = presets.fourier_metric_config(2, 1)

@@ -14,6 +14,7 @@ from flipq import (
     ConfigInvalid,
     DimensionMismatch,
     FiberPoint,
+    FlipQError,
     MetricFieldSpec,
     ZeroScalar,
     chi_eval,
@@ -41,7 +42,8 @@ from flipq import (
 from flipq import kernels
 from flipq import core
 from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, min_metric_eigenvalue
-from flipq.perturbation import _tau_lanes, chi_parts_batch, match_lanes, matching_errors
+from flipq.perturbation import (PerturbationTerm, _tau_lanes, chi_parts_batch, match_lanes, matching_errors,
+                                rest_bound_scan, verify_conditions)
 from flipq.sampling import random_domain_batch, unit_directions_batch
 
 from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
@@ -203,10 +205,9 @@ def test_certificate_of_negative_harmonics():
     # cos(-theta) = cos theta and sin(-theta) = -sin theta: n = -1 certifies as n = 1
     for g_prime, mirror in (([(0, 1.5), (-1, 1.0, 0.3)], [(0, 1.5), (1, 1.0, -0.3)]),
                             ([(0, 1.0), (-1, 1.0)], [(0, 1.0), (1, 1.0)])):
-        got, want = _metrics_cached(_scalar_field(g_prime).metric_field), _metrics_cached(
-            _scalar_field(mirror).metric_field)
+        got, want = _metrics_cached(_scalar_field(g_prime)), _metrics_cached(_scalar_field(mirror))
         assert got == want
-    assert got[0] == (("g_prime", "indefinite", np.pi),)
+    assert got[0] == (core.ValidationIssue("PositivityViolation", f"g_prime({np.pi}) is not positive definite"),)
     doc = presets.fourier_metric_config(2, 1)
     doc["metrics"]["g_prime"][1]["n"] = -1
     assert check_metrics(parse_run_config(doc).model)[1] == 1.0
@@ -283,9 +284,13 @@ def test_metric_gate_on_empty_batch():
 
 
 def _one_fault_configs():
-    """(config, error type, message, validation code) per metric fault, each failing only that check."""
+    """(config, error type, message, validation code) per validation fault, each failing only that check."""
     skew = [[1.0, 0.5], [0.0, 1.0]]  # not Hermitian
     indefinite = [[1.0, 0.0], [0.0, -1.0]]
+
+    def perturbed(term):
+        return make_config(2, 2, terms=[term])
+
     return [
         (make_config(2, 2, metric_field=MetricFieldSpec.constant(skew, np.eye(2))), ConfigInvalid,
          "g_prime harmonic 0 cos coefficient is not Hermitian (tolerance 1e-14)", "HermitianViolation"),
@@ -295,27 +300,59 @@ def _one_fault_configs():
          "g_second harmonic 0 cos coefficient is not Hermitian (tolerance 1e-14)", "HermitianViolation"),
         (make_config(2, 2, metric_field=MetricFieldSpec.constant(np.eye(2), indefinite)), ConfigInvalid,
          "g_second(0.0) is not positive definite", "PositivityViolation"),
+        # a cos-only harmonic of the wrong size is one issue, not one for its cos and one for its zero sin
         (make_config(2, 2, metric_field=MetricFieldSpec.identity(2, 1)), DimensionMismatch,
-         "metric sizes 2/1 do not match ranks 2/2", "MetricShapeViolation"),
+         "g_second harmonic 0 has shape (1, 1), expected (2, 2)", "MetricShapeViolation"),
+        # harmonics of two sizes in one block, which no packing can stack
+        (make_config(2, 2, metric_field=MetricFieldSpec.fourier([(0, 2.0 * np.eye(2)), (1, np.eye(3))],
+                                                                [(0, np.eye(2))])), DimensionMismatch,
+         "g_prime harmonic 1 has shape (3, 3), expected (2, 2)", "MetricShapeViolation"),
+        # the non-finite entry, not the Hermitian test it also fails
+        (make_config(2, 2, metric_field=MetricFieldSpec.constant([[np.nan, 0.0], [0.0, 1.0]], np.eye(2))),
+         ConfigInvalid, "g_prime harmonic 0 has a non-finite entry", "MetricFiniteViolation"),
+        (make_config(0, 2), ConfigInvalid, "r_prime = 0 must be >= 1", "RankViolation"),
+        (make_config(2, 2, epsilon=np.nan), ConfigInvalid, "epsilon = nan must be > 0 with a finite 2*epsilon",
+         "EpsilonViolation"),
+        (make_config(2, 2, domain_radius=np.nan), ConfigInvalid,
+         "domain_radius = nan must be > 0 with a finite square", "DomainRadiusViolation"),
+        (perturbed(PerturbationTerm(norm_prime_pow=1, coeff=(0.1,))), ConfigInvalid,
+         "term 0 has degree 2; terms must have degree >= 4 so they vanish to order >= 3 at the zero section",
+         "PerturbationOrderViolation"),
+        (perturbed(PerturbationTerm(mixed_pow=1, coeff=())), ConfigInvalid,
+         "term 0 has an empty coefficient series", "PerturbationOrderViolation"),
+        (perturbed(PerturbationTerm(norm_prime_pow=-1, mixed_pow=2, coeff=(0.1,))), ConfigInvalid,
+         "term 0 has a negative exponent", "PerturbationOrderViolation"),
+        (perturbed(PerturbationTerm(norm_prime_pow=1.5, norm_second_pow=1, coeff=(0.1,))), ConfigInvalid,
+         "term 0 has a non-integral exponent", "PerturbationOrderViolation"),
+        (perturbed(PerturbationTerm(mixed_pow=1, coeff=(np.nan,))), ConfigInvalid,
+         "term 0 has a non-finite coefficient", "PerturbationCoefficientViolation"),
+        (perturbed(PerturbationTerm(ref_inner_pow=2, coeff=(0.1,))), ConfigInvalid,
+         "term 0 uses the reference pairing but has no section", "ReferenceSectionViolation"),
+        (perturbed(PerturbationTerm(ref_inner_pow=2, coeff=(0.1,), ref_section=[1.0])), ConfigInvalid,
+         "term 0 reference section has length 1, expected 2", "ReferenceSectionViolation"),
     ]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(len(_one_fault_configs())))
 def test_each_metric_code_has_one_message_on_every_path(case):
+    # every call that reads the config raises validation's one issue, with validation's message,
+    # also on a config built without build_model
     cfg, error, message, code = _one_fault_configs()[case]
     thetas = np.array([0.5, 1.5])
     y_prime, y_second = np.full((2, 2), 0.1 + 0j), np.full((2, 2), 0.1 + 0j)
-    for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg),
+    for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg), lambda: min_metric_eigenvalue(cfg),
                  lambda: fiber_norms(cfg, FiberPoint(BasePoint(0.5, 0.0), y_prime[0], y_second[0])),
-                 lambda: match_lanes(cfg, thetas, y_prime, y_second)):
+                 lambda: fiber_norms_batch(cfg, thetas, y_prime, y_second),
+                 lambda: chi_eval_batch(cfg, thetas, y_prime, y_second),
+                 lambda: match_lanes(cfg, thetas, y_prime, y_second),
+                 lambda: random_domain_batch(np.random.default_rng(5), cfg, 2),
+                 lambda: rest_bound_scan(cfg, 10),
+                 lambda: verify_conditions(cfg, phi_quadratic(cfg, 1.0, -1.0), n_theta=2)):
         with pytest.raises(error) as got:
             path()
         assert type(got.value) is error and str(got.value) == message
-    # validation writes the same message; the sizes are its per-harmonic shape check instead
     issues = validate_config(cfg).issues
-    assert {i.code for i in issues} == {code}
-    if code != "MetricShapeViolation":
-        assert [i.message for i in issues] == [message]
+    assert [(i.code, i.message) for i in issues] == [(code, message)]
 
 
 def test_faulty_theta_is_cached_once(monkeypatch):
@@ -514,6 +551,87 @@ def test_validate_reference_section():
     assert "ReferenceSectionViolation" in validate_config(cfg).codes()
 
 
+# metric coefficient matrices of size k, by kind: certified as an n = 0 term, certified next to it,
+# not Hermitian (for k > 1), negative definite, non-finite
+_MATRICES = {
+    "two": lambda k: 2.0 * np.eye(k),
+    "quarter": lambda k: 0.25 * np.eye(k),
+    "skew": lambda k: np.eye(k) + 0.5 * np.triu(np.ones((k, k)), 1),
+    "negative": lambda k: -np.eye(k),
+    "nan": lambda k: np.full((k, k), np.nan),
+}
+
+
+@st.composite
+def _library_configs(draw):
+    """ModelConfigs built in the library: each field takes a valid value, or one of its refused ones."""
+
+    def pick(good, *bad):  # good three times in four
+        return draw(st.sampled_from([good] * (3 * len(bad)) + list(bad)))
+
+    r_prime, r_second = pick(2, 0, 1), pick(1, 0, 2)
+
+    def block(rank):
+        k = max(pick(rank, rank + 1), 1)
+        terms = [(0, *(_MATRICES[pick("two", "skew", "negative", "nan")](k) for _ in range(draw(st.integers(1, 2)))))]
+        if draw(st.booleans()):
+            terms.append((draw(st.sampled_from([1, -1, 2])), _MATRICES[pick("quarter", "two", "nan")](k)))
+        return terms
+
+    def term():
+        return PerturbationTerm(norm_prime_pow=pick(0, 1, -1, 1.5), norm_second_pow=pick(0, 2), mixed_pow=pick(1, 0),
+                                ref_inner_pow=pick(0, 1), coeff=pick((0.1,), (), (np.nan,), (0.05, 0.02, -0.01)),
+                                ref_section=pick(np.ones(r_prime), None, np.ones(r_prime + 1)))
+
+    return make_config(r_prime, r_second, epsilon=pick(0.5, 0.0, -1.0, np.nan, np.inf),
+                       domain_radius=pick(0.8, 0.0, np.nan, 1e200),
+                       metric_field=MetricFieldSpec.fourier(block(r_prime), block(r_second)),
+                       terms=[term() for _ in range(draw(st.integers(0, 2)))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=_library_configs())
+def test_every_call_refuses_exactly_what_validation_refuses(cfg):
+    # a batch call returns exactly when validate_config passes the config, and otherwise raises its
+    # first issue's message; nothing but a FlipQError escapes
+    issues = validate_config(cfg).issues
+    thetas = np.array([0.5, 1.5])
+    y_prime, y_second = np.full((2, cfg.r_prime), 1e-3 + 0j), np.full((2, cfg.r_second), 1e-3 + 0j)
+    for call in (fiber_norms_batch, chi_eval_batch, match_lanes):
+        if not issues:
+            call(cfg, thetas, y_prime, y_second)
+            continue
+        with pytest.raises(FlipQError) as got:
+            call(cfg, thetas, y_prime, y_second)
+        assert str(got.value) == issues[0].message
+
+
+@pytest.mark.parametrize("g_prime, message", [
+    ([(0, 2.0 * np.eye(1)), (0.5, np.eye(1))], "harmonic n = 0.5 must be an integer"),
+    ([(0, 2.0 * np.eye(1)), (np.nan, np.eye(1))], "harmonic n = nan must be an integer"),
+    ([], "a metric block needs at least one harmonic"),
+], ids=["half", "nan", "empty"])
+def test_metric_field_refuses_what_it_cannot_represent(g_prime, message):
+    # a half harmonic was kept as n = 0 (g' = 3 I), and an empty block failed validation with numpy's error
+    with pytest.raises(ConfigInvalid) as got:
+        MetricFieldSpec.fourier(g_prime, [(0, np.eye(1))])
+    assert str(got.value) == message
+    field = MetricFieldSpec.fourier([(np.int64(0), 2.0 * np.eye(1)), (1.0, np.eye(1))], [(0, np.eye(1))])
+    assert [n for n, _, _ in field.g_prime_terms] == [0, 1]
+    # the constructor normalizes its terms too: plain lists made validate_config raise AttributeError
+    field = MetricFieldSpec(g_prime_terms=[(0, [[1.0]])], g_second_terms=[(0, [[1.0]], [[0.0]])])
+    assert validate_config(make_config(metric_field=field)).ok
+    with pytest.raises(ConfigInvalid) as got:
+        MetricFieldSpec(g_prime_terms=g_prime, g_second_terms=[(0, np.eye(1))])
+    assert str(got.value) == message
+
+
+def test_reference_section_is_a_vector():
+    # a 0-d section made validate_config raise IndexError
+    with pytest.raises(DimensionMismatch, match=re.escape("expected a vector, got shape ()")):
+        PerturbationTerm(ref_inner_pow=2, coeff=(0.1,), ref_section=1.0)
+
+
 def test_base_point_window():
     cfg = make_config(epsilon=0.5)
     with pytest.raises(ConfigInvalid):
@@ -626,7 +744,7 @@ def test_batch_entry_point_refuses_a_refused_metric(name):
     wrong = make_config(2, 2, metric_field=MetricFieldSpec.identity(2, 1))
     with pytest.raises(DimensionMismatch) as got:
         call(wrong, thetas, np.full((3, 2), 0.1 + 0.05j), np.full((3, 2), 0.2 - 0.1j))
-    assert str(got.value) == "metric sizes 2/1 do not match ranks 2/2"
+    assert str(got.value) == "g_second harmonic 0 has shape (1, 1), expected (2, 2)"
     # the same lanes on the certified field pass
     call(mixed_match_config(indefinite=False), *lanes)
 
