@@ -4,7 +4,7 @@ Families of circle moment maps on a split Hermitian bundle over an
 annulus, their quotient charts through the wall (including the rank-one
 tensor cone at the wall), spherical-blowup coordinates with the extended
 scaling action, perturbed defining functions with their verification, and
-the Newton-solved orbit rescaling that matches a perturbed wall
+the closed-form orbit rescaling that matches a perturbed wall
 hypersurface onto the moment level set.
 """
 

@@ -207,7 +207,6 @@ class MatchPass(NamedTuple):
     y_second: np.ndarray
     t: np.ndarray
     rho: np.ndarray
-    iterations: np.ndarray
     out_prime: np.ndarray
     out_second: np.ndarray
     errors: np.ndarray  # object: the lane's FlipQError (a graph value off the wall interval too), or None
@@ -226,7 +225,7 @@ def _match_pass(cfg, thetas, y_prime, y_second) -> MatchPass:
     segre_in = y_prime[:, :, None] * y_second[:, None, :]
     segre_out = m.out_prime[:, :, None] * m.out_second[:, None, :]
     deviation = np.abs(segre_in - segre_out).max(axis=(1, 2))
-    return MatchPass(thetas, y_prime, y_second, m.t, m.rho, m.iterations, m.out_prime, m.out_second,
+    return MatchPass(thetas, y_prime, y_second, m.t, m.rho, m.out_prime, m.out_second,
                      errors, resid, deviation)
 
 
@@ -265,7 +264,6 @@ def _match_entries(p: MatchPass) -> list[dict]:
         else:
             entry.update(
                 rho=float(p.rho[i]),
-                newton_iterations=int(p.iterations[i]),
                 matched=_point_json(p.thetas[i], p.t[i], out_prime[i], out_second[i]),
                 moment_residual=float(p.moment_residual[i]),
                 orbit_deviation=float(p.orbit_deviation[i]),

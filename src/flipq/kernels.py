@@ -257,39 +257,32 @@ def rescale_beta(r, ap, app):
     return -(r * ap + app / (r * r * r))
 
 
-def newton_rescale(ap, app, c, seed=None, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-    """Newton-solve the rescaling equation per point.
+def newton_rescale(ap, app, c, seed, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+    """Newton-solve the rescaling equation per point from the given seeds.
 
     Returns (rho, residual, iterations, status).  NaN seeds mark points
-    with no positive root; they come back with STATUS_NO_POSITIVE_ROOT.
+    with no positive root; they come back with STATUS_NO_POSITIVE_ROOT.  Only
+    |alpha| <= tol converges: a lane left above tol after max_iter steps, or
+    whose step overflows to a NaN residual, gets STATUS_NO_CONVERGENCE.
     """
-    ap = np.ascontiguousarray(ap, dtype=np.float64)
-    app = np.ascontiguousarray(app, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    if seed is None:
-        seed = np.sqrt(scale_root(ap, app, c))
-    seed = np.ascontiguousarray(seed, dtype=np.float64)
-    n = ap.shape[0]
+    ap, app, c, seed = (np.ascontiguousarray(a, dtype=np.float64) for a in (ap, app, c, seed))
     ok = np.isfinite(seed) & (seed > 0.0) & has_positive_root(ap, app, c)
     rho = np.where(ok, seed, 1.0)
-    iters = np.zeros(n, dtype=np.int32)
+    iters = np.zeros(ap.shape[0], dtype=np.int32)
     status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)
 
-    alpha = rescale_alpha(rho, ap, app, c)
-    active = ok & (np.abs(alpha) > tol)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        # only active lanes take the step; an inactive lane keeps its rho,
-        # so recomputing its alpha gives the same bits
-        with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):  # an overflowing seed or step ends in a NaN residual
+        alpha = rescale_alpha(rho, ap, app, c)
+        active = ok & (np.abs(alpha) > tol)
+        for _ in range(max_iter):
+            if not active.any():
+                break
+            # only active lanes take the step; an inactive lane keeps its rho,
+            # so recomputing its alpha gives the same bits
             new = rho - alpha / rescale_beta(rho, ap, app)
             rho = np.where(active, np.where(new <= 0.0, 0.5 * rho, new), rho)
             alpha = rescale_alpha(rho, ap, app, c)
-        iters += active
-        active &= np.abs(alpha) > tol
-    status[active] = STATUS_NO_CONVERGENCE
-    resid = np.abs(alpha)
-    rho = np.where(ok, rho, np.nan)
-    resid = np.where(ok, resid, np.nan)
-    return rho, resid, iters, status
+            iters += active
+            active &= np.abs(alpha) > tol
+    status[ok & ~(np.abs(alpha) <= tol)] = STATUS_NO_CONVERGENCE
+    return np.where(ok, rho, np.nan), np.where(ok, np.abs(alpha), np.nan), iters, status

@@ -14,9 +14,9 @@ unique positive root rho of
 
     alpha(rho) = -(rho^2 |v'|^2 - rho^-2 |v''|^2)/2 - chi(v) = 0,
 
-solved by guarded Newton (derivative beta(rho) = -(rho |v'|^2 +
-rho^-3 |v''|^2) < 0) from the closed-form seed.  Near the zero section the
-same equation is solved in renormalized form alpha/|v|^2, which stays well
+the level equation at t = chi(v), whose root rho^2 is kernels.scale_root;
+guarded Newton runs only from an explicit seed.  Near the zero section the
+equation is taken in renormalized form alpha/|v|^2, which stays well
 conditioned down to r = 0 where rho = 1 identically.
 """
 
@@ -453,10 +453,10 @@ def _rho_solution(m: LaneMatch) -> RhoSolution:
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
     """Solve chi_f(rho v', rho^-1 v'') = chi(v) for the unique positive rho.
 
-    Newton with the analytic derivative, seeded by default at the closed
-    form of the scalar reduction; an explicit seed exercises the global
-    behavior of the iteration (the derivative is negative everywhere, so
-    any positive seed converges to the same root).
+    By default rho is the closed-form root (0 iterations).  A seed, finite
+    and > 0, runs Newton with the analytic derivative from it instead: beta < 0
+    everywhere, so every positive seed tends to the same root, though one many
+    decades off can exhaust kernels.NEWTON_MAX_ITER.
     """
     return _rho_solution(rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second), seed=seed))
 
@@ -549,19 +549,28 @@ class LaneMatch(NamedTuple):
 
 
 def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, r2=None, seed=None) -> LaneMatch:
-    """Batch matching: chi, then the Newton rescaling, then the rescaled points.
+    """Batch matching: chi, then the rescaling root, then the rescaled points.
 
-    Lanes whose status is not STATUS_OK keep their input coordinates.  No lane
-    error raises, not even the fiber domain's: matching_errors reads them from the
-    result.  With r2, lane i is v = r w with r^2 = r2[i] and Newton solves the equation
-    over r^2 (t, g1, g2 stay those of v); seed replaces the closed-form seed.
+    rho is the square root of kernels.scale_root of each lane's equation: STATUS_OK exactly where
+    it is finite, with 0 iterations and residual |alpha(rho)|.  A seed, finite and > 0, runs
+    kernels.newton_rescale from it instead.  With r2, lane i is v = r w with r^2 = r2[i] and the
+    equation is taken over r^2 (t, g1, g2 stay those of v).  Lanes whose status is not STATUS_OK
+    keep their input coordinates.  No lane error raises, not even the fiber domain's:
+    matching_errors reads them from the result.
     """
     thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=False)
     equation = (g1, g2, c) if r2 is None else (g1 / r2, g2 / r2, c / r2)
-    rho, resid, iters, status = kernels.newton_rescale(*equation, seed=seed)
+    if seed is None:  # a finite root is positive, so the lane has one (has_positive_root)
+        rho = np.sqrt(kernels.scale_root(*equation))
+        resid, iters = np.abs(kernels.rescale_alpha(rho, *equation)), np.zeros(len(c), dtype=np.int32)
+        status = np.where(np.isfinite(rho), kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
+    elif not (np.isfinite(seed) & np.greater(seed, 0.0)).all():
+        raise ValueError(f"seed must be finite and > 0, got {seed}")
+    else:
+        rho, resid, iters, status = kernels.newton_rescale(*equation, seed=seed)
     scale = np.where(status == kernels.STATUS_OK, rho, 1.0)
     return LaneMatch(c, g1, g2, rho, resid, iters, status,
                      y_prime * scale[:, None], y_second / scale[:, None])
@@ -571,7 +580,7 @@ def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
     """Per lane of a match_lanes result, the FlipQError of matching that point, or None.
 
     It reads no metric: match_lanes has already refused a refused field.  A lane
-    outside the fiber domain gets its _domain_error; else a lane whose Newton
+    outside the fiber domain gets its _domain_error; else a lane whose rescaling
     status is not STATUS_OK gets its _rescale_error, from the zero pattern of
     its input, which a failed lane keeps in out_prime and out_second.
     Matching also needs the graph value inside the wall interval (wall_error).

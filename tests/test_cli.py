@@ -543,8 +543,22 @@ def _assert_matches_scalar_path(cfg, entries):
             continue
         assert "error" not in entry
         assert entry["rho"] == sol.rho
-        assert entry["newton_iterations"] == sol.iterations
+        assert sol.iterations == 0
     return messages
+
+
+@pytest.mark.parametrize("R", [1, 100, 1000])
+def test_match_has_no_errors_on_the_rescaled_fourier_preset(tmp_path, capsys, R):
+    # v -> R v with t -> R^2 t: the quartic coefficients scale by R^-2 and the wall by R^2; the
+    # matched points' moment residuals scale with R^2
+    doc = presets.fourier_metric_config(2, 1, epsilon=R**2, domain_radius=R)
+    doc["perturbation"]["terms"][0]["coeff_fourier"] = [0.1 / R**2, 0.05 / R**2]
+    config = tmp_path / "rescaled.json"
+    config.write_text(json.dumps(doc))
+    assert main(["match", "--config", str(config), "--random", "200", "--seed", "1"]) == 0
+    stats = json.loads(capsys.readouterr().out)["matching_stats"]
+    assert (stats["n_points"], stats["n_errors"]) == (200, 0)
+    assert stats["max_moment_residual"] <= 1e-12 * R**2
 
 
 def test_batched_match_agrees_with_scalar_path():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_metric, make_config, random_hermitian
-from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels
+from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels, perturbation
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
 from flipq.perturbation import _rescale_error, chi_parts_batch
@@ -328,9 +328,16 @@ def test_newton_loop_bitwise_masked_loop(max_iter):
         assert got[3][0] == kernels.STATUS_NO_CONVERGENCE
 
 
+def _unseeded_match(monkeypatch, ap, app, c):
+    """match_lanes, without a seed, on lanes whose equation is (a', a'', c): chi_parts_batch returns it."""
+    monkeypatch.setattr(perturbation, "chi_parts_batch", lambda *args, **kwargs: (c, ap, app))
+    n = len(c)
+    return perturbation.match_lanes(make_config(), np.zeros(n), np.zeros((n, 1)), np.zeros((n, 1)))
+
+
 @pytest.mark.parametrize("c", [-0.1, 0.0, 0.1])
 @pytest.mark.parametrize("prime_zero, second_zero", itertools.product([False, True], repeat=2))
-def test_has_positive_root_decides_classify_and_branch_check(prime_zero, second_zero, c):
+def test_has_positive_root_decides_classify_and_branch_check(monkeypatch, prime_zero, second_zero, c):
     # the rule, by zero pattern: both blocks present always have a root;
     # y'' = 0 needs c < 0, y' = 0 needs c > 0, the zero section none
     expected = {(False, False): True, (False, True): c < 0,
@@ -347,18 +354,18 @@ def test_has_positive_root_decides_classify_and_branch_check(prime_zero, second_
     error = _rescale_error(kernels.STATUS_NO_POSITIVE_ROOT, prime_zero, second_zero, c, np.nan, 0)
     assert isinstance(error, DegenerateBranch)
     assert (str(error) == "no positive root on this branch") == expected
-    status = kernels.newton_rescale(np.array([ap]), np.array([app]), np.array([c]))[3][0]
+    status = _unseeded_match(monkeypatch, np.array([ap]), np.array([app]), np.array([c])).status[0]
     assert (status == kernels.STATUS_OK) == expected
 
 
-def test_status_semantics():
+def test_status_semantics(monkeypatch):
     # no positive root: a' = 0 with c <= 0, a'' = 0 with c >= 0, zero vector
     ap = np.array([0.0, 1.0, 0.0])
     app = np.array([1.0, 0.0, 0.0])
     c = np.array([-0.2, 0.2, 0.0])
-    rho, resid, iters, status = kernels.newton_rescale(ap, app, c)
-    assert (status == kernels.STATUS_NO_POSITIVE_ROOT).all()
-    assert np.isnan(rho).all()
+    m = _unseeded_match(monkeypatch, ap, app, c)
+    assert (m.status == kernels.STATUS_NO_POSITIVE_ROOT).all()
+    assert np.isnan(m.rho).all()
 
 
 def test_closed_form_branches():
@@ -371,6 +378,18 @@ def test_closed_form_branches():
     # generic: both blocks present
     s = kernels.scale_root(np.array([4.0]), np.array([1.0]), np.array([0.0]))
     assert s[0] == pytest.approx(0.5)
+
+
+def test_scale_root_is_accurate_where_c_squared_dominates():
+    # c > 0 with x = a' a'' / c^2 tiny: the root is a'' / (2c) (1 - x/4 + O(x^2)), to 1e-15
+    # relative; the cancelling form (-c + sqrt(c^2 + a' a'')) / a' loses it, and no Newton
+    # step follows to polish it
+    ap = np.array([1.0, 1e-16, 1.0, 4.0])
+    app = np.array([1e-20, 0.25, 1e-10, 1e-300])
+    c = np.array([1.0, 0.125, 1.0, 1e-100])
+    reference = app / (2.0 * c) * (1.0 - ap * app / (4.0 * c * c))
+    np.testing.assert_allclose(kernels.scale_root(ap, app, c), reference, rtol=1e-15, atol=0.0)
+    assert reference[0] == 5e-21
 
 
 def test_newton_converges_from_far_seed():

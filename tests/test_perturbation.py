@@ -16,6 +16,7 @@ from flipq import (
     DegenerateDerivative,
     DimensionMismatch,
     FiberPoint,
+    MetricFieldSpec,
     NoConvergence,
     NoRoot,
     OutOfDomain,
@@ -43,10 +44,11 @@ from flipq import (
     verify_conditions,
 )
 from flipq import kernels
+from flipq.cli import main
 from flipq.config_io import build_model, parse_run_config, phi_from_config
 from flipq.core import fiber_norms_batch, one_lane
 from flipq.kernels import realify
-from flipq.perturbation import _tau_lanes, match_lanes, matching_errors, rescale_lanes
+from flipq.perturbation import _tau_lanes, chi_parts_batch, match_lanes, matching_errors, rescale_lanes
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction, unit_directions_batch
 
@@ -389,6 +391,15 @@ def test_rest_margin_flagging():
     assert not report.margin_ok
 
 
+def test_margin_bound_is_a_quarter_of_the_smallest_metric_eigenvalue():
+    # constant metrics 2 I: lambda_min = 2, so the bound is 0.5 (lambda_min = 1 would hide the factor)
+    cfg = make_config(metric_field=MetricFieldSpec.constant(2.0 * np.eye(1), 2.0 * np.eye(1)),
+                      terms=[mixed_quartic_term(0.1)])
+    report = rest_bound_scan(cfg, 100, seed=1)
+    assert report.margin_bound == 0.5
+    assert report.margin_ok == (report.margin_value <= 0.5)
+
+
 # -- solve_rho ---------------------------------------------------------------
 
 
@@ -416,6 +427,56 @@ def test_solve_rho_newton_from_far_seed(cfg_quartic_wide):
     assert iterated.rho == pytest.approx(polished.rho, abs=1e-10)
     far = solve_rho(cfg_quartic_wide, _point([1.0], [1.0]), seed=7.0)
     assert far.rho == pytest.approx(polished.rho, abs=1e-10)
+
+
+def test_solve_rho_step_to_nan_does_not_converge(cfg_quartic_wide):
+    # from rho = 1e-300, rho^2 underflows and the first step is NaN: a NaN residual never converges
+    with pytest.raises(NoConvergence, match="residual nan after 1 iterations"):
+        solve_rho(cfg_quartic_wide, _point([1.0], [1.0]), seed=1e-300)
+
+
+@pytest.mark.parametrize("seed", [-1.0, 0.0, np.nan, np.inf])
+def test_solve_rho_refuses_a_seed_that_is_not_finite_and_positive(cfg_quartic_wide, seed):
+    # the root exists; the seed is the caller's error
+    with pytest.raises(ValueError, match=re.escape(f"seed must be finite and > 0, got {seed}")):
+        solve_rho(cfg_quartic_wide, _point([1.0], [1.0]), seed=seed)
+
+
+@pytest.mark.parametrize("name", ["identity", "quartic", "fourier_metric", "ref_section",
+                                  "default.json", "quartic.json", "wrong_sign.json"])
+def test_unseeded_match_is_the_closed_form_root(name):
+    doc = (json.loads((FIXTURES / name).read_text()) if name.endswith(".json")
+           else getattr(presets, f"{name}_config")())
+    cfg = build_model(doc)
+    rng = np.random.default_rng(26)
+    thetas, yp, ys = random_domain_batch(rng, cfg, 512)
+    c, g1, g2 = chi_parts_batch(cfg, thetas, yp, ys)
+    for r2 in (None, rng.uniform(1e-8, 1.0, 512)):  # the point's equation, and a ray's over r^2
+        equation = (g1, g2, c) if r2 is None else (g1 / r2, g2 / r2, c / r2)
+        rho = np.sqrt(kernels.scale_root(*equation))
+        m = match_lanes(cfg, thetas, yp, ys, r2=r2)
+        assert m.rho.tobytes() == rho.tobytes()
+        assert m.residual.tobytes() == np.abs(kernels.rescale_alpha(rho, *equation)).tobytes()
+        assert (m.status == kernels.STATUS_OK).all() and not m.iterations.any()
+
+
+def test_unseeded_matching_never_runs_newton(monkeypatch, capsys, rng, cfg_quartic):
+    def refuse(*args, **kwargs):
+        raise AssertionError("newton_rescale ran without a seed")
+
+    monkeypatch.setattr(kernels, "newton_rescale", refuse)
+    thetas, yp, ys = random_domain_batch(rng, cfg_quartic, 64)
+    rho, t, _, _, status = matching_map_batch(cfg_quartic, thetas, yp, ys)
+    assert (status == kernels.STATUS_OK).all()
+    for i in range(4):
+        p = _point(yp[i], ys[i], theta=float(thetas[i]))
+        assert solve_rho(cfg_quartic, p).rho == rho[i]
+        assert matching_map(cfg_quartic, p).base.t == t[i]
+        wp, ws = random_unit_direction(rng, cfg_quartic, float(thetas[i]))
+        bp = BlowupPoint(r=0.1, w_prime=wp, w_second=ws, base=BasePoint(float(thetas[i]), 0.0))
+        assert abs(solve_rho_blowup(cfg_quartic, bp).rho - 1.0) < 1e-2
+    assert main(["report", "--config", str(FIXTURES / "quartic.json"), "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
 
 
 def test_solve_rho_degenerate_branches():

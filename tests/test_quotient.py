@@ -177,6 +177,7 @@ def test_chart_invariance_complex_scalar(cfg_identity):
     p = _point([1.0, 0.5j], [0.25, 1.0], t=0.0)
     a = quotient_chart(cfg, p)
     b = quotient_chart(cfg, cstar_act(1 + 1j, p))
+    assert (a.block, a.index) == ("prime", 0)
     assert (a.block, a.index) == (b.block, b.index)
     assert np.abs(a.affine - b.affine).max() <= 1e-12
     assert np.abs(a.line_fiber - b.line_fiber).max() <= 1e-12
