@@ -22,7 +22,7 @@ UNIT_NORM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BlowupPoint:
-    """Polar fiber coordinates: radius r >= 0 (finite, else ConfigInvalid) and unit direction (w', w'')."""
+    """Polar fiber coordinates: radius r >= 0 and unit direction (w', w''), all finite, else ConfigInvalid."""
 
     r: float
     w_prime: np.ndarray
@@ -35,6 +35,8 @@ class BlowupPoint:
             raise ConfigInvalid(f"blowup radius must be finite and >= 0, got {self.r}")
         object.__setattr__(self, "w_prime", _frozen_complex_vector(self.w_prime))
         object.__setattr__(self, "w_second", _frozen_complex_vector(self.w_second))
+        if not (np.isfinite(self.w_prime).all() and np.isfinite(self.w_second).all()):
+            raise ConfigInvalid(f"blowup direction must be finite, got w' = {self.w_prime}, w'' = {self.w_second}")
 
 
 @dataclass(frozen=True, eq=False)

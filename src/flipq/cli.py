@@ -297,8 +297,7 @@ def _blowup_rays(cfg, seed: int, n: int) -> RayPass:
     radii = np.array(BLOWUP_R_GRID)
     m = rescale_lanes(cfg, np.repeat(thetas, len(radii)),
                       (radii[:, None] * w_prime[:, None, :]).reshape(-1, cfg.r_prime),
-                      (radii[:, None] * w_second[:, None, :]).reshape(-1, cfg.r_second),
-                      r2=np.tile(radii**2, n))
+                      (radii[:, None] * w_second[:, None, :]).reshape(-1, cfg.r_second))
     deviation = np.abs(m.rho - 1.0).reshape(n, len(radii))
     slope = [None] * n
     complete = np.flatnonzero((deviation > 0).all(axis=1))

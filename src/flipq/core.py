@@ -316,9 +316,6 @@ class ValidationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.issues
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(i.code for i in self.issues)
-
 
 def validate_config(cfg: ModelConfig) -> ValidationReport:
     """Structural checks: ranks, epsilon, domain_radius, the metric (shapes, then its certificate),

@@ -15,9 +15,9 @@ unique positive root rho of
     alpha(rho) = -(rho^2 |v'|^2 - rho^-2 |v''|^2)/2 - chi(v) = 0,
 
 the level equation at t = chi(v), whose root rho^2 is kernels.scale_root;
-guarded Newton runs only from an explicit seed.  Near the zero section the
-equation is taken in renormalized form alpha/|v|^2, which stays well
-conditioned down to r = 0 where rho = 1 identically.
+guarded Newton runs only from an explicit seed, in solve_rho.  On the blowup
+boundary r = 0, rho = 1 identically; off it, a ray point v = r w is matched
+as any other lane.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .errors import (
     BoundViolated,
     DegenerateBranch,
     DegenerateDerivative,
-    FlipQError,
     NoConvergence,
     NoRoot,
+    OnCenter,
     OutOfDomain,
 )
 
@@ -431,48 +431,51 @@ class RhoSolution(NamedTuple):
     iterations: int
 
 
-def _rescale_error(status, prime_zero: bool, second_zero: bool, c: float, resid, iters) -> FlipQError:
-    """The error of a lane whose status is not STATUS_OK: its branch's when the zero pattern
-    of (y', y'') has no positive root, else the solver's (norms may underflow to 0)."""
+def _rescale_error(prime_zero: bool, second_zero: bool, c: float) -> DegenerateBranch:
+    """The error of a lane with no finite root: its branch's when the zero pattern of (y', y'')
+    has no positive root, else the closed form's (norms may underflow to 0)."""
     if not kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
         if prime_zero and second_zero:
             return DegenerateBranch("the rescaling equation is undefined on the zero section")
         if second_zero:
             return DegenerateBranch(f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0")
         return DegenerateBranch(f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0")
-    if status == kernels.STATUS_NO_POSITIVE_ROOT:
-        return DegenerateBranch("no positive root on this branch")
-    return NoConvergence(f"residual {resid:.3g} after {iters} iterations")
-
-
-def _rho_solution(m: LaneMatch) -> RhoSolution:
-    return RhoSolution(rho=float(m.rho[0]), residual=float(m.residual[0]),
-                       iterations=int(m.iterations[0]))
+    return DegenerateBranch("no positive root on this branch")
 
 
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
     """Solve chi_f(rho v', rho^-1 v'') = chi(v) for the unique positive rho.
 
-    By default rho is the closed-form root (0 iterations).  A seed, finite
-    and > 0, runs Newton with the analytic derivative from it instead: beta < 0
-    everywhere, so every positive seed tends to the same root, though one many
-    decades off can exhaust kernels.NEWTON_MAX_ITER.
+    By default rho is the closed-form root of match_lanes (0 iterations).  A
+    seed, finite and > 0, runs kernels.newton_rescale with the analytic
+    derivative from it instead: beta < 0 everywhere, so every positive seed
+    tends to the same root, though one many decades off can exhaust
+    kernels.NEWTON_MAX_ITER and raise NoConvergence.
     """
-    return _rho_solution(rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second), seed=seed))
+    if seed is not None and not 0.0 < seed < np.inf:
+        raise ValueError(f"seed must be finite and > 0, got {seed}")
+    m = rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
+    if seed is None:
+        return RhoSolution(rho=float(m.rho[0]), residual=float(m.residual[0]), iterations=0)
+    rho, resid, iters, status = kernels.newton_rescale(m.g1, m.g2, m.t, seed=seed)
+    if status[0] != kernels.STATUS_OK:
+        raise NoConvergence(f"residual {resid[0]:.3g} after {iters[0]} iterations")
+    return RhoSolution(rho=float(rho[0]), residual=float(resid[0]), iterations=int(iters[0]))
 
 
 def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
-    """Rescaling solve in renormalized polar form; exactly 1 on the boundary.
+    """rho at a blowup point: exactly 1 on the boundary r = 0, else solve_rho at v = r w.
 
-    For r > 0 this solves the same equation as solve_rho at v = r w but on
-    alpha / r^2, which stays uniformly conditioned as r -> 0; its residual
-    is reported in that normalization.
+    The boundary lane meets the metric gate and the shape rule too, and its
+    direction must be nonzero (OnCenter).
     """
-    lane = one_lane(bp.base.theta, bp.r * bp.w_prime, bp.r * bp.w_second)
-    if bp.r == 0.0:
-        fiber_norms_batch(cfg, *lane)  # the boundary lane meets the metric gate and the shape rule too
-        return RhoSolution(rho=1.0, residual=0.0, iterations=0)
-    return _rho_solution(rescale_lanes(cfg, *lane, r2=bp.r**2))
+    p = FiberPoint(base=bp.base, y_prime=bp.r * bp.w_prime, y_second=bp.r * bp.w_second)
+    if bp.r > 0.0:
+        return solve_rho(cfg, p)
+    fiber_norms_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
+    if not (bp.w_prime.any() or bp.w_second.any()):
+        raise OnCenter("the boundary rescaling needs a nonzero direction")
+    return RhoSolution(rho=1.0, residual=0.0, iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,37 +545,28 @@ class LaneMatch(NamedTuple):
     g2: np.ndarray
     rho: np.ndarray
     residual: np.ndarray
-    iterations: np.ndarray
     status: np.ndarray
     out_prime: np.ndarray
     out_second: np.ndarray
 
 
-def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second, r2=None, seed=None) -> LaneMatch:
+def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     """Batch matching: chi, then the rescaling root, then the rescaled points.
 
     rho is the square root of kernels.scale_root of each lane's equation: STATUS_OK exactly where
-    it is finite, with 0 iterations and residual |alpha(rho)|.  A seed, finite and > 0, runs
-    kernels.newton_rescale from it instead.  With r2, lane i is v = r w with r^2 = r2[i] and the
-    equation is taken over r^2 (t, g1, g2 stay those of v).  Lanes whose status is not STATUS_OK
-    keep their input coordinates.  No lane error raises, not even the fiber domain's:
-    matching_errors reads them from the result.
+    it is finite, with residual |alpha(rho)|.  Lanes whose status is not STATUS_OK keep their input
+    coordinates.  No lane error raises, not even the fiber domain's: matching_errors reads them
+    from the result.
     """
     thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=False)
-    equation = (g1, g2, c) if r2 is None else (g1 / r2, g2 / r2, c / r2)
-    if seed is None:  # a finite root is positive, so the lane has one (has_positive_root)
-        rho = np.sqrt(kernels.scale_root(*equation))
-        resid, iters = np.abs(kernels.rescale_alpha(rho, *equation)), np.zeros(len(c), dtype=np.int32)
-        status = np.where(np.isfinite(rho), kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
-    elif not (np.isfinite(seed) & np.greater(seed, 0.0)).all():
-        raise ValueError(f"seed must be finite and > 0, got {seed}")
-    else:
-        rho, resid, iters, status = kernels.newton_rescale(*equation, seed=seed)
+    # a finite root is positive, so the lane has one (has_positive_root)
+    rho = np.sqrt(kernels.scale_root(g1, g2, c))
+    status = np.where(np.isfinite(rho), kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
     scale = np.where(status == kernels.STATUS_OK, rho, 1.0)
-    return LaneMatch(c, g1, g2, rho, resid, iters, status,
+    return LaneMatch(c, g1, g2, rho, np.abs(kernels.rescale_alpha(rho, g1, g2, c)), status,
                      y_prime * scale[:, None], y_second / scale[:, None])
 
 
@@ -589,14 +583,13 @@ def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
     outside = _outside_domain(cfg, m.g1, m.g2)
     for i in np.flatnonzero(outside | (m.status != kernels.STATUS_OK)):
         errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if outside[i] else
-                     _rescale_error(m.status[i], not m.out_prime[i].any(), not m.out_second[i].any(),
-                                    m.t[i], m.residual[i], m.iterations[i]))
+                     _rescale_error(not m.out_prime[i].any(), not m.out_second[i].any(), m.t[i]))
     return errors
 
 
-def rescale_lanes(cfg: ModelConfig, thetas, y_prime, y_second, r2=None, seed=None) -> LaneMatch:
+def rescale_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     """match_lanes, raising the first lane error of matching_errors: the scalar solvers, the CLI's rays."""
-    m = match_lanes(cfg, thetas, y_prime, y_second, r2=r2, seed=seed)
+    m = match_lanes(cfg, thetas, y_prime, y_second)
     for error in matching_errors(cfg, m):
         if error is not None:
             raise error

@@ -1,5 +1,6 @@
 """Polar fiber coordinates, the extended action, boundary projectivization."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from flipq import (
     BasePoint,
     BlowupPoint,
+    ConfigInvalid,
+    DegenerateBranch,
     DimensionMismatch,
     FiberPoint,
     NotOnBoundary,
@@ -18,6 +21,7 @@ from flipq import (
     cstar_act_blowup,
     from_blowup,
     make_blowup_point,
+    solve_rho_blowup,
     to_blowup,
 )
 from flipq.core import fiber_norms
@@ -221,11 +225,11 @@ def test_boundary_coords_keep_the_largest_modulus_pivot(rng):
 
 
 def test_make_blowup_point_checks_unit(cfg_identity):
-    from flipq import ConfigInvalid
-
-    # a NaN entry fails the norm check too: NaN compares false
-    for w_prime, w_second in (([2.0], [0.0]), ([np.nan], [0.0]), ([1.0], [np.nan])):
-        with pytest.raises(ConfigInvalid, match="is not 1 to"):
+    with pytest.raises(ConfigInvalid, match="is not 1 to"):
+        make_blowup_point(cfg_identity, 1.0, [2.0], [0.0], BasePoint(0.0, 0.0))
+    # a NaN entry is refused by BlowupPoint before the norm check
+    for w_prime, w_second in (([np.nan], [0.0]), ([1.0], [np.nan])):
+        with pytest.raises(ConfigInvalid, match="blowup direction must be finite"):
             make_blowup_point(cfg_identity, 1.0, w_prime, w_second, BasePoint(0.0, 0.0))
     bp = make_blowup_point(cfg_identity, 1.0, [1.0], [0.0], BasePoint(0.0, 0.0))
     assert bp.r == 1.0
@@ -233,10 +237,38 @@ def test_make_blowup_point_checks_unit(cfg_identity):
 
 @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
 def test_make_blowup_point_refuses_a_negative_or_non_finite_radius(cfg_identity, r):
-    from flipq import ConfigInvalid
-
     with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
         make_blowup_point(cfg_identity, r, [1.0], [0.0], BasePoint(0.0, 0.0))
     # the rule is BlowupPoint's own: every blowup point obeys it
     with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
         _bp(r, [1.0], [0.0])
+
+
+BLOWUP_CALLS = {
+    "solve_rho_blowup": solve_rho_blowup,
+    "boundary_coords": boundary_coords,
+    "cstar_act_blowup": lambda cfg, bp: cstar_act_blowup(cfg, 2.0, bp),
+}
+
+# (call, r) -> the error a zero direction raises
+ZERO_DIRECTION_ERRORS = {
+    ("solve_rho_blowup", 0.0): (OnCenter, "the boundary rescaling needs a nonzero direction"),
+    ("solve_rho_blowup", 0.1): (DegenerateBranch, "the rescaling equation is undefined on the zero section"),
+    ("boundary_coords", 0.0): (OnCenter, "boundary coordinates need a nonzero direction"),
+    ("boundary_coords", 0.1): (NotOnBoundary, "needs r = 0 and t = 0"),
+    ("cstar_act_blowup", 0.0): (OnCenter, "the scaling action needs a nonzero direction"),
+    ("cstar_act_blowup", 0.1): (OnCenter, "the scaling action needs a nonzero direction"),
+}
+
+
+@pytest.mark.parametrize("direction", ["zero", "nan", "inf"])
+@pytest.mark.parametrize("r", [0.0, 0.1])
+@pytest.mark.parametrize("name", sorted(BLOWUP_CALLS))
+def test_blowup_calls_refuse_an_unusable_direction(cfg_identity, name, r, direction):
+    # a zero direction raises the call's own error, the boundary rescaling's too; a non-finite entry
+    # is refused with the point, before numpy can warn (RuntimeWarning is an error here)
+    w_prime, w_second = {"zero": ([0.0], [0.0]), "nan": ([np.nan], [0.0]), "inf": ([0.6], [np.inf])}[direction]
+    error, message = (ZERO_DIRECTION_ERRORS[name, r] if direction == "zero"
+                      else (ConfigInvalid, "blowup direction must be finite"))
+    with pytest.raises(error, match=re.escape(message)):
+        BLOWUP_CALLS[name](cfg_identity, _bp(r, w_prime, w_second))

@@ -525,20 +525,20 @@ def test_validate_default_config_clean(cfg_identity):
 
 def test_validate_rank_violation():
     cfg = make_config(r_prime=0)
-    assert "RankViolation" in validate_config(cfg).codes()
+    assert "RankViolation" in [i.code for i in validate_config(cfg).issues]
 
 
 def test_validate_positivity_violation():
     field = MetricFieldSpec.fourier([(1, np.eye(1))], [(0, np.eye(1))])
     cfg = make_config(metric_field=field)
-    assert "PositivityViolation" in validate_config(cfg).codes()
+    assert "PositivityViolation" in [i.code for i in validate_config(cfg).issues]
 
 
 def test_validate_perturbation_order():
     from flipq import PerturbationTerm
 
     cfg = make_config(terms=[PerturbationTerm(norm_prime_pow=1, coeff=(0.1,))])  # degree 2
-    assert "PerturbationOrderViolation" in validate_config(cfg).codes()
+    assert "PerturbationOrderViolation" in [i.code for i in validate_config(cfg).issues]
 
 
 def test_validate_reference_section():
@@ -548,7 +548,7 @@ def test_validate_reference_section():
         r_prime=2,
         terms=[PerturbationTerm(ref_inner_pow=2, coeff=(0.1,), ref_section=np.array([1.0]))],
     )
-    assert "ReferenceSectionViolation" in validate_config(cfg).codes()
+    assert "ReferenceSectionViolation" in [i.code for i in validate_config(cfg).issues]
 
 
 # metric coefficient matrices of size k, by kind: certified as an n = 0 term, certified next to it,

@@ -351,7 +351,7 @@ def test_has_positive_root_decides_classify_and_branch_check(monkeypatch, prime_
     assert kernels.has_positive_root(np.array([ap]), np.array([app]), np.array([c]))[0] == expected
     assert (classify(cfg, p) is StabilityClass.Stable) == expected
     # a zero pattern with a root leaves the failure to the solver's status
-    error = _rescale_error(kernels.STATUS_NO_POSITIVE_ROOT, prime_zero, second_zero, c, np.nan, 0)
+    error = _rescale_error(prime_zero, second_zero, c)
     assert isinstance(error, DegenerateBranch)
     assert (str(error) == "no positive root on this branch") == expected
     status = _unseeded_match(monkeypatch, np.array([ap]), np.array([app]), np.array([c])).status[0]

@@ -44,7 +44,7 @@ from flipq import (
     verify_conditions,
 )
 from flipq import kernels
-from flipq.cli import main
+from flipq.cli import BLOWUP_R_GRID, _blowup_rays, main
 from flipq.config_io import build_model, parse_run_config, phi_from_config
 from flipq.core import fiber_norms_batch, one_lane
 from flipq.kernels import realify
@@ -442,22 +442,36 @@ def test_solve_rho_refuses_a_seed_that_is_not_finite_and_positive(cfg_quartic_wi
         solve_rho(cfg_quartic_wide, _point([1.0], [1.0]), seed=seed)
 
 
-@pytest.mark.parametrize("name", ["identity", "quartic", "fourier_metric", "ref_section",
-                                  "default.json", "quartic.json", "wrong_sign.json"])
-def test_unseeded_match_is_the_closed_form_root(name):
+@pytest.mark.parametrize("seed", [-1.0, np.nan])
+def test_solve_rho_refuses_a_bad_seed_before_a_lane_error(cfg_quartic_wide, seed):
+    # a point outside the fiber domain, and the zero section, raise the seed's error too
+    for p in (_point([10.0], [10.0]), _point([0.0], [0.0])):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be finite and > 0, got {seed}")):
+            solve_rho(cfg_quartic_wide, p, seed=seed)
+
+
+# every preset and every shipped fixture that builds a model
+NAMED_CONFIGS = ["identity", "quartic", "fourier_metric", "ref_section",
+                 "default.json", "quartic.json", "wrong_sign.json"]
+
+
+def _named_config(name):
     doc = (json.loads((FIXTURES / name).read_text()) if name.endswith(".json")
            else getattr(presets, f"{name}_config")())
-    cfg = build_model(doc)
+    return build_model(doc)
+
+
+@pytest.mark.parametrize("name", NAMED_CONFIGS)
+def test_unseeded_match_is_the_closed_form_root(name):
+    cfg = _named_config(name)
     rng = np.random.default_rng(26)
     thetas, yp, ys = random_domain_batch(rng, cfg, 512)
     c, g1, g2 = chi_parts_batch(cfg, thetas, yp, ys)
-    for r2 in (None, rng.uniform(1e-8, 1.0, 512)):  # the point's equation, and a ray's over r^2
-        equation = (g1, g2, c) if r2 is None else (g1 / r2, g2 / r2, c / r2)
-        rho = np.sqrt(kernels.scale_root(*equation))
-        m = match_lanes(cfg, thetas, yp, ys, r2=r2)
-        assert m.rho.tobytes() == rho.tobytes()
-        assert m.residual.tobytes() == np.abs(kernels.rescale_alpha(rho, *equation)).tobytes()
-        assert (m.status == kernels.STATUS_OK).all() and not m.iterations.any()
+    rho = np.sqrt(kernels.scale_root(g1, g2, c))
+    m = match_lanes(cfg, thetas, yp, ys)
+    assert m.rho.tobytes() == rho.tobytes()
+    assert m.residual.tobytes() == np.abs(kernels.rescale_alpha(rho, g1, g2, c)).tobytes()
+    assert (m.status == kernels.STATUS_OK).all()
 
 
 def test_unseeded_matching_never_runs_newton(monkeypatch, capsys, rng, cfg_quartic):
@@ -490,15 +504,6 @@ def test_solve_rho_degenerate_branches():
         solve_rho(cfg_pos, _point([1.0], [0.0]))  # v'' = 0 with chi > 0
     with pytest.raises(DegenerateBranch):
         solve_rho(cfg_neg, _point([0.0], [0.0]))  # zero section
-
-
-def test_matching_errors_reports_no_convergence(cfg_quartic):
-    thetas, yp, ys = [0.0], [[0.3 + 0j]], [[0.2 + 0j]]
-    m = match_lanes(cfg_quartic, thetas, yp, ys)._replace(
-        status=np.array([kernels.STATUS_NO_CONVERGENCE], dtype=np.int8),
-        residual=np.array([1e-3]), iterations=np.array([50]))
-    [error] = matching_errors(cfg_quartic, m)
-    assert isinstance(error, NoConvergence) and str(error) == "residual 0.001 after 50 iterations"
 
 
 def test_solve_rho_sign_certificate(rng, cfg_fourier_quartic):
@@ -559,23 +564,6 @@ def test_blowup_solve_decay(rng, cfg_quartic):
             devs.append(abs(solve_rho_blowup(cfg_quartic, bp).rho - 1.0))
         for a, b in zip(devs, devs[1:]):
             assert a / b >= 50.0
-
-
-def test_match_lanes_polar_form_from_a_far_seed(rng, cfg_fourier_quartic):
-    # Newton's absolute tolerance applies to alpha / r^2, so a far seed still
-    # reaches the closed-form root at small r (on alpha itself, |alpha(1)| is
-    # O(r^4) and the iteration would stop at the seed)
-    cfg = cfg_fourier_quartic
-    n, r = 8, 1e-4
-    thetas = rng.uniform(0, 2 * np.pi, n)
-    wp, ws = zip(*(random_unit_direction(rng, cfg, theta) for theta in thetas))
-    y_prime, y_second, r2 = r * np.array(wp), r * np.array(ws), np.full(n, r * r)
-    near = match_lanes(cfg, thetas, y_prime, y_second, r2=r2)
-    far = match_lanes(cfg, thetas, y_prime, y_second, r2=r2, seed=np.ones(n))
-    assert (far.status == 0).all() and (far.iterations > 0).all()
-    assert far.residual.max() <= 1e-12
-    assert np.abs(far.rho - near.rho).max() <= 1e-12
-    assert np.abs(near.rho - 1.0).min() > 1e-11
 
 
 # -- renorm_eval -------------------------------------------------------------
@@ -804,6 +792,28 @@ def test_solve_rho_blowup_refuses_a_refused_metric_on_the_boundary():
         assert str(got.value) == MIXED_MATCH_REFUSAL
     assert solve_rho_blowup(mixed_match_config(indefinite=False),
                             BlowupPoint(0.0, p.y_prime, p.y_second, p.base)) == (1.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("name", NAMED_CONFIGS)
+def test_ray_rho_matches_an_independent_reference(name):
+    # the CLI's blowup rays are matched as plain lanes v = r w.  Reference: with e = tau(r w)/r^2,
+    # A = |w'|^2 and B = |w''|^2, rho^2 = 1 + delta solves A delta^2 + (A + B + 2e) delta + 2e = 0,
+    # taken here in forms without cancellation, so rho - 1 keeps its digits as r -> 0
+    cfg = _named_config(name)
+    rays = _blowup_rays(cfg, 26, 64)
+    k = len(BLOWUP_R_GRID)
+    thetas = np.repeat(rays.thetas, k)
+    wp, ws = np.repeat(rays.w_prime, k, axis=0), np.repeat(rays.w_second, k, axis=0)
+    r = np.tile(BLOWUP_R_GRID, len(rays.thetas))
+    rho = rescale_lanes(cfg, thetas, r[:, None] * wp, r[:, None] * ws).rho
+    assert rays.deviation.tobytes() == np.abs(rho - 1.0).tobytes()
+    a, b = fiber_norms_batch(cfg, thetas, wp, ws)
+    e = np.array([renorm_eval(cfg, cfg.perturbation, 2, *lane) for lane in zip(r, wp, ws, thetas)])
+    delta = -4.0 * e / (a + b + 2.0 * e + np.sqrt((a - b - 2.0 * e) ** 2 + 4.0 * a * b))
+    reference = 1.0 + delta / (1.0 + np.sqrt(1.0 + delta))
+    assert np.abs(rho - reference).max() <= 2.3e-16
+    if not cfg.perturbation.terms:
+        assert (reference == 1.0).all()
 
 
 @pytest.mark.parametrize("r", [-0.1, np.nan])
