@@ -89,6 +89,23 @@ MUTANTS = (
         "s = (-c + disc) / ap",
         ("tests/test_kernels.py::test_scale_root_is_accurate_where_c_squared_dominates",),
     ),
+    # a lane of tiny coefficients is scaled by a power of two before c * c and a' a'' underflow
+    Mutant(
+        "scale-root-unscaled",
+        "src/flipq/kernels.py",
+        "far = (big < 2.0**-500) | (big >= 2.0**500)",
+        "far = np.zeros(len(big), dtype=bool)",
+        ("tests/test_kernels.py::test_scale_root_is_invariant_under_a_power_of_two",
+         "tests/test_perturbation.py::test_solve_rho_blowup_is_one_on_a_tiny_ray"),
+    ),
+    # a refused config is refused before a bad seed, as by every call that reads the config
+    Mutant(
+        "seeded-solve-checks-seed-before-config",
+        "src/flipq/perturbation.py",
+        "    check_metrics(cfg)\n    if seed is not None",
+        "    if seed is not None",
+        ("tests/test_perturbation.py::test_solve_rho_refuses_a_refused_config_before_a_bad_seed",),
+    ),
     # on the blowup boundary r = 0, rho is exactly 1: v = 0 itself has no rescaling
     Mutant(
         "blowup-solve-without-boundary-branch",

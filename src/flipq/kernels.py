@@ -219,12 +219,31 @@ def fourier_pairing(thetas, y, a, ns, sines, coeffs):
 # Closed-form positive root of  a' s^2 + 2 c s - a'' = 0  (s = rho^2)
 
 
+def _into_float_range(ap, app, c):
+    """(a', a'', c) with each lane whose largest |coefficient| lies outside 2^-500 .. 2^500 scaled
+    by an exact power of two into [1/2, 1), so that c * c and a' a'' neither underflow nor overflow.
+
+    scale_root is homogeneous of degree 0 in them, so a scaled lane keeps its root and every other
+    lane keeps its bits.
+    """
+    big = np.abs(ap)
+    np.maximum(big, np.abs(app), out=big)
+    np.maximum(big, np.abs(c), out=big)
+    far = (big < 2.0**-500) | (big >= 2.0**500)
+    if not far.any():
+        return ap, app, c
+    e = np.where(far, -np.frexp(big)[1], 0)
+    return np.ldexp(ap, e), np.ldexp(app, e), np.ldexp(c, e)
+
+
 def scale_root(ap, app, c):
     """Positive root s of a' s^2 + 2 c s - a'' = 0, NaN where none exists."""
     ap = np.ascontiguousarray(ap, dtype=np.float64)
     app = np.ascontiguousarray(app, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
-    # an overflowing c * c gives s = 0 or inf, which is marked NaN below
+    ap, app, c = _into_float_range(ap, app, c)
+    # a non-finite coefficient, or a root beyond the float range, gives s = 0, inf or NaN,
+    # which is marked NaN below
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         disc = np.sqrt(c * c + ap * app)
         # rationalized form for c >= 0 avoids cancellation in -c + disc

@@ -450,8 +450,10 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
     seed, finite and > 0, runs kernels.newton_rescale with the analytic
     derivative from it instead: beta < 0 everywhere, so every positive seed
     tends to the same root, though one many decades off can exhaust
-    kernels.NEWTON_MAX_ITER and raise NoConvergence.
+    kernels.NEWTON_MAX_ITER and raise NoConvergence.  A refused config is
+    refused first, then a bad seed, then the lane's own errors.
     """
+    check_metrics(cfg)
     if seed is not None and not 0.0 < seed < np.inf:
         raise ValueError(f"seed must be finite and > 0, got {seed}")
     m = rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
@@ -467,7 +469,9 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     """rho at a blowup point: exactly 1 on the boundary r = 0, else solve_rho at v = r w.
 
     The boundary lane meets the metric gate and the shape rule too, and its
-    direction must be nonzero (OnCenter).
+    direction must be nonzero (OnCenter).  Off it, rho - 1 stays within an
+    ulp of its reference while |v|^2 is a normal float (r above about 1e-154):
+    kernels.scale_root rescales the tiny coefficients of a small ray point.
     """
     p = FiberPoint(base=bp.base, y_prime=bp.r * bp.w_prime, y_second=bp.r * bp.w_second)
     if bp.r > 0.0:

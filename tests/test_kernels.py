@@ -392,6 +392,18 @@ def test_scale_root_is_accurate_where_c_squared_dominates():
     assert reference[0] == 5e-21
 
 
+@pytest.mark.parametrize("k", [-900, -600, 600, 900])
+def test_scale_root_is_invariant_under_a_power_of_two(k):
+    # s is homogeneous of degree 0: scaling a', a'' and c by 2^k, where c * c or a' a''
+    # would underflow or overflow, leaves every root bit unchanged
+    rng = np.random.default_rng(7)
+    ap, app = rng.uniform(0.5, 2.0, 64), rng.uniform(0.5, 2.0, 64)
+    c = rng.uniform(-2.0, 2.0, 64)
+    s = kernels.scale_root(ap, app, c)
+    assert np.isfinite(s).all()
+    assert kernels.scale_root(np.ldexp(ap, k), np.ldexp(app, k), np.ldexp(c, k)).tobytes() == s.tobytes()
+
+
 def test_newton_converges_from_far_seed():
     ap = np.array([1.0])
     app = np.array([1.0])
@@ -421,8 +433,8 @@ def test_newton_iteration_cap():
 
 @pytest.mark.filterwarnings("error")
 def test_scale_root_overflow_is_silent():
-    # c * c overflows; no floating-point warning reaches stderr, and a lane
-    # gives either its root (about 1 / 2c for c > 0, -2c for c < 0) or NaN
+    # c * c would overflow unscaled; no floating-point warning reaches stderr, and
+    # each lane gives its root (about 1 / 2c for c > 0, -2c for c < 0)
     s = kernels.scale_root(np.ones(2), np.ones(2), np.array([1e200, -1e200]))
     for got, root in zip(s, (5e-201, 2e200)):
-        assert np.isnan(got) or got == pytest.approx(root, rel=1e-12)
+        assert got == pytest.approx(root, rel=1e-12)

@@ -450,6 +450,14 @@ def test_solve_rho_refuses_a_bad_seed_before_a_lane_error(cfg_quartic_wide, seed
             solve_rho(cfg_quartic_wide, p, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [None, -1.0])
+def test_solve_rho_refuses_a_refused_config_before_a_bad_seed(seed):
+    # the one config rule comes first, as for every call that reads the config
+    with pytest.raises(ConfigInvalid) as got:
+        solve_rho(mixed_match_config(), _point([0.6, 0.0], [0.8], theta=0.4), seed=seed)
+    assert str(got.value) == MIXED_MATCH_REFUSAL
+
+
 # every preset and every shipped fixture that builds a model
 NAMED_CONFIGS = ["identity", "quartic", "fourier_metric", "ref_section",
                  "default.json", "quartic.json", "wrong_sign.json"]
@@ -814,6 +822,18 @@ def test_ray_rho_matches_an_independent_reference(name):
     assert np.abs(rho - reference).max() <= 2.3e-16
     if not cfg.perturbation.terms:
         assert (reference == 1.0).all()
+
+
+@pytest.mark.parametrize("terms", [[], [mixed_quartic_term(0.1)]], ids=["tau0", "quartic"])
+@pytest.mark.parametrize("r", [1e-90, 1e-150])
+def test_solve_rho_blowup_is_one_on_a_tiny_ray(terms, r):
+    # |v|^2 ~ r^2 is still a normal float, but (r^2)^2 underflows: rho - 1 = O(r^2) stays
+    # within an ulp of 0 only if the closed form is scaled free of the underflow
+    cfg = make_config(terms=terms)
+    for angle in np.linspace(0.05, 1.5, 7):
+        bp = BlowupPoint(r, [np.cos(angle)], [np.sin(angle)], BasePoint(0.0, 0.0))
+        assert abs(solve_rho_blowup(cfg, bp).rho - 1.0) <= 2.3e-16
+    assert solve_rho_blowup(cfg, BlowupPoint(r, [0.6], [0.8], BasePoint(0.0, 0.0))).rho == 1.0
 
 
 @pytest.mark.parametrize("r", [-0.1, np.nan])
