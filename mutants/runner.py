@@ -7,8 +7,12 @@
 A mutant is applied to a copy of the repository under a temporary
 directory, never to the working tree, and only its node ids run there.  It
 is killed when they fail (pytest exit code 1); any other exit code, a pass
-included, is a survivor.  The exit code is 1 if a mutant survives or its old
-text does not occur exactly once.  Standard library only.
+included, is a survivor.  Before any mutant, the baseline runs the node ids
+of every row on an unmutated copy: a node id that already fails would count
+every mutant naming it as killed, so the gate fails with a "baseline:"
+message unless that run passes.  The exit code is 1 if the baseline fails,
+a mutant survives or its old text does not occur exactly once.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -28,22 +32,33 @@ SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_
                                  ".benchmarks")
 
 
-def run_mutant(mutant: Mutant) -> subprocess.CompletedProcess:
-    """Apply the mutant to a temporary copy of the tree and run its node ids there.
+def run_mutant(mutant: Mutant | None, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """Apply the mutant (None: no edit) to a temporary copy of the tree and run the node ids there.
 
     Raises ValueError, before any test runs, if the old text does not occur exactly once.
     """
     with tempfile.TemporaryDirectory(prefix="flipq-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=SKIPPED)
-        target = tree / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            raise ValueError(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times in {mutant.path}")
-        target.write_text(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            target = tree / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                raise ValueError(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times in {mutant.path}")
+            target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               *mutant.tests], cwd=tree, env=env, capture_output=True, text=True)
+                               *tests], cwd=tree, env=env, capture_output=True, text=True)
+
+
+def baseline_error() -> str | None:
+    """The "baseline:" message if the union of every row's node ids fails on an unmutated copy, else None."""
+    tests = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    result = run_mutant(None, tests)
+    if result.returncode == 0:
+        return None
+    tail = "\n".join((result.stdout + result.stderr).splitlines()[-15:])
+    return f"baseline: the unmutated tree fails its node ids (pytest exit {result.returncode}):\n{tail}"
 
 
 def main(names: list[str]) -> int:
@@ -52,10 +67,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
+    error = baseline_error()
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 1
     failed = 0
     for mutant in chosen:
         try:
-            code = run_mutant(mutant).returncode
+            code = run_mutant(mutant, mutant.tests).returncode
             verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
         except ValueError as e:
             verdict = str(e)

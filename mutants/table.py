@@ -122,4 +122,30 @@ MUTANTS = (
         "    if False:\n        raise NoConvergence",
         ("tests/test_perturbation.py::test_solve_rho_step_to_nan_does_not_converge",),
     ),
+    # a matched lane's graph value must lie in the wall interval: the third refusal, after domain and branch
+    Mutant(
+        "matching-errors-without-wall-rule",
+        "src/flipq/perturbation.py",
+        "for i in np.flatnonzero(outside | failed | ~cfg.in_wall(m.t)):",
+        "for i in np.flatnonzero(outside | failed):",
+        ("tests/test_perturbation.py::test_matching_errors_refuse_in_the_order_domain_branch_wall",),
+    ),
+    # chi_eval_batch, and so chi_eval and phi_graph, refuse a lane outside the fiber domain
+    Mutant(
+        "chi-eval-batch-without-domain-check",
+        "src/flipq/perturbation.py",
+        "    chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)\n    _check_domain(cfg, g1, g2)\n",
+        "    chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)\n",
+        ("tests/test_perturbation.py::test_first_out_of_domain_lane_fails_the_whole_batch[chi_eval_batch]",
+         "tests/test_perturbation.py::test_first_out_of_domain_lane_fails_the_whole_batch[chi_eval]",
+         "tests/test_perturbation.py::test_first_out_of_domain_lane_fails_the_whole_batch[phi_graph]"),
+    ),
+    # a lane whose |v|^2 is below the smallest normal float has lost its digits and is refused
+    Mutant(
+        "match-lanes-without-tiny-norm-rule",
+        "src/flipq/perturbation.py",
+        "ok = np.isfinite(rho) & (g1 + g2 >= np.finfo(float).tiny)",
+        "ok = np.isfinite(rho)",
+        ("tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-155]",),
+    ),
 )

@@ -41,7 +41,6 @@ from .perturbation import (
     rescale_lanes,
     rest_bound_scan,
     verify_conditions,
-    wall_error,
 )
 from .quotient import fiber_type, level_rho_batch, moment_value_batch
 from .sampling import complex_gaussian, complex_gaussian_rows, random_domain_batch, unit_directions_batch
@@ -209,7 +208,7 @@ class MatchPass(NamedTuple):
     rho: np.ndarray
     out_prime: np.ndarray
     out_second: np.ndarray
-    errors: np.ndarray  # object: the lane's FlipQError (a graph value off the wall interval too), or None
+    errors: np.ndarray  # object: the lane's FlipQError from matching_errors, or None
     moment_residual: np.ndarray
     orbit_deviation: np.ndarray
 
@@ -219,8 +218,6 @@ def _match_pass(cfg, thetas, y_prime, y_second) -> MatchPass:
     m = match_lanes(cfg, thetas, y_prime, y_second)
     errors = np.empty(len(thetas), dtype=object)
     errors[:] = matching_errors(cfg, m)
-    for i in np.flatnonzero(~cfg.in_wall(m.t)):
-        errors[i] = errors[i] or wall_error(cfg, m.t[i])
     resid = np.abs(moment_value_batch(cfg, thetas, m.t, m.out_prime, m.out_second))
     segre_in = y_prime[:, :, None] * y_second[:, None, :]
     segre_out = m.out_prime[:, :, None] * m.out_second[:, None, :]
@@ -243,7 +240,7 @@ def _match_with_draws(cfg, seed: int, lanes, random_n: int) -> MatchPass:
         if not wanted:
             break
         draws = random_domain_batch(rng, cfg, wanted)
-        kept = cfg.in_wall(chi_parts_batch(cfg, *draws, check_domain=False)[0])
+        kept = cfg.in_wall(chi_parts_batch(cfg, *draws)[0])
         parts.append([lane[kept] for lane in draws])
         wanted -= int(kept.sum())
     if wanted:

@@ -276,13 +276,14 @@ def rescale_beta(r, ap, app):
     return -(r * ap + app / (r * r * r))
 
 
-def newton_rescale(ap, app, c, seed, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def newton_rescale(ap, app, c, seed):
     """Newton-solve the rescaling equation per point from the given seeds.
 
     Returns (rho, residual, iterations, status).  NaN seeds mark points
     with no positive root; they come back with STATUS_NO_POSITIVE_ROOT.  Only
-    |alpha| <= tol converges: a lane left above tol after max_iter steps, or
-    whose step overflows to a NaN residual, gets STATUS_NO_CONVERGENCE.
+    |alpha| <= NEWTON_TOL converges: a lane left above it after NEWTON_MAX_ITER
+    steps (both read at call time), or whose step overflows to a NaN residual,
+    gets STATUS_NO_CONVERGENCE.
     """
     ap, app, c, seed = (np.ascontiguousarray(a, dtype=np.float64) for a in (ap, app, c, seed))
     ok = np.isfinite(seed) & (seed > 0.0) & has_positive_root(ap, app, c)
@@ -292,8 +293,8 @@ def newton_rescale(ap, app, c, seed, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
 
     with np.errstate(all="ignore"):  # an overflowing seed or step ends in a NaN residual
         alpha = rescale_alpha(rho, ap, app, c)
-        active = ok & (np.abs(alpha) > tol)
-        for _ in range(max_iter):
+        active = ok & (np.abs(alpha) > NEWTON_TOL)
+        for _ in range(NEWTON_MAX_ITER):
             if not active.any():
                 break
             # only active lanes take the step; an inactive lane keeps its rho,
@@ -302,6 +303,6 @@ def newton_rescale(ap, app, c, seed, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
             rho = np.where(active, np.where(new <= 0.0, 0.5 * rho, new), rho)
             alpha = rescale_alpha(rho, ap, app, c)
             iters += active
-            active &= np.abs(alpha) > tol
-    status[ok & ~(np.abs(alpha) <= tol)] = STATUS_NO_CONVERGENCE
+            active &= np.abs(alpha) > NEWTON_TOL
+    status[ok & ~(np.abs(alpha) <= NEWTON_TOL)] = STATUS_NO_CONVERGENCE
     return np.where(ok, rho, np.nan), np.where(ok, np.abs(alpha), np.nan), iters, status

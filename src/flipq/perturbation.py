@@ -17,7 +17,8 @@ unique positive root rho of
 the level equation at t = chi(v), whose root rho^2 is kernels.scale_root;
 guarded Newton runs only from an explicit seed, in solve_rho.  On the blowup
 boundary r = 0, rho = 1 identically; off it, a ray point v = r w is matched
-as any other lane.
+as any other lane.  matching_errors alone refuses a matched lane: outside
+the fiber domain, then with no positive root, then off the wall interval.
 """
 
 from __future__ import annotations
@@ -189,21 +190,28 @@ def _tau_lanes(cfg: ModelConfig, terms, thetas, y_prime, y_second):
     return g1, g2, values
 
 
-def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second, check_domain=True):
-    """Vectorized (chi, g1, g2) over point batches: the quadratic part, then each term's values."""
+def chi_parts_batch(cfg: ModelConfig, thetas, y_prime, y_second):
+    """Vectorized (chi, g1, g2) over point batches: the quadratic part, then each term's values.
+
+    It refuses no lane, not even one outside the fiber domain: chi_eval_batch does.
+    """
     g1, g2, values = _tau_lanes(cfg, cfg.perturbation.terms, thetas, y_prime, y_second)
-    if check_domain:
-        _check_domain(cfg, g1, g2)
     chi = -0.5 * (g1 - g2)
     for value in values:
         chi = chi + value
     return chi, g1, g2
 
 
+def chi_eval_batch(cfg: ModelConfig, thetas, y_prime, y_second):
+    """Graph values chi(v) over point batches; the first lane outside the fiber domain raises its OutOfDomain."""
+    chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
+    _check_domain(cfg, g1, g2)
+    return chi
+
+
 def chi_eval(cfg: ModelConfig, p: FiberPoint) -> float:
     """Graph value chi(v) at a fiber vector over theta (base t is ignored)."""
-    chi, _, _ = chi_parts_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
-    return float(chi[0])
+    return float(chi_eval_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))[0])
 
 
 def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
@@ -211,11 +219,6 @@ def taylor_rest(cfg: ModelConfig, p: FiberPoint) -> float:
     g1, g2, values = _tau_lanes(cfg, cfg.perturbation.terms, *one_lane(p.base.theta, p.y_prime, p.y_second))
     _check_domain(cfg, g1, g2)
     return float(sum(values, np.zeros(1))[0])
-
-
-def chi_eval_batch(cfg: ModelConfig, thetas, y_prime, y_second):
-    chi, _, _ = chi_parts_batch(cfg, thetas, y_prime, y_second)
-    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,7 @@ def phi_graph(cfg: ModelConfig) -> PhiFunc:
     """Defining function t - chi(v) whose zero set is the graph of chi."""
 
     def phi(thetas, y_prime, y_second, t):
-        chi, _, _ = chi_parts_batch(cfg, thetas, y_prime, y_second)
+        chi = chi_eval_batch(cfg, thetas, y_prime, y_second)
         return lane_values("t", t, len(chi)) - chi
 
     return phi
@@ -433,7 +436,7 @@ class RhoSolution(NamedTuple):
 
 def _rescale_error(prime_zero: bool, second_zero: bool, c: float) -> DegenerateBranch:
     """The error of a lane with no finite root: its branch's when the zero pattern of (y', y'')
-    has no positive root, else the closed form's (norms may underflow to 0)."""
+    has no positive root, else the closed form's (norms below the normal floats, say)."""
     if not kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
         if prime_zero and second_zero:
             return DegenerateBranch("the rescaling equation is undefined on the zero section")
@@ -446,19 +449,21 @@ def _rescale_error(prime_zero: bool, second_zero: bool, c: float) -> DegenerateB
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
     """Solve chi_f(rho v', rho^-1 v'') = chi(v) for the unique positive rho.
 
-    By default rho is the closed-form root of match_lanes (0 iterations).  A
-    seed, finite and > 0, runs kernels.newton_rescale with the analytic
-    derivative from it instead: beta < 0 everywhere, so every positive seed
-    tends to the same root, though one many decades off can exhaust
-    kernels.NEWTON_MAX_ITER and raise NoConvergence.  A refused config is
-    refused first, then a bad seed, then the lane's own errors.
+    By default rho is the closed-form root of match_lanes (0 iterations), with
+    residual |alpha(rho)|.  A seed, finite and > 0, runs kernels.newton_rescale
+    with the analytic derivative from it instead: beta < 0 everywhere, so every
+    positive seed tends to the same root, though one many decades off can
+    exhaust kernels.NEWTON_MAX_ITER and raise NoConvergence.  A refused config
+    is refused first, then a bad seed, then the lane's first matching_errors
+    entry (domain, branch, wall), so it succeeds exactly when matching_map does.
     """
     check_metrics(cfg)
     if seed is not None and not 0.0 < seed < np.inf:
         raise ValueError(f"seed must be finite and > 0, got {seed}")
     m = rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
     if seed is None:
-        return RhoSolution(rho=float(m.rho[0]), residual=float(m.residual[0]), iterations=0)
+        residual = np.abs(kernels.rescale_alpha(m.rho, m.g1, m.g2, m.t))
+        return RhoSolution(rho=float(m.rho[0]), residual=float(residual[0]), iterations=0)
     rho, resid, iters, status = kernels.newton_rescale(m.g1, m.g2, m.t, seed=seed)
     if status[0] != kernels.STATUS_OK:
         raise NoConvergence(f"residual {resid[0]:.3g} after {iters[0]} iterations")
@@ -470,8 +475,8 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
 
     The boundary lane meets the metric gate and the shape rule too, and its
     direction must be nonzero (OnCenter).  Off it, rho - 1 stays within an
-    ulp of its reference while |v|^2 is a normal float (r above about 1e-154):
-    kernels.scale_root rescales the tiny coefficients of a small ray point.
+    ulp of its reference while |v|^2 is a normal float (r above about 1.5e-154;
+    kernels.scale_root rescales tiny coefficients); below, the lane is refused.
     """
     p = FiberPoint(base=bp.base, y_prime=bp.r * bp.w_prime, y_second=bp.r * bp.w_second)
     if bp.r > 0.0:
@@ -521,13 +526,6 @@ def renorm_eval(
     return float(sum(a * r ** (d - k) for d, a in coeffs.items()))
 
 
-def wall_error(cfg: ModelConfig, c) -> OutOfDomain | None:
-    """The error of a graph value c outside the wall interval, else None."""
-    if not cfg.in_wall(c):
-        return OutOfDomain(f"graph value t = {c:.6g} leaves the wall interval (+-{cfg.epsilon})")
-    return None
-
-
 def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     """Carry a graph point onto the moment zero level along its orbit.
 
@@ -535,9 +533,6 @@ def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:
     value there vanishes and the rank-one tensor is unchanged.
     """
     m = rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
-    error = wall_error(cfg, m.t[0])
-    if error is not None:
-        raise error
     return FiberPoint(base=BasePoint(p.base.theta, m.t[0]), y_prime=m.out_prime[0], y_second=m.out_second[0])
 
 
@@ -548,7 +543,6 @@ class LaneMatch(NamedTuple):
     g1: np.ndarray
     g2: np.ndarray
     rho: np.ndarray
-    residual: np.ndarray
     status: np.ndarray
     out_prime: np.ndarray
     out_second: np.ndarray
@@ -558,36 +552,41 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     """Batch matching: chi, then the rescaling root, then the rescaled points.
 
     rho is the square root of kernels.scale_root of each lane's equation: STATUS_OK exactly where
-    it is finite, with residual |alpha(rho)|.  Lanes whose status is not STATUS_OK keep their input
+    it is finite and |v|^2 = g1 + g2 is at least the smallest normal float, below which the norms
+    have lost their digits.  Lanes whose status is not STATUS_OK get NaN rho and keep their input
     coordinates.  No lane error raises, not even the fiber domain's: matching_errors reads them
     from the result.
     """
     thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
-    c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second, check_domain=False)
+    c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     # a finite root is positive, so the lane has one (has_positive_root)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
-    status = np.where(np.isfinite(rho), kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
-    scale = np.where(status == kernels.STATUS_OK, rho, 1.0)
-    return LaneMatch(c, g1, g2, rho, np.abs(kernels.rescale_alpha(rho, g1, g2, c)), status,
-                     y_prime * scale[:, None], y_second / scale[:, None])
+    ok = np.isfinite(rho) & (g1 + g2 >= np.finfo(float).tiny)
+    rho = np.where(ok, rho, np.nan)
+    status = np.where(ok, kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
+    scale = np.where(ok, rho, 1.0)
+    return LaneMatch(c, g1, g2, rho, status, y_prime * scale[:, None], y_second / scale[:, None])
 
 
 def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
     """Per lane of a match_lanes result, the FlipQError of matching that point, or None.
 
-    It reads no metric: match_lanes has already refused a refused field.  A lane
-    outside the fiber domain gets its _domain_error; else a lane whose rescaling
-    status is not STATUS_OK gets its _rescale_error, from the zero pattern of
-    its input, which a failed lane keeps in out_prime and out_second.
-    Matching also needs the graph value inside the wall interval (wall_error).
+    The one rule that refuses a matched lane, in the order fiber domain, branch, wall.  A lane
+    outside the fiber domain gets its _domain_error; else a lane whose rescaling status is not
+    STATUS_OK gets its _rescale_error, from the zero pattern of its input, which a failed lane
+    keeps in out_prime and out_second; else a lane whose graph value t = chi(v) leaves the wall
+    interval gets an OutOfDomain.  It reads no metric: match_lanes has already refused a
+    refused field.
     """
     errors = [None] * len(m.t)
     outside = _outside_domain(cfg, m.g1, m.g2)
-    for i in np.flatnonzero(outside | (m.status != kernels.STATUS_OK)):
+    failed = m.status != kernels.STATUS_OK
+    for i in np.flatnonzero(outside | failed | ~cfg.in_wall(m.t)):
         errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if outside[i] else
-                     _rescale_error(not m.out_prime[i].any(), not m.out_second[i].any(), m.t[i]))
+                     _rescale_error(not m.out_prime[i].any(), not m.out_second[i].any(), m.t[i]) if failed[i] else
+                     OutOfDomain(f"graph value t = {m.t[i]:.6g} leaves the wall interval (+-{cfg.epsilon})"))
     return errors
 
 
@@ -603,9 +602,9 @@ def rescale_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
 def matching_map_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """Batch matching: returns (rho, t, out_prime, out_second, status).
 
-    Lanes with no positive root keep NaN rho and untouched coordinates;
-    status follows the kernel codes.  The first lane outside the fiber
-    domain raises its OutOfDomain for the whole batch.
+    Lanes whose status is not STATUS_OK keep NaN rho and untouched
+    coordinates; status follows the kernel codes.  The first lane outside the
+    fiber domain raises its OutOfDomain for the whole batch; no wall rule.
     """
     m = match_lanes(cfg, thetas, y_prime, y_second)
     _check_domain(cfg, m.g1, m.g2)

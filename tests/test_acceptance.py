@@ -328,12 +328,12 @@ def test_criterion_9_sign_separation():
         n = 1000
         thetas = rng.uniform(0, 2 * np.pi, n)
         yp = complex_gaussian(rng, (n, cfg.r_prime))
-        g1, _ = chi_parts_batch(cfg, thetas, yp, np.zeros((n, cfg.r_second)), check_domain=False)[1:]
+        g1, _ = chi_parts_batch(cfg, thetas, yp, np.zeros((n, cfg.r_second)))[1:]
         scale = cfg.domain_radius * rng.uniform(0.05, 0.999, n) / np.sqrt(g1)
         chi_prime = chi_parts_batch(cfg, thetas, yp * scale[:, None], np.zeros((n, cfg.r_second)))[0]
         worst_prime = max(worst_prime, float(chi_prime.max()))
         ys = complex_gaussian(rng, (n, cfg.r_second))
-        _, g2 = chi_parts_batch(cfg, thetas, np.zeros((n, cfg.r_prime)), ys, check_domain=False)[1:]
+        _, g2 = chi_parts_batch(cfg, thetas, np.zeros((n, cfg.r_prime)), ys)[1:]
         scale = cfg.domain_radius * rng.uniform(0.05, 0.999, n) / np.sqrt(g2)
         chi_second = chi_parts_batch(cfg, thetas, np.zeros((n, cfg.r_prime)), ys * scale[:, None])[0]
         worst_second = min(worst_second, float(chi_second.min()))

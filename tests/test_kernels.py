@@ -309,7 +309,7 @@ def _newton_masked_loop(ap, app, c, seed, tol=kernels.NEWTON_TOL, max_iter=kerne
 
 
 @pytest.mark.parametrize("max_iter", [2, kernels.NEWTON_MAX_ITER])
-def test_newton_loop_bitwise_masked_loop(max_iter):
+def test_newton_loop_bitwise_masked_loop(monkeypatch, max_iter):
     # lanes: far seed, exact root (0 iterations), NaN seed, both blocks zero,
     # a'' = 0 with c = 0 and c > 0, a first step to rho = -4 that halves
     # instead, and a seed within tol of its root (0 iterations, rho kept
@@ -318,7 +318,8 @@ def test_newton_loop_bitwise_masked_loop(max_iter):
     app = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     c = np.array([0.1, 0.0, 0.1, 0.1, 0.0, 0.2, 10.0, 0.0])
     seed = np.array([25.0, 1.0, np.nan, 1.0, 1.0, 1.0, 1.0, 1.0 + 1e-13])
-    got = kernels.newton_rescale(ap, app, c, seed=seed, max_iter=max_iter)
+    monkeypatch.setattr(kernels, "NEWTON_MAX_ITER", max_iter)  # read at call time
+    got = kernels.newton_rescale(ap, app, c, seed=seed)
     expected = _newton_masked_loop(ap, app, c, seed, max_iter=max_iter)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
@@ -330,7 +331,7 @@ def test_newton_loop_bitwise_masked_loop(max_iter):
 
 def _unseeded_match(monkeypatch, ap, app, c):
     """match_lanes, without a seed, on lanes whose equation is (a', a'', c): chi_parts_batch returns it."""
-    monkeypatch.setattr(perturbation, "chi_parts_batch", lambda *args, **kwargs: (c, ap, app))
+    monkeypatch.setattr(perturbation, "chi_parts_batch", lambda *args: (c, ap, app))
     n = len(c)
     return perturbation.match_lanes(make_config(), np.zeros(n), np.zeros((n, 1)), np.zeros((n, 1)))
 
@@ -416,14 +417,15 @@ def test_newton_converges_from_far_seed():
     assert rho[0] == pytest.approx(expected, abs=1e-10)
 
 
-def test_newton_iteration_cap():
+def test_newton_iteration_cap(monkeypatch):
     # the far seed needs more than two steps, the exact root (rho = 1 at
     # c = 0) none; a lane still above tol is reported
     ap = np.array([1.0, 1.0, 1.0])
     app = np.array([1.0, 1.0, 1.0])
     c = np.array([0.1, 0.0, 0.1])
     seed = np.array([25.0, 1.0, np.nan])
-    rho, resid, iters, status = kernels.newton_rescale(ap, app, c, seed=seed, max_iter=2)
+    monkeypatch.setattr(kernels, "NEWTON_MAX_ITER", 2)
+    rho, resid, iters, status = kernels.newton_rescale(ap, app, c, seed=seed)
     assert status.tolist() == [
         kernels.STATUS_NO_CONVERGENCE, kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT,
     ]

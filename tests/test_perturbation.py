@@ -478,7 +478,9 @@ def test_unseeded_match_is_the_closed_form_root(name):
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
     m = match_lanes(cfg, thetas, yp, ys)
     assert m.rho.tobytes() == rho.tobytes()
-    assert m.residual.tobytes() == np.abs(kernels.rescale_alpha(rho, g1, g2, c)).tobytes()
+    residual = np.abs(kernels.rescale_alpha(rho, g1, g2, c))
+    for i in np.flatnonzero(cfg.in_wall(c))[:16]:  # solve_rho refuses a graph value off the wall
+        assert solve_rho(cfg, _point(yp[i], ys[i], theta=float(thetas[i]))).residual == residual[i]
     assert (m.status == kernels.STATUS_OK).all()
 
 
@@ -747,11 +749,23 @@ def _domain_lanes(cfg):
     return thetas, radii * w_prime, radii * w_second
 
 
-@pytest.mark.parametrize("call", [matching_map_batch, chi_eval_batch], ids=["matching_map_batch", "chi_eval_batch"])
+DOMAIN_REFUSERS = {
+    "matching_map_batch": matching_map_batch,
+    "chi_eval_batch": chi_eval_batch,
+    # chi_eval on the first lane outside the domain alone
+    "chi_eval": lambda cfg, thetas, yp, ys: chi_eval(cfg, _point(yp[2], ys[2], theta=float(thetas[2]))),
+    "phi_graph": lambda cfg, thetas, yp, ys: phi_graph(cfg)(thetas, yp, ys, np.zeros(len(thetas))),
+}
+
+
+@pytest.mark.parametrize("call", list(DOMAIN_REFUSERS))
 def test_first_out_of_domain_lane_fails_the_whole_batch(call, cfg_fourier_quartic):
+    lanes = _domain_lanes(cfg_fourier_quartic)
     with pytest.raises(OutOfDomain) as got:
-        call(cfg_fourier_quartic, *_domain_lanes(cfg_fourier_quartic))
+        DOMAIN_REFUSERS[call](cfg_fourier_quartic, *lanes)
     assert str(got.value) == "|v| = 1.2 exceeds domain_radius = 0.8"
+    # chi_parts_batch refuses no lane: it evaluates those outside the domain too
+    assert np.isfinite(chi_parts_batch(cfg_fourier_quartic, *lanes)).all()
 
 
 def test_match_lanes_leaves_the_domain_to_matching_errors(cfg_fourier_quartic):
@@ -767,6 +781,56 @@ def test_match_lanes_leaves_the_domain_to_matching_errors(cfg_fourier_quartic):
     # rescale_lanes raises the first lane error, here the zero section's
     with pytest.raises(DegenerateBranch, match="undefined on the zero section"):
         rescale_lanes(cfg, *_domain_lanes(cfg))
+
+
+def test_matching_errors_refuse_in_the_order_domain_branch_wall():
+    # chi = -(g1 - g2)/2 + g1^2 - g2^2: lanes that match; |v| > R with chi = 0; the zero section;
+    # y'' = 0 with chi = 0.5 >= 0, also off the wall (|t| < epsilon fails at t = epsilon); chi = 1.372
+    # off the wall; |v| > R with chi = 36 off the wall
+    cfg = make_config(epsilon=0.5, domain_radius=2.0, terms=[PerturbationTerm(norm_prime_pow=2, coeff=(1.0,)),
+                                                             PerturbationTerm(norm_second_pow=2, coeff=(-1.0,))])
+    thetas = np.linspace(0.1, 2.0, 6)
+    yp = np.array([[0.4], [1.5], [0.0], [1.0], [1.2], [2.5]], dtype=complex)
+    ys = np.array([[0.3], [1.5], [0.0], [0.0], [0.2], [0.5]], dtype=complex)
+    errors = matching_errors(cfg, match_lanes(cfg, thetas, yp, ys))
+    assert [type(e).__name__ if e else None for e in errors] == [
+        None, "OutOfDomain", "DegenerateBranch", "DegenerateBranch", "OutOfDomain", "OutOfDomain"]
+    assert [str(e) for e in errors[1:]] == ["|v| = 2.12132 exceeds domain_radius = 2.0",
+                                            "the rescaling equation is undefined on the zero section",
+                                            "no positive rescaling with y'' = 0 and chi(v) = 0.5 >= 0",
+                                            "graph value t = 1.372 leaves the wall interval (+-0.5)",
+                                            "|v| = 2.54951 exceeds domain_radius = 2.0"]
+    # every raising matcher raises its lane's entry; rescale_lanes on the batch raises the first
+    with pytest.raises(OutOfDomain, match=re.escape(str(errors[1]))):
+        rescale_lanes(cfg, thetas, yp, ys)
+    for i, error in enumerate(errors):
+        p = _point(yp[i], ys[i], theta=float(thetas[i]))
+        matchers = (lambda: rescale_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second)),
+                    lambda: solve_rho(cfg, p), lambda: matching_map(cfg, p))
+        for matcher in matchers:
+            if error is None:
+                matcher()
+                continue
+            with pytest.raises(type(error)) as got:
+                matcher()
+            assert str(got.value) == str(error)
+
+
+@pytest.mark.parametrize("r", [1e-150, 1e-155, 1e-158, 1e-161])
+def test_a_lane_below_the_normal_floats_is_refused(r):
+    # at r = 1e-150, |v|^2 = r^2 is a normal float and rho is 1; below about 1.5e-154 it is subnormal,
+    # its digits are lost, and the lane is refused rather than given a wrong rho
+    cfg = make_config()
+    bp = BlowupPoint(r, [0.6], [0.8], BasePoint(0.0, 0.0))
+    m = match_lanes(cfg, np.zeros(1), [[0.6 * r]], [[0.8 * r]])
+    if r == 1e-150:
+        assert solve_rho_blowup(cfg, bp).rho - 1.0 == 0.0
+        assert m.status[0] == kernels.STATUS_OK
+        return
+    assert m.status[0] == kernels.STATUS_NO_POSITIVE_ROOT and np.isnan(m.rho[0])
+    with pytest.raises(DegenerateBranch) as got:
+        solve_rho_blowup(cfg, bp)
+    assert str(got.value) == "no positive root on this branch"
 
 
 SCALAR_SOLVERS = {
