@@ -148,4 +148,31 @@ MUTANTS = (
         "ok = np.isfinite(rho)",
         ("tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-155]",),
     ),
+    # every scan float is formatted before the first byte is written, so a NaN writes nothing
+    Mutant(
+        "scan-floats-formatted-while-writing",
+        "src/flipq/cli.py",
+        "    texts = {x: _float_text(x) for x in set(column) - {0.0}}\n"
+        "    return (texts.get(x) or float.__repr__(x) for x in column)\n",
+        "    return (_float_text(x) for x in column)\n",
+        ("tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>9-nan0]",
+         "tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>10-inf]",
+         "tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>11--inf]"),
+    ),
+    # a NaN scan residual is no pass
+    Mutant(
+        "scan-ok-passes-nan",
+        "src/flipq/cli.py",
+        "return all(r <= SCAN_RESIDUAL_TOL for r in table.mean_level_residual)",
+        "return all(not r > SCAN_RESIDUAL_TOL for r in table.mean_level_residual)",
+        ("tests/test_cli.py::test_scan_ok_needs_every_residual_within_tolerance[nan]",),
+    ),
+    # len() of a scan table is its row count, which the traced benchmark reads as cli.scan_rows
+    Mutant(
+        "scan-table-len-is-column-count",
+        "src/flipq/cli.py",
+        "        return len(self.theta)\n",
+        "        return len(SCAN_COLUMNS)\n",
+        ("tests/test_trace_bindings.py::test_run_scan_returns_a_sized_sequence_of_rows",),
+    ),
 )

@@ -8,10 +8,14 @@ Match and scan run as batch passes; match and report compute matching_stats
 from the lane arrays of one match pass and one ray pass, and only match
 renders the per-point entries and ray documents; --random draws are kept
 only if their graph value lies in the wall interval, before that one match
-pass.  json.dumps(indent=2, sort_keys=True) writes every value of a document
-except the scan rows under its top-level "scan" key, which one %-template
-over the sorted SCAN_COLUMNS writes byte-identically.  --threads is accepted
-and ignored.
+pass.  A scan is a ScanTable, one list per SCAN_COLUMNS name, from the
+residual passes to the written bytes; --csv writes its columns to the file
+through csv.writer.  A document is written as pieces whose concatenation is
+json.dumps(indent=2, sort_keys=True, allow_nan=False) of it, byte for byte:
+json.dumps writes every value except a ScanTable under the top-level "scan"
+key, whose rows one %-template writes lazily.  Every text that can raise is
+formatted before the first byte is written, so a non-finite value fails the
+run with nothing written.  --threads is accepted and ignored.
 Exit codes: 0 pass, 1 check failure (also any other flipq error mid-run,
 reported on one stderr line), 2 config or usage error (also an --out or --csv
 path that cannot be written).
@@ -21,11 +25,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from operator import itemgetter
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,7 +58,25 @@ BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 MATCH_DRAW_ROUNDS = 100
 
 
-SCAN_COLUMNS = ("theta", "t", "fiber_type", "n_stable_samples", "mean_level_residual")
+@dataclass(frozen=True)
+class ScanTable:
+    """run_scan's grid rows as columns, one list per SCAN_COLUMNS name, in grid order.
+
+    The float columns hold Python floats, so the JSON and CSV texts are those
+    json.dumps and csv.writer give the row dicts; len() is the row count.
+    """
+
+    theta: list[float]
+    t: list[float]
+    fiber_type: list[str]
+    n_stable_samples: list[int]
+    mean_level_residual: list[float]
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+
+SCAN_COLUMNS = tuple(field.name for field in fields(ScanTable))
 
 
 def _v2j(v):
@@ -82,58 +104,82 @@ def _float_text(value: float) -> str:
     return text
 
 
-_SCAN_ROW = "{\n%s\n    }" % ",\n".join(f"      {_escape(key)}: %s" for key in sorted(SCAN_COLUMNS))
+# a row of the "scan" value, its separator from the previous row first
+_SCAN_ROW = "%s{\n" + ",\n".join(f"      {_escape(key)}: %s" for key in sorted(SCAN_COLUMNS)) + "\n    }"
 
 
-def _scan_text(rows: list[dict]) -> str:
-    """run_scan's rows as json.dumps writes the "scan" value of an indent=2 document.
+def _float_texts(column: list[float]) -> Iterator[str]:
+    """The column's texts, lazily; each distinct nonzero float is formatted here, once.
 
-    One %-template writes the columns in sorted order, row by row.  Each
-    distinct nonzero float's text is computed once per column; zero is never
-    memoized, because -0.0 == 0.0 and the two print apart.
+    Zero is never memoized, because -0.0 == 0.0 and the two print apart.
+    """
+    texts = {x: _float_text(x) for x in set(column) - {0.0}}
+    return (texts.get(x) or float.__repr__(x) for x in column)
+
+
+def _memo_texts(column: list, text) -> Iterator[str]:
+    """The column's texts, lazily; text runs here, once per distinct value."""
+    texts = {x: text(x) for x in set(column)}
+    return map(texts.__getitem__, column)
+
+
+def _scan_rows(table: ScanTable) -> Iterator[str]:
+    """The table's rows as json.dumps writes the "scan" value of an indent=2 document, lazily.
+
+    Every text that can raise is formatted before this returns; the rows are
+    then produced one at a time, each after its separator.
     """
     columns = []
     for key in sorted(SCAN_COLUMNS):
-        column = list(map(itemgetter(key), rows))
+        column = getattr(table, key)
         if key == "fiber_type":
-            columns.append(map(_escape, column))
+            columns.append(_memo_texts(column, _escape))
         elif key == "n_stable_samples":
-            columns.append(map(int.__repr__, column))
+            columns.append(_memo_texts(column, int.__repr__))
         else:
-            texts = {x: _float_text(x) for x in set(column) - {0.0}}
-            columns.append([texts.get(x) or float.__repr__(x) for x in column])
-    return "[\n    " + ",\n    ".join(map(_SCAN_ROW.__mod__, zip(*columns))) + "\n  ]"
+            columns.append(_float_texts(column))
+    separators = chain(("\n    ",), repeat(",\n    "))
+    return map(_SCAN_ROW.__mod__, zip(separators, *columns))
 
 
-def _json_text(doc) -> str:
-    """doc as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) writes it, byte for byte.
+def _json_pieces(doc) -> Iterable[str]:
+    """Pieces whose concatenation is json.dumps(doc, indent=2, sort_keys=True, allow_nan=False).
 
     json.dumps writes each top-level value, re-indented one level (JSON text
-    holds no raw newline), except the scan rows, which _scan_text writes.
+    holds no raw newline), except a ScanTable under the top-level "scan" key,
+    whose rows _scan_rows writes.  Everything that can raise runs before this
+    returns.
     """
-    if type(doc) is not dict or "scan" not in doc:
-        return json.dumps(doc, **_JSON)
-    return "{\n  " + ",\n  ".join(
-        _escape(key) + ": " + (_scan_text(doc[key]) if key == "scan"
-                               else json.dumps(doc[key], **_JSON).replace("\n", "\n  "))
-        for key in sorted(doc)) + "\n}"
+    if type(doc) is not dict or type(doc.get("scan")) is not ScanTable:
+        return (json.dumps(doc, **_JSON),)
+
+    def item(key) -> str:
+        return _escape(key) + ": " + json.dumps(doc[key], **_JSON).replace("\n", "\n  ")
+
+    # in key order, as json.dumps meets the values: the first refused value is the one it names
+    keys = sorted(doc)
+    at = keys.index("scan")
+    head = "{\n  " + "".join(item(key) + ",\n  " for key in keys[:at]) + '"scan": ['
+    rows = _scan_rows(doc["scan"])
+    tail = ("\n  ]" if doc["scan"] else "]") + "".join(",\n  " + item(key) for key in keys[at + 1:]) + "\n}"
+    return chain((head,), rows, (tail,))
 
 
-def _write(text: str, path: str | None) -> None:
-    """text to path, or to stdout without one: the one place the CLI writes output."""
+def _write(pieces: Iterable[str], path: str | None) -> None:
+    """pieces to path, or to stdout without one: the one place the CLI writes a document."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     with open(path, "w") as f:
-        f.write(text)
+        f.writelines(pieces)
 
 
 def _dump(doc, out_path: str | None) -> None:
     try:
-        text = _json_text(doc) + "\n"
+        pieces = _json_pieces(doc)
     except ValueError as e:  # a non-finite value: fail the run, never write a NaN token
         raise FlipQError(f"output holds a non-finite value ({e})") from e
-    _write(text, out_path)
+    _write(chain(pieces, ("\n",)), out_path)
 
 
 def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol: float,
@@ -173,7 +219,7 @@ def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
 
 
 def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
-             samples: int) -> list[dict]:
+             samples: int) -> ScanTable:
     cfg = run_cfg.model
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_steps, endpoint=False)
     ts = np.linspace(-cfg.epsilon, cfg.epsilon, t_steps + 2)[1:-1]
@@ -181,21 +227,24 @@ def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
     ts[np.abs(ts) < 1e-15 * cfg.epsilon] = 0.0
     grid_thetas, grid_ts = np.repeat(thetas, len(ts)), np.tile(ts, len(thetas))
     residuals = _scan_residuals(cfg, grid_thetas, grid_ts, samples, seed)
-    types = [fiber_type(BasePoint(0.0, t)).value for t in ts.tolist()] * len(thetas)
-    return [{"theta": theta, "t": t, "fiber_type": kind, "n_stable_samples": samples, "mean_level_residual": resid}
-            for theta, t, kind, resid in zip(grid_thetas.tolist(), grid_ts.tolist(), types, residuals)]
+    t_list = ts.tolist()
+    types = [fiber_type(BasePoint(0.0, t)).value for t in t_list]
+    # the rows of one theta share its float, and the rows of one t share theirs
+    return ScanTable(theta=[theta for theta in thetas.tolist() for _ in t_list], t=t_list * theta_steps,
+                     fiber_type=types * theta_steps, n_stable_samples=[samples] * len(residuals),
+                     mean_level_residual=residuals)
 
 
-def _scan_ok(rows: list[dict]) -> bool:
-    return all(row["mean_level_residual"] <= SCAN_RESIDUAL_TOL for row in rows)
+def _scan_ok(table: ScanTable) -> bool:
+    return all(r <= SCAN_RESIDUAL_TOL for r in table.mean_level_residual)
 
 
-def _scan_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, SCAN_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_scan_csv(table: ScanTable, path: str) -> None:
+    """The table to path as CSV, row by row from its columns."""
+    with open(path, "w") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(SCAN_COLUMNS)
+        writer.writerows(zip(*(getattr(table, key) for key in SCAN_COLUMNS)))
 
 
 class MatchPass(NamedTuple):
@@ -365,9 +414,9 @@ def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
     doc, conditions_ok = run_verify(
         run_cfg, seed, args.samples, args.fd_step, args.tol, theta_grid=args.theta_grid
     )
-    rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples)
+    table = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples)
     stats = matching_stats(*run_match(run_cfg, seed, [], args.match_samples, args.blowup_rays))
-    scan_ok = _scan_ok(rows)
+    scan_ok = _scan_ok(table)
     match_ok = (
         stats["n_errors"] == 0
         and stats["max_moment_residual"] is not None
@@ -375,7 +424,7 @@ def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
         and stats["max_orbit_deviation"] <= ORBIT_DEVIATION_TOL
     )
     passed = conditions_ok and scan_ok and match_ok
-    doc.update({"scan": rows, "matching_stats": stats, "pass": passed,
+    doc.update({"scan": table, "matching_stats": stats, "pass": passed,
                 "checks": {"conditions_ok": conditions_ok, "scan_ok": scan_ok, "match_ok": match_ok}})
     return doc, passed
 
@@ -485,10 +534,10 @@ def main(argv=None) -> int:
                 doc, ok = run_verify(run_cfg, seed, args.samples, args.fd_step, args.tol,
                                      theta_grid=args.theta_grid)
             elif args.command == "scan":
-                rows = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
+                table = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
                 if args.csv:
-                    _write(_scan_csv(rows), args.csv)
-                doc, ok = {"config_digest": run_cfg.digest, "seed": seed, "scan": rows}, _scan_ok(rows)
+                    _write_scan_csv(table, args.csv)
+                doc, ok = {"config_digest": run_cfg.digest, "seed": seed, "scan": table}, _scan_ok(table)
             elif args.command == "match":
                 points = [_parse_point(text, run_cfg.model) for text in args.point]
                 match, rays = run_match(run_cfg, seed, points, args.random, args.blowup_rays)

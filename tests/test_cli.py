@@ -25,7 +25,7 @@ from flipq import (
     presets,
     solve_rho,
 )
-from flipq.cli import _blowup_rays, _dump, _match_doc, main, run_match, run_scan
+from flipq.cli import ScanTable, _blowup_rays, _dump, _match_doc, _scan_ok, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config, parse_run_config
 from flipq.errors import ConfigParse
 from flipq.core import fiber_norms_batch
@@ -120,9 +120,9 @@ def test_scan_fiber_types_across_wall(tmp_path):
 def test_scan_wall_row_snaps_relative_to_epsilon(epsilon, t_steps, types):
     # the middle t of the grid is roundoff of epsilon's size; it alone is the wall fiber
     run_cfg = parse_run_config(presets.quartic_config(epsilon=epsilon))
-    rows = run_scan(run_cfg, 1, 1, t_steps, 2)
-    assert [r["fiber_type"] for r in rows] == types
-    assert [r["t"] == 0.0 for r in rows] == [kind == "QZero" for kind in types]
+    table = run_scan(run_cfg, 1, 1, t_steps, 2)
+    assert table.fiber_type == types
+    assert [t == 0.0 for t in table.t] == [kind == "QZero" for kind in types]
 
 
 def test_scan_zero_samples(capsys):
@@ -154,15 +154,27 @@ def test_scan_csv_header_and_rows(tmp_path):
     assert lines[0] == "theta,t,fiber_type,n_stable_samples,mean_level_residual"
     assert len(lines) == 7
     assert lines[1].split(",")[2] == "QPrime"
-    # the bytes csv.writer gives for the JSON document's rows, the wall row's t = 0.0 included
-    header = lines[0].split(",")
+    # the bytes csv.DictWriter gives for the JSON document's rows, the wall row's t = 0.0 included
     rows = json.loads((tmp_path / "o.json").read_text())["scan"]
     assert any(row["t"] == 0.0 for row in rows)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([row[key] for key in header] for row in rows)
+    writer = csv.DictWriter(buf, lines[0].split(","), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     assert csv_path.read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("residuals, ok", [
+    ([1e-13, 1e-12, 0.0], True),
+    ([1e-13, 2e-12, 0.0], False),
+    ([1e-13, float("nan"), 0.0], False),  # a NaN residual is no pass
+    ([1e-13, 0.0, float("nan")], False),
+], ids=["within", "above", "nan", "nan last"])
+def test_scan_ok_needs_every_residual_within_tolerance(residuals, ok):
+    n = len(residuals)
+    table = ScanTable(theta=[0.0] * n, t=[-0.1, 0.0, 0.1], fiber_type=["QPrime", "QZero", "QSecond"],
+                      n_stable_samples=[4] * n, mean_level_residual=residuals)
+    assert _scan_ok(table) is ok
 
 
 @pytest.mark.parametrize("argv", [
@@ -745,19 +757,19 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
     cfg = run_cfg.model
     k = 1000
     rows_per_block = BLOCK_LANES // k
-    rows = run_scan(run_cfg, 11, 3, 3, k)
-    assert len(rows) % rows_per_block != 0
+    table = run_scan(run_cfg, 11, 3, 3, k)
+    assert len(table) % rows_per_block != 0
     # one stream, drawn row by row in grid order
     rng = np.random.default_rng(11)
-    for row in rows:
+    for theta, t, residual, n in zip(table.theta, table.t, table.mean_level_residual, table.n_stable_samples):
         y_prime = complex_gaussian(rng, (k, cfg.r_prime))
         y_second = complex_gaussian(rng, (k, cfg.r_second))
-        thetas = np.full(k, row["theta"])
-        ts = np.full(k, row["t"])
+        thetas = np.full(k, theta)
+        ts = np.full(k, t)
         rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
         resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None], y_second / rho[:, None]))
-        assert row["mean_level_residual"] == float(resid.mean())
-        assert row["n_stable_samples"] == k
+        assert residual == float(resid.mean())
+        assert n == k
 
 
 
@@ -778,8 +790,8 @@ def test_scan_evaluates_trig_on_row_thetas(tmp_path, monkeypatch):
 
     monkeypatch.setattr(kernels.Harmonics, "_evaluate", recorded)
     k = 1000  # 4 rows per pass: 9 rows take passes of 4, 4 and 1 rows
-    rows = run_scan(run_cfg, 11, 3, 3, k)
-    assert len(rows) == 9
+    table = run_scan(run_cfg, 11, 3, 3, k)
+    assert len(table) == 9
     # g' has cos theta, g'' sin theta: two weights per pass, each of the pass's row count
     assert evaluated == [4, 4, 4, 4, 1, 1]
 
@@ -791,17 +803,17 @@ def test_scan_sample_count_above_the_lane_cap(tmp_path):
     run_cfg = load_run_config(str(path))
     cfg = run_cfg.model
     k = BLOCK_LANES + 3
-    rows = run_scan(run_cfg, 13, 2, 2, k)
+    table = run_scan(run_cfg, 13, 2, 2, k)
     rng = np.random.default_rng(13)
-    for row in rows:
+    for theta, t, residual, n in zip(table.theta, table.t, table.mean_level_residual, table.n_stable_samples):
         y_prime = complex_gaussian(rng, (k, cfg.r_prime))
         y_second = complex_gaussian(rng, (k, cfg.r_second))
-        thetas = np.full(k, row["theta"])
-        ts = np.full(k, row["t"])
+        thetas = np.full(k, theta)
+        ts = np.full(k, t)
         rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
         resid = np.abs(moment_value_batch(cfg, thetas, ts, y_prime * rho[:, None], y_second / rho[:, None]))
-        assert row["mean_level_residual"] == float(resid.mean())
-        assert row["n_stable_samples"] == k
+        assert residual == float(resid.mean())
+        assert n == k
 
 
 DRAW_SEEDS = (0, 3, 7, 2**32 + 5)
