@@ -140,13 +140,24 @@ MUTANTS = (
          "tests/test_perturbation.py::test_first_out_of_domain_lane_fails_the_whole_batch[chi_eval]",
          "tests/test_perturbation.py::test_first_out_of_domain_lane_fails_the_whole_batch[phi_graph]"),
     ),
-    # a lane whose |v|^2 is below the smallest normal float has lost its digits and is refused
+    # a lane whose |v|^2 is below the smallest normal float has lost its digits: kernels.scale_root
+    # gives it no root, so matching and the level normalization both refuse it
     Mutant(
         "match-lanes-without-tiny-norm-rule",
-        "src/flipq/perturbation.py",
-        "ok = np.isfinite(rho) & (g1 + g2 >= np.finfo(float).tiny)",
-        "ok = np.isfinite(rho)",
-        ("tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-155]",),
+        "src/flipq/kernels.py",
+        "lost = ap + app < NORM_SQ_MIN",
+        "lost = ap + app < 0.0",
+        ("tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-155]",
+         "tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-161]",
+         "tests/test_kernels.py::test_scale_root_refuses_a_subnormal_norm_sum_and_no_other_lane"),
+    ),
+    # to_blowup gives a nonzero vector whose |v|^2 is below the smallest normal float no direction
+    Mutant(
+        "to-blowup-without-lost-digits-rule",
+        "src/flipq/blowup.py",
+        "if ap + app < kernels.NORM_SQ_MIN:",
+        "if ap + app == 0.0:",
+        ("tests/test_blowup.py::test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits[1e-155]",),
     ),
     # every scan float is formatted before the first byte is written, so a NaN writes nothing
     Mutant(
@@ -158,6 +169,14 @@ MUTANTS = (
         ("tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>9-nan0]",
          "tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>10-inf]",
          "tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>11--inf]"),
+    ),
+    # the document is formatted before --csv writes the scan, so a refused scan writes no CSV either
+    Mutant(
+        "scan-csv-before-document-check",
+        "src/flipq/cli.py",
+        "    try:\n        pieces = _json_pieces(doc)\n",
+        "    if csv_path:\n        _write_scan_csv(doc[\"scan\"], csv_path)\n    try:\n        pieces = _json_pieces(doc)\n",
+        ("tests/test_json_writer.py::test_nan_scan_residual_writes_no_csv",),
     ),
     # a NaN scan residual is no pass
     Mutant(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .core import BasePoint, FiberPoint, ModelConfig, _frozen_complex_vector, fiber_norms, _cstar_scalar
 from .errors import ConfigInvalid, NotOnBoundary, OnCenter
 from .quotient import _pivot
@@ -60,11 +61,18 @@ def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
 
 
 def to_blowup(cfg: ModelConfig, p: FiberPoint) -> BlowupPoint:
-    """Polar decomposition y = r w off the zero section."""
+    """Polar decomposition y = r w off the zero section.
+
+    A nonzero y whose r^2 = |y'|^2 + |y''|^2 is below kernels.NORM_SQ_MIN, the
+    threshold kernels.scale_root reads, has lost its digits and gets no unit
+    direction: OnCenter, as on the zero section itself.
+    """
     ap, app = fiber_norms(cfg, p)
+    if ap + app < kernels.NORM_SQ_MIN:
+        if not (p.y_prime.any() or p.y_second.any()):
+            raise OnCenter("polar coordinates are undefined on the zero section")
+        raise OnCenter(f"|y|^2 = {ap + app:.3g} is below the smallest normal float: its digits are lost")
     r = float(np.sqrt(ap + app))
-    if r == 0.0:
-        raise OnCenter("polar coordinates are undefined on the zero section")
     return BlowupPoint(r=r, w_prime=p.y_prime / r, w_second=p.y_second / r, base=p.base)
 
 

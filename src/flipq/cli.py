@@ -10,7 +10,8 @@ renders the per-point entries and ray documents; --random draws are kept
 only if their graph value lies in the wall interval, before that one match
 pass.  A scan is a ScanTable, one list per SCAN_COLUMNS name, from the
 residual passes to the written bytes; --csv writes its columns to the file
-through csv.writer.  A document is written as pieces whose concatenation is
+through csv.writer, after the JSON document is formatted and before it is
+written.  A document is written as pieces whose concatenation is
 json.dumps(indent=2, sort_keys=True, allow_nan=False) of it, byte for byte:
 json.dumps writes every value except a ScanTable under the top-level "scan"
 key, whose rows one %-template writes lazily.  Every text that can raise is
@@ -174,11 +175,15 @@ def _write(pieces: Iterable[str], path: str | None) -> None:
         f.writelines(pieces)
 
 
-def _dump(doc, out_path: str | None) -> None:
+def _dump(doc, out_path: str | None, csv_path: str | None = None) -> None:
+    """doc to out_path (stdout without one) and, with csv_path, its scan table to csv_path as CSV,
+    both after every text of the document is formatted: a refused value writes neither."""
     try:
         pieces = _json_pieces(doc)
     except ValueError as e:  # a non-finite value: fail the run, never write a NaN token
         raise FlipQError(f"output holds a non-finite value ({e})") from e
+    if csv_path:
+        _write_scan_csv(doc["scan"], csv_path)
     _write(chain(pieces, ("\n",)), out_path)
 
 
@@ -535,8 +540,6 @@ def main(argv=None) -> int:
                                      theta_grid=args.theta_grid)
             elif args.command == "scan":
                 table = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
-                if args.csv:
-                    _write_scan_csv(table, args.csv)
                 doc, ok = {"config_digest": run_cfg.digest, "seed": seed, "scan": table}, _scan_ok(table)
             elif args.command == "match":
                 points = [_parse_point(text, run_cfg.model) for text in args.point]
@@ -544,7 +547,7 @@ def main(argv=None) -> int:
                 doc, ok = _match_doc(run_cfg, seed, match, rays), True
             else:
                 doc, ok = run_report(run_cfg, seed, args)
-            _dump(doc, args.out)
+            _dump(doc, args.out, getattr(args, "csv", None))  # only scan has --csv
             return 0 if ok else 1
 
         except ConfigParse as e:

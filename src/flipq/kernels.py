@@ -32,6 +32,10 @@ STATUS_NO_POSITIVE_ROOT = 2
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
+# The smallest normal float: a norm sum |v|^2 = a' + a'' below it is subnormal or 0 and has lost
+# its digits, so scale_root gives its lane no root and to_blowup no direction.
+NORM_SQ_MIN = np.finfo(float).tiny
+
 # Lanes per call in the blocked batch loops: the CLI's scan rows,
 # verify_conditions' stencil, and the lane blocks of fourier_norm_sq and
 # fourier_pairing, where only elementwise operations touch a lane.  Bounds the
@@ -237,18 +241,23 @@ def _into_float_range(ap, app, c):
 
 
 def scale_root(ap, app, c):
-    """Positive root s of a' s^2 + 2 c s - a'' = 0, NaN where none exists."""
+    """Positive root s of a' s^2 + 2 c s - a'' = 0, NaN where none exists.
+
+    The one rule for which lanes have a level root: NaN also where a' + a'' is below NORM_SQ_MIN,
+    read before _into_float_range scales the lane, since such norms have lost their digits.
+    """
     ap = np.ascontiguousarray(ap, dtype=np.float64)
     app = np.ascontiguousarray(app, dtype=np.float64)
     c = np.ascontiguousarray(c, dtype=np.float64)
-    ap, app, c = _into_float_range(ap, app, c)
     # a non-finite coefficient, or a root beyond the float range, gives s = 0, inf or NaN,
     # which is marked NaN below
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        lost = ap + app < NORM_SQ_MIN
+        ap, app, c = _into_float_range(ap, app, c)
         disc = np.sqrt(c * c + ap * app)
         # rationalized form for c >= 0 avoids cancellation in -c + disc
         s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)
-    bad = ~np.isfinite(s) | (s <= 0.0)
+    bad = ~np.isfinite(s) | (s <= 0.0) | lost
     return np.where(bad, np.nan, s)
 
 

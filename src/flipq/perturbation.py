@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
+from .blowup import from_blowup
 from .core import (
     BasePoint,
     FiberPoint,
@@ -436,7 +437,8 @@ class RhoSolution(NamedTuple):
 
 def _rescale_error(prime_zero: bool, second_zero: bool, c: float) -> DegenerateBranch:
     """The error of a lane with no finite root: its branch's when the zero pattern of (y', y'')
-    has no positive root, else the closed form's (norms below the normal floats, say)."""
+    has no positive root, else the closed form's (kernels.scale_root refuses a lane whose
+    |v|^2 is below kernels.NORM_SQ_MIN, say)."""
     if not kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
         if prime_zero and second_zero:
             return DegenerateBranch("the rescaling equation is undefined on the zero section")
@@ -476,9 +478,9 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     The boundary lane meets the metric gate and the shape rule too, and its
     direction must be nonzero (OnCenter).  Off it, rho - 1 stays within an
     ulp of its reference while |v|^2 is a normal float (r above about 1.5e-154;
-    kernels.scale_root rescales tiny coefficients); below, the lane is refused.
+    kernels.scale_root rescales tiny coefficients); below, kernels.scale_root refuses the lane.
     """
-    p = FiberPoint(base=bp.base, y_prime=bp.r * bp.w_prime, y_second=bp.r * bp.w_second)
+    p = from_blowup(bp)
     if bp.r > 0.0:
         return solve_rho(cfg, p)
     fiber_norms_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
@@ -551,11 +553,10 @@ class LaneMatch(NamedTuple):
 def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     """Batch matching: chi, then the rescaling root, then the rescaled points.
 
-    rho is the square root of kernels.scale_root of each lane's equation: STATUS_OK exactly where
-    it is finite and |v|^2 = g1 + g2 is at least the smallest normal float, below which the norms
-    have lost their digits.  Lanes whose status is not STATUS_OK get NaN rho and keep their input
-    coordinates.  No lane error raises, not even the fiber domain's: matching_errors reads them
-    from the result.
+    rho is the square root of kernels.scale_root of each lane's equation, NaN wherever scale_root
+    gives the lane no root (|v|^2 = g1 + g2 below kernels.NORM_SQ_MIN included): STATUS_OK exactly
+    where it is finite.  Lanes whose status is not STATUS_OK keep their input coordinates.  No lane
+    error raises, not even the fiber domain's: matching_errors reads them from the result.
     """
     thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
@@ -563,8 +564,7 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     # a finite root is positive, so the lane has one (has_positive_root)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
-    ok = np.isfinite(rho) & (g1 + g2 >= np.finfo(float).tiny)
-    rho = np.where(ok, rho, np.nan)
+    ok = np.isfinite(rho)
     status = np.where(ok, kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
     scale = np.where(ok, rho, 1.0)
     return LaneMatch(c, g1, g2, rho, status, y_prime * scale[:, None], y_second / scale[:, None])

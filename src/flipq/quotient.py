@@ -86,8 +86,10 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
     """Rescale a stable point onto the moment zero level.
 
     Returns (rho, p0) with p0 = rho . p and moment_value(p0) = 0 up to
-    roundoff.  The scaling is the closed-form positive root; unstable
-    points have none and raise NotStable.
+    roundoff.  The scaling is the closed-form positive root of
+    level_rho_batch; unstable points have none and raise NotStable, as does
+    a point that kernels.scale_root gives no root (|y'|^2 + |y''|^2 below
+    kernels.NORM_SQ_MIN, whose digits are lost), exactly as matching refuses it.
     """
     if classify(cfg, p) is StabilityClass.Unstable:
         raise NotStable("point is outside the fiberwise stable locus")
@@ -99,7 +101,8 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
 
 
 def level_rho_batch(cfg: ModelConfig, thetas, ts, y_prime, y_second):
-    """Closed-form level rescaling per point; NaN where no positive root."""
+    """Closed-form level rescaling per point: the square root of kernels.scale_root, so NaN
+    wherever it gives no root, a norm sum below kernels.NORM_SQ_MIN included."""
     ap, app = fiber_norms_batch(cfg, thetas, y_prime, y_second)
     s = kernels.scale_root(ap, app, lane_values("ts", ts, len(ap)))
     return np.sqrt(s)

@@ -58,6 +58,19 @@ def test_to_blowup_on_center(cfg_identity):
         to_blowup(cfg_identity, _point([0.0], [0.0]))
 
 
+@pytest.mark.parametrize("r", [1e-150, 1e-155, 1e-161, 1e-163])
+def test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits(cfg_identity, r):
+    # |v|^2 = r^2 is a normal float at 1e-150 and w is a unit direction; below the smallest normal
+    # float (kernels.NORM_SQ_MIN, scale_root's threshold too) it is subnormal or 0 for this nonzero v
+    p = _point([0.6 * r], [0.8 * r])
+    if r == 1e-150:
+        bp = to_blowup(cfg_identity, p)
+        assert abs(abs(bp.w_prime[0]) ** 2 + abs(bp.w_second[0]) ** 2 - 1.0) <= 1e-15
+        return
+    with pytest.raises(OnCenter, match="below the smallest normal float: its digits are lost"):
+        to_blowup(cfg_identity, p)
+
+
 def test_blowup_point_rejects_a_non_vector_direction():
     with pytest.raises(DimensionMismatch):
         _bp(0.0, [[1.0]], [0.0])

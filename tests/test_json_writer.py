@@ -81,7 +81,7 @@ def fourier_config(tmp_path):
 def test_command_documents_match_json_dumps(command, fixture, fourier_config, monkeypatch, capsys):
     docs = []
     dump = cli._dump
-    monkeypatch.setattr(cli, "_dump", lambda doc, out: (docs.append(doc), dump(doc, out)))
+    monkeypatch.setattr(cli, "_dump", lambda doc, out, csv_path: (docs.append(doc), dump(doc, out, csv_path)))
     config = fourier_config if fixture == "fourier" else str(FIXTURES / fixture)
     argv = COMMANDS[command] + ["--config", config]
     if command == "match":
@@ -214,7 +214,7 @@ def test_report_sweep_document_matches_json_dumps(monkeypatch, tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(presets.fourier_metric_config(2, 1, seed=1)))
     docs = []
-    monkeypatch.setattr(cli, "_dump", lambda doc, out: docs.append(doc))
+    monkeypatch.setattr(cli, "_dump", lambda doc, out, csv_path: docs.append(doc))
     main(["report", "--theta-steps", "64", "--t-steps", "31", "--match-samples", "2000",
           "--blowup-rays", "64", "--config", str(config)])
     [doc] = docs
@@ -233,6 +233,20 @@ def test_nan_scan_residual_fails_the_run_on_one_line(command, fourier_config, mo
     assert err == ("FlipQError: output holds a non-finite value "
                    "(Out of range float values are not JSON compliant: nan)\n")
     assert not out.exists()
+
+
+def test_nan_scan_residual_writes_no_csv(fourier_config, monkeypatch, capsys, tmp_path):
+    # the document is formatted before the CSV is written: a refused scan leaves no file at all
+    residuals = cli._scan_residuals
+    monkeypatch.setattr(cli, "_scan_residuals",
+                        lambda *args: [float("nan")] + residuals(*args)[1:])
+    out, table = tmp_path / "out.json", tmp_path / "out.csv"
+    assert main(COMMANDS["scan"] + ["--config", fourier_config, "--out", str(out), "--csv", str(table)]) == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists() and not table.exists()
+    assert main(COMMANDS["scan"] + ["--config", fourier_config, "--csv", str(table)]) == 1
+    assert capsys.readouterr().out == ""
+    assert not table.exists()
 
 
 # -- refused values ------------------------------------------------------------

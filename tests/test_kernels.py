@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import dense_metric, make_config, random_hermitian
-from flipq import DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels, perturbation
+from flipq import (DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels, perturbation,
+                   presets)
+from flipq.config_io import build_model
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
 from flipq.perturbation import _rescale_error, chi_parts_batch
@@ -403,6 +405,28 @@ def test_scale_root_is_invariant_under_a_power_of_two(k):
     s = kernels.scale_root(ap, app, c)
     assert np.isfinite(s).all()
     assert kernels.scale_root(np.ldexp(ap, k), np.ldexp(app, k), np.ldexp(c, k)).tobytes() == s.tobytes()
+
+
+def test_scale_root_refuses_a_subnormal_norm_sum_and_no_other_lane(monkeypatch):
+    # a' + a'' below the smallest normal float has lost its digits: NaN, though the scaled lane has a
+    # finite root; the rule reads the sum, so two subnormal halves of a normal sum keep their root
+    tiny = kernels.NORM_SQ_MIN
+    ap = np.array([0.36e-310, 1e-311, 5e-324, tiny / 4, 0.0, tiny / 2, tiny])
+    app = np.array([0.64e-310, 0.0, 5e-324, tiny / 4, 1e-320, tiny / 2, 0.0])
+    c = np.array([0.0, -1e-312, 0.0, 0.0, 1e-322, 0.0, -0.5])
+    got = kernels.scale_root(ap, app, c)
+    assert np.isnan(got[:5]).all() and got[5] == 1.0 and got[6] == 1.0 / tiny
+    # on the 20,000 normal lanes of the 3/3 benchmark config (seed 1) every bit is as without the rule
+    doc = presets.fourier_metric_config(3, 3, seed=1)
+    doc["perturbation"]["terms"].append({"generators": {"ref_inner_sq": 2}, "coeff_fourier": [0.05, 0.02],
+                                         "ref_section": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+    cfg = build_model(doc)
+    chi, g1, g2 = chi_parts_batch(cfg, *random_domain_batch(np.random.default_rng(1), cfg, 20_000))
+    s = kernels.scale_root(g1, g2, chi)
+    assert np.isfinite(s).all()
+    monkeypatch.setattr(kernels, "NORM_SQ_MIN", 0.0)
+    assert np.isfinite(kernels.scale_root(ap, app, c)[:4]).all()
+    assert kernels.scale_root(g1, g2, chi).tobytes() == s.tobytes()
 
 
 def test_newton_converges_from_far_seed():

@@ -19,6 +19,7 @@ from flipq import (
     MetricFieldSpec,
     NoConvergence,
     NoRoot,
+    NotStable,
     OutOfDomain,
     PerturbationSpec,
     PerturbationTerm,
@@ -27,10 +28,12 @@ from flipq import (
     cstar_act,
     extract_graph,
     fiber_norms,
+    level_rho_batch,
     matching_map,
     matching_map_batch,
     metric_at,
     moment_value,
+    normalize_to_level,
     phi_graph,
     phi_moment,
     phi_quadratic,
@@ -819,18 +822,25 @@ def test_matching_errors_refuse_in_the_order_domain_branch_wall():
 @pytest.mark.parametrize("r", [1e-150, 1e-155, 1e-158, 1e-161])
 def test_a_lane_below_the_normal_floats_is_refused(r):
     # at r = 1e-150, |v|^2 = r^2 is a normal float and rho is 1; below about 1.5e-154 it is subnormal,
-    # its digits are lost, and the lane is refused rather than given a wrong rho
+    # its digits are lost, and the lane is refused rather than given a wrong rho.  Matching is the
+    # level normalization at t = chi(v), so the level root refuses exactly the same lanes
     cfg = make_config()
     bp = BlowupPoint(r, [0.6], [0.8], BasePoint(0.0, 0.0))
     m = match_lanes(cfg, np.zeros(1), [[0.6 * r]], [[0.8 * r]])
+    level_rho = level_rho_batch(cfg, np.zeros(1), m.t, [[0.6 * r]], [[0.8 * r]])
+    p = FiberPoint(base=BasePoint(0.0, float(m.t[0])), y_prime=[0.6 * r], y_second=[0.8 * r])
     if r == 1e-150:
         assert solve_rho_blowup(cfg, bp).rho - 1.0 == 0.0
         assert m.status[0] == kernels.STATUS_OK
+        assert level_rho[0] == m.rho[0] and normalize_to_level(cfg, p)[0] == m.rho[0]
         return
     assert m.status[0] == kernels.STATUS_NO_POSITIVE_ROOT and np.isnan(m.rho[0])
     with pytest.raises(DegenerateBranch) as got:
         solve_rho_blowup(cfg, bp)
     assert str(got.value) == "no positive root on this branch"
+    assert np.isnan(level_rho[0])
+    with pytest.raises(NotStable, match="no positive rescaling reaches the zero level"):
+        normalize_to_level(cfg, p)
 
 
 SCALAR_SOLVERS = {
