@@ -178,13 +178,48 @@ MUTANTS = (
         "    if csv_path:\n        _write_scan_csv(doc[\"scan\"], csv_path)\n    try:\n        pieces = _json_pieces(doc)\n",
         ("tests/test_json_writer.py::test_nan_scan_residual_writes_no_csv",),
     ),
-    # a NaN scan residual is no pass
+    # a NaN scan residual is no pass: the scan row's worst is NaN if any residual is (max skips one)
     Mutant(
         "scan-ok-passes-nan",
         "src/flipq/cli.py",
-        "return all(r <= SCAN_RESIDUAL_TOL for r in table.mean_level_residual)",
-        "return all(not r > SCAN_RESIDUAL_TOL for r in table.mean_level_residual)",
+        "float(np.max(table.mean_level_residual))",
+        "max(table.mean_level_residual)",
         ("tests/test_cli.py::test_scan_ok_needs_every_residual_within_tolerance[nan]",),
+    ),
+    # a worst value exactly at its bound passes its row
+    Mutant(
+        "contract-ok-strict",
+        "src/flipq/perturbation.py",
+        "return self.worst is not None and self.worst <= self.bound",
+        "return self.worst is not None and self.worst < self.bound",
+        ("tests/test_perturbation.py::test_a_row_is_ok_exactly_when_its_worst_is_at_most_its_bound[at bound]",
+         "tests/test_cli.py::test_a_worst_value_at_its_bound_passes[moment_residual]"),
+    ),
+    # every gating row is read by pass: here the orbit deviation row is dropped
+    Mutant(
+        "match-row-dropped-from-pass",
+        "src/flipq/cli.py",
+        ',\n            Contract("orbit_deviation", stats["max_orbit_deviation"], 1e-11)]',
+        "]",
+        ("tests/test_cli.py::test_each_gating_row_alone_fails_the_report[orbit_deviation]",),
+    ),
+    # match_ok without its residual rows: before the verdict table, deleting the moment, orbit and
+    # empty-run clauses of the inline match_ok passed every test, and --match-samples 0 passed
+    Mutant(
+        "match-ok-only-counts-errors",
+        "src/flipq/cli.py",
+        'return [Contract("match_errors", stats["n_errors"], 0),',
+        'return [Contract("match_errors", stats["n_errors"], 0)]\n    return [',
+        ("tests/test_cli.py::test_report_without_match_samples_is_no_pass",
+         "tests/test_cli.py::test_each_gating_row_alone_fails_the_report[moment_residual]"),
+    ),
+    # a row that does not gate (the rest-bound margin) is read by no checks entry and no pass
+    Mutant(
+        "verdict-gates-every-row",
+        "src/flipq/perturbation.py",
+        "ok = {key: all(row.ok for row in rows if row.gates) for key, rows in checks.items()}",
+        "ok = {key: all(row.ok for row in rows) for key, rows in checks.items()}",
+        ("tests/test_cli.py::test_the_margin_row_does_not_gate",),
     ),
     # len() of a scan table is its row count, which the traced benchmark reads as cli.scan_rows
     Mutant(

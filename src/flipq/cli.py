@@ -40,19 +40,20 @@ from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, DimensionMismatch, FlipQError, OutOfDomain
 from .perturbation import (
     FD_STEP_RANGE,
+    Contract,
     chi_parts_batch,
+    condition_contracts,
+    margin_contract,
     match_lanes,
     matching_errors,
     rescale_lanes,
     rest_bound_scan,
+    verdict,
     verify_conditions,
 )
 from .quotient import fiber_type, level_rho_batch, moment_value_batch
 from .sampling import complex_gaussian, complex_gaussian_rows, random_domain_batch, unit_directions_batch
 
-SCAN_RESIDUAL_TOL = 1e-12
-MOMENT_RESIDUAL_TOL = 1e-12
-ORBIT_DEVIATION_TOL = 1e-11
 BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 # Rounds of --random draws: each round redraws, from the same stream, the
 # draws whose graph value left the wall interval.
@@ -188,19 +189,21 @@ def _dump(doc, out_path: str | None, csv_path: str | None = None) -> None:
 
 
 def run_verify(run_cfg: RunConfig, seed: int, samples: int, fd_step: float, tol: float,
-               theta_grid: int = 64) -> tuple[dict, bool]:
+               theta_grid: int = 64) -> tuple[dict, dict[str, list[Contract]]]:
     cfg = run_cfg.model
     phi = phi_from_config(run_cfg)
     report = verify_conditions(cfg, phi, n_theta=theta_grid, fd_step=fd_step, tol=tol)
     rest = rest_bound_scan(cfg, n_samples=samples, seed=seed)
+    checks = {"conditions_ok": [*condition_contracts((report.worst_p1, report.worst_p2, report.worst_p3), tol),
+                                margin_contract(rest.margin_value, rest.margin_bound)]}
     doc = {
         "config_digest": run_cfg.digest,
         "seed": seed,
         "condition_report": report._asdict(),
         "rest_bound": {**rest._asdict(), "max_ratio_point": _fiber_to_json(rest.max_ratio_point)},
-        "pass": report.all_ok,
+        "pass": verdict(checks)[1],
     }
-    return doc, report.all_ok
+    return doc, checks
 
 
 def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
@@ -240,8 +243,9 @@ def run_scan(run_cfg: RunConfig, seed: int, theta_steps: int, t_steps: int,
                      mean_level_residual=residuals)
 
 
-def _scan_ok(table: ScanTable) -> bool:
-    return all(r <= SCAN_RESIDUAL_TOL for r in table.mean_level_residual)
+def _scan_contracts(table: ScanTable) -> list[Contract]:
+    """scan's row: the worst mean level residual of its rows (a NaN one included), at 1e-12."""
+    return [Contract("scan_residual", float(np.max(table.mean_level_residual)), 1e-12)]
 
 
 def _write_scan_csv(table: ScanTable, path: str) -> None:
@@ -415,23 +419,24 @@ def _match_doc(run_cfg: RunConfig, seed: int, match: MatchPass, rays: RayPass) -
     }
 
 
-def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, bool]:
-    doc, conditions_ok = run_verify(
+def _match_contracts(stats: dict) -> list[Contract]:
+    """report's match rows: no refused lane, and the worst moment residual and orbit deviation
+    of the matched lanes, None when there are none."""
+    return [Contract("match_errors", stats["n_errors"], 0),
+            Contract("moment_residual", stats["max_moment_residual"], 1e-12),
+            Contract("orbit_deviation", stats["max_orbit_deviation"], 1e-11)]
+
+
+def run_report(run_cfg: RunConfig, seed: int, args) -> tuple[dict, dict[str, list[Contract]]]:
+    doc, checks = run_verify(
         run_cfg, seed, args.samples, args.fd_step, args.tol, theta_grid=args.theta_grid
     )
     table = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.scan_samples)
     stats = matching_stats(*run_match(run_cfg, seed, [], args.match_samples, args.blowup_rays))
-    scan_ok = _scan_ok(table)
-    match_ok = (
-        stats["n_errors"] == 0
-        and stats["max_moment_residual"] is not None
-        and stats["max_moment_residual"] <= MOMENT_RESIDUAL_TOL
-        and stats["max_orbit_deviation"] <= ORBIT_DEVIATION_TOL
-    )
-    passed = conditions_ok and scan_ok and match_ok
-    doc.update({"scan": table, "matching_stats": stats, "pass": passed,
-                "checks": {"conditions_ok": conditions_ok, "scan_ok": scan_ok, "match_ok": match_ok}})
-    return doc, passed
+    checks.update(scan_ok=_scan_contracts(table), match_ok=_match_contracts(stats))
+    ok, passed = verdict(checks)
+    doc.update({"scan": table, "matching_stats": stats, "pass": passed, "checks": ok})
+    return doc, checks
 
 
 def _parse_point(text: str, cfg) -> FiberPoint:
@@ -536,19 +541,20 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else run_cfg.seed
 
             if args.command == "verify":
-                doc, ok = run_verify(run_cfg, seed, args.samples, args.fd_step, args.tol,
-                                     theta_grid=args.theta_grid)
+                doc, checks = run_verify(run_cfg, seed, args.samples, args.fd_step, args.tol,
+                                         theta_grid=args.theta_grid)
             elif args.command == "scan":
                 table = run_scan(run_cfg, seed, args.theta_steps, args.t_steps, args.samples)
-                doc, ok = {"config_digest": run_cfg.digest, "seed": seed, "scan": table}, _scan_ok(table)
+                doc = {"config_digest": run_cfg.digest, "seed": seed, "scan": table}
+                checks = {"scan_ok": _scan_contracts(table)}
             elif args.command == "match":
                 points = [_parse_point(text, run_cfg.model) for text in args.point]
                 match, rays = run_match(run_cfg, seed, points, args.random, args.blowup_rays)
-                doc, ok = _match_doc(run_cfg, seed, match, rays), True
+                doc, checks = _match_doc(run_cfg, seed, match, rays), {}
             else:
-                doc, ok = run_report(run_cfg, seed, args)
+                doc, checks = run_report(run_cfg, seed, args)
             _dump(doc, args.out, getattr(args, "csv", None))  # only scan has --csv
-            return 0 if ok else 1
+            return 0 if verdict(checks)[1] else 1
 
         except ConfigParse as e:
             print(f"config parse error: {e}", file=sys.stderr)

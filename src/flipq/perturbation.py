@@ -250,6 +250,31 @@ def phi_moment(cfg: ModelConfig) -> PhiFunc:
     return phi_quadratic(cfg, 1.0, -1.0)
 
 
+class Contract(NamedTuple):
+    """A contract row: the worst value a run measured for one claim, and its bound.  ok is false
+    for a NaN worst, and for None: nothing was checked.  pass reads only the rows that gate."""
+
+    name: str
+    worst: float | None
+    bound: float
+    gates: bool = True
+
+    @property
+    def ok(self) -> bool:
+        return self.worst is not None and self.worst <= self.bound
+
+
+def verdict(checks: dict[str, list[Contract]]) -> tuple[dict[str, bool], bool]:
+    """The checks dict, an entry true when every gating row under it is ok, and pass, their and."""
+    ok = {key: all(row.ok for row in rows if row.gates) for key, rows in checks.items()}
+    return ok, all(ok.values())
+
+
+def condition_contracts(worst_p, tol: float) -> list[Contract]:
+    """P1, P2 and P3 as rows: each worst finite-difference residual at tol."""
+    return [Contract(f"p{k}", value, tol) for k, value in enumerate(worst_p, 1)]
+
+
 class ConditionReport(NamedTuple):
     p1_ok: bool
     p2_ok: bool
@@ -258,10 +283,6 @@ class ConditionReport(NamedTuple):
     worst_p2: float
     worst_p3: float
     samples: int
-
-    @property
-    def all_ok(self) -> bool:
-        return self.p1_ok and self.p2_ok and self.p3_ok
 
 
 def verify_conditions(
@@ -327,18 +348,9 @@ def verify_conditions(
     expected[:, : 2 * rp, : 2 * rp] = kernels.realify(kernels.fourier_values(table, *cfg.metric_field.packed_prime))
     expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(kernels.fourier_values(table, *cfg.metric_field.packed_second))
 
-    worst_p1 = float(np.abs([f0, dt - 1.0]).max())
-    worst_p2 = float(np.abs((plus - minus) / (2.0 * h)).max())
-    worst_p3 = float(np.abs(H - expected).max())
-    return ConditionReport(
-        p1_ok=worst_p1 <= tol,
-        p2_ok=worst_p2 <= tol,
-        p3_ok=worst_p3 <= tol,
-        worst_p1=worst_p1,
-        worst_p2=worst_p2,
-        worst_p3=worst_p3,
-        samples=n_theta,
-    )
+    worst_p = (float(np.abs([f0, dt - 1.0]).max()), float(np.abs((plus - minus) / (2.0 * h)).max()),
+               float(np.abs(H - expected).max()))
+    return ConditionReport(*(row.ok for row in condition_contracts(worst_p, tol)), *worst_p, samples=n_theta)
 
 
 def extract_graph(cfg: ModelConfig, phi: PhiFunc, p: FiberPoint) -> float:
@@ -421,8 +433,13 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
         samples=n_samples,
         margin_value=value,
         margin_bound=bound,
-        margin_ok=value <= bound,
+        margin_ok=margin_contract(value, bound).ok,
     )
+
+
+def margin_contract(margin_value: float, margin_bound: float) -> Contract:
+    """The rest-bound margin as a row that does not gate."""
+    return Contract("margin", margin_value, margin_bound, gates=False)
 
 
 # ---------------------------------------------------------------------------

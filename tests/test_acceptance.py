@@ -159,13 +159,13 @@ def test_criterion_4_condition_verification():
     worst_pass = 0.0
     all_ok = True
     report = verify_conditions(cfg, phi_moment(cfg), n_theta=64, fd_step=1e-3, tol=1e-4)
-    all_ok = all_ok and report.all_ok
+    all_ok = all_ok and report.p1_ok and report.p2_ok and report.p3_ok
     worst_pass = max(worst_pass, report.worst_p3)
     for term_doc in builtin_perturbation_terms():
         spec = build_perturbation({"terms": [term_doc]})
         pcfg = make_config(1, 1, epsilon=0.5, domain_radius=0.8, terms=spec.terms)
         report = verify_conditions(pcfg, phi_graph(pcfg), n_theta=64, fd_step=1e-3, tol=1e-4)
-        all_ok = all_ok and report.all_ok
+        all_ok = all_ok and report.p1_ok and report.p2_ok and report.p3_ok
         worst_pass = max(worst_pass, report.worst_p3)
     bad = verify_conditions(cfg, phi_quadratic(cfg, 1.0, 1.0), n_theta=64, fd_step=1e-3, tol=1e-4)
     counterexample_ok = (not bad.p3_ok) and bad.worst_p3 >= 1.0

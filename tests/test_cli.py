@@ -25,9 +25,10 @@ from flipq import (
     presets,
     solve_rho,
 )
-from flipq.cli import ScanTable, _blowup_rays, _dump, _match_doc, _scan_ok, main, run_match, run_scan
+from flipq.cli import ScanTable, _blowup_rays, _dump, _match_doc, _scan_contracts, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config, parse_run_config
 from flipq.errors import ConfigParse
+from flipq.perturbation import Contract, verdict
 from flipq.core import fiber_norms_batch
 from flipq import kernels
 from flipq.kernels import BLOCK_LANES
@@ -174,7 +175,7 @@ def test_scan_ok_needs_every_residual_within_tolerance(residuals, ok):
     n = len(residuals)
     table = ScanTable(theta=[0.0] * n, t=[-0.1, 0.0, 0.1], fiber_type=["QPrime", "QZero", "QSecond"],
                       n_stable_samples=[4] * n, mean_level_residual=residuals)
-    assert _scan_ok(table) is ok
+    assert verdict({"scan_ok": _scan_contracts(table)}) == ({"scan_ok": ok}, ok)
 
 
 @pytest.mark.parametrize("argv", [
@@ -921,6 +922,97 @@ def test_report_wrong_sign_fails(tmp_path):
     )
     assert code == 1
     assert doc["pass"] is False
+
+
+# -- contracts -----------------------------------------------------------------
+
+
+SMALL_REPORT = ["report", "--config", DEFAULT, "--theta-grid", "8", "--samples", "200", "--theta-steps", "2",
+                "--t-steps", "3", "--scan-samples", "4", "--match-samples", "12", "--blowup-rays", "2"]
+ALL_OK = {"conditions_ok": True, "scan_ok": True, "match_ok": True}
+
+
+def _worst_at(monkeypatch, row: str, value: float) -> None:
+    """Make the named contract row of the next CLI run read value as its worst."""
+    if row in ("p1", "p2", "p3"):
+        conditions = cli.verify_conditions
+        monkeypatch.setattr(cli, "verify_conditions",
+                            lambda *a, **k: conditions(*a, **k)._replace(**{f"worst_{row}": value}))
+    elif row == "margin":
+        rest = cli.rest_bound_scan
+        monkeypatch.setattr(cli, "rest_bound_scan", lambda *a, **k: rest(*a, **k)._replace(margin_value=value))
+    elif row == "scan_residual":
+        residuals = cli._scan_residuals
+        monkeypatch.setattr(cli, "_scan_residuals", lambda *a: residuals(*a)[:-1] + [value])
+    else:
+        key = {"match_errors": "n_errors", "moment_residual": "max_moment_residual",
+               "orbit_deviation": "max_orbit_deviation"}[row]
+        stats = cli.matching_stats
+        monkeypatch.setattr(cli, "matching_stats", lambda *a: {**stats(*a), key: value})
+
+
+# each gating row, the checks entry it belongs to, its bound, and a worst value past that bound
+GATING_ROWS = [
+    ("p1", "conditions_ok", 1e-4, 2e-4),
+    ("p2", "conditions_ok", 1e-4, 2e-4),
+    ("p3", "conditions_ok", 1e-4, 2e-4),
+    ("scan_residual", "scan_ok", 1e-12, 2e-12),
+    ("match_errors", "match_ok", 0, 1),
+    ("moment_residual", "match_ok", 1e-12, 2e-12),
+    ("orbit_deviation", "match_ok", 1e-11, 2e-11),
+]
+
+
+@pytest.mark.parametrize("row, check, bound, past", GATING_ROWS, ids=[r[0] for r in GATING_ROWS])
+def test_each_gating_row_alone_fails_the_report(row, check, bound, past, monkeypatch, tmp_path):
+    _worst_at(monkeypatch, row, past)
+    code, doc = _run_json(SMALL_REPORT, tmp_path)
+    assert (code, doc["pass"], doc["checks"]) == (1, False, {**ALL_OK, check: False})
+
+
+@pytest.mark.parametrize("row, check, bound, past", GATING_ROWS, ids=[r[0] for r in GATING_ROWS])
+def test_a_worst_value_at_its_bound_passes(row, check, bound, past, monkeypatch, tmp_path):
+    _worst_at(monkeypatch, row, bound)
+    code, doc = _run_json(SMALL_REPORT, tmp_path)
+    assert (code, doc["pass"], doc["checks"]) == (0, True, ALL_OK)
+
+
+def test_the_margin_row_does_not_gate(monkeypatch, tmp_path):
+    _worst_at(monkeypatch, "margin", 1e3)
+    code, doc = _run_json(SMALL_REPORT, tmp_path)
+    assert (code, doc["pass"], doc["checks"]) == (0, True, ALL_OK)
+    assert doc["rest_bound"]["margin_value"] == 1e3
+    assert main(["verify", "--config", DEFAULT, "--theta-grid", "8", "--samples", "200", "--out",
+                 str(tmp_path / "verify.json")]) == 0
+
+
+@pytest.mark.parametrize("row", ["p1", "p2", "p3"])
+def test_each_condition_row_alone_fails_verify(row, monkeypatch, tmp_path):
+    _worst_at(monkeypatch, row, 2e-4)
+    code, doc = _run_json(["verify", "--config", DEFAULT, "--theta-grid", "8", "--samples", "200"], tmp_path)
+    assert (code, doc["pass"]) == (1, False)
+
+
+@pytest.mark.parametrize("value, code", [(1e-12, 0), (2e-12, 1)], ids=["at bound", "past bound"])
+def test_the_scan_row_sets_the_scan_exit_code(value, code, monkeypatch, tmp_path):
+    _worst_at(monkeypatch, "scan_residual", value)
+    argv = ["scan", "--config", DEFAULT, "--theta-steps", "2", "--t-steps", "3", "--samples", "4"]
+    assert _run_json(argv, tmp_path)[0] == code
+
+
+def test_report_without_match_samples_is_no_pass(tmp_path):
+    # no lane matched: the moment and orbit rows have nothing to judge, which is no pass
+    argv = [a if a != "12" else "0" for a in SMALL_REPORT]
+    code, doc = _run_json(argv, tmp_path)
+    assert doc["matching_stats"]["n_points"] == 0
+    assert (code, doc["pass"], doc["checks"]) == (1, False, {**ALL_OK, "match_ok": False})
+
+
+def test_wrong_sign_fails_only_its_p3_row(tmp_path):
+    _, checks = cli.run_verify(load_run_config(WRONG_SIGN), 1, 200, 1e-3, 1e-4, theta_grid=8)
+    assert [row.name for row in checks["conditions_ok"] if row.gates and not row.ok] == ["p3"]
+    code, doc = _run_json(["report", "--config", WRONG_SIGN] + SMALL_REPORT[3:], tmp_path)
+    assert (code, doc["checks"]) == (1, {**ALL_OK, "conditions_ok": False})
 
 
 def test_output_refuses_non_finite_values(tmp_path):

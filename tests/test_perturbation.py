@@ -51,7 +51,17 @@ from flipq.cli import BLOWUP_R_GRID, _blowup_rays, main
 from flipq.config_io import build_model, parse_run_config, phi_from_config
 from flipq.core import fiber_norms_batch, one_lane
 from flipq.kernels import realify
-from flipq.perturbation import _tau_lanes, chi_parts_batch, match_lanes, matching_errors, rescale_lanes
+from flipq.perturbation import (
+    Contract,
+    _tau_lanes,
+    chi_parts_batch,
+    condition_contracts,
+    margin_contract,
+    match_lanes,
+    matching_errors,
+    rescale_lanes,
+    verdict,
+)
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction, unit_directions_batch
 
@@ -171,18 +181,51 @@ def test_extract_graph_no_root_in_window(cfg_identity):
 
 def test_conditions_moment_map(cfg_identity):
     report = verify_conditions(cfg_identity, phi_moment(cfg_identity), n_theta=16)
-    assert report.all_ok
+    assert report.p1_ok and report.p2_ok and report.p3_ok
     assert report.worst_p3 <= 1e-4
 
 
 def test_conditions_quartic_graph(cfg_quartic):
     report = verify_conditions(cfg_quartic, phi_graph(cfg_quartic), n_theta=16)
-    assert report.all_ok
+    assert report.p1_ok and report.p2_ok and report.p3_ok
 
 
 def test_conditions_fourier_metrics(cfg_fourier_quartic):
     report = verify_conditions(cfg_fourier_quartic, phi_graph(cfg_fourier_quartic), n_theta=16)
-    assert report.all_ok
+    assert report.p1_ok and report.p2_ok and report.p3_ok
+
+
+# -- contract rows -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("worst, ok", [
+    (0.0, True), (1e-12, True), (float(np.nextafter(1e-12, 1.0)), False), (np.inf, False),
+    (np.nan, False), (None, False),
+], ids=["zero", "at bound", "an ulp past", "inf", "nan", "nothing checked"])
+def test_a_row_is_ok_exactly_when_its_worst_is_at_most_its_bound(worst, ok):
+    assert Contract("row", worst, 1e-12).ok is ok
+    assert Contract("row", worst, 1e-12, gates=False).ok is ok
+
+
+def test_verdict_reads_every_gating_row_and_no_other():
+    good, bad = Contract("good", 0.5, 1.0), Contract("bad", 2.0, 1.0)
+    informational = Contract("informational", np.nan, 1.0, gates=False)
+    assert verdict({"a": [good, informational], "b": [good]}) == ({"a": True, "b": True}, True)
+    assert verdict({"a": [good, bad], "b": [good]}) == ({"a": False, "b": True}, False)
+    assert verdict({"a": [good], "b": [bad, good]}) == ({"a": True, "b": False}, False)
+
+
+def test_condition_and_margin_fields_come_from_their_rows(cfg_identity, cfg_quartic):
+    report = verify_conditions(cfg_identity, phi_quadratic(cfg_identity, 1.0, 1.0), n_theta=16, tol=1e-4)
+    rows = condition_contracts((report.worst_p1, report.worst_p2, report.worst_p3), 1e-4)
+    assert [row.name for row in rows] == ["p1", "p2", "p3"]
+    assert (report.p1_ok, report.p2_ok, report.p3_ok) == tuple(row.ok for row in rows) == (True, True, False)
+    # a tol exactly at the worst P3 residual passes it
+    at = verify_conditions(cfg_identity, phi_quadratic(cfg_identity, 1.0, 1.0), n_theta=16, tol=report.worst_p3)
+    assert at.p3_ok
+    rest = rest_bound_scan(cfg_quartic, 200, seed=3)
+    row = margin_contract(rest.margin_value, rest.margin_bound)
+    assert (row.gates, row.ok) == (False, rest.margin_ok)
 
 
 def test_conditions_wrong_sign_block(cfg_identity):
