@@ -221,6 +221,14 @@ MUTANTS = (
         "ok = {key: all(row.ok for row in rows) for key, rows in checks.items()}",
         ("tests/test_cli.py::test_the_margin_row_does_not_gate",),
     ),
+    # the blowup rays sit inside every domain: their radii are fractions of domain_radius
+    Mutant(
+        "blowup-rays-absolute-grid",
+        "src/flipq/cli.py",
+        "radii = cfg.domain_radius * np.array(BLOWUP_R_GRID)",
+        "radii = np.array(BLOWUP_R_GRID)",
+        ("tests/test_cli.py::test_report_judges_a_domain_smaller_than_the_old_ray_grid[0.05]",),
+    ),
     # len() of a scan table is its row count, which the traced benchmark reads as cli.scan_rows
     Mutant(
         "scan-table-len-is-column-count",

@@ -54,7 +54,7 @@ from .perturbation import (
 from .quotient import fiber_type, level_rho_batch, moment_value_batch
 from .sampling import complex_gaussian, complex_gaussian_rows, random_domain_batch, unit_directions_batch
 
-BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
+BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)  # the blowup rays' radii, as fractions of domain_radius
 # Rounds of --random draws: each round redraws, from the same stream, the
 # draws whose graph value left the wall interval.
 MATCH_DRAW_ROUNDS = 100
@@ -333,13 +333,14 @@ class RayPass(NamedTuple):
     thetas: np.ndarray
     w_prime: np.ndarray
     w_second: np.ndarray
-    deviation: np.ndarray  # (n, len(BLOWUP_R_GRID))
+    radii: np.ndarray  # domain_radius * BLOWUP_R_GRID
+    deviation: np.ndarray  # (n, len(radii))
     slope: list  # log-log slope of the deviation over the radii, None unless every deviation is > 0
 
 
 def _blowup_rays(cfg, seed: int, n: int) -> RayPass:
-    """n rays, each drawn from its own spawned stream, solved at every BLOWUP_R_GRID radius in
-    one batch pass; the first failing lane raises, in ray-major order."""
+    """n rays, each drawn from its own spawned stream, solved at every radius domain_radius *
+    BLOWUP_R_GRID in one batch pass; the first failing lane raises, in ray-major order."""
     thetas = np.empty(n)
     w_prime = np.empty((n, cfg.r_prime), dtype=complex)
     w_second = np.empty((n, cfg.r_second), dtype=complex)
@@ -349,7 +350,7 @@ def _blowup_rays(cfg, seed: int, n: int) -> RayPass:
         w_prime[i] = complex_gaussian(rng, cfg.r_prime)
         w_second[i] = complex_gaussian(rng, cfg.r_second)
     w_prime, w_second = unit_directions_batch(cfg, thetas, w_prime, w_second)
-    radii = np.array(BLOWUP_R_GRID)
+    radii = cfg.domain_radius * np.array(BLOWUP_R_GRID)
     m = rescale_lanes(cfg, np.repeat(thetas, len(radii)),
                       (radii[:, None] * w_prime[:, None, :]).reshape(-1, cfg.r_prime),
                       (radii[:, None] * w_second[:, None, :]).reshape(-1, cfg.r_second))
@@ -360,7 +361,7 @@ def _blowup_rays(cfg, seed: int, n: int) -> RayPass:
         fit = np.polyfit(np.log(radii), np.log(deviation[complete]).T, 1)[0]
         for i, value in zip(complete.tolist(), fit.tolist()):
             slope[i] = value
-    return RayPass(thetas, w_prime, w_second, deviation, slope)
+    return RayPass(thetas, w_prime, w_second, radii, deviation, slope)
 
 
 def _ray_docs(rays: RayPass) -> list[dict]:
@@ -370,7 +371,7 @@ def _ray_docs(rays: RayPass) -> list[dict]:
             "theta": float(rays.thetas[i]),
             "w_prime": _v2j(rays.w_prime[i]),
             "w_second": _v2j(rays.w_second[i]),
-            "r_grid": list(BLOWUP_R_GRID),
+            "r_grid": rays.radii.tolist(),
             "rho_deviation": residuals,
             "decay_factors": [a / b if b > 0 else None for a, b in zip(residuals, residuals[1:])],
             "slope": rays.slope[i],

@@ -369,11 +369,12 @@ BAD_CONFIGS = {
         (_set(["seed"], -5), ["verify"], 2, "seed must be >= 0"),
     "edit-argv16-2-seed must be an integer":
         (_set(["seed"], 1.5), ["report"], 2, "seed must be an integer"),
-    # a check that fails mid-run: the blowup rays start at r = 0.1
+    # a check that fails mid-run: under report, the match draws cannot land in so thin a wall
+    # interval; under match, the first blowup ray's graph value leaves it
     "edit-argv17-1-OutOfDomain":
-        (_set(["domain_radius"], 0.05), ["match", "--blowup-rays", "1"], 1, "OutOfDomain"),
+        (_set(["epsilon"], 1e-6), ["match", "--blowup-rays", "1"], 1, "OutOfDomain"),
     "edit-argv18-1-OutOfDomain":
-        (_set(["domain_radius"], 0.05), ["report", *TINY_REPORT], 1, "OutOfDomain"),
+        (_set(["epsilon"], 1e-6), ["report", *TINY_REPORT], 1, "OutOfDomain"),
     # a radius whose square overflows
     "edit-argv19-2-DomainRadiusViolation":
         (_set(["domain_radius"], 1e200), ["verify"], 2, "DomainRadiusViolation"),
@@ -889,6 +890,51 @@ def test_match_random_and_rays(tmp_path):
         assert all(f >= 50.0 for f in ray["decay_factors"])
         assert ray["slope"] == pytest.approx(2.0, abs=0.2)
     assert stats["rho_boundary_slope"] == pytest.approx(2.0, abs=0.2)
+
+
+def _rescaled_fourier(R: float) -> dict:
+    """The Fourier 2/1 preset under v -> R v, t -> R^2 t: the same model at scale R."""
+    doc = presets.fourier_metric_config(2, 1, epsilon=0.5 * R**2, domain_radius=0.8 * R)
+    doc["perturbation"]["terms"][0]["coeff_fourier"] = [0.1 / R**2]
+    return doc
+
+
+def test_ray_documents_agree_on_every_rescaling(tmp_path):
+    # the rays sit at domain_radius * BLOWUP_R_GRID, and rho is homogeneous of degree 0, so a ray's
+    # direction is the same and its rho agrees to an ulp at 1 on every rescaling; the fields
+    # derived from |rho - 1| agree as far as that ulp moves them
+    def rays(R):
+        config = tmp_path / f"rescaled_{R}.json"
+        config.write_text(json.dumps(_rescaled_fourier(R)))
+        code, doc = _run_json(["match", "--config", str(config), "--blowup-rays", "16", "--seed", "1"], tmp_path)
+        assert code == 0
+        return doc["blowup_rays"]
+
+    ulp = 2.0**-52
+    reference = rays(1)
+    for R in (0.01, 1000):
+        for want, got in zip(reference, rays(R), strict=True):
+            assert {key: got[key] for key in ("theta", "w_prime", "w_second")} == \
+                {key: want[key] for key in ("theta", "w_prime", "w_second")}
+            assert got["r_grid"] == [0.8 * R * f for f in cli.BLOWUP_R_GRID]
+            d, e = np.array(want["rho_deviation"]), np.array(got["rho_deviation"])
+            assert np.abs(e - d).max() <= ulp
+            # d_k / d_(k+1) moves by at most ulp / d_k + ulp / d_(k+1), relative, to first order
+            rel = ulp / d[:-1] + ulp / d[1:]
+            assert np.all(np.abs(np.array(got["decay_factors"]) / want["decay_factors"] - 1.0) <= 1.01 * rel)
+            # the slope is sum_k c_k log d_k, with c_k the least-squares weights of log r
+            x = np.log(want["r_grid"])
+            c = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
+            assert abs(got["slope"] - want["slope"]) <= 1.01 * np.sum(np.abs(c) * ulp / d)
+
+
+@pytest.mark.parametrize("domain_radius", [0.05, 0.09, 0.2])
+def test_report_judges_a_domain_smaller_than_the_old_ray_grid(domain_radius, tmp_path):
+    # with rays at absolute radii from 0.1 down, a domain below 0.1 failed its first ray
+    config = tmp_path / "quartic.json"
+    config.write_text(json.dumps(presets.quartic_config(domain_radius=domain_radius)))
+    code, doc = _run_json(["report", "--config", str(config), "--seed", "1"], tmp_path)
+    assert (code, doc["checks"]) == (0, {"conditions_ok": True, "scan_ok": True, "match_ok": True})
 
 
 # -- report ----------------------------------------------------------------------

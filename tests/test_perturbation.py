@@ -921,7 +921,8 @@ def test_solve_rho_blowup_refuses_a_refused_metric_on_the_boundary():
 
 @pytest.mark.parametrize("name", NAMED_CONFIGS)
 def test_ray_rho_matches_an_independent_reference(name):
-    # the CLI's blowup rays are matched as plain lanes v = r w.  Reference: with e = tau(r w)/r^2,
+    # the CLI's blowup rays are matched as plain lanes v = r w, at the radii domain_radius *
+    # BLOWUP_R_GRID.  Reference: with e = tau(r w)/r^2,
     # A = |w'|^2 and B = |w''|^2, rho^2 = 1 + delta solves A delta^2 + (A + B + 2e) delta + 2e = 0,
     # taken here in forms without cancellation, so rho - 1 keeps its digits as r -> 0
     cfg = _named_config(name)
@@ -929,7 +930,8 @@ def test_ray_rho_matches_an_independent_reference(name):
     k = len(BLOWUP_R_GRID)
     thetas = np.repeat(rays.thetas, k)
     wp, ws = np.repeat(rays.w_prime, k, axis=0), np.repeat(rays.w_second, k, axis=0)
-    r = np.tile(BLOWUP_R_GRID, len(rays.thetas))
+    assert rays.radii.tolist() == [cfg.domain_radius * f for f in BLOWUP_R_GRID]
+    r = np.tile(rays.radii, len(rays.thetas))
     rho = rescale_lanes(cfg, thetas, r[:, None] * wp, r[:, None] * ws).rho
     assert rays.deviation.tobytes() == np.abs(rho - 1.0).tobytes()
     a, b = fiber_norms_batch(cfg, thetas, wp, ws)
