@@ -159,16 +159,23 @@ MUTANTS = (
         "if ap + app == 0.0:",
         ("tests/test_blowup.py::test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits[1e-155]",),
     ),
-    # every scan float is formatted before the first byte is written, so a NaN writes nothing
+    # every scan float is checked before the first byte is written, so a NaN writes nothing
     Mutant(
-        "scan-floats-formatted-while-writing",
+        "scan-floats-unchecked",
         "src/flipq/cli.py",
-        "    texts = {x: _float_text(x) for x in set(column) - {0.0}}\n"
-        "    return (texts.get(x) or float.__repr__(x) for x in column)\n",
-        "    return (_float_text(x) for x in column)\n",
+        "    if not all(map(math.isfinite, chain.from_iterable(floats))):\n",
+        "    if False:\n",
         ("tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>9-nan0]",
          "tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>10-inf]",
          "tests/test_json_writer.py::test_non_finite_values_fail_the_run[<lambda>11--inf]"),
+    ),
+    # json.dumps meets the scan's floats row by row, so the refused value named is the first in that order
+    Mutant(
+        "scan-refuses-in-column-order",
+        "src/flipq/cli.py",
+        "refused = next(x for x in chain.from_iterable(zip(*floats)) if not math.isfinite(x))",
+        "refused = next(x for x in chain.from_iterable(floats) if not math.isfinite(x))",
+        ("tests/test_json_writer.py::test_the_refused_value_is_the_first_json_dumps_meets[t then a later residual]",),
     ),
     # the document is formatted before --csv writes the scan, so a refused scan writes no CSV either
     Mutant(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
@@ -99,13 +100,6 @@ _JSON = {"indent": 2, "sort_keys": True, "allow_nan": False}
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    if text in ("nan", "inf", "-inf"):
-        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-    return text
-
-
 # a row of the "scan" value, its separator from the previous row first
 _SCAN_ROW = "%s{\n" + ",\n".join(f"      {_escape(key)}: %s" for key in sorted(SCAN_COLUMNS)) + "\n    }"
 
@@ -115,7 +109,7 @@ def _float_texts(column: list[float]) -> Iterator[str]:
 
     Zero is never memoized, because -0.0 == 0.0 and the two print apart.
     """
-    texts = {x: _float_text(x) for x in set(column) - {0.0}}
+    texts = {x: float.__repr__(x) for x in set(column) - {0.0}}
     return (texts.get(x) or float.__repr__(x) for x in column)
 
 
@@ -128,10 +122,10 @@ def _memo_texts(column: list, text) -> Iterator[str]:
 def _scan_rows(table: ScanTable) -> Iterator[str]:
     """The table's rows as json.dumps writes the "scan" value of an indent=2 document, lazily.
 
-    Every text that can raise is formatted before this returns; the rows are
-    then produced one at a time, each after its separator.
+    Every text that can raise is formatted, and every float checked, before this
+    returns; the rows are then produced one at a time, each after its separator.
     """
-    columns = []
+    columns, floats = [], []
     for key in sorted(SCAN_COLUMNS):
         column = getattr(table, key)
         if key == "fiber_type":
@@ -139,7 +133,12 @@ def _scan_rows(table: ScanTable) -> Iterator[str]:
         elif key == "n_stable_samples":
             columns.append(_memo_texts(column, int.__repr__))
         else:
+            floats.append(column)
             columns.append(_float_texts(column))
+    if not all(map(math.isfinite, chain.from_iterable(floats))):
+        # json.dumps meets the floats row by row, in key order: name the first non-finite one it meets
+        refused = next(x for x in chain.from_iterable(zip(*floats)) if not math.isfinite(x))
+        raise ValueError(f"Out of range float values are not JSON compliant: {float.__repr__(refused)}")
     separators = chain(("\n    ",), repeat(",\n    "))
     return map(_SCAN_ROW.__mod__, zip(separators, *columns))
 

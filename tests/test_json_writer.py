@@ -284,7 +284,14 @@ def test_non_finite_values_fail_the_run(bad, place, tmp_path, capsys):
 @pytest.mark.parametrize("doc", [
     {"a": float("inf"), "scan": [_row(float("nan"))], "z": float("-inf")},
     {"scan": [_row(0.5), _row(float("nan"))], "z": float("inf")},
-], ids=["before the scan", "in the scan"])
+    # within the scan, json.dumps meets the rows in order and each row's values in key order
+    {"scan": [_row(0.5, t=float("inf")), _row(float("nan"))]},
+    {"scan": [_row(float("inf")), _row(float("nan"))]},
+    {"scan": [_row(0.5, theta=float("-inf")), _row(float("inf"))]},
+    {"scan": [_row(0.5, t=float("nan"), theta=float("-inf")), _row(float("inf"))]},
+    {"scan": [_row(0.5)] * 3 + [_row(float("-inf"), theta=float("nan"))]},
+], ids=["before the scan", "in the scan", "t then a later residual", "residuals in row order",
+        "theta then a later residual", "t before theta in one row", "residual before theta in one row"])
 def test_the_refused_value_is_the_first_json_dumps_meets(doc):
     # the top-level values are formatted in key order, the scan's at its key
     with pytest.raises(ValueError) as want:
