@@ -236,6 +236,15 @@ MUTANTS = (
         "radii = np.array(BLOWUP_R_GRID)",
         ("tests/test_cli.py::test_report_judges_a_domain_smaller_than_the_old_ray_grid[0.05]",),
     ),
+    # the reference pairing is conj(y) G a: without the conjugate it is not invariant under a unitary frame
+    # change (test_core's herm_inner tests and test_kernels' pairing references kill this row too)
+    Mutant(
+        "fourier-pairing-without-conjugate",
+        "src/flipq/kernels.py",
+        "weights = np.concatenate([np.stack([b.real, b.imag], axis=-1), np.stack([b.imag, -b.real], axis=-1)])",
+        "weights = np.concatenate([np.stack([b.real, -b.imag], axis=-1), np.stack([b.imag, b.real], axis=-1)])",
+        ("tests/test_symmetry.py::test_a_unitary_frame_change_maps_every_lane_result",),
+    ),
     # len() of a scan table is its row count, which the traced benchmark reads as cli.scan_rows
     Mutant(
         "scan-table-len-is-column-count",
