@@ -433,13 +433,8 @@ def rest_bound_scan(cfg: ModelConfig, n_samples: int, seed: int = 0) -> RestBoun
         samples=n_samples,
         margin_value=value,
         margin_bound=bound,
-        margin_ok=margin_contract(value, bound).ok,
+        margin_ok=Contract("margin", value, bound, gates=False).ok,
     )
-
-
-def margin_contract(margin_value: float, margin_bound: float) -> Contract:
-    """The rest-bound margin as a row that does not gate."""
-    return Contract("margin", margin_value, margin_bound, gates=False)
 
 
 # ---------------------------------------------------------------------------
