@@ -10,9 +10,10 @@ is killed when they fail (pytest exit code 1); any other exit code, a pass
 included, is a survivor.  Before any mutant, the baseline runs the node ids
 of every row on an unmutated copy: a node id that already fails would count
 every mutant naming it as killed, so the gate fails with a "baseline:"
-message unless that run passes.  The exit code is 1 if the baseline fails,
-a mutant survives or its old text does not occur exactly once.  Standard
-library only.
+message unless that run passes.  Then the mutants run WORKERS at a time,
+each in its own copy and subprocess, and their verdicts print in table
+order.  The exit code is 1 if the baseline fails, a mutant survives or its
+old text does not occur exactly once.  Standard library only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Iterator
 
 from table import MUTANTS, Mutant
 
@@ -30,6 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # what a copy leaves out: version control, caches and run outputs
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_work",
                                  ".benchmarks")
+# mutants run at once: two, or fewer if this process may use fewer cores
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def run_mutant(mutant: Mutant | None, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
@@ -61,6 +66,19 @@ def baseline_error() -> str | None:
     return f"baseline: the unmutated tree fails its node ids (pytest exit {result.returncode}):\n{tail}"
 
 
+def run_mutants(mutants) -> Iterator[subprocess.CompletedProcess | ValueError]:
+    """Each mutant run on its own node ids, WORKERS at a time; the results come in the mutants' order,
+    each the run or the ValueError of an old text that does not occur exactly once."""
+    def run(mutant):
+        try:
+            return run_mutant(mutant, mutant.tests)
+        except ValueError as e:
+            return e
+
+    with ThreadPoolExecutor(WORKERS) as pool:
+        yield from pool.map(run, mutants)
+
+
 def main(names: list[str]) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
@@ -72,12 +90,11 @@ def main(names: list[str]) -> int:
         print(error, file=sys.stderr)
         return 1
     failed = 0
-    for mutant in chosen:
-        try:
-            code = run_mutant(mutant, mutant.tests).returncode
-            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
-        except ValueError as e:
-            verdict = str(e)
+    for mutant, result in zip(chosen, run_mutants(chosen)):
+        if isinstance(result, ValueError):
+            verdict = str(result)
+        else:
+            verdict = "killed" if result.returncode == 1 else f"SURVIVED (pytest exit {result.returncode})"
         failed += verdict != "killed"
         print(f"{mutant.name}: {verdict}", flush=True)
     return 1 if failed else 0
