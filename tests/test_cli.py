@@ -28,7 +28,7 @@ from flipq import (
 from flipq.cli import ScanTable, _blowup_rays, _dump, _match_doc, _scan_contracts, main, run_match, run_scan
 from flipq.config_io import RunConfig, load_run_config, parse_run_config
 from flipq.errors import ConfigParse
-from flipq.perturbation import Contract, verdict
+from flipq.perturbation import verdict
 from flipq.core import fiber_norms_batch
 from flipq import kernels
 from flipq.kernels import BLOCK_LANES
