@@ -23,7 +23,8 @@ UNIT_NORM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BlowupPoint:
-    """Polar fiber coordinates: radius r >= 0 and unit direction (w', w''), all finite, else ConfigInvalid."""
+    """Polar fiber coordinates (r, w', w''): r finite and >= 0 and w finite, else ConfigInvalid, and w
+    nonzero, else OnCenter.  make_blowup_point also checks that w is a unit direction."""
 
     r: float
     w_prime: np.ndarray
@@ -38,6 +39,8 @@ class BlowupPoint:
         object.__setattr__(self, "w_second", _frozen_complex_vector(self.w_second))
         if not (np.isfinite(self.w_prime).all() and np.isfinite(self.w_second).all()):
             raise ConfigInvalid(f"blowup direction must be finite, got w' = {self.w_prime}, w'' = {self.w_second}")
+        if not (self.w_prime.any() or self.w_second.any()):
+            raise OnCenter("blowup direction must be nonzero")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +95,6 @@ def cstar_act_blowup(cfg: ModelConfig, zeta: complex, bp: BlowupPoint) -> Blowup
     ap, app = fiber_norms(cfg, FiberPoint(base=bp.base, y_prime=bp.w_prime, y_second=bp.w_second))
     m2 = abs(zeta) ** 2
     u = np.sqrt(m2 * ap + app / m2)
-    if u == 0.0:
-        raise OnCenter("the scaling action needs a nonzero direction")
     return BlowupPoint(
         r=bp.r * u,
         w_prime=(zeta / u) * bp.w_prime,
@@ -108,6 +109,4 @@ def boundary_coords(cfg: ModelConfig, bp: BlowupPoint) -> BoundaryPoint:
         raise NotOnBoundary(f"needs r = 0 and t = 0, got r = {bp.r}, t = {bp.base.t}")
     homog = np.concatenate([bp.w_prime, bp.w_second.conj()])
     k = _pivot(homog)
-    if homog[k] == 0:
-        raise OnCenter("boundary coordinates need a nonzero direction")
     return BoundaryPoint(homog=homog / homog[k], base=bp.base)

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .blowup import from_blowup
+from .blowup import from_blowup, make_blowup_point
 from .core import (
     BasePoint,
     FiberPoint,
@@ -50,7 +50,6 @@ from .errors import (
     DegenerateDerivative,
     NoConvergence,
     NoRoot,
-    OnCenter,
     OutOfDomain,
 )
 
@@ -487,8 +486,8 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
 def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     """rho at a blowup point: exactly 1 on the boundary r = 0, else solve_rho at v = r w.
 
-    The boundary lane meets the metric gate and the shape rule too, and its
-    direction must be nonzero (OnCenter).  Off it, rho - 1 stays within an
+    The boundary lane meets the metric gate and the shape rule too; its
+    direction is nonzero, as in every BlowupPoint.  Off it, rho - 1 stays within an
     ulp of its reference while |v|^2 is a normal float (r above about 1.5e-154;
     kernels.scale_root rescales tiny coefficients); below, kernels.scale_root refuses the lane.
     """
@@ -496,8 +495,6 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     if bp.r > 0.0:
         return solve_rho(cfg, p)
     fiber_norms_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
-    if not (bp.w_prime.any() or bp.w_second.any()):
-        raise OnCenter("the boundary rescaling needs a nonzero direction")
     return RhoSolution(rho=1.0, residual=0.0, iterations=0)
 
 
@@ -520,24 +517,22 @@ def renorm_eval(
     unit direction w: tau(r w) = sum_d a_d r^d, a_d its degree-d terms at w.
     The value is sum_d a_d r^(d - k), so a_k at r = 0; a term of degree
     below k cannot satisfy |tau| <= C |v|^k and raises BoundViolated.
+    (r, w) is checked as make_blowup_point checks it.
     """
     if not isinstance(tau, PerturbationSpec):
         raise TypeError(f"tau must be a PerturbationSpec, got {type(tau).__name__}")
-    if not 0.0 <= r < np.inf:
-        raise ValueError(f"r must be finite and >= 0, got {r}")
+    bp = make_blowup_point(cfg, r, w_prime, w_second, BasePoint(theta, 0.0))
     degrees = [t.degree for t in tau.terms]
     if any(d < k for d in degrees):
         raise BoundViolated(
             f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
         )
-    g1, g2, values = _tau_lanes(cfg, tau.terms, *one_lane(theta, w_prime, w_second))
-    if not abs(g1[0] + g2[0] - 1.0) <= 1e-9:
-        raise ValueError(f"w must be a unit direction; |w|^2 = {g1[0] + g2[0]}")
+    _, _, values = _tau_lanes(cfg, tau.terms, *one_lane(theta, bp.w_prime, bp.w_second))
     # coefficients a_d of tau(r w) = sum a_d r^d along the ray through w
     coeffs: dict[int, float] = {}
     for term, value in zip(tau.terms, values):
         coeffs[term.degree] = coeffs.get(term.degree, 0.0) + float(value[0])
-    return float(sum(a * r ** (d - k) for d, a in coeffs.items()))
+    return float(sum(a * bp.r ** (d - k) for d, a in coeffs.items()))
 
 
 def matching_map(cfg: ModelConfig, p: FiberPoint) -> FiberPoint:

@@ -10,17 +10,19 @@ from flipq import (
     BasePoint,
     BlowupPoint,
     ConfigInvalid,
-    DegenerateBranch,
     DimensionMismatch,
     FiberPoint,
+    FlipQError,
     NotOnBoundary,
     OnCenter,
+    PerturbationSpec,
     ZeroScalar,
     boundary_coords,
     cstar_act,
     cstar_act_blowup,
     from_blowup,
     make_blowup_point,
+    renorm_eval,
     solve_rho_blowup,
     to_blowup,
 )
@@ -134,11 +136,11 @@ def test_scaling_actions_refuse_zero_and_non_finite_scalars(cfg_identity, action
 
 
 def test_blowup_action_refuses_a_zero_direction(cfg_identity):
-    # u = 0 on a zero direction, as boundary_coords refuses one
+    # the point itself refuses a zero direction, before the action could divide by u = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in (0.0, 0.1):
-            with pytest.raises(OnCenter, match="the scaling action needs a nonzero direction"):
+            with pytest.raises(OnCenter, match="blowup direction must be nonzero"):
                 cstar_act_blowup(cfg_identity, 2.0, _bp(r, [0.0], [0.0]))
 
 
@@ -222,7 +224,7 @@ def test_boundary_coords_requires_boundary(cfg_identity):
 def test_boundary_coords_refuses_a_zero_direction(cfg_identity):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OnCenter, match="boundary coordinates need a nonzero direction"):
+        with pytest.raises(OnCenter, match="blowup direction must be nonzero"):
             boundary_coords(cfg_identity, _bp(0.0, [0.0], [0.0]))
 
 
@@ -263,25 +265,58 @@ BLOWUP_CALLS = {
     "cstar_act_blowup": lambda cfg, bp: cstar_act_blowup(cfg, 2.0, bp),
 }
 
-# (call, r) -> the error a zero direction raises
-ZERO_DIRECTION_ERRORS = {
-    ("solve_rho_blowup", 0.0): (OnCenter, "the boundary rescaling needs a nonzero direction"),
-    ("solve_rho_blowup", 0.1): (DegenerateBranch, "the rescaling equation is undefined on the zero section"),
-    ("boundary_coords", 0.0): (OnCenter, "boundary coordinates need a nonzero direction"),
-    ("boundary_coords", 0.1): (NotOnBoundary, "needs r = 0 and t = 0"),
-    ("cstar_act_blowup", 0.0): (OnCenter, "the scaling action needs a nonzero direction"),
-    ("cstar_act_blowup", 0.1): (OnCenter, "the scaling action needs a nonzero direction"),
-}
-
-
 @pytest.mark.parametrize("direction", ["zero", "nan", "inf"])
 @pytest.mark.parametrize("r", [0.0, 0.1])
 @pytest.mark.parametrize("name", sorted(BLOWUP_CALLS))
 def test_blowup_calls_refuse_an_unusable_direction(cfg_identity, name, r, direction):
-    # a zero direction raises the call's own error, the boundary rescaling's too; a non-finite entry
-    # is refused with the point, before numpy can warn (RuntimeWarning is an error here)
+    # the point refuses an unusable direction, whatever r is, before any call sees it and before numpy
+    # can warn (RuntimeWarning is an error here): a zero one with OnCenter, a non-finite entry with
+    # ConfigInvalid
     w_prime, w_second = {"zero": ([0.0], [0.0]), "nan": ([np.nan], [0.0]), "inf": ([0.6], [np.inf])}[direction]
-    error, message = (ZERO_DIRECTION_ERRORS[name, r] if direction == "zero"
+    error, message = ((OnCenter, "blowup direction must be nonzero") if direction == "zero"
                       else (ConfigInvalid, "blowup direction must be finite"))
-    with pytest.raises(error, match=re.escape(message)):
-        BLOWUP_CALLS[name](cfg_identity, _bp(r, w_prime, w_second))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(message)):
+            BLOWUP_CALLS[name](cfg_identity, _bp(r, w_prime, w_second))
+
+
+# name -> (a valid r, the call on (r, w', w'')): each call that takes a blowup point builds it over theta = 0,
+# t = 0; solve_rho_blowup has a boundary branch at r = 0 and a solve at r > 0, and invalid inputs reach either
+POINT_CALLS = {
+    "BlowupPoint": (0.0, lambda cfg, r, wp, ws: _bp(r, wp, ws)),
+    "make_blowup_point": (0.0, lambda cfg, r, wp, ws: make_blowup_point(cfg, r, wp, ws, BasePoint(0.0, 0.0))),
+    "solve_rho_blowup-r0": (0.0, lambda cfg, r, wp, ws: solve_rho_blowup(cfg, _bp(r, wp, ws))),
+    "solve_rho_blowup-r0.1": (0.1, lambda cfg, r, wp, ws: solve_rho_blowup(cfg, _bp(r, wp, ws))),
+    "cstar_act_blowup": (0.1, lambda cfg, r, wp, ws: cstar_act_blowup(cfg, 2.0, _bp(r, wp, ws))),
+    "boundary_coords": (0.0, lambda cfg, r, wp, ws: boundary_coords(cfg, _bp(r, wp, ws))),
+    "renorm_eval": (0.1, lambda cfg, r, wp, ws: renorm_eval(cfg, PerturbationSpec(), 4, r, wp, ws)),
+}
+
+# invalid input -> (r, or None for the call's valid r; w'; w''; the error and message of the rule that owns
+# the invariant).  |w|^2 = 1 + 5e-10 is refused at make_blowup_point's one tolerance.
+INVALID_POINTS = {
+    "negative-r": (-0.1, [0.6], [0.8], ConfigInvalid, "blowup radius must be finite and >= 0, got -0.1"),
+    "nan-r": (np.nan, [0.6], [0.8], ConfigInvalid, "blowup radius must be finite and >= 0, got nan"),
+    "inf-r": (np.inf, [0.6], [0.8], ConfigInvalid, "blowup radius must be finite and >= 0, got inf"),
+    "nan-entry": (None, [np.nan], [0.8], ConfigInvalid, "blowup direction must be finite"),
+    "inf-entry": (None, [0.6], [np.inf], ConfigInvalid, "blowup direction must be finite"),
+    "zero-direction": (None, [0.0], [0.0], OnCenter, "blowup direction must be nonzero"),
+    "non-unit": (None, [np.sqrt(1.0 + 5e-10)], [0.0], ConfigInvalid,
+                 "direction norm^2 = 1.0000000005 is not 1 to 1e-12"),
+}
+# only make_blowup_point checks the unit norm, and renorm_eval calls it; the rest take any nonzero direction
+ONE_OWNER_CASES = [(name, case) for name in POINT_CALLS for case in INVALID_POINTS
+                   if case != "non-unit" or name in ("make_blowup_point", "renorm_eval")]
+
+
+@pytest.mark.parametrize("name, case", ONE_OWNER_CASES, ids=[f"{n}-{c}" for n, c in ONE_OWNER_CASES])
+def test_each_blowup_invariant_has_one_owner(cfg_identity, name, case):
+    r, w_prime, w_second, error, message = INVALID_POINTS[case]
+    valid_r, call = POINT_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlipQError) as got:
+            call(cfg_identity, valid_r if r is None else r, np.array(w_prime), np.array(w_second))
+    assert type(got.value) is error
+    assert str(got.value).startswith(message)

@@ -716,15 +716,17 @@ def test_renorm_refuses_a_callable_tau_off_the_boundary(cfg_identity):
 
 
 def test_renorm_requires_unit_direction(cfg_identity):
-    # a NaN entry fails the norm check too: NaN compares false
-    for w_prime, w_second in (([2.0], [0.0]), ([np.nan], [0.8]), ([0.6], [np.nan])):
-        with pytest.raises(ValueError, match="w must be a unit direction"):
+    # make_blowup_point's rules: the unit norm at its tolerance, and a finite direction, checked first
+    with pytest.raises(ConfigInvalid, match="direction norm\\^2 = 4.0 is not 1 to 1e-12"):
+        renorm_eval(cfg_identity, _norm4_spec(), 4, 0.1, np.array([2.0]), np.array([0.0]))
+    for w_prime, w_second in (([np.nan], [0.8]), ([0.6], [np.nan])):
+        with pytest.raises(ConfigInvalid, match="blowup direction must be finite"):
             renorm_eval(cfg_identity, _norm4_spec(), 4, 0.1, np.array(w_prime), np.array(w_second))
 
 
 @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
 def test_renorm_refuses_a_negative_or_non_finite_radius(cfg_identity, r):
-    with pytest.raises(ValueError, match="r must be finite and >= 0"):
+    with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
         renorm_eval(cfg_identity, _norm4_spec(), 4, r, np.array([0.6]), np.array([0.8]))
 
 
