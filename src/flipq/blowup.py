@@ -89,16 +89,22 @@ def cstar_act_blowup(cfg: ModelConfig, zeta: complex, bp: BlowupPoint) -> Blowup
 
     zeta . (r, w) = (r u, (zeta w', zeta^-1 w'') / u)  with
     u = (|zeta|^2 |w'|^2 + |zeta|^-2 |w''|^2)^(1/2); keeps |w| = 1 and
-    preserves the boundary r = 0.
+    preserves the boundary r = 0.  Where |zeta|^2 or its inverse leaves the
+    normal floats, u is taken without squaring |zeta|, and w is divided by u
+    before zeta acts, so no intermediate over- or underflows.
     """
     zeta = _cstar_scalar(zeta)
     ap, app = fiber_norms(cfg, FiberPoint(base=bp.base, y_prime=bp.w_prime, y_second=bp.w_second))
-    m2 = abs(zeta) ** 2
-    u = np.sqrt(m2 * ap + app / m2)
+    m = abs(zeta)
+    if kernels.NORM_SQ_MIN <= m * m <= 1.0 / kernels.NORM_SQ_MIN:
+        m2 = m**2
+        u = np.sqrt(m2 * ap + app / m2)
+    else:
+        u = np.hypot(m * np.sqrt(ap), np.sqrt(app) / m)
     return BlowupPoint(
         r=bp.r * u,
-        w_prime=(zeta / u) * bp.w_prime,
-        w_second=bp.w_second / (zeta * u),
+        w_prime=zeta * (bp.w_prime / u),
+        w_second=(bp.w_second / u) / zeta,
         base=bp.base,
     )
 

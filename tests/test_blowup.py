@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from flipq import (
     solve_rho_blowup,
     to_blowup,
 )
+from flipq import presets
+from flipq.config_io import build_model
 from flipq.core import fiber_norms
 from flipq.sampling import random_stable_fiber, random_unit_direction, random_zeta
 
@@ -133,6 +136,27 @@ def test_scaling_actions_refuse_zero_and_non_finite_scalars(cfg_identity, action
         warnings.simplefilter("error")
         with pytest.raises(ZeroScalar, match="requires a finite zeta != 0"):
             action(cfg_identity, zeta)
+
+
+@pytest.mark.parametrize("modulus", [1e-300, 1e-200, 1e-160, 1e-155, 1e-100, 1.0, 1e100, 1e155, 1e160, 1e200,
+                                     1e300])
+def test_blowup_action_takes_a_zeta_of_any_finite_modulus(modulus):
+    # the image of (0.5, (0.6, 0.8)) is finite at every modulus (r about 4e199 at 1e-200), though |zeta|^2
+    # over- or underflows beyond about 1e154 and 1e-154.  Oracle: u = (|zeta|^2 a' + |zeta|^-2 a'')^(1/2)
+    # to 50 digits at the same a', a''
+    cfg = build_model(presets.quartic_config())
+    bp = _bp(0.5, [0.6], [0.8])
+    ap, app = fiber_norms(cfg, FiberPoint(base=bp.base, y_prime=bp.w_prime, y_second=bp.w_second))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in (modulus, modulus * np.exp(0.7j)):
+            out = cstar_act_blowup(cfg, zeta, bp)
+            with localcontext(prec=50):
+                m2 = Decimal(abs(zeta)) ** 2
+                u = (m2 * Decimal(ap) + Decimal(app) / m2).sqrt()
+                assert abs(Decimal(out.r) / (Decimal(bp.r) * u) - 1) <= Decimal(2.0**-52)
+            g1, g2 = fiber_norms(cfg, FiberPoint(base=out.base, y_prime=out.w_prime, y_second=out.w_second))
+            assert abs(g1 + g2 - 1.0) <= 1e-15
 
 
 def test_blowup_action_refuses_a_zero_direction(cfg_identity):
