@@ -517,7 +517,8 @@ def renorm_eval(
     unit direction w: tau(r w) = sum_d a_d r^d, a_d its degree-d terms at w.
     The value is sum_d a_d r^(d - k), so a_k at r = 0; a term of degree
     below k cannot satisfy |tau| <= C |v|^k and raises BoundViolated.
-    (r, w) is checked as make_blowup_point checks it.
+    (r, w) is checked as make_blowup_point checks it, and the ray point
+    v = r w as taylor_rest checks it: outside the fiber domain, OutOfDomain.
     """
     if not isinstance(tau, PerturbationSpec):
         raise TypeError(f"tau must be a PerturbationSpec, got {type(tau).__name__}")
@@ -527,7 +528,8 @@ def renorm_eval(
         raise BoundViolated(
             f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
         )
-    _, _, values = _tau_lanes(cfg, tau.terms, *one_lane(theta, bp.w_prime, bp.w_second))
+    g1, g2, values = _tau_lanes(cfg, tau.terms, *one_lane(theta, bp.w_prime, bp.w_second))
+    _check_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)
     # coefficients a_d of tau(r w) = sum a_d r^d along the ray through w
     coeffs: dict[int, float] = {}
     for term, value in zip(tau.terms, values):

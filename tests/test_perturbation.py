@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -728,6 +729,20 @@ def test_renorm_requires_unit_direction(cfg_identity):
 def test_renorm_refuses_a_negative_or_non_finite_radius(cfg_identity, r):
     with pytest.raises(ConfigInvalid, match="blowup radius must be finite and >= 0"):
         renorm_eval(cfg_identity, _norm4_spec(), 4, r, np.array([0.6]), np.array([0.8]))
+
+
+def test_renorm_refuses_a_ray_point_outside_the_fiber_domain(cfg_identity):
+    # the ray point v = r w meets taylor_rest's domain rule (domain_radius 0.8), with its message; at
+    # r = 1e200, r ** (d - k) would overflow
+    w_prime, w_second = np.array([0.6]), np.array([0.8])
+    assert renorm_eval(cfg_identity, _norm4_spec(), 2, 0.8, w_prime, w_second) == pytest.approx(0.64)
+    with pytest.raises(OutOfDomain) as rest:
+        taylor_rest(cfg_identity, _point(0.81 * w_prime, 0.81 * w_second))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, message in ((0.81, str(rest.value)), (1e200, "|v| = inf exceeds domain_radius = 0.8")):
+            with pytest.raises(OutOfDomain, match=re.escape(message)):
+                renorm_eval(cfg_identity, _norm4_spec(), 2, r, w_prime, w_second)
 
 
 # -- matching ---------------------------------------------------------------
