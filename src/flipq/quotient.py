@@ -87,12 +87,11 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
 
     Returns (rho, p0) with p0 = rho . p and moment_value(p0) = 0 up to
     roundoff.  The scaling is the closed-form positive root of
-    level_rho_batch; unstable points have none and raise NotStable, as does
-    a point that kernels.scale_root gives no root (|y'|^2 + |y''|^2 below
-    kernels.NORM_SQ_MIN, whose digits are lost), exactly as matching refuses it.
+    level_rho_batch, NaN where kernels.scale_root gives none: on every
+    unstable point, and where |y'|^2 + |y''|^2 is below kernels.NORM_SQ_MIN
+    and its digits are lost.  Such a point raises NotStable, exactly as
+    matching refuses it.
     """
-    if classify(cfg, p) is StabilityClass.Unstable:
-        raise NotStable("point is outside the fiberwise stable locus")
     thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
     rho = float(level_rho_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
     if not np.isfinite(rho):

@@ -96,6 +96,19 @@ def test_normalize_rejects_unstable(cfg_identity):
         normalize_to_level(cfg_identity, _point([1.0], [0.0], t=0.3))
 
 
+@pytest.mark.parametrize("t", [-0.3, 0.0, 0.3])
+@pytest.mark.parametrize("y_prime, y_second", [([1.0], [0.0]), ([0.0], [1.0]), ([0.0], [0.0]), ([1.0], [1.0])],
+                         ids=["prime", "second", "zero", "both"])
+def test_normalize_refuses_each_unstable_point_with_one_message(cfg_identity, y_prime, y_second, t):
+    # every point classify calls unstable, each zero pattern on each side, gets the level root's one refusal
+    p = _point(y_prime, y_second, t=t)
+    if classify(cfg_identity, p) is StabilityClass.Stable:
+        assert moment_value(cfg_identity, normalize_to_level(cfg_identity, p)[1]) == pytest.approx(0.0, abs=1e-15)
+        return
+    with pytest.raises(NotStable, match="^no positive rescaling reaches the zero level$"):
+        normalize_to_level(cfg_identity, p)
+
+
 def test_normalize_unique_across_orbit(rng, cfg_identity):
     for _ in range(50):
         p = random_stable_fiber(rng, cfg_identity, rng.uniform(0, 2 * np.pi), rng.uniform(-0.4, 0.4))
