@@ -170,7 +170,7 @@ def _tau_lanes(cfg: ModelConfig, terms, thetas, y_prime, y_second):
 
     The rest term is the values summed from zero: chi + (g1 - g2)/2 would lose it to cancellation.
     """
-    table = kernels.Harmonics(thetas)
+    table = kernels.harmonics(thetas)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     g1, g2 = fiber_norms_batch(cfg, table, y_prime, y_second)
@@ -567,7 +567,6 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     where it is finite.  Lanes whose status is not STATUS_OK keep their input coordinates.  No lane
     error raises, not even the fiber domain's: matching_errors reads them from the result.
     """
-    thetas = np.asarray(thetas, dtype=float)
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)

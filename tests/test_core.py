@@ -757,6 +757,20 @@ def test_shape_rule_counts_the_lanes_of_a_harmonics_table(cfg_fourier_quartic):
     assert g1.shape == g2.shape == (6,)
 
 
+@pytest.mark.parametrize("name", ["fiber_norms_batch", "level_rho_batch", "moment_value_batch", "chi_parts_batch",
+                                  "chi_eval_batch", "match_lanes", "matching_map_batch"])
+def test_batch_entry_point_takes_a_harmonics_table(name, rng):
+    # one theta rule: a kernels.Harmonics table in place of the thetas gives bitwise the same result
+    cfg, _ = _one_lane_configs(rng)
+    thetas, y_prime, y_second = random_domain_batch(rng, cfg, 64)
+    call = BATCH_ENTRY_POINTS[name]
+    from_thetas = call(cfg, thetas, y_prime, y_second)
+    from_table = call(cfg, kernels.Harmonics(thetas), y_prime, y_second)
+    if not isinstance(from_thetas, tuple):
+        from_thetas, from_table = (from_thetas,), (from_table,)
+    assert [a.tobytes() for a in from_table] == [a.tobytes() for a in from_thetas]
+
+
 # -- batch norm consistency --------------------------------------------------
 
 
