@@ -1,8 +1,7 @@
 """Run the mutation gate: each mutant of table.MUTANTS in its own copy of the tree.
 
-    python mutants/runner.py             # every mutant
-    python mutants/runner.py NAME ...    # the named mutants only
-    python -m pytest mutants             # the same, as one test per mutant
+    python -m pytest mutants             # every mutant, one test each
+    python -m pytest mutants -k NAME     # the named mutants only
 
 A mutant is applied to a copy of the repository under a temporary
 directory, never to the working tree, and only its node ids run there.  It
@@ -11,9 +10,10 @@ included, is a survivor.  Before any mutant, the baseline runs the node ids
 of every row on an unmutated copy: a node id that already fails would count
 every mutant naming it as killed, so the gate fails with a "baseline:"
 message unless that run passes.  Then the mutants run WORKERS at a time,
-each in its own copy and subprocess, and their verdicts print in table
-order.  The exit code is 1 if the baseline fails, a mutant survives or its
-old text does not occur exactly once.  Standard library only.
+each in its own copy and subprocess, and run_mutants yields their results
+in table order.  test_mutants.py, the gate's one entry point, makes each
+mutant one test, failed if its mutant survives or its old text does not
+occur exactly once.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,27 +78,3 @@ def run_mutants(mutants) -> Iterator[subprocess.CompletedProcess | ValueError]:
     with ThreadPoolExecutor(WORKERS) as pool:
         yield from pool.map(run, mutants)
 
-
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    error = baseline_error()
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 1
-    failed = 0
-    for mutant, result in zip(chosen, run_mutants(chosen)):
-        if isinstance(result, ValueError):
-            verdict = str(result)
-        else:
-            verdict = "killed" if result.returncode == 1 else f"SURVIVED (pytest exit {result.returncode})"
-        failed += verdict != "killed"
-        print(f"{mutant.name}: {verdict}", flush=True)
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

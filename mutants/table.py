@@ -159,6 +159,42 @@ MUTANTS = (
         "if ap + app == 0.0:",
         ("tests/test_blowup.py::test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits[1e-155]",),
     ),
+    # every blowup point has a nonzero direction: the one check, which the boundary calls rely on
+    Mutant(
+        "blowup-point-without-nonzero-rule",
+        "src/flipq/blowup.py",
+        ('        if not (self.w_prime.any() or self.w_second.any()):\n'
+         '            raise OnCenter("blowup direction must be nonzero")\n'),
+        "",
+        ("tests/test_blowup.py::test_each_blowup_invariant_has_one_owner[BlowupPoint-zero-direction]",
+         "tests/test_blowup.py::test_blowup_calls_refuse_an_unusable_direction[boundary_coords-0.0-zero]"),
+    ),
+    # renorm_eval's direction meets make_blowup_point's unit-norm rule, not a bare BlowupPoint's
+    Mutant(
+        "renorm-bare-blowup-point",
+        "src/flipq/perturbation.py",
+        "    bp = make_blowup_point(cfg, r, w_prime, w_second, BasePoint(theta, 0.0))\n",
+        "    from .blowup import BlowupPoint\n    bp = BlowupPoint(r, w_prime, w_second, BasePoint(theta, 0.0))\n",
+        ("tests/test_blowup.py::test_each_blowup_invariant_has_one_owner[renorm_eval-non-unit]",
+         "tests/test_perturbation.py::test_renorm_requires_unit_direction"),
+    ),
+    # the action takes any finite zeta != 0: |zeta|^2 over- or underflows beyond about 1e154 and 1e-154
+    Mutant(
+        "blowup-action-squares-any-zeta",
+        "src/flipq/blowup.py",
+        "    if kernels.NORM_SQ_MIN <= m * m <= 1.0 / kernels.NORM_SQ_MIN:\n",
+        "    if True:\n",
+        ("tests/test_blowup.py::test_blowup_action_takes_a_zeta_of_any_finite_modulus[1e-200]",
+         "tests/test_blowup.py::test_blowup_action_takes_a_zeta_of_any_finite_modulus[1e+200]"),
+    ),
+    # renorm_eval's ray point v = r w meets the fiber domain rule, as taylor_rest's point does
+    Mutant(
+        "renorm-without-domain-rule",
+        "src/flipq/perturbation.py",
+        "    _check_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)\n",
+        "",
+        ("tests/test_perturbation.py::test_renorm_refuses_a_ray_point_outside_the_fiber_domain",),
+    ),
     # every scan float is checked before the first byte is written, so a NaN writes nothing
     Mutant(
         "scan-floats-unchecked",
