@@ -77,4 +77,3 @@ def run_mutants(mutants) -> Iterator[subprocess.CompletedProcess | ValueError]:
 
     with ThreadPoolExecutor(WORKERS) as pool:
         yield from pool.map(run, mutants)
-

@@ -486,8 +486,8 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
 def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     """rho at a blowup point: exactly 1 on the boundary r = 0, else solve_rho at v = r w.
 
-    The boundary lane meets the metric gate and the shape rule too; its
-    direction is nonzero, as in every BlowupPoint.  Off it, rho - 1 stays within an
+    The boundary lane meets the metric gate and the shape rule too; a
+    BlowupPoint's direction is nonzero.  Off it, rho - 1 stays within an
     ulp of its reference while |v|^2 is a normal float (r above about 1.5e-154;
     kernels.scale_root rescales tiny coefficients); below, kernels.scale_root refuses the lane.
     """
