@@ -151,13 +151,23 @@ MUTANTS = (
          "tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-161]",
          "tests/test_kernels.py::test_scale_root_refuses_a_subnormal_norm_sum_and_no_other_lane"),
     ),
-    # to_blowup gives a nonzero vector whose |v|^2 is below the smallest normal float no direction
+    # the polar rule gives a nonzero vector whose |v|^2 is below the smallest normal float no direction,
+    # so to_blowup refuses it
     Mutant(
         "to-blowup-without-lost-digits-rule",
         "src/flipq/blowup.py",
-        "if ap + app < kernels.NORM_SQ_MIN:",
-        "if ap + app == 0.0:",
+        "r = np.where(g1 + g2 < kernels.NORM_SQ_MIN, 0.0, np.sqrt(g1 + g2))",
+        "r = np.sqrt(g1 + g2)",
         ("tests/test_blowup.py::test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits[1e-155]",),
+    ),
+    # a lost lane's direction is NaN, not y divided by its raw norm (a junk direction, or 0 / 0 with a warning)
+    Mutant(
+        "polar-rule-divides-by-raw-norm",
+        "src/flipq/blowup.py",
+        ("np.divide(y, r[:, None], out=np.full(np.shape(y), complex(np.nan, np.nan)),\n"
+         "                                   where=r[:, None] > 0.0, dtype=complex)"),
+        "np.divide(y, np.sqrt(g1 + g2)[:, None], dtype=complex)",
+        ("tests/test_blowup.py::test_to_blowup_batch_gives_no_direction_exactly_below_the_normal_floats",),
     ),
     # every blowup point has a nonzero direction: the one check, which the boundary calls rely on
     Mutant(

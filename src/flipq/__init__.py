@@ -17,6 +17,7 @@ from .blowup import (
     from_blowup,
     make_blowup_point,
     to_blowup,
+    to_blowup_batch,
 )
 from .config_io import (
     RunConfig,

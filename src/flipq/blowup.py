@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BasePoint, FiberPoint, ModelConfig, _frozen_complex_vector, fiber_norms, _cstar_scalar
+from .core import (BasePoint, FiberPoint, ModelConfig, _cstar_scalar, _frozen_complex_vector, fiber_norms,
+                   fiber_norms_batch, one_lane)
 from .errors import ConfigInvalid, NotOnBoundary, OnCenter
 from .quotient import _pivot
 
@@ -63,20 +64,26 @@ def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
     return bp
 
 
-def to_blowup(cfg: ModelConfig, p: FiberPoint) -> BlowupPoint:
-    """Polar decomposition y = r w off the zero section.
+def to_blowup_batch(cfg: ModelConfig, thetas, y_prime, y_second):
+    """The one polar rule: (r, w', w'', g1, g2) per lane, with y = r w and r^2 = g1 + g2 = |y'|^2 + |y''|^2 from
+    fiber_norms_batch.  A lane whose r^2 is below kernels.NORM_SQ_MIN (scale_root's threshold) is the zero
+    section or has lost its digits: it gets r = 0 and a NaN direction, with no numpy warning."""
+    g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
+    r = np.where(g1 + g2 < kernels.NORM_SQ_MIN, 0.0, np.sqrt(g1 + g2))
+    w_prime, w_second = (np.divide(y, r[:, None], out=np.full(np.shape(y), complex(np.nan, np.nan)),
+                                   where=r[:, None] > 0.0, dtype=complex) for y in (y_prime, y_second))
+    return r, w_prime, w_second, g1, g2
 
-    A nonzero y whose r^2 = |y'|^2 + |y''|^2 is below kernels.NORM_SQ_MIN, the
-    threshold kernels.scale_root reads, has lost its digits and gets no unit
-    direction: OnCenter, as on the zero section itself.
-    """
-    ap, app = fiber_norms(cfg, p)
-    if ap + app < kernels.NORM_SQ_MIN:
+
+def to_blowup(cfg: ModelConfig, p: FiberPoint) -> BlowupPoint:
+    """Polar decomposition y = r w off the zero section: one lane of to_blowup_batch; r = 0 raises OnCenter."""
+    lanes = to_blowup_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
+    r, w_prime, w_second, g1, g2 = (lane[0] for lane in lanes)
+    if r == 0.0:
         if not (p.y_prime.any() or p.y_second.any()):
             raise OnCenter("polar coordinates are undefined on the zero section")
-        raise OnCenter(f"|y|^2 = {ap + app:.3g} is below the smallest normal float: its digits are lost")
-    r = float(np.sqrt(ap + app))
-    return BlowupPoint(r=r, w_prime=p.y_prime / r, w_second=p.y_second / r, base=p.base)
+        raise OnCenter(f"|y|^2 = {g1 + g2:.3g} is below the smallest normal float: its digits are lost")
+    return BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=p.base)
 
 
 def from_blowup(bp: BlowupPoint) -> FiberPoint:

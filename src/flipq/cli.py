@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import kernels
+from .blowup import to_blowup_batch
 from .config_io import RunConfig, _number, load_run_config, parse_vector, phi_from_config
 from .core import BasePoint, FiberPoint
 from .errors import ConfigInvalid, ConfigParse, DimensionMismatch, FlipQError, OutOfDomain
@@ -52,7 +53,7 @@ from .perturbation import (
     verify_conditions,
 )
 from .quotient import fiber_type, level_rho_batch, moment_value_batch
-from .sampling import complex_gaussian, complex_gaussian_rows, random_domain_batch, unit_directions_batch
+from .sampling import complex_gaussian, complex_gaussian_rows, random_domain_batch
 
 BLOWUP_R_GRID = (1e-1, 1e-2, 1e-3, 1e-4)  # the blowup rays' radii, as fractions of domain_radius
 # Rounds of --random draws: each round redraws, from the same stream, the
@@ -348,7 +349,7 @@ def _blowup_rays(cfg, seed: int, n: int) -> RayPass:
         thetas[i] = rng.uniform(0.0, 2.0 * np.pi)
         w_prime[i] = complex_gaussian(rng, cfg.r_prime)
         w_second[i] = complex_gaussian(rng, cfg.r_second)
-    w_prime, w_second = unit_directions_batch(cfg, thetas, w_prime, w_second)
+    _, w_prime, w_second, _, _ = to_blowup_batch(cfg, thetas, w_prime, w_second)
     radii = cfg.domain_radius * np.array(BLOWUP_R_GRID)
     m = rescale_lanes(cfg, np.repeat(thetas, len(radii)),
                       (radii[:, None] * w_prime[:, None, :]).reshape(-1, cfg.r_prime),

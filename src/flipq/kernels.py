@@ -33,7 +33,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 # The smallest normal float: a norm sum |v|^2 = a' + a'' below it is subnormal or 0 and has lost
-# its digits, so scale_root gives its lane no root and to_blowup no direction.
+# its digits, so scale_root gives its lane no root and blowup.to_blowup_batch no direction.
 NORM_SQ_MIN = np.finfo(float).tiny
 
 # Lanes per call in the blocked batch loops: the CLI's scan rows,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiberPoint, ModelConfig, fiber_norms_batch
+from .blowup import to_blowup_batch
+from .core import FiberPoint, ModelConfig, fiber_norms_batch, one_lane
 
 
 def _complex(real, imag) -> np.ndarray:
@@ -67,20 +68,9 @@ def random_domain_batch(rng: np.random.Generator, cfg: ModelConfig, n: int):
     return thetas, y_prime * factor[:, None], y_second * factor[:, None]
 
 
-def unit_directions_batch(cfg: ModelConfig, thetas, w_prime, w_second):
-    """The fiber vectors (w', w'') of each lane divided by their metric norm at its theta.
-
-    fiber_norms_batch refuses a field the metric certificate refuses, so only a zero
-    lane has no direction (it comes out NaN).
-    """
-    g1, g2 = fiber_norms_batch(cfg, thetas, w_prime, w_second)
-    norm = np.sqrt(g1 + g2)[:, None]
-    return w_prime / norm, w_second / norm
-
-
 def random_unit_direction(rng: np.random.Generator, cfg: ModelConfig, theta: float):
-    """Fiber direction of unit metric norm at theta: unit_directions_batch on one lane."""
+    """Fiber direction of unit metric norm at theta: to_blowup_batch's direction of one Gaussian lane."""
     w_prime = complex_gaussian(rng, cfg.r_prime)
     w_second = complex_gaussian(rng, cfg.r_second)
-    w_prime, w_second = unit_directions_batch(cfg, np.array([theta]), w_prime[None, :], w_second[None, :])
+    _, w_prime, w_second, _, _ = to_blowup_batch(cfg, *one_lane(theta, w_prime, w_second))
     return w_prime[0], w_second[0]

@@ -26,8 +26,9 @@ from flipq import (
     renorm_eval,
     solve_rho_blowup,
     to_blowup,
+    to_blowup_batch,
 )
-from flipq import presets
+from flipq import kernels, presets
 from flipq.config_io import build_model
 from flipq.core import fiber_norms
 from flipq.sampling import random_stable_fiber, random_unit_direction, random_zeta
@@ -74,6 +75,25 @@ def test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits(cfg_identity, r):
         return
     with pytest.raises(OnCenter, match="below the smallest normal float: its digits are lost"):
         to_blowup(cfg_identity, p)
+
+
+def test_to_blowup_batch_gives_no_direction_exactly_below_the_normal_floats():
+    # the one polar rule: r = 0 and a NaN direction exactly where r^2 < kernels.NORM_SQ_MIN (the zero
+    # section included), with no numpy warning (RuntimeWarning is an error here); the other lane is
+    # to_blowup's, bit for bit
+    cfg = build_model(presets.quartic_config())
+    radii = np.array([0.0, 1e-150, 1e-155, 1e-160, 1e-162, 1e-170])
+    y_prime, y_second = 0.6 * radii[:, None] + 0j, 0.8 * radii[:, None] + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, w_prime, w_second, g1, g2 = to_blowup_batch(cfg, np.zeros(len(radii)), y_prime, y_second)
+    lost = g1 + g2 < kernels.NORM_SQ_MIN
+    assert lost.tolist() == [True, False, True, True, True, True]
+    directions = np.concatenate([w_prime, w_second], axis=1)
+    assert np.isnan(directions).all(axis=1).tolist() == lost.tolist()
+    assert (r == 0.0).tolist() == lost.tolist()
+    bp = to_blowup(cfg, _point(y_prime[1], y_second[1]))
+    assert np.array([bp.r, *bp.w_prime, *bp.w_second]).tobytes() == np.array([r[1], *directions[1]]).tobytes()
 
 
 def test_blowup_point_rejects_a_non_vector_direction():

@@ -37,6 +37,7 @@ from flipq import (
     renorm_eval,
     taylor_rest,
     to_blowup,
+    to_blowup_batch,
     validate_config,
 )
 from flipq import kernels
@@ -44,7 +45,7 @@ from flipq import core
 from flipq.core import _metrics_cached, check_metrics, fiber_norms_batch, min_metric_eigenvalue
 from flipq.perturbation import (PerturbationTerm, _tau_lanes, chi_parts_batch, match_lanes, matching_errors,
                                 rest_bound_scan, verify_conditions)
-from flipq.sampling import random_domain_batch, unit_directions_batch
+from flipq.sampling import random_domain_batch
 
 from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
 
@@ -669,7 +670,7 @@ BATCH_ENTRY_POINTS = {
     "phi_graph": lambda cfg, thetas, yp, ys: phi_graph(cfg)(thetas, yp, ys, np.zeros(len(thetas))),
     "phi_quadratic": lambda cfg, thetas, yp, ys: phi_quadratic(cfg, 1.0, -1.0)(thetas, yp, ys,
                                                                                np.zeros(len(thetas))),
-    "unit_directions_batch": unit_directions_batch,
+    "to_blowup_batch": to_blowup_batch,
 }
 
 # (thetas, y', y'') shapes against ranks 2/1, each breaking the rule once, and the message
@@ -758,7 +759,7 @@ def test_shape_rule_counts_the_lanes_of_a_harmonics_table(cfg_fourier_quartic):
 
 
 @pytest.mark.parametrize("name", ["fiber_norms_batch", "level_rho_batch", "moment_value_batch", "chi_parts_batch",
-                                  "chi_eval_batch", "match_lanes", "matching_map_batch"])
+                                  "chi_eval_batch", "match_lanes", "matching_map_batch", "to_blowup_batch"])
 def test_batch_entry_point_takes_a_harmonics_table(name, rng):
     # one theta rule: a kernels.Harmonics table in place of the thetas gives bitwise the same result
     cfg, _ = _one_lane_configs(rng)
@@ -819,6 +820,16 @@ def _blowup_radius(cfg, thetas, ts, y_prime, y_second, zeta):
     return r * np.sqrt(m2 * a + b / m2)
 
 
+def _polar_row(bp):
+    # a blowup point's (r, w', w'') as one complex vector
+    return np.concatenate([[bp.r], bp.w_prime, bp.w_second])
+
+
+def _polar_rows(cfg, thetas, ts, y_prime, y_second):
+    r, w_prime, w_second, _, _ = to_blowup_batch(cfg, thetas, y_prime, y_second)
+    return np.concatenate([r[:, None], w_prime, w_second], axis=1)
+
+
 ZETA = 1.7 * np.exp(0.3j)
 
 # name -> (the scalar call, its batch counterpart (cfg, thetas, ts, y', y'') -> each lane's value,
@@ -830,7 +841,7 @@ ONE_LANE_CASES = {
     "chi_eval": (chi_eval, lambda cfg, thetas, ts, y_prime, y_second: chi_eval_batch(cfg, thetas, y_prime,
                                                                                       y_second)),
     "taylor_rest": (taylor_rest, _rest),
-    "to_blowup": (lambda cfg, p: to_blowup(cfg, p).r, _radius),
+    "to_blowup": (lambda cfg, p: _polar_row(to_blowup(cfg, p)), _polar_rows),
     "cstar_act_blowup": (lambda cfg, p: cstar_act_blowup(cfg, ZETA, to_blowup(cfg, p)).r,
                          lambda *lanes: _blowup_radius(*lanes, ZETA)),
     "make_blowup_point": (lambda cfg, p: make_blowup_point(cfg, 0.5, p.y_prime, p.y_second, p.base), None),

@@ -45,6 +45,7 @@ from flipq import (
     taylor_rest,
     presets,
     tilde_coords,
+    to_blowup_batch,
     verify_conditions,
 )
 from flipq import kernels
@@ -63,7 +64,7 @@ from flipq.perturbation import (
     verdict,
 )
 from flipq.quotient import moment_value_batch
-from flipq.sampling import random_domain_batch, random_unit_direction, unit_directions_batch
+from flipq.sampling import random_domain_batch, random_unit_direction
 
 from conftest import MIXED_MATCH_REFUSAL, fourier_metric, make_config, mixed_match_config, mixed_quartic_term
 
@@ -805,8 +806,8 @@ def _domain_lanes(cfg):
     """Five lanes at 0.5, 0, 1.5, 1.2 and 0.7 times the fiber-domain radius: the second is the zero
     section, the third and fourth lie outside the domain."""
     thetas = np.array([0.2, 1.3, 2.1, 3.4, 5.0])
-    w_prime, w_second = unit_directions_batch(cfg, thetas, np.tile([0.3 + 0.1j, -0.2j], (5, 1)),
-                                              np.full((5, 1), 0.4 + 0j))
+    _, w_prime, w_second, _, _ = to_blowup_batch(cfg, thetas, np.tile([0.3 + 0.1j, -0.2j], (5, 1)),
+                                                 np.full((5, 1), 0.4 + 0j))
     radii = cfg.domain_radius * np.array([[0.5], [0.0], [1.5], [1.2], [0.7]])
     return thetas, radii * w_prime, radii * w_second
 
