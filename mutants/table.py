@@ -169,6 +169,14 @@ MUTANTS = (
         "np.divide(y, np.sqrt(g1 + g2)[:, None], dtype=complex)",
         ("tests/test_blowup.py::test_to_blowup_batch_gives_no_direction_exactly_below_the_normal_floats",),
     ),
+    # a subnormal |zeta| acts in two normal steps: directly, 1 / |zeta| overflows and r = 0 becomes 0 * inf = NaN
+    Mutant(
+        "blowup-action-nan-at-subnormal-zeta",
+        "src/flipq/blowup.py",
+        "    if m < kernels.NORM_SQ_MIN:\n",
+        "    if False:\n",
+        ("tests/test_blowup.py::test_blowup_action_takes_a_subnormal_zeta[1e-310]",),
+    ),
     # every blowup point has a nonzero direction: the one check, which the boundary calls rely on
     Mutant(
         "blowup-point-without-nonzero-rule",

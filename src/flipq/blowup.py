@@ -75,14 +75,20 @@ def to_blowup_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     return r, w_prime, w_second, g1, g2
 
 
-def to_blowup(cfg: ModelConfig, p: FiberPoint) -> BlowupPoint:
-    """Polar decomposition y = r w off the zero section: one lane of to_blowup_batch; r = 0 raises OnCenter."""
-    lanes = to_blowup_batch(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second))
+def _polar_lane(cfg: ModelConfig, base: BasePoint, y_prime, y_second):
+    """to_blowup_batch's (r, w', w'', g1, g2) of one lane; r = 0 raises OnCenter."""
+    lanes = to_blowup_batch(cfg, *one_lane(base.theta, y_prime, y_second))
     r, w_prime, w_second, g1, g2 = (lane[0] for lane in lanes)
     if r == 0.0:
-        if not (p.y_prime.any() or p.y_second.any()):
+        if not (np.any(y_prime) or np.any(y_second)):
             raise OnCenter("polar coordinates are undefined on the zero section")
         raise OnCenter(f"|y|^2 = {g1 + g2:.3g} is below the smallest normal float: its digits are lost")
+    return r, w_prime, w_second, g1, g2
+
+
+def to_blowup(cfg: ModelConfig, p: FiberPoint) -> BlowupPoint:
+    """Polar decomposition y = r w off the zero section: one lane of to_blowup_batch."""
+    r, w_prime, w_second, _, _ = _polar_lane(cfg, p.base, p.y_prime, p.y_second)
     return BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=p.base)
 
 
@@ -98,18 +104,22 @@ def cstar_act_blowup(cfg: ModelConfig, zeta: complex, bp: BlowupPoint) -> Blowup
     u = (|zeta|^2 |w'|^2 + |zeta|^-2 |w''|^2)^(1/2); keeps |w| = 1 and
     preserves the boundary r = 0.  Where |zeta|^2 or its inverse leaves the
     normal floats, u is taken without squaring |zeta|, and w is divided by u
-    before zeta acts, so no intermediate over- or underflows.
+    before zeta acts, so no intermediate over- or underflows; a subnormal |zeta|
+    acts as 2^-537, then 2^537 zeta.  The norms of w come from the polar rule,
+    so a w whose |w|^2 has lost its digits raises its OnCenter.
     """
     zeta = _cstar_scalar(zeta)
-    ap, app = fiber_norms(cfg, FiberPoint(base=bp.base, y_prime=bp.w_prime, y_second=bp.w_second))
     m = abs(zeta)
+    if m < kernels.NORM_SQ_MIN:
+        return cstar_act_blowup(cfg, 2.0**537 * zeta, cstar_act_blowup(cfg, 2.0**-537, bp))
+    *_, ap, app = _polar_lane(cfg, bp.base, bp.w_prime, bp.w_second)
     if kernels.NORM_SQ_MIN <= m * m <= 1.0 / kernels.NORM_SQ_MIN:
         m2 = m**2
         u = np.sqrt(m2 * ap + app / m2)
     else:
         u = np.hypot(m * np.sqrt(ap), np.sqrt(app) / m)
     return BlowupPoint(
-        r=bp.r * u,
+        r=bp.r * float(u),  # a float product: a radius beyond the floats is inf, refused without a numpy warning
         w_prime=zeta * (bp.w_prime / u),
         w_second=(bp.w_second / u) / zeta,
         base=bp.base,

@@ -188,6 +188,36 @@ def test_blowup_action_refuses_a_zero_direction(cfg_identity):
                 cstar_act_blowup(cfg_identity, 2.0, _bp(r, [0.0], [0.0]))
 
 
+def test_blowup_action_refuses_a_direction_whose_norm_lost_its_digits():
+    # a BlowupPoint checks only that its direction is nonzero; the action reads |w|^2 from the polar
+    # rule, which refuses this one before u = 0 could divide
+    cfg = build_model(presets.quartic_config())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OnCenter, match="below the smallest normal float: its digits are lost"):
+            cstar_act_blowup(cfg, 2.0, _bp(0.5, [1e-170], [0.0]))
+
+
+@pytest.mark.parametrize("modulus", [1e-310, 5e-324])
+def test_blowup_action_takes_a_subnormal_zeta(modulus):
+    # 1 / |zeta| overflows: on the boundary the image is (0, (0, w'' / phase)), of unit norm; off it the
+    # image radius is beyond the floats and refused, with no numpy warning either way
+    cfg = build_model(presets.quartic_config())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in (modulus, modulus * np.exp(0.7j), modulus * 1j):
+            out = cstar_act_blowup(cfg, zeta, _bp(0.0, [0.6], [0.8]))
+            assert out.r == 0.0 and out.w_prime.tolist() == [0j]
+            # oracle: 1 / phase of zeta as stored (its subnormal parts keep fewer digits than e^0.7j), read
+            # after an exact scaling by 2^600, since |zeta| itself is subnormal
+            scaled = complex(zeta) * 2.0**600
+            assert abs(out.w_second[0] - scaled.conjugate() / abs(scaled)) <= 1e-15
+            g1, g2 = fiber_norms(cfg, FiberPoint(base=out.base, y_prime=out.w_prime, y_second=out.w_second))
+            assert abs(g1 + g2 - 1.0) <= 1e-15
+            with pytest.raises(ConfigInvalid, match=re.escape("blowup radius must be finite and >= 0, got inf")):
+                cstar_act_blowup(cfg, zeta, _bp(0.5, [0.6], [0.8]))
+
+
 def test_blowup_action_equivariance(rng):
     # oracle: compose to_blowup after the linear action independently
     cfg = make_config(r_prime=2, r_second=1, metric_field=fourier_metric(2, 1))
