@@ -209,7 +209,8 @@ MUTANTS = (
     Mutant(
         "renorm-without-domain-rule",
         "src/flipq/perturbation.py",
-        "    _check_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)\n",
+        ("    if _outside_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)[0]:\n"
+         "        raise _domain_error(cfg, g1[0], g2[0], bp.r)\n"),
         "",
         ("tests/test_perturbation.py::test_renorm_refuses_a_ray_point_outside_the_fiber_domain",),
     ),

@@ -153,8 +153,9 @@ def _outside_domain(cfg, g1, g2):
     return g1 + g2 > cfg.domain_radius**2 * (1.0 + DOMAIN_SLACK)
 
 
-def _domain_error(cfg, g1, g2) -> OutOfDomain:
-    return OutOfDomain(f"|v| = {np.sqrt(g1 + g2):.6g} exceeds domain_radius = {cfg.domain_radius}")
+def _domain_error(cfg, g1, g2, r=1.0) -> OutOfDomain:
+    # the point v = r w, w of norms (g1, g2): |v| = r |w| stays finite where r^2 overflows
+    return OutOfDomain(f"|v| = {r * np.sqrt(g1 + g2):.6g} exceeds domain_radius = {cfg.domain_radius}")
 
 
 def _check_domain(cfg, g1, g2):
@@ -529,7 +530,8 @@ def renorm_eval(
             f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
         )
     g1, g2, values = _tau_lanes(cfg, tau.terms, *one_lane(theta, bp.w_prime, bp.w_second))
-    _check_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)
+    if _outside_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)[0]:
+        raise _domain_error(cfg, g1[0], g2[0], bp.r)
     # coefficients a_d of tau(r w) = sum a_d r^d along the ray through w
     coeffs: dict[int, float] = {}
     for term, value in zip(tau.terms, values):

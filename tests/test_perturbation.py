@@ -741,9 +741,21 @@ def test_renorm_refuses_a_ray_point_outside_the_fiber_domain(cfg_identity):
         taylor_rest(cfg_identity, _point(0.81 * w_prime, 0.81 * w_second))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for r, message in ((0.81, str(rest.value)), (1e200, "|v| = inf exceeds domain_radius = 0.8")):
+        for r, message in ((0.81, str(rest.value)), (1e200, "|v| = 1e+200 exceeds domain_radius = 0.8")):
             with pytest.raises(OutOfDomain, match=re.escape(message)):
                 renorm_eval(cfg_identity, _norm4_spec(), 2, r, w_prime, w_second)
+
+
+def test_renorm_names_the_ray_point_whose_square_overflows():
+    # |v| = r |w| is finite though r^2 overflows; the domain rule decides as for any ray point
+    cfg = build_model(presets.quartic_config())
+    w_prime, w_second = np.array([0.6]), np.array([0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, shown in ((1e200, "1e+200"), (1e160, "1e+160"), (0.8 * (1.0 + 1e-11), "0.8")):
+            with pytest.raises(OutOfDomain, match=re.escape(f"|v| = {shown} exceeds domain_radius = 0.8")):
+                renorm_eval(cfg, cfg.perturbation, 4, r, w_prime, w_second)
+        renorm_eval(cfg, cfg.perturbation, 4, 0.8 * (1.0 + 1e-13), w_prime, w_second)
 
 
 # -- matching ---------------------------------------------------------------
