@@ -4,12 +4,12 @@ The metric kernels evaluate a matrix Fourier field
 G(theta) = sum_k cos(n_k theta) C_k + sin(n_k theta) S_k against lane
 batches without forming the (n, r, r) stack of values (fourier_values alone
 forms the values).  fourier_norm_sq and fourier_pairing work on blocks of
-BLOCK_LANES lanes stored lane-last: each block forms the Hermitian products
-of its lanes once, sums each coefficient's weighted products and only then
-weights the sum by the coefficient's harmonic.  Only exactly rounded
-elementwise operations touch a lane (no matrix product and no reduction
-over an axis), so a lane's bits do not depend on the batch around it: the
-scalar API, a batch of one, gives each lane of any batch exactly.  Trig is
+BLOCK_LANES lanes, each a lane-last strided view of the input (no copy): each
+block forms the Hermitian products of its lanes once, sums each coefficient's
+weighted products and only then weights the sum by its harmonic.  Only
+exactly rounded elementwise operations touch a lane (no matrix product and no
+reduction over an axis), so a lane's bits do not depend on the batch around
+it: the scalar API, a batch of one, gives each lane of any batch exactly.  Trig is
 computed once per call: a batch entry point passes one Harmonics table to
 every kernel it calls, and each cos(n theta), sin(n theta) its fields use
 is evaluated on first use and read from the table after that.
@@ -155,13 +155,13 @@ def fourier_values(thetas, ns, sines, coeffs):
 
 
 def _lane_last_blocks(y):
-    """(lane slice, z) per BLOCK_LANES lanes of y (n, r), with z (2r, lanes)
-    the block's rows Re y_0, Im y_0, Re y_1, Im y_1, ... stored lane-last."""
+    """(lane slice, z) per BLOCK_LANES lanes of y (n, r), with z (2r, lanes) the block's
+    rows Re y_0, Im y_0, Re y_1, Im y_1, ...: a lane-last strided view of y, not a copy."""
     y = np.ascontiguousarray(y, dtype=np.complex128)
     floats = y.view(np.float64).reshape(y.shape[0], 2 * y.shape[1])
     for start in range(0, y.shape[0], BLOCK_LANES):
         lanes = slice(start, start + BLOCK_LANES)
-        yield lanes, np.ascontiguousarray(floats[lanes].T)
+        yield lanes, floats[lanes].T
 
 
 def _weighted_sums(weights, products):
