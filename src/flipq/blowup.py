@@ -76,14 +76,13 @@ def to_blowup_batch(cfg: ModelConfig, thetas, y_prime, y_second):
 
 
 def _polar_lane(cfg: ModelConfig, base: BasePoint, y_prime, y_second):
-    """to_blowup_batch's (r, w', w'', g1, g2) of one lane; r = 0 raises OnCenter."""
-    lanes = to_blowup_batch(cfg, *one_lane(base.theta, y_prime, y_second))
-    r, w_prime, w_second, g1, g2 = (lane[0] for lane in lanes)
-    if r == 0.0:
+    """to_blowup_batch's (r, w', w'', g1, g2) of one lane, r, g1 and g2 as floats; r = 0 raises OnCenter."""
+    r, w_prime, w_second, g1, g2 = to_blowup_batch(cfg, *one_lane(base.theta, y_prime, y_second))
+    if r[0] == 0.0:
         if not (np.any(y_prime) or np.any(y_second)):
             raise OnCenter("polar coordinates are undefined on the zero section")
-        raise OnCenter(f"|y|^2 = {g1 + g2:.3g} is below the smallest normal float: its digits are lost")
-    return r, w_prime, w_second, g1, g2
+        raise OnCenter(f"|y|^2 = {g1[0] + g2[0]:.3g} is below the smallest normal float: its digits are lost")
+    return float(r[0]), w_prime[0], w_second[0], float(g1[0]), float(g2[0])
 
 
 def to_blowup(cfg: ModelConfig, p: FiberPoint) -> BlowupPoint:
@@ -119,7 +118,7 @@ def cstar_act_blowup(cfg: ModelConfig, zeta: complex, bp: BlowupPoint) -> Blowup
     else:
         u = np.hypot(m * np.sqrt(ap), np.sqrt(app) / m)
     return BlowupPoint(
-        r=bp.r * float(u),  # a float product: a radius beyond the floats is inf, refused without a numpy warning
+        r=bp.r * float(u),  # a float product: a radius beyond the floats is inf, refused without a warning
         w_prime=zeta * (bp.w_prime / u),
         w_second=(bp.w_second / u) / zeta,
         base=bp.base,
