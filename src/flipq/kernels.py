@@ -25,9 +25,13 @@ import itertools
 
 import numpy as np
 
+# Lane status codes.  newton_rescale gives the first three; perturbation.match_lanes refuses a
+# lane outside the fiber domain, then one with no positive root, then one off the wall interval.
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
 STATUS_NO_POSITIVE_ROOT = 2
+STATUS_OUT_OF_DOMAIN = 3
+STATUS_OFF_WALL = 4
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50

@@ -17,8 +17,9 @@ unique positive root rho of
 the level equation at t = chi(v), whose root rho^2 is kernels.scale_root;
 guarded Newton runs only from an explicit seed, in solve_rho.  On the blowup
 boundary r = 0, rho = 1 identically; off it, a ray point v = r w is matched
-as any other lane.  matching_errors alone refuses a matched lane: outside
-the fiber domain, then with no positive root, then off the wall interval.
+as any other lane.  match_lanes' lane status alone refuses a matched lane:
+outside the fiber domain, then with no positive root, then off the wall
+interval; matching_errors names the error that each refusal raises.
 """
 
 from __future__ import annotations
@@ -564,38 +565,39 @@ class LaneMatch(NamedTuple):
 def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     """Batch matching: chi, then the rescaling root, then the rescaled points.
 
-    rho is the square root of kernels.scale_root of each lane's equation, NaN wherever scale_root
-    gives the lane no root (|v|^2 = g1 + g2 below kernels.NORM_SQ_MIN included): STATUS_OK exactly
-    where it is finite.  Lanes whose status is not STATUS_OK keep their input coordinates.  No lane
-    error raises, not even the fiber domain's: matching_errors reads them from the result.
+    rho is the square root of kernels.scale_root of each lane's equation.  The status is the one
+    rule that refuses a matched lane, in the order fiber domain, branch, wall: STATUS_OUT_OF_DOMAIN
+    outside the fiber domain, else STATUS_NO_POSITIVE_ROOT where scale_root gives no root (|v|^2 =
+    g1 + g2 below kernels.NORM_SQ_MIN included), else STATUS_OFF_WALL where the graph value
+    t = chi(v) leaves the wall interval, else STATUS_OK.  A refused lane has a NaN rho and keeps its
+    input coordinates.  No lane error raises: matching_errors names them.
     """
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
-    # a finite root is positive, so the lane has one (has_positive_root)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
-    ok = np.isfinite(rho)
-    status = np.where(ok, kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
+    status = np.select([_outside_domain(cfg, g1, g2), np.isnan(rho), ~cfg.in_wall(c)],
+                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_OFF_WALL],
+                       kernels.STATUS_OK).astype(np.int8)
+    ok = status == kernels.STATUS_OK
+    rho[~ok] = np.nan
     scale = np.where(ok, rho, 1.0)
     return LaneMatch(c, g1, g2, rho, status, y_prime * scale[:, None], y_second / scale[:, None])
 
 
 def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
-    """Per lane of a match_lanes result, the FlipQError of matching that point, or None.
+    """Per lane of a match_lanes result, the FlipQError that its status names, or None.
 
-    The one rule that refuses a matched lane, in the order fiber domain, branch, wall.  A lane
-    outside the fiber domain gets its _domain_error; else a lane whose rescaling status is not
-    STATUS_OK gets its _rescale_error, from the zero pattern of its input, which a failed lane
-    keeps in out_prime and out_second; else a lane whose graph value t = chi(v) leaves the wall
-    interval gets an OutOfDomain.  It reads no metric: match_lanes has already refused a
-    refused field.
+    STATUS_OUT_OF_DOMAIN gives the lane's _domain_error; STATUS_NO_POSITIVE_ROOT its _rescale_error,
+    from the zero pattern of its input, which a refused lane keeps in out_prime and out_second;
+    STATUS_OFF_WALL an OutOfDomain that names its graph value.  It decides nothing and reads no
+    metric: match_lanes has already refused a refused field and each lane.
     """
     errors = [None] * len(m.t)
-    outside = _outside_domain(cfg, m.g1, m.g2)
-    failed = m.status != kernels.STATUS_OK
-    for i in np.flatnonzero(outside | failed | ~cfg.in_wall(m.t)):
-        errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if outside[i] else
-                     _rescale_error(not m.out_prime[i].any(), not m.out_second[i].any(), m.t[i]) if failed[i] else
+    for i in np.flatnonzero(m.status != kernels.STATUS_OK):
+        errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if m.status[i] == kernels.STATUS_OUT_OF_DOMAIN else
+                     _rescale_error(not m.out_prime[i].any(), not m.out_second[i].any(), m.t[i])
+                     if m.status[i] == kernels.STATUS_NO_POSITIVE_ROOT else
                      OutOfDomain(f"graph value t = {m.t[i]:.6g} leaves the wall interval (+-{cfg.epsilon})"))
     return errors
 
@@ -610,12 +612,6 @@ def rescale_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
 
 
 def matching_map_batch(cfg: ModelConfig, thetas, y_prime, y_second):
-    """Batch matching: returns (rho, t, out_prime, out_second, status).
-
-    Lanes whose status is not STATUS_OK keep NaN rho and untouched
-    coordinates; status follows the kernel codes.  The first lane outside the
-    fiber domain raises its OutOfDomain for the whole batch; no wall rule.
-    """
+    """match_lanes' (rho, t, out_prime, out_second, status): no lane raises, matching_errors names each."""
     m = match_lanes(cfg, thetas, y_prime, y_second)
-    _check_domain(cfg, m.g1, m.g2)
     return m.rho, m.t, m.out_prime, m.out_second, m.status

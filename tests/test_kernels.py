@@ -332,10 +332,14 @@ def test_newton_loop_bitwise_masked_loop(monkeypatch, max_iter):
 
 
 def _unseeded_match(monkeypatch, ap, app, c):
-    """match_lanes, without a seed, on lanes whose equation is (a', a'', c): chi_parts_batch returns it."""
+    """match_lanes, without a seed, on lanes whose equation is (a', a'', c): chi_parts_batch returns it.
+
+    The config's fiber domain holds norm sums up to 4, so a lane reaches the branch rule.
+    """
     monkeypatch.setattr(perturbation, "chi_parts_batch", lambda *args: (c, ap, app))
     n = len(c)
-    return perturbation.match_lanes(make_config(), np.zeros(n), np.zeros((n, 1)), np.zeros((n, 1)))
+    return perturbation.match_lanes(make_config(domain_radius=2.0), np.zeros(n), np.zeros((n, 1)),
+                                    np.zeros((n, 1)))
 
 
 @pytest.mark.parametrize("c", [-0.1, 0.0, 0.1])

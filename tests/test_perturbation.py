@@ -524,11 +524,13 @@ def test_unseeded_match_is_the_closed_form_root(name):
     c, g1, g2 = chi_parts_batch(cfg, thetas, yp, ys)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
     m = match_lanes(cfg, thetas, yp, ys)
-    assert m.rho.tobytes() == rho.tobytes()
+    # every draw lies in the fiber domain and has a root; a graph value off the wall is refused
+    ok = cfg.in_wall(c)
+    assert m.status.tolist() == np.where(ok, kernels.STATUS_OK, kernels.STATUS_OFF_WALL).tolist()
+    assert m.rho[ok].tobytes() == rho[ok].tobytes() and np.isnan(m.rho[~ok]).all()
     residual = np.abs(kernels.rescale_alpha(rho, g1, g2, c))
-    for i in np.flatnonzero(cfg.in_wall(c))[:16]:  # solve_rho refuses a graph value off the wall
+    for i in np.flatnonzero(ok)[:16]:
         assert solve_rho(cfg, _point(yp[i], ys[i], theta=float(thetas[i]))).residual == residual[i]
-    assert (m.status == kernels.STATUS_OK).all()
 
 
 def test_unseeded_matching_never_runs_newton(monkeypatch, capsys, rng, cfg_quartic):
@@ -825,7 +827,6 @@ def _domain_lanes(cfg):
 
 
 DOMAIN_REFUSERS = {
-    "matching_map_batch": matching_map_batch,
     "chi_eval_batch": chi_eval_batch,
     # chi_eval on the first lane outside the domain alone
     "chi_eval": lambda cfg, thetas, yp, ys: chi_eval(cfg, _point(yp[2], ys[2], theta=float(thetas[2]))),
@@ -846,7 +847,8 @@ def test_first_out_of_domain_lane_fails_the_whole_batch(call, cfg_fourier_quarti
 def test_match_lanes_leaves_the_domain_to_matching_errors(cfg_fourier_quartic):
     cfg = cfg_fourier_quartic
     m = match_lanes(cfg, *_domain_lanes(cfg))  # raises for no lane
-    assert m.status.tolist() == [kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT] + [kernels.STATUS_OK] * 3
+    assert m.status.tolist() == [kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_OUT_OF_DOMAIN,
+                                 kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_OK]
     errors = matching_errors(cfg, m)
     assert [type(e).__name__ if e else None for e in errors] == [None, "DegenerateBranch", "OutOfDomain",
                                                                   "OutOfDomain", None]
