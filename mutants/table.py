@@ -124,11 +124,40 @@ MUTANTS = (
     ),
     # a matched lane's graph value must lie in the wall interval: the third refusal, after domain and branch
     Mutant(
-        "matching-errors-without-wall-rule",
+        "match-lanes-without-wall-rule",
         "src/flipq/perturbation.py",
-        "for i in np.flatnonzero(outside | failed | ~cfg.in_wall(m.t)):",
-        "for i in np.flatnonzero(outside | failed):",
-        ("tests/test_perturbation.py::test_matching_errors_refuse_in_the_order_domain_branch_wall",),
+        "np.isnan(rho), ~cfg.in_wall(c)]",
+        "np.isnan(rho), np.isnan(c)]",
+        ("tests/test_perturbation.py::test_matching_errors_refuse_in_the_order_domain_branch_wall",
+         "tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status"),
+    ),
+    # the lane status refuses a lane outside the fiber domain first, before its branch
+    Mutant(
+        "match-lanes-branch-before-domain",
+        "src/flipq/perturbation.py",
+        ("[_outside_domain(cfg, g1, g2), np.isnan(rho), ~cfg.in_wall(c)],\n"
+         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_NO_POSITIVE_ROOT,"),
+        ("[np.isnan(rho), _outside_domain(cfg, g1, g2), ~cfg.in_wall(c)],\n"
+         "                       [kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_OUT_OF_DOMAIN,"),
+        ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",),
+    ),
+    # match_lanes, and so matching_map_batch, give a lane outside the fiber domain its own status
+    Mutant(
+        "match-lanes-without-domain-status",
+        "src/flipq/perturbation.py",
+        "[_outside_domain(cfg, g1, g2), np.isnan(rho),",
+        "[np.isnan(g1), np.isnan(rho),",
+        ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",
+         "tests/test_perturbation.py::test_match_lanes_leaves_the_domain_to_matching_errors"),
+    ),
+    # classify reads the level root: a zero-pattern rule calls a point whose |y|^2 lost its digits stable
+    Mutant(
+        "classify-on-the-zero-pattern",
+        "src/flipq/quotient.py",
+        "    return StabilityClass.Stable if np.isfinite(_level_rho(cfg, p)) else StabilityClass.Unstable\n",
+        ("    stable = kernels.has_positive_root(float(p.y_prime.any()), float(p.y_second.any()), p.base.t)\n"
+         "    return StabilityClass.Stable if stable else StabilityClass.Unstable\n"),
+        ("tests/test_quotient.py::test_classify_is_stable_exactly_where_the_level_root_is_found[False-False-0.0-1e-155]",),
     ),
     # chi_eval_batch, and so chi_eval and phi_graph, refuse a lane outside the fiber domain
     Mutant(

@@ -25,8 +25,7 @@ import itertools
 
 import numpy as np
 
-# Lane status codes.  newton_rescale gives the first three; perturbation.match_lanes refuses a
-# lane outside the fiber domain, then one with no positive root, then one off the wall interval.
+# Lane status codes: newton_rescale gives the first three, perturbation.match_lanes' refusals the last three.
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
 STATUS_NO_POSITIVE_ROOT = 2

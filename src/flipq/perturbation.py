@@ -565,12 +565,11 @@ class LaneMatch(NamedTuple):
 def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     """Batch matching: chi, then the rescaling root, then the rescaled points.
 
-    rho is the square root of kernels.scale_root of each lane's equation.  The status is the one
-    rule that refuses a matched lane, in the order fiber domain, branch, wall: STATUS_OUT_OF_DOMAIN
-    outside the fiber domain, else STATUS_NO_POSITIVE_ROOT where scale_root gives no root (|v|^2 =
-    g1 + g2 below kernels.NORM_SQ_MIN included), else STATUS_OFF_WALL where the graph value
-    t = chi(v) leaves the wall interval, else STATUS_OK.  A refused lane has a NaN rho and keeps its
-    input coordinates.  No lane error raises: matching_errors names them.
+    rho is the square root of kernels.scale_root of each lane's equation.  The status is the one rule
+    that refuses a matched lane, first to last: STATUS_OUT_OF_DOMAIN outside the fiber domain,
+    STATUS_NO_POSITIVE_ROOT where scale_root gives no root (|v|^2 below kernels.NORM_SQ_MIN included),
+    STATUS_OFF_WALL where the graph value t = chi(v) leaves the wall interval.  A refused lane has a
+    NaN rho and keeps its input coordinates; no lane raises, and matching_errors names each error.
     """
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)

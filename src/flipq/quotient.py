@@ -2,10 +2,10 @@
 
 Fiberwise moment value: m(y', y'') = (|y'|^2 - |y''|^2)/2 + t, metric norms
 taken at the point's theta.  A point is stable when its scaling orbit meets
-the zero level; the level representative is the closed-form root of
-a' s^2 + 2 t s - a'' = 0 in s = rho^2.  Invariant coordinates: per-point
-projective charts (pivot-normalized), the rank-one tensor y' (x) y'', and
-tensor-scale coordinates over P(V') x P(V'').
+the zero level: where the closed-form root of a' s^2 + 2 t s - a'' = 0 in
+s = rho^2 exists, which also gives the level representative.  Invariant
+coordinates: per-point projective charts (pivot-normalized), the rank-one
+tensor y' (x) y'', and tensor-scale coordinates over P(V') x P(V'').
 """
 
 from __future__ import annotations
@@ -71,15 +71,18 @@ def fiber_type(base: BasePoint) -> FiberType:
 
 
 def _is_zero(v: np.ndarray) -> bool:
-    # stability is set membership on the given data: exact zero test
+    # the exceptional locus is set membership on the given data: exact zero test
     return not np.any(v)
 
 
 def classify(cfg: ModelConfig, p: FiberPoint) -> StabilityClass:
-    # stable iff a' s^2 + 2 t s - a'' = 0 has a root s > 0; only which blocks vanish matters
-    stable = kernels.has_positive_root(float(not _is_zero(p.y_prime)), float(not _is_zero(p.y_second)),
-                                       p.base.t)
-    return StabilityClass.Stable if stable else StabilityClass.Unstable
+    # stable exactly where normalize_to_level finds its level root, so not where its digits are lost
+    return StabilityClass.Stable if np.isfinite(_level_rho(cfg, p)) else StabilityClass.Unstable
+
+
+def _level_rho(cfg: ModelConfig, p: FiberPoint) -> float:
+    thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
+    return float(level_rho_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
 
 
 def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoint]:
@@ -92,8 +95,7 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
     and its digits are lost.  Such a point raises NotStable, exactly as
     matching refuses it.
     """
-    thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
-    rho = float(level_rho_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
+    rho = _level_rho(cfg, p)
     if not np.isfinite(rho):
         raise NotStable("no positive rescaling reaches the zero level")
     return rho, cstar_act(rho, p)

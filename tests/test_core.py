@@ -16,9 +16,11 @@ from flipq import (
     FiberPoint,
     FlipQError,
     MetricFieldSpec,
+    StabilityClass,
     ZeroScalar,
     chi_eval,
     chi_eval_batch,
+    classify,
     cstar_act,
     cstar_act_blowup,
     extract_graph,
@@ -838,6 +840,8 @@ ONE_LANE_CASES = {
     "fiber_norms": (lambda cfg, p: np.array(fiber_norms(cfg, p)), _norms),
     "moment_value": (moment_value, moment_value_batch),
     "normalize_to_level": (lambda cfg, p: normalize_to_level(cfg, p)[0], level_rho_batch),
+    "classify": (lambda cfg, p: classify(cfg, p) is StabilityClass.Stable,
+                 lambda *lanes: np.isfinite(level_rho_batch(*lanes))),
     "chi_eval": (chi_eval, lambda cfg, thetas, ts, y_prime, y_second: chi_eval_batch(cfg, thetas, y_prime,
                                                                                       y_second)),
     "taylor_rest": (taylor_rest, _rest),

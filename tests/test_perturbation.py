@@ -893,6 +893,58 @@ def test_matching_errors_refuse_in_the_order_domain_branch_wall():
             assert str(got.value) == str(error)
 
 
+def test_every_matching_entry_point_reads_the_one_lane_status():
+    # quartic_config(epsilon=0.05) with a g1^2 term whose coefficient 1 - cos(theta) vanishes at theta = 0,
+    # so that a lane at theta = pi can have y'' = 0 with chi >= 0; one lane per outcome, each with its
+    # status and the error that status names
+    doc = presets.quartic_config(epsilon=0.05)
+    doc["perturbation"]["terms"].append({"generators": {"norm_prime_sq": 2}, "coeff_fourier": [1.0, -1.0]})
+    cfg = build_model(doc)
+    lanes = [  # theta, y', y'', status, error type, message
+        (0.0, 0.1, 0.1, kernels.STATUS_OK, None, None),
+        # |v| = 1.2 R, its graph value off the wall too: the domain comes first
+        (0.0, 0.576, 0.768, kernels.STATUS_OUT_OF_DOMAIN, OutOfDomain, "|v| = 0.96 exceeds domain_radius = 0.8"),
+        # outside the domain, with no root and off the wall: the domain comes first
+        (np.pi, 0.9, 0.0, kernels.STATUS_OUT_OF_DOMAIN, OutOfDomain, "|v| = 0.9 exceeds domain_radius = 0.8"),
+        (0.0, 0.0, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
+         "the rescaling equation is undefined on the zero section"),
+        (np.pi, 0.52, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
+         "no positive rescaling with y'' = 0 and chi(v) = 0.0110323 >= 0"),
+        # no root and off the wall: the branch comes first
+        (np.pi, 0.7, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
+         "no positive rescaling with y'' = 0 and chi(v) = 0.2352 >= 0"),
+        # |v|^2 below the smallest normal float: its digits are lost
+        (0.0, 0.6e-160, 0.8e-160, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
+         "no positive root on this branch"),
+        (0.0, 0.6, 0.1, kernels.STATUS_OFF_WALL, OutOfDomain,
+         "graph value t = -0.17464 leaves the wall interval (+-0.05)"),
+    ]
+    thetas = np.array([lane[0] for lane in lanes])
+    yp = np.array([[lane[1]] for lane in lanes], dtype=complex)
+    ys = np.array([[lane[2]] for lane in lanes], dtype=complex)
+    status = [lane[3] for lane in lanes]
+    m = match_lanes(cfg, thetas, yp, ys)
+    rho, t, out_prime, out_second, batch_status = matching_map_batch(cfg, thetas, yp, ys)
+    assert m.status.tolist() == batch_status.tolist() == status
+    assert m.rho.tobytes() == rho.tobytes() and t.tobytes() == m.t.tobytes()
+    refused = m.status != kernels.STATUS_OK
+    assert np.isnan(rho[refused]).all() and np.isfinite(rho[~refused]).all()
+    for got_prime, got_second in ((m.out_prime, m.out_second), (out_prime, out_second)):
+        assert (got_prime[refused] == yp[refused]).all() and (got_second[refused] == ys[refused]).all()
+    errors = matching_errors(cfg, m)
+    assert [type(e) if e else None for e in errors] == [lane[4] for lane in lanes]
+    assert [str(e) if e else None for e in errors] == [lane[5] for lane in lanes]
+    for i, error in enumerate(errors):
+        p = _point(yp[i], ys[i], theta=float(thetas[i]))
+        for matcher in (matching_map, solve_rho):
+            if error is None:
+                matcher(cfg, p)
+                continue
+            with pytest.raises(type(error)) as got:
+                matcher(cfg, p)
+            assert str(got.value) == str(error)
+
+
 @pytest.mark.parametrize("r", [1e-150, 1e-155, 1e-158, 1e-161])
 def test_a_lane_below_the_normal_floats_is_refused(r):
     # at r = 1e-150, |v|^2 = r^2 is a normal float and rho is 1; below about 1.5e-154 it is subnormal,

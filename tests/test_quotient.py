@@ -1,5 +1,7 @@
 """Moment values, stability, level normalization, and invariant coordinates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from flipq import (
     StabilityClass,
     classify,
     cstar_act,
+    kernels,
+    presets,
     fiber_type,
     moment_value,
     normalize_to_level,
@@ -20,6 +24,7 @@ from flipq import (
     tilde_coords,
     tilde_reconstruct,
 )
+from flipq.config_io import build_model
 from flipq.quotient import level_rho_batch, moment_value_batch
 from flipq.sampling import random_stable_fiber
 
@@ -107,6 +112,26 @@ def test_normalize_refuses_each_unstable_point_with_one_message(cfg_identity, y_
         return
     with pytest.raises(NotStable, match="^no positive rescaling reaches the zero level$"):
         normalize_to_level(cfg_identity, p)
+
+
+@pytest.mark.parametrize("r", [1.0, 1e-150, 1e-155, 1e-160])
+@pytest.mark.parametrize("t", [-0.1, 0.0, 0.1])
+@pytest.mark.parametrize("prime_zero, second_zero", itertools.product([False, True], repeat=2))
+def test_classify_is_stable_exactly_where_the_level_root_is_found(prime_zero, second_zero, t, r):
+    # y = r (0.6, 0.8) with a zero pattern: stable where the pattern has a root (kernels.has_positive_root),
+    # but not once |y|^2 is below the smallest normal float (r = 1e-155, 1e-160) and its digits are lost
+    cfg = build_model(presets.quartic_config())
+    p = _point([0.0 if prime_zero else 0.6 * r], [0.0 if second_zero else 0.8 * r], t=t)
+    stable = classify(cfg, p) is StabilityClass.Stable
+    assert stable == bool(kernels.has_positive_root(float(not prime_zero), float(not second_zero), t) and r > 1e-154)
+    if stable:
+        normalize_to_level(cfg, p)
+        quotient_chart(cfg, p)
+        return
+    with pytest.raises(NotStable, match="^no positive rescaling reaches the zero level$"):
+        normalize_to_level(cfg, p)
+    with pytest.raises(NotStable, match="^charts exist only over the stable locus$"):
+        quotient_chart(cfg, p)
 
 
 def test_normalize_unique_across_orbit(rng, cfg_identity):
