@@ -6,7 +6,8 @@
 A mutant is applied to a copy of the repository under a temporary
 directory, never to the working tree, and only its node ids run there.  It
 is killed when they fail (pytest exit code 1); any other exit code, a pass
-included, is a survivor.  Before any mutant, the baseline runs the node ids
+included, is a survivor, and so is a failure on a broken name (test_mutants.py
+reads the output for it).  Before any mutant, the baseline runs the node ids
 of every row on an unmutated copy: a node id that already fails would count
 every mutant naming it as killed, so the gate fails with a "baseline:"
 message unless that run passes.  Then the mutants run WORKERS at a time,

@@ -87,16 +87,36 @@ MUTANTS = (
         "src/flipq/kernels.py",
         "s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)",
         "s = (-c + disc) / ap",
-        ("tests/test_kernels.py::test_scale_root_is_accurate_where_c_squared_dominates",),
+        ("tests/test_kernels.py::test_scale_root_is_accurate_where_c_squared_dominates",
+         "tests/test_kernels.py::test_scale_root_is_within_two_epsilons_of_a_50_digit_root"),
     ),
     # a lane of tiny coefficients is scaled by a power of two before c * c and a' a'' underflow
     Mutant(
         "scale-root-unscaled",
         "src/flipq/kernels.py",
-        "far = (big < 2.0**-500) | (big >= 2.0**500)",
-        "far = np.zeros(len(big), dtype=bool)",
+        "far = ~((2.0**-1000 <= q) & (q < 2.0**1000))",
+        "far = np.zeros(len(q), dtype=bool)",
         ("tests/test_kernels.py::test_scale_root_is_invariant_under_a_power_of_two",
-         "tests/test_perturbation.py::test_solve_rho_blowup_is_one_on_a_tiny_ray"),
+         "tests/test_perturbation.py::test_solve_rho_blowup_is_one_on_a_tiny_ray",
+         "tests/test_kernels.py::test_scale_root_is_within_two_epsilons_of_a_50_digit_root"),
+    ),
+    # a lane is scaled by the size of c^2 + a' a'', not by its largest coefficient: with a' = 1e-149,
+    # a'' = 1e-161, c = -4e-156 that leaves c^2 and a' a'' subnormal
+    Mutant(
+        "scale-root-scales-by-the-largest-coefficient",
+        "src/flipq/kernels.py",
+        "size = np.maximum(np.abs(c), np.sqrt(ap) * np.sqrt(app))",
+        "size = np.maximum(np.maximum(ap, app), np.abs(c))",
+        ("tests/test_kernels.py::test_scale_root_is_within_two_epsilons_of_a_50_digit_root",),
+    ),
+    # Newton's guard is the one root rule, not the zero pattern: a lane whose digits are lost gets no run
+    Mutant(
+        "newton-guard-on-the-zero-pattern",
+        "src/flipq/kernels.py",
+        "ok = np.isfinite(seed) & (seed > 0.0) & np.isfinite(scale_root(ap, app, c))",
+        ("ok = np.isfinite(seed) & (seed > 0.0) & (((ap > 0.0) & ((app > 0.0) | (c < 0.0)))\n"
+         "                                           | ((ap == 0.0) & (app > 0.0) & (c > 0.0)))"),
+        ("tests/test_kernels.py::test_newton_runs_exactly_where_scale_root_finds_a_root",),
     ),
     # a refused config is refused before a bad seed, as by every call that reads the config
     Mutant(
@@ -135,18 +155,34 @@ MUTANTS = (
     Mutant(
         "match-lanes-branch-before-domain",
         "src/flipq/perturbation.py",
-        ("[_outside_domain(cfg, g1, g2), np.isnan(rho), ~cfg.in_wall(c)],\n"
-         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_NO_POSITIVE_ROOT,"),
-        ("[np.isnan(rho), _outside_domain(cfg, g1, g2), ~cfg.in_wall(c)],\n"
-         "                       [kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_OUT_OF_DOMAIN,"),
+        ("[_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2), np.isnan(rho), ~cfg.in_wall(c)],\n"
+         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_LOST_DIGITS, "
+         "kernels.STATUS_NO_POSITIVE_ROOT,"),
+        ("[np.isnan(rho), kernels.lost_digits(g1, g2), _outside_domain(cfg, g1, g2), ~cfg.in_wall(c)],\n"
+         "                       [kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_LOST_DIGITS, "
+         "kernels.STATUS_OUT_OF_DOMAIN,"),
         ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",),
+    ),
+    # a lane whose digits are lost has no root either: its lost-digits status comes before the branch, or
+    # the branch's sign rule names it (y' = 1e-165, y'' = 0 read "y'' = 0 and chi(v) = 0 >= 0")
+    Mutant(
+        "match-lanes-lost-digits-after-branch",
+        "src/flipq/perturbation.py",
+        ("[_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2), np.isnan(rho), ~cfg.in_wall(c)],\n"
+         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_LOST_DIGITS, "
+         "kernels.STATUS_NO_POSITIVE_ROOT,"),
+        ("[_outside_domain(cfg, g1, g2), np.isnan(rho), kernels.lost_digits(g1, g2), ~cfg.in_wall(c)],\n"
+         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_NO_POSITIVE_ROOT, "
+         "kernels.STATUS_LOST_DIGITS,"),
+        ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",
+         "tests/test_cli.py::test_match_names_a_point_whose_digits_are_lost"),
     ),
     # match_lanes, and so matching_map_batch, give a lane outside the fiber domain its own status
     Mutant(
         "match-lanes-without-domain-status",
         "src/flipq/perturbation.py",
-        "[_outside_domain(cfg, g1, g2), np.isnan(rho),",
-        "[np.isnan(g1), np.isnan(rho),",
+        "[_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2),",
+        "[np.isnan(g1), kernels.lost_digits(g1, g2),",
         ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",
          "tests/test_perturbation.py::test_match_lanes_leaves_the_domain_to_matching_errors"),
     ),
@@ -155,7 +191,8 @@ MUTANTS = (
         "classify-on-the-zero-pattern",
         "src/flipq/quotient.py",
         "    return StabilityClass.Stable if np.isfinite(_level_rho(cfg, p)) else StabilityClass.Unstable\n",
-        ("    stable = kernels.has_positive_root(float(p.y_prime.any()), float(p.y_second.any()), p.base.t)\n"
+        ("    stable = ((p.y_prime.any() and (p.y_second.any() or p.base.t < 0))\n"
+         "              or (p.y_second.any() and p.base.t > 0))\n"
          "    return StabilityClass.Stable if stable else StabilityClass.Unstable\n"),
         ("tests/test_quotient.py::test_classify_is_stable_exactly_where_the_level_root_is_found[False-False-0.0-1e-155]",),
     ),
@@ -169,23 +206,25 @@ MUTANTS = (
          "tests/test_perturbation.py::test_first_out_of_domain_lane_fails_the_whole_batch[chi_eval]",
          "tests/test_perturbation.py::test_first_out_of_domain_lane_fails_the_whole_batch[phi_graph]"),
     ),
-    # a lane whose |v|^2 is below the smallest normal float has lost its digits: kernels.scale_root
-    # gives it no root, so matching and the level normalization both refuse it
+    # a lane whose |v|^2 is below the smallest normal float has lost its digits: kernels.lost_digits, the one
+    # predicate, gives it STATUS_LOST_DIGITS in matching, no root in kernels.scale_root and no polar direction
     Mutant(
         "match-lanes-without-tiny-norm-rule",
         "src/flipq/kernels.py",
-        "lost = ap + app < NORM_SQ_MIN",
-        "lost = ap + app < 0.0",
+        "    return ap + app < NORM_SQ_MIN\n",
+        "    return ap + app < 0.0\n",
         ("tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-155]",
          "tests/test_perturbation.py::test_a_lane_below_the_normal_floats_is_refused[1e-161]",
-         "tests/test_kernels.py::test_scale_root_refuses_a_subnormal_norm_sum_and_no_other_lane"),
+         "tests/test_kernels.py::test_scale_root_refuses_a_subnormal_norm_sum_and_no_other_lane",
+         "tests/test_kernels.py::test_scale_root_gives_no_root_exactly_where_the_digits_are_lost",
+         "tests/test_blowup.py::test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits[1e-155]"),
     ),
-    # the polar rule gives a nonzero vector whose |v|^2 is below the smallest normal float no direction,
-    # so to_blowup refuses it
+    # the polar rule reads the predicate: it gives a nonzero vector whose |v|^2 is below the smallest normal
+    # float no direction, so to_blowup refuses it
     Mutant(
         "to-blowup-without-lost-digits-rule",
         "src/flipq/blowup.py",
-        "r = np.where(g1 + g2 < kernels.NORM_SQ_MIN, 0.0, np.sqrt(g1 + g2))",
+        "r = np.where(kernels.lost_digits(g1, g2), 0.0, np.sqrt(g1 + g2))",
         "r = np.sqrt(g1 + g2)",
         ("tests/test_blowup.py::test_to_blowup_refuses_a_vector_whose_norm_lost_its_digits[1e-155]",),
     ),

@@ -66,22 +66,26 @@ def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
 
 def to_blowup_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     """The one polar rule: (r, w', w'', g1, g2) per lane, with y = r w and r^2 = g1 + g2 = |y'|^2 + |y''|^2 from
-    fiber_norms_batch.  A lane whose r^2 is below kernels.NORM_SQ_MIN (scale_root's threshold) is the zero
-    section or has lost its digits: it gets r = 0 and a NaN direction, with no numpy warning."""
+    fiber_norms_batch.  A lane where kernels.lost_digits holds (scale_root's rule too) is the zero section or
+    has lost its digits: it gets r = 0 and a NaN direction, with no numpy warning."""
     g1, g2 = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    r = np.where(g1 + g2 < kernels.NORM_SQ_MIN, 0.0, np.sqrt(g1 + g2))
+    r = np.where(kernels.lost_digits(g1, g2), 0.0, np.sqrt(g1 + g2))
     w_prime, w_second = (np.divide(y, r[:, None], out=np.full(np.shape(y), complex(np.nan, np.nan)),
                                    where=r[:, None] > 0.0, dtype=complex) for y in (y_prime, y_second))
     return r, w_prime, w_second, g1, g2
+
+
+def _lost_digits_text(subject: str, y_prime, y_second, norm_sq) -> str:
+    """Why a kernels.lost_digits lane is refused: on the zero section, or its |y|^2 = norm_sq lost its digits."""
+    return (f"{subject} undefined on the zero section" if not (np.any(y_prime) or np.any(y_second)) else
+            f"|y|^2 = {norm_sq:.3g} is below the smallest normal float: its digits are lost")
 
 
 def _polar_lane(cfg: ModelConfig, base: BasePoint, y_prime, y_second):
     """to_blowup_batch's (r, w', w'', g1, g2) of one lane, r, g1 and g2 as floats; r = 0 raises OnCenter."""
     r, w_prime, w_second, g1, g2 = to_blowup_batch(cfg, *one_lane(base.theta, y_prime, y_second))
     if r[0] == 0.0:
-        if not (np.any(y_prime) or np.any(y_second)):
-            raise OnCenter("polar coordinates are undefined on the zero section")
-        raise OnCenter(f"|y|^2 = {g1[0] + g2[0]:.3g} is below the smallest normal float: its digits are lost")
+        raise OnCenter(_lost_digits_text("polar coordinates are", y_prime, y_second, g1[0] + g2[0]))
     return float(r[0]), w_prime[0], w_second[0], float(g1[0]), float(g2[0])
 
 

@@ -25,18 +25,18 @@ import itertools
 
 import numpy as np
 
-# Lane status codes: newton_rescale gives the first three, perturbation.match_lanes' refusals the last three.
+# Lane status codes: newton_rescale gives 0-2, perturbation.match_lanes 0 and its four refusals 2-5.
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
 STATUS_NO_POSITIVE_ROOT = 2
 STATUS_OUT_OF_DOMAIN = 3
 STATUS_OFF_WALL = 4
+STATUS_LOST_DIGITS = 5
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
-# The smallest normal float: a norm sum |v|^2 = a' + a'' below it is subnormal or 0 and has lost
-# its digits, so scale_root gives its lane no root and blowup.to_blowup_batch no direction.
+# The smallest normal float: a norm sum |v|^2 = a' + a'' below it has lost its digits (lost_digits).
 NORM_SQ_MIN = np.finfo(float).tiny
 
 # Lanes per call in the blocked batch loops: the CLI's scan rows,
@@ -227,37 +227,43 @@ def fourier_pairing(thetas, y, a, ns, sines, coeffs):
 
 
 def _into_float_range(ap, app, c):
-    """(a', a'', c) with each lane whose largest |coefficient| lies outside 2^-500 .. 2^500 scaled
-    by an exact power of two into [1/2, 1), so that c * c and a' a'' neither underflow nor overflow.
+    """(a', a'', c, q = c^2 + a' a''), each lane whose q lies outside 2^-1000 .. 2^1000 (a square over- or
+    underflows) scaled first by an exact power of two: max(|c|, sqrt(a' a'')) to about 1, its largest
+    coefficient kept below 2^1022.
 
     scale_root is homogeneous of degree 0 in them, so a scaled lane keeps its root and every other
     lane keeps its bits.
     """
-    big = np.abs(ap)
-    np.maximum(big, np.abs(app), out=big)
-    np.maximum(big, np.abs(c), out=big)
-    far = (big < 2.0**-500) | (big >= 2.0**500)
+    q = c * c + ap * app
+    far = ~((2.0**-1000 <= q) & (q < 2.0**1000))
     if not far.any():
-        return ap, app, c
-    e = np.where(far, -np.frexp(big)[1], 0)
-    return np.ldexp(ap, e), np.ldexp(app, e), np.ldexp(c, e)
+        return ap, app, c, q
+    size = np.maximum(np.abs(c), np.sqrt(ap) * np.sqrt(app))
+    big = np.maximum(np.maximum(ap, app), np.abs(c))
+    e = np.where(far, np.minimum(-np.frexp(size)[1], 1022 - np.frexp(big)[1]), 0)
+    ap, app, c = np.ldexp(ap, e), np.ldexp(app, e), np.ldexp(c, e)
+    return ap, app, c, c * c + ap * app
+
+
+def lost_digits(ap, app):
+    """Whether |v|^2 = a' + a'' is below NORM_SQ_MIN, so subnormal or 0 and its digits lost: the one rule that
+    scale_root, blowup.to_blowup_batch and perturbation.match_lanes read."""
+    return ap + app < NORM_SQ_MIN
 
 
 def scale_root(ap, app, c):
     """Positive root s of a' s^2 + 2 c s - a'' = 0, NaN where none exists.
 
-    The one rule for which lanes have a level root: NaN also where a' + a'' is below NORM_SQ_MIN,
-    read before _into_float_range scales the lane, since such norms have lost their digits.
+    The one rule for which lanes have a level root: NaN also where lost_digits holds, read before
+    _into_float_range scales the lane.
     """
-    ap = np.ascontiguousarray(ap, dtype=np.float64)
-    app = np.ascontiguousarray(app, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
+    ap, app, c = (np.ascontiguousarray(a, dtype=np.float64) for a in (ap, app, c))
     # a non-finite coefficient, or a root beyond the float range, gives s = 0, inf or NaN,
     # which is marked NaN below
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        lost = ap + app < NORM_SQ_MIN
-        ap, app, c = _into_float_range(ap, app, c)
-        disc = np.sqrt(c * c + ap * app)
+        lost = lost_digits(ap, app)
+        ap, app, c, q = _into_float_range(ap, app, c)
+        disc = np.sqrt(q)
         # rationalized form for c >= 0 avoids cancellation in -c + disc
         s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)
     bad = ~np.isfinite(s) | (s <= 0.0) | lost
@@ -266,15 +272,6 @@ def scale_root(ap, app, c):
 
 # ---------------------------------------------------------------------------
 # Guarded Newton on the residual alpha and its derivative beta < 0
-
-
-def has_positive_root(ap, app, c):
-    """Whether a' s^2 + 2 c s - a'' = 0 (a', a'' >= 0) has a root s > 0.
-
-    Always with both blocks nonzero, never with both zero; with one block
-    zero only for c < 0 (a'' = 0) or c > 0 (a' = 0).
-    """
-    return ((ap > 0.0) & ((app > 0.0) | (c < 0.0))) | ((ap == 0.0) & (app > 0.0) & (c > 0.0))
 
 
 def rescale_alpha(r, ap, app, c):
@@ -291,14 +288,14 @@ def rescale_beta(r, ap, app):
 def newton_rescale(ap, app, c, seed):
     """Newton-solve the rescaling equation per point from the given seeds.
 
-    Returns (rho, residual, iterations, status).  NaN seeds mark points
-    with no positive root; they come back with STATUS_NO_POSITIVE_ROOT.  Only
+    Returns (rho, residual, iterations, status).  A lane whose seed is not finite
+    and > 0, or with no scale_root, comes back with STATUS_NO_POSITIVE_ROOT.  Only
     |alpha| <= NEWTON_TOL converges: a lane left above it after NEWTON_MAX_ITER
     steps (both read at call time), or whose step overflows to a NaN residual,
     gets STATUS_NO_CONVERGENCE.
     """
     ap, app, c, seed = (np.ascontiguousarray(a, dtype=np.float64) for a in (ap, app, c, seed))
-    ok = np.isfinite(seed) & (seed > 0.0) & has_positive_root(ap, app, c)
+    ok = np.isfinite(seed) & (seed > 0.0) & np.isfinite(scale_root(ap, app, c))
     rho = np.where(ok, seed, 1.0)
     iters = np.zeros(ap.shape[0], dtype=np.int32)
     status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)

@@ -18,8 +18,8 @@ the level equation at t = chi(v), whose root rho^2 is kernels.scale_root;
 guarded Newton runs only from an explicit seed, in solve_rho.  On the blowup
 boundary r = 0, rho = 1 identically; off it, a ray point v = r w is matched
 as any other lane.  match_lanes' lane status alone refuses a matched lane:
-outside the fiber domain, then with no positive root, then off the wall
-interval; matching_errors names the error that each refusal raises.
+outside the fiber domain, with lost digits, with no positive root, or off the
+wall interval, in that order; matching_errors names each refusal's error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .blowup import from_blowup, make_blowup_point
+from .blowup import _lost_digits_text, from_blowup, make_blowup_point
 from .core import (
     BasePoint,
     FiberPoint,
@@ -449,16 +449,13 @@ class RhoSolution(NamedTuple):
 
 
 def _rescale_error(prime_zero: bool, second_zero: bool, c: float) -> DegenerateBranch:
-    """The error of a lane with no finite root: its branch's when the zero pattern of (y', y'')
-    has no positive root, else the closed form's (kernels.scale_root refuses a lane whose
-    |v|^2 is below kernels.NORM_SQ_MIN, say)."""
-    if not kernels.has_positive_root(float(not prime_zero), float(not second_zero), c):
-        if prime_zero and second_zero:
-            return DegenerateBranch("the rescaling equation is undefined on the zero section")
-        if second_zero:
-            return DegenerateBranch(f"no positive rescaling with y'' = 0 and chi(v) = {c:.6g} >= 0")
-        return DegenerateBranch(f"no positive rescaling with y' = 0 and chi(v) = {c:.6g} <= 0")
-    return DegenerateBranch("no positive root on this branch")
+    """The error of a STATUS_NO_POSITIVE_ROOT lane, from its zero pattern alone.  Lost digits come
+    first, so its |v|^2 is normal: with y'' = 0 it has no root only for chi(v) >= 0, with y' = 0
+    only for chi(v) <= 0, the sign that its message names."""
+    if prime_zero == second_zero:
+        return DegenerateBranch("no positive root on this branch")
+    block, sign = ("y''", ">=") if second_zero else ("y'", "<=")
+    return DegenerateBranch(f"no positive rescaling with {block} = 0 and chi(v) = {c:.6g} {sign} 0")
 
 
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
@@ -470,7 +467,7 @@ def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> Rho
     positive seed tends to the same root, though one many decades off can
     exhaust kernels.NEWTON_MAX_ITER and raise NoConvergence.  A refused config
     is refused first, then a bad seed, then the lane's first matching_errors
-    entry (domain, branch, wall), so it succeeds exactly when matching_map does.
+    entry (domain, lost digits, branch, wall), so it succeeds exactly when matching_map does.
     """
     check_metrics(cfg)
     if seed is not None and not 0.0 < seed < np.inf:
@@ -491,7 +488,7 @@ def solve_rho_blowup(cfg: ModelConfig, bp) -> RhoSolution:
     The boundary lane meets the metric gate and the shape rule too; a
     BlowupPoint's direction is nonzero.  Off it, rho - 1 stays within an
     ulp of its reference while |v|^2 is a normal float (r above about 1.5e-154;
-    kernels.scale_root rescales tiny coefficients); below, kernels.scale_root refuses the lane.
+    kernels.scale_root rescales tiny coefficients); below, kernels.lost_digits refuses the lane.
     """
     p = from_blowup(bp)
     if bp.r > 0.0:
@@ -567,17 +564,17 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
 
     rho is the square root of kernels.scale_root of each lane's equation.  The status is the one rule
     that refuses a matched lane, first to last: STATUS_OUT_OF_DOMAIN outside the fiber domain,
-    STATUS_NO_POSITIVE_ROOT where scale_root gives no root (|v|^2 below kernels.NORM_SQ_MIN included),
-    STATUS_OFF_WALL where the graph value t = chi(v) leaves the wall interval.  A refused lane has a
-    NaN rho and keeps its input coordinates; no lane raises, and matching_errors names each error.
+    STATUS_LOST_DIGITS where kernels.lost_digits holds (the zero section too), STATUS_NO_POSITIVE_ROOT
+    where scale_root gives no root, STATUS_OFF_WALL where t = chi(v) leaves the wall interval.  A refused
+    lane has a NaN rho and keeps its input coordinates; no lane raises, and matching_errors names each error.
     """
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
-    status = np.select([_outside_domain(cfg, g1, g2), np.isnan(rho), ~cfg.in_wall(c)],
-                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_OFF_WALL],
-                       kernels.STATUS_OK).astype(np.int8)
+    status = np.select([_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2), np.isnan(rho), ~cfg.in_wall(c)],
+                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_LOST_DIGITS, kernels.STATUS_NO_POSITIVE_ROOT,
+                        kernels.STATUS_OFF_WALL], kernels.STATUS_OK).astype(np.int8)
     ok = status == kernels.STATUS_OK
     rho[~ok] = np.nan
     scale = np.where(ok, rho, 1.0)
@@ -587,17 +584,19 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
 def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
     """Per lane of a match_lanes result, the FlipQError that its status names, or None.
 
-    STATUS_OUT_OF_DOMAIN gives the lane's _domain_error; STATUS_NO_POSITIVE_ROOT its _rescale_error,
-    from the zero pattern of its input, which a refused lane keeps in out_prime and out_second;
-    STATUS_OFF_WALL an OutOfDomain that names its graph value.  It decides nothing and reads no
-    metric: match_lanes has already refused a refused field and each lane.
+    STATUS_OUT_OF_DOMAIN gives the lane's _domain_error, STATUS_LOST_DIGITS a DegenerateBranch of
+    blowup._lost_digits_text and STATUS_NO_POSITIVE_ROOT its _rescale_error, both read from the input that a
+    refused lane keeps in out_prime and out_second; STATUS_OFF_WALL an OutOfDomain that names its graph
+    value.  It decides nothing and reads no metric: match_lanes has refused a refused field and each lane.
     """
     errors = [None] * len(m.t)
     for i in np.flatnonzero(m.status != kernels.STATUS_OK):
-        errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if m.status[i] == kernels.STATUS_OUT_OF_DOMAIN else
-                     _rescale_error(not m.out_prime[i].any(), not m.out_second[i].any(), m.t[i])
-                     if m.status[i] == kernels.STATUS_NO_POSITIVE_ROOT else
-                     OutOfDomain(f"graph value t = {m.t[i]:.6g} leaves the wall interval (+-{cfg.epsilon})"))
+        yp, ys, status = m.out_prime[i], m.out_second[i], m.status[i]
+        errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if status == kernels.STATUS_OUT_OF_DOMAIN else
+                     DegenerateBranch(_lost_digits_text("the rescaling equation is", yp, ys, m.g1[i] + m.g2[i]))
+                     if status == kernels.STATUS_LOST_DIGITS else
+                     _rescale_error(not yp.any(), not ys.any(), m.t[i]) if status == kernels.STATUS_NO_POSITIVE_ROOT
+                     else OutOfDomain(f"graph value t = {m.t[i]:.6g} leaves the wall interval (+-{cfg.epsilon})"))
     return errors
 
 

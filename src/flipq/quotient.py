@@ -91,9 +91,8 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
     Returns (rho, p0) with p0 = rho . p and moment_value(p0) = 0 up to
     roundoff.  The scaling is the closed-form positive root of
     level_rho_batch, NaN where kernels.scale_root gives none: on every
-    unstable point, and where |y'|^2 + |y''|^2 is below kernels.NORM_SQ_MIN
-    and its digits are lost.  Such a point raises NotStable, exactly as
-    matching refuses it.
+    unstable point, and where kernels.lost_digits holds for |y'|^2 + |y''|^2.
+    Such a point raises NotStable, exactly as matching refuses it.
     """
     rho = _level_rho(cfg, p)
     if not np.isfinite(rho):
@@ -103,7 +102,7 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
 
 def level_rho_batch(cfg: ModelConfig, thetas, ts, y_prime, y_second):
     """Closed-form level rescaling per point: the square root of kernels.scale_root, so NaN
-    wherever it gives no root, a norm sum below kernels.NORM_SQ_MIN included."""
+    wherever it gives no root, a lane where kernels.lost_digits holds included."""
     ap, app = fiber_norms_batch(cfg, thetas, y_prime, y_second)
     s = kernels.scale_root(ap, app, lane_values("ts", ts, len(ap)))
     return np.sqrt(s)

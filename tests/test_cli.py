@@ -218,6 +218,24 @@ def test_match_degenerate_point_is_entry_not_failure(tmp_path):
     assert doc["matching_stats"]["n_errors"] == 1
 
 
+LOST_DIGITS = "|y|^2 = 0 is below the smallest normal float: its digits are lost"
+
+
+@pytest.mark.parametrize("point, message", [
+    ('{"theta": 0, "y_prime": [1e-165], "y_second": [0]}', LOST_DIGITS),
+    ('{"theta": 0, "y_prime": [0], "y_second": [1e-165]}', LOST_DIGITS),
+    ('{"theta": 0, "y_prime": [0], "y_second": [0]}', "the rescaling equation is undefined on the zero section"),
+])
+def test_match_names_a_point_whose_digits_are_lost(point, message, tmp_path):
+    # |v|^2 underflows to 0: the lane is refused for its lost digits, not for the sign of chi(v) = 0,
+    # and only the exact zero section is named as such; either way the run exits 0 with one error entry
+    code, doc = _run_json(["match", "--config", QUARTIC, "--point", point], tmp_path)
+    assert code == 0
+    entry = doc["points"][0]
+    assert (entry["error"], entry["message"]) == ("DegenerateBranch", message)
+    assert doc["matching_stats"]["n_errors"] == 1
+
+
 def test_match_bad_point_payload(tmp_path, capsys):
     code = main(["match", "--config", QUARTIC, "--point", "{oops"])
     assert code == 2
@@ -601,7 +619,7 @@ def test_batched_match_agrees_with_scalar_path():
     assert [e.get("error") for e in doc["points"][:len(named)]] == [case[3] for case in named]
     messages = _assert_matches_scalar_path(cfg, doc["points"])
     for fragment in ("zero section", "y'' = 0", "y' = 0", "exceeds domain_radius",
-                     "leaves the wall interval", "no positive root on this branch"):
+                     "leaves the wall interval", "its digits are lost"):
         assert any(fragment in m for m in messages), fragment
     assert doc["matching_stats"]["n_points"] - doc["matching_stats"]["n_errors"] >= 100
     # a metric indefinite between the validation thetas refuses the whole pass, not one lane

@@ -13,6 +13,7 @@ from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
 from flipq.perturbation import _rescale_error, chi_parts_batch
 from flipq.sampling import random_domain_batch
+from oracle import relative_error, scale_root_reference
 
 
 def _term_sum(terms, theta):
@@ -288,7 +289,7 @@ def test_harmonic_table_evaluates_each_harmonic_once_per_call(monkeypatch):
 
 def _newton_masked_loop(ap, app, c, seed, tol=kernels.NEWTON_TOL, max_iter=kernels.NEWTON_MAX_ITER):
     """newton_rescale as it was with a masked step, a masked alpha and iters[active] += 1."""
-    ok = np.isfinite(seed) & (seed > 0.0) & kernels.has_positive_root(ap, app, c)
+    ok = np.isfinite(seed) & (seed > 0.0) & np.isfinite(kernels.scale_root(ap, app, c))
     rho = np.where(ok, seed, 1.0)
     iters = np.zeros(ap.shape[0], dtype=np.int32)
     status = np.where(ok, kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT).astype(np.int8)
@@ -342,37 +343,74 @@ def _unseeded_match(monkeypatch, ap, app, c):
                                     np.zeros((n, 1)))
 
 
-@pytest.mark.parametrize("c", [-0.1, 0.0, 0.1])
-@pytest.mark.parametrize("prime_zero, second_zero", itertools.product([False, True], repeat=2))
-def test_has_positive_root_decides_classify_and_branch_check(monkeypatch, prime_zero, second_zero, c):
-    # the rule, by zero pattern: both blocks present always have a root;
-    # y'' = 0 needs c < 0, y' = 0 needs c > 0, the zero section none
-    expected = {(False, False): True, (False, True): c < 0,
-                (True, False): c > 0, (True, True): False}[prime_zero, second_zero]
-    cfg = make_config(2, 1)
+# (y' = 0, y'' = 0, c) -> (the lane status, its DegenerateBranch message): both blocks present always have a
+# root; y'' = 0 needs c < 0, y' = 0 needs c > 0; the zero section has lost its digits
+ZERO_PATTERN_CASES = {
+    (False, False, -0.1): (kernels.STATUS_OK, None),
+    (False, False, 0.0): (kernels.STATUS_OK, None),
+    (False, False, 0.1): (kernels.STATUS_OK, None),
+    (False, True, -0.1): (kernels.STATUS_OK, None),
+    (False, True, 0.0): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y'' = 0 and chi(v) = 0 >= 0"),
+    (False, True, 0.1): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y'' = 0 and chi(v) = 0.1 >= 0"),
+    (True, False, -0.1): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y' = 0 and chi(v) = -0.1 <= 0"),
+    (True, False, 0.0): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y' = 0 and chi(v) = 0 <= 0"),
+    (True, False, 0.1): (kernels.STATUS_OK, None),
+    (True, True, -0.1): (kernels.STATUS_LOST_DIGITS, "the rescaling equation is undefined on the zero section"),
+    (True, True, 0.0): (kernels.STATUS_LOST_DIGITS, "the rescaling equation is undefined on the zero section"),
+    (True, True, 0.1): (kernels.STATUS_LOST_DIGITS, "the rescaling equation is undefined on the zero section"),
+}
+
+
+@pytest.mark.parametrize("prime_zero, second_zero, c", list(ZERO_PATTERN_CASES))
+def test_the_zero_pattern_decides_classify_status_and_branch_message(monkeypatch, prime_zero, second_zero, c):
+    # every reader of the one root rule on each zero pattern at each sign of c: classify at t = c, the seeded
+    # Newton's guard, the lane status and the error that matching_errors and _rescale_error name
+    status, message = ZERO_PATTERN_CASES[prime_zero, second_zero, c]
+    cfg = make_config(2, 1, domain_radius=2.0)
     y_prime = np.zeros(2) if prime_zero else np.array([0.3, 0.1j])
     y_second = np.zeros(1) if second_zero else np.array([0.2])
     p = cfg.fiber_point(0.0, c, y_prime, y_second)
     ap, app = fiber_norms(cfg, p)
-    assert kernels.has_positive_root(ap, app, c) == expected
-    assert kernels.has_positive_root(np.array([ap]), np.array([app]), np.array([c]))[0] == expected
-    assert (classify(cfg, p) is StabilityClass.Stable) == expected
-    # a zero pattern with a root leaves the failure to the solver's status
-    error = _rescale_error(prime_zero, second_zero, c)
-    assert isinstance(error, DegenerateBranch)
-    assert (str(error) == "no positive root on this branch") == expected
-    status = _unseeded_match(monkeypatch, np.array([ap]), np.array([app]), np.array([c])).status[0]
-    assert (status == kernels.STATUS_OK) == expected
+    assert (classify(cfg, p) is StabilityClass.Stable) == (status == kernels.STATUS_OK)
+    newton_status = kernels.newton_rescale(np.array([ap]), np.array([app]), np.array([c]), seed=np.ones(1))[3][0]
+    assert newton_status == (kernels.STATUS_OK if status == kernels.STATUS_OK else kernels.STATUS_NO_POSITIVE_ROOT)
+    # chi_parts_batch returns the lane's equation (a', a'', c), so the status reads exactly this c
+    monkeypatch.setattr(perturbation, "chi_parts_batch", lambda *args: (np.array([c]), np.array([ap]), np.array([app])))
+    m = perturbation.match_lanes(cfg, np.zeros(1), y_prime[None], y_second[None])
+    assert m.status[0] == status
+    error = perturbation.matching_errors(cfg, m)[0]
+    assert (str(error) if error else None) == message
+    if status != kernels.STATUS_OK:
+        assert isinstance(error, DegenerateBranch)
+    if status == kernels.STATUS_NO_POSITIVE_ROOT:
+        assert str(_rescale_error(prime_zero, second_zero, c)) == message
 
 
 def test_status_semantics(monkeypatch):
-    # no positive root: a' = 0 with c <= 0, a'' = 0 with c >= 0, zero vector
+    # no positive root: a' = 0 with c <= 0, a'' = 0 with c >= 0; the zero vector has lost its digits
     ap = np.array([0.0, 1.0, 0.0])
     app = np.array([1.0, 0.0, 0.0])
     c = np.array([-0.2, 0.2, 0.0])
     m = _unseeded_match(monkeypatch, ap, app, c)
-    assert (m.status == kernels.STATUS_NO_POSITIVE_ROOT).all()
+    assert m.status.tolist() == [kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_NO_POSITIVE_ROOT,
+                                 kernels.STATUS_LOST_DIGITS]
     assert np.isnan(m.rho).all()
+
+
+def test_newton_runs_exactly_where_scale_root_finds_a_root():
+    # the one root rule is Newton's guard: lanes with lost digits (a subnormal sum of two nonzero blocks,
+    # the zero vector), a zero block on its rootless sign and a NaN c get STATUS_NO_POSITIVE_ROOT, though
+    # a rule on the zero pattern alone would run the first, second and sixth
+    tiny = kernels.NORM_SQ_MIN
+    ap = np.array([1e-320, tiny / 4, 0.0, 1.0, 1.0, 1.0, 3.0, 0.0, 2.0])
+    app = np.array([1e-320, tiny / 2, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    c = np.array([0.0, -tiny, 0.0, 0.5, -0.5, np.nan, 0.1, 0.25, -0.25])
+    s = kernels.scale_root(ap, app, c)
+    rho, resid, iters, status = kernels.newton_rescale(ap, app, c, seed=np.ones(len(c)))
+    assert np.isnan(s).tolist() == [True, True, True, True, False, True, False, False, False]
+    assert status.tolist() == np.where(np.isnan(s), kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_OK).tolist()
+    assert np.isnan(rho[np.isnan(s)]).all()
+    np.testing.assert_allclose(rho[~np.isnan(s)] ** 2, s[~np.isnan(s)], rtol=1e-12)
 
 
 def test_closed_form_branches():
@@ -397,6 +435,59 @@ def test_scale_root_is_accurate_where_c_squared_dominates():
     reference = app / (2.0 * c) * (1.0 - ap * app / (4.0 * c * c))
     np.testing.assert_allclose(kernels.scale_root(ap, app, c), reference, rtol=1e-15, atol=0.0)
     assert reference[0] == 5e-21
+
+
+# scale_root's worst relative error against the 50-digit root, in units of 2^-52: on the oracle lanes below
+# (about 4,300 with a root) it measured 1.41 at their seed and 1.25-1.45 at seeds 1-9
+SCALE_ROOT_EPSILONS = 2.0
+
+
+def _worst_error(got, references):
+    return max(relative_error(g, ref) for g, ref in zip(got, references) if ref is not None)
+
+
+def test_scale_root_is_within_two_epsilons_of_a_50_digit_root():
+    # 3,000 seeded lanes with a', a'' log-uniform over 1e-12..1e12 and c of either sign from the same range;
+    # 200 of them scaled by 1e-150 .. 1e150, where c^2 + a' a'' would over- or underflow; a zero block with
+    # c of either sign; and lanes whose largest coefficient is normal while c^2 and a' a'' are subnormal
+    # (scaled by that coefficient alone, they were 19, 1113 and 2^51 epsilons off).  The root is NaN exactly
+    # where the oracle has none
+    rng = np.random.default_rng(36)
+    n = 3000
+    ap, app = 10.0 ** rng.uniform(-12, 12, n), 10.0 ** rng.uniform(-12, 12, n)
+    c = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 12, n)
+    scales = 10.0 ** np.array([-150, -100, -50, 50, 100, 150])[:, None]
+    zero = np.zeros(100)
+    ap = np.concatenate([ap, (scales * ap[:200]).ravel(), zero, ap[:100], [1.2011e-149, 1.385e-150, 1.0]])
+    app = np.concatenate([app, (scales * app[:200]).ravel(), app[:100], zero, [8.9207e-162, 2.0486e-162, 0.0]])
+    c = np.concatenate([c, (scales * c[:200]).ravel(), c[:100], c[100:200], [-4.1279e-156, 1.5212e-156, -1e-320]])
+    got = kernels.scale_root(ap, app, c)
+    references = [scale_root_reference(*lane) for lane in zip(ap, app, c)]
+    assert np.isfinite(got).tolist() == [ref is not None for ref in references]
+    assert np.isnan(got[n + 1200:]).sum() > 50  # the zero blocks' rootless signs
+    assert _worst_error(got, references) <= SCALE_ROOT_EPSILONS
+
+
+def test_scale_root_gives_no_root_exactly_where_the_digits_are_lost():
+    # norm sums a' + a'' on both sides of NORM_SQ_MIN (the largest subnormal, then the smallest normal float
+    # and its successor), split between the blocks, with c of either sign and 0: NaN exactly where
+    # lost_digits holds or the oracle has no root, and within SCALE_ROOT_EPSILONS of it elsewhere
+    tiny = kernels.NORM_SQ_MIN
+    totals = tiny * np.array([2.0**-60, 2.0**-10, 0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 2.0, 2.0**10])
+    lanes = np.array(list(itertools.product(totals, [0.0, 0.25, 0.5, 1.0], [-1.0, -1e-3, 0.0, 1e-3, 1.0])))
+    total, share, sign = lanes.T
+    ap = total * share
+    app = total - ap  # exact, so a' + a'' is the total
+    c = sign * total
+    lost = kernels.lost_digits(ap, app)
+    assert lost.tolist() == (total < tiny).tolist() and lost.sum() == 4 * 20
+    got = kernels.scale_root(ap, app, c)
+    references = [scale_root_reference(*lane) for lane in zip(ap, app, c)]
+    has_root = np.array([ref is not None for ref in references])
+    assert np.isnan(got).tolist() == (lost | ~has_root).tolist()
+    assert (lost & has_root).sum() > 40  # refused for the lost digits alone
+    assert _worst_error(np.where(lost, np.nan, got), [None if k else ref for k, ref in zip(lost, references)]) <= \
+        SCALE_ROOT_EPSILONS
 
 
 @pytest.mark.parametrize("k", [-900, -600, 600, 900])

@@ -21,6 +21,7 @@ from flipq import (
     NoConvergence,
     NoRoot,
     NotStable,
+    OnCenter,
     OutOfDomain,
     PerturbationSpec,
     PerturbationTerm,
@@ -45,6 +46,7 @@ from flipq import (
     taylor_rest,
     presets,
     tilde_coords,
+    to_blowup,
     to_blowup_batch,
     verify_conditions,
 )
@@ -847,7 +849,7 @@ def test_first_out_of_domain_lane_fails_the_whole_batch(call, cfg_fourier_quarti
 def test_match_lanes_leaves_the_domain_to_matching_errors(cfg_fourier_quartic):
     cfg = cfg_fourier_quartic
     m = match_lanes(cfg, *_domain_lanes(cfg))  # raises for no lane
-    assert m.status.tolist() == [kernels.STATUS_OK, kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_OUT_OF_DOMAIN,
+    assert m.status.tolist() == [kernels.STATUS_OK, kernels.STATUS_LOST_DIGITS, kernels.STATUS_OUT_OF_DOMAIN,
                                  kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_OK]
     errors = matching_errors(cfg, m)
     assert [type(e).__name__ if e else None for e in errors] == [None, "DegenerateBranch", "OutOfDomain",
@@ -906,16 +908,21 @@ def test_every_matching_entry_point_reads_the_one_lane_status():
         (0.0, 0.576, 0.768, kernels.STATUS_OUT_OF_DOMAIN, OutOfDomain, "|v| = 0.96 exceeds domain_radius = 0.8"),
         # outside the domain, with no root and off the wall: the domain comes first
         (np.pi, 0.9, 0.0, kernels.STATUS_OUT_OF_DOMAIN, OutOfDomain, "|v| = 0.9 exceeds domain_radius = 0.8"),
-        (0.0, 0.0, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
+        (0.0, 0.0, 0.0, kernels.STATUS_LOST_DIGITS, DegenerateBranch,
          "the rescaling equation is undefined on the zero section"),
         (np.pi, 0.52, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
          "no positive rescaling with y'' = 0 and chi(v) = 0.0110323 >= 0"),
         # no root and off the wall: the branch comes first
         (np.pi, 0.7, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
          "no positive rescaling with y'' = 0 and chi(v) = 0.2352 >= 0"),
-        # |v|^2 below the smallest normal float: its digits are lost
-        (0.0, 0.6e-160, 0.8e-160, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
-         "no positive root on this branch"),
+        # |v|^2 below the smallest normal float: its digits are lost, whatever the sign of chi(v).  With one
+        # zero block, chi(v) = -|y'|^2/2 < 0 and +|y''|^2/2 > 0 are each the sign with a root
+        (0.0, 0.6e-160, 0.8e-160, kernels.STATUS_LOST_DIGITS, DegenerateBranch,
+         "|y|^2 = 1e-320 is below the smallest normal float: its digits are lost"),
+        (0.0, 1e-165, 0.0, kernels.STATUS_LOST_DIGITS, DegenerateBranch,
+         "|y|^2 = 0 is below the smallest normal float: its digits are lost"),
+        (0.0, 0.0, 1e-165, kernels.STATUS_LOST_DIGITS, DegenerateBranch,
+         "|y|^2 = 0 is below the smallest normal float: its digits are lost"),
         (0.0, 0.6, 0.1, kernels.STATUS_OFF_WALL, OutOfDomain,
          "graph value t = -0.17464 leaves the wall interval (+-0.05)"),
     ]
@@ -960,10 +967,17 @@ def test_a_lane_below_the_normal_floats_is_refused(r):
         assert m.status[0] == kernels.STATUS_OK
         assert level_rho[0] == m.rho[0] and normalize_to_level(cfg, p)[0] == m.rho[0]
         return
-    assert m.status[0] == kernels.STATUS_NO_POSITIVE_ROOT and np.isnan(m.rho[0])
+    assert m.status[0] == kernels.STATUS_LOST_DIGITS and np.isnan(m.rho[0])
+    # matching and the polar rule name the lost digits in one text
+    norm_sq = {1e-155: "1e-310", 1e-158: "1e-316", 1e-161: "9.88e-323"}[r]
+    message = f"|y|^2 = {norm_sq} is below the smallest normal float: its digits are lost"
+    assert str(matching_errors(cfg, m)[0]) == message
     with pytest.raises(DegenerateBranch) as got:
         solve_rho_blowup(cfg, bp)
-    assert str(got.value) == "no positive root on this branch"
+    assert str(got.value) == message
+    with pytest.raises(OnCenter) as got:
+        to_blowup(cfg, p)
+    assert str(got.value) == message
     assert np.isnan(level_rho[0])
     with pytest.raises(NotStable, match="no positive rescaling reaches the zero level"):
         normalize_to_level(cfg, p)

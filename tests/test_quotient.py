@@ -14,7 +14,6 @@ from flipq import (
     StabilityClass,
     classify,
     cstar_act,
-    kernels,
     presets,
     fiber_type,
     moment_value,
@@ -114,16 +113,22 @@ def test_normalize_refuses_each_unstable_point_with_one_message(cfg_identity, y_
         normalize_to_level(cfg_identity, p)
 
 
+# (y' = 0, y'' = 0) -> whether the level equation has a root at t = -0.1, 0, 0.1: both blocks present always,
+# y'' = 0 for t < 0, y' = 0 for t > 0, the zero section never
+ROOT_BY_ZERO_PATTERN = {(False, False): (True, True, True), (False, True): (True, False, False),
+                        (True, False): (False, False, True), (True, True): (False, False, False)}
+
+
 @pytest.mark.parametrize("r", [1.0, 1e-150, 1e-155, 1e-160])
 @pytest.mark.parametrize("t", [-0.1, 0.0, 0.1])
 @pytest.mark.parametrize("prime_zero, second_zero", itertools.product([False, True], repeat=2))
 def test_classify_is_stable_exactly_where_the_level_root_is_found(prime_zero, second_zero, t, r):
-    # y = r (0.6, 0.8) with a zero pattern: stable where the pattern has a root (kernels.has_positive_root),
-    # but not once |y|^2 is below the smallest normal float (r = 1e-155, 1e-160) and its digits are lost
+    # y = r (0.6, 0.8) with a zero pattern: stable where the pattern has a root at t, but not once |y|^2 is
+    # below the smallest normal float (r = 1e-155, 1e-160) and its digits are lost
     cfg = build_model(presets.quartic_config())
     p = _point([0.0 if prime_zero else 0.6 * r], [0.0 if second_zero else 0.8 * r], t=t)
     stable = classify(cfg, p) is StabilityClass.Stable
-    assert stable == bool(kernels.has_positive_root(float(not prime_zero), float(not second_zero), t) and r > 1e-154)
+    assert stable == (ROOT_BY_ZERO_PATTERN[prime_zero, second_zero][(-0.1, 0.0, 0.1).index(t)] and r > 1e-154)
     if stable:
         normalize_to_level(cfg, p)
         quotient_chart(cfg, p)
