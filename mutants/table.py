@@ -368,6 +368,33 @@ MUTANTS = (
         "weights = np.concatenate([np.stack([b.real, -b.imag], axis=-1), np.stack([b.imag, b.real], axis=-1)])",
         ("tests/test_symmetry.py::test_a_unitary_frame_change_maps_every_lane_result",),
     ),
+    # harmonics' kept table serves an array only while its bits equal the table's copy: an in-place write misses
+    Mutant(
+        "harmonics-reuse-on-identity-alone",
+        "src/flipq/kernels.py",
+        ("    if slot is not None and slot[0]() is thetas and np.array_equal(slot[1].thetas.view(np.uint64),\n"
+         "                                                                   thetas.view(np.uint64)):\n"),
+        "    if slot is not None and slot[0]() is thetas:\n",
+        ("tests/test_kernels.py::test_an_in_place_write_to_the_thetas_evaluates_again[one lane]",),
+    ),
+    # the kept table is built over a private copy of the thetas: over the caller's array, an in-place write
+    # changes its key too, so the next call reads weights of the old bits
+    Mutant(
+        "harmonics-table-over-caller-array",
+        "src/flipq/kernels.py",
+        "    table = Harmonics(thetas.copy())\n",
+        "    table = Harmonics(thetas)\n",
+        ("tests/test_kernels.py::test_an_in_place_write_to_the_thetas_evaluates_again[one lane]",
+         "tests/test_kernels.py::test_chi_parts_and_level_rho_are_within_a_few_epsilons_of_50_digit_references"),
+    ),
+    # the slot holds the caller's thetas weakly: a strong reference keeps its O(n) table after the array is freed
+    Mutant(
+        "harmonics-slot-outlives-thetas",
+        "src/flipq/kernels.py",
+        "    _slot = (weakref.ref(thetas, _forget), table)\n",
+        "    _slot = ((lambda: thetas), table)\n",
+        ("tests/test_kernels.py::test_the_kept_table_goes_with_the_callers_thetas",),
+    ),
     # len() of a scan table is its row count, which the traced benchmark reads as cli.scan_rows
     Mutant(
         "scan-table-len-is-column-count",

@@ -10,9 +10,11 @@ weighted products and only then weights the sum by its harmonic.  Only
 exactly rounded elementwise operations touch a lane (no matrix product and no
 reduction over an axis), so a lane's bits do not depend on the batch around
 it: the scalar API, a batch of one, gives each lane of any batch exactly.  Trig is
-computed once per call: a batch entry point passes one Harmonics table to
-every kernel it calls, and each cos(n theta), sin(n theta) its fields use
-is evaluated on first use and read from the table after that.
+computed once per thetas array: a batch entry point passes one Harmonics table
+to every kernel it calls, and each cos(n theta), sin(n theta) its fields use
+is evaluated on first use and read from the table after that.  harmonics
+keeps the last table it built for a float64 array, so the next batch call on
+that same array, its bits unchanged, reads the same table.
 
 The rescaling solver works on the scalar reduction of the level equation:
 with a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root
@@ -22,6 +24,7 @@ in s = rho^2 satisfies  a' s^2 + 2 c s - a'' = 0.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -102,17 +105,16 @@ def norm_forms(ns, sines, coeffs):
 
 
 class Harmonics:
-    """The weights cos(n theta), sin(n theta) of one batch call's lanes.
+    """The weights cos(n theta), sin(n theta) of a batch of lanes.
 
-    Each weight is computed on first use and kept for the rest of the call,
-    so fields that share a harmonic pay its trig once.  A batch entry point
-    builds one table and hands it to every kernel it calls in place of the
-    thetas; the table goes when the call returns, and nothing outlives it.
-    With repeat = k the lanes are each of thetas k times in a row
+    Each weight is computed on first use and kept with the table, so fields
+    that share a harmonic pay its trig once.  A batch entry point gets one
+    table from harmonics and hands it to every kernel it calls in place of
+    the thetas.  With repeat = k the lanes are each of thetas k times in a row
     (np.repeat): a weight is evaluated on thetas and then repeated.
     """
 
-    __slots__ = ("thetas", "repeat", "_weights")
+    __slots__ = ("thetas", "repeat", "_weights", "__weakref__")
 
     def __init__(self, thetas, repeat=1):
         self.thetas = np.asarray(thetas, dtype=np.float64)
@@ -142,9 +144,37 @@ class Harmonics:
         return weight if self.repeat == 1 else np.repeat(weight, self.repeat)
 
 
+# harmonics' one slot: (a weak reference to the caller's float64 thetas, the table over a private copy of
+# them), or None; the reference's callback, _forget, empties it when the caller's array is freed
+_slot = None
+
+
+def _forget(ref):
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] is ref:
+        _slot = None
+
+
 def harmonics(thetas) -> Harmonics:
-    """A Harmonics table over thetas; a table passes through, so callers can share one."""
-    return thetas if isinstance(thetas, Harmonics) else Harmonics(thetas)
+    """A Harmonics table over thetas; a table passes through, so callers can share one.
+
+    The slot's table serves the same float64 ndarray (is) while its bits, as uint64 (so -0.0 is not 0.0),
+    equal the table's private copy, which every weight reads, so an in-place write misses.  Any other input
+    gets a new table, and a new table over a float64 ndarray takes the slot.
+    """
+    global _slot
+    if isinstance(thetas, Harmonics):
+        return thetas
+    if not (isinstance(thetas, np.ndarray) and thetas.dtype == np.float64):
+        return Harmonics(thetas)
+    slot = _slot
+    if slot is not None and slot[0]() is thetas and np.array_equal(slot[1].thetas.view(np.uint64),
+                                                                   thetas.view(np.uint64)):
+        return slot[1]
+    table = Harmonics(thetas.copy())
+    _slot = (weakref.ref(thetas, _forget), table)
+    return table
 
 
 def fourier_values(thetas, ns, sines, coeffs):

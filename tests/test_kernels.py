@@ -1,6 +1,11 @@
 """Batch kernels against per-lane numpy references."""
 
+import gc
 import itertools
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,8 +17,9 @@ from flipq.config_io import build_model
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
 from flipq.perturbation import _rescale_error, chi_parts_batch
+from flipq.quotient import level_rho_batch
 from flipq.sampling import random_domain_batch
-from oracle import relative_error, scale_root_reference
+from oracle import chi_parts_reference, level_rho_reference, relative_error, scale_root_reference, scaled_error
 
 
 def _term_sum(terms, theta):
@@ -267,9 +273,8 @@ def test_harmonic_table_outputs_bitwise_per_series_reference():
         assert kernels.fourier_values(thetas, *term.series).tobytes() == _series_reference(term, thetas).tobytes()
 
 
-def test_harmonic_table_evaluates_each_harmonic_once_per_call(monkeypatch):
-    cfg = _table_config()
-    thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(23), cfg, 50)
+def _counted_evaluations(monkeypatch):
+    """The (n, sine) of each weight Harmonics evaluates from here on, in order."""
     evaluated = []
     evaluate = kernels.Harmonics._evaluate
 
@@ -278,13 +283,113 @@ def test_harmonic_table_evaluates_each_harmonic_once_per_call(monkeypatch):
         return evaluate(table, n, sine)
 
     monkeypatch.setattr(kernels.Harmonics, "_evaluate", counted)
-    # the metric blocks use cos and sin at n = 1, 2; the terms add nothing new
-    distinct = [(1.0, False), (1.0, True), (2.0, False), (2.0, True)]
-    for call in (chi_parts_batch, fiber_norms_batch):
-        for _ in range(2):  # the table lives for one call: a second call evaluates again
-            evaluated.clear()
-            call(cfg, thetas, y_prime, y_second)
-            assert sorted(evaluated) == distinct
+    return evaluated
+
+
+# the metric blocks of _table_config use cos and sin at n = 1, 2; the terms add nothing new
+TABLE_CONFIG_WEIGHTS = [(1.0, False), (1.0, True), (2.0, False), (2.0, True)]
+
+
+def test_harmonic_table_evaluates_each_harmonic_once_per_thetas_array(monkeypatch):
+    cfg = _table_config()
+    thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(23), cfg, 50)
+    thetas = thetas.copy()  # an array no call has seen
+    evaluated = _counted_evaluations(monkeypatch)
+    chi_parts_batch(cfg, thetas, y_prime, y_second)
+    assert sorted(evaluated) == TABLE_CONFIG_WEIGHTS
+    # later calls on the same array, its bits unchanged, read the same table: they evaluate nothing
+    evaluated.clear()
+    for call in (chi_parts_batch, fiber_norms_batch, chi_parts_batch):
+        call(cfg, thetas, y_prime, y_second)
+    assert evaluated == []
+
+
+def _entry_point_results(cfg, thetas, y_prime, y_second):
+    """The bytes of each array that chi_parts_batch, fiber_norms_batch, level_rho_batch and match_lanes give."""
+    results = (chi_parts_batch(cfg, thetas, y_prime, y_second), fiber_norms_batch(cfg, thetas, y_prime, y_second),
+               (level_rho_batch(cfg, thetas, np.full(len(y_prime), 0.01), y_prime, y_second),),
+               perturbation.match_lanes(cfg, thetas, y_prime, y_second))
+    return [a.tobytes() for result in results for a in result]
+
+
+@pytest.mark.parametrize("write", ["one lane", "zero sign"])
+def test_an_in_place_write_to_the_thetas_evaluates_again(monkeypatch, write):
+    # the table's key is the thetas' bits as uint64: a write to one lane and a flip of 0.0 to -0.0 both miss,
+    # and every entry point then reads the new bits, as a fresh table over a copy of them does
+    cfg = _table_config()
+    thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(24), cfg, 50)
+    thetas[3] = 0.0
+    before = _entry_point_results(cfg, thetas, y_prime, y_second)
+    if write == "one lane":
+        thetas[7] += 0.25
+    else:
+        thetas[3] = -0.0
+    evaluated = _counted_evaluations(monkeypatch)
+    chi_parts_batch(cfg, thetas, y_prime, y_second)
+    assert sorted(evaluated) == TABLE_CONFIG_WEIGHTS
+    got = _entry_point_results(cfg, thetas, y_prime, y_second)
+    assert got == _entry_point_results(cfg, kernels.Harmonics(thetas.copy()), y_prime, y_second)
+    if write == "one lane":
+        assert got != before
+
+
+def test_an_equal_array_a_list_and_a_float32_array_each_evaluate(monkeypatch):
+    # only the very float64 array the kept table was built for reads it; a list gets a table per call
+    thetas = np.random.default_rng(25).uniform(0.0, 2.0 * np.pi, 20)
+    table = kernels.harmonics(thetas)
+    assert kernels.harmonics(table) is table
+    table.weight(1.0, False)
+    evaluated = _counted_evaluations(monkeypatch)
+    for other in (thetas, thetas.copy(), list(thetas), list(thetas), thetas.astype(np.float32)):
+        kernels.harmonics(other).weight(1.0, False)
+    assert evaluated == [(1.0, False)] * 4
+
+
+def test_the_kept_table_goes_with_the_callers_thetas():
+    # the slot holds the caller's array weakly: once it is freed, no O(n) table outlives it
+    thetas = np.random.default_rng(26).uniform(0.0, 2.0 * np.pi, 1000)
+    table = kernels.harmonics(thetas)
+    table.weight(1.0, True)
+    assert kernels.harmonics(thetas) is table
+    kept = weakref.ref(table)
+    del table, thetas
+    gc.collect()
+    assert kept() is None
+
+
+def test_threads_on_their_own_thetas_get_the_serial_bits():
+    # four threads, switching often, each calling on its own array: the slot changes hands between calls,
+    # and each call still reads a table over its own thetas' bits
+    cfg = _table_config()
+    batches = [random_domain_batch(np.random.default_rng(seed), cfg, 300) for seed in (27, 28, 29, 30)]
+    serial = [[a.tobytes() for a in chi_parts_batch(cfg, *batch)] for batch in batches]
+    start = threading.Barrier(len(batches), timeout=60)
+
+    def run(batch):
+        start.wait()
+        return [[a.tobytes() for a in chi_parts_batch(cfg, *batch)] for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(batches)) as pool:
+            results = list(pool.map(run, batches, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[expected] * 10 for expected in serial]
+
+
+def test_the_batch_bulk_calls_on_one_thetas_array_evaluate_each_weight_once(monkeypatch):
+    # a library user's sequence on the ranks 3/3 Fourier config, g' = (2 + cos theta) I and
+    # g'' = (1.5 + 0.5 sin theta) I: cos theta and sin theta are evaluated once across all five calls
+    cfg = build_model(presets.fourier_metric_config(3, 3))
+    evaluated = _counted_evaluations(monkeypatch)
+    thetas, y_prime, y_second = random_domain_batch(np.random.default_rng(5), cfg, 2000)
+    chi_parts_batch(cfg, thetas, y_prime, y_second)
+    chi = perturbation.chi_eval_batch(cfg, thetas, y_prime, y_second)
+    perturbation.matching_map_batch(cfg, thetas, y_prime, y_second)
+    level_rho_batch(cfg, thetas, chi, y_prime, y_second)
+    assert sorted(evaluated) == [(1.0, False), (1.0, True)]
 
 
 def _newton_masked_loop(ap, app, c, seed, tol=kernels.NEWTON_TOL, max_iter=kernels.NEWTON_MAX_ITER):
@@ -488,6 +593,38 @@ def test_scale_root_gives_no_root_exactly_where_the_digits_are_lost():
     assert (lost & has_root).sum() > 40  # refused for the lost digits alone
     assert _worst_error(np.where(lost, np.nan, got), [None if k else ref for k, ref in zip(lost, references)]) <= \
         SCALE_ROOT_EPSILONS
+
+
+# chi_parts_batch's and level_rho_batch's worst errors against the 50-digit references, in units of 2^-52:
+# chi's over its condition |g1|/2 + |g2|/2 + sum |term values|, the rest relative.  On 1,000 lanes at each of
+# seeds 0-9 (twice, as below) they measured at most 2.74, 1.64 (g1), 2.25 (g2) and 1.26 (rho)
+CHI_EPSILONS, NORM_EPSILONS, LEVEL_RHO_EPSILONS = 4.0, 3.0, 2.0
+
+
+def test_chi_parts_and_level_rho_are_within_a_few_epsilons_of_50_digit_references():
+    # the ranks 3/3 Fourier preset plus a ref_inner_sq term with harmonics up to n = 2; 300 lanes at t drawn
+    # over the wall interval.  The first pass reads the table random_domain_batch kept for its thetas; after an
+    # in-place write to half the thetas the second pass reads a new table over the new bits
+    doc = presets.fourier_metric_config(3, 3)
+    doc["perturbation"]["terms"].append({"generators": {"ref_inner_sq": 2},
+                                         "coeff_fourier": [0.05, 0.02, -0.03, 0.01, 0.02],
+                                         "ref_section": [[1.0, 0.0], [0.5, -0.5], [0.0, 0.25]]})
+    cfg = build_model(doc)
+    rng = np.random.default_rng(0)
+    thetas, y_prime, y_second = random_domain_batch(rng, cfg, 300)
+    ts = rng.uniform(-cfg.epsilon, cfg.epsilon, len(thetas))
+    for write in (False, True):
+        if write:
+            thetas[::2] += 1.0
+        chi, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
+        rho = level_rho_batch(cfg, thetas, ts, y_prime, y_second)
+        worst = np.zeros(4)
+        for lane in range(len(thetas)):
+            ref_chi, ref_g1, ref_g2, size = chi_parts_reference(doc, thetas[lane], y_prime[lane], y_second[lane])
+            ref_rho = level_rho_reference(doc, thetas[lane], ts[lane], y_prime[lane], y_second[lane])
+            worst = np.maximum(worst, [scaled_error(chi[lane], ref_chi, size), relative_error(g1[lane], ref_g1),
+                                       relative_error(g2[lane], ref_g2), relative_error(rho[lane], ref_rho)])
+        assert (worst <= [CHI_EPSILONS, NORM_EPSILONS, NORM_EPSILONS, LEVEL_RHO_EPSILONS]).all(), (write, worst)
 
 
 @pytest.mark.parametrize("k", [-900, -600, 600, 900])
