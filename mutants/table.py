@@ -85,8 +85,8 @@ MUTANTS = (
     Mutant(
         "scale-root-unrationalized",
         "src/flipq/kernels.py",
-        "s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)",
-        "s = (-c + disc) / ap",
+        "s = np.where(c > 0.0, app / (c + disc), (disc - c) / ap)",
+        "s = (disc - c) / ap",
         ("tests/test_kernels.py::test_scale_root_is_accurate_where_c_squared_dominates",
          "tests/test_kernels.py::test_scale_root_is_within_two_epsilons_of_a_50_digit_root"),
     ),
@@ -367,6 +367,25 @@ MUTANTS = (
         "weights = np.concatenate([np.stack([b.real, b.imag], axis=-1), np.stack([b.imag, -b.real], axis=-1)])",
         "weights = np.concatenate([np.stack([b.real, -b.imag], axis=-1), np.stack([b.imag, b.real], axis=-1)])",
         ("tests/test_symmetry.py::test_a_unitary_frame_change_maps_every_lane_result",),
+    ),
+    # the kernels' one lane-block loop covers every lane: here it leaves out the last block of lanes
+    Mutant(
+        "kernel-blocks-drop-the-tail",
+        "src/flipq/kernels.py",
+        "for start in range(0, n, KERNEL_LANES)]",
+        "for start in range(0, n - KERNEL_LANES, KERNEL_LANES)]",
+        ("tests/test_kernels.py::test_scale_root_gives_each_lane_alone_its_batch_bits",
+         "tests/test_kernels.py::test_newton_rescale_gives_each_lane_alone_its_batch_bits",
+         "tests/test_kernels.py::test_fourier_norm_sq_matches_per_lane_reference[3]"),
+    ),
+    # each Newton block steps until its own lanes converge: here a block stops where the block before it did
+    Mutant(
+        "newton-blocks-share-the-early-exit",
+        "src/flipq/kernels.py",
+        "                ap[lanes], app[lanes], c[lanes], seed[lanes], ok[lanes], tol, max_iter)\n",
+        ("                ap[lanes], app[lanes], c[lanes], seed[lanes], ok[lanes], tol, max_iter)\n"
+         "            max_iter = int(iters[lanes].max())\n"),
+        ("tests/test_kernels.py::test_newton_rescale_gives_each_lane_alone_its_batch_bits",),
     ),
     # harmonics' kept table serves an array only while its bits equal the table's copy: an in-place write misses
     Mutant(

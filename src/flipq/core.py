@@ -275,12 +275,11 @@ def fiber_norms_batch(cfg: ModelConfig, thetas, y_prime, y_second):
 
     thetas may be a kernels.Harmonics table that the caller shares with its other kernels.  Every
     evaluated lane enters here, so here are the config gate (check_metrics refuses what validate_config
-    refuses, whatever the lanes) and the batch shape rule: y' (n, r'), y'' (n, r''), n = len(thetas).
+    refuses, whatever the lanes) and the batch shape rule: y' (n, r'), y'' (n, r''), n = len(thetas), with
+    thetas a vector (kernels.Harmonics refuses any other).
     """
     check_metrics(cfg)
     table = kernels.harmonics(thetas)
-    if table.thetas.ndim != 1:
-        raise DimensionMismatch(f"thetas has shape {table.thetas.shape}, expected a vector")
     for name, y, rank in (("y_prime", y_prime, cfg.r_prime), ("y_second", y_second, cfg.r_second)):
         if np.ndim(y) != 2 or len(y) != len(table):
             raise DimensionMismatch(f"{name} has shape {np.shape(y)}, expected ({len(table)}, {rank})")

@@ -4,7 +4,7 @@ The metric kernels evaluate a matrix Fourier field
 G(theta) = sum_k cos(n_k theta) C_k + sin(n_k theta) S_k against lane
 batches without forming the (n, r, r) stack of values (fourier_values alone
 forms the values).  fourier_norm_sq and fourier_pairing work on blocks of
-BLOCK_LANES lanes, each a lane-last strided view of the input (no copy): each
+KERNEL_LANES lanes, each a lane-last strided view of the input (no copy): each
 block forms the Hermitian products of its lanes once, sums each coefficient's
 weighted products and only then weights the sum by its harmonic.  Only
 exactly rounded elementwise operations touch a lane (no matrix product and no
@@ -18,7 +18,11 @@ that same array, its bits unchanged, reads the same table.
 
 The rescaling solver works on the scalar reduction of the level equation:
 with a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root
-in s = rho^2 satisfies  a' s^2 + 2 c s - a'' = 0.
+in s = rho^2 satisfies  a' s^2 + 2 c s - a'' = 0.  scale_root and
+newton_rescale broadcast their inputs to one lane shape and run the same
+KERNEL_LANES blocks, so each temporary of a block stays in cache; each
+Newton block iterates until its own lanes converge.  Every lane's work is
+elementwise, so the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import itertools
 import weakref
 
 import numpy as np
+
+from .errors import DimensionMismatch
 
 # Lane status codes: newton_rescale gives 0-2, perturbation.match_lanes 0 and its four refusals 2-5.
 STATUS_OK = 0
@@ -42,14 +48,22 @@ NEWTON_MAX_ITER = 50
 # The smallest normal float: a norm sum |v|^2 = a' + a'' below it has lost its digits (lost_digits).
 NORM_SQ_MIN = np.finfo(float).tiny
 
-# Lanes per call in the blocked batch loops: the CLI's scan rows,
-# verify_conditions' stencil, and the lane blocks of fourier_norm_sq and
-# fourier_pairing, where only elementwise operations touch a lane.  Bounds the
+# Lanes per call in the blocked loops outside this module: the CLI's scan rows,
+# verify_conditions' stencil and min_metric_eigenvalue's thetas.  Bounds the
 # working set: one scan pass over a 1,984-row, 32-sample grid (63,488 lanes)
 # raised peak RSS from 45 to 58 MB, and one 2,000-theta verify on the 3/3
 # preset (582,000 stencil lanes) from 56 to 184 MB; neither ran faster than in
-# 4096-lane blocks.
+# 4096-lane blocks, and 16,384-lane blocks raised the report benchmark's peak
+# RSS from 39.2 to 41.2 MB and its run time by 5%.
 BLOCK_LANES = 4096
+
+# Lanes per block in the kernels' own lane loop, _lane_slices: fourier_norm_sq,
+# fourier_pairing, scale_root and newton_rescale, where only elementwise
+# operations touch a lane.  A block's float temporaries are 64 kB, so they stay
+# in L2 and reuse the allocator's freed chunks; on 200,000 lanes a whole-array
+# pass streams each 1.6 MB temporary through memory.  8,192 beat 4,096 on the
+# dense-metric fields of ranks 2, 4 and 6; at 16,384 the pairing was slower.
+KERNEL_LANES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +125,16 @@ class Harmonics:
     that share a harmonic pay its trig once.  A batch entry point gets one
     table from harmonics and hands it to every kernel it calls in place of
     the thetas.  With repeat = k the lanes are each of thetas k times in a row
-    (np.repeat): a weight is evaluated on thetas and then repeated.
+    (np.repeat): a weight is evaluated on thetas and then repeated.  thetas must
+    be a vector (DimensionMismatch).
     """
 
     __slots__ = ("thetas", "repeat", "_weights", "__weakref__")
 
     def __init__(self, thetas, repeat=1):
         self.thetas = np.asarray(thetas, dtype=np.float64)
+        if self.thetas.ndim != 1:
+            raise DimensionMismatch(f"thetas has shape {self.thetas.shape}, expected a vector")
         self.repeat = repeat
         self._weights = {}
 
@@ -187,13 +204,18 @@ def fourier_values(thetas, ns, sines, coeffs):
     return out
 
 
+def _lane_slices(n):
+    """The slices of KERNEL_LANES lanes (read at call time) that cover n lanes, in order: the one lane-block
+    loop of the kernels."""
+    return [slice(start, start + KERNEL_LANES) for start in range(0, n, KERNEL_LANES)]
+
+
 def _lane_last_blocks(y):
-    """(lane slice, z) per BLOCK_LANES lanes of y (n, r), with z (2r, lanes) the block's
-    rows Re y_0, Im y_0, Re y_1, Im y_1, ...: a lane-last strided view of y, not a copy."""
+    """(lane slice, z) per block of y (n, r), with z (2r, lanes) the block's rows
+    Re y_0, Im y_0, Re y_1, Im y_1, ...: a lane-last strided view of y, not a copy."""
     y = np.ascontiguousarray(y, dtype=np.complex128)
     floats = y.view(np.float64).reshape(y.shape[0], 2 * y.shape[1])
-    for start in range(0, y.shape[0], BLOCK_LANES):
-        lanes = slice(start, start + BLOCK_LANES)
+    for lanes in _lane_slices(y.shape[0]):
         yield lanes, floats[lanes].T
 
 
@@ -281,23 +303,36 @@ def lost_digits(ap, app):
     return ap + app < NORM_SQ_MIN
 
 
+def _lane_arrays(*arrays):
+    """The arrays as float64 of at least one dimension, broadcast to one lane shape: a scalar c or seed
+    stands for every lane."""
+    return np.broadcast_arrays(*(np.ascontiguousarray(a, dtype=np.float64) for a in arrays))
+
+
 def scale_root(ap, app, c):
     """Positive root s of a' s^2 + 2 c s - a'' = 0, NaN where none exists.
 
     The one rule for which lanes have a level root: NaN also where lost_digits holds, read before
     _into_float_range scales the lane.
     """
-    ap, app, c = (np.ascontiguousarray(a, dtype=np.float64) for a in (ap, app, c))
-    # a non-finite coefficient, or a root beyond the float range, gives s = 0, inf or NaN,
-    # which is marked NaN below
+    ap, app, c = _lane_arrays(ap, app, c)
+    s = np.empty(ap.shape)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        lost = lost_digits(ap, app)
-        ap, app, c, q = _into_float_range(ap, app, c)
-        disc = np.sqrt(q)
-        # rationalized form for c >= 0 avoids cancellation in -c + disc
-        s = np.where(c > 0.0, app / (c + disc), (-c + disc) / ap)
-    bad = ~np.isfinite(s) | (s <= 0.0) | lost
-    return np.where(bad, np.nan, s)
+        for lanes in _lane_slices(len(s)):
+            s[lanes] = _scale_root_block(ap[lanes], app[lanes], c[lanes])
+    return s
+
+
+def _scale_root_block(ap, app, c):
+    """scale_root on one block of lanes."""
+    lost = lost_digits(ap, app)
+    ap, app, c, q = _into_float_range(ap, app, c)
+    disc = np.sqrt(q)
+    # rationalized form for c >= 0 avoids cancellation in disc - c
+    s = np.where(c > 0.0, app / (c + disc), (disc - c) / ap)
+    # a non-finite coefficient, or a root beyond the float range, gives s = 0, inf or NaN
+    np.copyto(s, np.nan, where=~((s > 0.0) & (s < np.inf)) | lost)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +356,43 @@ def newton_rescale(ap, app, c, seed):
     Returns (rho, residual, iterations, status).  A lane whose seed is not finite
     and > 0, or with no scale_root, comes back with STATUS_NO_POSITIVE_ROOT.  Only
     |alpha| <= NEWTON_TOL converges: a lane left above it after NEWTON_MAX_ITER
-    steps (both read at call time), or whose step overflows to a NaN residual,
-    gets STATUS_NO_CONVERGENCE.
+    steps (both read once per call), or whose step overflows to a NaN residual,
+    gets STATUS_NO_CONVERGENCE.  The guard is one scale_root call over every lane;
+    the steps run per block of lanes, each until its own lanes converge.
     """
-    ap, app, c, seed = (np.ascontiguousarray(a, dtype=np.float64) for a in (ap, app, c, seed))
+    ap, app, c, seed = _lane_arrays(ap, app, c, seed)
     ok = np.isfinite(seed) & (seed > 0.0) & np.isfinite(scale_root(ap, app, c))
-    rho = np.where(ok, seed, 1.0)
-    iters = np.zeros(ap.shape[0], dtype=np.int32)
-    status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)
-
+    tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
+    rho, residual = np.empty(ok.shape), np.empty(ok.shape)
+    iters = np.empty(ok.shape, dtype=np.int32)
+    status = np.empty(ok.shape, dtype=np.int8)
     with np.errstate(all="ignore"):  # an overflowing seed or step ends in a NaN residual
+        for lanes in _lane_slices(len(ok)):
+            rho[lanes], residual[lanes], iters[lanes], status[lanes] = _newton_block(
+                ap[lanes], app[lanes], c[lanes], seed[lanes], ok[lanes], tol, max_iter)
+    return rho, residual, iters, status
+
+
+def _newton_block(ap, app, c, seed, ok, tol, max_iter):
+    """newton_rescale on one block of lanes whose guard is ok; it stops when the block's lanes converge."""
+    rho = np.where(ok, seed, 1.0)
+    iters = np.zeros(ok.shape, dtype=np.int32)
+    alpha = rescale_alpha(rho, ap, app, c)
+    active = ok & (np.abs(alpha) > tol)
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        # only active lanes take the step; an inactive lane keeps its rho,
+        # so recomputing its alpha gives the same bits
+        new = rho - alpha / rescale_beta(rho, ap, app)
+        np.multiply(rho, 0.5, out=new, where=new <= 0.0)  # a step to rho <= 0 halves rho instead
+        np.copyto(rho, new, where=active)
         alpha = rescale_alpha(rho, ap, app, c)
-        active = ok & (np.abs(alpha) > NEWTON_TOL)
-        for _ in range(NEWTON_MAX_ITER):
-            if not active.any():
-                break
-            # only active lanes take the step; an inactive lane keeps its rho,
-            # so recomputing its alpha gives the same bits
-            new = rho - alpha / rescale_beta(rho, ap, app)
-            rho = np.where(active, np.where(new <= 0.0, 0.5 * rho, new), rho)
-            alpha = rescale_alpha(rho, ap, app, c)
-            iters += active
-            active &= np.abs(alpha) > NEWTON_TOL
-    status[ok & ~(np.abs(alpha) <= NEWTON_TOL)] = STATUS_NO_CONVERGENCE
-    return np.where(ok, rho, np.nan), np.where(ok, np.abs(alpha), np.nan), iters, status
+        iters += active
+        active &= np.abs(alpha) > tol
+    residual = np.abs(alpha)
+    status = np.where(ok, STATUS_OK, STATUS_NO_POSITIVE_ROOT).astype(np.int8)
+    status[ok & ~(residual <= tol)] = STATUS_NO_CONVERGENCE
+    np.copyto(rho, np.nan, where=~ok)
+    np.copyto(residual, np.nan, where=~ok)
+    return rho, residual, iters, status

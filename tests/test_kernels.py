@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import sys
 import threading
 import weakref
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_metric, make_config, random_hermitian
-from flipq import (DegenerateBranch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify, kernels, perturbation,
-                   presets)
+from flipq import (DegenerateBranch, DimensionMismatch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify,
+                   kernels, perturbation, presets)
 from flipq.config_io import build_model
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
@@ -27,48 +28,71 @@ def _term_sum(terms, theta):
     return sum(np.cos(n * theta) * c + np.sin(n * theta) * s for n, c, s in terms)
 
 
-def _each_lane_alone_is_its_batch_lane(kernel, thetas, y, *field):
-    """kernel over the batch, after asserting that each lane alone gives that lane's bits at batch sizes
-    1, 7 and BLOCK_LANES + 3 (the prefixes of thetas, y)."""
-    for n in (1, 7, kernels.BLOCK_LANES + 3):
-        batch = kernel(thetas[:n], y[:n], *field)
-        alone = np.concatenate([kernel(thetas[i:i + 1], y[i:i + 1], *field) for i in range(n)])
-        assert alone.tobytes() == batch.tobytes(), n
+# KERNEL_LANES in the lane-alone tests: small, so BLOCKED_LANES lanes cross two block boundaries into a
+# partial tail block while the one-lane loops stay cheap
+SMALL_BLOCK = 64
+BLOCKED_LANES = 2 * SMALL_BLOCK + 3
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(kernels, "KERNEL_LANES", SMALL_BLOCK)  # read at call time
+
+
+def _each_lane_alone_is_its_batch_lane(kernel, lanes, *args):
+    """kernel(*lanes, *args) over the BLOCKED_LANES lanes, after asserting that each lane alone gives that
+    lane's bits at batch sizes 1, 7 and BLOCKED_LANES (the prefixes of the lane arrays).  The kernel gives
+    one lane array or a tuple of them."""
+    for n in (1, 7, BLOCKED_LANES):
+        batch = kernel(*(a[:n] for a in lanes), *args)
+        alone = [kernel(*(a[i:i + 1] for a in lanes), *args) for i in range(n)]
+        for k, out in enumerate(batch if isinstance(batch, tuple) else (batch,)):
+            lane_outs = [lane[k] if isinstance(lane, tuple) else lane for lane in alone]
+            assert np.concatenate(lane_outs).tobytes() == out.tobytes(), (n, k)
     return batch
 
 
 def _lanes(rng, rank):
-    n = kernels.BLOCK_LANES + 3
+    n = BLOCKED_LANES
     return rng.uniform(0.0, 2.0 * np.pi, n), rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_fourier_norm_sq_matches_per_lane_reference(rank):
+def test_fourier_norm_sq_matches_per_lane_reference(small_blocks, rank):
     rng = np.random.default_rng(100 + rank)
     # complex off-diagonal Hermitian terms, a nonzero sine at n = 0 (which
     # must contribute nothing) and an all-zero cosine at n = 2
     spec = dense_metric(rank, 1, rng)
     thetas, y = _lanes(rng, rank)
-    got = _each_lane_alone_is_its_batch_lane(kernels.fourier_norm_sq, thetas, y, *spec.norm_forms_prime)
-    expected = np.array([
-        (y[i].conj() @ _term_sum(spec.g_prime_terms, thetas[i]) @ y[i]).real
-        for i in range(300)
-    ])
+    got = _each_lane_alone_is_its_batch_lane(kernels.fourier_norm_sq, (thetas, y), *spec.norm_forms_prime)
+    expected = np.array([(y[i].conj() @ _term_sum(spec.g_prime_terms, thetas[i]) @ y[i]).real
+                         for i in range(BLOCKED_LANES)])
     scale = np.abs(expected).max()
-    assert np.abs(got[:300] - expected).max() <= 1e-13 * scale
+    assert np.abs(got - expected).max() <= 1e-13 * scale
 
 
-def test_fourier_pairing_matches_per_lane_reference():
+def test_fourier_pairing_matches_per_lane_reference(small_blocks):
     rng = np.random.default_rng(7)
     spec = dense_metric(4, 1, rng)
     thetas, y = _lanes(rng, 4)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    got = _each_lane_alone_is_its_batch_lane(
-        lambda thetas, y, *field: kernels.fourier_pairing(thetas, y, a, *field), thetas, y, *spec.packed_prime)
-    expected = np.array([
-        y[i].conj() @ _term_sum(spec.g_prime_terms, thetas[i]) @ a for i in range(200)
-    ])
-    assert np.abs(got[:200] - expected).max() <= 1e-13 * np.abs(expected).max()
+    got = _each_lane_alone_is_its_batch_lane(kernels.fourier_pairing, (thetas, y), a, *spec.packed_prime)
+    expected = np.array([y[i].conj() @ _term_sum(spec.g_prime_terms, thetas[i]) @ a for i in range(BLOCKED_LANES)])
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("thetas", [np.float64(1.0), 1.0, np.zeros((3, 1))], ids=["float64", "float", "2d"])
+def test_a_thetas_that_is_not_a_vector_is_refused(thetas):
+    # each Fourier kernel refuses it through the Harmonics table, with the message fiber_norms_batch gives
+    spec = dense_metric(2, 1, np.random.default_rng(3))
+    y = np.ones((1, 2), dtype=complex)
+    message = re.escape(f"thetas has shape {np.shape(thetas)}, expected a vector")
+    for call in (lambda: kernels.Harmonics(thetas), lambda: kernels.harmonics(thetas),
+                 lambda: kernels.fourier_values(thetas, *spec.packed_prime),
+                 lambda: kernels.fourier_norm_sq(thetas, y, *spec.norm_forms_prime),
+                 lambda: kernels.fourier_pairing(thetas, y, np.ones(2), *spec.packed_prime)):
+        with pytest.raises(DimensionMismatch, match=message):
+            call()
 
 
 def test_fourier_values_matches_per_theta_sum():
@@ -435,6 +459,76 @@ def test_newton_loop_bitwise_masked_loop(monkeypatch, max_iter):
     assert got[2][7] == 0 and got[0][7] == seed[7]
     if max_iter == 2:  # the far seed is still above tol
         assert got[3][0] == kernels.STATUS_NO_CONVERGENCE
+
+
+def _rescale_lanes():
+    """(a', a'', c, seed) on BLOCKED_LANES lanes, the kinds of lane spread over the three blocks of SMALL_BLOCK.
+
+    Ordinary lanes, with roots near their seed 1, fill the blocks.  Block 0 also holds NaN and inf inputs,
+    lost digits and bad seeds, none of which steps; block 1 holds a lane that _into_float_range scales,
+    lost digits, a bad seed and far seeds, which take more steps than any lane of block 0; the tail block
+    holds lanes that do not converge: one that _into_float_range scales up, whose residual stays above
+    NEWTON_TOL, a seed 1e200 that overflows its residual and a seed 1e30 that steps back in halves.  So a
+    block that stopped with another block's lanes, or a block left out, changes lanes.
+    """
+    rng = np.random.default_rng(38)
+    n = BLOCKED_LANES
+    ap, app = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    c, seed = rng.uniform(-0.2, 0.2, n), np.ones(n)
+    tiny, nan, inf = kernels.NORM_SQ_MIN, np.nan, np.inf
+    special = {  # lane: (a', a'', c, seed)
+        # block 0
+        3: (nan, 1.0, 0.1, 1.0), 4: (1.0, nan, 0.1, 1.0), 5: (1.0, 1.0, nan, 1.0), 6: (inf, 1.0, -0.1, 1.0),
+        7: (1.0, 1.0, inf, 1.0), 8: (1.0, inf, 0.1, 1.0), 9: (1e-320, 1e-320, 0.0, 1.0),
+        10: (tiny / 4, tiny / 2, -tiny, 1.0), 11: (0.0, 0.0, 0.0, 1.0), 12: (1.0, 1.0, 0.1, nan),
+        13: (1.0, 1.0, 0.1, -1.0), 14: (1.0, 1.0, 0.1, 0.0), 15: (1.0, 1.0, 0.1, inf), 16: (1.0, 1.0, 0.0, 1.0),
+        # block 1
+        70: (np.ldexp(1.3, -900), np.ldexp(0.7, -900), np.ldexp(0.2, -900), 1.0),
+        72: (1e-320, 1e-320, 0.0, 2.0), 73: (1.0, 1.0, 0.1, 1e3), 74: (2.0, 0.5, -0.3, 1e-3),
+        75: (1.0, 1.0, 0.1, 30.0), 76: (1.0, 1.0, 0.1, nan),
+        # the tail block
+        128: (np.ldexp(1.3, 900), np.ldexp(0.7, 900), np.ldexp(-0.2, 900), 1.0), 129: (1.0, 1.0, 0.1, 1e200),
+        130: (1.0, 1.0, 0.1, 1e30),
+    }
+    for lane, values in special.items():
+        ap[lane], app[lane], c[lane], seed[lane] = values
+    return ap, app, c, seed
+
+
+def test_scale_root_gives_each_lane_alone_its_batch_bits(small_blocks):
+    # on the lane mix across three blocks, with c per lane and as one scalar: each lane alone gives its batch
+    # bits, NaN exactly where the digits are lost or the oracle has no root, else within SCALE_ROOT_EPSILONS
+    ap, app, c, _ = _rescale_lanes()
+    s = _each_lane_alone_is_its_batch_lane(kernels.scale_root, (ap, app, c))
+    with np.errstate(invalid="ignore"):
+        lost = kernels.lost_digits(ap, app)
+    references = [scale_root_reference(*lane) for lane in zip(ap, app, c)]
+    no_root = np.array([ref is None for ref in references])
+    assert np.isnan(s).tolist() == (lost | no_root).tolist()
+    assert np.flatnonzero(np.isnan(s)).tolist() == list(range(3, 12)) + [72]
+    assert _worst_error(s, [None if k else ref for k, ref in zip(lost, references)]) <= SCALE_ROOT_EPSILONS
+    scalar_c = _each_lane_alone_is_its_batch_lane(lambda ap, app: kernels.scale_root(ap, app, 0.1), (ap, app))
+    assert scalar_c.tobytes() == kernels.scale_root(ap, app, np.full(len(ap), 0.1)).tobytes()
+
+
+def test_newton_rescale_gives_each_lane_alone_its_batch_bits(small_blocks):
+    # on the lane mix, each lane alone gives its batch bits, and the batch is the unblocked masked loop's
+    # bits: every status, and iteration counts that differ between the blocks
+    ap, app, c, seed = _rescale_lanes()
+    got = _each_lane_alone_is_its_batch_lane(kernels.newton_rescale, (ap, app, c, seed))
+    with np.errstate(all="ignore"):  # the seed 1e200 overflows
+        expected = _newton_masked_loop(ap, app, c, seed)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    rho, resid, iters, status = got
+    blocks = [slice(0, SMALL_BLOCK), slice(SMALL_BLOCK, 2 * SMALL_BLOCK), slice(2 * SMALL_BLOCK, None)]
+    assert [int(iters[lanes].max()) for lanes in blocks] == [5, 20, kernels.NEWTON_MAX_ITER]
+    assert np.bincount(status).tolist() == [113, 3, 15]
+    assert np.flatnonzero(status == kernels.STATUS_NO_CONVERGENCE).tolist() == [128, 129, 130]
+    # one scalar c and one scalar seed stand for every lane
+    scalar = _each_lane_alone_is_its_batch_lane(lambda ap, app: kernels.newton_rescale(ap, app, 0.1, 2.0), (ap, app))
+    full = kernels.newton_rescale(ap, app, np.full(len(ap), 0.1), np.full(len(ap), 2.0))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(scalar, full))
 
 
 def _unseeded_match(monkeypatch, ap, app, c):
