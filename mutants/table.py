@@ -255,12 +255,12 @@ MUTANTS = (
         ("tests/test_blowup.py::test_each_blowup_invariant_has_one_owner[BlowupPoint-zero-direction]",
          "tests/test_blowup.py::test_blowup_calls_refuse_an_unusable_direction[boundary_coords-0.0-zero]"),
     ),
-    # renorm_eval's direction meets make_blowup_point's unit-norm rule, not a bare BlowupPoint's
+    # renorm_eval's direction meets make_blowup_point's unit-norm rule, not only a bare BlowupPoint's
     Mutant(
         "renorm-bare-blowup-point",
         "src/flipq/perturbation.py",
-        "    bp = make_blowup_point(cfg, r, w_prime, w_second, BasePoint(theta, 0.0))\n",
-        "    from .blowup import BlowupPoint\n    bp = BlowupPoint(r, w_prime, w_second, BasePoint(theta, 0.0))\n",
+        "    _check_unit_norm(float(g1[0] + g2[0]))\n",
+        "",
         ("tests/test_blowup.py::test_each_blowup_invariant_has_one_owner[renorm_eval-non-unit]",
          "tests/test_perturbation.py::test_renorm_requires_unit_direction"),
     ),
@@ -368,15 +368,35 @@ MUTANTS = (
         "weights = np.concatenate([np.stack([b.real, -b.imag], axis=-1), np.stack([b.imag, b.real], axis=-1)])",
         ("tests/test_symmetry.py::test_a_unitary_frame_change_maps_every_lane_result",),
     ),
-    # the kernels' one lane-block loop covers every lane: here it leaves out the last block of lanes
+    # flipq's one lane-block loop covers every lane: here it leaves out the last block of lanes
     Mutant(
         "kernel-blocks-drop-the-tail",
         "src/flipq/kernels.py",
-        "for start in range(0, n, KERNEL_LANES)]",
-        "for start in range(0, n - KERNEL_LANES, KERNEL_LANES)]",
+        "for start in range(0, n, step)]",
+        "for start in range(0, n - step, step)]",
         ("tests/test_kernels.py::test_scale_root_gives_each_lane_alone_its_batch_bits",
          "tests/test_kernels.py::test_newton_rescale_gives_each_lane_alone_its_batch_bits",
-         "tests/test_kernels.py::test_fourier_norm_sq_matches_per_lane_reference[3]"),
+         "tests/test_kernels.py::test_fourier_norm_sq_matches_per_lane_reference[3]",
+         "tests/test_perturbation.py::test_verify_conditions_blocks_agree"),
+    ),
+    # an item of more than KERNEL_LANES lanes is a block of its own: without the floor of 1 the step is 0
+    Mutant(
+        "lane-blocks-without-one-item-floor",
+        "src/flipq/kernels.py",
+        "    step = max(1, KERNEL_LANES // lanes_each)\n",
+        "    step = KERNEL_LANES // lanes_each\n",
+        ("tests/test_kernels.py::test_lane_blocks_cover_every_item_once_in_order[1-8195]",
+         "tests/test_cli.py::test_scan_sample_count_above_the_lane_cap"),
+    ),
+    # a block holds KERNEL_LANES lanes, not KERNEL_LANES items of lanes_each lanes each
+    Mutant(
+        "lane-blocks-ignore-lanes-each",
+        "src/flipq/kernels.py",
+        "    step = max(1, KERNEL_LANES // lanes_each)\n",
+        "    step = max(1, KERNEL_LANES)\n",
+        ("tests/test_kernels.py::test_lane_blocks_cover_every_item_once_in_order[24581-75]",
+         "tests/test_perturbation.py::test_verify_conditions_blocks_agree",
+         "tests/test_cli.py::test_scan_evaluates_trig_on_row_thetas"),
     ),
     # each Newton block steps until its own lanes converge: here a block stops where the block before it did
     Mutant(

@@ -55,12 +55,16 @@ class BoundaryPoint:
         object.__setattr__(self, "homog", _frozen_complex_vector(self.homog))
 
 
+def _check_unit_norm(norm_sq: float) -> None:
+    """The unit-sphere rule of a blowup direction w: |w|^2 = norm_sq is 1 to UNIT_NORM_TOL, else ConfigInvalid."""
+    if not abs(norm_sq - 1.0) <= UNIT_NORM_TOL:
+        raise ConfigInvalid(f"direction norm^2 = {norm_sq} is not 1 to {UNIT_NORM_TOL}")
+
+
 def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
     """Construct with the unit-sphere invariant checked at base theta."""
     bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=base)
-    total = sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second)))
-    if not abs(total - 1.0) <= UNIT_NORM_TOL:
-        raise ConfigInvalid(f"direction norm^2 = {total} is not 1 to {UNIT_NORM_TOL}")
+    _check_unit_norm(sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second))))
     return bp
 
 

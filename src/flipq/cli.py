@@ -210,10 +210,8 @@ def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
     """Mean level residual per grid row (thetas[i], ts[i]) over k samples; rows draw from one
     stream in grid order."""
     rng = np.random.default_rng(seed)
-    rows_per_block = max(1, kernels.BLOCK_LANES // k)
     means: list[float] = []
-    for start in range(0, len(thetas), rows_per_block):
-        block = slice(start, start + rows_per_block)
+    for block in kernels.lane_blocks(len(thetas), k):
         rows = len(thetas[block])
         y_prime, y_second = complex_gaussian_rows(rng, rows, k, cfg.r_prime, cfg.r_second)
         # one harmonic table for both norm evaluations of the pass, its trig on the rows' thetas

@@ -181,9 +181,9 @@ CERTIFY_MAX_THETAS = 16384  # the grid certificate's cap on thetas per metric bl
 
 
 def _min_eigenvalues(packed, thetas) -> np.ndarray:
-    """The smallest eigenvalue of a packed block at each theta, kernels.BLOCK_LANES thetas at a time."""
-    return np.concatenate([np.linalg.eigvalsh(kernels.fourier_values(thetas[i:i + kernels.BLOCK_LANES], *packed))
-                           .min(axis=-1) for i in range(0, len(thetas), kernels.BLOCK_LANES)])
+    """The smallest eigenvalue of a packed block at each theta, in the kernels.lane_blocks of the thetas."""
+    return np.concatenate([np.linalg.eigvalsh(kernels.fourier_values(thetas[block], *packed)).min(axis=-1)
+                           for block in kernels.lane_blocks(len(thetas))])
 
 
 def _certify_block(label: str, packed) -> tuple[ValidationIssue | None, float]:

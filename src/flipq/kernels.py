@@ -3,24 +3,24 @@
 The metric kernels evaluate a matrix Fourier field
 G(theta) = sum_k cos(n_k theta) C_k + sin(n_k theta) S_k against lane
 batches without forming the (n, r, r) stack of values (fourier_values alone
-forms the values).  fourier_norm_sq and fourier_pairing work on blocks of
-KERNEL_LANES lanes, each a lane-last strided view of the input (no copy): each
-block forms the Hermitian products of its lanes once, sums each coefficient's
-weighted products and only then weights the sum by its harmonic.  Only
-exactly rounded elementwise operations touch a lane (no matrix product and no
-reduction over an axis), so a lane's bits do not depend on the batch around
-it: the scalar API, a batch of one, gives each lane of any batch exactly.  Trig is
-computed once per thetas array: a batch entry point passes one Harmonics table
-to every kernel it calls, and each cos(n theta), sin(n theta) its fields use
-is evaluated on first use and read from the table after that.  harmonics
-keeps the last table it built for a float64 array, so the next batch call on
-that same array, its bits unchanged, reads the same table.
+forms the values).  fourier_norm_sq and fourier_pairing work on the slices of
+lane_blocks, flipq's one lane-block loop, each a lane-last strided view of the
+input (no copy): each block forms the Hermitian products of its lanes once,
+sums each coefficient's weighted products and only then weights the sum by its
+harmonic.  Only exactly rounded elementwise operations touch a lane (no matrix
+product and no reduction over an axis), so a lane's bits do not depend on the
+batch around it: the scalar API, a batch of one, gives each lane of any batch
+exactly.  Trig is computed once per thetas array: a batch entry point passes
+one Harmonics table to every kernel it calls, and each cos(n theta), sin(n
+theta) its fields use is evaluated on first use and read from the table after
+that.  harmonics keeps the last table it built for a float64 array, so the
+next batch call on that same array, its bits unchanged, reads the same table.
 
 The rescaling solver works on the scalar reduction of the level equation:
 with a' = |y'|^2, a'' = |y''|^2 (metric norms) and target value c, the root
 in s = rho^2 satisfies  a' s^2 + 2 c s - a'' = 0.  scale_root and
 newton_rescale broadcast their inputs to one lane shape and run the same
-KERNEL_LANES blocks, so each temporary of a block stays in cache; each
+lane_blocks slices, so each temporary of a block stays in cache; each
 Newton block iterates until its own lanes converge.  Every lane's work is
 elementwise, so the blocks change no bit.
 """
@@ -48,21 +48,15 @@ NEWTON_MAX_ITER = 50
 # The smallest normal float: a norm sum |v|^2 = a' + a'' below it has lost its digits (lost_digits).
 NORM_SQ_MIN = np.finfo(float).tiny
 
-# Lanes per call in the blocked loops outside this module: the CLI's scan rows,
-# verify_conditions' stencil and min_metric_eigenvalue's thetas.  Bounds the
-# working set: one scan pass over a 1,984-row, 32-sample grid (63,488 lanes)
-# raised peak RSS from 45 to 58 MB, and one 2,000-theta verify on the 3/3
-# preset (582,000 stencil lanes) from 56 to 184 MB; neither ran faster than in
-# 4096-lane blocks, and 16,384-lane blocks raised the report benchmark's peak
-# RSS from 39.2 to 41.2 MB and its run time by 5%.
-BLOCK_LANES = 4096
-
-# Lanes per block in the kernels' own lane loop, _lane_slices: fourier_norm_sq,
-# fourier_pairing, scale_root and newton_rescale, where only elementwise
-# operations touch a lane.  A block's float temporaries are 64 kB, so they stay
-# in L2 and reuse the allocator's freed chunks; on 200,000 lanes a whole-array
-# pass streams each 1.6 MB temporary through memory.  8,192 beat 4,096 on the
-# dense-metric fields of ranks 2, 4 and 6; at 16,384 the pairing was slower.
+# Lanes per numpy pass in lane_blocks, flipq's one lane-block loop: the Fourier
+# kernels, scale_root, newton_rescale, the scan's rows, verify_conditions'
+# stencil and the metric certificate's eigenvalues.  Unblocked, one scan pass over
+# a 63,488-lane grid raised peak RSS from 45 to 58 MB, and a 2,000-theta verify on
+# the 3/3 preset from 56 to 184 MB.  A block's 64 kB temporaries stay in L2.
+# 8,192 beat 4,096 on dense fields of ranks 2, 4 and 6; 16,384 slowed the pairing
+# and raised the report benchmark's peak RSS from 39.2 to 41.2 MB.  The outer
+# passes at 8,192 rather than 4,096 left that RSS at 39.58 MB and its run time
+# within noise (0.0273-0.0282 s against 0.0274-0.0281 s).
 KERNEL_LANES = 8192
 
 
@@ -204,10 +198,11 @@ def fourier_values(thetas, ns, sines, coeffs):
     return out
 
 
-def _lane_slices(n):
-    """The slices of KERNEL_LANES lanes (read at call time) that cover n lanes, in order: the one lane-block
-    loop of the kernels."""
-    return [slice(start, start + KERNEL_LANES) for start in range(0, n, KERNEL_LANES)]
+def lane_blocks(n, lanes_each=1):
+    """The slices, in order, that cover n items of lanes_each lanes each, max(1, KERNEL_LANES // lanes_each)
+    items a slice (KERNEL_LANES read at call time): the one lane-block loop of flipq."""
+    step = max(1, KERNEL_LANES // lanes_each)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _lane_last_blocks(y):
@@ -215,7 +210,7 @@ def _lane_last_blocks(y):
     Re y_0, Im y_0, Re y_1, Im y_1, ...: a lane-last strided view of y, not a copy."""
     y = np.ascontiguousarray(y, dtype=np.complex128)
     floats = y.view(np.float64).reshape(y.shape[0], 2 * y.shape[1])
-    for lanes in _lane_slices(y.shape[0]):
+    for lanes in lane_blocks(y.shape[0]):
         yield lanes, floats[lanes].T
 
 
@@ -318,7 +313,7 @@ def scale_root(ap, app, c):
     ap, app, c = _lane_arrays(ap, app, c)
     s = np.empty(ap.shape)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for lanes in _lane_slices(len(s)):
+        for lanes in lane_blocks(len(s)):
             s[lanes] = _scale_root_block(ap[lanes], app[lanes], c[lanes])
     return s
 
@@ -367,7 +362,7 @@ def newton_rescale(ap, app, c, seed):
     iters = np.empty(ok.shape, dtype=np.int32)
     status = np.empty(ok.shape, dtype=np.int8)
     with np.errstate(all="ignore"):  # an overflowing seed or step ends in a NaN residual
-        for lanes in _lane_slices(len(ok)):
+        for lanes in lane_blocks(len(ok)):
             rho[lanes], residual[lanes], iters[lanes], status[lanes] = _newton_block(
                 ap[lanes], app[lanes], c[lanes], seed[lanes], ok[lanes], tol, max_iter)
     return rho, residual, iters, status

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .blowup import _lost_digits_text, from_blowup, make_blowup_point
+from .blowup import BlowupPoint, _check_unit_norm, _lost_digits_text, from_blowup
 from .core import (
     BasePoint,
     FiberPoint,
@@ -298,8 +298,8 @@ def verify_conditions(
     On an n_theta grid: the wall condition (phi vanishes on the zero
     section at t = 0 with unit t-derivative), the vanishing fiber gradient
     there, and the fiber Hessian against the realified metric blocks
-    diag(+G', -G'').  The stencil points of all thetas go through phi in
-    batches of at most kernels.BLOCK_LANES lanes.
+    diag(+G', -G'').  phi takes the stencil points in the grid's
+    kernels.lane_blocks of whole thetas.
     """
     lo, hi = FD_STEP_RANGE
     if not (lo < fd_step < hi):
@@ -327,11 +327,10 @@ def verify_conditions(
     y_prime = z[:, :rp] + 1j * z[:, rp : 2 * rp]
     y_second = z[:, 2 * rp : 2 * rp + rs] + 1j * z[:, 2 * rp + rs :]
     m = len(z)
-    per_call = max(1, kernels.BLOCK_LANES // m)
     values = np.concatenate([
         phi(np.repeat(block, m), np.tile(y_prime, (len(block), 1)),
             np.tile(y_second, (len(block), 1)), np.tile(ts, len(block)))
-        for block in np.split(thetas, range(per_call, n_theta, per_call))
+        for block in (thetas[lanes] for lanes in kernels.lane_blocks(n_theta, m))
     ]).reshape(n_theta, m)
 
     f0 = values[:, 0]
@@ -521,13 +520,14 @@ def renorm_eval(
     """
     if not isinstance(tau, PerturbationSpec):
         raise TypeError(f"tau must be a PerturbationSpec, got {type(tau).__name__}")
-    bp = make_blowup_point(cfg, r, w_prime, w_second, BasePoint(theta, 0.0))
+    bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=BasePoint(theta, 0.0))
+    g1, g2, values = _tau_lanes(cfg, tau.terms, *one_lane(bp.base.theta, bp.w_prime, bp.w_second))
+    _check_unit_norm(float(g1[0] + g2[0]))
     degrees = [t.degree for t in tau.terms]
     if any(d < k for d in degrees):
         raise BoundViolated(
             f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
         )
-    g1, g2, values = _tau_lanes(cfg, tau.terms, *one_lane(theta, bp.w_prime, bp.w_second))
     if _outside_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)[0]:
         raise _domain_error(cfg, g1[0], g2[0], bp.r)
     # coefficients a_d of tau(r w) = sum a_d r^d along the ray through w

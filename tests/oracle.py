@@ -27,9 +27,12 @@ EPSILON = 2.0**-52  # the float ulp at 1
 
 
 def scale_root_reference(ap: float, app: float, c: float):
-    """The positive root s as an mpf of DIGITS digits, or None where the equation has none."""
+    """The positive root s as an mpf of DIGITS digits, or None where the equation has none or an input is not
+    finite."""
     with mpmath.workdps(DIGITS):
         ap, app, c = mpmath.mpf(ap), mpmath.mpf(app), mpmath.mpf(c)
+        if not all(mpmath.isfinite(x) for x in (ap, app, c)):
+            return None
         disc = mpmath.sqrt(c * c + ap * app)
         if c > 0:
             s = app / (c + disc)

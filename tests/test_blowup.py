@@ -379,7 +379,7 @@ INVALID_POINTS = {
     "non-unit": (None, [np.sqrt(1.0 + 5e-10)], [0.0], ConfigInvalid,
                  "direction norm^2 = 1.0000000005 is not 1 to 1e-12"),
 }
-# only make_blowup_point checks the unit norm, and renorm_eval calls it; the rest take any nonzero direction
+# only make_blowup_point and renorm_eval apply the unit-norm rule; the rest take any nonzero direction
 ONE_OWNER_CASES = [(name, case) for name in POINT_CALLS for case in INVALID_POINTS
                    if case != "non-unit" or name in ("make_blowup_point", "renorm_eval")]
 

@@ -31,7 +31,6 @@ from flipq.errors import ConfigParse
 from flipq.perturbation import verdict
 from flipq.core import fiber_norms_batch
 from flipq import kernels
-from flipq.kernels import BLOCK_LANES
 from flipq.quotient import level_rho_batch, moment_value_batch
 from flipq.sampling import (
     complex_gaussian,
@@ -776,7 +775,7 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
     run_cfg = load_run_config(str(path))
     cfg = run_cfg.model
     k = 1000
-    rows_per_block = BLOCK_LANES // k
+    rows_per_block = kernels.KERNEL_LANES // k
     table = run_scan(run_cfg, 11, 3, 3, k)
     assert len(table) % rows_per_block != 0
     # one stream, drawn row by row in grid order
@@ -809,6 +808,7 @@ def test_scan_evaluates_trig_on_row_thetas(tmp_path, monkeypatch):
         return weight
 
     monkeypatch.setattr(kernels.Harmonics, "_evaluate", recorded)
+    monkeypatch.setattr(kernels, "KERNEL_LANES", 4096)  # read at call time
     k = 1000  # 4 rows per pass: 9 rows take passes of 4, 4 and 1 rows
     table = run_scan(run_cfg, 11, 3, 3, k)
     assert len(table) == 9
@@ -816,13 +816,14 @@ def test_scan_evaluates_trig_on_row_thetas(tmp_path, monkeypatch):
     assert evaluated == [4, 4, 4, 4, 1, 1]
 
 
-def test_scan_sample_count_above_the_lane_cap(tmp_path):
-    # k > BLOCK_LANES: every pass holds one row, drawn in one call
+def test_scan_sample_count_above_the_lane_cap(tmp_path, monkeypatch):
+    # k > KERNEL_LANES: every pass holds one row, drawn in one call
     path = tmp_path / "fourier.json"
     path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
     run_cfg = load_run_config(str(path))
     cfg = run_cfg.model
-    k = BLOCK_LANES + 3
+    monkeypatch.setattr(kernels, "KERNEL_LANES", 64)  # read at call time
+    k = kernels.KERNEL_LANES + 3
     table = run_scan(run_cfg, 13, 2, 2, k)
     rng = np.random.default_rng(13)
     for theta, t, residual, n in zip(table.theta, table.t, table.mean_level_residual, table.n_stable_samples):

@@ -39,6 +39,21 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(kernels, "KERNEL_LANES", SMALL_BLOCK)  # read at call time
 
 
+LANE_BLOCK_COUNTS = [(n, lanes_each) for L in [kernels.KERNEL_LANES]
+                     for n in (0, 1, L - 1, L, L + 1, 3 * L + 5) for lanes_each in (1, 75, L, L + 3)]
+
+
+@pytest.mark.parametrize("n, lanes_each", LANE_BLOCK_COUNTS)
+def test_lane_blocks_cover_every_item_once_in_order(n, lanes_each):
+    # items of lanes_each lanes, max(1, KERNEL_LANES // lanes_each) a slice: an item longer than
+    # KERNEL_LANES is a slice of its own, and only the last slice is short
+    items = [list(range(n)[block]) for block in kernels.lane_blocks(n, lanes_each)]
+    assert list(itertools.chain.from_iterable(items)) == list(range(n))
+    assert all(items)
+    step = max(1, kernels.KERNEL_LANES // lanes_each)
+    assert [len(block) for block in items[:-1]] == [step] * (len(items) - 1)
+
+
 def _each_lane_alone_is_its_batch_lane(kernel, lanes, *args):
     """kernel(*lanes, *args) over the BLOCKED_LANES lanes, after asserting that each lane alone gives that
     lane's bits at batch sizes 1, 7 and BLOCKED_LANES (the prefixes of the lane arrays).  The kernel gives
@@ -665,6 +680,14 @@ def test_scale_root_is_within_two_epsilons_of_a_50_digit_root():
     assert np.isfinite(got).tolist() == [ref is not None for ref in references]
     assert np.isnan(got[n + 1200:]).sum() > 50  # the zero blocks' rootless signs
     assert _worst_error(got, references) <= SCALE_ROOT_EPSILONS
+
+
+def test_the_oracle_has_no_root_where_an_input_is_not_finite():
+    # mpmath's inf arithmetic would give (1, inf, -inf) and (1, 1, -inf) the root +inf; neither equation has
+    # a positive float root, and scale_root gives NaN on every such lane
+    lanes = [(1.0, np.inf, -np.inf), (1.0, 1.0, -np.inf), (np.inf, np.inf, 0.0)]
+    assert [scale_root_reference(*lane) for lane in lanes] == [None] * len(lanes)
+    assert np.isnan(kernels.scale_root(*np.array(lanes).T)).all()
 
 
 def test_scale_root_gives_no_root_exactly_where_the_digits_are_lost():

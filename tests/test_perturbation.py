@@ -342,7 +342,7 @@ def test_verify_conditions_blocks_agree(cfg_fourier_quartic, monkeypatch):
         calls.append(len(lanes[0]))
         return phi(*lanes)
 
-    monkeypatch.setattr(kernels, "BLOCK_LANES", 160)  # two thetas of 75 stencil points
+    monkeypatch.setattr(kernels, "KERNEL_LANES", 160)  # two thetas of 75 stencil points
     assert verify_conditions(cfg, counted, n_theta=7) == whole
     assert calls == [150, 150, 150, 75]
 
@@ -722,7 +722,7 @@ def test_renorm_refuses_a_callable_tau_off_the_boundary(cfg_identity):
 
 
 def test_renorm_requires_unit_direction(cfg_identity):
-    # make_blowup_point's rules: the unit norm at its tolerance, and a finite direction, checked first
+    # make_blowup_point's rules: the one unit-norm rule at its tolerance, and a finite direction, checked first
     with pytest.raises(ConfigInvalid, match="direction norm\\^2 = 4.0 is not 1 to 1e-12"):
         renorm_eval(cfg_identity, _norm4_spec(), 4, 0.1, np.array([2.0]), np.array([0.0]))
     for w_prime, w_second in (([np.nan], [0.8]), ([0.6], [np.nan])):
