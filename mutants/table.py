@@ -146,8 +146,8 @@ MUTANTS = (
     Mutant(
         "match-lanes-without-wall-rule",
         "src/flipq/perturbation.py",
-        "np.isnan(rho), ~cfg.in_wall(c)]",
-        "np.isnan(rho), np.isnan(c)]",
+        "root != kernels.STATUS_OK, ~cfg.in_wall(c)]",
+        "root != kernels.STATUS_OK, np.isnan(c)]",
         ("tests/test_perturbation.py::test_matching_errors_refuse_in_the_order_domain_branch_wall",
          "tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status"),
     ),
@@ -155,25 +155,19 @@ MUTANTS = (
     Mutant(
         "match-lanes-branch-before-domain",
         "src/flipq/perturbation.py",
-        ("[_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2), np.isnan(rho), ~cfg.in_wall(c)],\n"
-         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_LOST_DIGITS, "
-         "kernels.STATUS_NO_POSITIVE_ROOT,"),
-        ("[np.isnan(rho), kernels.lost_digits(g1, g2), _outside_domain(cfg, g1, g2), ~cfg.in_wall(c)],\n"
-         "                       [kernels.STATUS_NO_POSITIVE_ROOT, kernels.STATUS_LOST_DIGITS, "
-         "kernels.STATUS_OUT_OF_DOMAIN,"),
+        ("[_outside_domain(cfg, g1, g2), root != kernels.STATUS_OK, ~cfg.in_wall(c)],\n"
+         "                       [kernels.STATUS_OUT_OF_DOMAIN, root, kernels.STATUS_OFF_WALL]"),
+        ("[root != kernels.STATUS_OK, _outside_domain(cfg, g1, g2), ~cfg.in_wall(c)],\n"
+         "                       [root, kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_OFF_WALL]"),
         ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",),
     ),
-    # a lane whose digits are lost has no root either: its lost-digits status comes before the branch, or
-    # the branch's sign rule names it (y' = 1e-165, y'' = 0 read "y'' = 0 and chi(v) = 0 >= 0")
+    # a lane whose digits are lost has no root either: its lost-digits status comes before the branch in
+    # kernels.root_status, or the branch's sign rule names it (y' = 1e-165, y'' = 0 read "|y''|^2 = 0 and t = 0")
     Mutant(
         "match-lanes-lost-digits-after-branch",
-        "src/flipq/perturbation.py",
-        ("[_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2), np.isnan(rho), ~cfg.in_wall(c)],\n"
-         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_LOST_DIGITS, "
-         "kernels.STATUS_NO_POSITIVE_ROOT,"),
-        ("[_outside_domain(cfg, g1, g2), np.isnan(rho), kernels.lost_digits(g1, g2), ~cfg.in_wall(c)],\n"
-         "                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_NO_POSITIVE_ROOT, "
-         "kernels.STATUS_LOST_DIGITS,"),
+        "src/flipq/kernels.py",
+        "np.select([lost_digits(ap, app), np.isnan(root)], [STATUS_LOST_DIGITS, STATUS_NO_POSITIVE_ROOT], STATUS_OK)",
+        "np.select([np.isnan(root), lost_digits(ap, app)], [STATUS_NO_POSITIVE_ROOT, STATUS_LOST_DIGITS], STATUS_OK)",
         ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",
          "tests/test_cli.py::test_match_names_a_point_whose_digits_are_lost"),
     ),
@@ -181,8 +175,8 @@ MUTANTS = (
     Mutant(
         "match-lanes-without-domain-status",
         "src/flipq/perturbation.py",
-        "[_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2),",
-        "[np.isnan(g1), kernels.lost_digits(g1, g2),",
+        "[_outside_domain(cfg, g1, g2), root != kernels.STATUS_OK,",
+        "[np.isnan(g1), root != kernels.STATUS_OK,",
         ("tests/test_perturbation.py::test_every_matching_entry_point_reads_the_one_lane_status",
          "tests/test_perturbation.py::test_match_lanes_leaves_the_domain_to_matching_errors"),
     ),
@@ -190,11 +184,33 @@ MUTANTS = (
     Mutant(
         "classify-on-the-zero-pattern",
         "src/flipq/quotient.py",
-        "    return StabilityClass.Stable if np.isfinite(_level_rho(cfg, p)) else StabilityClass.Unstable\n",
+        "    return StabilityClass.Stable if _level_lane(cfg, p)[0] == kernels.STATUS_OK else StabilityClass.Unstable\n",
         ("    stable = ((p.y_prime.any() and (p.y_second.any() or p.base.t < 0))\n"
          "              or (p.y_second.any() and p.base.t > 0))\n"
          "    return StabilityClass.Stable if stable else StabilityClass.Unstable\n"),
         ("tests/test_quotient.py::test_classify_is_stable_exactly_where_the_level_root_is_found[False-False-0.0-1e-155]",),
+    ),
+    # classify reads the level lane's status, not its root: with the status given, NaN is no longer the decider
+    Mutant(
+        "classify-on-isfinite",
+        "src/flipq/quotient.py",
+        "    return StabilityClass.Stable if _level_lane(cfg, p)[0] == kernels.STATUS_OK else StabilityClass.Unstable\n",
+        "    return StabilityClass.Stable if np.isfinite(_level_lane(cfg, p)[3]) else StabilityClass.Unstable\n",
+        ("tests/test_refusals.py::test_the_level_wrappers_decide_from_the_root_status_alone[5]",),
+    ),
+    # each refused lane is named from its own row of the one table: two rows swapped give a level lane whose
+    # digits are lost matching's DegenerateBranch, and a matched one the level rule's NotStable
+    Mutant(
+        "refusal-table-rows-swapped",
+        "src/flipq/core.py",
+        ("    (kernels.STATUS_LOST_DIGITS, \"level\"): NotStable,\n"
+         "    (kernels.STATUS_LOST_DIGITS, \"rescaling\"): DegenerateBranch,\n"),
+        ("    (kernels.STATUS_LOST_DIGITS, \"level\"): DegenerateBranch,\n"
+         "    (kernels.STATUS_LOST_DIGITS, \"rescaling\"): NotStable,\n"),
+        ("tests/test_refusals.py::test_each_scalar_wrapper_raises_the_table_error_of_each_status"
+         "[normalize_to_level-lost digits]",
+         "tests/test_refusals.py::test_each_scalar_wrapper_raises_the_table_error_of_each_status"
+         "[matching_map-lost digits]"),
     ),
     # chi_eval_batch, and so chi_eval and phi_graph, refuse a lane outside the fiber domain
     Mutant(
@@ -259,8 +275,8 @@ MUTANTS = (
     Mutant(
         "renorm-bare-blowup-point",
         "src/flipq/perturbation.py",
-        "    _check_unit_norm(float(g1[0] + g2[0]))\n",
-        "",
+        "_check_unit_norm(lambda: _tau_lanes(cfg, tau.terms,",
+        "(lambda norms: norms())(lambda: _tau_lanes(cfg, tau.terms,",
         ("tests/test_blowup.py::test_each_blowup_invariant_has_one_owner[renorm_eval-non-unit]",
          "tests/test_perturbation.py::test_renorm_requires_unit_direction"),
     ),
@@ -277,8 +293,7 @@ MUTANTS = (
     Mutant(
         "renorm-without-domain-rule",
         "src/flipq/perturbation.py",
-        ("    if _outside_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)[0]:\n"
-         "        raise _domain_error(cfg, g1[0], g2[0], bp.r)\n"),
+        "    _check_domain(cfg, g1, g2, bp.r)\n",
         "",
         ("tests/test_perturbation.py::test_renorm_refuses_a_ray_point_outside_the_fiber_domain",),
     ),

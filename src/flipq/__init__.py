@@ -92,7 +92,6 @@ from .quotient import (
     quotient_chart,
     segre_point,
     tilde_coords,
-    tilde_reconstruct,
 )
 
 __version__ = "0.1.0"

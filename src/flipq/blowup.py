@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .core import (BasePoint, FiberPoint, ModelConfig, _cstar_scalar, _frozen_complex_vector, fiber_norms,
-                   fiber_norms_batch, one_lane)
+                   fiber_norms_batch, one_lane, refusal)
 from .errors import ConfigInvalid, NotOnBoundary, OnCenter
 from .quotient import _pivot
 
@@ -55,16 +55,21 @@ class BoundaryPoint:
         object.__setattr__(self, "homog", _frozen_complex_vector(self.homog))
 
 
-def _check_unit_norm(norm_sq: float) -> None:
-    """The unit-sphere rule of a blowup direction w: |w|^2 = norm_sq is 1 to UNIT_NORM_TOL, else ConfigInvalid."""
+def _check_unit_norm(norms):
+    """norms(), whose first two entries |w'|^2 + |w''|^2 must sum to 1 to UNIT_NORM_TOL, else ConfigInvalid: the
+    unit-sphere rule of a blowup direction w.  A huge w's norms overflow under one np.errstate, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = norms()
+    norm_sq = float(np.sum(out[0] + out[1]))
     if not abs(norm_sq - 1.0) <= UNIT_NORM_TOL:
         raise ConfigInvalid(f"direction norm^2 = {norm_sq} is not 1 to {UNIT_NORM_TOL}")
+    return out
 
 
 def make_blowup_point(cfg, r, w_prime, w_second, base) -> BlowupPoint:
     """Construct with the unit-sphere invariant checked at base theta."""
     bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=base)
-    _check_unit_norm(sum(fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second))))
+    _check_unit_norm(lambda: fiber_norms(cfg, FiberPoint(base=base, y_prime=bp.w_prime, y_second=bp.w_second)))
     return bp
 
 
@@ -79,17 +84,11 @@ def to_blowup_batch(cfg: ModelConfig, thetas, y_prime, y_second):
     return r, w_prime, w_second, g1, g2
 
 
-def _lost_digits_text(subject: str, y_prime, y_second, norm_sq) -> str:
-    """Why a kernels.lost_digits lane is refused: on the zero section, or its |y|^2 = norm_sq lost its digits."""
-    return (f"{subject} undefined on the zero section" if not (np.any(y_prime) or np.any(y_second)) else
-            f"|y|^2 = {norm_sq:.3g} is below the smallest normal float: its digits are lost")
-
-
 def _polar_lane(cfg: ModelConfig, base: BasePoint, y_prime, y_second):
-    """to_blowup_batch's (r, w', w'', g1, g2) of one lane, r, g1 and g2 as floats; r = 0 raises OnCenter."""
+    """to_blowup_batch's (r, w', w'', g1, g2) of one lane, r, g1 and g2 as floats; r = 0 raises its polar refusal."""
     r, w_prime, w_second, g1, g2 = to_blowup_batch(cfg, *one_lane(base.theta, y_prime, y_second))
     if r[0] == 0.0:
-        raise OnCenter(_lost_digits_text("polar coordinates are", y_prime, y_second, g1[0] + g2[0]))
+        raise refusal(kernels.STATUS_LOST_DIGITS, "polar", y_prime=y_prime, y_second=y_second, g1=g1[0], g2=g2[0])
     return float(r[0]), w_prime[0], w_second[0], float(g1[0]), float(g2[0])
 
 

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigInvalid, DimensionMismatch, ZeroScalar
+from .errors import (ConfigInvalid, DegenerateBranch, DimensionMismatch, FlipQError, NotStable, OnCenter, OutOfDomain,
+                     ZeroScalar)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .perturbation import PerturbationSpec
@@ -301,6 +302,36 @@ def cstar_act(zeta: complex, p: FiberPoint) -> FiberPoint:
     """Scaling action zeta . (y', y'') = (zeta y', zeta^-1 y''); base fixed."""
     zeta = _cstar_scalar(zeta)
     return FiberPoint(base=p.base, y_prime=zeta * p.y_prime, y_second=p.y_second / zeta)
+
+
+# The refusal table: the error class of a lane refused with a kernels status under a rule, the equation that a scalar
+# wrapper solves on its lane: "polar" (blowup), "level" (quotient) or "rescaling" (matching, and chi's fiber domain).
+REFUSALS = {
+    (kernels.STATUS_LOST_DIGITS, "polar"): OnCenter,
+    (kernels.STATUS_LOST_DIGITS, "level"): NotStable,
+    (kernels.STATUS_LOST_DIGITS, "rescaling"): DegenerateBranch,
+    (kernels.STATUS_NO_POSITIVE_ROOT, "level"): NotStable,
+    (kernels.STATUS_NO_POSITIVE_ROOT, "rescaling"): DegenerateBranch,
+    (kernels.STATUS_OUT_OF_DOMAIN, "rescaling"): OutOfDomain,
+    (kernels.STATUS_OFF_WALL, "rescaling"): OutOfDomain,
+}
+
+
+def refusal(status, rule: str, cfg=None, y_prime=(), y_second=(), g1=0.0, g2=0.0, t=0.0, r=1.0) -> FlipQError:
+    """The REFUSALS error of a lane refused with status under rule, with the one text of its status: the lane is
+    y = (y', y'') of norms g1, g2 at level value t, and the point v = r w for a ray through w = y."""
+    if status == kernels.STATUS_OUT_OF_DOMAIN:  # |v| = r |w| stays finite where r^2 overflows
+        text = f"|v| = {r * np.sqrt(g1 + g2):.6g} exceeds domain_radius = {cfg.domain_radius}"
+    elif status == kernels.STATUS_OFF_WALL:
+        text = f"graph value t = {t:.6g} leaves the wall interval (+-{cfg.epsilon})"
+    elif status == kernels.STATUS_LOST_DIGITS:
+        text = (f"|y|^2 = {g1 + g2:.3g} is below the smallest normal float: its digits are lost"
+                if np.any(y_prime) or np.any(y_second) else "y lies on the zero section")
+    else:  # lost digits come first, so at most one norm is 0: with g2 = 0 no root for t >= 0, with g1 = 0 for t <= 0
+        text = "no positive rescaling reaches the zero level"
+        if not (g1 and g2):
+            text += f": |y''|^2 = 0 and t = {t:.6g} >= 0" if g2 == 0.0 else f": |y'|^2 = 0 and t = {t:.6g} <= 0"
+    return REFUSALS[int(status), rule](text)
 
 
 class ValidationIssue(NamedTuple):

@@ -26,7 +26,7 @@ class NotStable(FlipQError):
 
 
 class OnCenter(FlipQError):
-    """Polar coordinates are undefined at the zero section."""
+    """Polar coordinates are undefined at the zero section and where |y|^2 has lost its digits."""
 
 
 class NotOnBoundary(FlipQError):

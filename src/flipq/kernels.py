@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Lane status codes: newton_rescale gives 0-2, perturbation.match_lanes 0 and its four refusals 2-5.
+# Lane status codes: newton_rescale gives 0-2, root_status 0, 2 and 5, perturbation.match_lanes 0 and 2-5.
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
 STATUS_NO_POSITIVE_ROOT = 2
@@ -294,8 +294,14 @@ def _into_float_range(ap, app, c):
 
 def lost_digits(ap, app):
     """Whether |v|^2 = a' + a'' is below NORM_SQ_MIN, so subnormal or 0 and its digits lost: the one rule that
-    scale_root, blowup.to_blowup_batch and perturbation.match_lanes read."""
+    scale_root, root_status and blowup.to_blowup_batch read."""
     return ap + app < NORM_SQ_MIN
+
+
+def root_status(ap, app, root):
+    """Each lane's level-root status, first to last: STATUS_LOST_DIGITS where lost_digits holds, STATUS_NO_POSITIVE_ROOT
+    where root (scale_root's s, or its square root) is NaN, else STATUS_OK; match_lanes and quotient read it."""
+    return np.select([lost_digits(ap, app), np.isnan(root)], [STATUS_LOST_DIGITS, STATUS_NO_POSITIVE_ROOT], STATUS_OK)
 
 
 def _lane_arrays(*arrays):

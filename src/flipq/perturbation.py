@@ -18,8 +18,8 @@ the level equation at t = chi(v), whose root rho^2 is kernels.scale_root;
 guarded Newton runs only from an explicit seed, in solve_rho.  On the blowup
 boundary r = 0, rho = 1 identically; off it, a ray point v = r w is matched
 as any other lane.  match_lanes' lane status alone refuses a matched lane:
-outside the fiber domain, with lost digits, with no positive root, or off the
-wall interval, in that order; matching_errors names each refusal's error.
+outside the fiber domain, then kernels.root_status (lost digits, then no
+positive root), then off the wall interval; core.REFUSALS names its error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .blowup import BlowupPoint, _check_unit_norm, _lost_digits_text, from_blowup
+from .blowup import BlowupPoint, _check_unit_norm, from_blowup
 from .core import (
     BasePoint,
     FiberPoint,
@@ -44,14 +44,13 @@ from .core import (
     lane_values,
     min_metric_eigenvalue,
     one_lane,
+    refusal,
 )
 from .errors import (
     BoundViolated,
-    DegenerateBranch,
     DegenerateDerivative,
     NoConvergence,
     NoRoot,
-    OutOfDomain,
 )
 
 DOMAIN_SLACK = 1e-12
@@ -154,16 +153,14 @@ def _outside_domain(cfg, g1, g2):
     return g1 + g2 > cfg.domain_radius**2 * (1.0 + DOMAIN_SLACK)
 
 
-def _domain_error(cfg, g1, g2, r=1.0) -> OutOfDomain:
-    # the point v = r w, w of norms (g1, g2): |v| = r |w| stays finite where r^2 overflows
-    return OutOfDomain(f"|v| = {r * np.sqrt(g1 + g2):.6g} exceeds domain_radius = {cfg.domain_radius}")
-
-
-def _check_domain(cfg, g1, g2):
-    """Raise the _domain_error of the first lane of the batch (g1, g2) outside the fiber domain."""
-    outside = np.flatnonzero(_outside_domain(cfg, g1, g2))
+def _check_domain(cfg, g1, g2, r=1.0):
+    """Raise the refusal, under the rescaling rule, of the first lane outside the fiber domain among the points
+    v = r w, w of norms (g1, g2); r = 1 takes (g1, g2) as they are, with no temporary arrays."""
+    outside = np.flatnonzero(_outside_domain(cfg, g1, g2) if r == 1.0 else
+                             _outside_domain(cfg, r * r * g1, r * r * g2))
     if outside.size:
-        raise _domain_error(cfg, g1[outside[0]], g2[outside[0]])
+        i = outside[0]
+        raise refusal(kernels.STATUS_OUT_OF_DOMAIN, "rescaling", cfg=cfg, g1=g1[i], g2=g2[i], r=r)
 
 
 def _tau_lanes(cfg: ModelConfig, terms, thetas, y_prime, y_second):
@@ -447,16 +444,6 @@ class RhoSolution(NamedTuple):
     iterations: int
 
 
-def _rescale_error(prime_zero: bool, second_zero: bool, c: float) -> DegenerateBranch:
-    """The error of a STATUS_NO_POSITIVE_ROOT lane, from its zero pattern alone.  Lost digits come
-    first, so its |v|^2 is normal: with y'' = 0 it has no root only for chi(v) >= 0, with y' = 0
-    only for chi(v) <= 0, the sign that its message names."""
-    if prime_zero == second_zero:
-        return DegenerateBranch("no positive root on this branch")
-    block, sign = ("y''", ">=") if second_zero else ("y'", "<=")
-    return DegenerateBranch(f"no positive rescaling with {block} = 0 and chi(v) = {c:.6g} {sign} 0")
-
-
 def solve_rho(cfg: ModelConfig, p: FiberPoint, seed: float | None = None) -> RhoSolution:
     """Solve chi_f(rho v', rho^-1 v'') = chi(v) for the unique positive rho.
 
@@ -521,15 +508,14 @@ def renorm_eval(
     if not isinstance(tau, PerturbationSpec):
         raise TypeError(f"tau must be a PerturbationSpec, got {type(tau).__name__}")
     bp = BlowupPoint(r=r, w_prime=w_prime, w_second=w_second, base=BasePoint(theta, 0.0))
-    g1, g2, values = _tau_lanes(cfg, tau.terms, *one_lane(bp.base.theta, bp.w_prime, bp.w_second))
-    _check_unit_norm(float(g1[0] + g2[0]))
+    g1, g2, values = _check_unit_norm(lambda: _tau_lanes(cfg, tau.terms,
+                                                         *one_lane(bp.base.theta, bp.w_prime, bp.w_second)))
     degrees = [t.degree for t in tau.terms]
     if any(d < k for d in degrees):
         raise BoundViolated(
             f"a term of degree {min(degrees)} cannot satisfy |tau| <= C |v|^{k}"
         )
-    if _outside_domain(cfg, bp.r * bp.r * g1, bp.r * bp.r * g2)[0]:
-        raise _domain_error(cfg, g1[0], g2[0], bp.r)
+    _check_domain(cfg, g1, g2, bp.r)
     # coefficients a_d of tau(r w) = sum a_d r^d along the ray through w
     coeffs: dict[int, float] = {}
     for term, value in zip(tau.terms, values):
@@ -563,18 +549,17 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     """Batch matching: chi, then the rescaling root, then the rescaled points.
 
     rho is the square root of kernels.scale_root of each lane's equation.  The status is the one rule
-    that refuses a matched lane, first to last: STATUS_OUT_OF_DOMAIN outside the fiber domain,
-    STATUS_LOST_DIGITS where kernels.lost_digits holds (the zero section too), STATUS_NO_POSITIVE_ROOT
-    where scale_root gives no root, STATUS_OFF_WALL where t = chi(v) leaves the wall interval.  A refused
-    lane has a NaN rho and keeps its input coordinates; no lane raises, and matching_errors names each error.
+    that refuses a matched lane, first to last: STATUS_OUT_OF_DOMAIN outside the fiber domain, then
+    kernels.root_status (lost digits, the zero section too, then no root), then STATUS_OFF_WALL where
+    t = chi(v) leaves the wall interval.  A refused lane has a NaN rho and keeps its input coordinates.
     """
     y_prime = np.asarray(y_prime, dtype=complex)
     y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
-    status = np.select([_outside_domain(cfg, g1, g2), kernels.lost_digits(g1, g2), np.isnan(rho), ~cfg.in_wall(c)],
-                       [kernels.STATUS_OUT_OF_DOMAIN, kernels.STATUS_LOST_DIGITS, kernels.STATUS_NO_POSITIVE_ROOT,
-                        kernels.STATUS_OFF_WALL], kernels.STATUS_OK).astype(np.int8)
+    root = kernels.root_status(g1, g2, rho)
+    status = np.select([_outside_domain(cfg, g1, g2), root != kernels.STATUS_OK, ~cfg.in_wall(c)],
+                       [kernels.STATUS_OUT_OF_DOMAIN, root, kernels.STATUS_OFF_WALL], kernels.STATUS_OK).astype(np.int8)
     ok = status == kernels.STATUS_OK
     rho[~ok] = np.nan
     scale = np.where(ok, rho, 1.0)
@@ -582,21 +567,12 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
 
 
 def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
-    """Per lane of a match_lanes result, the FlipQError that its status names, or None.
-
-    STATUS_OUT_OF_DOMAIN gives the lane's _domain_error, STATUS_LOST_DIGITS a DegenerateBranch of
-    blowup._lost_digits_text and STATUS_NO_POSITIVE_ROOT its _rescale_error, both read from the input that a
-    refused lane keeps in out_prime and out_second; STATUS_OFF_WALL an OutOfDomain that names its graph
-    value.  It decides nothing and reads no metric: match_lanes has refused a refused field and each lane.
-    """
+    """Per lane of a match_lanes result, core.refusal of its status under the rescaling rule, or None.  It decides
+    nothing and reads no metric; a refused lane's text reads the input it keeps in out_prime and out_second."""
     errors = [None] * len(m.t)
     for i in np.flatnonzero(m.status != kernels.STATUS_OK):
-        yp, ys, status = m.out_prime[i], m.out_second[i], m.status[i]
-        errors[i] = (_domain_error(cfg, m.g1[i], m.g2[i]) if status == kernels.STATUS_OUT_OF_DOMAIN else
-                     DegenerateBranch(_lost_digits_text("the rescaling equation is", yp, ys, m.g1[i] + m.g2[i]))
-                     if status == kernels.STATUS_LOST_DIGITS else
-                     _rescale_error(not yp.any(), not ys.any(), m.t[i]) if status == kernels.STATUS_NO_POSITIVE_ROOT
-                     else OutOfDomain(f"graph value t = {m.t[i]:.6g} leaves the wall interval (+-{cfg.epsilon})"))
+        errors[i] = refusal(m.status[i], "rescaling", cfg=cfg, y_prime=m.out_prime[i], y_second=m.out_second[i],
+                            g1=m.g1[i], g2=m.g2[i], t=m.t[i])
     return errors
 
 

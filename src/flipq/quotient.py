@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import BasePoint, FiberPoint, ModelConfig, cstar_act, fiber_norms_batch, lane_values, one_lane
-from .errors import NotStable, OnExceptionalLocus
+from .core import BasePoint, FiberPoint, ModelConfig, cstar_act, fiber_norms_batch, lane_values, one_lane, refusal
+from .errors import OnExceptionalLocus
 
 
 class FiberType(enum.Enum):
@@ -76,13 +76,14 @@ def _is_zero(v: np.ndarray) -> bool:
 
 
 def classify(cfg: ModelConfig, p: FiberPoint) -> StabilityClass:
-    # stable exactly where normalize_to_level finds its level root, so not where its digits are lost
-    return StabilityClass.Stable if np.isfinite(_level_rho(cfg, p)) else StabilityClass.Unstable
+    # stable exactly where the level lane's root status is STATUS_OK, so not where its digits are lost
+    return StabilityClass.Stable if _level_lane(cfg, p)[0] == kernels.STATUS_OK else StabilityClass.Unstable
 
 
-def _level_rho(cfg: ModelConfig, p: FiberPoint) -> float:
-    thetas, y_prime, y_second = one_lane(p.base.theta, p.y_prime, p.y_second)
-    return float(level_rho_batch(cfg, thetas, [p.base.t], y_prime, y_second)[0])
+def _level_lane(cfg: ModelConfig, p: FiberPoint):
+    """(status, a', a'', rho) of p as one lane of level_rho_batch, its status from kernels.root_status."""
+    ap, app, rho = _level_lanes(cfg, *one_lane(p.base.theta, p.y_prime, p.y_second), [p.base.t])
+    return kernels.root_status(ap, app, rho)[0], ap[0], app[0], float(rho[0])
 
 
 def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoint]:
@@ -90,22 +91,26 @@ def normalize_to_level(cfg: ModelConfig, p: FiberPoint) -> tuple[float, FiberPoi
 
     Returns (rho, p0) with p0 = rho . p and moment_value(p0) = 0 up to
     roundoff.  The scaling is the closed-form positive root of
-    level_rho_batch, NaN where kernels.scale_root gives none: on every
-    unstable point, and where kernels.lost_digits holds for |y'|^2 + |y''|^2.
-    Such a point raises NotStable, exactly as matching refuses it.
+    level_rho_batch.  A lane that kernels.root_status refuses (lost digits,
+    then no root: every unstable point) raises its core.REFUSALS error under
+    the level rule, NotStable, with the text that matching gives it.
     """
-    rho = _level_rho(cfg, p)
-    if not np.isfinite(rho):
-        raise NotStable("no positive rescaling reaches the zero level")
+    status, ap, app, rho = _level_lane(cfg, p)
+    if status != kernels.STATUS_OK:
+        raise refusal(status, "level", y_prime=p.y_prime, y_second=p.y_second, g1=ap, g2=app, t=p.base.t)
     return rho, cstar_act(rho, p)
 
 
 def level_rho_batch(cfg: ModelConfig, thetas, ts, y_prime, y_second):
     """Closed-form level rescaling per point: the square root of kernels.scale_root, so NaN
     wherever it gives no root, a lane where kernels.lost_digits holds included."""
+    return _level_lanes(cfg, thetas, y_prime, y_second, ts)[2]
+
+
+def _level_lanes(cfg: ModelConfig, thetas, y_prime, y_second, ts):
+    """level_rho_batch's (a', a'', rho) per lane."""
     ap, app = fiber_norms_batch(cfg, thetas, y_prime, y_second)
-    s = kernels.scale_root(ap, app, lane_values("ts", ts, len(ap)))
-    return np.sqrt(s)
+    return ap, app, np.sqrt(kernels.scale_root(ap, app, lane_values("ts", ts, len(ap))))
 
 
 def segre_point(p: FiberPoint) -> np.ndarray:
@@ -127,8 +132,7 @@ def quotient_chart(cfg: ModelConfig, p: FiberPoint) -> ChartCoords:
     dropped); the line fiber is pivot coordinate times the other block.
     Both are invariant under the scaling action.
     """
-    if classify(cfg, p) is StabilityClass.Unstable:
-        raise NotStable("charts exist only over the stable locus")
+    normalize_to_level(cfg, p)  # charts exist over the stable locus: it raises the refusal of any other point
     if fiber_type(p.base) is FiberType.QSecond:
         block, pivot_vec, other = "second", p.y_second, p.y_prime
     else:
@@ -159,8 +163,3 @@ def tilde_coords(cfg: ModelConfig, p: FiberPoint) -> TildeCoords:
         lambda_=complex(cp * cs),
         base=p.base,
     )
-
-
-def tilde_reconstruct(tc: TildeCoords) -> np.ndarray:
-    """Tensor recovered from tensor-scale coordinates."""
-    return tc.lambda_ * np.outer(tc.class_prime, tc.class_second)

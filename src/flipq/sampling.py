@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blowup import to_blowup_batch
-from .core import FiberPoint, ModelConfig, fiber_norms_batch, one_lane
+from .core import ModelConfig, fiber_norms_batch, one_lane
 
 
 def _complex(real, imag) -> np.ndarray:
@@ -26,18 +26,6 @@ def random_zeta(rng: np.random.Generator, max_log_mod: float = 2.0) -> complex:
     mod = np.exp(rng.uniform(-max_log_mod, max_log_mod))
     phase = rng.uniform(0.0, 2.0 * np.pi)
     return complex(mod * np.exp(1j * phase))
-
-
-def random_stable_fiber(
-    rng: np.random.Generator, cfg: ModelConfig, theta: float, t: float, scale: float = 1.0
-) -> FiberPoint:
-    """Gaussian fiber point; nonzero blocks hold almost surely, so the
-    stability condition at sign(t) is met."""
-    return FiberPoint(
-        base=cfg.base_point(theta, t),
-        y_prime=scale * complex_gaussian(rng, cfg.r_prime),
-        y_second=scale * complex_gaussian(rng, cfg.r_second),
-    )
 
 
 def complex_gaussian_rows(rng: np.random.Generator, rows: int, k: int, r_prime: int, r_second: int):

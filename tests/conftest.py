@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flipq import MetricFieldSpec, ModelConfig, PerturbationSpec, PerturbationTerm
+from flipq import FiberPoint, MetricFieldSpec, ModelConfig, PerturbationSpec, PerturbationTerm
+from flipq.sampling import complex_gaussian
 
 
 def make_config(
@@ -24,6 +25,12 @@ def make_config(
         perturbation=PerturbationSpec(terms=tuple(terms)),
         domain_radius=domain_radius,
     )
+
+
+def gaussian_point(rng, cfg: ModelConfig, theta, t) -> FiberPoint:
+    """A fiber point over (theta, t) with Gaussian blocks, y' drawn first: both are nonzero almost surely, so
+    the point is stable at every t."""
+    return cfg.fiber_point(theta, t, complex_gaussian(rng, cfg.r_prime), complex_gaussian(rng, cfg.r_second))
 
 
 def mixed_quartic_term(coeff=0.1) -> PerturbationTerm:

@@ -31,9 +31,9 @@ from flipq import (
 from flipq import kernels, presets
 from flipq.config_io import build_model
 from flipq.core import fiber_norms
-from flipq.sampling import random_stable_fiber, random_unit_direction, random_zeta
+from flipq.sampling import random_unit_direction, random_zeta
 
-from conftest import fourier_metric, make_config
+from conftest import fourier_metric, gaussian_point, make_config
 
 
 def _point(yp, ys, theta=0.0, t=0.0):
@@ -114,7 +114,7 @@ def test_from_blowup_inverse_example(cfg_wide):
 def test_blowup_round_trip(rng):
     cfg = make_config(r_prime=2, r_second=2, metric_field=fourier_metric(2, 2))
     for _ in range(200):
-        p = random_stable_fiber(rng, cfg, rng.uniform(0, 2 * np.pi), 0.0)
+        p = gaussian_point(rng, cfg, rng.uniform(0, 2 * np.pi), 0.0)
         bp = to_blowup(cfg, p)
         q = from_blowup(bp)
         assert np.abs(q.y_prime - p.y_prime).max() <= 1e-13 * max(1.0, bp.r)
@@ -222,7 +222,7 @@ def test_blowup_action_equivariance(rng):
     # oracle: compose to_blowup after the linear action independently
     cfg = make_config(r_prime=2, r_second=1, metric_field=fourier_metric(2, 1))
     for _ in range(300):
-        p = random_stable_fiber(rng, cfg, rng.uniform(0, 2 * np.pi), 0.0)
+        p = gaussian_point(rng, cfg, rng.uniform(0, 2 * np.pi), 0.0)
         zeta = random_zeta(rng)
         via_fiber = to_blowup(cfg, cstar_act(zeta, p))
         via_blowup = cstar_act_blowup(cfg, zeta, to_blowup(cfg, p))
@@ -322,6 +322,20 @@ def test_make_blowup_point_checks_unit(cfg_identity):
             make_blowup_point(cfg_identity, 1.0, w_prime, w_second, BasePoint(0.0, 0.0))
     bp = make_blowup_point(cfg_identity, 1.0, [1.0], [0.0], BasePoint(0.0, 0.0))
     assert bp.r == 1.0
+
+
+@pytest.mark.parametrize("w_prime", [1e100, 1e160])
+def test_a_huge_direction_is_refused_without_a_warning(w_prime):
+    # |w|^2 = 1e200 is finite; at 1e160 it overflows to inf, and the unit-norm rule refuses both alike
+    cfg = build_model(presets.quartic_config())
+    message = f"direction norm^2 = {'inf' if w_prime == 1e160 else '1e+200'} is not 1 to 1e-12"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: renorm_eval(cfg, cfg.perturbation, 4, 0.1, [w_prime], [0.0]),
+                     lambda: make_blowup_point(cfg, 0.1, [w_prime], [0.0], BasePoint(0.0, 0.0))):
+            with pytest.raises(ConfigInvalid) as got:
+                call()
+            assert str(got.value) == message
 
 
 @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])

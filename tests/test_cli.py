@@ -223,7 +223,7 @@ LOST_DIGITS = "|y|^2 = 0 is below the smallest normal float: its digits are lost
 @pytest.mark.parametrize("point, message", [
     ('{"theta": 0, "y_prime": [1e-165], "y_second": [0]}', LOST_DIGITS),
     ('{"theta": 0, "y_prime": [0], "y_second": [1e-165]}', LOST_DIGITS),
-    ('{"theta": 0, "y_prime": [0], "y_second": [0]}', "the rescaling equation is undefined on the zero section"),
+    ('{"theta": 0, "y_prime": [0], "y_second": [0]}', "y lies on the zero section"),
 ])
 def test_match_names_a_point_whose_digits_are_lost(point, message, tmp_path):
     # |v|^2 underflows to 0: the lane is refused for its lost digits, not for the sign of chi(v) = 0,
@@ -617,7 +617,7 @@ def test_batched_match_agrees_with_scalar_path():
     doc = _match_document(run_cfg, 7, points, random_n=0, blowup_rays=0)
     assert [e.get("error") for e in doc["points"][:len(named)]] == [case[3] for case in named]
     messages = _assert_matches_scalar_path(cfg, doc["points"])
-    for fragment in ("zero section", "y'' = 0", "y' = 0", "exceeds domain_radius",
+    for fragment in ("zero section", "|y''|^2 = 0", "|y'|^2 = 0", "exceeds domain_radius",
                      "leaves the wall interval", "its digits are lost"):
         assert any(fragment in m for m in messages), fragment
     assert doc["matching_stats"]["n_points"] - doc["matching_stats"]["n_errors"] >= 100

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_metric, make_config, random_hermitian
-from flipq import (DegenerateBranch, DimensionMismatch, MetricFieldSpec, PerturbationTerm, StabilityClass, classify,
-                   kernels, perturbation, presets)
+from flipq import (DegenerateBranch, DimensionMismatch, MetricFieldSpec, NotStable, PerturbationTerm, StabilityClass,
+                   classify, kernels, normalize_to_level, perturbation, presets)
 from flipq.config_io import build_model
 from flipq.core import fiber_norms, fiber_norms_batch
 from flipq.core import metric_at
-from flipq.perturbation import _rescale_error, chi_parts_batch
+from flipq.perturbation import chi_parts_batch
 from flipq.quotient import level_rho_batch
 from flipq.sampling import random_domain_batch
 from oracle import chi_parts_reference, level_rho_reference, relative_error, scale_root_reference, scaled_error
@@ -557,28 +557,29 @@ def _unseeded_match(monkeypatch, ap, app, c):
                                     np.zeros((n, 1)))
 
 
-# (y' = 0, y'' = 0, c) -> (the lane status, its DegenerateBranch message): both blocks present always have a
+# (y' = 0, y'' = 0, c) -> (the lane status, the text that names it): both blocks present always have a
 # root; y'' = 0 needs c < 0, y' = 0 needs c > 0; the zero section has lost its digits
+NO_ROOT = "no positive rescaling reaches the zero level: "
 ZERO_PATTERN_CASES = {
     (False, False, -0.1): (kernels.STATUS_OK, None),
     (False, False, 0.0): (kernels.STATUS_OK, None),
     (False, False, 0.1): (kernels.STATUS_OK, None),
     (False, True, -0.1): (kernels.STATUS_OK, None),
-    (False, True, 0.0): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y'' = 0 and chi(v) = 0 >= 0"),
-    (False, True, 0.1): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y'' = 0 and chi(v) = 0.1 >= 0"),
-    (True, False, -0.1): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y' = 0 and chi(v) = -0.1 <= 0"),
-    (True, False, 0.0): (kernels.STATUS_NO_POSITIVE_ROOT, "no positive rescaling with y' = 0 and chi(v) = 0 <= 0"),
+    (False, True, 0.0): (kernels.STATUS_NO_POSITIVE_ROOT, NO_ROOT + "|y''|^2 = 0 and t = 0 >= 0"),
+    (False, True, 0.1): (kernels.STATUS_NO_POSITIVE_ROOT, NO_ROOT + "|y''|^2 = 0 and t = 0.1 >= 0"),
+    (True, False, -0.1): (kernels.STATUS_NO_POSITIVE_ROOT, NO_ROOT + "|y'|^2 = 0 and t = -0.1 <= 0"),
+    (True, False, 0.0): (kernels.STATUS_NO_POSITIVE_ROOT, NO_ROOT + "|y'|^2 = 0 and t = 0 <= 0"),
     (True, False, 0.1): (kernels.STATUS_OK, None),
-    (True, True, -0.1): (kernels.STATUS_LOST_DIGITS, "the rescaling equation is undefined on the zero section"),
-    (True, True, 0.0): (kernels.STATUS_LOST_DIGITS, "the rescaling equation is undefined on the zero section"),
-    (True, True, 0.1): (kernels.STATUS_LOST_DIGITS, "the rescaling equation is undefined on the zero section"),
+    (True, True, -0.1): (kernels.STATUS_LOST_DIGITS, "y lies on the zero section"),
+    (True, True, 0.0): (kernels.STATUS_LOST_DIGITS, "y lies on the zero section"),
+    (True, True, 0.1): (kernels.STATUS_LOST_DIGITS, "y lies on the zero section"),
 }
 
 
 @pytest.mark.parametrize("prime_zero, second_zero, c", list(ZERO_PATTERN_CASES))
 def test_the_zero_pattern_decides_classify_status_and_branch_message(monkeypatch, prime_zero, second_zero, c):
     # every reader of the one root rule on each zero pattern at each sign of c: classify at t = c, the seeded
-    # Newton's guard, the lane status and the error that matching_errors and _rescale_error name
+    # Newton's guard, the lane status, and the one text that matching_errors and normalize_to_level at t = c name
     status, message = ZERO_PATTERN_CASES[prime_zero, second_zero, c]
     cfg = make_config(2, 1, domain_radius=2.0)
     y_prime = np.zeros(2) if prime_zero else np.array([0.3, 0.1j])
@@ -596,8 +597,9 @@ def test_the_zero_pattern_decides_classify_status_and_branch_message(monkeypatch
     assert (str(error) if error else None) == message
     if status != kernels.STATUS_OK:
         assert isinstance(error, DegenerateBranch)
-    if status == kernels.STATUS_NO_POSITIVE_ROOT:
-        assert str(_rescale_error(prime_zero, second_zero, c)) == message
+        with pytest.raises(NotStable) as got:
+            normalize_to_level(cfg, p)
+        assert str(got.value) == message
 
 
 def test_status_semantics(monkeypatch):

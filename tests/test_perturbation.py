@@ -39,6 +39,7 @@ from flipq import (
     phi_graph,
     phi_moment,
     phi_quadratic,
+    quotient_chart,
     renorm_eval,
     rest_bound_scan,
     solve_rho,
@@ -854,11 +855,11 @@ def test_match_lanes_leaves_the_domain_to_matching_errors(cfg_fourier_quartic):
     errors = matching_errors(cfg, m)
     assert [type(e).__name__ if e else None for e in errors] == [None, "DegenerateBranch", "OutOfDomain",
                                                                   "OutOfDomain", None]
-    assert [str(e) for e in errors[1:4]] == ["the rescaling equation is undefined on the zero section",
+    assert [str(e) for e in errors[1:4]] == ["y lies on the zero section",
                                              "|v| = 1.2 exceeds domain_radius = 0.8",
                                              "|v| = 0.96 exceeds domain_radius = 0.8"]
     # rescale_lanes raises the first lane error, here the zero section's
-    with pytest.raises(DegenerateBranch, match="undefined on the zero section"):
+    with pytest.raises(DegenerateBranch, match="^y lies on the zero section$"):
         rescale_lanes(cfg, *_domain_lanes(cfg))
 
 
@@ -875,8 +876,9 @@ def test_matching_errors_refuse_in_the_order_domain_branch_wall():
     assert [type(e).__name__ if e else None for e in errors] == [
         None, "OutOfDomain", "DegenerateBranch", "DegenerateBranch", "OutOfDomain", "OutOfDomain"]
     assert [str(e) for e in errors[1:]] == ["|v| = 2.12132 exceeds domain_radius = 2.0",
-                                            "the rescaling equation is undefined on the zero section",
-                                            "no positive rescaling with y'' = 0 and chi(v) = 0.5 >= 0",
+                                            "y lies on the zero section",
+                                            "no positive rescaling reaches the zero level: "
+                                            "|y''|^2 = 0 and t = 0.5 >= 0",
                                             "graph value t = 1.372 leaves the wall interval (+-0.5)",
                                             "|v| = 2.54951 exceeds domain_radius = 2.0"]
     # every raising matcher raises its lane's entry; rescale_lanes on the batch raises the first
@@ -908,13 +910,12 @@ def test_every_matching_entry_point_reads_the_one_lane_status():
         (0.0, 0.576, 0.768, kernels.STATUS_OUT_OF_DOMAIN, OutOfDomain, "|v| = 0.96 exceeds domain_radius = 0.8"),
         # outside the domain, with no root and off the wall: the domain comes first
         (np.pi, 0.9, 0.0, kernels.STATUS_OUT_OF_DOMAIN, OutOfDomain, "|v| = 0.9 exceeds domain_radius = 0.8"),
-        (0.0, 0.0, 0.0, kernels.STATUS_LOST_DIGITS, DegenerateBranch,
-         "the rescaling equation is undefined on the zero section"),
+        (0.0, 0.0, 0.0, kernels.STATUS_LOST_DIGITS, DegenerateBranch, "y lies on the zero section"),
         (np.pi, 0.52, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
-         "no positive rescaling with y'' = 0 and chi(v) = 0.0110323 >= 0"),
+         "no positive rescaling reaches the zero level: |y''|^2 = 0 and t = 0.0110323 >= 0"),
         # no root and off the wall: the branch comes first
         (np.pi, 0.7, 0.0, kernels.STATUS_NO_POSITIVE_ROOT, DegenerateBranch,
-         "no positive rescaling with y'' = 0 and chi(v) = 0.2352 >= 0"),
+         "no positive rescaling reaches the zero level: |y''|^2 = 0 and t = 0.2352 >= 0"),
         # |v|^2 below the smallest normal float: its digits are lost, whatever the sign of chi(v).  With one
         # zero block, chi(v) = -|y'|^2/2 < 0 and +|y''|^2/2 > 0 are each the sign with a root
         (0.0, 0.6e-160, 0.8e-160, kernels.STATUS_LOST_DIGITS, DegenerateBranch,
@@ -968,7 +969,7 @@ def test_a_lane_below_the_normal_floats_is_refused(r):
         assert level_rho[0] == m.rho[0] and normalize_to_level(cfg, p)[0] == m.rho[0]
         return
     assert m.status[0] == kernels.STATUS_LOST_DIGITS and np.isnan(m.rho[0])
-    # matching and the polar rule name the lost digits in one text
+    # matching, the polar rule and the level rule name the lost digits in one text
     norm_sq = {1e-155: "1e-310", 1e-158: "1e-316", 1e-161: "9.88e-323"}[r]
     message = f"|y|^2 = {norm_sq} is below the smallest normal float: its digits are lost"
     assert str(matching_errors(cfg, m)[0]) == message
@@ -979,8 +980,10 @@ def test_a_lane_below_the_normal_floats_is_refused(r):
         to_blowup(cfg, p)
     assert str(got.value) == message
     assert np.isnan(level_rho[0])
-    with pytest.raises(NotStable, match="no positive rescaling reaches the zero level"):
-        normalize_to_level(cfg, p)
+    for wrapper in (normalize_to_level, quotient_chart):
+        with pytest.raises(NotStable) as got:
+            wrapper(cfg, p)
+        assert str(got.value) == message
 
 
 SCALAR_SOLVERS = {

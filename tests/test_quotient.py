@@ -21,13 +21,11 @@ from flipq import (
     quotient_chart,
     segre_point,
     tilde_coords,
-    tilde_reconstruct,
 )
 from flipq.config_io import build_model
 from flipq.quotient import level_rho_batch, moment_value_batch
-from flipq.sampling import random_stable_fiber
 
-from conftest import fourier_metric, make_config
+from conftest import fourier_metric, gaussian_point, make_config
 
 
 def _point(yp, ys, theta=0.0, t=0.0):
@@ -100,23 +98,33 @@ def test_normalize_rejects_unstable(cfg_identity):
         normalize_to_level(cfg_identity, _point([1.0], [0.0], t=0.3))
 
 
+NO_ROOT = "no positive rescaling reaches the zero level: "
+
+
 @pytest.mark.parametrize("t", [-0.3, 0.0, 0.3])
 @pytest.mark.parametrize("y_prime, y_second", [([1.0], [0.0]), ([0.0], [1.0]), ([0.0], [0.0]), ([1.0], [1.0])],
                          ids=["prime", "second", "zero", "both"])
 def test_normalize_refuses_each_unstable_point_with_one_message(cfg_identity, y_prime, y_second, t):
-    # every point classify calls unstable, each zero pattern on each side, gets the level root's one refusal
+    # every point classify calls unstable, each zero pattern on each side, gets the level rule's refusal: the
+    # zero section, or the zero block's rootless sign of t
     p = _point(y_prime, y_second, t=t)
     if classify(cfg_identity, p) is StabilityClass.Stable:
         assert moment_value(cfg_identity, normalize_to_level(cfg_identity, p)[1]) == pytest.approx(0.0, abs=1e-15)
         return
-    with pytest.raises(NotStable, match="^no positive rescaling reaches the zero level$"):
+    no_root = f"|y''|^2 = 0 and t = {t:g} >= 0" if not any(y_second) else f"|y'|^2 = 0 and t = {t:g} <= 0"
+    message = NO_ROOT + no_root if any(y_prime) or any(y_second) else "y lies on the zero section"
+    with pytest.raises(NotStable) as got:
         normalize_to_level(cfg_identity, p)
+    assert str(got.value) == message
 
 
 # (y' = 0, y'' = 0) -> whether the level equation has a root at t = -0.1, 0, 0.1: both blocks present always,
 # y'' = 0 for t < 0, y' = 0 for t > 0, the zero section never
 ROOT_BY_ZERO_PATTERN = {(False, False): (True, True, True), (False, True): (True, False, False),
                         (True, False): (False, False, True), (True, True): (False, False, False)}
+# |y|^2 of a nonzero zero pattern at r = 1e-155 and 1e-160, below the smallest normal float
+LOST_NORM_SQ = {(False, False): ("1e-310", "1e-320"), (False, True): ("3.6e-311", "3.6e-321"),
+                (True, False): ("6.4e-311", "6.4e-321")}
 
 
 @pytest.mark.parametrize("r", [1.0, 1e-150, 1e-155, 1e-160])
@@ -133,15 +141,22 @@ def test_classify_is_stable_exactly_where_the_level_root_is_found(prime_zero, se
         normalize_to_level(cfg, p)
         quotient_chart(cfg, p)
         return
-    with pytest.raises(NotStable, match="^no positive rescaling reaches the zero level$"):
-        normalize_to_level(cfg, p)
-    with pytest.raises(NotStable, match="^charts exist only over the stable locus$"):
-        quotient_chart(cfg, p)
+    if prime_zero and second_zero:
+        message = "y lies on the zero section"
+    elif r < 1e-154:
+        norm_sq = LOST_NORM_SQ[prime_zero, second_zero][r == 1e-160]
+        message = f"|y|^2 = {norm_sq} is below the smallest normal float: its digits are lost"
+    else:
+        message = NO_ROOT + (f"|y''|^2 = 0 and t = {t:g} >= 0" if second_zero else f"|y'|^2 = 0 and t = {t:g} <= 0")
+    for wrapper in (normalize_to_level, quotient_chart):
+        with pytest.raises(NotStable) as got:
+            wrapper(cfg, p)
+        assert str(got.value) == message
 
 
 def test_normalize_unique_across_orbit(rng, cfg_identity):
     for _ in range(50):
-        p = random_stable_fiber(rng, cfg_identity, rng.uniform(0, 2 * np.pi), rng.uniform(-0.4, 0.4))
+        p = gaussian_point(rng, cfg_identity, rng.uniform(0, 2 * np.pi), rng.uniform(-0.4, 0.4))
         _, p0a = normalize_to_level(cfg_identity, p)
         _, p0b = normalize_to_level(cfg_identity, cstar_act(np.exp(rng.uniform(-2, 2)), p))
         assert np.abs(p0a.y_prime - p0b.y_prime).max() <= 1e-10
@@ -187,7 +202,7 @@ def test_segre_scaling_invariance():
 def test_segre_rank_one(rng, cfg_identity):
     cfg = make_config(r_prime=3, r_second=2)
     for _ in range(50):
-        p = random_stable_fiber(rng, cfg, 0.1, 0.0)
+        p = gaussian_point(rng, cfg, 0.1, 0.0)
         sv = np.linalg.svd(segre_point(p), compute_uv=False)
         assert sv[1] <= 1e-12 * sv[0]
 
@@ -252,7 +267,7 @@ def test_chart_dimension_audit():
     for rp, rs, t in [(1, 1, -0.1), (2, 3, 0.0), (3, 2, 0.2)]:
         cfg = make_config(r_prime=rp, r_second=rs)
         rng = np.random.default_rng(7)
-        p = random_stable_fiber(rng, cfg, 0.4, t)
+        p = gaussian_point(rng, cfg, 0.4, t)
         chart = quotient_chart(cfg, p)
         assert chart.affine.shape[0] + chart.line_fiber.shape[0] == rp + rs - 1
 
@@ -261,8 +276,8 @@ def test_chart_separates_orbits(rng):
     cfg = make_config(r_prime=2, r_second=2)
     distinct = 0
     for _ in range(200):
-        p = random_stable_fiber(rng, cfg, 1.0, 0.0)
-        q = random_stable_fiber(rng, cfg, 1.0, 0.0)
+        p = gaussian_point(rng, cfg, 1.0, 0.0)
+        q = gaussian_point(rng, cfg, 1.0, 0.0)
         d = np.abs(segre_point(p) - segre_point(q)).max()
         if d > 1e-6:
             distinct += 1
@@ -299,7 +314,9 @@ def test_tilde_exceptional_locus(cfg_identity):
 def test_tilde_reconstruction(rng):
     cfg = make_config(r_prime=3, r_second=2)
     for _ in range(100):
-        p = random_stable_fiber(rng, cfg, 0.2, 0.0)
+        p = gaussian_point(rng, cfg, 0.2, 0.0)
         tc = tilde_coords(cfg, p)
         tensor = segre_point(p)
-        assert np.abs(tilde_reconstruct(tc) - tensor).max() <= 1e-12 * max(1.0, np.abs(tensor).max())
+        # lambda [y'] (x) [y''] is the tensor y' (x) y''
+        reconstructed = tc.lambda_ * np.outer(tc.class_prime, tc.class_second)
+        assert np.abs(reconstructed - tensor).max() <= 1e-12 * max(1.0, np.abs(tensor).max())

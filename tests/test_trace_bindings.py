@@ -90,3 +90,23 @@ def test_run_scan_returns_a_sized_sequence_of_rows(tmp_path):
     assert table.fiber_type[:t_steps] == ["QPrime", "QZero", "QSecond"]
     assert all(n == 2 and theta == table.theta[i - i % t_steps]
                for i, (n, theta) in enumerate(zip(table.n_stable_samples, table.theta)))
+
+
+def test_batch_child_keeps_the_library_batch_contract(tmp_path):
+    # perfbench/child.py's batch mode, as perfbench/run.py starts it for batch_bulk, on 2,000 lanes of the
+    # workload's ranks 3/3 config: every lane is checked against its independent moment residual and Newton
+    # residual, so a changed return type of matching_map_batch or level_rho_batch fails here
+    spec = importlib.util.spec_from_file_location("perfbench_run", TRACER.parent / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    path = tmp_path / "batch_bulk.json"
+    path.write_text(json.dumps(run.make_config("batch_bulk", 7)))
+    root = TRACER.parent.parent
+    proc = subprocess.run([sys.executable, str(TRACER.parent / "child.py"), "batch", str(path), "0", "7", "2000",
+                           "0", "1", "0"], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert "error" not in result, result.get("error")
+    assert result["failed"] == 0 and result["deterministic"]
+    assert result["attempted"] >= 2 * 2000
