@@ -411,7 +411,7 @@ MUTANTS = (
         "    step = max(1, KERNEL_LANES)\n",
         ("tests/test_kernels.py::test_lane_blocks_cover_every_item_once_in_order[24581-75]",
          "tests/test_perturbation.py::test_verify_conditions_blocks_agree",
-         "tests/test_cli.py::test_scan_evaluates_trig_on_row_thetas"),
+         "tests/test_cli.py::test_scan_evaluates_each_weight_once_per_pass"),
     ),
     # each Newton block steps until its own lanes converge: here a block stops where the block before it did
     Mutant(
@@ -456,5 +456,32 @@ MUTANTS = (
         "        return len(self.theta)\n",
         "        return len(SCAN_COLUMNS)\n",
         ("tests/test_trace_bindings.py::test_run_scan_returns_a_sized_sequence_of_rows",),
+    ),
+    # the scan's two calls of a pass share one lane thetas array, so the second reads the first one's table from
+    # kernels.harmonics' slot: a fresh copy evaluates every weight again
+    Mutant(
+        "scan-moment-value-on-a-copy-of-the-lane-thetas",
+        "src/flipq/cli.py",
+        "resid = np.abs(moment_value_batch(cfg, lane_thetas, lane_ts,",
+        "resid = np.abs(moment_value_batch(cfg, lane_thetas.copy(), lane_ts,",
+        ("tests/test_cli.py::test_scan_evaluates_each_weight_once_per_pass",),
+    ),
+    # a complex product or quotient by a refused lane's scale 1 turns an infinite coordinate's partner into NaN
+    Mutant(
+        "match-lanes-complex-scale",
+        "src/flipq/perturbation.py",
+        "    return LaneMatch(c, g1, g2, rho, status, out_prime, out_second)\n",
+        "    return LaneMatch(c, g1, g2, rho, status, y_prime * scale, y_second / scale)\n",
+        ("tests/test_perturbation.py::test_a_refused_lane_keeps_its_infinite_coordinates_bitwise",),
+    ),
+    # the reach gate: scale_root inlines _lane_arrays, which the pipeline then no longer enters (only Newton
+    # calls it), though every output is unchanged
+    Mutant(
+        "scale-root-stops-entering-lane-arrays",
+        "src/flipq/kernels.py",
+        "    ap, app, c = _lane_arrays(ap, app, c)\n    s = np.empty(ap.shape)\n",
+        "    ap, app, c = np.broadcast_arrays(*(np.ascontiguousarray(a, dtype=np.float64) for a in (ap, app, c)))\n"
+        "    s = np.empty(ap.shape)\n",
+        ("tests/test_reach.py::test_the_pipeline_enters_every_function_off_the_allowlist",),
     ),
 )

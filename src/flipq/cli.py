@@ -214,11 +214,10 @@ def _scan_residuals(cfg, thetas, ts, k: int, seed: int) -> list[float]:
     for block in kernels.lane_blocks(len(thetas), k):
         rows = len(thetas[block])
         y_prime, y_second = complex_gaussian_rows(rng, rows, k, cfg.r_prime, cfg.r_second)
-        # one harmonic table for both norm evaluations of the pass, its trig on the rows' thetas
-        table = kernels.Harmonics(thetas[block], repeat=k)
-        lane_ts = np.repeat(ts[block], k)
-        rho = level_rho_batch(cfg, table, lane_ts, y_prime, y_second)
-        resid = np.abs(moment_value_batch(cfg, table, lane_ts, y_prime * rho[:, None],
+        # both calls take one lane thetas array: the second reads the first one's table from kernels.harmonics' slot
+        lane_thetas, lane_ts = np.repeat(thetas[block], k), np.repeat(ts[block], k)
+        rho = level_rho_batch(cfg, lane_thetas, lane_ts, y_prime, y_second)
+        resid = np.abs(moment_value_batch(cfg, lane_thetas, lane_ts, y_prime * rho[:, None],
                                           y_second / rho[:, None]))
         means.extend(resid.reshape(rows, k).mean(axis=1).tolist())
     return means

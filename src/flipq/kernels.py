@@ -113,32 +113,30 @@ def norm_forms(ns, sines, coeffs):
 
 
 class Harmonics:
-    """The weights cos(n theta), sin(n theta) of a batch of lanes.
+    """The weights cos(n theta), sin(n theta) of a batch of lanes, one theta a lane.
 
     Each weight is computed on first use and kept with the table, so fields
     that share a harmonic pay its trig once.  A batch entry point gets one
     table from harmonics and hands it to every kernel it calls in place of
-    the thetas.  With repeat = k the lanes are each of thetas k times in a row
-    (np.repeat): a weight is evaluated on thetas and then repeated.  thetas must
-    be a vector (DimensionMismatch).
+    the thetas; calls on one live thetas array share harmonics' slot table.
+    thetas must be a vector (DimensionMismatch).
     """
 
-    __slots__ = ("thetas", "repeat", "_weights", "__weakref__")
+    __slots__ = ("thetas", "_weights", "__weakref__")
 
-    def __init__(self, thetas, repeat=1):
+    def __init__(self, thetas):
         self.thetas = np.asarray(thetas, dtype=np.float64)
         if self.thetas.ndim != 1:
             raise DimensionMismatch(f"thetas has shape {self.thetas.shape}, expected a vector")
-        self.repeat = repeat
         self._weights = {}
 
     def __len__(self):
-        return self.thetas.shape[0] * self.repeat
+        return self.thetas.shape[0]
 
     @property
     def nbytes(self):
         # the size of the lane thetas array the table stands in for
-        return self.thetas.nbytes * self.repeat
+        return self.thetas.nbytes
 
     def weight(self, n, sine):
         """sin(n theta) or cos(n theta) over the lanes; None stands for cos(0) = 1."""
@@ -151,8 +149,7 @@ class Harmonics:
         return weight
 
     def _evaluate(self, n, sine):
-        weight = np.sin(n * self.thetas) if sine else np.cos(n * self.thetas)
-        return weight if self.repeat == 1 else np.repeat(weight, self.repeat)
+        return np.sin(n * self.thetas) if sine else np.cos(n * self.thetas)
 
 
 # harmonics' one slot: (a weak reference to the caller's float64 thetas, the table over a private copy of

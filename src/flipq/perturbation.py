@@ -340,10 +340,9 @@ def verify_conditions(
     H[:, i, j] = H[:, j, i] = (
         corners[..., 0] - corners[..., 1] - corners[..., 2] + corners[..., 3]
     ) / (4.0 * h**2)
-    table = kernels.Harmonics(thetas)
-    expected = np.zeros((n_theta, dim, dim))
-    expected[:, : 2 * rp, : 2 * rp] = kernels.realify(kernels.fourier_values(table, *cfg.metric_field.packed_prime))
-    expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(kernels.fourier_values(table, *cfg.metric_field.packed_second))
+    expected = np.zeros((n_theta, dim, dim))  # both blocks read one table, from kernels.harmonics' slot
+    expected[:, : 2 * rp, : 2 * rp] = kernels.realify(kernels.fourier_values(thetas, *cfg.metric_field.packed_prime))
+    expected[:, 2 * rp :, 2 * rp :] = -kernels.realify(kernels.fourier_values(thetas, *cfg.metric_field.packed_second))
 
     worst_p = (float(np.abs([f0, dt - 1.0]).max()), float(np.abs((plus - minus) / (2.0 * h)).max()),
                float(np.abs(H - expected).max()))
@@ -551,10 +550,11 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     rho is the square root of kernels.scale_root of each lane's equation.  The status is the one rule
     that refuses a matched lane, first to last: STATUS_OUT_OF_DOMAIN outside the fiber domain, then
     kernels.root_status (lost digits, the zero section too, then no root), then STATUS_OFF_WALL where
-    t = chi(v) leaves the wall interval.  A refused lane has a NaN rho and keeps its input coordinates.
+    t = chi(v) leaves the wall interval.  A refused lane has a NaN rho and keeps its input coordinates bitwise,
+    non-finite ones too: each real coordinate is scaled by a real factor, rho for y', 1/rho for y'', 1 if refused.
     """
-    y_prime = np.asarray(y_prime, dtype=complex)
-    y_second = np.asarray(y_second, dtype=complex)
+    y_prime = np.ascontiguousarray(y_prime, dtype=complex)
+    y_second = np.ascontiguousarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
     root = kernels.root_status(g1, g2, rho)
@@ -562,8 +562,10 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
                        [kernels.STATUS_OUT_OF_DOMAIN, root, kernels.STATUS_OFF_WALL], kernels.STATUS_OK).astype(np.int8)
     ok = status == kernels.STATUS_OK
     rho[~ok] = np.nan
-    scale = np.where(ok, rho, 1.0)
-    return LaneMatch(c, g1, g2, rho, status, y_prime * scale[:, None], y_second / scale[:, None])
+    scale = np.where(ok, rho, 1.0)[:, None]
+    out_prime, out_second = ((y.view(np.float64).reshape(len(c), 2 * y.shape[1]) * factor).view(complex)
+                             for y, factor in ((y_prime, scale), (y_second, 1.0 / scale)))
+    return LaneMatch(c, g1, g2, rho, status, out_prime, out_second)
 
 
 def matching_errors(cfg: ModelConfig, m: LaneMatch) -> list:
@@ -586,6 +588,7 @@ def rescale_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
 
 
 def matching_map_batch(cfg: ModelConfig, thetas, y_prime, y_second):
-    """match_lanes' (rho, t, out_prime, out_second, status): no lane raises, matching_errors names each."""
+    """match_lanes' (rho, t, out_prime, out_second, status): no lane raises, matching_errors names each, and a
+    refused lane's out_prime and out_second are its inputs bitwise, non-finite coordinates included."""
     m = match_lanes(cfg, thetas, y_prime, y_second)
     return m.rho, m.t, m.out_prime, m.out_second, m.status

@@ -792,9 +792,10 @@ def test_scan_blocks_match_per_row_reference(tmp_path):
 
 
 
-def test_scan_evaluates_trig_on_row_thetas(tmp_path, monkeypatch):
-    # each pass's harmonic table evaluates cos/sin on its rows' thetas and repeats them per sample,
-    # so _evaluate sees row-length arrays; test_scan_blocks_match_per_row_reference checks the bits
+def test_scan_evaluates_each_weight_once_per_pass(tmp_path, monkeypatch):
+    # the pass's two calls, level_rho_batch and moment_value_batch, share one lane thetas array and so
+    # the table in kernels.harmonics' slot: each weight is evaluated once a pass, on the pass's lanes;
+    # test_scan_blocks_match_per_row_reference checks the bits
     path = tmp_path / "fourier.json"
     path.write_text(json.dumps(presets.fourier_metric_config(2, 1)))
     run_cfg = load_run_config(str(path))
@@ -802,9 +803,9 @@ def test_scan_evaluates_trig_on_row_thetas(tmp_path, monkeypatch):
     evaluate = kernels.Harmonics._evaluate
 
     def recorded(table, n, sine):
-        evaluated.append(len(table.thetas))
+        evaluated.append(len(table))
         weight = evaluate(table, n, sine)
-        assert len(weight) == len(table) == table.repeat * len(table.thetas)
+        assert len(weight) == len(table) == len(table.thetas)
         return weight
 
     monkeypatch.setattr(kernels.Harmonics, "_evaluate", recorded)
@@ -812,8 +813,8 @@ def test_scan_evaluates_trig_on_row_thetas(tmp_path, monkeypatch):
     k = 1000  # 4 rows per pass: 9 rows take passes of 4, 4 and 1 rows
     table = run_scan(run_cfg, 11, 3, 3, k)
     assert len(table) == 9
-    # g' has cos theta, g'' sin theta: two weights per pass, each of the pass's row count
-    assert evaluated == [4, 4, 4, 4, 1, 1]
+    # g' has cos theta, g'' sin theta: two weights per pass, each of the pass's lane count
+    assert evaluated == [4000, 4000, 4000, 4000, 1000, 1000]
 
 
 def test_scan_sample_count_above_the_lane_cap(tmp_path, monkeypatch):

@@ -753,11 +753,11 @@ def test_batch_entry_point_refuses_a_refused_metric(name):
 
 
 def test_shape_rule_counts_the_lanes_of_a_harmonics_table(cfg_fourier_quartic):
-    table = kernels.Harmonics([0.3, 1.1, 2.0], repeat=2)
-    with pytest.raises(DimensionMismatch, match=re.escape("y_prime has shape (3, 2), expected (6, 2)")):
-        fiber_norms_batch(cfg_fourier_quartic, table, np.ones((3, 2)), np.ones((3, 1)))
-    g1, g2 = fiber_norms_batch(cfg_fourier_quartic, table, np.ones((6, 2)), np.ones((6, 1)))
-    assert g1.shape == g2.shape == (6,)
+    table = kernels.Harmonics([0.3, 1.1, 2.0])
+    with pytest.raises(DimensionMismatch, match=re.escape("y_prime has shape (6, 2), expected (3, 2)")):
+        fiber_norms_batch(cfg_fourier_quartic, table, np.ones((6, 2)), np.ones((6, 1)))
+    g1, g2 = fiber_norms_batch(cfg_fourier_quartic, table, np.ones((3, 2)), np.ones((3, 1)))
+    assert g1.shape == g2.shape == (3,)
 
 
 @pytest.mark.parametrize("name", ["fiber_norms_batch", "level_rho_batch", "moment_value_batch", "chi_parts_batch",

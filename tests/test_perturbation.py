@@ -590,6 +590,23 @@ def test_solve_rho_batch_matches_pointwise(rng, cfg_quartic):
         assert m.rho[i] == pytest.approx(sol.rho, abs=1e-13)
 
 
+def test_a_refused_lane_keeps_its_infinite_coordinates_bitwise():
+    # a complex product or quotient by the refused lane's scale 1 would turn an infinite coordinate's partner
+    # into NaN (inf+0.5j into inf+nanj); each real coordinate is scaled by its lane's real factor instead
+    cfg = build_model(presets.quartic_config())
+    y_prime = np.array([[complex(np.inf, 0.5)], [0.3 + 0.1j], [0.2 + 0.0j]])
+    y_second = np.array([[0.2 + 0.0j], [complex(0.1, np.inf)], [0.1 + 0.2j]])
+    with np.errstate(invalid="ignore"):  # the infinite norms
+        rho, _, out_prime, out_second, status = matching_map_batch(cfg, np.zeros(3), y_prime, y_second)
+    assert status.tolist() == [kernels.STATUS_OUT_OF_DOMAIN] * 2 + [kernels.STATUS_OK]
+    assert out_prime[:2].tobytes() == y_prime[:2].tobytes()
+    assert out_second[:2].tobytes() == y_second[:2].tobytes()
+    assert np.isnan(rho[:2]).all()
+    # the matched lane: numpy's complex-by-real rounding, rho for y' and 1/rho for y''
+    assert out_prime[2].tobytes() == (y_prime[2] * rho[2]).tobytes()
+    assert out_second[2].tobytes() == (y_second[2] / rho[2]).tobytes()
+
+
 # -- solve_rho_blowup --------------------------------------------------------
 
 
