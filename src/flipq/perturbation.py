@@ -553,8 +553,8 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     t = chi(v) leaves the wall interval.  A refused lane has a NaN rho and keeps its input coordinates bitwise,
     non-finite ones too: each real coordinate is scaled by a real factor, rho for y', 1/rho for y'', 1 if refused.
     """
-    y_prime = np.ascontiguousarray(y_prime, dtype=complex)
-    y_second = np.ascontiguousarray(y_second, dtype=complex)
+    y_prime = np.asarray(y_prime, dtype=complex)
+    y_second = np.asarray(y_second, dtype=complex)
     c, g1, g2 = chi_parts_batch(cfg, thetas, y_prime, y_second)
     rho = np.sqrt(kernels.scale_root(g1, g2, c))
     root = kernels.root_status(g1, g2, rho)
@@ -563,7 +563,7 @@ def match_lanes(cfg: ModelConfig, thetas, y_prime, y_second) -> LaneMatch:
     ok = status == kernels.STATUS_OK
     rho[~ok] = np.nan
     scale = np.where(ok, rho, 1.0)[:, None]
-    out_prime, out_second = ((y.view(np.float64).reshape(len(c), 2 * y.shape[1]) * factor).view(complex)
+    out_prime, out_second = ((np.ascontiguousarray(y).view(np.float64) * factor).view(complex)
                              for y, factor in ((y_prime, scale), (y_second, 1.0 / scale)))
     return LaneMatch(c, g1, g2, rho, status, out_prime, out_second)
 

@@ -605,6 +605,9 @@ def test_a_refused_lane_keeps_its_infinite_coordinates_bitwise():
     # the matched lane: numpy's complex-by-real rounding, rho for y' and 1/rho for y''
     assert out_prime[2].tobytes() == (y_prime[2] * rho[2]).tobytes()
     assert out_second[2].tobytes() == (y_second[2] / rho[2]).tobytes()
+    # and an empty batch keeps its lane shapes
+    empty = matching_map_batch(cfg, np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1)))
+    assert [a.shape for a in empty] == [(0,), (0,), (0, 1), (0, 1), (0,)]
 
 
 # -- solve_rho_blowup --------------------------------------------------------
