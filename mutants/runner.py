@@ -53,8 +53,10 @@ def run_mutant(mutant: Mutant | None, tests: tuple[str, ...]) -> subprocess.Comp
                 raise ValueError(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times in {mutant.path}")
             target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               *tests], cwd=tree, env=env, capture_output=True, text=True)
+        # no node id uses pytest-benchmark, and @given tests run without hypothesis' pytest plugin
+        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-p",
+                               "no:benchmark", "-p", "no:hypothesispytest", *tests], cwd=tree, env=env,
+                              capture_output=True, text=True)
 
 
 def baseline_error() -> str | None:

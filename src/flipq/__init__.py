@@ -36,7 +36,6 @@ from .core import (
     ValidationReport,
     cstar_act,
     fiber_norms,
-    metric_at,
     min_metric_eigenvalue,
     validate_config,
 )

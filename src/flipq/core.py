@@ -244,13 +244,6 @@ def check_metrics(cfg: ModelConfig) -> tuple[tuple, float]:
     return issues, grid_min
 
 
-def metric_at(cfg: ModelConfig, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Metric pair (G'(theta), G''(theta)), after check_metrics."""
-    check_metrics(cfg)
-    return tuple(kernels.fourier_values([theta], *packed)[0]
-                 for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second))
-
-
 def one_lane(theta: float, y_prime, y_second):
     """One fiber vector as a batch (thetas, y', y'') of one lane."""
     return (np.array([theta], dtype=float), np.asarray(y_prime, dtype=complex)[None],

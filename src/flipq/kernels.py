@@ -169,13 +169,12 @@ def harmonics(thetas) -> Harmonics:
 
     The slot's table serves the same float64 ndarray (is) while its bits, as uint64 (so -0.0 is not 0.0),
     equal the table's private copy, which every weight reads, so an in-place write misses.  Any other input
-    gets a new table, and a new table over a float64 ndarray takes the slot.
+    gets a new table over a float64 copy of it, which takes the slot.
     """
     global _slot
     if isinstance(thetas, Harmonics):
         return thetas
-    if not (isinstance(thetas, np.ndarray) and thetas.dtype == np.float64):
-        return Harmonics(thetas)
+    thetas = np.asarray(thetas, dtype=np.float64)
     slot = _slot
     if slot is not None and slot[0]() is thetas and np.array_equal(slot[1].thetas.view(np.uint64),
                                                                    thetas.view(np.uint64)):

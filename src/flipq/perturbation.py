@@ -155,9 +155,8 @@ def _outside_domain(cfg, g1, g2):
 
 def _check_domain(cfg, g1, g2, r=1.0):
     """Raise the refusal, under the rescaling rule, of the first lane outside the fiber domain among the points
-    v = r w, w of norms (g1, g2); r = 1 takes (g1, g2) as they are, with no temporary arrays."""
-    outside = np.flatnonzero(_outside_domain(cfg, g1, g2) if r == 1.0 else
-                             _outside_domain(cfg, r * r * g1, r * r * g2))
+    v = r w, w of norms (g1, g2), whose norms are r^2 (g1, g2); r = 1 gives (g1, g2) bitwise."""
+    outside = np.flatnonzero(_outside_domain(cfg, r * r * g1, r * r * g2))
     if outside.size:
         i = outside[0]
         raise refusal(kernels.STATUS_OUT_OF_DOMAIN, "rescaling", cfg=cfg, g1=g1[i], g2=g2[i], r=r)

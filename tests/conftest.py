@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flipq import FiberPoint, MetricFieldSpec, ModelConfig, PerturbationSpec, PerturbationTerm
+from flipq import FiberPoint, MetricFieldSpec, ModelConfig, PerturbationSpec, PerturbationTerm, kernels
 from flipq.sampling import complex_gaussian
 
 
@@ -67,6 +67,12 @@ def fourier_metric(r_prime, r_second) -> MetricFieldSpec:
         [(0, 2.0 * np.eye(r_prime)), (1, np.eye(r_prime))],
         [(0, 1.5 * np.eye(r_second)), (1, np.zeros((r_second, r_second)), 0.5 * np.eye(r_second))],
     )
+
+
+def metric_pair(cfg: ModelConfig, theta):
+    """(G'(theta), G''(theta)): the metric matrices at one theta, from the config's packed blocks."""
+    return tuple(kernels.fourier_values([theta], *packed)[0]
+                 for packed in (cfg.metric_field.packed_prime, cfg.metric_field.packed_second))
 
 
 def random_hermitian(rng, rank, scale=1.0):

@@ -28,7 +28,6 @@ from flipq import (
     level_rho_batch,
     make_blowup_point,
     matching_map_batch,
-    metric_at,
     moment_value,
     moment_value_batch,
     normalize_to_level,
@@ -49,21 +48,21 @@ from flipq.perturbation import (PerturbationTerm, _tau_lanes, chi_parts_batch, m
                                 rest_bound_scan, verify_conditions)
 from flipq.sampling import random_domain_batch
 
-from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, mixed_match_config
+from conftest import MIXED_MATCH_REFUSAL, dense_metric, make_config, metric_pair, mixed_match_config
 
 
-# -- metric_at ---------------------------------------------------------------
+# -- the metric at a theta --------------------------------------------------
 
 
 def test_metric_at_identity(cfg_identity):
-    G1, G2 = metric_at(cfg_identity, 1.3)
+    G1, G2 = metric_pair(cfg_identity, 1.3)
     assert np.allclose(G1, np.eye(1)) and np.allclose(G2, np.eye(1))
 
 
 def test_metric_at_constant_fourier_mode():
     field = MetricFieldSpec.fourier([(0, 2.0 * np.eye(2))], [(0, 2.0 * np.eye(2))])
     cfg = make_config(r_prime=2, r_second=2, metric_field=field)
-    G1, G2 = metric_at(cfg, 0.7)
+    G1, G2 = metric_pair(cfg, 0.7)
     assert np.allclose(G1, 2.0 * np.eye(2))
     assert np.allclose(G2, 2.0 * np.eye(2))
 
@@ -74,7 +73,7 @@ def test_metric_at_cosine_series():
         [(0, 2.0 * np.eye(2)), (1, np.eye(2))], [(0, np.eye(1))]
     )
     cfg = make_config(r_prime=2, r_second=1, metric_field=field)
-    G1, _ = metric_at(cfg, np.pi)
+    G1, _ = metric_pair(cfg, np.pi)
     assert np.allclose(G1, np.eye(2), atol=1e-15)
 
 
@@ -82,14 +81,14 @@ def test_metric_at_rejects_nonpositive():
     field = MetricFieldSpec.fourier([(1, np.eye(1))], [(0, np.eye(1))])  # cos(pi) < 0
     cfg = make_config(metric_field=field)
     with pytest.raises(ConfigInvalid):
-        metric_at(cfg, np.pi)
+        check_metrics(cfg)
 
 
 def test_metric_at_rejects_non_finite():
-    # metric_at does not rely on validate_config having run
+    # check_metrics does not rely on validate_config having run
     cfg = make_config(metric_field=MetricFieldSpec.constant([[np.nan]], [[1.0]]))
     with pytest.raises(ConfigInvalid):
-        metric_at(cfg, 0.0)
+        check_metrics(cfg)
 
 
 def test_min_metric_eigenvalue_matches_per_theta_loop():
@@ -236,30 +235,31 @@ def _gate_thetas(rng):
 
 
 def test_metric_faults_batch_is_metric_at_per_lane(rng):
-    # the refusal does not depend on the theta: metric_at raises it at every lane's theta, also on the
-    # validation grid, and match_lanes raises it for the whole batch
+    # the refusal does not depend on the theta: a one-lane batch raises it at every lane's theta, also on
+    # the validation grid, and match_lanes raises it for the whole batch
     cfg = mixed_match_config()
     thetas = _gate_thetas(rng)
-    for theta in thetas:
-        with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
-            metric_at(cfg, float(theta))
     y_prime = np.full((len(thetas), 2), 0.1 + 0j)
     y_second = np.full((len(thetas), 1), 0.1 + 0j)
+    for i in range(len(thetas)):
+        with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
+            fiber_norms_batch(cfg, thetas[i:i + 1], y_prime[i:i + 1], y_second[i:i + 1])
     with pytest.raises(ConfigInvalid, match=re.escape(MIXED_MATCH_REFUSAL)):
         match_lanes(cfg, thetas, y_prime, y_second)
     # a metric of the wrong size fails at every theta
     wrong = make_config(r_prime=2, r_second=1, metric_field=MetricFieldSpec.identity(1, 1))
-    for theta in thetas[:5]:
+    for i in range(5):
         with pytest.raises(DimensionMismatch):
-            metric_at(wrong, float(theta))
+            fiber_norms_batch(wrong, thetas[i:i + 1], y_prime[i:i + 1], y_second[i:i + 1])
 
 
 def test_check_metrics_raises_metric_at_error_of_first_failing_lane(rng):
-    # check_metrics raises metric_at's error, which names the first theta of the certificate's grid
-    # where an eigenvalue is <= 0; the same field without that harmonic passes
+    # check_metrics raises the error of the metric at any theta, which names the first theta of the
+    # certificate's grid where an eigenvalue is <= 0; the same field without that harmonic passes
     cfg = mixed_match_config()
+    theta = rng.uniform(0.0, 2.0 * np.pi, 1)
     with pytest.raises(ConfigInvalid) as want:
-        metric_at(cfg, float(rng.uniform(0.0, 2.0 * np.pi)))
+        fiber_norms_batch(cfg, theta, np.full((1, 2), 0.1 + 0j), np.full((1, 1), 0.1 + 0j))
     with pytest.raises(ConfigInvalid) as got:
         check_metrics(cfg)
     assert str(got.value) == str(want.value) == MIXED_MATCH_REFUSAL
@@ -270,7 +270,7 @@ def test_metric_gate_on_one_theta_is_one_cache_lookup():
     # the first lookup of a field computes its certificate, every later one reads it
     cfg = mixed_match_config(indefinite=False)
     p = FiberPoint(BasePoint(0.123, 0.0), np.array([0.1, 0.0]), np.array([0.2]))
-    for i, call in enumerate((lambda: check_metrics(cfg), lambda: metric_at(cfg, 0.123),
+    for i, call in enumerate((lambda: check_metrics(cfg), lambda: min_metric_eigenvalue(cfg),
                               lambda: fiber_norms(cfg, p))):
         before = _metrics_cached.cache_info()
         call()
@@ -343,7 +343,7 @@ def test_each_metric_code_has_one_message_on_every_path(case):
     cfg, error, message, code = _one_fault_configs()[case]
     thetas = np.array([0.5, 1.5])
     y_prime, y_second = np.full((2, 2), 0.1 + 0j), np.full((2, 2), 0.1 + 0j)
-    for path in (lambda: metric_at(cfg, 0.5), lambda: check_metrics(cfg), lambda: min_metric_eigenvalue(cfg),
+    for path in (lambda: check_metrics(cfg), lambda: min_metric_eigenvalue(cfg),
                  lambda: fiber_norms(cfg, FiberPoint(BasePoint(0.5, 0.0), y_prime[0], y_second[0])),
                  lambda: fiber_norms_batch(cfg, thetas, y_prime, y_second),
                  lambda: chi_eval_batch(cfg, thetas, y_prime, y_second),
@@ -778,7 +778,7 @@ def test_batch_entry_point_takes_a_harmonics_table(name, rng):
 
 
 def test_fiber_norms_batch_matches_pointwise(rng, cfg_fourier_quartic):
-    # reference: conj(y) G y per lane over the metric matrices of metric_at
+    # reference: conj(y) G y per lane over the metric matrices at its theta
     cfg = cfg_fourier_quartic
     n = 64
     thetas = rng.uniform(0, 2 * np.pi, n)
@@ -786,7 +786,7 @@ def test_fiber_norms_batch_matches_pointwise(rng, cfg_fourier_quartic):
     ys = rng.standard_normal((n, cfg.r_second)) + 1j * rng.standard_normal((n, cfg.r_second))
     g1, g2 = fiber_norms_batch(cfg, thetas, yp, ys)
     for i in range(n):
-        G1, G2 = metric_at(cfg, thetas[i])
+        G1, G2 = metric_pair(cfg, thetas[i])
         assert g1[i] == pytest.approx((yp[i].conj() @ G1 @ yp[i]).real, rel=1e-12)
         assert g2[i] == pytest.approx((ys[i].conj() @ G2 @ ys[i]).real, rel=1e-12)
 

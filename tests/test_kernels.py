@@ -11,12 +11,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import dense_metric, make_config, random_hermitian
+from conftest import dense_metric, make_config, metric_pair, random_hermitian
 from flipq import (DegenerateBranch, DimensionMismatch, MetricFieldSpec, NotStable, PerturbationTerm, StabilityClass,
                    classify, kernels, normalize_to_level, perturbation, presets)
 from flipq.config_io import build_model
 from flipq.core import fiber_norms, fiber_norms_batch
-from flipq.core import metric_at
 from flipq.perturbation import chi_parts_batch
 from flipq.quotient import level_rho_batch
 from flipq.sampling import random_domain_batch
@@ -159,7 +158,7 @@ def test_fourier_values_coefficient_layout_bitwise(coeff):
 
 def _chi_per_lane(cfg, theta, y_prime, y_second):
     """(chi, g1, g2) at one fiber vector from the metric matrices at theta, term by term."""
-    G1, G2 = metric_at(cfg, theta)
+    G1, G2 = metric_pair(cfg, theta)
     g1 = (y_prime.conj() @ G1 @ y_prime).real
     g2 = (y_second.conj() @ G2 @ y_second).real
     rest = 0.0

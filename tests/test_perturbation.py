@@ -33,7 +33,6 @@ from flipq import (
     level_rho_batch,
     matching_map,
     matching_map_batch,
-    metric_at,
     moment_value,
     normalize_to_level,
     phi_graph,
@@ -69,7 +68,8 @@ from flipq.perturbation import (
 from flipq.quotient import moment_value_batch
 from flipq.sampling import random_domain_batch, random_unit_direction
 
-from conftest import MIXED_MATCH_REFUSAL, fourier_metric, make_config, mixed_match_config, mixed_quartic_term
+from conftest import (MIXED_MATCH_REFUSAL, fourier_metric, make_config, metric_pair, mixed_match_config,
+                      mixed_quartic_term)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -138,7 +138,7 @@ def test_chi_quadratic_part_hessian(cfg_fourier_quartic):
                 ej = np.zeros(dim)
                 ej[j] = h
                 H[i, j] = H[j, i] = (q(ei + ej) - q(ei - ej) - q(-ei + ej) + q(-ei - ej)) / (4 * h**2)
-        G1, G2 = metric_at(cfg, theta)
+        G1, G2 = metric_pair(cfg, theta)
         expected = np.block([
             [-realify(G1), np.zeros((2 * rp, 2 * rs))],
             [np.zeros((2 * rs, 2 * rp)), realify(G2)],
@@ -289,7 +289,7 @@ def _scalar_stencil(cfg, phi, n_theta, h=1e-3):
                 ej[j] = h
                 H[i, j] = H[j, i] = (phi_z(theta, ei + ej, 0.0) - phi_z(theta, ei - ej, 0.0)
                                      - phi_z(theta, -ei + ej, 0.0) + phi_z(theta, -ei - ej, 0.0)) / (4.0 * h**2)
-        G1, G2 = metric_at(cfg, float(theta))
+        G1, G2 = metric_pair(cfg, float(theta))
         expected = np.block([[realify(G1), np.zeros((2 * rp, 2 * rs))],
                              [np.zeros((2 * rs, 2 * rp)), -realify(G2)]])
         worst[2] = max(worst[2], float(np.abs(H - expected).max()))
@@ -393,7 +393,7 @@ def test_rest_keeps_its_precision_near_the_zero_section(cfg_fourier_quartic):
     # as chi minus that part would lose it to cancellation at small r
     cfg = cfg_fourier_quartic
     theta, w_prime, w_second = 1.1, np.array([0.6, 0.3j]), np.array([0.5 + 0.2j])
-    G1, G2 = metric_at(cfg, theta)
+    G1, G2 = metric_pair(cfg, theta)
     for r in (1e-1, 1e-3, 1e-5):
         g1 = (r * w_prime).conj() @ G1 @ (r * w_prime)
         g2 = (r * w_second).conj() @ G2 @ (r * w_second)

@@ -43,7 +43,6 @@ UNREACHED = {
     "core._cstar_scalar": "criteria 2 and 3, through cstar_act and cstar_act_blowup",
     "core.cstar_act": "criterion 2",
     "core.fiber_norms": "criterion 6",
-    "core.metric_at": "README names it; item 21 lists it for deletion",
     "core.one_lane": "criterion 6, through the scalar wrappers",
     "kernels.Harmonics.nbytes": "perfbench's tracer reads it for bytes_computed (item 21 keeps it)",
     "kernels._newton_block": "criterion 6, through solve_rho(seed=1.0)",
